@@ -261,8 +261,12 @@ pub struct Engine {
     key_buf: Vec<u128>,
     /// Reused MAC-code buffer for [`CellLayout::PerEdge`] loading.
     codes_buf: Vec<u32>,
-    /// Scratch for the phys→logical hit translation under remapping.
+    /// Scratch for the phys→logical hit translation under remapping, and
+    /// for the first vote of a CAM majority vote.
     hits_scratch: HitVector,
+    /// The second and third votes of a CAM majority vote.
+    vote_b: HitVector,
+    vote_c: HitVector,
     /// Reused MAC input buffer for [`Engine::gather_rows`].
     inputs_buf: Vec<u32>,
     /// Reused MAC output buffer (one accumulated sum per crossed line).
@@ -361,6 +365,8 @@ impl Engine {
             key_buf: Vec::with_capacity(rows),
             codes_buf: Vec::new(),
             hits_scratch: HitVector::new(0),
+            vote_b: HitVector::new(0),
+            vote_c: HitVector::new(0),
             inputs_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             mac_out: Vec::new(),
             chunk_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
@@ -813,20 +819,22 @@ impl Engine {
         if self.fault_active && self.config.recovery.cam_double_check {
             // Two extra searches; a per-row majority vote masks any single
             // transient upset. Each re-search is charged like the first.
-            // (A fault path — never memoized, allocation here is fine.)
-            self.current
-                .add_phase(Phase::CamSearch, ns, self.record_ops);
-            self.trace_op(Phase::CamSearch, ns);
-            let second = self.cam.search(key, mask);
-            self.current
-                .add_phase(Phase::CamSearch, ns, self.record_ops);
-            self.trace_op(Phase::CamSearch, ns);
-            let third = self.cam.search(key, mask);
-            let voted = out
-                .and(&second)
-                .or(&out.and(&third))
-                .or(&second.and(&third));
-            out.copy_from(&voted);
+            for _ in 0..2 {
+                self.current
+                    .add_phase(Phase::CamSearch, ns, self.record_ops);
+                self.trace_op(Phase::CamSearch, ns);
+            }
+            if self.cam.search_draws() {
+                self.cam.search_into(key, mask, &mut self.vote_b);
+                self.cam.search_into(key, mask, &mut self.vote_c);
+                std::mem::swap(out, &mut self.hits_scratch);
+                out.majority3_from(&self.hits_scratch, &self.vote_b, &self.vote_c);
+            } else {
+                // Without upsets the re-searches are exact copies of the
+                // first and the vote is unanimous: bill them, skip the work.
+                self.cam.count_replayed_search();
+                self.cam.count_replayed_search();
+            }
             self.faults.cam_double_checks = self.faults.cam_double_checks.saturating_add(1);
         }
         if self.remap_active {
@@ -891,7 +899,8 @@ impl Engine {
             }
             // Only `out_col` is consumed, so the device restricts the
             // functional evaluation to that line (the burst is still billed
-            // in full, and the all-lines path runs under noise or faults).
+            // in full, and the all-lines path runs only when a full burst
+            // draws random numbers: quantized noise or ADC flips).
             let v = if self.remap_active {
                 // Activate the physical rows behind the logical slots.
                 self.phys_buf.clear();
@@ -986,7 +995,9 @@ impl Engine {
             let chunk_len = self.chunk_buf.len();
             // Restricted read-out: only this chunk's (physical) rows are
             // evaluated — billing still covers the full burst, so stats,
-            // energy, and modeled time match the full-evaluation path.
+            // energy, and modeled time match the full-evaluation path. The
+            // device evaluates every line only when a full burst draws
+            // random numbers (quantized noise or ADC flips).
             self.lines_buf.clear();
             for &row in &self.chunk_buf {
                 self.lines_buf.push(if self.remap_active {
@@ -2320,6 +2331,46 @@ mod tests {
         assert!(r.faults.cam_double_checks >= 1);
         // Three physical searches per logical one.
         assert_eq!(r.ops.cam_searches, 3);
+    }
+
+    #[test]
+    fn upset_free_votes_replay_but_bill_three_searches() {
+        let fault = FaultModel {
+            cam_stuck_ber: 2e-3,
+            mac_stuck_ber: 2e-3,
+            write_fail_rate: 0.2,
+            seed: 17,
+            ..FaultModel::none()
+        };
+        let mut e = faulty(fault, RecoveryPolicy::standard());
+        let mut clean = engine();
+        let b = fig7_block(&mut e);
+        let _ = fig7_block(&mut clean);
+        let mut logical = 0u64;
+        for v in 0..5 {
+            let dst = e.search_dst(VertexId::new(v));
+            assert_eq!(dst, clean.search_dst(VertexId::new(v)), "dst {v}");
+            assert_eq!(dst, e.search_dst(VertexId::new(v)), "repeat dst {v}");
+            let _ = clean.search_dst(VertexId::new(v));
+            let src = e.search_src(VertexId::new(v));
+            assert_eq!(src, clean.search_src(VertexId::new(v)), "src {v}");
+            for row in src.iter_ones() {
+                assert_eq!(b.edge(row).src, VertexId::new(v));
+            }
+            logical += 3;
+        }
+        let r = e.finish("t", "t", "t", 1, 8);
+        assert_eq!(r.ops.cam_searches, 3 * logical);
+        assert_eq!(r.faults.cam_double_checks, logical);
+        let cam_ns = |r: &RunReport| {
+            r.phases
+                .iter()
+                .find(|p| p.phase == Phase::CamSearch)
+                .map(|p| p.busy_ns)
+        };
+        let c = clean.finish("t", "t", "t", 1, 8);
+        assert_eq!(c.ops.cam_searches, logical);
+        assert!(cam_ns(&r) > cam_ns(&c), "re-searches bill device time");
     }
 
     #[test]

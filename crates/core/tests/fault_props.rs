@@ -121,4 +121,49 @@ proptest! {
         let inert = cam_ber == 0.0 && mac_ber == 0.0 && write_fail == 0.0;
         prop_assert_eq!(recovered.report.ops.verify_reads > 0, !inert);
     }
+
+    #[test]
+    fn upset_free_votes_bill_three_searches_per_logical_search(
+        vertex_exp in 5u32..7,
+        edges in 50usize..300,
+        seed in 0u64..1_000,
+        fault_seed in 0u64..1_000,
+        cam_ber in 1e-5..3e-4f64,
+        mac_ber in 1e-5..3e-4f64,
+        write_fail in 1e-3..0.05f64,
+    ) {
+        let graph = graph_for(vertex_exp, edges, seed);
+        let sssp = Sssp::from_source(VertexId::new(0));
+        let clean = GaasX::new(GaasXConfig::small()).run(&sssp, &graph).unwrap();
+        let run = |cam_double_check: bool| {
+            GaasX::new(GaasXConfig {
+                fault: FaultModel {
+                    seed: fault_seed,
+                    cam_stuck_ber: cam_ber,
+                    mac_stuck_ber: mac_ber,
+                    write_fail_rate: write_fail,
+                    ..FaultModel::none()
+                },
+                recovery: RecoveryPolicy {
+                    cam_double_check,
+                    ..RecoveryPolicy::standard()
+                },
+                ..GaasXConfig::small()
+            })
+            .run(&sssp, &graph)
+            .unwrap()
+        };
+        let voted = run(true);
+        let single = run(false);
+        prop_assert_eq!(&voted.result, &clean.result, "recovery leaked into results");
+        prop_assert_eq!(&single.result, &clean.result);
+        // Without upsets a vote draws nothing, so programming, verify
+        // and remapping replay identically; only the search bill triples.
+        let logical = single.report.ops.cam_searches;
+        prop_assert_eq!(voted.report.ops.cam_searches, 3 * logical);
+        prop_assert_eq!(voted.report.faults.cam_double_checks, logical);
+        prop_assert_eq!(voted.report.ops.verify_reads, single.report.ops.verify_reads);
+        prop_assert_eq!(voted.report.faults.write_retries, single.report.faults.write_retries);
+        prop_assert_eq!(voted.report.faults.row_remaps, single.report.faults.row_remaps);
+    }
 }

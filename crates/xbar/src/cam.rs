@@ -319,6 +319,17 @@ impl CamCrossbar {
         self.faults.as_ref().map(CamFaultState::stats)
     }
 
+    /// Whether a search draws random numbers (attached fault state with a
+    /// nonzero upset rate). When it does not, repeating a search on
+    /// unchanged entries returns the same hit vector, so a caller may
+    /// replay the result and bill the repeat with
+    /// [`count_replayed_search`](Self::count_replayed_search).
+    pub fn search_draws(&self) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(CamFaultState::upsets_searches)
+    }
+
     /// Folds a sibling crossbar's injected-fault counters into this one
     /// (no-op without attached fault state).
     pub fn merge_fault_stats(&mut self, other: Option<&FaultStats>) {

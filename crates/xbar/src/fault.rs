@@ -186,9 +186,11 @@ enum Stuck {
 /// Runtime fault state attached to a [`MacCrossbar`](crate::MacCrossbar).
 ///
 /// Stuck faults are applied *at write time*: the crossbar's cell array always
-/// holds the post-fault view, so the hot MAC loops read it unchanged. Wear is
-/// tracked per physical cell; a worn-out cell becomes permanently
-/// stuck-at-GMIN, which the next verify pass detects.
+/// holds the post-fault view, so the hot MAC loops read it unchanged. The
+/// positional stuck map is precomputed into per-cell set/clear masks, so
+/// applying it to a code is two bit-ops. Wear is tracked per physical cell;
+/// a worn-out cell becomes permanently stuck-at-GMIN, which the next verify
+/// pass detects.
 #[derive(Debug, Clone)]
 pub struct MacFaultState {
     model: FaultModel,
@@ -196,6 +198,11 @@ pub struct MacFaultState {
     slices: usize,
     bits_per_cell: u32,
     adc_bits: u32,
+    /// Per-cell mask of slice bits stuck at GMAX (set on every write),
+    /// indexed `row * cols + col`; empty when `mac_stuck_ber` is zero.
+    stuck_set: Vec<u32>,
+    /// Per-cell mask of slice bits stuck at GMIN (cleared on every write).
+    stuck_clear: Vec<u32>,
     /// Per-cell write counts, indexed `row * cols + col`; empty when
     /// endurance tracking is off.
     wear: Vec<u64>,
@@ -204,23 +211,52 @@ pub struct MacFaultState {
 }
 
 impl MacFaultState {
-    /// Builds fault state for a crossbar of the given geometry.
+    /// Builds fault state for a crossbar of the given geometry, precomputing
+    /// the positional stuck masks.
     pub fn new(model: FaultModel, geometry: &MacGeometry) -> Self {
+        let cells = geometry.rows * geometry.cols;
         let wear = if model.endurance > 0 {
-            vec![0u64; geometry.rows * geometry.cols]
+            vec![0u64; cells]
         } else {
             Vec::new()
         };
-        MacFaultState {
+        let mut state = MacFaultState {
             model,
             cols: geometry.cols,
             slices: geometry.slices,
             bits_per_cell: geometry.bits_per_cell,
             adc_bits: geometry.adc_bits,
+            stuck_set: Vec::new(),
+            stuck_clear: Vec::new(),
             wear,
             rng: SmallRng::seed_from_u64(mix64(model.seed ^ MAC_DOMAIN)),
             stats: FaultStats::default(),
+        };
+        if model.mac_stuck_ber > 0.0 {
+            let cell_mask = (1u32 << geometry.bits_per_cell) - 1;
+            let (mut set, mut clear) = (vec![0u32; cells], vec![0u32; cells]);
+            for cell in 0..cells {
+                let (row, col) = (cell / geometry.cols, cell % geometry.cols);
+                for slice in 0..geometry.slices {
+                    let bits = cell_mask << (slice as u32 * geometry.bits_per_cell);
+                    match state.stuck_slice(row, col, slice) {
+                        None => {}
+                        Some(Stuck::Gmin) => clear[cell] |= bits,
+                        Some(Stuck::Gmax) => set[cell] |= bits,
+                    }
+                }
+            }
+            state.stuck_set = set;
+            state.stuck_clear = clear;
         }
+        state
+    }
+
+    /// Whether sampling a MAC read-out draws random numbers: `true` when
+    /// the ADC-flip rate is nonzero. Stuck cells, wear and write failures
+    /// act at write time and never draw during a burst.
+    pub(crate) fn flips_samples(&self) -> bool {
+        self.model.adc_flip_rate > 0.0
     }
 
     /// Injected-event counters.
@@ -253,6 +289,7 @@ impl MacFaultState {
     }
 
     /// Positional stuck decision for one physical device (bit-slice cell).
+    /// Builds the precomputed masks, and serves as their test oracle.
     fn stuck_slice(&self, row: usize, col: usize, slice: usize) -> Option<Stuck> {
         if self.model.mac_stuck_ber <= 0.0 {
             return None;
@@ -278,20 +315,11 @@ impl MacFaultState {
         if self.worn_out(row, col) {
             return 0; // a dead cell holds GMIN in every slice
         }
-        if self.model.mac_stuck_ber <= 0.0 {
+        if self.stuck_set.is_empty() {
             return code;
         }
-        let cell_mask = (1u32 << self.bits_per_cell) - 1;
-        let mut out = code;
-        for slice in 0..self.slices {
-            let shift = slice as u32 * self.bits_per_cell;
-            match self.stuck_slice(row, col, slice) {
-                None => {}
-                Some(Stuck::Gmin) => out &= !(cell_mask << shift),
-                Some(Stuck::Gmax) => out |= cell_mask << shift,
-            }
-        }
-        out
+        let cell = row * self.cols + col;
+        (code | self.stuck_set[cell]) & !self.stuck_clear[cell]
     }
 
     /// Records one programming pulse on `(row, col)`: bumps wear (possibly
@@ -458,6 +486,13 @@ impl CamFaultState {
         out
     }
 
+    /// Whether a search draws random numbers: `true` when the match-line
+    /// upset rate is nonzero. Without upsets a search is a pure function
+    /// of the stored entries.
+    pub(crate) fn upsets_searches(&self) -> bool {
+        self.model.cam_upset_rate > 0.0
+    }
+
     /// Rolls for a transient match-line upset on one search, toggling a
     /// single random row's hit bit in place.
     pub fn upset(&mut self, hits: &mut HitVector) {
@@ -540,6 +575,61 @@ mod tests {
             (0..g.cols).any(|co| a.materialize(r, co, 0x5555) != c.materialize(r, co, 0x5555))
         });
         assert!(differs);
+    }
+
+    /// The per-slice `stuck_hash` derivation the precomputed masks replace.
+    fn materialize_per_slice(st: &MacFaultState, row: usize, col: usize, code: u32) -> u32 {
+        if st.worn_out(row, col) {
+            return 0;
+        }
+        let cell_mask = (1u32 << st.bits_per_cell) - 1;
+        let mut out = code;
+        for slice in 0..st.slices {
+            let shift = slice as u32 * st.bits_per_cell;
+            match st.stuck_slice(row, col, slice) {
+                None => {}
+                Some(Stuck::Gmin) => out &= !(cell_mask << shift),
+                Some(Stuck::Gmax) => out |= cell_mask << shift,
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn precomputed_stuck_masks_match_per_slice_hashes() {
+        let g = MacGeometry::paper();
+        let codes = [0u32, 0x5555, 0xAAAA, 0xFFFF, 0x1234, 0xBEEF];
+        for seed in [0, 7, 42, 0xBE05] {
+            for ber in [0.0, 1e-4, 0.01, 0.2, 1.0] {
+                let mut st = MacFaultState::new(
+                    model(|m| {
+                        m.seed = seed;
+                        m.mac_stuck_ber = ber;
+                        m.endurance = 2;
+                    }),
+                    &g,
+                );
+                // Wear out every seventh cell: three pulses past an
+                // endurance of two.
+                for cell in (0..g.rows * g.cols).step_by(7) {
+                    for _ in 0..3 {
+                        st.programmed(cell / g.cols, cell % g.cols, 0);
+                    }
+                }
+                assert!(st.stats().wear_deaths > 0);
+                for row in 0..g.rows {
+                    for col in 0..g.cols {
+                        for &code in &codes {
+                            assert_eq!(
+                                st.materialize(row, col, code),
+                                materialize_per_slice(&st, row, col, code),
+                                "seed {seed} ber {ber} cell ({row}, {col}) code {code:#x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

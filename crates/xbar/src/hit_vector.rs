@@ -198,6 +198,29 @@ impl HitVector {
         }
     }
 
+    /// Overwrites this vector with the per-row majority of three votes,
+    /// `(a & b) | (a & c) | (b & c)`, word by word and reusing the word
+    /// buffer — the allocation-free form of a three-way CAM vote.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a`, `b` and `c` share one length.
+    pub fn majority3_from(&mut self, a: &HitVector, b: &HitVector, c: &HitVector) {
+        assert!(
+            a.len == b.len && b.len == c.len,
+            "hit vector length mismatch"
+        );
+        self.len = a.len;
+        self.words.clear();
+        self.words.extend(
+            a.words
+                .iter()
+                .zip(&b.words)
+                .zip(&c.words)
+                .map(|((&a, &b), &c)| (a & b) | (a & c) | (b & c)),
+        );
+    }
+
     /// Streams the set rows in chunks of at most `chunk` indices without
     /// per-chunk allocation: each [`ChunkOnes::next_chunk`] call refills
     /// one internal buffer and lends it out.
@@ -221,42 +244,6 @@ impl HitVector {
             ones: self.iter_ones(),
             cap: chunk,
             buf: Vec::with_capacity(chunk),
-        }
-    }
-
-    /// Bitwise AND with another hit vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn and(&self, other: &HitVector) -> HitVector {
-        assert_eq!(self.len, other.len, "hit vector length mismatch");
-        HitVector {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
-    }
-
-    /// Bitwise OR with another hit vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn or(&self, other: &HitVector) -> HitVector {
-        assert_eq!(self.len, other.len, "hit vector length mismatch");
-        HitVector {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
         }
     }
 }
@@ -381,15 +368,49 @@ mod tests {
     }
 
     #[test]
-    fn in_place_ops_match_allocating_ops() {
+    fn in_place_ops_combine_rows() {
         let a = HitVector::from_indices(130, &[1, 2, 3, 64, 129]);
         let b = HitVector::from_indices(130, &[2, 3, 4, 129]);
         let mut ored = a.clone();
         ored.or_with(&b);
-        assert_eq!(ored, a.or(&b));
+        assert_eq!(
+            ored.iter_ones().collect::<Vec<_>>(),
+            vec![1, 2, 3, 4, 64, 129]
+        );
         let mut anded = a.clone();
         anded.and_with(&b);
-        assert_eq!(anded, a.and(&b));
+        assert_eq!(anded.iter_ones().collect::<Vec<_>>(), vec![2, 3, 129]);
+    }
+
+    #[test]
+    fn majority3_sets_rows_with_two_or_more_votes() {
+        let a = HitVector::from_indices(130, &[1, 2, 3, 64, 129]);
+        let b = HitVector::from_indices(130, &[2, 3, 4, 129]);
+        let c = HitVector::from_indices(130, &[3, 4, 64, 100]);
+        let mut voted = HitVector::from_indices(7, &[6]);
+        voted.majority3_from(&a, &b, &c);
+        assert_eq!(voted.len(), 130);
+        for row in 0..130 {
+            let votes = [&a, &b, &c].iter().filter(|v| v.get(row)).count();
+            assert_eq!(voted.get(row), votes >= 2, "row {row}");
+        }
+        assert_eq!(
+            voted.iter_ones().collect::<Vec<_>>(),
+            vec![2, 3, 4, 64, 129]
+        );
+        // Unanimous votes pass through unchanged.
+        voted.majority3_from(&a, &a, &a);
+        assert_eq!(voted, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn majority3_rejects_length_mismatch() {
+        HitVector::new(4).majority3_from(
+            &HitVector::new(4),
+            &HitVector::new(4),
+            &HitVector::new(5),
+        );
     }
 
     #[test]
@@ -454,13 +475,6 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn set_word_out_of_range_panics() {
         HitVector::new(64).set_word(1, 1);
-    }
-
-    #[test]
-    fn and_intersects() {
-        let a = HitVector::from_indices(10, &[1, 2, 3]);
-        let b = HitVector::from_indices(10, &[2, 3, 4]);
-        assert_eq!(a.and(&b).iter_ones().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

@@ -346,10 +346,11 @@ impl MacCrossbar {
     /// accounting is exactly that of a full [`mac_into`](Self::mac_into)
     /// burst — one MAC op and the full complement of ADC samples. Only the
     /// *functional* evaluation is restricted, and only when it is safe:
-    /// with no noise model and no fault state attached each crossed line
+    /// unless the full burst would draw random numbers (quantized fidelity
+    /// with a noise model or a nonzero ADC-flip rate), each crossed line
     /// is independent, so the one sum computed here is bit-identical to
-    /// the full burst's. When either is attached the full evaluation runs
-    /// instead, keeping the RNG draw sequence unchanged.
+    /// the full burst's. A burst that draws runs in full instead, keeping
+    /// the RNG draw sequence unchanged.
     ///
     /// # Errors
     ///
@@ -373,7 +374,7 @@ impl MacCrossbar {
             });
         }
         self.bill_op(active.len(), out_len);
-        if self.noise.is_some() || self.faults.is_some() {
+        if self.burst_draws() {
             let mut out = std::mem::take(&mut self.col_scratch);
             out.clear();
             out.resize(out_len, 0);
@@ -413,9 +414,9 @@ impl MacCrossbar {
     /// Like [`mac_col`](Self::mac_col), the analog array still evaluates
     /// every crossed line, so the cost accounting is exactly that of a
     /// full burst. Only the functional evaluation is restricted, and only
-    /// when no noise model and no fault state is attached (each crossed
-    /// line is then independent); otherwise the full evaluation runs so
-    /// the RNG draw sequence stays identical to [`mac_into`](Self::mac_into).
+    /// when the full burst draws no random numbers (each crossed line is
+    /// then independent); otherwise the full evaluation runs so the RNG
+    /// draw sequence stays identical to [`mac_into`](Self::mac_into).
     ///
     /// # Errors
     ///
@@ -447,7 +448,7 @@ impl MacCrossbar {
             }
         }
         self.bill_op(active.len(), out_len);
-        if self.noise.is_some() || self.faults.is_some() {
+        if self.burst_draws() {
             let mut full = std::mem::take(&mut self.col_scratch);
             full.clear();
             full.resize(out_len, 0);
@@ -530,6 +531,19 @@ impl MacCrossbar {
         Ok(out_len)
     }
 
+    /// Whether a full burst draws random numbers: only the quantized
+    /// periphery samples noisy analog sums or flipping ADCs. When it does
+    /// not, every crossed line is independent, so the restricted read-outs
+    /// and the packed kernel are bit-identical to the scalar full burst.
+    fn burst_draws(&self) -> bool {
+        self.fidelity == Fidelity::Quantized
+            && (self.noise.is_some()
+                || self
+                    .faults
+                    .as_ref()
+                    .is_some_and(MacFaultState::flips_samples))
+    }
+
     /// Counts the periphery cost of one MAC burst: one MAC op, one DAC
     /// conversion per active line per input step, one ADC sample per
     /// crossed line per input step per slice.
@@ -584,14 +598,10 @@ impl MacCrossbar {
         let cell_mask = (1u32 << g.bits_per_cell) - 1;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
         let steps = self.input_bits.div_ceil(g.dac_bits);
-        if self.noise.is_none()
-            && self.faults.is_none()
-            && self.kernel == Kernel::Packed
-            && active.len() <= 64
-        {
-            // Clean burst, packed kernel: every crossed line is independent
-            // and no RNG is consumed, so the lane bit-plane evaluation is
-            // free to replace the scalar loop (integer-identical results).
+        if !self.burst_draws() && self.kernel == Kernel::Packed && active.len() <= 64 {
+            // No RNG is consumed, so every crossed line is independent and
+            // the lane bit-plane evaluation is free to replace the scalar
+            // loop (integer-identical results).
             let x_planes = pack_bit_planes(inputs);
             for (o, slot) in out.iter_mut().enumerate() {
                 *slot = self.quantized_line_packed(direction, active, &x_planes, o);
@@ -626,9 +636,9 @@ impl MacCrossbar {
         // gaasx-lint: end-hot
     }
 
-    /// One crossed line of [`mac_quantized`](Self::mac_quantized) with no
-    /// noise or fault state attached (so no RNG is consumed): identical
-    /// bit-slicing and ADC saturation, restricted to slot `o`.
+    /// One crossed line of [`mac_quantized`](Self::mac_quantized) for a
+    /// burst that draws no random numbers: identical bit-slicing and ADC
+    /// saturation, restricted to slot `o`.
     fn quantized_line_clean(
         &self,
         direction: MacDirection,
@@ -942,15 +952,64 @@ mod tests {
         assert_eq!(m.stats().rows_per_mac.iter().sum::<u64>(), 1);
     }
 
+    /// Twin crossbars for the restricted read-out tests, under each setup
+    /// whose full burst draws no random numbers: no faults, and stuck
+    /// cells with always-failing writes. Exact fidelity never samples an
+    /// ADC, so there the fault model flips samples too.
+    fn quiet_twins() -> Vec<(String, MacCrossbar, MacCrossbar)> {
+        use crate::fault::{FaultModel, MacFaultState};
+        let mut twins = Vec::new();
+        for fidelity in [Fidelity::Exact, Fidelity::Quantized] {
+            let model = FaultModel {
+                seed: 5,
+                mac_stuck_ber: 0.05,
+                write_fail_rate: 1.0,
+                adc_flip_rate: if fidelity == Fidelity::Exact {
+                    0.5
+                } else {
+                    0.0
+                },
+                ..FaultModel::none()
+            };
+            for faults in [None, Some(model)] {
+                let build = || {
+                    let mut m = mac(fidelity);
+                    m.set_faults(faults.map(|f| MacFaultState::new(f, &m.geometry())));
+                    m
+                };
+                let (mut full, mut restricted) = (build(), build());
+                for (r, codes) in [(0usize, [0xFFu32, 7, 1]), (3, [2, 0x3FF, 5])] {
+                    full.write_row(r, &codes).unwrap();
+                    restricted.write_row(r, &codes).unwrap();
+                }
+                twins.push((format!("{fidelity:?} {faults:?}"), full, restricted));
+            }
+        }
+        twins
+    }
+
+    /// The restricted twin took no full-burst fallback, and its random
+    /// draw sequence has not moved: the next transient writes latch the
+    /// same values on both twins.
+    fn assert_restricted_and_rng_unmoved(label: &str, full: &mut MacCrossbar, r: &mut MacCrossbar) {
+        assert!(
+            r.col_scratch.is_empty(),
+            "{label}: fell back to a full burst"
+        );
+        full.write_row(9, &[0x1234; 16]).unwrap();
+        r.write_row(9, &[0x1234; 16]).unwrap();
+        for col in 0..16 {
+            assert_eq!(
+                r.read_cell(9, col).unwrap(),
+                full.read_cell(9, col).unwrap(),
+                "{label}: next write diverged at col {col}"
+            );
+        }
+    }
+
     #[test]
     fn mac_col_matches_full_burst_and_billing() {
-        for fidelity in [Fidelity::Exact, Fidelity::Quantized] {
-            let mut full = mac(fidelity);
-            let mut single = mac(fidelity);
-            for (r, codes) in [(0usize, [0xFFu32, 7, 1]), (3, [2, 0x3FF, 5])] {
-                full.write_row(r, &codes).unwrap();
-                single.write_row(r, &codes).unwrap();
-            }
+        for (label, mut full, mut single) in quiet_twins() {
             let inputs = [0x1234u32, 0xBEEF];
             let out = full
                 .mac(MacDirection::RowsToColumns, &[0, 3], &inputs)
@@ -959,7 +1018,7 @@ mod tests {
                 let v = single
                     .mac_col(MacDirection::RowsToColumns, &[0, 3], &inputs, col)
                     .unwrap();
-                assert_eq!(v, want, "{fidelity:?} col {col}");
+                assert_eq!(v, want, "{label} col {col}");
             }
             // Billing is per burst, not per line read: 16 mac_col calls
             // cost 16× one full burst.
@@ -969,6 +1028,7 @@ mod tests {
                 16 * full.stats().dac_conversions
             );
             assert_eq!(single.stats().adc_samples, 16 * full.stats().adc_samples);
+            assert_restricted_and_rng_unmoved(&label, &mut full, &mut single);
         }
     }
 
@@ -1036,13 +1096,7 @@ mod tests {
 
     #[test]
     fn mac_lines_matches_full_burst_and_billing() {
-        for fidelity in [Fidelity::Exact, Fidelity::Quantized] {
-            let mut full = mac(fidelity);
-            let mut lines = mac(fidelity);
-            for (r, codes) in [(0usize, [0xFFu32, 7, 1]), (3, [2, 0x3FF, 5])] {
-                full.write_row(r, &codes).unwrap();
-                lines.write_row(r, &codes).unwrap();
-            }
+        for (label, mut full, mut lines) in quiet_twins() {
             let inputs = [0x1234u32, 0xBEEF];
             let out = full
                 .mac(MacDirection::RowsToColumns, &[0, 3], &inputs)
@@ -1057,11 +1111,26 @@ mod tests {
                     &mut got,
                 )
                 .unwrap();
-            assert_eq!(got, vec![out[5], out[0], out[2]], "{fidelity:?}");
+            assert_eq!(got, vec![out[5], out[0], out[2]], "{label}");
+            // The transposed read-out `propagate_rows` issues.
+            let out = full
+                .mac(MacDirection::ColumnsToRows, &[0, 2], &inputs)
+                .unwrap();
+            lines
+                .mac_lines_into(
+                    MacDirection::ColumnsToRows,
+                    &[0, 2],
+                    &inputs,
+                    &[3, 0],
+                    &mut got,
+                )
+                .unwrap();
+            assert_eq!(got, vec![out[3], out[0]], "{label} transposed");
             // One restricted call bills exactly one full burst.
             assert_eq!(lines.stats().mac_ops, full.stats().mac_ops);
             assert_eq!(lines.stats().dac_conversions, full.stats().dac_conversions);
             assert_eq!(lines.stats().adc_samples, full.stats().adc_samples);
+            assert_restricted_and_rng_unmoved(&label, &mut full, &mut lines);
         }
     }
 

@@ -100,6 +100,53 @@ proptest! {
         }
     }
 
+    /// Under a fault model with stuck bits and write failures but no
+    /// search upsets, a search draws no random numbers: repeating it on
+    /// unchanged entries returns the same hit vector, in every mode. This
+    /// is what lets the engine replay the 2nd and 3rd vote of a CAM
+    /// majority vote instead of searching again.
+    #[test]
+    fn upset_free_searches_repeat_exactly(
+        ops in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            1..80,
+        ),
+        seed in any::<u64>(),
+        cam_stuck_ber in 0.0..0.05f64,
+        write_fail_rate in 0.0..0.5f64,
+    ) {
+        let g = CamGeometry::paper();
+        let model = FaultModel {
+            seed,
+            cam_stuck_ber,
+            write_fail_rate,
+            ..FaultModel::none()
+        };
+        for mode in [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto] {
+            let mut cam = CamCrossbar::new(g);
+            cam.set_search_mode(mode);
+            cam.set_faults(Some(CamFaultState::new(model, &g)));
+            prop_assert!(!cam.search_draws());
+            let mut hits = Vec::new();
+            for &op in &ops {
+                apply_cam_op(&mut cam, op, &mut hits);
+                let before = hits.len();
+                // Replaying the op repeats a search (and only a search).
+                if op.0 % 8 >= 5 {
+                    apply_cam_op(&mut cam, op, &mut hits);
+                    prop_assert_eq!(&hits[before - 1], &hits[before], "repeat diverged under {}", mode);
+                }
+            }
+            prop_assert_eq!(cam.fault_stats().unwrap().cam_upsets, 0);
+        }
+        let mut upsetting = CamCrossbar::new(g);
+        upsetting.set_faults(Some(CamFaultState::new(
+            FaultModel { cam_upset_rate: 1e-3, ..model },
+            &g,
+        )));
+        prop_assert!(upsetting.search_draws());
+    }
+
     /// The exact MAC equals the host-side dot product, per column.
     #[test]
     fn exact_mac_matches_host_math((cells, inputs) in mac_setup()) {

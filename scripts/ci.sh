@@ -82,4 +82,13 @@ GAASX_CAP_EDGES=60000 GAASX_PR_ITERS=5 cargo run -q --release --offline -p gaasx
     --bin bench_snapshot -- --baseline results/BENCH_08.json --tolerance 0.6 \
     --out target/ci_bench_snapshot.json
 
+echo "==> repo benchmark: fmt, clippy -D warnings, tests, --smoke"
+# The benchmark is a Cargo package of its own (empty [workspace], own lock
+# file), so the workspace-wide steps above do not reach it.
+BENCH_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
+cargo fmt --check --manifest-path "$BENCH_MANIFEST"
+cargo clippy -q --release --offline --all-targets --manifest-path "$BENCH_MANIFEST" -- -D warnings
+cargo test -q --release --offline --manifest-path "$BENCH_MANIFEST"
+cargo run -q --release --offline --manifest-path "$BENCH_MANIFEST" -- --smoke
+
 echo "CI gate passed."
