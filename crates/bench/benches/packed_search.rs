@@ -4,9 +4,10 @@
 //! bit-plane matcher must clear 1.5x over the scalar scan there (the
 //! `search/` pairs below; `results/BENCH_08.json` records the end-to-end
 //! win, 1.9–2.6x on deep-bank runs). The write pair measures the other
-//! side of the trade — diff-based plane maintenance must keep block
-//! programming O(changed bits), not O(width) — and the MAC pair measures
-//! the bit-plane popcount evaluation of the clean quantized burst.
+//! side of the trade — a packed write only marks its plane word stale, so
+//! block programming must cost what the scalar kernel's does — and the
+//! MAC pair measures the bit-plane popcount evaluation of the clean
+//! quantized burst.
 
 #![allow(clippy::unwrap_used)]
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

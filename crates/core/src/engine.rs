@@ -26,6 +26,8 @@
 //! *event-driven* alternative dispatches each block to the
 //! earliest-available bank with no barriers ([`gaasx_sim::des`]).
 
+use std::sync::OnceLock;
+
 use gaasx_graph::{CooGraph, Edge, GraphError, VertexId};
 use gaasx_sim::des::{BankScheduler, SchedulePolicy};
 use gaasx_sim::pipeline::{pipelined_makespan, serial_makespan, PhasePipe, PipelineClock};
@@ -77,14 +79,34 @@ impl std::fmt::Debug for CellLayout<'_> {
 }
 
 /// A loaded block: the controller's metadata for one CAM+MAC bank fill.
+///
+/// The distinct-vertex lists are derived on first use: a block's search
+/// mode resolution reads at most one of them, and most algorithms iterate
+/// only one field.
 #[derive(Debug, Clone)]
 pub struct Block {
     rows: Vec<Edge>,
-    distinct_srcs: Vec<VertexId>,
-    distinct_dsts: Vec<VertexId>,
+    distinct_srcs: OnceLock<Vec<VertexId>>,
+    distinct_dsts: OnceLock<Vec<VertexId>>,
 }
 
 impl Block {
+    fn new(edges: &[Edge]) -> Self {
+        Block {
+            rows: edges.to_vec(),
+            distinct_srcs: OnceLock::new(),
+            distinct_dsts: OnceLock::new(),
+        }
+    }
+
+    /// The ascending, deduplicated values of one edge field.
+    fn distinct(&self, field: fn(&Edge) -> VertexId) -> Vec<VertexId> {
+        let mut keys: Vec<VertexId> = self.rows.iter().map(field).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
     /// The edge stored at a CAM/MAC row.
     ///
     /// # Panics
@@ -107,12 +129,12 @@ impl Block {
     /// Distinct source vertices, ascending (the controller tracks loaded
     /// vertex ranges as graph metadata, §III-A).
     pub fn distinct_srcs(&self) -> &[VertexId] {
-        &self.distinct_srcs
+        self.distinct_srcs.get_or_init(|| self.distinct(|e| e.src))
     }
 
     /// Distinct destination vertices, ascending.
     pub fn distinct_dsts(&self) -> &[VertexId] {
-        &self.distinct_dsts
+        self.distinct_dsts.get_or_init(|| self.distinct(|e| e.dst))
     }
 }
 
@@ -230,6 +252,8 @@ pub struct Engine {
     /// Physical row → logical slot ([`UNMAPPED`] for spares and retired
     /// rows).
     phys2log: Vec<usize>,
+    /// Edges in the loaded block: slots `0..block_len` hold its edges.
+    block_len: usize,
     /// Free spare physical rows, popped in ascending row order.
     spares: Vec<usize>,
     /// `true` once any slot maps away from its identity row.
@@ -348,6 +372,7 @@ impl Engine {
             fault_active,
             log2phys: (0..capacity).collect(),
             phys2log,
+            block_len: 0,
             // Descending storage so `pop` hands out spares in ascending
             // physical-row order.
             spares: (capacity..rows).rev().collect(),
@@ -407,19 +432,16 @@ impl Engine {
     /// the distinct-key count of the field the declared profile searches
     /// (dense sweeps probe destinations, frontier expansion probes
     /// sources) and the physical-search multiplier CAM majority voting
-    /// would impose.
-    fn resolve_block_mode(
-        &self,
-        occupancy: usize,
-        distinct_srcs: usize,
-        distinct_dsts: usize,
-    ) -> SearchMode {
+    /// would impose. Only `Auto` derives a distinct-key list, and only
+    /// that one field's.
+    fn resolve_block_mode(&self, block: &Block) -> SearchMode {
         match self.config.search_mode {
             SearchMode::Auto => {
                 let distinct_keys = match self.search_profile {
-                    SearchProfile::OnePerKey => distinct_dsts,
-                    SearchProfile::Frontier => distinct_srcs,
-                };
+                    SearchProfile::OnePerKey => block.distinct_dsts(),
+                    SearchProfile::Frontier => block.distinct_srcs(),
+                }
+                .len();
                 let physical_per_logical =
                     if self.fault_active && self.config.recovery.cam_double_check {
                         3
@@ -428,7 +450,7 @@ impl Engine {
                     };
                 self.search_costs.resolve(&BlockShape {
                     rows: self.config.cam_geometry.rows,
-                    occupancy,
+                    occupancy: block.len(),
                     distinct_keys,
                     physical_per_logical,
                     profile: self.search_profile,
@@ -696,21 +718,13 @@ impl Engine {
         self.in_block = true;
 
         self.cam.invalidate_all();
-        let mut srcs: Vec<VertexId> = Vec::with_capacity(edges.len());
-        let mut dsts: Vec<VertexId> = Vec::with_capacity(edges.len());
-        for e in edges {
-            srcs.push(e.src);
-            dsts.push(e.dst);
-        }
-        srcs.sort_unstable();
-        srcs.dedup();
-        dsts.sort_unstable();
-        dsts.dedup();
+        self.block_len = edges.len();
+        let block = Block::new(edges);
 
         // Resolve the host search algorithm for this block before
         // programming: the memo registers key sequences only for blocks
         // that resolve Indexed, so the decision must precede the loop.
-        let resolved = self.resolve_block_mode(edges.len(), srcs.len(), dsts.len());
+        let resolved = self.resolve_block_mode(&block);
         self.cam.set_search_mode(resolved);
         self.memo_active = self.memo_enabled && resolved == SearchMode::Indexed;
 
@@ -760,11 +774,7 @@ impl Engine {
                 .end((start + load_ns).ns());
         }
 
-        Ok(Block {
-            rows: edges.to_vec(),
-            distinct_srcs: srcs,
-            distinct_dsts: dsts,
-        })
+        Ok(block)
     }
 
     /// CAM search for all edges with the given source (row-wise key field).
@@ -837,16 +847,21 @@ impl Engine {
             }
             self.faults.cam_double_checks = self.faults.cam_double_checks.saturating_add(1);
         }
-        if self.remap_active {
+        if self.remap_active || self.cam.search_draws() {
             // Remapped slots match at their spare's physical row; report
             // them at their logical slot so algorithms stay oblivious to
-            // remapping. (Remaps require an active fault model, so this
-            // never runs on the memoized steady-state path.)
+            // remapping. A search upset can toggle *any* match line, so
+            // hits on rows holding no edge of the loaded block (invalid,
+            // past its occupancy, or an unmapped spare) are dropped
+            // first: algorithms index the block by slot. Without upsets
+            // every hit is on a valid mapped row, so nothing drops.
+            // (Both need an active fault model, so this never runs on
+            // the memoized steady-state path.)
             std::mem::swap(out, &mut self.hits_scratch);
             out.reset(self.hits_scratch.len());
             for phys in self.hits_scratch.iter_ones() {
                 let slot = self.phys2log[phys];
-                if slot != UNMAPPED {
+                if slot < self.block_len && self.cam.read(phys).is_ok_and(|e| e.valid) {
                     out.set(slot);
                 }
             }
@@ -1790,6 +1805,54 @@ mod tests {
         assert_eq!(b.distinct_srcs().len(), 5);
         // Destinations are {2,3,4} (1-based).
         assert_eq!(b.distinct_dsts().len(), 3);
+    }
+
+    #[test]
+    fn lazy_block_metadata_matches_eager_sort_and_dedup() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as u32
+        };
+        for (profile, mode) in [
+            (SearchProfile::OnePerKey, SearchMode::Auto),
+            (SearchProfile::Frontier, SearchMode::Auto),
+            (SearchProfile::OnePerKey, SearchMode::Linear),
+        ] {
+            let mut e = Engine::new(GaasXConfig {
+                search_mode: mode,
+                ..GaasXConfig::small()
+            })
+            .unwrap();
+            e.set_search_profile(profile);
+            for case in 0..40 {
+                let len = next(e.block_capacity() as u64 + 1) as usize;
+                // Narrow and wide vertex ranges: many and few duplicates.
+                let span = if case % 2 == 0 { 8 } else { 1 << 20 };
+                let edges: Vec<Edge> = (0..len)
+                    .map(|_| Edge::new(next(span), next(span), 1.0))
+                    .collect();
+                let eager = |field: fn(&Edge) -> VertexId| {
+                    let mut v: Vec<VertexId> = edges.iter().map(field).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                let b = e.load_block(&edges, CellLayout::Preset).unwrap();
+                for (got, want) in [
+                    (b.distinct_dsts(), eager(|e| e.dst)),
+                    (b.distinct_srcs(), eager(|e| e.src)),
+                ] {
+                    assert!(
+                        got.windows(2).all(|w| w[0] < w[1]),
+                        "ascending, deduplicated"
+                    );
+                    assert_eq!(got, &want[..]);
+                }
+            }
+        }
     }
 
     #[test]

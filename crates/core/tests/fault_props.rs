@@ -11,9 +11,13 @@
 //!    and transient-write rates the standard policy can absorb, algorithm
 //!    outputs exactly match the fault-free run — recovery costs time and
 //!    energy, never correctness.
+//!
+//! A third property covers faults recovery cannot mask: CAM search upsets
+//! may change results, but a run must still end in `Ok` or a typed
+//! [`CoreError`](gaasx_core::CoreError), never a panic.
 
 #![allow(clippy::unwrap_used)]
-use gaasx_core::algorithms::{PageRank, Sssp};
+use gaasx_core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gaasx_core::{GaasX, GaasXConfig, RecoveryPolicy, ShardableAlgorithm};
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_graph::{CooGraph, VertexId};
@@ -165,5 +169,43 @@ proptest! {
         prop_assert_eq!(voted.report.ops.verify_reads, single.report.ops.verify_reads);
         prop_assert_eq!(voted.report.faults.write_retries, single.report.faults.write_retries);
         prop_assert_eq!(voted.report.faults.row_remaps, single.report.faults.row_remaps);
+    }
+
+    #[test]
+    fn cam_upsets_never_panic_the_algorithms(
+        vertex_exp in 5u32..7,
+        edges in 50usize..400,
+        seed in 0u64..1_000,
+        fault_seed in 0u64..1_000,
+        upset_ix in 0usize..3,
+        cam_double_check in any::<bool>(),
+        remapping in any::<bool>(),
+    ) {
+        let graph = graph_for(vertex_exp, edges, seed);
+        // With `remapping`, transient write failures past a zero retry
+        // budget retire rows onto spares, so hits also go through the
+        // phys -> slot translation.
+        let config = GaasXConfig {
+            fault: FaultModel {
+                seed: fault_seed,
+                cam_upset_rate: [0.01, 0.05, 0.2][upset_ix],
+                write_fail_rate: if remapping { 0.005 } else { 0.0 },
+                ..FaultModel::none()
+            },
+            recovery: RecoveryPolicy {
+                cam_double_check,
+                retry_budget: 0,
+                spare_rows: 32,
+                ..RecoveryPolicy::standard()
+            },
+            ..GaasXConfig::small()
+        };
+        let source = VertexId::new(0);
+        // `Err` is a typed outcome (e.g. an exhausted spare pool); only a
+        // panic fails the property.
+        let _ = GaasX::new(config.clone()).run(&PageRank::fixed_iterations(3), &graph);
+        let _ = GaasX::new(config.clone()).run(&Sssp::from_source(source), &graph);
+        let _ = GaasX::new(config.clone()).run(&Bfs::from_source(source), &graph);
+        let _ = GaasX::new(config).run(&ConnectedComponents::new(), &graph);
     }
 }

@@ -217,9 +217,9 @@ pub struct CamCrossbar {
     /// Host kernel evaluating the linear matcher (packed word-parallel or
     /// scalar row-at-a-time; results and accounting are identical).
     kernel: Kernel,
-    /// Bit-plane transposed mirror of `entries`, maintained incrementally
-    /// while the packed kernel is active and rebuilt lazily after a spell
-    /// on the scalar kernel.
+    /// Bit-plane transposed view of `entries` for the packed kernel.
+    /// Mutations only mark the touched 64-row word stale; the next packed
+    /// search rebuilds the stale words.
     packed: PackedPlanes,
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
@@ -290,16 +290,11 @@ impl CamCrossbar {
         self.mode
     }
 
-    /// Selects the host kernel for the linear matcher. Switching to the
-    /// packed kernel marks the bit planes stale; they rebuild from the
-    /// entry store on the next packed search.
+    /// Selects the host kernel for the linear matcher. Switching is free:
+    /// every mutation marks the bit planes stale under either kernel, and
+    /// the next packed search rebuilds what changed.
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        if kernel != self.kernel {
-            self.kernel = kernel;
-            if kernel == Kernel::Packed {
-                self.packed.mark_dirty();
-            }
-        }
+        self.kernel = kernel;
     }
 
     /// The active host kernel.
@@ -376,6 +371,10 @@ impl CamCrossbar {
 
     /// Writes an entry into `row`, counting the cell programming cost.
     ///
+    /// Host-side the write is a store plus bookkeeping: clean exact-match
+    /// indexes are patched, and the packed bit-planes only mark the row's
+    /// 64-row word stale (rebuilt by the next packed search).
+    ///
     /// # Errors
     ///
     /// Returns [`XbarError::RowOutOfRange`] if `row` exceeds the geometry.
@@ -396,12 +395,10 @@ impl CamCrossbar {
         };
         let old = self.entries[row];
         self.entries[row] = stored;
-        if self.kernel == Kernel::Packed && !self.packed.is_dirty() {
-            // Diff-based plane patch: block programs rewrite whole banks,
-            // so per-write cost decides the packed kernel's end-to-end
-            // win — only the planes whose bit flipped are touched.
-            self.packed.update_row(row, old.bits, stored.bits);
-        }
+        // Block programs rewrite whole banks, often for blocks the index
+        // or the memo serves, so the write only stales the row's plane
+        // word; a packed search rebuilds it in bulk if one ever comes.
+        self.packed.mark_stale(row);
         self.patch_indexes(old, stored, row);
         self.stats.row_writes += 1;
         // A TCAM cell is a complementary ReRAM pair: 2 device writes per bit.
@@ -425,22 +422,22 @@ impl CamCrossbar {
         let old = self.entries[row];
         if old.valid {
             self.entries[row].valid = false;
-            if self.kernel == Kernel::Packed && !self.packed.is_dirty() {
-                self.packed.invalidate(row);
-            }
+            self.packed.mark_stale(row);
             self.patch_indexes(old, self.entries[row], row);
         }
         Ok(())
     }
 
-    /// Invalidates every row (start of a new shard load).
+    /// Invalidates every row (start of a new shard load). Stored bits
+    /// survive; the indexes and the packed bit-planes are only marked
+    /// stale and rebuild on their next use.
     pub fn invalidate_all(&mut self) {
         for e in &mut self.entries {
             e.valid = false;
         }
-        // Cheap for the planes too: only the valid words clear (plane bits
-        // stay stale-but-unmatched, like the entry bits below).
-        self.packed.invalidate_all();
+        // The planes only mark every word stale; the next packed search
+        // rebuilds whatever the new block programmed.
+        self.packed.mark_all_stale();
         // Bulk clears only bump the epoch: every index turns stale at once
         // and rebuilds lazily on its next indexed search. Memoized
         // steady-state iterations never physically search a reloaded block
@@ -547,12 +544,7 @@ impl CamCrossbar {
         }
         if !via_index {
             match self.kernel {
-                Kernel::Packed => {
-                    if self.packed.is_dirty() {
-                        self.packed.rebuild(&self.entries);
-                    }
-                    self.packed.search_into(key, mask, out);
-                }
+                Kernel::Packed => self.packed.search_into(&self.entries, key, mask, out),
                 Kernel::Scalar => Self::linear_scan_into(&self.entries, key, mask, out),
             }
         }
@@ -1007,13 +999,13 @@ mod tests {
             c.write(i, u128::from(i as u32 % 3)).unwrap();
         }
         let a = c.search(1, DST_MASK);
-        // Writes while scalar skipped plane maintenance; the switch must
-        // rebuild before the packed matcher answers.
+        // Writes under the scalar kernel stale the planes too, so the
+        // packed matcher's first search rebuilds them.
         c.set_kernel(Kernel::Packed);
         assert_eq!(c.kernel(), Kernel::Packed);
         let b = c.search(1, DST_MASK);
         assert_eq!(a, b);
-        c.write(5, 1).unwrap(); // incremental maintenance after rebuild
+        c.write(5, 1).unwrap(); // restales one word after the rebuild
         let d = c.search(1, DST_MASK);
         assert_eq!(d.count(), a.count() + 1);
     }

@@ -71,6 +71,10 @@ pub struct MacCrossbar {
     /// view: stuck-at maps are applied when values land, so the hot MAC
     /// loops read the array unchanged.
     cells: Vec<u32>,
+    /// Per row, how many leading cells may be nonzero: every cell past it
+    /// is zero, so a row write zeroes only up to the old width instead of
+    /// the whole row tail.
+    row_width: Vec<usize>,
     noise: Option<NoiseModel>,
     faults: Option<MacFaultState>,
     stats: XbarStats,
@@ -99,6 +103,7 @@ impl MacCrossbar {
             geometry,
             fidelity,
             cells: vec![0; geometry.rows * geometry.cols],
+            row_width: vec![0; geometry.rows],
             noise: None,
             faults: None,
             stats: XbarStats::new(),
@@ -226,9 +231,7 @@ impl MacCrossbar {
         } else {
             self.cells[base..base + codes.len()].copy_from_slice(codes);
         }
-        for c in &mut self.cells[base + codes.len()..base + self.geometry.cols] {
-            *c = 0;
-        }
+        self.zero_tail(row, codes.len());
         self.stats.row_writes += 1;
         self.stats.cells_written += (codes.len() * self.geometry.slices) as u64;
         Ok(())
@@ -262,6 +265,7 @@ impl MacCrossbar {
             Some(faults) => faults.programmed(row, col, code),
             None => code,
         };
+        self.row_width[row] = self.row_width[row].max(col + 1);
         self.stats.row_writes += 1;
         self.stats.cells_written += self.geometry.slices as u64;
         Ok(())
@@ -745,6 +749,18 @@ impl MacCrossbar {
     /// device operation).
     pub fn clear(&mut self) {
         self.cells.fill(0);
+        self.row_width.fill(0);
+    }
+
+    /// Zeroes `row`'s cells from `len` up to its recorded width (cells
+    /// past the width are zero already) and records `len` as the new
+    /// width, after the leading `len` cells were (re)written.
+    fn zero_tail(&mut self, row: usize, len: usize) {
+        let width = std::mem::replace(&mut self.row_width[row], len);
+        let base = row * self.geometry.cols;
+        if width > len {
+            self.cells[base + len..base + width].fill(0);
+        }
     }
 
     /// Re-materializes a row *without* counting writes.
@@ -793,9 +809,7 @@ impl MacCrossbar {
         } else {
             self.cells[base..base + codes.len()].copy_from_slice(codes);
         }
-        for c in &mut self.cells[base + codes.len()..base + self.geometry.cols] {
-            *c = 0;
-        }
+        self.zero_tail(row, codes.len());
         Ok(())
     }
 }
@@ -1315,6 +1329,145 @@ mod tests {
             }
         }
         assert!(corrupted > 0, "10% BER must touch some of 384 cells");
+    }
+
+    /// One row-programming step of a width-tracking scenario.
+    #[derive(Clone, Copy)]
+    enum RowOp<'a> {
+        Write(usize, &'a [u32]),
+        Cell(usize, usize, u32),
+        Preload(usize, &'a [u32]),
+        Clear,
+    }
+
+    fn apply_row_ops(m: &mut MacCrossbar, ops: &[RowOp<'_>]) {
+        for &op in ops {
+            match op {
+                RowOp::Write(row, codes) => m.write_row(row, codes).unwrap(),
+                RowOp::Cell(row, col, code) => m.write_cell(row, col, code).unwrap(),
+                RowOp::Preload(row, codes) => m.preload_row(row, codes).unwrap(),
+                RowOp::Clear => m.clear(),
+            }
+        }
+    }
+
+    /// Asserts that two crossbars hold the same cells and answer every
+    /// full, single-line and multi-line burst over `rows` identically, in
+    /// both directions.
+    fn assert_same_array(label: &str, a: &mut MacCrossbar, b: &mut MacCrossbar, rows: &[usize]) {
+        let g = a.geometry();
+        for row in 0..g.rows {
+            for col in 0..g.cols {
+                assert_eq!(
+                    a.read_cell(row, col).unwrap(),
+                    b.read_cell(row, col).unwrap(),
+                    "{label}: cell ({row}, {col})"
+                );
+            }
+        }
+        let inputs: Vec<u32> = (0..rows.len() as u32).map(|i| 3 + 5 * i).collect();
+        let all_cols: Vec<usize> = (0..g.cols).collect();
+        let col_inputs: Vec<u32> = (0..g.cols as u32).map(|i| 1 + i).collect();
+        for (dir, active, inputs, lines) in [
+            (MacDirection::RowsToColumns, rows, &inputs, all_cols.clone()),
+            (
+                MacDirection::ColumnsToRows,
+                &all_cols[..],
+                &col_inputs,
+                rows.to_vec(),
+            ),
+        ] {
+            let full = a.mac(dir, active, inputs).unwrap();
+            assert_eq!(full, b.mac(dir, active, inputs).unwrap(), "{label}: mac");
+            for &l in &lines {
+                assert_eq!(
+                    a.mac_col(dir, active, inputs, l).unwrap(),
+                    b.mac_col(dir, active, inputs, l).unwrap(),
+                    "{label}: mac_col {l}"
+                );
+            }
+            let (mut la, mut lb) = (Vec::new(), Vec::new());
+            a.mac_lines_into(dir, active, inputs, &lines, &mut la)
+                .unwrap();
+            b.mac_lines_into(dir, active, inputs, &lines, &mut lb)
+                .unwrap();
+            assert_eq!(la, lb, "{label}: mac_lines_into");
+        }
+    }
+
+    #[test]
+    fn width_tracked_row_writes_match_a_fresh_array() {
+        use crate::fault::{FaultModel, MacFaultState};
+        let g = MacGeometry::paper();
+        let wide: Vec<u32> = (0..g.cols as u32).map(|i| 0xFF00 | (i + 1)).collect();
+        let (narrow, mid) = ([7u32, 9], [1u32, 2, 3, 4, 5]);
+        // (scenario, every write issued, the final writes a fresh array gets)
+        let scenarios: [(&str, Vec<RowOp<'_>>, Vec<RowOp<'_>>); 5] = [
+            (
+                "wide then narrow row",
+                vec![RowOp::Write(3, &wide), RowOp::Write(3, &narrow)],
+                vec![RowOp::Write(3, &narrow)],
+            ),
+            (
+                "cell past the width, then a row",
+                vec![
+                    RowOp::Write(4, &narrow),
+                    RowOp::Cell(4, 11, 0x77),
+                    RowOp::Write(4, &mid),
+                    RowOp::Cell(5, 15, 0x42),
+                ],
+                vec![RowOp::Write(4, &mid), RowOp::Cell(5, 15, 0x42)],
+            ),
+            (
+                "preload then row",
+                vec![RowOp::Preload(6, &wide), RowOp::Write(6, &narrow)],
+                vec![RowOp::Write(6, &narrow)],
+            ),
+            (
+                "row then preload, narrow to wide and back",
+                vec![
+                    RowOp::Write(7, &narrow),
+                    RowOp::Preload(7, &wide),
+                    RowOp::Preload(7, &mid),
+                    RowOp::Write(8, &mid),
+                    RowOp::Write(8, &wide),
+                ],
+                vec![RowOp::Preload(7, &mid), RowOp::Write(8, &wide)],
+            ),
+            (
+                "clear then narrow rows",
+                vec![
+                    RowOp::Write(9, &wide),
+                    RowOp::Cell(10, 13, 5),
+                    RowOp::Clear,
+                    RowOp::Write(9, &narrow),
+                    RowOp::Write(10, &[]),
+                ],
+                vec![RowOp::Write(9, &narrow), RowOp::Write(10, &[])],
+            ),
+        ];
+        let rows = [3usize, 4, 5, 6, 7, 8, 9, 10];
+        for fidelity in [Fidelity::Exact, Fidelity::Quantized] {
+            for stuck_ber in [0.0, 0.1] {
+                let model = FaultModel {
+                    seed: 13,
+                    mac_stuck_ber: stuck_ber,
+                    ..FaultModel::none()
+                };
+                for (name, issued, last) in &scenarios {
+                    let build = |ops: &[RowOp<'_>]| {
+                        let mut m = MacCrossbar::new(g, fidelity);
+                        if stuck_ber > 0.0 {
+                            m.set_faults(Some(MacFaultState::new(model, &g)));
+                        }
+                        apply_row_ops(&mut m, ops);
+                        m
+                    };
+                    let label = format!("{name} ({fidelity:?}, stuck BER {stuck_ber})");
+                    assert_same_array(&label, &mut build(issued), &mut build(last), &rows);
+                }
+            }
+        }
     }
 
     #[test]

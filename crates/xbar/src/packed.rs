@@ -8,24 +8,27 @@
 //! word early. Searches over the paper's 32-bit src/dst fields touch at
 //! most `32 × ⌈rows/64⌉` words instead of `rows` 128-bit entries.
 //!
-//! The planes always hold the *post-fault* stored bits (they are written
-//! from [`CamEntry`] contents after stuck-bit corruption), so fault
-//! composition is inherited from the entry store rather than re-modeled.
-//! Invalidation only clears the `valid` words — stale plane bits can never
-//! match, mirroring how `CamEntry::bits` survive invalidation.
+//! The planes are built from the *post-fault* [`CamEntry`] contents (after
+//! stuck-bit corruption), so fault composition is inherited from the entry
+//! store rather than re-modeled.
 //!
-//! Maintenance is *diff-based*: the planes mirror `CamEntry::bits` for
-//! **every** row, valid or not, so a rewrite only touches the planes whose
-//! bit actually flipped (`old ^ new`, typically a handful of bits between
-//! consecutive edge keys) instead of all `width_bits` of them. Writes are
-//! the path the engine hammers — every block program rewrites the full
-//! bank — so per-write cost, not per-search cost, decides whether the
-//! packed kernel wins end-to-end.
+//! Maintenance is *lazy and per word*. Writes and invalidations only set
+//! the stale bit of the 64-row word they touch; the first packed search
+//! after a change rebuilds just the stale words. A rebuild is one in-place
+//! 64×64 bit-matrix transpose ([`transpose64`]) of the word's low 64 bits
+//! per row, plus a second one for the high half only when some row of the
+//! word has a nonzero high half (the paper's 32+32-bit edge keys never do,
+//! so those planes are simply zeroed). Every block program rewrites the
+//! whole bank and most blocks are served by the exact-match index or the
+//! search memo, never by the planes, so a write costs one OR and the
+//! planes are paid for only when a search needs them — in bulk.
 
 use crate::cam::CamEntry;
 use crate::hit_vector::HitVector;
 
-/// Bit-plane transposed mirror of a CAM entry store.
+/// Bit-plane transposed view of a CAM entry store, rebuilt per 64-row word
+/// on demand. A word whose stale bit is clear mirrors its entries exactly:
+/// stored bits in the planes, valid flags in `valid`.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedPlanes {
     width_bits: usize,
@@ -34,13 +37,14 @@ pub(crate) struct PackedPlanes {
     planes: Vec<u64>,
     /// One bit per row: whether the row holds live data.
     valid: Vec<u64>,
-    /// Set while the planes are out of sync with the entry store (the
-    /// scalar kernel skips maintenance); a packed search rebuilds first.
-    dirty: bool,
+    /// One bit per 64-row word: set when the entry store changed under it
+    /// since its last rebuild.
+    stale: Vec<u64>,
 }
 
 impl PackedPlanes {
-    /// All-invalid planes covering `rows × width_bits` cells.
+    /// All-invalid planes covering `rows × width_bits` cells (clean: they
+    /// mirror a fresh entry store of zero, invalid rows).
     pub(crate) fn new(rows: usize, width_bits: usize) -> Self {
         let words = rows.div_ceil(64);
         PackedPlanes {
@@ -48,91 +52,104 @@ impl PackedPlanes {
             words,
             planes: vec![0; words * width_bits],
             valid: vec![0; words],
-            dirty: false,
+            stale: vec![0; words.div_ceil(64)],
         }
     }
 
-    /// Marks the planes stale; the next packed search rebuilds them from
-    /// the entry store. Used when maintenance was skipped (scalar kernel).
-    pub(crate) fn mark_dirty(&mut self) {
-        self.dirty = true;
+    /// Marks the word holding `row` stale (its entry was written or
+    /// invalidated).
+    pub(crate) fn mark_stale(&mut self, row: usize) {
+        let w = row / 64;
+        self.stale[w / 64] |= 1 << (w % 64);
     }
 
-    /// Whether the planes need a rebuild before the next packed search.
-    pub(crate) fn is_dirty(&self) -> bool {
-        self.dirty
+    /// Marks every word stale (bulk invalidation).
+    pub(crate) fn mark_all_stale(&mut self) {
+        for (i, s) in self.stale.iter_mut().enumerate() {
+            let words = self.words - i * 64;
+            *s = if words >= 64 {
+                u64::MAX
+            } else {
+                (1 << words) - 1
+            };
+        }
     }
 
-    /// Incremental rewrite: flips only the planes where the newly stored
-    /// bits differ from what the planes currently hold for this row
-    /// (`old_bits` — the entry's previous post-fault contents) and marks
-    /// the row valid. Callers must pass the true prior stored bits or the
-    /// mirror invariant breaks.
-    pub(crate) fn update_row(&mut self, row: usize, old_bits: u128, new_bits: u128) {
+    /// Whether any word awaits a rebuild.
+    #[cfg(test)]
+    fn is_stale(&self) -> bool {
+        self.stale.iter().any(|&s| s != 0)
+    }
+
+    /// Rebuilds every stale word from the post-fault entry store; a clean
+    /// store costs one pass over the stale mask.
+    fn refresh(&mut self, entries: &[CamEntry]) {
         // gaasx-lint: hot
-        let (w, b) = (row / 64, row % 64);
-        let rbit = 1u64 << b;
-        let base = w * self.width_bits;
-        let mut diff = old_bits ^ new_bits;
-        while diff != 0 {
-            let bit = diff.trailing_zeros() as usize;
-            diff &= diff - 1;
-            self.planes[base + bit] ^= rbit;
+        for i in 0..self.stale.len() {
+            let mut stale = std::mem::take(&mut self.stale[i]);
+            while stale != 0 {
+                let w = i * 64 + stale.trailing_zeros() as usize;
+                stale &= stale - 1;
+                self.rebuild_word(w, entries);
+            }
         }
-        self.valid[w] |= rbit;
         // gaasx-lint: end-hot
     }
 
-    /// Clears one row's valid bit (plane bits stay, and stay unmatched).
-    pub(crate) fn invalidate(&mut self, row: usize) {
-        self.valid[row / 64] &= !(1u64 << (row % 64));
-    }
-
-    /// Bulk invalidation: clears only the valid words, exactly like the
-    /// entry store's bulk clear keeps stored bits but drops valid flags.
-    pub(crate) fn invalidate_all(&mut self) {
-        for v in &mut self.valid {
-            *v = 0;
+    /// Re-derives word `w`'s valid bits and planes from its (up to) 64
+    /// entries: one transpose for the low halves, and one for the high
+    /// halves only when one of them is nonzero.
+    fn rebuild_word(&mut self, w: usize, entries: &[CamEntry]) {
+        // gaasx-lint: hot
+        let rows = &entries[w * 64..entries.len().min(w * 64 + 64)];
+        let mut lo = [0u64; 64];
+        let mut hi = [0u64; 64];
+        let mut valid = 0u64;
+        let mut any_hi = 0u64;
+        for (i, e) in rows.iter().enumerate() {
+            lo[i] = e.bits as u64;
+            hi[i] = (e.bits >> 64) as u64;
+            any_hi |= hi[i];
+            valid |= u64::from(e.valid) << i;
         }
-    }
-
-    /// Full rebuild from the post-fault entry store (after the scalar
-    /// kernel skipped incremental maintenance). Mirrors the stored bits
-    /// of *every* row — invalid ones included — so that subsequent
-    /// [`Self::update_row`] diffs against entry contents stay exact.
-    pub(crate) fn rebuild(&mut self, entries: &[CamEntry]) {
-        for p in &mut self.planes {
-            *p = 0;
-        }
-        for v in &mut self.valid {
-            *v = 0;
-        }
-        for (row, e) in entries.iter().enumerate() {
-            if e.bits != 0 {
-                self.update_row(row, 0, e.bits);
-            }
-            if e.valid {
-                self.valid[row / 64] |= 1u64 << (row % 64);
+        self.valid[w] = valid;
+        let base = w * self.width_bits;
+        let low_planes = self.width_bits.min(64);
+        transpose64(&mut lo);
+        self.planes[base..base + low_planes].copy_from_slice(&lo[..low_planes]);
+        if self.width_bits > 64 {
+            let high = &mut self.planes[base + 64..base + self.width_bits];
+            if any_hi == 0 {
+                high.fill(0);
             } else {
-                self.invalidate(row);
+                transpose64(&mut hi);
+                high.copy_from_slice(&hi[..self.width_bits - 64]);
             }
         }
-        self.dirty = false;
+        // gaasx-lint: end-hot
     }
 
-    /// Word-parallel ternary match: for each 64-row word the accumulator
-    /// starts from the valid bits and AND-folds `plane` or `!plane` per
-    /// unmasked key bit, ending the word as soon as it reaches zero.
-    /// Every word of `out` is overwritten. `key`/`mask` must already be
-    /// clipped to the geometry width.
+    /// Word-parallel ternary match: rebuilds any stale word from
+    /// `entries`, then for each 64-row word starts the accumulator from
+    /// the valid bits and AND-folds `plane` or `!plane` per unmasked key
+    /// bit, ending the word as soon as it reaches zero. Every word of
+    /// `out` is overwritten. `key`/`mask` must already be clipped to the
+    /// geometry width.
     ///
     /// The mask is decomposed into `(plane offset, key bit)` pairs once,
     /// outside the word loop: the 128-bit `trailing_zeros`/`m &= m-1`
     /// fold compiles to multi-instruction double-word sequences, and
     /// paying them per *word* rather than per *search* used to cost more
     /// than the word-parallelism saved.
-    pub(crate) fn search_into(&self, key: u128, mask: u128, out: &mut HitVector) {
+    pub(crate) fn search_into(
+        &mut self,
+        entries: &[CamEntry],
+        key: u128,
+        mask: u128,
+        out: &mut HitVector,
+    ) {
         // gaasx-lint: hot
+        self.refresh(entries);
         let mut folds = [(0usize, false); 128];
         let mut n = 0;
         let mut m = mask;
@@ -159,6 +176,31 @@ impl PackedPlanes {
     }
 }
 
+/// In-place transpose of a 64×64 bit matrix: afterwards bit `i` of `a[j]`
+/// is what bit `j` of `a[i]` was. Six rounds swap the off-diagonal blocks
+/// of halving size (32, 16, …, 1), each round one shift-XOR-mask step per
+/// row pair — 192 steps instead of 4096 single-bit moves.
+fn transpose64(a: &mut [u64; 64]) {
+    // gaasx-lint: hot
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        // Visit each row `k` with bit `j` clear, paired with row `k + j`:
+        // the high-`j` columns of row `k` trade places with the low-`j`
+        // columns of row `k + j`.
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k + j] ^= t;
+            a[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+    // gaasx-lint: end-hot
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +214,42 @@ mod tests {
             .collect()
     }
 
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn transpose64_matches_a_bit_by_bit_oracle() {
+        let mut state = 0x5EED;
+        for case in 0..64 {
+            let mut a = [0u64; 64];
+            for row in &mut a {
+                *row = splitmix(&mut state);
+                // Sparse and dense rows alongside uniform ones.
+                match case % 3 {
+                    1 => *row &= splitmix(&mut state) & splitmix(&mut state),
+                    2 => *row |= splitmix(&mut state) | splitmix(&mut state),
+                    _ => {}
+                }
+            }
+            let mut oracle = [0u64; 64];
+            for (i, &row) in a.iter().enumerate() {
+                for (j, col) in oracle.iter_mut().enumerate() {
+                    *col |= (row >> j & 1) << i;
+                }
+            }
+            let mut t = a;
+            transpose64(&mut t);
+            assert_eq!(t, oracle, "case {case}");
+            transpose64(&mut t);
+            assert_eq!(t, a, "transpose is an involution (case {case})");
+        }
+    }
+
     #[test]
     fn packed_matches_scalar_on_partial_last_word() {
         // 70 rows: the last word has 6 live rows and 58 padding bits.
@@ -182,18 +260,21 @@ mod tests {
             };
             70
         ];
-        let mut planes = PackedPlanes::new(70, 64);
+        let mut planes = PackedPlanes::new(70, 128);
         for (row, e) in entries.iter_mut().enumerate() {
-            let bits = ((row as u128 % 5) << 32) | (row as u128 % 7);
+            // Rows 64.. carry a nonzero high half, so only the last word
+            // takes the high-half transpose.
+            let high = if row >= 64 { (row as u128) << 96 } else { 0 };
+            let bits = high | ((row as u128 % 5) << 32) | (row as u128 % 7);
             *e = CamEntry { bits, valid: true };
-            planes.update_row(row, 0, bits);
+            planes.mark_stale(row);
         }
         let mut out = HitVector::new(70);
         for v in 0..8u128 {
             for mask in [0xFFFF_FFFFu128, 0xFFFF_FFFF_0000_0000, u64::MAX as u128] {
                 let key = if mask == 0xFFFF_FFFF { v } else { v << 32 };
                 out.reset(70);
-                planes.search_into(key, mask, &mut out);
+                planes.search_into(&entries, key, mask, &mut out);
                 assert_eq!(
                     out.iter_ones().collect::<Vec<_>>(),
                     scalar_scan(&entries, key, mask),
@@ -201,47 +282,96 @@ mod tests {
                 );
             }
         }
+        let key = (66u128 << 96) | (1 << 32) | 3;
+        planes.search_into(&entries, key, u128::MAX, &mut out);
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![66]);
     }
 
     #[test]
-    fn invalidation_keeps_plane_bits_but_never_matches() {
-        let mut planes = PackedPlanes::new(64, 8);
-        planes.update_row(3, 0, 0xAB);
-        planes.invalidate(3);
-        let mut out = HitVector::new(64);
-        planes.search_into(0xAB, 0xFF, &mut out);
-        assert_eq!(out.count(), 0);
-        planes.update_row(3, 0xAB, 0xAB);
-        planes.search_into(0xAB, 0xFF, &mut out);
-        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![3]);
-        planes.invalidate_all();
-        planes.search_into(0xAB, 0xFF, &mut out);
-        assert_eq!(out.count(), 0);
-    }
-
-    #[test]
-    fn rebuild_recovers_from_dirty_planes() {
-        let entries = vec![
+    fn invalidation_stales_the_word_and_never_matches() {
+        let mut entries = vec![
             CamEntry {
-                bits: 1,
-                valid: true,
-            },
-            CamEntry {
-                bits: 2,
-                valid: false,
-            },
-            CamEntry {
-                bits: 1,
-                valid: true,
-            },
+                bits: 0,
+                valid: false
+            };
+            64
         ];
-        let mut planes = PackedPlanes::new(3, 2);
-        planes.mark_dirty();
-        assert!(planes.is_dirty());
-        planes.rebuild(&entries);
-        assert!(!planes.is_dirty());
-        let mut out = HitVector::new(3);
-        planes.search_into(1, 0b11, &mut out);
-        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+        let mut planes = PackedPlanes::new(64, 8);
+        entries[3] = CamEntry {
+            bits: 0xAB,
+            valid: true,
+        };
+        planes.mark_stale(3);
+        let mut out = HitVector::new(64);
+        planes.search_into(&entries, 0xAB, 0xFF, &mut out);
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![3]);
+        // The stored bits survive invalidation; only the flag drops.
+        entries[3].valid = false;
+        planes.mark_stale(3);
+        planes.search_into(&entries, 0xAB, 0xFF, &mut out);
+        assert_eq!(out.count(), 0);
+        entries[3].valid = true;
+        planes.mark_stale(3);
+        planes.search_into(&entries, 0xAB, 0xFF, &mut out);
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![3]);
+        entries[3].valid = false;
+        planes.mark_all_stale();
+        planes.search_into(&entries, 0xAB, 0xFF, &mut out);
+        assert_eq!(out.count(), 0);
+    }
+
+    #[test]
+    fn high_planes_clear_once_no_row_has_a_high_half() {
+        let mut entries = vec![
+            CamEntry {
+                bits: (1u128 << 100) | 7,
+                valid: true,
+            };
+            64
+        ];
+        let mut planes = PackedPlanes::new(64, 128);
+        planes.mark_all_stale();
+        let mut out = HitVector::new(64);
+        planes.search_into(&entries, (1u128 << 100) | 7, u128::MAX, &mut out);
+        assert_eq!(out.count(), 64);
+        // Every row loses its high half: the rebuild skips the high
+        // transpose and must zero the high planes instead.
+        for e in &mut entries {
+            e.bits = 7;
+        }
+        planes.mark_all_stale();
+        planes.search_into(&entries, 7, u128::MAX, &mut out);
+        assert_eq!(out.count(), 64);
+        planes.search_into(&entries, (1u128 << 100) | 7, u128::MAX, &mut out);
+        assert_eq!(out.count(), 0);
+    }
+
+    #[test]
+    fn searches_rebuild_only_stale_words() {
+        let mut entries = vec![
+            CamEntry {
+                bits: 1,
+                valid: true,
+            };
+            130
+        ];
+        let mut planes = PackedPlanes::new(130, 2);
+        planes.mark_all_stale();
+        assert!(planes.is_stale());
+        let mut out = HitVector::new(130);
+        planes.search_into(&entries, 1, 0b11, &mut out);
+        assert!(!planes.is_stale());
+        assert_eq!(out.count(), 130);
+        // Change one row in each of words 0 and 2, but stale only word 2:
+        // word 0 keeps answering from its last rebuild, so the search
+        // provably touched nothing but the stale word.
+        entries[5].bits = 2;
+        entries[129].bits = 2;
+        planes.mark_stale(129);
+        planes.search_into(&entries, 2, 0b11, &mut out);
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![129]);
+        planes.mark_stale(5);
+        planes.search_into(&entries, 2, 0b11, &mut out);
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![5, 129]);
     }
 }
