@@ -1,9 +1,9 @@
 //! Breadth-first search mapped to SpMV-add (paper §IV, Equation 2).
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, VertexId};
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_source, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{partition_for_streaming, CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
@@ -68,16 +68,32 @@ impl ShardableAlgorithm for Bfs {
         runner: &mut R,
         graph: &CooGraph,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        let n = graph.num_vertices() as usize;
-        if self.source.index() >= n {
-            return Err(CoreError::InvalidInput(format!(
-                "source {} out of range for {n} vertices",
-                self.source
-            )));
-        }
+        // A graph with no vertices cannot be partitioned; checking the
+        // source first keeps its error the out-of-range source.
+        check_source(self.source, graph.num_vertices() as usize)?;
+        self.execute_on_grid(runner, &partition_for_streaming(graph)?)
+    }
+}
+
+impl Bfs {
+    /// Runs BFS over a graph already partitioned by
+    /// [`partition_for_streaming`]. [`ShardableAlgorithm::execute_on`]
+    /// partitions and then calls this; a graph kept resident across
+    /// queries partitions once and calls it directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] for an out-of-range source;
+    /// propagates device errors from the engine.
+    pub fn execute_on_grid<R: ShardRunner>(
+        &self,
+        runner: &mut R,
+        grid: &GridPartition,
+    ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
+        let n = grid.num_vertices() as usize;
+        check_source(self.source, n)?;
         // All weight cells read as 1; set once, never per edge.
         runner.preset_mac(1)?;
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
@@ -93,7 +109,7 @@ impl ShardableAlgorithm for Bfs {
             let dist_snapshot = &dist;
             let frontier_snapshot = &frontier;
             let candidates =
-                runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
@@ -241,5 +257,26 @@ mod tests {
         assert!(Bfs::from_source(VertexId::new(3))
             .execute(&mut engine, &g)
             .is_err());
+    }
+
+    /// The one-shot error kinds and their order, pinned: an empty graph
+    /// reports its out-of-range source (it is never partitioned), and
+    /// BFS ignores weights, negative ones included.
+    #[test]
+    fn input_errors_keep_their_kind_and_order() {
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        let mut err = |source: u32, graph: &CooGraph| match Bfs::from_source(VertexId::new(source))
+            .execute(&mut engine, graph)
+        {
+            Err(CoreError::InvalidInput(msg)) => msg,
+            other => panic!("want InvalidInput, got {other:?}"),
+        };
+        assert_eq!(
+            err(0, &CooGraph::empty(0)),
+            "source v0 out of range for 0 vertices"
+        );
+        let neg = CooGraph::from_edges(2, vec![gaasx_graph::Edge::new(0, 1, -1.0)]).unwrap();
+        assert_eq!(err(2, &neg), "source v2 out of range for 2 vertices");
+        assert_eq!(run(&neg, 0), vec![0.0, 1.0]);
     }
 }

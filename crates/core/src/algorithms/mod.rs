@@ -31,7 +31,18 @@ use crate::engine::Engine;
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
+use gaasx_graph::VertexId;
 use gaasx_xbar::SearchProfile;
+
+/// Rejects a source vertex outside a graph of `n` vertices.
+fn check_source(source: VertexId, n: usize) -> Result<(), CoreError> {
+    if source.index() >= n {
+        return Err(CoreError::InvalidInput(format!(
+            "source {source} out of range for {n} vertices"
+        )));
+    }
+    Ok(())
+}
 
 /// Result of executing an algorithm: its output plus the iteration count
 /// the engine ran (supersteps / epochs).

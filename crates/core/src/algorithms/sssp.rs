@@ -1,10 +1,10 @@
 //! Single-source shortest paths mapped to SpMV-add (paper §IV, Fig 9(b)).
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_source, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{partition_for_streaming, CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
@@ -81,14 +81,31 @@ impl ShardableAlgorithm for Sssp {
         runner: &mut R,
         graph: &CooGraph,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        let n = graph.num_vertices() as usize;
-        if self.source.index() >= n {
-            return Err(CoreError::InvalidInput(format!(
-                "source {} out of range for {n} vertices",
-                self.source
-            )));
-        }
-        for e in graph.iter() {
+        // A graph with no vertices cannot be partitioned; checking the
+        // source first keeps its error the out-of-range source.
+        check_source(self.source, graph.num_vertices() as usize)?;
+        self.execute_on_grid(runner, &partition_for_streaming(graph)?)
+    }
+}
+
+impl Sssp {
+    /// Runs SSSP over a graph already partitioned by
+    /// [`partition_for_streaming`]. [`ShardableAlgorithm::execute_on`]
+    /// partitions and then calls this; a graph kept resident across
+    /// queries partitions once and calls it directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] for an out-of-range source or
+    /// a negative edge weight; propagates quantizer and device errors.
+    pub fn execute_on_grid<R: ShardRunner>(
+        &self,
+        runner: &mut R,
+        grid: &GridPartition,
+    ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
+        let n = grid.num_vertices() as usize;
+        check_source(self.source, n)?;
+        for e in grid.shards().flat_map(Shard::edges) {
             if e.weight < 0.0 {
                 return Err(CoreError::InvalidInput(format!(
                     "negative edge weight on {e}; shortest paths require non-negative weights"
@@ -96,7 +113,6 @@ impl ShardableAlgorithm for Sssp {
             }
         }
         let w_quant = Quantizer::new(1.0, runner.engine().weight_bits())?;
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
@@ -115,7 +131,7 @@ impl ShardableAlgorithm for Sssp {
             let dist_snapshot = &dist;
             let active_snapshot = &active;
             let candidates =
-                runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
@@ -293,5 +309,26 @@ mod tests {
         assert_eq!(r.iterations, 2);
         // Within 2 Bellman-Ford sweeps at least 2 hops resolved.
         assert_eq!(r.output[2], 2.0);
+    }
+
+    /// The one-shot error kinds and their order, pinned: the source is
+    /// checked before the weights, and an empty graph reports its
+    /// out-of-range source (it is never partitioned).
+    #[test]
+    fn input_errors_keep_their_kind_and_order() {
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        let mut err = |source: u32, graph: &CooGraph| match Sssp::from_source(VertexId::new(source))
+            .execute(&mut engine, graph)
+        {
+            Err(CoreError::InvalidInput(msg)) => msg,
+            other => panic!("want InvalidInput, got {other:?}"),
+        };
+        assert_eq!(
+            err(0, &CooGraph::empty(0)),
+            "source v0 out of range for 0 vertices"
+        );
+        let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -1.0)]).unwrap();
+        assert_eq!(err(9, &neg), "source v9 out of range for 2 vertices");
+        assert!(err(0, &neg).starts_with("negative edge weight on "));
     }
 }

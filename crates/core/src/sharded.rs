@@ -7,8 +7,10 @@
 //! over the block-cost stream in canonical order. [`ShardedEngine`]
 //! exploits exactly that split:
 //!
-//! * shards are dealt round-robin to `jobs` worker [`Engine`]s, each
-//!   running on its own OS thread (scoped; no `'static` bounds needed);
+//! * shards are dealt round-robin to `jobs` worker [`Engine`]s; worker 0
+//!   runs its share on the calling thread and workers `1..jobs` each on a
+//!   scoped OS thread (no `'static` bounds needed), so a single-worker
+//!   pass spawns no thread at all;
 //! * every worker drains its committed `BlockCost`s after each shard,
 //!   and the merge re-appends them to the full-bank *primary* engine in
 //!   canonical shard-stream order;
@@ -151,7 +153,8 @@ impl ShardedEngine {
         })
     }
 
-    /// Number of worker threads the shard stream fans out over.
+    /// Number of worker engines the shard stream fans out over (worker 0
+    /// runs on the calling thread, each other worker on its own thread).
     pub fn jobs(&self) -> usize {
         self.workers.len()
     }
@@ -326,45 +329,50 @@ impl ShardRunner for ShardedEngine {
         // no bookkeeping beyond the shard's stream position.
         type ShardYield<T> = (usize, Vec<BlockCost>, T);
         type ShardAbort = (Vec<(usize, Vec<BlockCost>)>, CoreError);
+        let run_share = |j: usize, worker: &mut Engine| {
+            let mut yielded: Vec<ShardYield<T>> = Vec::new();
+            let mut pos = j;
+            while pos < shards_ref.len() {
+                match f(worker, shards_ref[pos]) {
+                    // Drain the shard's block costs immediately: they are
+                    // re-appended in stream order below.
+                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
+                    Err(e) => {
+                        // Salvage the costs of this worker's completed
+                        // shards plus the failing shard's partial costs, so
+                        // the partial report still bills the aborted work.
+                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
+                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
+                        costs.push((pos, worker.take_costs()));
+                        return Err((costs, e));
+                    }
+                }
+                pos += jobs;
+            }
+            Ok(yielded)
+        };
+        let run_share = &run_share;
+        // Worker 0 runs its share on the calling thread; only workers
+        // 1..J get a scoped thread, so a single-worker pass spawns none.
+        let mut workers = self.workers.iter_mut();
+        let first = workers.next();
         let per_worker: Vec<Result<Vec<ShardYield<T>>, ShardAbort>> =
             crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .workers
-                    .iter_mut()
+                let handles: Vec<_> = workers
                     .enumerate()
-                    .map(|(j, worker)| {
-                        scope.spawn(move || {
-                            let mut yielded: Vec<ShardYield<T>> = Vec::new();
-                            let mut pos = j;
-                            while pos < shards_ref.len() {
-                                match f(worker, shards_ref[pos]) {
-                                    // Drain the shard's block costs
-                                    // immediately: they are re-appended in
-                                    // stream order below.
-                                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
-                                    Err(e) => {
-                                        // Salvage the costs of this worker's
-                                        // completed shards plus the failing
-                                        // shard's partial costs, so the
-                                        // partial report still bills the
-                                        // aborted work.
-                                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
-                                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
-                                        costs.push((pos, worker.take_costs()));
-                                        return Err((costs, e));
-                                    }
-                                }
-                                pos += jobs;
-                            }
-                            Ok(yielded)
-                        })
-                    })
+                    .map(|(j, worker)| scope.spawn(move || run_share(j + 1, worker)))
                     .collect();
-                handles
+                let mut outcomes: Vec<_> = first
+                    .map(|worker| run_share(0, worker))
                     .into_iter()
-                    // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
+                    .collect();
+                outcomes.extend(
+                    handles
+                        .into_iter()
+                        // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
+                        .map(|h| h.join().expect("shard worker panicked")),
+                );
+                outcomes
             });
 
         let mut slots: Vec<Option<(Vec<BlockCost>, T)>> = Vec::new();
@@ -546,6 +554,45 @@ mod tests {
                 "jobs={jobs}: completed-shard costs were dropped"
             );
             assert!(partial.ops.cells_written > 0, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let (_, g) = grid(600, 19);
+        let caller = std::thread::current().id();
+        for jobs in [1, 2, 3] {
+            let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
+            // Results come back in stream order, so entry `pos` names the
+            // thread that ran stream position `pos`.
+            let ran_on = sharded
+                .for_each_shard(&g, TraversalOrder::RowMajor, |_, _| {
+                    Ok(std::thread::current().id())
+                })
+                .unwrap();
+            assert!(ran_on.len() > jobs, "jobs={jobs}");
+            for (pos, thread) in ran_on.iter().enumerate() {
+                assert_eq!(*thread == caller, pos % jobs == 0, "jobs={jobs} pos={pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_panics_unwind_to_a_catch_around_the_pass() {
+        let (_, g) = grid(600, 23);
+        let stream: Vec<&Shard> = g.stream(TraversalOrder::RowMajor).collect();
+        // Positions 0 run on the calling thread; (2, 1) and (3, 2) panic on
+        // a spawned worker.
+        for (jobs, panic_at) in [(1, 0), (2, 0), (2, 1), (3, 2)] {
+            let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sharded.for_each_shard(&g, TraversalOrder::RowMajor, |_, shard| {
+                    let pos = stream.iter().position(|s| std::ptr::eq(*s, shard));
+                    assert_ne!(pos, Some(panic_at), "synthetic shard panic");
+                    Ok(())
+                })
+            }));
+            assert!(outcome.is_err(), "jobs={jobs} panic_at={panic_at}");
         }
     }
 

@@ -170,14 +170,21 @@ impl GridPartition {
         }
         let n = graph.num_vertices();
         let p = n.div_ceil(interval_size);
-        let interval = |i: u32| Interval::new(i * interval_size, ((i + 1) * interval_size).min(n));
+        let interval = |i: u32| Interval::new(i * interval_size, interval_end(i, interval_size, n));
 
         // Sort edges by (row, col, dst, src) and slice into shards: memory
         // stays O(E) regardless of P (a full-scale graph at 16-wide tiles
-        // would have ~10¹⁰ grid cells, almost all empty).
+        // would have ~10¹⁰ grid cells, almost all empty). The four fields
+        // pack into one `u128` whose order is the tuple's, so a comparison
+        // is two word compares instead of a four-way lexicographic one.
         let block = |v: VertexId| v.raw() / interval_size;
         let mut edges: Vec<Edge> = graph.edges().to_vec();
-        edges.sort_unstable_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
+        edges.sort_unstable_by_key(|e| {
+            (u128::from(block(e.src)) << 96)
+                | (u128::from(block(e.dst)) << 64)
+                | (u128::from(e.dst.raw()) << 32)
+                | u128::from(e.src.raw())
+        });
         let mut occupied: Vec<((u32, u32), Shard)> = Vec::new();
         let mut start = 0usize;
         while start < edges.len() {
@@ -245,7 +252,7 @@ impl GridPartition {
         assert!(i < self.num_intervals, "interval {i} out of range");
         Interval::new(
             i * self.interval_size,
-            ((i + 1) * self.interval_size).min(self.num_vertices),
+            interval_end(i, self.interval_size, self.num_vertices),
         )
     }
 
@@ -313,6 +320,13 @@ impl GridPartition {
     pub fn total_edges(&self) -> usize {
         self.occupied.iter().map(|(_, s)| s.num_edges()).sum()
     }
+}
+
+/// One past the last vertex of interval `i`. The unclamped end of the
+/// last interval can pass `u32::MAX` when ids reach the top of the range,
+/// so the product saturates before the clamp to `num_vertices`.
+fn interval_end(i: u32, interval_size: u32, num_vertices: u32) -> u32 {
+    (i + 1).saturating_mul(interval_size).min(num_vertices)
 }
 
 #[cfg(test)]
@@ -433,4 +447,86 @@ mod tests {
     }
 
     use crate::types::Edge;
+
+    /// One shard's edges as `(src, dst, weight bits)`.
+    type ShardEdges = Vec<(u32, u32, u32)>;
+
+    fn triple(e: &Edge) -> (u32, u32, u32) {
+        (e.src.raw(), e.dst.raw(), e.weight.to_bits())
+    }
+
+    /// Oracle: the `(row, col, dst, src)` tuple-key sort the partition used
+    /// before its packed key, sliced by grid cell.
+    fn tuple_sorted_shards(graph: &CooGraph, interval_size: u32) -> Vec<ShardEdges> {
+        let block = |v: VertexId| v.raw() / interval_size;
+        let mut edges = graph.edges().to_vec();
+        edges.sort_unstable_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
+        let mut shards: Vec<ShardEdges> = Vec::new();
+        let mut last = None;
+        for e in &edges {
+            let cell = Some((block(e.src), block(e.dst)));
+            if cell != last {
+                shards.push(Vec::new());
+                last = cell;
+            }
+            if let Some(shard) = shards.last_mut() {
+                shard.push(triple(e));
+            }
+        }
+        shards
+    }
+
+    /// The same edges with every id moved to just below `u32::MAX`.
+    fn near_u32_max(graph: &CooGraph) -> CooGraph {
+        let base = u32::MAX - graph.num_vertices() - 1;
+        let edges = graph
+            .edges()
+            .iter()
+            .map(|e| Edge::new(base + e.src.raw(), base + e.dst.raw(), e.weight))
+            .collect();
+        CooGraph::from_edges(u32::MAX, edges).unwrap()
+    }
+
+    #[test]
+    fn intervals_reach_the_top_of_the_id_range() {
+        let g = near_u32_max(&generators::path_graph(8));
+        for size in [1000, u32::MAX / 2 + 1] {
+            let grid = GridPartition::new(&g, size).unwrap();
+            let last = grid.interval(grid.num_intervals() - 1);
+            assert_eq!(last.end(), u32::MAX, "size {size}");
+            assert_eq!(grid.total_edges(), 7);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The packed key orders every shard exactly as the tuple key did,
+        /// parallel edges with different weights included: RMAT over a few
+        /// vertices repeats most edges, and that order feeds SSSP's
+        /// attribute-write counts and its fault interactions.
+        #[test]
+        fn packed_key_keeps_the_tuple_key_order(
+            log_v in 2u32..6,
+            num_edges in 200usize..2500,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = generators::rmat(
+                &generators::RmatConfig::new(1 << log_v, num_edges)
+                    .with_seed(seed)
+                    .with_max_weight(16),
+            )
+            .unwrap();
+            for graph in [near_u32_max(&g), g] {
+                for size in [1, 3, 7, 16, 1000, graph.num_vertices()] {
+                    let grid = GridPartition::new(&graph, size).unwrap();
+                    let got: Vec<ShardEdges> = grid
+                        .shards()
+                        .map(|s| s.edges().iter().map(triple).collect())
+                        .collect();
+                    proptest::prop_assert_eq!(got, tuple_sorted_shards(&graph, size));
+                }
+            }
+        }
+    }
 }

@@ -26,7 +26,7 @@
 //! cheaper than the sum of its one-shot parts on any graph where sources
 //! share blocks.
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
@@ -61,22 +61,30 @@ pub fn run_batch<R: ShardRunner>(
     weighted: bool,
     sources: &[VertexId],
 ) -> Result<BatchOutcome, CoreError> {
-    let n = graph.num_vertices() as usize;
+    // A graph with no vertices cannot be partitioned; checking the
+    // sources first keeps the error theirs.
+    check_sources(sources, graph.num_vertices() as usize)?;
+    run_batch_on_grid(runner, &partition_for_streaming(graph)?, weighted, sources)
+}
+
+/// [`run_batch`] over a graph already partitioned by
+/// [`partition_for_streaming`], as a graph kept resident across queries
+/// holds it.
+///
+/// # Errors
+///
+/// As [`run_batch`].
+pub fn run_batch_on_grid<R: ShardRunner>(
+    runner: &mut R,
+    grid: &GridPartition,
+    weighted: bool,
+    sources: &[VertexId],
+) -> Result<BatchOutcome, CoreError> {
+    let n = grid.num_vertices() as usize;
     let k = sources.len();
-    if k == 0 {
-        return Err(CoreError::InvalidInput(
-            "batch query carries no source vertices".into(),
-        ));
-    }
-    for source in sources {
-        if source.index() >= n {
-            return Err(CoreError::InvalidInput(format!(
-                "source {source} out of range for {n} vertices"
-            )));
-        }
-    }
+    check_sources(sources, n)?;
     let w_quant = if weighted {
-        for e in graph.iter() {
+        for e in grid.shards().flat_map(Shard::edges) {
             if e.weight < 0.0 {
                 return Err(CoreError::InvalidInput(format!(
                     "negative edge weight on {e}; shortest paths require non-negative weights"
@@ -89,7 +97,6 @@ pub fn run_batch<R: ShardRunner>(
         runner.preset_mac(1)?;
         None
     };
-    let grid = partition_for_streaming(graph)?;
     let capacity = runner.engine().block_capacity();
 
     let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; k];
@@ -116,7 +123,7 @@ pub fn run_batch<R: ShardRunner>(
         let frontier_snapshot = &frontier;
         let active_snapshot = &active;
         let candidates =
-            runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+            runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                 let mut cands: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
                 let mut hits = gaasx_xbar::HitVector::new(0);
                 let mut results: Vec<(usize, u64)> = Vec::new();
@@ -212,6 +219,23 @@ pub fn run_batch<R: ShardRunner>(
     })
 }
 
+/// Rejects an empty batch and any source outside a graph of `n` vertices.
+fn check_sources(sources: &[VertexId], n: usize) -> Result<(), CoreError> {
+    if sources.is_empty() {
+        return Err(CoreError::InvalidInput(
+            "batch query carries no source vertices".into(),
+        ));
+    }
+    for source in sources {
+        if source.index() >= n {
+            return Err(CoreError::InvalidInput(format!(
+                "source {source} out of range for {n} vertices"
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,5 +313,41 @@ mod tests {
         let batch = run_batch(&mut engine, &g, false, &sources).unwrap();
         assert_eq!(batch.values[0], batch.values[1]);
         assert_eq!(batch.iterations[0], batch.iterations[1]);
+    }
+
+    /// The one-shot error kinds and their order, pinned: an empty batch
+    /// first, then each source's range, then (SSSP) the weights; an empty
+    /// graph reports its sources (it is never partitioned).
+    #[test]
+    fn input_errors_keep_their_kind_and_order() {
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        let mut err = |graph: &CooGraph, weighted: bool, sources: &[u32]| {
+            let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
+            match run_batch(&mut engine, graph, weighted, &sources) {
+                Err(CoreError::InvalidInput(msg)) => msg,
+                other => panic!("want InvalidInput, got {other:?}"),
+            }
+        };
+        let empty = CooGraph::empty(0);
+        assert_eq!(
+            err(&empty, true, &[]),
+            "batch query carries no source vertices"
+        );
+        assert_eq!(
+            err(&empty, false, &[0]),
+            "source v0 out of range for 0 vertices"
+        );
+        let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -2.0)]).unwrap();
+        assert_eq!(
+            err(&neg, true, &[]),
+            "batch query carries no source vertices"
+        );
+        assert_eq!(
+            err(&neg, true, &[0, 5]),
+            "source v5 out of range for 2 vertices"
+        );
+        assert!(err(&neg, true, &[0]).starts_with("negative edge weight on "));
+        let bfs = run_batch(&mut engine, &neg, false, &[VertexId::new(0)]).unwrap();
+        assert_eq!(bfs.values, vec![vec![0.0, 1.0]]);
     }
 }

@@ -71,6 +71,12 @@ pub enum ServeError {
         /// The graph name the query asked for.
         graph: String,
     },
+    /// A graph registration carried a graph with no vertices: it has no
+    /// shard layout and no valid source for any query.
+    EmptyGraph {
+        /// The name the graph was to be registered under.
+        graph: String,
+    },
     /// A graph registration exceeded the server's total bank capacity
     /// on its own — no eviction schedule could make it fit.
     CapacityExceeded {
@@ -99,13 +105,15 @@ impl ServeError {
     }
 
     /// `true` for rejections decided *before* any work ran (overload,
-    /// quota, unknown graph, capacity) — these are never billed.
+    /// quota, unknown graph, empty graph, capacity) — these are never
+    /// billed.
     pub fn is_rejection(&self) -> bool {
         matches!(
             self,
             ServeError::Overloaded { .. }
                 | ServeError::QuotaExceeded { .. }
                 | ServeError::UnknownGraph { .. }
+                | ServeError::EmptyGraph { .. }
                 | ServeError::CapacityExceeded { .. }
         )
     }
@@ -151,6 +159,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::UnknownGraph { graph } => {
                 write!(f, "graph {graph:?} is not registered with this server")
+            }
+            ServeError::EmptyGraph { graph } => {
+                write!(f, "graph {graph:?} has no vertices; no query can run on it")
             }
             ServeError::CapacityExceeded {
                 edges,

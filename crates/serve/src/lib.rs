@@ -41,7 +41,7 @@ pub mod queue;
 pub mod resident;
 pub mod server;
 
-pub use batch::{run_batch, BatchOutcome};
+pub use batch::{run_batch, run_batch_on_grid, BatchOutcome};
 pub use error::ServeError;
 pub use queue::BoundedQueue;
 pub use resident::ResidentGraph;

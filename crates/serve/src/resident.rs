@@ -1,8 +1,11 @@
 //! Graphs resident on crossbar banks across queries.
 //!
-//! A [`ResidentGraph`] keeps a programmed [`ShardedEngine`] alive between
-//! queries so consecutive queries skip partitioning and reuse the warm
-//! search memo; per-query accounting is wiped with
+//! A [`ResidentGraph`] holds its graph in the streaming shard layout,
+//! built once at registration: the layout is host data, not bank state,
+//! so it outlives evictions and panic replacements, and no query
+//! partitions again. It also keeps a programmed [`ShardedEngine`] alive
+//! between queries so consecutive queries reuse the warm search memo;
+//! per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
 //! wear, fault RNG streams, spare-row remaps — persists, exactly as it
 //! would on real hardware. Eviction drops the engines (freeing the
@@ -13,20 +16,25 @@
 //! on the *same* modeled banks, so the wear ledger is carried over via
 //! [`WearSnapshot`].
 
+use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 use gaasx_sim::Nanos;
 
-use gaasx_core::algorithms::{Bfs, ShardableAlgorithm, Sssp};
+use gaasx_core::algorithms::{Bfs, Sssp};
+use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, GaasXConfig, ShardedEngine, WearSnapshot};
 
-use crate::batch::run_batch;
+use crate::batch::run_batch_on_grid;
 use crate::server::{QueryKind, QueryOutput};
 
 /// A registered graph and (when resident) its programmed engines.
 #[derive(Debug)]
 pub struct ResidentGraph {
     name: String,
-    graph: CooGraph,
+    /// The graph's shard layout — its only copy of the edges. `None` only
+    /// for a graph with no vertices, which has no layout and no valid
+    /// query.
+    grid: Option<GridPartition>,
     config: GaasXConfig,
     jobs: usize,
     exec: Option<ShardedEngine>,
@@ -38,11 +46,12 @@ pub struct ResidentGraph {
 
 impl ResidentGraph {
     /// Registers a graph (not yet resident — banks are programmed on
-    /// first use).
+    /// first use), partitioning it for streaming once; the graph itself
+    /// is not kept.
     pub fn new(name: String, graph: CooGraph, config: GaasXConfig, jobs: usize) -> Self {
         ResidentGraph {
             name,
-            graph,
+            grid: partition_for_streaming(&graph).ok(),
             config,
             jobs,
             exec: None,
@@ -57,14 +66,9 @@ impl ResidentGraph {
         &self.name
     }
 
-    /// The registered graph.
-    pub fn graph(&self) -> &CooGraph {
-        &self.graph
-    }
-
     /// Edges the graph occupies when resident.
     pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
+        self.grid.as_ref().map_or(0, GridPartition::total_edges)
     }
 
     /// `true` while the graph holds programmed banks.
@@ -165,9 +169,12 @@ impl ResidentGraph {
         kind: &QueryKind,
         deadline: Option<Nanos>,
     ) -> Result<QueryOutput, CoreError> {
-        let num_edges = self.graph.num_edges() as u64;
+        let num_edges = self.num_edges() as u64;
         let exec = self.exec.as_mut().ok_or_else(|| {
             CoreError::InvalidInput(format!("graph {:?} is not resident", self.name))
+        })?;
+        let grid = self.grid.as_ref().ok_or_else(|| {
+            CoreError::InvalidInput(format!("graph {:?} has no vertices", self.name))
         })?;
         exec.set_search_profile(gaasx_xbar::SearchProfile::Frontier);
         exec.set_deadline(deadline);
@@ -175,19 +182,19 @@ impl ResidentGraph {
         type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);
         let run: Result<QueryRun, CoreError> = match kind {
             QueryKind::Bfs { source } => Bfs::from_source(VertexId::new(*source))
-                .execute_on(exec, &self.graph)
+                .execute_on_grid(exec, grid)
                 .map(|r| (vec![r.output], vec![r.iterations], "bfs")),
             QueryKind::Sssp { source } => Sssp::from_source(VertexId::new(*source))
-                .execute_on(exec, &self.graph)
+                .execute_on_grid(exec, grid)
                 .map(|r| (vec![r.output], vec![r.iterations], "sssp")),
             QueryKind::BatchBfs { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, false, &sources)
+                run_batch_on_grid(exec, grid, false, &sources)
                     .map(|b| (b.values, b.iterations, "bfs_batch"))
             }
             QueryKind::BatchSssp { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, true, &sources)
+                run_batch_on_grid(exec, grid, true, &sources)
                     .map(|b| (b.values, b.iterations, "sssp_batch"))
             }
             QueryKind::DebugPanic => {
@@ -298,5 +305,19 @@ mod tests {
         }
         // The resident engine is reusable after the miss.
         assert!(r.run_query(&QueryKind::Sssp { source: 0 }, None).is_ok());
+    }
+
+    #[test]
+    fn a_graph_without_vertices_fails_every_query_typed() {
+        let mut r = ResidentGraph::new("void".into(), CooGraph::empty(0), GaasXConfig::small(), 1);
+        assert_eq!(r.num_edges(), 0);
+        r.ensure_resident().unwrap();
+        for kind in [
+            QueryKind::Bfs { source: 0 },
+            QueryKind::BatchSssp { sources: vec![0] },
+        ] {
+            let e = r.run_query(&kind, None).unwrap_err();
+            assert!(matches!(e, CoreError::InvalidInput(_)), "{e}");
+        }
     }
 }

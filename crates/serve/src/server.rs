@@ -134,7 +134,9 @@ pub struct QueryResponse {
 pub struct ServerConfig {
     /// Device configuration each resident graph's engines are built from.
     pub accel: GaasXConfig,
-    /// Worker threads per resident [`gaasx_core::ShardedEngine`].
+    /// Worker engines per resident [`gaasx_core::ShardedEngine`]; worker
+    /// 0 runs on the serving thread, so `jobs − 1` threads are spawned
+    /// per shard pass.
     pub jobs: usize,
     /// Bound of the admission queue; beyond it the server sheds load.
     pub queue_capacity: usize,
@@ -239,15 +241,22 @@ impl Server {
     }
 
     /// Registers `graph` under `name` (replacing any previous
-    /// registration of that name). Banks are programmed lazily on the
-    /// first query.
+    /// registration of that name), partitioning it for streaming once.
+    /// Banks are programmed lazily on the first query.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::CapacityExceeded`] when the graph alone
-    /// exceeds [`ServerConfig::capacity_edges`] — no eviction schedule
-    /// could ever make it fit.
+    /// Returns [`ServeError::EmptyGraph`] for a graph with no vertices,
+    /// which no query could ever run on, and
+    /// [`ServeError::CapacityExceeded`] when the graph alone exceeds
+    /// [`ServerConfig::capacity_edges`] — no eviction schedule could ever
+    /// make it fit.
     pub fn register_graph(&mut self, name: &str, graph: CooGraph) -> Result<(), ServeError> {
+        if graph.num_vertices() == 0 {
+            return Err(ServeError::EmptyGraph {
+                graph: name.to_string(),
+            });
+        }
         if graph.num_edges() > self.config.capacity_edges {
             return Err(ServeError::CapacityExceeded {
                 edges: graph.num_edges(),

@@ -499,3 +499,74 @@ fn per_tenant_billing_conserves_bit_exactly() {
         9
     );
 }
+
+#[test]
+fn an_empty_graph_is_rejected_at_registration() {
+    let mut server = Server::new(ServerConfig::new(GaasXConfig::small()));
+    match server.register_graph("void", CooGraph::empty(0)) {
+        Err(e @ ServeError::EmptyGraph { .. }) => {
+            assert!(e.is_rejection());
+            assert!(e.to_string().contains("\"void\""), "{e}");
+        }
+        other => panic!("want EmptyGraph, got {other:?}"),
+    }
+    assert!(server.graph("void").is_none());
+    // Vertices without edges still form a servable graph.
+    server
+        .register_graph("isolated", CooGraph::empty(3))
+        .unwrap();
+    server.submit(request(
+        "acme",
+        "isolated",
+        QueryKind::Bfs { source: 2 },
+        0.0,
+    ));
+    let responses = server.run();
+    let output = responses[0].outcome.as_ref().unwrap();
+    assert_eq!(output.values[0], vec![f64::INFINITY, f64::INFINITY, 0.0]);
+}
+
+#[test]
+fn a_negative_weight_fails_resident_sssp_but_not_bfs() {
+    let g = CooGraph::from_edges(
+        3,
+        vec![
+            gaasx_graph::Edge::new(0, 1, 2.0),
+            gaasx_graph::Edge::new(1, 2, -1.0),
+        ],
+    )
+    .unwrap();
+    let mut server = Server::new(ServerConfig::new(GaasXConfig::small()));
+    server.register_graph("neg", g).unwrap();
+    let kinds = [
+        QueryKind::Sssp { source: 0 },
+        QueryKind::BatchSssp {
+            sources: vec![0, 1],
+        },
+        QueryKind::Bfs { source: 0 },
+        QueryKind::BatchBfs {
+            sources: vec![0, 1],
+        },
+    ];
+    let ids: Vec<u64> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, kind)| server.submit(request("acme", "neg", kind.clone(), i as f64 * 1e9)))
+        .collect();
+    let responses = server.run();
+    let outcome = |id: u64| &responses.iter().find(|r| r.id == id).unwrap().outcome;
+    for &id in &ids[..2] {
+        match outcome(id) {
+            Err(ServeError::Query(gaasx_core::CoreError::InvalidInput(msg))) => {
+                assert!(msg.contains("negative edge weight"), "{msg}");
+            }
+            other => panic!("want InvalidInput, got {other:?}"),
+        }
+    }
+    let bfs = outcome(ids[2]).as_ref().unwrap();
+    assert_eq!(bfs.values[0], vec![0.0, 1.0, 2.0]);
+    let batch = outcome(ids[3]).as_ref().unwrap();
+    assert_eq!(batch.values[1], vec![f64::INFINITY, 0.0, 1.0]);
+    assert_eq!(server.stats().failed_query, 2);
+    assert_eq!(server.stats().completed, 2);
+}
