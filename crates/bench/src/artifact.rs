@@ -30,12 +30,13 @@ pub struct SearchModeRow {
     pub speedup: f64,
     /// Auto vs best-fixed-mode ratio (`{:.3}` in the artifact).
     pub auto_vs_best: f64,
-    /// Linear-search wall clock under the *scalar* kernel, seconds
-    /// (`{:.6}`). `None` in artifacts predating the packed kernels
-    /// (BENCH_07 and earlier); both packed fields are present together.
+    /// Linear-search wall clock under the retired *scalar* host kernel,
+    /// seconds (`{:.6}`). Only BENCH_08 measured it: `None` in earlier
+    /// artifacts and in new runs, which time the one word-parallel
+    /// matcher. Both scalar fields are present together.
     pub scalar_linear_wall_s: Option<f64>,
     /// Packed-over-scalar speedup on the Linear scan (`{:.3}`): the
-    /// realized word-parallel kernel win this row, `None` pre-BENCH_08.
+    /// realized word-parallel win of a BENCH_08 row, `None` otherwise.
     pub packed_vs_scalar: Option<f64>,
 }
 
@@ -80,8 +81,8 @@ pub fn render(artifact: &SearchModeArtifact) -> String {
     s.push_str("  \"identity\": \"every row bit-identical (RunReport + output) across modes\",\n");
     s.push_str("  \"runs\": [\n");
     for (i, r) in artifact.rows.iter().enumerate() {
-        // The packed-kernel columns only render when measured, so
-        // pre-BENCH_08 artifacts keep round-tripping byte-identically.
+        // The scalar-kernel columns only render when present, so BENCH_08
+        // and every other artifact keep round-tripping byte-identically.
         let packed = match (r.scalar_linear_wall_s, r.packed_vs_scalar) {
             (Some(wall), Some(ratio)) => {
                 format!(", \"scalar_linear_wall_s\": {wall:.6}, \"packed_vs_scalar\": {ratio:.3}")

@@ -24,18 +24,8 @@
 //! artifact is written): a transient host spell re-measures clean while
 //! a reproducible regression keeps failing.
 //!
-//! Every cell additionally times the Linear scan under the *scalar*
-//! kernel ([`Kernel::Scalar`]) and checks it bit-identical to the packed
-//! default, recording the realized word-parallel win as the
-//! `packed_vs_scalar` column. Deep-bank rows are gated by
-//! `--packed-floor` (default 1.0): the packed kernel must never lose to
-//! scalar where the O(rows) scan dominates. Paper-bank rows are reported
-//! but not gated — at 128 rows the scan is a sliver of the wall clock,
-//! so the ratio there is mostly shared-accounting noise.
-//!
 //! `--smoke` runs a reduced matrix for CI: identity checks only (all
-//! three modes plus the scalar kernel), a small graph, no JSON artifact,
-//! no speedup gates. `GAASX_CAP_EDGES` caps the full-matrix edge count
+//! three modes), a small graph, no JSON artifact, no speedup gates. `GAASX_CAP_EDGES` caps the full-matrix edge count
 //! and `GAASX_PR_ITERS` the PageRank iterations.
 //!
 //! `--baseline <path>` switches the full run into perf-regression mode:
@@ -48,7 +38,9 @@
 //! still jitter). Rows present on only one side are *reported* as
 //! added/missing rather than mis-paired or failed, so the row set can
 //! evolve across snapshots — BENCH_08 rows key cleanly against the
-//! BENCH_07 baseline because the key tuple is unchanged.
+//! BENCH_07 baseline because the key tuple is unchanged. The artifact's
+//! two optional scalar-kernel columns stay empty: there is one CAM
+//! matcher to time, and only BENCH_08 carries them.
 
 #![allow(clippy::unwrap_used)]
 use std::time::Instant;
@@ -57,7 +49,7 @@ use gaasx_core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gaasx_core::{GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, SearchMode, ShardableAlgorithm};
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_sim::table::{count, Table};
-use gaasx_xbar::{FaultModel, Kernel};
+use gaasx_xbar::FaultModel;
 
 /// One cell of the workload matrix, measured in all three modes.
 struct Row {
@@ -69,21 +61,12 @@ struct Row {
     linear_s: f64,
     indexed_s: f64,
     auto_s: f64,
-    /// Linear wall clock under the scalar kernel (packed is the default
-    /// for the other three columns).
-    scalar_linear_s: f64,
 }
 
 impl Row {
     /// Indexed-over-Linear speedup (the baseline-gated ratio).
     fn speedup(&self) -> f64 {
         self.linear_s / self.indexed_s.max(f64::MIN_POSITIVE)
-    }
-
-    /// Packed-over-scalar speedup on the Linear scan (the
-    /// `--packed-floor`-gated ratio on deep banks).
-    fn packed_vs_scalar(&self) -> f64 {
-        self.scalar_linear_s / self.linear_s.max(f64::MIN_POSITIVE)
     }
 
     /// Wall time of the better fixed mode.
@@ -162,10 +145,6 @@ where
     A::Output: PartialEq,
 {
     const MODES: [SearchMode; 3] = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto];
-    let scalar_linear = |bank, fault| GaasXConfig {
-        kernel: Kernel::Scalar,
-        ..config(bank, MODES[0], fault)
-    };
     // First rep: functional outcomes + identity checks.
     let (lin, linear_s) = run_once(algorithm, input, jobs, config(bank, MODES[0], fault))?;
     let mut walls = [linear_s, 0.0, 0.0];
@@ -190,24 +169,12 @@ where
         }
         walls[i] = wall;
     }
-    // Kernel identity: the scalar reference on the same Linear cell must
-    // be bit-identical to the packed default.
-    let (sca, mut scalar_linear_s) = run_once(algorithm, input, jobs, scalar_linear(bank, fault))?;
-    if lin.report != sca.report || lin.result != sca.result {
-        return Err(format!(
-            "{name}: bank={bank} jobs={jobs} fault={fault}: scalar kernel diverged from packed \
-             on the Linear cell (elapsed {} vs {} ns)",
-            sca.report.elapsed_ns, lin.report.elapsed_ns,
-        ));
-    }
     // Remaining reps: timing only.
     for _ in 1..timing_reps.max(1) {
         for (i, mode) in MODES.into_iter().enumerate() {
             let (_, wall) = run_once(algorithm, input, jobs, config(bank, mode, fault))?;
             walls[i] = walls[i].min(wall);
         }
-        let (_, wall) = run_once(algorithm, input, jobs, scalar_linear(bank, fault))?;
-        scalar_linear_s = scalar_linear_s.min(wall);
     }
     Ok(Row {
         algorithm: name,
@@ -217,7 +184,6 @@ where
         linear_s: walls[0],
         indexed_s: walls[1],
         auto_s: walls[2],
-        scalar_linear_s,
     })
 }
 
@@ -252,7 +218,7 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
 /// Ratio floors get this many *extra* timing rounds on rows that fail:
 /// a transient host spell re-measures clean and the min-merge clears the
 /// floor, while a reproducible regression keeps failing every round.
-/// Retries cost only the failing rows (reps × four configs each), so
+/// Retries cost only the failing rows (reps × three configs each), so
 /// three rounds stay cheap even when several rows sit near a floor.
 const GATE_RETRY_ROUNDS: usize = 3;
 
@@ -325,31 +291,6 @@ fn describe_baseline_failure(r: &Row, base: f64, tolerance: f64) -> String {
     )
 }
 
-/// Deep-bank rows where the packed Linear scan fell below `floor` of the
-/// scalar kernel. Paper-bank rows are never gated: their 128-row scans
-/// are too small a wall-clock fraction for the ratio to be signal.
-fn packed_floor_failures(rows: &[Row], floor: f64) -> Vec<usize> {
-    rows.iter()
-        .enumerate()
-        .filter(|(_, r)| r.bank == "deep" && r.packed_vs_scalar() < floor)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-fn describe_packed_failure(r: &Row, floor: f64) -> String {
-    format!(
-        "{} bank={} jobs={} fault={}: packed linear {:.3}s is {:.3}x of scalar {:.3}s \
-         (floor {floor:.2}x)",
-        r.algorithm,
-        r.bank,
-        r.jobs,
-        r.fault,
-        r.linear_s,
-        r.packed_vs_scalar(),
-        r.scalar_linear_s,
-    )
-}
-
 /// Rows where Auto fell below `floor` of the better fixed mode.
 fn auto_floor_failures(rows: &[Row], floor: f64) -> Vec<usize> {
     rows.iter()
@@ -392,8 +333,8 @@ fn json_artifact(rows: &[Row], edges: u64, pr_iters: u32) -> String {
                 auto_wall_s: r.auto_s,
                 speedup: r.speedup(),
                 auto_vs_best: r.auto_vs_best(),
-                scalar_linear_wall_s: Some(r.scalar_linear_s),
-                packed_vs_scalar: Some(r.packed_vs_scalar()),
+                scalar_linear_wall_s: None,
+                packed_vs_scalar: None,
             })
             .collect(),
     })
@@ -405,7 +346,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut out_path: Option<String> = None;
     let mut tolerance = 0.5f64;
     let mut auto_floor = 0.95f64;
-    let mut packed_floor = 1.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -430,13 +370,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .filter(|f| (0.0..=1.0).contains(f))
                     .ok_or("--auto-floor requires a fraction in [0, 1]")?;
             }
-            "--packed-floor" => {
-                packed_floor = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|f| (0.0..=4.0).contains(f))
-                    .ok_or("--packed-floor requires a ratio in [0, 4]")?;
-            }
             other => return Err(format!("unknown argument `{other}`").into()),
         }
     }
@@ -449,7 +382,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &[1, 4],
         )
     };
-    // Smoke checks identity only; full runs time each mode three times
+    // Smoke checks identity only; full runs time each mode five times
     // (interleaved across modes, min kept) so the ratio gates are stable
     // against host jitter.
     let timing_reps = if smoke { 1 } else { 5 };
@@ -539,7 +472,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for round in 1..=GATE_RETRY_ROUNDS {
             let mut retry: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
             retry.extend(auto_floor_failures(&rows, auto_floor));
-            retry.extend(packed_floor_failures(&rows, packed_floor));
             retry.extend(
                 baseline_failures(&rows, &matched, tolerance)
                     .iter()
@@ -559,7 +491,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.linear_s = r.linear_s.min(fresh.linear_s);
                 r.indexed_s = r.indexed_s.min(fresh.indexed_s);
                 r.auto_s = r.auto_s.min(fresh.auto_s);
-                r.scalar_linear_s = r.scalar_linear_s.min(fresh.scalar_linear_s);
             }
         }
     }
@@ -572,10 +503,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "linear (s)",
         "indexed (s)",
         "auto (s)",
-        "scalar-lin (s)",
         "speedup",
         "auto/best",
-        "pkd/scl",
         "report",
     ]);
     for r in &rows {
@@ -587,10 +516,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.3}", r.linear_s),
             format!("{:.3}", r.indexed_s),
             format!("{:.3}", r.auto_s),
-            format!("{:.3}", r.scalar_linear_s),
             format!("{:.2}x", r.speedup()),
             format!("{:.2}x", r.auto_vs_best()),
-            format!("{:.2}x", r.packed_vs_scalar()),
             "identical".into(),
         ]);
     }
@@ -634,28 +561,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .into());
         }
         println!("auto-gate: every Auto row within {auto_floor:.2}x of the better fixed mode.");
-        let deep_packed = pick("deep").packed_vs_scalar();
-        println!(
-            "PageRank, deep banks: packed Linear scan {deep_packed:.2}x over the scalar kernel \
-             (word-parallel bit planes, 64 rows per XOR/AND)."
-        );
-        let packed_failures = packed_floor_failures(&rows, packed_floor);
-        if !packed_failures.is_empty() {
-            return Err(format!(
-                "packed-gate: {} deep-bank row(s) below {packed_floor:.2}x of the scalar \
-                 kernel:\n  {}",
-                packed_failures.len(),
-                packed_failures
-                    .iter()
-                    .map(|&i| describe_packed_failure(&rows[i], packed_floor))
-                    .collect::<Vec<_>>()
-                    .join("\n  "),
-            )
-            .into());
-        }
-        println!(
-            "packed-gate: every deep-bank row at or above {packed_floor:.2}x of the scalar kernel."
-        );
         if let Some(bpath) = &baseline_path {
             let failures = baseline_failures(&rows, &matched, tolerance);
             if !failures.is_empty() {

@@ -6,7 +6,7 @@ use gaasx_sim::des::SchedulePolicy;
 use gaasx_sim::Nanos;
 use gaasx_xbar::energy::DeviceEnergyModel;
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
-use gaasx_xbar::{FaultModel, Fidelity, Kernel, SearchMode};
+use gaasx_xbar::{FaultModel, Fidelity, SearchMode};
 
 use crate::error::CoreError;
 
@@ -106,13 +106,6 @@ pub struct GaasXConfig {
     /// modes.
     #[serde(default)]
     pub search_mode: SearchMode,
-    /// Host evaluation kernel for the device hot paths
-    /// ([`Kernel::Packed`] by default: word-parallel bit-plane CAM
-    /// matching and bit-sliced MAC accumulation, 64 rows per word).
-    /// Purely a functional-simulator speed knob: reports are
-    /// bit-identical in both kernels.
-    #[serde(default)]
-    pub kernel: Kernel,
 }
 
 impl GaasXConfig {
@@ -133,7 +126,6 @@ impl GaasXConfig {
             fault: FaultModel::none(),
             recovery: RecoveryPolicy::off(),
             search_mode: SearchMode::default(),
-            kernel: Kernel::default(),
         }
     }
 
@@ -368,6 +360,18 @@ mod tests {
         let mut c = GaasXConfig::paper();
         c.fault.mac_stuck_ber = 2.0;
         assert!(c.validate().is_err());
+        // MAC resolutions whose quantized burst would overflow.
+        for (dac, cell, slices, adc) in [(32, 2, 8, 6), (2, 32, 1, 6), (2, 2, 8, 64)] {
+            let mut c = GaasXConfig::paper();
+            c.mac_geometry.dac_bits = dac;
+            c.mac_geometry.bits_per_cell = cell;
+            c.mac_geometry.slices = slices;
+            c.mac_geometry.adc_bits = adc;
+            assert!(
+                matches!(c.validate(), Err(CoreError::InvalidConfig(_))),
+                "dac {dac} cell {cell}x{slices} adc {adc}"
+            );
+        }
         let mut c = GaasXConfig::paper();
         c.fault.cam_stuck_ber = 1e-4;
         c.recovery.spare_rows = 128;

@@ -324,9 +324,6 @@ impl Engine {
         }
         let mut cam = CamCrossbar::new(config.cam_geometry);
         cam.set_search_mode(config.search_mode);
-        cam.set_kernel(config.kernel);
-        mac.set_kernel(config.kernel);
-        aux_mac.set_kernel(config.kernel);
         // Faults apply to the edge-storage CAM/MAC pair; the auxiliary
         // attribute arrays model ECC-protected storage-class banks and
         // stay clean.
@@ -386,7 +383,7 @@ impl Engine {
             // can replay (Auto has nothing resolved yet).
             memo_active: config.search_mode == SearchMode::Indexed && !fault_active,
             search_profile: SearchProfile::default(),
-            search_costs: SearchCostModel::calibrated_for(&config.energy, config.kernel),
+            search_costs: SearchCostModel::calibrated(&config.energy),
             key_buf: Vec::with_capacity(rows),
             codes_buf: Vec::new(),
             hits_scratch: HitVector::new(0),
@@ -916,26 +913,24 @@ impl Engine {
             // functional evaluation to that line (the burst is still billed
             // in full, and the all-lines path runs only when a full burst
             // draws random numbers: quantized noise or ADC flips).
-            let v = if self.remap_active {
+            let active = if self.remap_active {
                 // Activate the physical rows behind the logical slots.
                 self.phys_buf.clear();
                 for i in 0..chunk_len {
                     self.phys_buf.push(self.log2phys[self.chunk_buf[i]]);
                 }
-                self.mac.mac_col(
-                    MacDirection::RowsToColumns,
-                    &self.phys_buf,
-                    &self.inputs_buf,
-                    out_col,
-                )?
+                &self.phys_buf
             } else {
-                self.mac.mac_col(
-                    MacDirection::RowsToColumns,
-                    &self.chunk_buf,
-                    &self.inputs_buf,
-                    out_col,
-                )?
+                &self.chunk_buf
             };
+            self.mac.mac_lines_into(
+                MacDirection::RowsToColumns,
+                active,
+                &self.inputs_buf,
+                &[out_col],
+                &mut self.mac_out,
+            )?;
+            let v = self.mac_out[0];
             self.rows_per_mac.record(chunk_len);
             let ns = self.config.energy.mac_op_ns;
             self.current
@@ -1782,7 +1777,6 @@ mod tests {
     use super::*;
     use gaasx_graph::generators;
     use gaasx_sim::Nanojoules;
-    use gaasx_xbar::Kernel;
 
     fn engine() -> Engine {
         Engine::new(GaasXConfig::small()).unwrap()
@@ -2522,8 +2516,7 @@ mod tests {
         // Regression for the construction-time memo gate: with Auto (the
         // default) a single bank can mix Linear and Indexed blocks, and
         // only the Indexed ones may memoize. small() keeps the default
-        // Auto mode and OnePerKey profile (resolution is kernel-invariant
-        // — see `kernel_choice_never_perturbs_auto_resolution`).
+        // Auto mode and OnePerKey profile.
         let mut e = Engine::new(GaasXConfig::small()).unwrap();
         assert_eq!(e.config().search_mode, SearchMode::Auto);
 
@@ -2590,56 +2583,22 @@ mod tests {
         // The same dense-dst block resolves differently by declared
         // profile: a dense sweep amortizes the index, a frontier
         // traversal (sqrt(D) expected searches) does not at paper depth.
-        let scalar = || {
-            Engine::new(GaasXConfig {
-                kernel: Kernel::Scalar,
-                ..GaasXConfig::small()
-            })
-            .unwrap()
-        };
+        // The memo is gated on the resolved mode: only an Indexed block
+        // replays.
         let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
-        let mut e = scalar();
+        let mut e = engine();
         e.set_search_profile(SearchProfile::Frontier);
         assert_eq!(e.search_profile(), SearchProfile::Frontier);
         let _b = e.load_block(&dense, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
+        assert!(!e.memo_active);
 
-        let mut e2 = scalar();
+        let mut e2 = engine();
         e2.set_search_profile(SearchProfile::OnePerKey);
         let _b = e2.load_block(&dense, CellLayout::Preset).unwrap();
         assert_eq!(e2.resolved_search_mode(), SearchMode::Indexed);
-    }
-
-    #[test]
-    fn kernel_choice_never_perturbs_auto_resolution() {
-        // BENCH_08 measured the same per-row winner under both kernels
-        // (the fitted scan constant absorbs per-search overheads the
-        // kernel cannot touch), so the calibration is kernel-invariant:
-        // the default Packed engine must resolve exactly like a Scalar
-        // one on both block shapes, memo gating included.
-        let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
-        for kernel in [Kernel::Packed, Kernel::Scalar] {
-            let mut e = Engine::new(GaasXConfig {
-                kernel,
-                ..GaasXConfig::small()
-            })
-            .unwrap();
-            assert_eq!(e.config().kernel, kernel);
-            let _b = e.load_block(&dense, CellLayout::Preset).unwrap();
-            assert_eq!(e.resolved_search_mode(), SearchMode::Indexed, "{kernel:?}");
-            assert!(e.memo_active, "{kernel:?}");
-            assert_eq!(e.search_dst(VertexId::new(1000)).count(), 1);
-
-            let mut f = Engine::new(GaasXConfig {
-                kernel,
-                ..GaasXConfig::small()
-            })
-            .unwrap();
-            f.set_search_profile(SearchProfile::Frontier);
-            let _b = f.load_block(&dense, CellLayout::Preset).unwrap();
-            assert_eq!(f.resolved_search_mode(), SearchMode::Linear, "{kernel:?}");
-            assert!(!f.memo_active, "{kernel:?}");
-        }
+        assert!(e2.memo_active);
+        assert_eq!(e2.search_dst(VertexId::new(1000)).count(), 1);
     }
 
     #[test]

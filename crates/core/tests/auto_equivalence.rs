@@ -13,7 +13,7 @@ use gaasx_core::{
 };
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_graph::{CooGraph, Edge, VertexId};
-use gaasx_xbar::{FaultModel, Kernel};
+use gaasx_xbar::FaultModel;
 use proptest::prelude::*;
 
 /// The two benchmarked design points, shrunk to 8 banks for test speed
@@ -108,52 +108,35 @@ fn auto_matches_both_fixed_modes_across_the_matrix() {
 }
 
 /// Pins the cost model's decision on the measured BENCH_06/BENCH_08
-/// design points through the real engine path, under **both** host
-/// kernels: a representative full paper-bank block resolves Linear for
-/// the frontier traversals (the rows Indexed was regressing), dense
-/// sweeps resolve Indexed at both depths (the rows Indexed was winning,
-/// up to 2.6–3.9x on deep banks). BENCH_08 measured the same winners
-/// under the packed kernel, so resolution must be kernel-invariant.
+/// design points through the real engine path: a representative full
+/// paper-bank block resolves Linear for the frontier traversals (the rows
+/// Indexed was regressing), dense sweeps resolve Indexed at both depths
+/// (the rows Indexed was winning, up to 2.6–3.9x on deep banks).
 #[test]
-fn resolver_pins_the_bench_winners_under_both_kernels() {
-    for kernel in [Kernel::Packed, Kernel::Scalar] {
-        let with = |base: GaasXConfig| GaasXConfig { kernel, ..base };
-        // Paper bank, frontier profile (BFS/CC/SSSP): Linear.
-        let mut paper = Engine::new(with(GaasXConfig::small())).unwrap();
-        paper.set_search_profile(SearchProfile::Frontier);
-        let block: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 200 + i, 1.0)).collect();
-        paper.load_block(&block, CellLayout::Preset).unwrap();
-        assert_eq!(
-            paper.resolved_search_mode(),
-            SearchMode::Linear,
-            "{kernel:?}"
-        );
+fn resolver_pins_the_bench_winners() {
+    // Paper bank, frontier profile (BFS/CC/SSSP): Linear.
+    let mut paper = Engine::new(GaasXConfig::small()).unwrap();
+    paper.set_search_profile(SearchProfile::Frontier);
+    let block: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 200 + i, 1.0)).collect();
+    paper.load_block(&block, CellLayout::Preset).unwrap();
+    assert_eq!(paper.resolved_search_mode(), SearchMode::Linear);
 
-        // Paper bank, dense profile (PageRank): Indexed.
-        let mut paper_pr = Engine::new(with(GaasXConfig::small())).unwrap();
-        paper_pr.set_search_profile(SearchProfile::OnePerKey);
-        paper_pr.load_block(&block, CellLayout::Preset).unwrap();
-        assert_eq!(
-            paper_pr.resolved_search_mode(),
-            SearchMode::Indexed,
-            "{kernel:?}"
-        );
+    // Paper bank, dense profile (PageRank): Indexed.
+    let mut paper_pr = Engine::new(GaasXConfig::small()).unwrap();
+    paper_pr.set_search_profile(SearchProfile::OnePerKey);
+    paper_pr.load_block(&block, CellLayout::Preset).unwrap();
+    assert_eq!(paper_pr.resolved_search_mode(), SearchMode::Indexed);
 
-        // Deep bank, dense profile (PageRank): Indexed by a wide margin.
-        let mut deep = Engine::new(with(GaasXConfig {
-            num_banks: 8,
-            ..GaasXConfig::deep_bank()
-        }))
-        .unwrap();
-        deep.set_search_profile(SearchProfile::OnePerKey);
-        let deep_block: Vec<Edge> = (0..2048u32).map(|i| Edge::new(i, 4000 + i, 1.0)).collect();
-        deep.load_block(&deep_block, CellLayout::Preset).unwrap();
-        assert_eq!(
-            deep.resolved_search_mode(),
-            SearchMode::Indexed,
-            "{kernel:?}"
-        );
-    }
+    // Deep bank, dense profile (PageRank): Indexed by a wide margin.
+    let mut deep = Engine::new(GaasXConfig {
+        num_banks: 8,
+        ..GaasXConfig::deep_bank()
+    })
+    .unwrap();
+    deep.set_search_profile(SearchProfile::OnePerKey);
+    let deep_block: Vec<Edge> = (0..2048u32).map(|i| Edge::new(i, 4000 + i, 1.0)).collect();
+    deep.load_block(&deep_block, CellLayout::Preset).unwrap();
+    assert_eq!(deep.resolved_search_mode(), SearchMode::Indexed);
 }
 
 proptest! {

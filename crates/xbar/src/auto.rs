@@ -100,7 +100,14 @@ impl SearchCostModel {
     /// hit-enumeration 0.5× — were fit to `results/BENCH_06.json`: they
     /// reproduce the measured faster mode on all 20 rows (paper-bank
     /// fault-free frontier traversals → Linear; every fault row, every
-    /// dense sweep, and every deep-bank row → Indexed).
+    /// dense sweep, and every deep-bank row → Indexed). The word-parallel
+    /// matcher left the fit unchanged: `results/BENCH_08.json` measured
+    /// the same winner on every row, because `scan_row_ns` is not a
+    /// literal compare cost but absorbs the per-search work the matcher
+    /// cannot touch (hit-vector reset, stats, memo bookkeeping, fault-RNG
+    /// draws). An earlier 1/16 scan discount flipped paper dense and
+    /// fault blocks to Linear and regressed Auto to 0.70–0.95× of the
+    /// better fixed mode.
     pub fn calibrated(energy: &DeviceEnergyModel) -> Self {
         let unit = energy.cam_search_ns;
         SearchCostModel {
@@ -109,26 +116,6 @@ impl SearchCostModel {
             index_probe_ns: 5.0 * unit,
             index_hit_ns: 0.5 * unit,
         }
-    }
-
-    /// [`calibrated`](Self::calibrated), adjusted for the host evaluation
-    /// kernel — which, per `results/BENCH_08.json`, means *not at all*:
-    /// the packed matcher evaluates 64 rows per plane word, but the
-    /// fitted `scan_row_ns` is not a literal compare cost. It absorbs the
-    /// per-search work the kernel cannot touch (hit-vector reset, stats,
-    /// memo lookkeeping, fault-RNG draws), and BENCH_08 measured the same
-    /// winner as the scalar BENCH_07 run on **every** row: fault rows
-    /// still favor Indexed 1.2–1.4× (the memo is off, so O(1) probes beat
-    /// even a word-parallel scan at high search volume) and fault-free
-    /// paper rows sit at parity. An earlier 1/16 scan discount flipped
-    /// paper dense/fault blocks to Linear and regressed Auto to 0.70–0.95×
-    /// of the better fixed mode; any discount past ~1.3× flips fault-row
-    /// frontier blocks first. Decision identity across kernels is also
-    /// what keeps `Auto` runs bit-identical in *schedule* regardless of
-    /// the host kernel a replay happens to use.
-    pub fn calibrated_for(energy: &DeviceEnergyModel, kernel: crate::Kernel) -> Self {
-        let _ = kernel;
-        Self::calibrated(energy)
     }
 
     /// Expected physical searches against the block per visit: the
@@ -280,23 +267,6 @@ mod tests {
             last_indexed = indexed;
         }
         assert!(last_indexed, "full-width dense block must resolve Indexed");
-    }
-
-    #[test]
-    fn calibration_is_kernel_invariant() {
-        // BENCH_08 measured the same winner as scalar BENCH_07 on every
-        // row, so the packed kernel must not perturb resolution: fitted
-        // constants model per-search totals, not raw compare loops.
-        use crate::Kernel;
-        let e = DeviceEnergyModel::paper();
-        assert_eq!(
-            SearchCostModel::calibrated_for(&e, Kernel::Scalar),
-            SearchCostModel::calibrated(&e)
-        );
-        assert_eq!(
-            SearchCostModel::calibrated_for(&e, Kernel::Packed),
-            SearchCostModel::calibrated(&e)
-        );
     }
 
     #[test]

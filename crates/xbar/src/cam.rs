@@ -7,7 +7,6 @@ use crate::fast_hash::FxHashMap;
 use crate::fault::{CamFaultState, FaultStats};
 use crate::geometry::CamGeometry;
 use crate::hit_vector::HitVector;
-use crate::kernel::Kernel;
 use crate::packed::PackedPlanes;
 use crate::XbarStats;
 
@@ -214,12 +213,9 @@ pub struct CamCrossbar {
     /// Host algorithm used to derive hit vectors (device behaviour and
     /// accounting are identical in both modes).
     mode: SearchMode,
-    /// Host kernel evaluating the linear matcher (packed word-parallel or
-    /// scalar row-at-a-time; results and accounting are identical).
-    kernel: Kernel,
-    /// Bit-plane transposed view of `entries` for the packed kernel.
-    /// Mutations only mark the touched 64-row word stale; the next packed
-    /// search rebuilds the stale words.
+    /// Bit-plane transposed view of `entries` for the word-parallel
+    /// matcher. Mutations only mark the touched 64-row word stale; the
+    /// next packed search rebuilds the stale words.
     packed: PackedPlanes,
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
@@ -231,8 +227,8 @@ pub struct CamCrossbar {
     /// issues one `write` per edge while every index is stale, so the
     /// per-write patch loop reduces to a single zero-check here.
     clean_indexes: u32,
-    /// Debug-build scratch for cross-checking indexed results against the
-    /// linear scan without allocating per search.
+    /// Debug-build scratch for cross-checking every search result against
+    /// the scalar scan without allocating per search.
     #[cfg(debug_assertions)]
     check_hv: HitVector,
 }
@@ -265,7 +261,6 @@ impl CamCrossbar {
             faults: None,
             stats: XbarStats::new(),
             mode: SearchMode::default(),
-            kernel: Kernel::default(),
             packed: PackedPlanes::new(geometry.rows, geometry.width_bits as usize),
             epoch: 1,
             indexes: Vec::new(),
@@ -288,18 +283,6 @@ impl CamCrossbar {
     /// The active host search algorithm.
     pub fn search_mode(&self) -> SearchMode {
         self.mode
-    }
-
-    /// Selects the host kernel for the linear matcher. Switching is free:
-    /// every mutation marks the bit planes stale under either kernel, and
-    /// the next packed search rebuilds what changed.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active host kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Attaches seeded device-fault state. Stuck bits corrupt entries as
@@ -543,19 +526,17 @@ impl CamCrossbar {
             }
         }
         if !via_index {
-            match self.kernel {
-                Kernel::Packed => self.packed.search_into(&self.entries, key, mask, out),
-                Kernel::Scalar => Self::linear_scan_into(&self.entries, key, mask, out),
-            }
+            self.packed.search_into(&self.entries, key, mask, out);
         }
         #[cfg(debug_assertions)]
-        if via_index || self.kernel == Kernel::Packed {
+        {
             let mut check = std::mem::replace(&mut self.check_hv, HitVector::new(0));
             check.reset(self.geometry.rows);
             Self::linear_scan_into(&self.entries, key, mask, &mut check);
             debug_assert!(
                 *out == check,
-                "indexed search diverged from linear scan (key={key:#x}, mask={mask:#x})"
+                "search diverged from the scalar scan (key={key:#x}, mask={mask:#x}, \
+                 indexed={via_index})"
             );
             self.check_hv = check;
         }
@@ -564,9 +545,10 @@ impl CamCrossbar {
         }
     }
 
-    /// The scalar reference path: O(rows) scan over the post-fault
-    /// entries. Retained as the oracle for [`Kernel::Scalar`] and the
-    /// debug-build cross-check of every indexed or packed result.
+    /// The scalar reference scan: O(rows) over the post-fault entries.
+    /// Kept only as an oracle — the debug-build cross-check of every
+    /// indexed or packed result, and the unit tests' reference.
+    #[cfg(any(debug_assertions, test))]
     fn linear_scan_into(entries: &[CamEntry], key: u128, mask: u128, out: &mut HitVector) {
         // gaasx-lint: hot
         for (i, e) in entries.iter().enumerate() {
@@ -903,111 +885,126 @@ mod tests {
         assert!("fast".parse::<SearchMode>().is_err());
     }
 
-    /// Runs the same op sequence under both kernels (in Linear mode, so
-    /// the matcher — not the index — derives every result) and asserts
-    /// identical hit vectors and stats.
-    fn assert_kernels_agree(rows: usize, ops: impl Fn(&mut CamCrossbar) -> Vec<HitVector>) {
-        let g = CamGeometry {
+    /// One Linear-mode search (so the packed matcher, not the index,
+    /// derives the result), paired with the scalar scan's answer over the
+    /// same post-fault entries.
+    fn search_vs_scan(
+        c: &mut CamCrossbar,
+        key: u128,
+        mask: u128,
+        out: &mut Vec<(HitVector, HitVector)>,
+    ) {
+        let packed = c.search(key, mask);
+        let mut oracle = HitVector::new(c.geometry.rows);
+        CamCrossbar::linear_scan_into(
+            &c.entries,
+            key & c.width_mask,
+            mask & c.width_mask,
+            &mut oracle,
+        );
+        out.push((packed, oracle));
+    }
+
+    /// Runs `ops` on a Linear-mode CAM of `rows` rows and asserts every
+    /// packed search it issued matched the scalar scan.
+    fn assert_packed_matches_scan(
+        rows: usize,
+        ops: impl Fn(&mut CamCrossbar, &mut Vec<(HitVector, HitVector)>),
+    ) {
+        let mut c = CamCrossbar::new(CamGeometry {
             rows,
             width_bits: 128,
-        };
-        let mut scalar = CamCrossbar::new(g);
-        scalar.set_search_mode(SearchMode::Linear);
-        scalar.set_kernel(Kernel::Scalar);
-        let a = ops(&mut scalar);
-        let mut packed = CamCrossbar::new(g);
-        packed.set_search_mode(SearchMode::Linear);
-        packed.set_kernel(Kernel::Packed);
-        let b = ops(&mut packed);
-        assert_eq!(a, b, "hit vectors diverged between kernels ({rows} rows)");
-        assert_eq!(scalar.stats(), packed.stats(), "stats diverged");
+        });
+        c.set_search_mode(SearchMode::Linear);
+        let mut pairs = Vec::new();
+        ops(&mut c, &mut pairs);
+        assert!(!pairs.is_empty());
+        for (i, (packed, oracle)) in pairs.iter().enumerate() {
+            assert_eq!(
+                packed, oracle,
+                "search {i} diverged from the scan ({rows} rows)"
+            );
+        }
     }
 
     #[test]
-    fn packed_kernel_matches_scalar_including_partial_last_word() {
+    fn packed_matcher_matches_scan_including_partial_last_word() {
         for rows in [64, 70, 128, 130] {
-            assert_kernels_agree(rows, |c| {
+            assert_packed_matches_scan(rows, |c, out| {
                 for i in 0..c.geometry().rows {
                     let key = (u128::from(i as u32 % 5) << 32) | u128::from(i as u32 % 7);
                     c.write(i, key).unwrap();
                 }
-                let mut out = Vec::new();
                 for v in 0..8u32 {
-                    out.push(c.search(u128::from(v) << 32, SRC_MASK));
-                    out.push(c.search(u128::from(v), DST_MASK));
+                    search_vs_scan(c, u128::from(v) << 32, SRC_MASK, out);
+                    search_vs_scan(c, u128::from(v), DST_MASK, out);
                 }
-                out.push(c.search(0, u128::MAX));
-                out.push(c.search((1u128 << 32) | 1, SRC_MASK | DST_MASK));
-                out
+                search_vs_scan(c, 0, u128::MAX, out);
+                search_vs_scan(c, (1u128 << 32) | 1, SRC_MASK | DST_MASK, out);
             });
         }
     }
 
     #[test]
-    fn packed_kernel_matches_scalar_across_invalidate_and_rewrite() {
-        assert_kernels_agree(70, |c| {
-            let mut out = Vec::new();
+    fn packed_matcher_matches_scan_across_invalidate_and_rewrite() {
+        assert_packed_matches_scan(70, |c, out| {
             for i in 0..70 {
                 c.write(i, (u128::from(i as u32 % 9) << 32) | 1).unwrap();
             }
-            out.push(c.search(1, DST_MASK));
+            search_vs_scan(c, 1, DST_MASK, out);
             c.invalidate(3).unwrap();
             c.invalidate(69).unwrap();
-            out.push(c.search(1, DST_MASK));
+            search_vs_scan(c, 1, DST_MASK, out);
             c.write(3, (7u128 << 32) | 2).unwrap();
-            out.push(c.search(2, DST_MASK));
-            out.push(c.search(7u128 << 32, SRC_MASK));
+            search_vs_scan(c, 2, DST_MASK, out);
+            search_vs_scan(c, 7u128 << 32, SRC_MASK, out);
             c.invalidate_all();
-            out.push(c.search(1, DST_MASK));
+            search_vs_scan(c, 1, DST_MASK, out);
             for i in 0..4 {
                 c.write(i, (9u128 << 32) | u128::from(i as u32)).unwrap();
             }
-            out.push(c.search(9u128 << 32, SRC_MASK));
-            out
+            search_vs_scan(c, 9u128 << 32, SRC_MASK, out);
         });
     }
 
     #[test]
-    fn packed_kernel_reflects_post_fault_bits() {
+    fn packed_matcher_reflects_post_fault_bits() {
         use crate::fault::{CamFaultState, FaultModel};
         let g = CamGeometry::paper();
-        let model = FaultModel {
-            seed: 7,
-            cam_stuck_ber: 0.02,
-            ..FaultModel::none()
-        };
-        let run = |kernel: Kernel| {
-            let mut c = CamCrossbar::new(g);
-            c.set_search_mode(SearchMode::Linear);
-            c.set_kernel(kernel);
-            c.set_faults(Some(CamFaultState::new(model, &g)));
-            let key = 0xA5A5_A5A5_A5A5_A5A5u128;
-            for row in 0..g.rows {
-                c.write(row, key).unwrap();
-            }
-            c.search(key, u128::MAX)
-        };
-        assert_eq!(run(Kernel::Scalar), run(Kernel::Packed));
+        let mut c = CamCrossbar::new(g);
+        c.set_search_mode(SearchMode::Linear);
+        c.set_faults(Some(CamFaultState::new(
+            FaultModel {
+                seed: 7,
+                cam_stuck_ber: 0.02,
+                ..FaultModel::none()
+            },
+            &g,
+        )));
+        let key = 0xA5A5_A5A5_A5A5_A5A5u128;
+        for row in 0..g.rows {
+            c.write(row, key).unwrap();
+        }
+        let mut out = Vec::new();
+        search_vs_scan(&mut c, key, u128::MAX, &mut out);
+        let (packed, oracle) = &out[0];
+        assert_eq!(packed, oracle);
+        assert!(packed.count() < g.rows, "stuck bits must miss some rows");
     }
 
     #[test]
-    fn switching_kernels_mid_stream_rebuilds_the_planes() {
+    fn writes_after_a_packed_search_restale_the_planes() {
         let mut c = cam();
         c.set_search_mode(SearchMode::Linear);
-        c.set_kernel(Kernel::Scalar);
         for i in 0..10 {
             c.write(i, u128::from(i as u32 % 3)).unwrap();
         }
         let a = c.search(1, DST_MASK);
-        // Writes under the scalar kernel stale the planes too, so the
-        // packed matcher's first search rebuilds them.
-        c.set_kernel(Kernel::Packed);
-        assert_eq!(c.kernel(), Kernel::Packed);
-        let b = c.search(1, DST_MASK);
-        assert_eq!(a, b);
         c.write(5, 1).unwrap(); // restales one word after the rebuild
         let d = c.search(1, DST_MASK);
         assert_eq!(d.count(), a.count() + 1);
+        c.invalidate(1).unwrap();
+        assert_eq!(c.search(1, DST_MASK).count(), a.count());
     }
 
     #[test]

@@ -4,6 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::XbarError;
 
+/// Width of the digital input a MAC burst streams through the DACs.
+pub(crate) const MAC_INPUT_BITS: u32 = 16;
+
 /// Geometry of a MAC crossbar bank.
 ///
 /// Table I: "MAC crossbar, 128×16×8, 2-bits/cell" — 128 rows by 16 logical
@@ -62,7 +65,10 @@ impl MacGeometry {
     /// # Errors
     ///
     /// Returns [`XbarError::InvalidParameter`] for zero dimensions, weight
-    /// precision above 32 bits, or an active-row cap beyond the row count.
+    /// precision above 32 bits, an active-row cap beyond the row count,
+    /// converter and cell resolutions whose bit masks overflow (DAC or
+    /// bits per cell above 31, ADC above 63), or ADC samples too wide for
+    /// the 64-bit shift-and-add accumulator.
     pub fn validate(&self) -> Result<(), XbarError> {
         if self.rows == 0 || self.cols == 0 || self.slices == 0 {
             return Err(XbarError::InvalidParameter(
@@ -85,6 +91,31 @@ impl MacGeometry {
             return Err(XbarError::InvalidParameter(
                 "mac geometry: converter resolutions must be positive".into(),
             ));
+        }
+        // The bit-sliced burst builds `(1 << bits) - 1` masks: `u32` for a
+        // DAC step and a cell slice, `u64` for the ADC full scale.
+        if self.dac_bits > 31 || self.bits_per_cell > 31 || self.adc_bits > 63 {
+            return Err(XbarError::InvalidParameter(format!(
+                "mac geometry: dac_bits {} / bits_per_cell {} / adc_bits {} exceed 31 / 31 / 63",
+                self.dac_bits, self.bits_per_cell, self.adc_bits
+            )));
+        }
+        // Shift-and-add sums one sample per (input step, weight slice);
+        // the sum of full-scale samples must fit the accumulator. Every
+        // shift is below 16 + 32 and the sample below 2^63, so `u128` holds
+        // each term and the at most 16 × 32 of them.
+        let full_scale = (1u128 << self.adc_bits) - 1;
+        let mut max_sum = 0u128;
+        for step in 0..MAC_INPUT_BITS.div_ceil(self.dac_bits) {
+            for slice in 0..self.slices as u32 {
+                max_sum += full_scale << (step * self.dac_bits + slice * self.bits_per_cell);
+            }
+        }
+        if max_sum > u128::from(u64::MAX) {
+            return Err(XbarError::InvalidParameter(format!(
+                "mac geometry: {}-bit ADC samples overflow the 64-bit shift-and-add accumulator",
+                self.adc_bits
+            )));
         }
         Ok(())
     }
@@ -177,5 +208,78 @@ mod tests {
         let mut c = CamGeometry::paper();
         c.width_bits = 200;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn resolutions_whose_masks_overflow_are_rejected() {
+        // Each shape used to validate and then panic inside a quantized
+        // burst: the first three on a mask shift ("attempt to shift left
+        // with overflow"), the last on the reconstruction sum once an ADC
+        // flip sets a high sample bit ("attempt to add with overflow").
+        let paper = MacGeometry::paper();
+        let shapes = [
+            MacGeometry {
+                dac_bits: 32,
+                ..paper
+            },
+            MacGeometry {
+                bits_per_cell: 32,
+                slices: 1,
+                ..paper
+            },
+            MacGeometry {
+                adc_bits: 64,
+                ..paper
+            },
+            // Masks fit, but 8 steps × 8 slices of 36-bit samples, shifted
+            // by up to 28 bits, can overflow the 64-bit reconstruction.
+            MacGeometry {
+                adc_bits: 36,
+                ..paper
+            },
+        ];
+        for g in shapes {
+            assert!(
+                matches!(g.validate(), Err(XbarError::InvalidParameter(_))),
+                "{g:?}"
+            );
+        }
+        // The widest masks that still fit stay valid, and a quantized
+        // burst with faulty cells and flipping ADCs runs on each of them.
+        for g in [
+            MacGeometry {
+                dac_bits: 31,
+                ..paper
+            },
+            MacGeometry {
+                bits_per_cell: 31,
+                slices: 1,
+                ..paper
+            },
+            MacGeometry {
+                adc_bits: 35,
+                ..paper
+            },
+        ] {
+            g.validate().unwrap();
+            let mut m = crate::MacCrossbar::new(g, crate::Fidelity::Quantized);
+            m.set_faults(Some(crate::fault::MacFaultState::new(
+                crate::FaultModel {
+                    seed: 3,
+                    mac_stuck_ber: 0.1,
+                    adc_flip_rate: 0.5,
+                    ..crate::FaultModel::none()
+                },
+                &g,
+            )));
+            m.write_row(0, &[m.max_code(), 1]).unwrap();
+            m.write_row(1, &[5, m.max_code()]).unwrap();
+            let dir = crate::MacDirection::RowsToColumns;
+            m.mac(dir, &[0, 1], &[0xFFFF, 0x1234]).unwrap();
+            m.set_faults(None);
+            let mut out = Vec::new();
+            m.mac_lines_into(dir, &[0, 1], &[0xFFFF, 0x1234], &[1], &mut out)
+                .unwrap();
+        }
     }
 }

@@ -29,7 +29,6 @@
 mod cam;
 mod error;
 mod hit_vector;
-mod kernel;
 mod mac;
 mod packed;
 
@@ -47,7 +46,6 @@ pub use cam::{CamCrossbar, CamEntry, SearchMode};
 pub use error::XbarError;
 pub use fault::FaultModel;
 pub use hit_vector::{ChunkOnes, HitVector};
-pub use kernel::Kernel;
 pub use mac::{Fidelity, MacCrossbar, MacDirection};
 
 use serde::{Deserialize, Serialize};

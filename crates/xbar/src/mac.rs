@@ -2,8 +2,7 @@
 
 use crate::error::XbarError;
 use crate::fault::{FaultStats, MacFaultState};
-use crate::geometry::MacGeometry;
-use crate::kernel::Kernel;
+use crate::geometry::{MacGeometry, MAC_INPUT_BITS};
 use crate::noise::NoiseModel;
 use crate::XbarStats;
 
@@ -78,14 +77,8 @@ pub struct MacCrossbar {
     noise: Option<NoiseModel>,
     faults: Option<MacFaultState>,
     stats: XbarStats,
-    input_bits: u32,
-    /// Host kernel for the clean quantized evaluation (packed lane
-    /// bit-plane popcounts or the scalar reference loop; results and
-    /// accounting are identical).
-    kernel: Kernel,
-    /// Reused full-width output buffer for [`MacCrossbar::mac_col`] /
-    /// [`MacCrossbar::mac_lines_into`] calls that must fall back to
-    /// evaluating every crossed line.
+    /// Reused full-width output buffer for [`MacCrossbar::mac_lines_into`]
+    /// calls that must fall back to evaluating every crossed line.
     col_scratch: Vec<u64>,
 }
 
@@ -107,21 +100,8 @@ impl MacCrossbar {
             noise: None,
             faults: None,
             stats: XbarStats::new(),
-            input_bits: 16,
-            kernel: Kernel::default(),
             col_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the host kernel for the clean quantized evaluation. The
-    /// MAC array keeps no packed mirror state, so switching is free.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active host kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Attaches a device-variation noise model (only observable under
@@ -343,84 +323,20 @@ impl MacCrossbar {
         Ok(())
     }
 
-    /// [`mac_into`](Self::mac_into) for callers that consume a single
-    /// crossed line: returns `out[col]` without materializing the others.
+    /// [`mac_into`](Self::mac_into) for callers that consume a *subset* of
+    /// the crossed lines: fills `out` with one sum per entry of `lines`,
+    /// in order. A single-entry `lines` reads one crossed line (the
+    /// PageRank gather's shape).
     ///
     /// The analog array always evaluates every crossed line, so the cost
     /// accounting is exactly that of a full [`mac_into`](Self::mac_into)
-    /// burst — one MAC op and the full complement of ADC samples. Only the
-    /// *functional* evaluation is restricted, and only when it is safe:
-    /// unless the full burst would draw random numbers (quantized fidelity
-    /// with a noise model or a nonzero ADC-flip rate), each crossed line
-    /// is independent, so the one sum computed here is bit-identical to
-    /// the full burst's. A burst that draws runs in full instead, keeping
-    /// the RNG draw sequence unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As for [`mac_into`](Self::mac_into), plus a range error when `col`
-    /// exceeds the crossed-line count. On error no cost is counted.
-    pub fn mac_col(
-        &mut self,
-        direction: MacDirection,
-        active: &[usize],
-        inputs: &[u32],
-        col: usize,
-    ) -> Result<u64, XbarError> {
-        let out_len = self.validate_op(direction, active, inputs)?;
-        if col >= out_len {
-            return Err(match direction {
-                MacDirection::RowsToColumns => XbarError::ColumnOutOfRange { col, cols: out_len },
-                MacDirection::ColumnsToRows => XbarError::RowOutOfRange {
-                    row: col,
-                    rows: out_len,
-                },
-            });
-        }
-        self.bill_op(active.len(), out_len);
-        if self.burst_draws() {
-            let mut out = std::mem::take(&mut self.col_scratch);
-            out.clear();
-            out.resize(out_len, 0);
-            match self.fidelity {
-                Fidelity::Exact => self.mac_exact(direction, active, inputs, &mut out),
-                Fidelity::Quantized => self.mac_quantized(direction, active, inputs, &mut out),
-            }
-            let value = out[col];
-            self.col_scratch = out;
-            return Ok(value);
-        }
-        Ok(match self.fidelity {
-            Fidelity::Exact => {
-                // gaasx-lint: hot
-                let mut slot = 0u64;
-                for (&a, &x) in active.iter().zip(inputs) {
-                    slot += u64::from(x) * u64::from(self.crossed_cell(direction, a, col));
-                }
-                slot
-                // gaasx-lint: end-hot
-            }
-            Fidelity::Quantized => {
-                if self.kernel == Kernel::Packed && active.len() <= 64 {
-                    let x_planes = pack_bit_planes(inputs);
-                    self.quantized_line_packed(direction, active, &x_planes, col)
-                } else {
-                    self.quantized_line_clean(direction, active, inputs, col)
-                }
-            }
-        })
-    }
-
-    /// [`mac_into`](Self::mac_into) for callers that consume a *subset* of
-    /// the crossed lines: fills `out` with one sum per entry of `lines`,
-    /// in order.
-    ///
-    /// Like [`mac_col`](Self::mac_col), the analog array still evaluates
-    /// every crossed line, so the cost accounting is exactly that of a
-    /// full burst. Only the functional evaluation is restricted, and only
-    /// when the full burst draws no random numbers (each crossed line is
-    /// then independent); otherwise the full evaluation runs so the RNG
-    /// draw sequence stays identical to [`mac_into`](Self::mac_into).
+    /// burst — one MAC op and the full complement of ADC samples. Only
+    /// the *functional* evaluation is restricted, and only when the full
+    /// burst draws no random numbers (quantized fidelity with a noise
+    /// model or a nonzero ADC-flip rate does): each crossed line is then
+    /// independent, so the sums computed here are bit-identical to the
+    /// full burst's. A burst that draws runs in full instead, keeping the
+    /// RNG draw sequence unchanged.
     ///
     /// # Errors
     ///
@@ -478,7 +394,7 @@ impl MacCrossbar {
                 // gaasx-lint: end-hot
             }
             Fidelity::Quantized => {
-                if self.kernel == Kernel::Packed && active.len() <= 64 {
+                if active.len() <= 64 {
                     let x_planes = pack_bit_planes(inputs);
                     for &l in lines {
                         out.push(self.quantized_line_packed(direction, active, &x_planes, l));
@@ -538,7 +454,8 @@ impl MacCrossbar {
     /// Whether a full burst draws random numbers: only the quantized
     /// periphery samples noisy analog sums or flipping ADCs. When it does
     /// not, every crossed line is independent, so the restricted read-outs
-    /// and the packed kernel are bit-identical to the scalar full burst.
+    /// and the lane bit-plane evaluation are bit-identical to the scalar
+    /// full burst.
     fn burst_draws(&self) -> bool {
         self.fidelity == Fidelity::Quantized
             && (self.noise.is_some()
@@ -552,7 +469,7 @@ impl MacCrossbar {
     /// conversion per active line per input step, one ADC sample per
     /// crossed line per input step per slice.
     fn bill_op(&mut self, active_len: usize, out_len: usize) {
-        let input_steps = self.input_bits.div_ceil(self.geometry.dac_bits) as u64;
+        let input_steps = MAC_INPUT_BITS.div_ceil(self.geometry.dac_bits) as u64;
         self.stats.record_mac(active_len);
         self.stats.dac_conversions += active_len as u64 * input_steps;
         self.stats.adc_samples += out_len as u64 * input_steps * self.geometry.slices as u64;
@@ -601,11 +518,11 @@ impl MacCrossbar {
         let dac_mask = (1u32 << g.dac_bits) - 1;
         let cell_mask = (1u32 << g.bits_per_cell) - 1;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = self.input_bits.div_ceil(g.dac_bits);
-        if !self.burst_draws() && self.kernel == Kernel::Packed && active.len() <= 64 {
+        let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
+        if !self.burst_draws() && active.len() <= 64 {
             // No RNG is consumed, so every crossed line is independent and
-            // the lane bit-plane evaluation is free to replace the scalar
-            // loop (integer-identical results).
+            // the lane bit-plane evaluation replaces the scalar loop
+            // (integer-identical results).
             let x_planes = pack_bit_planes(inputs);
             for (o, slot) in out.iter_mut().enumerate() {
                 *slot = self.quantized_line_packed(direction, active, &x_planes, o);
@@ -642,7 +559,9 @@ impl MacCrossbar {
 
     /// One crossed line of [`mac_quantized`](Self::mac_quantized) for a
     /// burst that draws no random numbers: identical bit-slicing and ADC
-    /// saturation, restricted to slot `o`.
+    /// saturation, restricted to slot `o`. The path for bursts wider than
+    /// the 64 lanes [`quantized_line_packed`](Self::quantized_line_packed)
+    /// holds, and its unit-test oracle.
     fn quantized_line_clean(
         &self,
         direction: MacDirection,
@@ -654,7 +573,7 @@ impl MacCrossbar {
         let dac_mask = (1u32 << g.dac_bits) - 1;
         let cell_mask = (1u32 << g.bits_per_cell) - 1;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = self.input_bits.div_ceil(g.dac_bits);
+        let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
         // gaasx-lint: hot
         let mut acc = 0u64;
         for step in 0..steps {
@@ -696,7 +615,7 @@ impl MacCrossbar {
     ) -> u64 {
         let g = self.geometry;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = self.input_bits.div_ceil(g.dac_bits);
+        let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
         // gaasx-lint: hot
         let mut w_planes = [0u64; 64];
         for (lane, &a) in active.iter().enumerate() {
@@ -1022,93 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn mac_col_matches_full_burst_and_billing() {
-        for (label, mut full, mut single) in quiet_twins() {
-            let inputs = [0x1234u32, 0xBEEF];
-            let out = full
-                .mac(MacDirection::RowsToColumns, &[0, 3], &inputs)
-                .unwrap();
-            for (col, &want) in out.iter().enumerate() {
-                let v = single
-                    .mac_col(MacDirection::RowsToColumns, &[0, 3], &inputs, col)
-                    .unwrap();
-                assert_eq!(v, want, "{label} col {col}");
-            }
-            // Billing is per burst, not per line read: 16 mac_col calls
-            // cost 16× one full burst.
-            assert_eq!(single.stats().mac_ops, 16 * full.stats().mac_ops);
-            assert_eq!(
-                single.stats().dac_conversions,
-                16 * full.stats().dac_conversions
-            );
-            assert_eq!(single.stats().adc_samples, 16 * full.stats().adc_samples);
-            assert_restricted_and_rng_unmoved(&label, &mut full, &mut single);
-        }
-    }
-
-    #[test]
-    fn mac_col_transposed_and_range_checks() {
-        let mut m = mac(Fidelity::Exact);
-        m.write_row(0, &[1, 2]).unwrap();
-        m.write_row(1, &[3, 4]).unwrap();
-        let v = m
-            .mac_col(MacDirection::ColumnsToRows, &[0, 1], &[5, 6], 1)
-            .unwrap();
-        assert_eq!(v, 39);
-        let before = m.stats().mac_ops;
-        assert!(matches!(
-            m.mac_col(MacDirection::RowsToColumns, &[0], &[1], 16),
-            Err(XbarError::ColumnOutOfRange { col: 16, cols: 16 })
-        ));
-        assert!(matches!(
-            m.mac_col(MacDirection::ColumnsToRows, &[0], &[1], 128),
-            Err(XbarError::RowOutOfRange {
-                row: 128,
-                rows: 128
-            })
-        ));
-        assert!(m
-            .mac_col(MacDirection::RowsToColumns, &[500], &[1], 0)
-            .is_err());
-        assert_eq!(m.stats().mac_ops, before, "failed bursts cost nothing");
-    }
-
-    #[test]
-    fn mac_col_with_faults_matches_full_burst_rng_sequence() {
-        use crate::fault::{FaultModel, MacFaultState};
-        let g = MacGeometry::paper();
-        let model = FaultModel {
-            seed: 21,
-            adc_flip_rate: 0.05,
-            ..FaultModel::none()
-        };
-        let mut full = MacCrossbar::new(g, Fidelity::Quantized);
-        full.set_faults(Some(MacFaultState::new(model, &g)));
-        let mut single = MacCrossbar::new(g, Fidelity::Quantized);
-        single.set_faults(Some(MacFaultState::new(model, &g)));
-        for m in [&mut full, &mut single] {
-            m.write_row(0, &[0x1FF, 0x2A]).unwrap();
-        }
-        // First burst: the fallback path must consume the same RNG draws as
-        // a full evaluation...
-        let a = full
-            .mac(MacDirection::RowsToColumns, &[0], &[0x7777])
-            .unwrap();
-        let b = single
-            .mac_col(MacDirection::RowsToColumns, &[0], &[0x7777], 1)
-            .unwrap();
-        assert_eq!(b, a[1]);
-        // ...so a second burst still agrees bit-for-bit.
-        let a2 = full
-            .mac(MacDirection::RowsToColumns, &[0], &[0x1234])
-            .unwrap();
-        let b2 = single
-            .mac_col(MacDirection::RowsToColumns, &[0], &[0x1234], 0)
-            .unwrap();
-        assert_eq!(b2, a2[0]);
-    }
-
-    #[test]
     fn mac_lines_matches_full_burst_and_billing() {
         for (label, mut full, mut lines) in quiet_twins() {
             let inputs = [0x1234u32, 0xBEEF];
@@ -1140,7 +972,25 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(got, vec![out[3], out[0]], "{label} transposed");
-            // One restricted call bills exactly one full burst.
+            // Single-line read-outs, one per crossed line (the PageRank
+            // gather's shape), each against a fresh full burst.
+            for col in 0..16 {
+                let out = full
+                    .mac(MacDirection::RowsToColumns, &[0, 3], &inputs)
+                    .unwrap();
+                lines
+                    .mac_lines_into(
+                        MacDirection::RowsToColumns,
+                        &[0, 3],
+                        &inputs,
+                        &[col],
+                        &mut got,
+                    )
+                    .unwrap();
+                assert_eq!(got, vec![out[col]], "{label} col {col}");
+            }
+            // Billing is per burst, not per line read: every restricted
+            // call bills exactly one full burst.
             assert_eq!(lines.stats().mac_ops, full.stats().mac_ops);
             assert_eq!(lines.stats().dac_conversions, full.stats().dac_conversions);
             assert_eq!(lines.stats().adc_samples, full.stats().adc_samples);
@@ -1151,7 +1001,21 @@ mod tests {
     #[test]
     fn mac_lines_rejects_out_of_range_lines_costlessly() {
         let mut m = mac(Fidelity::Exact);
-        let mut out = vec![99];
+        m.write_row(0, &[1, 2]).unwrap();
+        m.write_row(1, &[3, 4]).unwrap();
+        let mut out = Vec::new();
+        // A transposed single-line read: out[1] = 5·c[1][0] + 6·c[1][1].
+        m.mac_lines_into(
+            MacDirection::ColumnsToRows,
+            &[0, 1],
+            &[5, 6],
+            &[1],
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out, vec![39]);
+        let before = m.stats().mac_ops;
+        out.push(99);
         assert!(matches!(
             m.mac_lines_into(MacDirection::RowsToColumns, &[0], &[1], &[16], &mut out),
             Err(XbarError::ColumnOutOfRange { col: 16, cols: 16 })
@@ -1163,8 +1027,15 @@ mod tests {
                 rows: 128
             })
         ));
+        assert!(matches!(
+            m.mac_lines_into(MacDirection::RowsToColumns, &[500], &[1], &[0], &mut out),
+            Err(XbarError::RowOutOfRange {
+                row: 500,
+                rows: 128
+            })
+        ));
         assert!(out.is_empty(), "error leaves the buffer cleared");
-        assert_eq!(m.stats().mac_ops, 0, "failed bursts cost nothing");
+        assert_eq!(m.stats().mac_ops, before, "failed bursts cost nothing");
     }
 
     #[test]
@@ -1204,44 +1075,68 @@ mod tests {
     }
 
     #[test]
-    fn packed_quantized_kernel_matches_scalar() {
+    fn packed_quantized_lines_match_the_scalar_oracle() {
         // Full 16-lane bursts with mixed magnitudes: saturating and
-        // non-saturating partials must agree bit-for-bit across kernels.
+        // non-saturating partials of the lane bit-plane evaluation must
+        // agree bit-for-bit with the scalar per-line expansion.
         let rows: Vec<usize> = (0..16).collect();
         let inputs: Vec<u32> = (0..16)
             .map(|i| 0x1111u32.wrapping_mul(i) & 0xFFFF)
             .collect();
-        let run = |kernel: Kernel| {
-            let mut m = mac(Fidelity::Quantized);
-            m.set_kernel(kernel);
-            assert_eq!(m.kernel(), kernel);
-            for r in 0..16 {
-                let codes: Vec<u32> = (0..16)
-                    .map(|c| ((r * 31 + c * 17) % 0xFFFF) as u32)
-                    .collect();
-                m.write_row(r, &codes).unwrap();
-            }
-            let mut outs = Vec::new();
-            outs.extend(m.mac(MacDirection::RowsToColumns, &rows, &inputs).unwrap());
-            outs.push(
-                m.mac_col(MacDirection::RowsToColumns, &rows, &inputs, 7)
-                    .unwrap(),
-            );
-            let cols: Vec<usize> = (0..16).collect();
-            outs.extend(m.mac(MacDirection::ColumnsToRows, &cols, &inputs).unwrap());
+        let mut m = mac(Fidelity::Quantized);
+        for r in 0..16 {
+            let codes: Vec<u32> = (0..16)
+                .map(|c| ((r * 31 + c * 17) % 0xFFFF) as u32)
+                .collect();
+            m.write_row(r, &codes).unwrap();
+        }
+        let cols: Vec<usize> = (0..16).collect();
+        for (dir, active) in [
+            (MacDirection::RowsToColumns, &rows),
+            (MacDirection::ColumnsToRows, &cols),
+        ] {
+            let full = m.mac(dir, active, &inputs).unwrap();
+            let oracle: Vec<u64> = (0..full.len())
+                .map(|o| m.quantized_line_clean(dir, active, &inputs, o))
+                .collect();
+            assert_eq!(full, oracle, "{dir:?} full burst");
+            let lines = [full.len() - 1, 0, full.len() / 2];
             let mut restricted = Vec::new();
-            m.mac_lines_into(
-                MacDirection::ColumnsToRows,
-                &cols,
-                &inputs,
-                &[127, 0, 64],
-                &mut restricted,
-            )
-            .unwrap();
-            outs.extend(restricted);
-            outs
+            m.mac_lines_into(dir, active, &inputs, &lines, &mut restricted)
+                .unwrap();
+            let want: Vec<u64> = lines.iter().map(|&l| oracle[l]).collect();
+            assert_eq!(restricted, want, "{dir:?} restricted");
+        }
+    }
+
+    #[test]
+    fn quantized_bursts_wider_than_64_lanes_agree() {
+        // Past 64 lanes the full burst takes the scalar loop and a
+        // restricted read-out the per-line oracle; both must agree.
+        let g = MacGeometry {
+            max_active_rows: 128,
+            ..MacGeometry::paper()
         };
-        assert_eq!(run(Kernel::Scalar), run(Kernel::Packed));
+        let mut m = MacCrossbar::new(g, Fidelity::Quantized);
+        for r in 0..g.rows {
+            m.write_row(r, &[(r as u32 * 257) & 0xFFFF, 3, 0xFFFF])
+                .unwrap();
+        }
+        let active: Vec<usize> = (0..100).collect();
+        let inputs: Vec<u32> = (0..100u32).map(|i| (i * 613 + 7) & 0xFFFF).collect();
+        let full = m
+            .mac(MacDirection::RowsToColumns, &active, &inputs)
+            .unwrap();
+        let mut lines = Vec::new();
+        m.mac_lines_into(
+            MacDirection::RowsToColumns,
+            &active,
+            &inputs,
+            &[2, 0, 1],
+            &mut lines,
+        )
+        .unwrap();
+        assert_eq!(lines, vec![full[2], full[0], full[1]]);
     }
 
     #[test]
@@ -1379,14 +1274,14 @@ mod tests {
         ] {
             let full = a.mac(dir, active, inputs).unwrap();
             assert_eq!(full, b.mac(dir, active, inputs).unwrap(), "{label}: mac");
-            for &l in &lines {
-                assert_eq!(
-                    a.mac_col(dir, active, inputs, l).unwrap(),
-                    b.mac_col(dir, active, inputs, l).unwrap(),
-                    "{label}: mac_col {l}"
-                );
-            }
             let (mut la, mut lb) = (Vec::new(), Vec::new());
+            for &l in &lines {
+                a.mac_lines_into(dir, active, inputs, &[l], &mut la)
+                    .unwrap();
+                b.mac_lines_into(dir, active, inputs, &[l], &mut lb)
+                    .unwrap();
+                assert_eq!(la, lb, "{label}: line {l}");
+            }
             a.mac_lines_into(dir, active, inputs, &lines, &mut la)
                 .unwrap();
             b.mac_lines_into(dir, active, inputs, &lines, &mut lb)

@@ -1,9 +1,11 @@
-//! Packed-kernel equivalence gate: the word-parallel bit-plane kernels
-//! must be **bit-identical** — same hit vectors, same MAC sums, same
-//! device and fault stats — to the scalar reference kernels under any
-//! interleaving of operations, any search mode, any fault seed, and any
-//! bank depth (including partial last words, `rows % 64 != 0`). The
-//! kernel is a pure host-speed knob; any observable divergence is a bug.
+//! Matcher equivalence gate: every CAM search — served by the
+//! word-parallel packed matcher or the exact-match index, in any search
+//! mode, clean or seeded-faulty, across invalidations and rewrites, on
+//! any bank depth (including partial last words, `rows % 64 != 0`) —
+//! must return exactly the hit vector of a reference scan this test
+//! builds from the public [`CamCrossbar::read`]. Quantized MAC bursts,
+//! full and restricted, must equal a bit-sliced reference built from the
+//! public [`MacCrossbar::read_cell`].
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
@@ -11,7 +13,7 @@ use proptest::prelude::*;
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
 use gaasx_xbar::{
-    CamCrossbar, FaultModel, Fidelity, HitVector, Kernel, MacCrossbar, MacDirection, SearchMode,
+    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, SearchMode,
 };
 
 /// Bank depths straddling the 64-row word boundary: one word exactly, a
@@ -20,57 +22,124 @@ const DEPTHS: [usize; 5] = [64, 70, 128, 130, 192];
 
 const MODES: [SearchMode; 3] = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto];
 
+/// The reference ternary match: every valid stored entry (post-fault, as
+/// `read` returns it) whose unmasked bits within the geometry width equal
+/// the key's.
+fn reference_scan(cam: &CamCrossbar, key: u128, mask: u128) -> HitVector {
+    let g = cam.geometry();
+    let width_mask = if g.width_bits == 128 {
+        u128::MAX
+    } else {
+        (1u128 << g.width_bits) - 1
+    };
+    let mut hv = HitVector::new(g.rows);
+    for row in 0..g.rows {
+        let e = cam.read(row).unwrap();
+        if e.valid && (e.bits ^ key) & mask & width_mask == 0 {
+            hv.set(row);
+        }
+    }
+    hv
+}
+
+/// Searches through `search_into` and returns how many match lines differ
+/// from the reference scan. Without search upsets that must be zero; an
+/// upset toggles exactly one line.
+fn search_vs_reference(cam: &mut CamCrossbar, key: u128, mask: u128, out: &mut HitVector) -> usize {
+    let want = reference_scan(cam, key, mask);
+    cam.search_into(key, mask, out);
+    (0..want.len())
+        .filter(|&r| out.get(r) != want.get(r))
+        .count()
+}
+
 /// Decodes one raw tuple into a CAM operation — program, invalidate
-/// (single row or bulk), kernel switch mid-stream, or a search over the
-/// src field, the dst field, the exact key, or an arbitrary ternary mask.
+/// (single row or bulk), or a search over the src field, the dst field,
+/// the exact key, or an arbitrary ternary mask — and returns the number
+/// of match lines a search got wrong against the reference.
 fn apply_cam_op(
     cam: &mut CamCrossbar,
     rows: usize,
-    flip_kernels: bool,
     op: (u8, u8, u8, u8),
-    out: &mut Vec<HitVector>,
-) {
+    hv: &mut HitVector,
+) -> usize {
     const SRC_MASK: u128 = 0xFFFF_FFFF_0000_0000;
     const DST_MASK: u128 = 0xFFFF_FFFF;
     let (code, a, b, c) = op;
-    let row = usize::from(a) % rows;
+    // 32 rows spread over the whole bank, first and last included: every
+    // 64-row word is touched, and rows are rewritten and invalidated
+    // often enough to exercise index patching.
+    let row = usize::from(a % 32) * (rows - 1) / 31;
     // Small vertex spaces force key collisions across rows.
     let src = u32::from(b) % 8;
     let dst = u32::from(c) % 8;
     let key = (u128::from(src) << 32) | u128::from(dst);
     match code % 9 {
         // Bias toward writes so searches see populated arrays.
-        0..=2 => cam.write(row, key).unwrap(),
-        3 => cam.invalidate(row).unwrap(),
-        4 => cam.invalidate_all(),
-        5 => out.push(cam.search(u128::from(src) << 32, SRC_MASK)),
-        6 => out.push(cam.search(u128::from(dst), DST_MASK)),
-        7 => out.push(cam.search(key, (u128::from(b) << 32) | u128::from(c))),
-        _ => {
-            // Mid-stream kernel switches must be seamless (they trigger
-            // the lazy plane rebuild). Only the Packed run flips; the
-            // Scalar reference stays scalar throughout.
-            if flip_kernels {
-                let other = match cam.kernel() {
-                    Kernel::Packed => Kernel::Scalar,
-                    Kernel::Scalar => Kernel::Packed,
-                };
-                cam.set_kernel(other);
+        0..=2 => {
+            cam.write(row, key).unwrap();
+            0
+        }
+        3 => {
+            cam.invalidate(row).unwrap();
+            0
+        }
+        4 => {
+            cam.invalidate_all();
+            0
+        }
+        5 => search_vs_reference(cam, u128::from(src) << 32, SRC_MASK, hv),
+        6 => search_vs_reference(cam, u128::from(dst), DST_MASK, hv),
+        7 => search_vs_reference(cam, key, (u128::from(b) << 32) | u128::from(c), hv),
+        _ => search_vs_reference(cam, key, SRC_MASK | DST_MASK, hv),
+    }
+}
+
+/// The bit-sliced quantized burst for one crossed line, from the public
+/// geometry and cell read-back: 16-bit inputs stream `dac_bits` per step,
+/// weights split into `slices` of `bits_per_cell`, and every `(step,
+/// slice)` partial saturates at the ADC full scale before shift-and-add.
+fn reference_quantized_line(
+    mac: &MacCrossbar,
+    direction: MacDirection,
+    active: &[usize],
+    inputs: &[u32],
+    line: usize,
+) -> u64 {
+    const INPUT_BITS: u32 = 16;
+    let g = mac.geometry();
+    let dac_mask = (1u32 << g.dac_bits) - 1;
+    let cell_mask = (1u32 << g.bits_per_cell) - 1;
+    let full_scale = (1u64 << g.adc_bits) - 1;
+    let mut acc = 0u64;
+    for step in 0..INPUT_BITS.div_ceil(g.dac_bits) {
+        for slice in 0..g.slices as u32 {
+            let mut partial = 0u64;
+            for (&a, &x) in active.iter().zip(inputs) {
+                let cell = match direction {
+                    MacDirection::RowsToColumns => mac.read_cell(a, line),
+                    MacDirection::ColumnsToRows => mac.read_cell(line, a),
+                }
+                .unwrap();
+                let x_bits = (x >> (step * g.dac_bits)) & dac_mask;
+                let w_bits = (cell >> (slice * g.bits_per_cell)) & cell_mask;
+                partial += u64::from(x_bits) * u64::from(w_bits);
             }
-            out.push(cam.search(key, SRC_MASK | DST_MASK));
+            acc += partial.min(full_scale) << (step * g.dac_bits + slice * g.bits_per_cell);
         }
     }
+    acc
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any op interleaving on any bank depth — fault-free or seeded-
-    /// faulty, in every search mode, with kernel switches mid-stream —
-    /// yields hit vectors, device stats, and fault stats bit-identical
-    /// to the scalar linear-scan reference.
+    /// Any op interleaving on any bank depth, in every search mode,
+    /// fault-free or with stuck cells, failed writes and search upsets:
+    /// every search answers like the reference scan, except for the one
+    /// match line each counted upset toggles.
     #[test]
-    fn packed_cam_matches_scalar(
+    fn searches_match_the_reference_scan(
         ops in prop::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             1..80,
@@ -78,51 +147,46 @@ proptest! {
         depth_ix in 0usize..DEPTHS.len(),
         seed in any::<u64>(),
         faulty in any::<bool>(),
+        upsets in any::<bool>(),
         mode_ix in 0usize..MODES.len(),
     ) {
         let rows = DEPTHS[depth_ix];
-        let mode = MODES[mode_ix];
         let g = CamGeometry {
             rows,
             ..CamGeometry::paper()
         };
-        let run = |kernel: Kernel, flip: bool| {
-            let mut cam = CamCrossbar::new(g);
-            cam.set_search_mode(mode);
-            cam.set_kernel(kernel);
-            if faulty {
-                cam.set_faults(Some(CamFaultState::new(
-                    FaultModel {
-                        seed,
-                        cam_stuck_ber: 0.01,
-                        write_fail_rate: 0.05,
-                        cam_upset_rate: 0.02,
-                        ..FaultModel::none()
-                    },
-                    &g,
-                )));
-            }
-            let mut hits = Vec::new();
-            for &op in &ops {
-                apply_cam_op(&mut cam, rows, flip, op, &mut hits);
-            }
-            (hits, cam.stats().clone(), cam.fault_stats().copied())
-        };
-        let scalar = run(Kernel::Scalar, false);
-        let packed = run(Kernel::Packed, false);
-        let flappy = run(Kernel::Packed, true);
-        prop_assert_eq!(&scalar.0, &packed.0, "hit vectors diverged");
-        prop_assert_eq!(&scalar.1, &packed.1, "device stats diverged");
-        prop_assert_eq!(&scalar.2, &packed.2, "fault stats diverged");
-        prop_assert_eq!(&scalar.0, &flappy.0, "kernel flip changed hits");
-        prop_assert_eq!(&scalar.1, &flappy.1, "kernel flip changed stats");
+        let mut cam = CamCrossbar::new(g);
+        cam.set_search_mode(MODES[mode_ix]);
+        if faulty {
+            cam.set_faults(Some(CamFaultState::new(
+                FaultModel {
+                    seed,
+                    cam_stuck_ber: 0.01,
+                    write_fail_rate: 0.05,
+                    cam_upset_rate: if upsets { 0.2 } else { 0.0 },
+                    ..FaultModel::none()
+                },
+                &g,
+            )));
+        }
+        // A dirty, wrongly sized buffer: `search_into` must reset it.
+        let mut hv = HitVector::new(3);
+        hv.set(1);
+        let mut wrong_lines = 0u64;
+        for &op in &ops {
+            let wrong = apply_cam_op(&mut cam, rows, op, &mut hv);
+            prop_assert!(wrong <= 1, "a search missed {} lines", wrong);
+            wrong_lines += wrong as u64;
+        }
+        let upset_count = cam.fault_stats().map_or(0, |f| f.cam_upsets);
+        prop_assert_eq!(wrong_lines, upset_count, "mismatches must all be counted upsets");
     }
 
     /// Quantized MAC bursts — full (`mac`) and restricted read-out
     /// (`mac_lines_into`), both directions, fault-free or stuck-cell
-    /// seeded — produce bit-identical sums and stats in both kernels.
+    /// seeded — equal the bit-sliced reference on every line.
     #[test]
-    fn packed_mac_matches_scalar(
+    fn quantized_bursts_match_the_reference(
         cells in prop::collection::vec(
             prop::collection::vec(0u32..=0xFFFF, 1..=16),
             1..=16,
@@ -140,49 +204,42 @@ proptest! {
         } else {
             MacDirection::RowsToColumns
         };
+        let mut mac = MacCrossbar::new(g, Fidelity::Quantized);
+        if faulty {
+            mac.set_faults(Some(MacFaultState::new(
+                FaultModel {
+                    seed,
+                    mac_stuck_ber: 0.02,
+                    ..FaultModel::none()
+                },
+                &g,
+            )));
+        }
+        for (r, row) in cells.iter().enumerate() {
+            mac.write_row(r, row).unwrap();
+        }
+        let full = mac.mac(direction, &active, &inputs).unwrap();
+        for (l, &got) in full.iter().enumerate() {
+            let want = reference_quantized_line(&mac, direction, &active, &inputs, l);
+            prop_assert_eq!(got, want, "full burst, line {}", l);
+        }
         // Restricted read-out lines: every other crossed line.
-        let crossed = if transposed { g.rows } else { g.cols };
-        let lines: Vec<usize> = (0..crossed).step_by(2).collect();
-        let run = |kernel: Kernel| {
-            let mut mac = MacCrossbar::new(g, Fidelity::Quantized);
-            mac.set_kernel(kernel);
-            if faulty {
-                mac.set_faults(Some(MacFaultState::new(
-                    FaultModel {
-                        seed,
-                        mac_stuck_ber: 0.02,
-                        ..FaultModel::none()
-                    },
-                    &g,
-                )));
-            }
-            for (r, row) in cells.iter().enumerate() {
-                mac.write_row(r, row).unwrap();
-            }
-            let full = mac.mac(direction, &active, &inputs).unwrap();
-            let mut restricted = Vec::new();
-            mac.mac_lines_into(direction, &active, &inputs, &lines, &mut restricted)
-                .unwrap();
-            (full, restricted, mac.stats().clone())
-        };
-        let scalar = run(Kernel::Scalar);
-        let packed = run(Kernel::Packed);
-        prop_assert_eq!(&scalar.0, &packed.0, "full-burst sums diverged");
-        prop_assert_eq!(&scalar.1, &packed.1, "restricted sums diverged");
-        prop_assert_eq!(&scalar.2, &packed.2, "device stats diverged");
-        // Restricted read-out agrees with the full burst line-for-line.
+        let lines: Vec<usize> = (0..full.len()).step_by(2).collect();
+        let mut restricted = Vec::new();
+        mac.mac_lines_into(direction, &active, &inputs, &lines, &mut restricted)
+            .unwrap();
         for (i, &l) in lines.iter().enumerate() {
-            prop_assert_eq!(packed.1[i], packed.0[l], "line {}", l);
+            prop_assert_eq!(restricted[i], full[l], "restricted line {}", l);
         }
     }
 
     /// Lazily rebuilt planes on banks with a partial last word (70 rows),
     /// the paper depth and a deep bank, at widths below, at and above one
     /// 64-bit half: any interleaving of writes, single and bulk
-    /// invalidations and searches answers exactly like the scalar scan,
-    /// including keys and masks with nonzero high halves.
+    /// invalidations and Linear-mode searches answers exactly like the
+    /// reference scan, including keys and masks with nonzero high halves.
     #[test]
-    fn lazy_planes_match_scalar_across_depths_and_widths(
+    fn lazy_planes_match_the_reference_across_depths_and_widths(
         ops in prop::collection::vec(
             (0u8..8, any::<u16>(), any::<u64>(), any::<u64>()),
             1..120,
@@ -195,30 +252,37 @@ proptest! {
             rows,
             width_bits: [48u32, 64, 128][width_ix],
         };
-        let run = |kernel: Kernel| {
-            let mut cam = CamCrossbar::new(g);
-            cam.set_search_mode(SearchMode::Linear);
-            cam.set_kernel(kernel);
-            let mut hits = Vec::new();
-            for &(code, row, lo, hi) in &ops {
-                let row = usize::from(row) % rows;
-                // Few distinct values per half force multi-row matches;
-                // the high half is zero in about half of the keys.
-                let key = (u128::from(hi % 4 * (hi >> 62)) << 64) | u128::from(lo % 6);
-                match code {
-                    0..=2 => cam.write(row, key).unwrap(),
-                    3 => cam.invalidate(row).unwrap(),
-                    4 => cam.invalidate_all(),
-                    5 => hits.push(cam.search(key, u128::MAX)),
-                    6 => hits.push(cam.search(key, u128::from(u64::MAX))),
-                    _ => hits.push(cam.search(key, (u128::from(hi) << 64) | u128::from(lo))),
+        let mut cam = CamCrossbar::new(g);
+        cam.set_search_mode(SearchMode::Linear);
+        let mut hv = HitVector::new(0);
+        for &(code, row, lo, hi) in &ops {
+            let row = usize::from(row) % rows;
+            // Few distinct values per half force multi-row matches;
+            // the high half is zero in about half of the keys.
+            let key = (u128::from(hi % 4 * (hi >> 62)) << 64) | u128::from(lo % 6);
+            let wrong = match code {
+                0..=2 => {
+                    cam.write(row, key).unwrap();
+                    0
                 }
-            }
-            (hits, cam.stats().clone())
-        };
-        let scalar = run(Kernel::Scalar);
-        let packed = run(Kernel::Packed);
-        prop_assert_eq!(&scalar.0, &packed.0, "hit vectors diverged");
-        prop_assert_eq!(&scalar.1, &packed.1, "device stats diverged");
+                3 => {
+                    cam.invalidate(row).unwrap();
+                    0
+                }
+                4 => {
+                    cam.invalidate_all();
+                    0
+                }
+                5 => search_vs_reference(&mut cam, key, u128::MAX, &mut hv),
+                6 => search_vs_reference(&mut cam, key, u128::from(u64::MAX), &mut hv),
+                _ => search_vs_reference(
+                    &mut cam,
+                    key,
+                    (u128::from(hi) << 64) | u128::from(lo),
+                    &mut hv,
+                ),
+            };
+            prop_assert_eq!(wrong, 0, "search diverged from the reference scan");
+        }
     }
 }

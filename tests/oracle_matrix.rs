@@ -1,0 +1,170 @@
+//! Oracle matrix: every algorithm run on the accelerator — paper and deep
+//! banks, fault-free and under recoverable faults with
+//! [`RecoveryPolicy::standard`], serial and sharded over 2 and 4 workers —
+//! must answer like the `gaasx_baselines::reference` oracles, and a
+//! fault-free sharded run must report exactly what the serial run does.
+//!
+//! Under injected faults a sharded run's report may differ from the
+//! serial one: every crossbar draws its transient write failures from its
+//! own sequential stream, so splitting the blocks across workers changes
+//! which writes fail and how many retries are billed. Recovery still has
+//! to reproduce the oracle answers, and the same sharded run must report
+//! the same thing every time.
+//!
+//! Agreement between two host paths only proves they agree with each
+//! other; this matrix pins both to the oracles. Debug builds also
+//! cross-check every CAM search against the scalar scan inside the
+//! crossbar, so running it under `--release` covers the binary shape the
+//! benchmarks time.
+
+#![allow(clippy::unwrap_used)]
+use gaasx::baselines::reference;
+use gaasx::core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
+use gaasx::core::{GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, ShardableAlgorithm};
+use gaasx::graph::generators::{rmat, RmatConfig};
+use gaasx::graph::{CooGraph, VertexId};
+use gaasx::xbar::FaultModel;
+
+/// Mean absolute PageRank error allowed against the oracle (the bound
+/// `tests/end_to_end.rs` uses).
+const PAGERANK_TOLERANCE: f64 = 0.02;
+
+const PAGERANK_ITERS: u32 = 3;
+
+/// The two benchmarked design points, shrunk to 8 banks for test speed.
+fn bank_config(bank: &str, fault: bool) -> GaasXConfig {
+    let mut c = match bank {
+        "paper" => GaasXConfig::small(),
+        "deep" => GaasXConfig {
+            num_banks: 8,
+            ..GaasXConfig::deep_bank()
+        },
+        other => panic!("unknown bank {other}"),
+    };
+    if fault {
+        // Recoverable stuck cells and write failures under the standard
+        // write-verify policy: every programmed row is read back, a
+        // mismatch is retried, and a row that stays wrong is remapped
+        // onto a spare.
+        c.fault = FaultModel {
+            seed: 0xBE05,
+            cam_stuck_ber: 1e-4,
+            mac_stuck_ber: 1e-4,
+            write_fail_rate: 1e-3,
+            ..FaultModel::none()
+        };
+        c.recovery = RecoveryPolicy::standard();
+    }
+    c
+}
+
+/// Runs `algorithm` serially, then sharded over 2 and 4 workers, checks
+/// every sharded output against the serial run and every sharded report
+/// against the serial one (fault-free) or a rerun of itself (faulty),
+/// and returns the serial outcome for the oracle check.
+fn run_all_jobs<A>(
+    algorithm: &A,
+    input: &A::Input,
+    cfg: &GaasXConfig,
+    label: &str,
+) -> RunOutcome<A::Output>
+where
+    A: ShardableAlgorithm,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let serial = GaasX::new(cfg.clone()).run(algorithm, input).unwrap();
+    for jobs in [2usize, 4] {
+        let sharded = GaasX::new(cfg.clone())
+            .run_sharded(algorithm, input, jobs)
+            .unwrap();
+        assert_eq!(
+            sharded.result, serial.result,
+            "{label} jobs={jobs}: sharded output diverged from serial"
+        );
+        let want = if cfg.fault.is_none() {
+            serial.report.clone()
+        } else {
+            GaasX::new(cfg.clone())
+                .run_sharded(algorithm, input, jobs)
+                .unwrap()
+                .report
+        };
+        assert_eq!(
+            sharded.report, want,
+            "{label} jobs={jobs}: sharded report diverged"
+        );
+    }
+    serial
+}
+
+/// Weakly connected components by union-find: each vertex is labelled
+/// with the smallest vertex id in its component, as min-label
+/// propagation on the symmetrized graph labels it.
+fn union_find_labels(graph: &CooGraph) -> Vec<u32> {
+    fn root(parent: &mut [u32], mut v: u32) -> u32 {
+        while parent[v as usize] != v {
+            let up = parent[parent[v as usize] as usize];
+            parent[v as usize] = up;
+            v = up;
+        }
+        v
+    }
+    let mut parent: Vec<u32> = (0..graph.num_vertices()).collect();
+    for e in graph.edges() {
+        let (a, b) = (
+            root(&mut parent, e.src.raw()),
+            root(&mut parent, e.dst.raw()),
+        );
+        // Union by smaller id keeps every root its component's minimum.
+        let (lo, hi) = (a.min(b), a.max(b));
+        parent[hi as usize] = lo;
+    }
+    (0..graph.num_vertices())
+        .map(|v| root(&mut parent, v))
+        .collect()
+}
+
+#[test]
+fn every_run_matches_the_oracles() {
+    let graph = rmat(&RmatConfig::new(128, 600).with_seed(7)).unwrap();
+    let sym = graph.symmetrized();
+    let src = VertexId::new(0);
+    let pr_oracle = reference::pagerank(&graph, 0.85, PAGERANK_ITERS);
+    let sssp_oracle = reference::dijkstra(&graph, src);
+    let bfs_oracle = reference::bfs(&graph, src);
+    let cc_oracle = union_find_labels(&sym);
+    for bank in ["paper", "deep"] {
+        for fault in [false, true] {
+            let cfg = bank_config(bank, fault);
+            let label = |alg: &str| format!("{alg} bank={bank} fault={fault}");
+
+            let pr = run_all_jobs(
+                &PageRank::fixed_iterations(PAGERANK_ITERS),
+                &graph,
+                &cfg,
+                &label("pagerank"),
+            );
+            let mean_err = pr
+                .result
+                .iter()
+                .zip(&pr_oracle)
+                .map(|(a, b)| (a - b).abs())
+                .sum::<f64>()
+                / pr_oracle.len() as f64;
+            assert!(
+                mean_err < PAGERANK_TOLERANCE,
+                "{}: mean error {mean_err}",
+                label("pagerank")
+            );
+
+            let sssp = run_all_jobs(&Sssp::from_source(src), &graph, &cfg, &label("sssp"));
+            assert_eq!(sssp.result, sssp_oracle, "{}", label("sssp"));
+
+            let bfs = run_all_jobs(&Bfs::from_source(src), &graph, &cfg, &label("bfs"));
+            assert_eq!(bfs.result, bfs_oracle, "{}", label("bfs"));
+
+            let cc = run_all_jobs(&ConnectedComponents::new(), &sym, &cfg, &label("cc"));
+            assert_eq!(cc.result, cc_oracle, "{}", label("cc"));
+        }
+    }
+}
