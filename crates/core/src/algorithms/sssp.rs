@@ -21,7 +21,9 @@ const MAX_ENCODABLE_DIST: f64 = 65_534.0;
 /// The SFU then takes `dist(V) = min(dist(V), ·)` (Equation 1). Supersteps
 /// repeat (Bellman–Ford style) until no distance changes.
 ///
-/// Weights are quantized with step 1, matching the integral-weight
+/// Weights must be finite and non-negative: a negative, NaN or infinite
+/// weight is rejected as [`CoreError::InvalidInput`] before any block
+/// loads. Weights are quantized with step 1, matching the integral-weight
 /// workloads of the evaluation; distances above 65 534 cannot be encoded as
 /// MAC inputs and stop propagating (a documented device precision limit).
 ///
@@ -46,6 +48,30 @@ impl Sssp {
             source,
             max_supersteps: u32::MAX,
         }
+    }
+
+    /// Checks that every edge weight is finite and non-negative, the
+    /// shortest-path precondition both this mapping and the batched
+    /// traversal enforce.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] naming the first edge whose
+    /// weight is negative, NaN or infinite.
+    pub fn check_weights(grid: &GridPartition) -> Result<(), CoreError> {
+        for e in grid.shards().flat_map(Shard::edges) {
+            let what = if !e.weight.is_finite() {
+                "non-finite"
+            } else if e.weight < 0.0 {
+                "negative"
+            } else {
+                continue;
+            };
+            return Err(CoreError::InvalidInput(format!(
+                "{what} edge weight on {e}; shortest paths require finite non-negative weights"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -97,7 +123,8 @@ impl Sssp {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] for an out-of-range source or
-    /// a negative edge weight; propagates quantizer and device errors.
+    /// a negative, NaN or infinite edge weight; propagates quantizer and
+    /// device errors.
     pub fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
@@ -105,13 +132,7 @@ impl Sssp {
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
         let n = grid.num_vertices() as usize;
         check_source(self.source, n)?;
-        for e in grid.shards().flat_map(Shard::edges) {
-            if e.weight < 0.0 {
-                return Err(CoreError::InvalidInput(format!(
-                    "negative edge weight on {e}; shortest paths require non-negative weights"
-                )));
-            }
-        }
+        Sssp::check_weights(grid)?;
         let w_quant = Quantizer::new(1.0, runner.engine().weight_bits())?;
         let capacity = runner.engine().block_capacity();
 
@@ -330,5 +351,21 @@ mod tests {
         let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -1.0)]).unwrap();
         assert_eq!(err(9, &neg), "source v9 out of range for 2 vertices");
         assert!(err(0, &neg).starts_with("negative edge weight on "));
+    }
+
+    #[test]
+    fn rejects_non_finite_weights() {
+        // The path 0→1→2 with a non-finite first hop.
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let g =
+                CooGraph::from_edges(3, vec![Edge::new(0, 1, bad), Edge::new(1, 2, 1.0)]).unwrap();
+            match Sssp::from_source(VertexId::new(0)).execute(&mut engine, &g) {
+                Err(CoreError::InvalidInput(msg)) => {
+                    assert!(msg.starts_with("non-finite edge weight on "), "{msg}");
+                }
+                other => panic!("weight {bad}: want InvalidInput, got {other:?}"),
+            }
+        }
     }
 }

@@ -273,7 +273,9 @@ pub struct Engine {
     memo_enabled: bool,
     /// Whether the *current block* memoizes — re-derived at every
     /// [`load_block`](Engine::load_block) from the block's resolved
-    /// search mode. A mixed Auto bank memoizes only its Indexed blocks.
+    /// search mode and the declared profile. A mixed Auto bank memoizes
+    /// only its Indexed blocks, and only a [`SearchProfile::OnePerKey`]
+    /// algorithm memoizes at all.
     memo_active: bool,
     /// The querying algorithm's declared access pattern — the
     /// [`SearchCostModel`]'s workload input when resolving `Auto` blocks.
@@ -376,7 +378,7 @@ impl Engine {
             remap_active: false,
             phys_buf,
             faults: FaultReport::default(),
-            memo: SearchMemo::new(),
+            memo: SearchMemo::new(rows),
             memo_enabled: config.search_mode != SearchMode::Linear && !fault_active,
             // Per-block; re-derived at each load_block from the resolved
             // mode. Before any block loads, only a fixed Indexed config
@@ -403,9 +405,10 @@ impl Engine {
     }
 
     /// Declares how the running algorithm queries its blocks — the
-    /// [`SearchCostModel`]'s workload input. Only consulted when the
-    /// config's search mode is [`SearchMode::Auto`]; takes effect at the
-    /// next [`load_block`](Engine::load_block).
+    /// [`SearchCostModel`]'s workload input when the config's search mode
+    /// is [`SearchMode::Auto`], and the search memo's admission rule: only
+    /// [`SearchProfile::OnePerKey`] blocks are memoized. Takes effect at
+    /// the next [`load_block`](Engine::load_block).
     pub fn set_search_profile(&mut self, profile: SearchProfile) {
         self.search_profile = profile;
     }
@@ -721,9 +724,13 @@ impl Engine {
         // Resolve the host search algorithm for this block before
         // programming: the memo registers key sequences only for blocks
         // that resolve Indexed, so the decision must precede the loop.
+        // Only dense sweeps repeat their searches on a reload; a frontier
+        // block would fill the memo with vectors nothing replays.
         let resolved = self.resolve_block_mode(&block);
         self.cam.set_search_mode(resolved);
-        self.memo_active = self.memo_enabled && resolved == SearchMode::Indexed;
+        self.memo_active = self.memo_enabled
+            && resolved == SearchMode::Indexed
+            && self.search_profile == SearchProfile::OnePerKey;
 
         let mut program_ns = Nanos::ZERO;
         self.key_buf.clear();
@@ -815,8 +822,8 @@ impl Engine {
         self.trace_op(Phase::CamSearch, ns);
         if self.memo_active {
             // gaasx-lint: hot
-            if let Some(hit) = self.memo.lookup(key, mask) {
-                out.copy_from(hit);
+            if let Some(words) = self.memo.lookup(key, mask) {
+                out.copy_from_words(self.config.cam_geometry.rows, words);
                 self.cam.count_replayed_search();
                 return;
             }
@@ -2580,25 +2587,64 @@ mod tests {
 
     #[test]
     fn frontier_profile_feeds_the_resolver() {
-        // The same dense-dst block resolves differently by declared
-        // profile: a dense sweep amortizes the index, a frontier
-        // traversal (sqrt(D) expected searches) does not at paper depth.
-        // The memo is gated on the resolved mode: only an Indexed block
-        // replays.
-        let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
+        // The same block resolves differently by declared profile: a dense
+        // sweep searches all 128 distinct dsts and amortizes the index, a
+        // frontier traversal expects sqrt(16) searches over its 16
+        // distinct srcs and does not at paper depth.
+        let block: Vec<Edge> = (0..128u32)
+            .map(|i| Edge::new(i % 16, 1000 + i, 1.0))
+            .collect();
         let mut e = engine();
         e.set_search_profile(SearchProfile::Frontier);
         assert_eq!(e.search_profile(), SearchProfile::Frontier);
-        let _b = e.load_block(&dense, CellLayout::Preset).unwrap();
+        let _b = e.load_block(&block, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
         assert!(!e.memo_active);
 
         let mut e2 = engine();
         e2.set_search_profile(SearchProfile::OnePerKey);
-        let _b = e2.load_block(&dense, CellLayout::Preset).unwrap();
+        let _b = e2.load_block(&block, CellLayout::Preset).unwrap();
         assert_eq!(e2.resolved_search_mode(), SearchMode::Indexed);
         assert!(e2.memo_active);
         assert_eq!(e2.search_dst(VertexId::new(1000)).count(), 1);
+    }
+
+    #[test]
+    fn only_one_per_key_blocks_enter_the_memo() {
+        // Both engines resolve every block Indexed (fixed mode), so only
+        // the declared profile decides admission: a frontier engine caches
+        // nothing across a reload, a dense sweep replays, and the memo
+        // stays invisible in the report either way.
+        let block: Vec<Edge> = (0..128u32)
+            .map(|i| Edge::new(i % 16, 1000 + i % 32, 1.0))
+            .collect();
+        let run = |profile: SearchProfile| {
+            let mut e = Engine::new(GaasXConfig {
+                search_mode: SearchMode::Indexed,
+                ..GaasXConfig::small()
+            })
+            .unwrap();
+            e.set_search_profile(profile);
+            let mut hits = Vec::new();
+            let mut replayable = 0;
+            for _visit in 0..2 {
+                let _b = e.load_block(&block, CellLayout::Preset).unwrap();
+                assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
+                for v in 0..32u32 {
+                    let key = u128::from(1000 + v);
+                    replayable += usize::from(e.memo.lookup(key, 0xFFFF_FFFF).is_some());
+                    hits.push(e.search_dst(VertexId::new(1000 + v)));
+                }
+            }
+            (replayable, hits, e.finish("t", "t", "t", 1, 8))
+        };
+        let (frontier_replays, frontier_hits, frontier_report) = run(SearchProfile::Frontier);
+        let (dense_replays, dense_hits, dense_report) = run(SearchProfile::OnePerKey);
+        assert_eq!(frontier_replays, 0, "a frontier block must cache nothing");
+        assert_eq!(dense_replays, 32, "the reload must replay every search");
+        assert_eq!(frontier_hits, dense_hits);
+        assert!(frontier_hits.iter().all(|h| h.count() == 4));
+        assert_eq!(frontier_report, dense_report);
     }
 
     #[test]

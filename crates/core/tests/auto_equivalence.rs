@@ -107,19 +107,19 @@ fn auto_matches_both_fixed_modes_across_the_matrix() {
     }
 }
 
-/// Pins the cost model's decision on the measured BENCH_06/BENCH_08
-/// design points through the real engine path: a representative full
-/// paper-bank block resolves Linear for the frontier traversals (the rows
-/// Indexed was regressing), dense sweeps resolve Indexed at both depths
-/// (the rows Indexed was winning, up to 2.6–3.9x on deep banks).
+/// Pins the cost model's decision on the measured `bench_snapshot` design
+/// points through the real engine path: a representative full paper-bank
+/// block resolves Indexed for the frontier traversals (1.19–1.26x over
+/// Linear with the chained field index) and for dense sweeps at both
+/// depths (up to 1.94x on deep banks).
 #[test]
 fn resolver_pins_the_bench_winners() {
-    // Paper bank, frontier profile (BFS/CC/SSSP): Linear.
+    // Paper bank, frontier profile (BFS/CC/SSSP): Indexed.
     let mut paper = Engine::new(GaasXConfig::small()).unwrap();
     paper.set_search_profile(SearchProfile::Frontier);
     let block: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 200 + i, 1.0)).collect();
     paper.load_block(&block, CellLayout::Preset).unwrap();
-    assert_eq!(paper.resolved_search_mode(), SearchMode::Linear);
+    assert_eq!(paper.resolved_search_mode(), SearchMode::Indexed);
 
     // Paper bank, dense profile (PageRank): Indexed.
     let mut paper_pr = Engine::new(GaasXConfig::small()).unwrap();

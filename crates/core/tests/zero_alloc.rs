@@ -5,7 +5,9 @@
 //! case: PageRank runs tens of iterations over the same blocks) replays
 //! searches from the memo and gathers into the warm buffers. The same holds
 //! under CAM upsets, where every search is physically triple-voted into
-//! engine-owned scratch vectors.
+//! engine-owned scratch vectors, and for a frontier traversal on a deep
+//! bank, whose searches after every block reload rebuild the chained
+//! field index in its warm buffers and probe it without the memo.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -18,9 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gaasx_core::engine::{CellLayout, Engine};
-use gaasx_core::{GaasXConfig, RecoveryPolicy};
+use gaasx_core::{GaasXConfig, RecoveryPolicy, SearchMode};
 use gaasx_graph::{generators, Edge};
-use gaasx_xbar::{FaultModel, HitVector};
+use gaasx_xbar::{FaultModel, HitVector, SearchProfile};
 
 /// Counts every allocation and reallocation made through the global
 /// allocator; deallocations are free.
@@ -65,6 +67,45 @@ fn steady_state_search_and_gather_allocate_nothing() {
             ..GaasXConfig::small()
         },
         false,
+    );
+    measure_index_rebuilds(GaasXConfig {
+        search_mode: SearchMode::Indexed,
+        num_banks: 8,
+        ..GaasXConfig::deep_bank()
+    });
+}
+
+/// Loads three full deep-bank blocks under the frontier profile — two
+/// warm-up blocks, then the first one's edges in reverse order, a new key
+/// sequence with the same distinct sources — and asserts the searches on
+/// the third block allocate nothing: an index rebuild over every valid
+/// row, then one probe per distinct source. (`load_block` itself is
+/// outside the count: it returns an owned
+/// [`Block`](gaasx_core::engine::Block).)
+fn measure_index_rebuilds(config: GaasXConfig) {
+    let graph = generators::rmat(&generators::RmatConfig::new(1 << 10, 5000).with_seed(5)).unwrap();
+    let mut engine = Engine::new(config).unwrap();
+    engine.set_search_profile(SearchProfile::Frontier);
+    let capacity = engine.block_capacity();
+    let first = &graph.edges()[..capacity];
+    let reversed: Vec<Edge> = first.iter().rev().copied().collect();
+    let chunks = [first, &graph.edges()[capacity..2 * capacity], &reversed];
+    let mut hits = HitVector::new(0);
+    let mut allocs = 0;
+    for chunk in chunks {
+        let block = engine.load_block(chunk, CellLayout::Preset).unwrap();
+        assert_eq!(engine.resolved_search_mode(), SearchMode::Indexed);
+        let srcs = block.distinct_srcs(); // derived on first use
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for &src in srcs {
+            engine.search_src_into(src, &mut hits);
+            assert!(hits.any());
+        }
+        allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    }
+    assert_eq!(
+        allocs, 0,
+        "searches after a block reload performed {allocs} heap allocations"
     );
 }
 

@@ -30,7 +30,9 @@ use crate::types::Edge;
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] with a line number for malformed lines and
+/// Returns [`GraphError::Parse`] with a line number for malformed lines,
+/// [`GraphError::VertexOutOfRange`] naming vertex `u32::MAX` when a line
+/// uses that id (the `u32` vertex count tops out one below it), and
 /// [`GraphError::Io`] for read failures.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<CooGraph, GraphError> {
     let reader = BufReader::new(reader);
@@ -72,7 +74,13 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CooGraph, GraphError> {
         max_vertex = max_vertex.max(src).max(dst);
         edges.push(Edge::new(src, dst, weight));
     }
-    let n = if edges.is_empty() { 0 } else { max_vertex + 1 };
+    // Id `u32::MAX` would need a vertex count of 2^32; saturating leaves
+    // the count at `u32::MAX`, which `from_edges` rejects that id against.
+    let n = if edges.is_empty() {
+        0
+    } else {
+        max_vertex.saturating_add(1)
+    };
     CooGraph::from_edges(n, edges)
 }
 
@@ -189,6 +197,25 @@ mod tests {
     #[test]
     fn text_reader_rejects_trailing_tokens() {
         assert!(read_edge_list("0 1 2.0 junk\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn text_reader_rejects_the_id_past_the_largest_vertex_count() {
+        for text in ["0 4294967295\n", "4294967295 0 2.0\n"] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::VertexOutOfRange {
+                    vertex,
+                    num_vertices,
+                }) => {
+                    assert_eq!(vertex, u32::MAX);
+                    assert_eq!(num_vertices, u32::MAX);
+                }
+                other => panic!("{text:?}: expected VertexOutOfRange, got {other:?}"),
+            }
+        }
+        // The largest representable id still loads.
+        let g = read_edge_list("0 4294967294\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), u32::MAX);
     }
 
     #[test]

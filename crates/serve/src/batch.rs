@@ -26,10 +26,11 @@
 //! cheaper than the sum of its one-shot parts on any graph where sources
 //! share blocks.
 
-use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
+use gaasx_core::algorithms::Sssp;
 use gaasx_core::engine::{partition_for_streaming, CellLayout};
 use gaasx_core::{CoreError, ShardRunner};
 
@@ -53,8 +54,8 @@ pub struct BatchOutcome {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidInput`] for an empty batch, an
-/// out-of-range source, or (SSSP) negative edge weights; propagates
-/// device errors from the engine.
+/// out-of-range source, or (SSSP) a negative, NaN or infinite edge
+/// weight; propagates device errors from the engine.
 pub fn run_batch<R: ShardRunner>(
     runner: &mut R,
     graph: &CooGraph,
@@ -84,13 +85,7 @@ pub fn run_batch_on_grid<R: ShardRunner>(
     let k = sources.len();
     check_sources(sources, n)?;
     let w_quant = if weighted {
-        for e in grid.shards().flat_map(Shard::edges) {
-            if e.weight < 0.0 {
-                return Err(CoreError::InvalidInput(format!(
-                    "negative edge weight on {e}; shortest paths require non-negative weights"
-                )));
-            }
-        }
+        Sssp::check_weights(grid)?;
         Some(Quantizer::new(1.0, runner.engine().weight_bits())?)
     } else {
         // BFS: all weight cells read as 1; set once, never per edge.
@@ -349,5 +344,25 @@ mod tests {
         assert!(err(&neg, true, &[0]).starts_with("negative edge weight on "));
         let bfs = run_batch(&mut engine, &neg, false, &[VertexId::new(0)]).unwrap();
         assert_eq!(bfs.values, vec![vec![0.0, 1.0]]);
+    }
+
+    #[test]
+    fn non_finite_weights_fail_sssp_but_not_bfs() {
+        // The path 0→1→2 with a non-finite first hop.
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        let source = [VertexId::new(0)];
+        for bad in [f32::NAN, f32::INFINITY] {
+            let g =
+                CooGraph::from_edges(3, vec![Edge::new(0, 1, bad), Edge::new(1, 2, 1.0)]).unwrap();
+            match run_batch(&mut engine, &g, true, &source) {
+                Err(CoreError::InvalidInput(msg)) => {
+                    assert!(msg.starts_with("non-finite edge weight on "), "{msg}");
+                }
+                other => panic!("weight {bad}: want InvalidInput, got {other:?}"),
+            }
+            // BFS ignores weights and still answers.
+            let bfs = run_batch(&mut engine, &g, false, &source).unwrap();
+            assert_eq!(bfs.values, vec![vec![0.0, 1.0, 2.0]]);
+        }
     }
 }

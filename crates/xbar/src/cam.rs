@@ -18,9 +18,12 @@ use crate::XbarStats;
 /// result:
 ///
 /// * [`Linear`](SearchMode::Linear): scan all rows, O(rows) per search.
-/// * [`Indexed`](SearchMode::Indexed): consult a per-field exact-match
-///   index, O(hits) per search, with the linear scan retained for
-///   arbitrary ternary masks and as a `debug_assert!` cross-check.
+/// * [`Indexed`](SearchMode::Indexed): consult a per-field chained
+///   exact-match index, rebuilt in one O(rows) pass after a block load
+///   and probed in O(hits) per search without allocating, with the
+///   linear scan retained for arbitrary ternary masks and as a
+///   `debug_assert!` cross-check. It beats `Linear` on every
+///   `bench_snapshot` row, paper banks included.
 /// * [`Auto`](SearchMode::Auto) (the default): let the engine resolve
 ///   each loaded block to `Linear` or `Indexed` through the analytical
 ///   [`SearchCostModel`](crate::auto::SearchCostModel). Resolution
@@ -78,93 +81,79 @@ impl std::str::FromStr for SearchMode {
 /// scan. Real workloads use exactly two (the src field and the dst field).
 const MAX_INDEXED_MASKS: usize = 4;
 
-/// A candidate set stored as a row-word bitmask — the same word layout a
-/// [`HitVector`] uses, so an index probe is a straight word copy into the
-/// packed result instead of a per-row scatter.
-#[derive(Debug, Clone)]
-struct RowMask {
-    words: Vec<u64>,
-    count: u32,
-}
-
-impl RowMask {
-    // Method names are deliberately unique (`zeroed`, not `new`): the
-    // lint's name-based call resolution would otherwise drag every
-    // workspace `new`/`clear` into the index-patch hot fence.
-    fn zeroed(words: usize) -> Self {
-        RowMask {
-            // gaasx-lint: allow(hot-reachable-alloc) -- one word-bitmask allocation per distinct field value at index (re)build; probes and patches are allocation-free
-            words: vec![0; words],
-            count: 0,
-        }
-    }
-
-    fn set_row(&mut self, row: u32) {
-        let w = &mut self.words[row as usize / 64];
-        let bit = 1u64 << (row % 64);
-        if *w & bit == 0 {
-            *w |= bit;
-            self.count += 1;
-        }
-    }
-
-    fn clear_row(&mut self, row: u32) {
-        let w = &mut self.words[row as usize / 64];
-        let bit = 1u64 << (row % 64);
-        if *w & bit != 0 {
-            *w &= !bit;
-            self.count -= 1;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
+/// Chain terminator in [`FieldIndex::next`].
+const NIL: u32 = u32::MAX;
 
 /// Exact-match index over one maskable field: `stored_bits & mask` → rows.
+///
+/// The rows sharing a field value form one chain: `heads` maps the value
+/// to its first row and `next[row]` links each row to the following one
+/// (or [`NIL`]). A rebuild is one O(rows) pass with one hash insert per
+/// valid row, and a probe walks the chain setting hit bits, so neither
+/// allocates once the two buffers are warm — both are reused across
+/// rebuilds. This emulates the paper's one-operation TCAM search at
+/// O(rows) host cost per block load and O(hits) per search.
 ///
 /// Built from the *post-fault* stored bits, so stuck-cell corruption is
 /// indexed exactly as the device would match it. An index is **clean** when
 /// `clean_epoch` equals the crossbar's entry-store epoch; single-row
-/// mutations patch clean indexes in place, while bulk invalidation only
-/// bumps the epoch and lets the index rebuild lazily on its next use.
+/// mutations patch clean indexes in place (unlinking or prepending one
+/// row), while bulk invalidation only bumps the epoch and lets the index
+/// rebuild lazily on its next use.
 #[derive(Debug, Clone)]
 struct FieldIndex {
     mask: u128,
-    /// Keyed through [`FxHashMap`]: the default SipHash hasher costs more
-    /// per 16-byte key than the whole linear scan it replaces.
-    rows: FxHashMap<u128, RowMask>,
-    /// Row words per candidate bitmask (`⌈rows/64⌉` of the geometry).
-    row_words: usize,
+    /// Field value → first row of its chain. Keyed through
+    /// [`FxHashMap`]: the default SipHash hasher costs more per 16-byte
+    /// key than the whole linear scan it replaces.
+    heads: FxHashMap<u128, u32>,
+    /// Per geometry row: the next row holding the same field value.
+    /// Only meaningful for rows currently linked into a chain.
+    next: Vec<u32>,
     clean_epoch: u64,
 }
 
 impl FieldIndex {
-    fn new(mask: u128, row_words: usize) -> Self {
+    fn new(mask: u128, rows: usize) -> Self {
         FieldIndex {
             mask,
-            rows: FxHashMap::default(),
-            row_words,
+            heads: FxHashMap::default(),
+            next: vec![NIL; rows],
             clean_epoch: 0,
         }
     }
 
-    fn insert_row(&mut self, bits: u128, row: u32) {
-        let row_words = self.row_words;
-        self.rows
-            .entry(bits & self.mask)
-            .or_insert_with(|| RowMask::zeroed(row_words))
-            .set_row(row);
+    /// Links `row` at the head of its value's chain.
+    fn link_row(&mut self, bits: u128, row: u32) {
+        let head = self.heads.entry(bits & self.mask).or_insert(NIL);
+        self.next[row as usize] = *head;
+        *head = row;
     }
 
-    fn remove_row(&mut self, bits: u128, row: u32) {
+    /// Unlinks `row` from its value's chain, dropping the value once its
+    /// chain empties. A no-op if `row` is not linked under that value.
+    fn unlink_row(&mut self, bits: u128, row: u32) {
         let key = bits & self.mask;
-        if let Some(rows) = self.rows.get_mut(&key) {
-            rows.clear_row(row);
-            if rows.is_empty() {
-                self.rows.remove(&key);
+        let Some(head) = self.heads.get_mut(&key) else {
+            return;
+        };
+        let after = self.next[row as usize];
+        if *head == row {
+            if after == NIL {
+                self.heads.remove(&key);
+            } else {
+                *head = after;
             }
+            return;
+        }
+        let mut at = *head;
+        while at != NIL {
+            let link = self.next[at as usize];
+            if link == row {
+                self.next[at as usize] = after;
+                return;
+            }
+            at = link;
         }
     }
 }
@@ -446,10 +435,10 @@ impl CamCrossbar {
                 continue;
             }
             if old.valid {
-                ix.remove_row(old.bits, row as u32);
+                ix.unlink_row(old.bits, row as u32);
             }
             if new.valid {
-                ix.insert_row(new.bits, row as u32);
+                ix.link_row(new.bits, row as u32);
             }
             ix.clean_epoch = next;
         }
@@ -468,19 +457,20 @@ impl CamCrossbar {
                 if self.indexes.len() >= MAX_INDEXED_MASKS {
                     return None;
                 }
-                self.indexes
-                    .push(FieldIndex::new(mask, self.geometry.rows.div_ceil(64)));
+                self.indexes.push(FieldIndex::new(mask, self.geometry.rows));
                 self.indexes.len() - 1
             }
         };
         let epoch = self.epoch;
         let ix = &mut self.indexes[pos];
         if ix.clean_epoch != epoch {
-            ix.rows.clear();
+            // Rows are linked in descending order so each chain lists its
+            // rows ascending; `clear` keeps the map's buckets for reuse.
+            ix.heads.clear();
             // gaasx-lint: hot
-            for (row, e) in self.entries.iter().enumerate() {
+            for (row, e) in self.entries.iter().enumerate().rev() {
                 if e.valid {
-                    ix.insert_row(e.bits, row as u32);
+                    ix.link_row(e.bits, row as u32);
                 }
             }
             // gaasx-lint: end-hot
@@ -514,11 +504,12 @@ impl CamCrossbar {
             if let Some(pos) = self.ensure_index(mask) {
                 let ix = &self.indexes[pos];
                 // gaasx-lint: hot
-                if let Some(rows) = ix.rows.get(&(key & mask)) {
-                    // Candidate sets are row-word bitmasks: the probe is a
-                    // straight word copy into the packed hit vector.
-                    for (w, &word) in rows.words.iter().enumerate() {
-                        out.set_word(w, word);
+                if let Some(&head) = ix.heads.get(&(key & mask)) {
+                    // Walk the value's chain, one hit bit per linked row.
+                    let mut row = head;
+                    while row != NIL {
+                        out.set_chained_row(row as usize);
+                        row = ix.next[row as usize];
                     }
                 }
                 // gaasx-lint: end-hot

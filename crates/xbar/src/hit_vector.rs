@@ -90,6 +90,24 @@ impl HitVector {
         self.words[index / 64] & (1 << (index % 64)) != 0
     }
 
+    /// Sets row `index`, trusting the caller that `index < len` — the
+    /// store half of an exact-match index probe, whose chains only ever
+    /// link rows of the crossbar that sized this vector. An index past the
+    /// backing words still panics; one in the last word's padding would
+    /// break [`count`](HitVector::count), hence the narrow contract.
+    pub fn set_chained_row(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Makes this vector a `len`-row copy of `words` (the packed form
+    /// [`words`](HitVector::words) returns), reusing the word buffer — the
+    /// memoized-search replay path.
+    pub fn copy_from_words(&mut self, len: usize, words: &[u64]) {
+        self.len = len;
+        self.words.clear();
+        self.words.extend_from_slice(words);
+    }
+
     /// Number of 64-row words backing this vector.
     pub fn num_words(&self) -> usize {
         self.words.len()
@@ -164,14 +182,6 @@ impl HitVector {
             self.words.clear();
             self.words.resize(words, 0);
         }
-    }
-
-    /// Makes this vector a copy of `other`, reusing the word buffer when
-    /// the lengths already agree (the memoized-search replay path).
-    pub fn copy_from(&mut self, other: &HitVector) {
-        self.len = other.len;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
     }
 
     /// In-place bitwise OR with another hit vector of the same length.
@@ -429,14 +439,25 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_duplicates_any_length() {
+    fn copy_from_words_duplicates_any_length() {
         let src = HitVector::from_indices(70, &[0, 69]);
         let mut dst = HitVector::new(0);
-        dst.copy_from(&src);
+        dst.copy_from_words(src.len(), src.words());
         assert_eq!(dst, src);
         let shorter = HitVector::from_indices(10, &[3]);
-        dst.copy_from(&shorter);
+        dst.copy_from_words(shorter.len(), shorter.words());
         assert_eq!(dst, shorter);
+    }
+
+    #[test]
+    fn set_chained_row_matches_set() {
+        let mut chained = HitVector::new(130);
+        for r in [0, 63, 64, 129] {
+            chained.set_chained_row(r);
+            chained.set_chained_row(r); // idempotent
+        }
+        assert_eq!(chained, HitVector::from_indices(130, &[0, 63, 64, 129]));
+        assert_eq!(chained.count(), 4);
     }
 
     #[test]

@@ -17,8 +17,20 @@ use gaasx_xbar::{
 };
 
 /// Bank depths straddling the 64-row word boundary: one word exactly, a
-/// partial single word, partial and full multi-word, and the paper depth.
-const DEPTHS: [usize; 5] = [64, 70, 128, 130, 192];
+/// partial single word, partial and full multi-word, the paper depth, and
+/// the 2048-row deep bank.
+const DEPTHS: [usize; 6] = [64, 70, 128, 130, 192, 2048];
+
+/// The src and dst field masks the engine searches with.
+const SRC_MASK: u128 = 0xFFFF_FFFF_0000_0000;
+const DST_MASK: u128 = 0xFFFF_FFFF;
+
+/// Deep-bank depth for the chained-index tests.
+const DEEP_ROWS: usize = 2048;
+
+/// Source vertex held by every fourth row of the deep bank: one index
+/// chain hundreds of rows long.
+const HUB: u32 = 7;
 
 const MODES: [SearchMode; 3] = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto];
 
@@ -63,8 +75,6 @@ fn apply_cam_op(
     op: (u8, u8, u8, u8),
     hv: &mut HitVector,
 ) -> usize {
-    const SRC_MASK: u128 = 0xFFFF_FFFF_0000_0000;
-    const DST_MASK: u128 = 0xFFFF_FFFF;
     let (code, a, b, c) = op;
     // 32 rows spread over the whole bank, first and last included: every
     // 64-row word is touched, and rows are rewritten and invalidated
@@ -131,8 +141,125 @@ fn reference_quantized_line(
     acc
 }
 
+/// The deep-bank edge key of `row`: every fourth row holds the [`HUB`]
+/// source; the rest spread over 40 other sources. Destinations cycle
+/// through 96 values, so the dst chains run about 21 rows each.
+fn deep_key(row: usize) -> u128 {
+    let src = if row % 4 == 0 {
+        HUB
+    } else {
+        100 + (row % 40) as u32
+    };
+    (u128::from(src) << 32) | u128::from((row % 96) as u32)
+}
+
+/// A fully programmed 2048-row Indexed bank whose src and dst indexes are
+/// built (and therefore clean) by one search each.
+fn deep_indexed_bank() -> CamCrossbar {
+    let mut cam = CamCrossbar::new(CamGeometry {
+        rows: DEEP_ROWS,
+        ..CamGeometry::paper()
+    });
+    cam.set_search_mode(SearchMode::Indexed);
+    for row in 0..DEEP_ROWS {
+        cam.write(row, deep_key(row)).unwrap();
+    }
+    let mut hv = HitVector::new(0);
+    assert_eq!(
+        search_vs_reference(&mut cam, u128::from(HUB) << 32, SRC_MASK, &mut hv),
+        0
+    );
+    assert_eq!(hv.count(), DEEP_ROWS / 4);
+    assert_eq!(search_vs_reference(&mut cam, 5, DST_MASK, &mut hv), 0);
+    cam
+}
+
+/// Searches the hub, a plain source, and a few destinations, counting
+/// match lines that differ from the reference scan.
+fn deep_bank_mismatches(cam: &mut CamCrossbar, hv: &mut HitVector) -> usize {
+    let mut wrong = search_vs_reference(cam, u128::from(HUB) << 32, SRC_MASK, hv);
+    wrong += search_vs_reference(cam, 101u128 << 32, SRC_MASK, hv);
+    for dst in [0u128, 5, 95] {
+        wrong += search_vs_reference(cam, dst, DST_MASK, hv);
+    }
+    wrong
+}
+
+/// Single-row invalidates and rewrites on a clean deep-bank index unlink
+/// the head, the middle and the tail of the 512-row hub chain (and of the
+/// dst chains they sit on) in place, and relink rewritten rows; every
+/// search after every patch answers like the reference scan.
+#[test]
+fn chained_index_patches_match_the_reference_on_a_deep_hub_bank() {
+    let mut cam = deep_indexed_bank();
+    let mut hv = HitVector::new(0);
+    // Hub rows are 0, 4, ..., 2044: the chain's head, middle and tail.
+    let (head, middle, tail) = (0, 1024, 2044);
+    let steps: [(&str, usize, Option<u128>); 9] = [
+        ("invalidate the head", head, None),
+        ("invalidate the tail", tail, None),
+        ("invalidate the middle", middle, None),
+        ("rewrite a hub row away", 4, Some((200u128 << 32) | 5)),
+        (
+            "rewrite a plain row into the hub",
+            1,
+            Some((u128::from(HUB) << 32) | 5),
+        ),
+        ("invalidate the relinked row", 1, None),
+        ("rewrite the last hub row away", 2040, Some(101u128 << 32)),
+        ("rewrite a row onto its own value", 8, Some(deep_key(8))),
+        ("revive the old head", head, Some(deep_key(head))),
+    ];
+    for (what, row, write) in steps {
+        match write {
+            Some(key) => cam.write(row, key).unwrap(),
+            None => cam.invalidate(row).unwrap(),
+        }
+        assert_eq!(
+            deep_bank_mismatches(&mut cam, &mut hv),
+            0,
+            "after: {what} (row {row})"
+        );
+    }
+    let hub_rows = (0..DEEP_ROWS)
+        .map(|r| cam.read(r).unwrap())
+        .filter(|e| e.valid && e.bits >> 32 == u128::from(HUB))
+        .count();
+    assert_eq!(hub_rows, DEEP_ROWS / 4 - 4, "four hub rows left the chain");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random single-row invalidates and rewrites on the clean deep hub
+    /// bank — never a bulk invalidate, so every mutation patches the
+    /// chains in place — interleaved with searches of both fields.
+    #[test]
+    fn chained_index_patches_match_the_reference(
+        ops in prop::collection::vec((0u8..4, any::<u16>(), 0u8..8), 1..60),
+    ) {
+        let mut cam = deep_indexed_bank();
+        let mut hv = HitVector::new(0);
+        for &(code, row, value) in &ops {
+            let row = usize::from(row) % DEEP_ROWS;
+            let src = if value < 4 { HUB } else { 100 + u32::from(value) };
+            let key = (u128::from(src) << 32) | u128::from(value % 3);
+            let wrong = match code {
+                0 => {
+                    cam.invalidate(row).unwrap();
+                    0
+                }
+                1 => {
+                    cam.write(row, key).unwrap();
+                    0
+                }
+                2 => search_vs_reference(&mut cam, u128::from(src) << 32, SRC_MASK, &mut hv),
+                _ => search_vs_reference(&mut cam, u128::from(value % 3), DST_MASK, &mut hv),
+            };
+            prop_assert_eq!(wrong, 0, "search diverged from the reference scan");
+        }
+        prop_assert_eq!(deep_bank_mismatches(&mut cam, &mut hv), 0);
+    }
 
     /// Any op interleaving on any bank depth, in every search mode,
     /// fault-free or with stuck cells, failed writes and search upsets:

@@ -62,6 +62,11 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC x banks x fault x jobs vs reference orac
 # that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
+echo "==> matcher equivalence (release): packed matcher + chained field index vs reference scan"
+# Release builds compile out the per-search debug cross-check against the
+# scalar scan, so this is the only release-mode check of the field index.
+cargo test -q --release --offline -p gaasx-xbar --test packed_equivalence
+
 echo "==> trace-export smoke: Chrome-trace JSON well-formedness"
 GAASX_CAP_EDGES=8000 GAASX_PR_ITERS=3 cargo run -q --release --offline -p gaasx-bench \
     --bin trace_export -- results/ci_trace.json --check
