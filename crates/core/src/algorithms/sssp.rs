@@ -21,11 +21,14 @@ const MAX_ENCODABLE_DIST: f64 = 65_534.0;
 /// The SFU then takes `dist(V) = min(dist(V), ·)` (Equation 1). Supersteps
 /// repeat (Bellman–Ford style) until no distance changes.
 ///
-/// Weights must be finite and non-negative: a negative, NaN or infinite
-/// weight is rejected as [`CoreError::InvalidInput`] before any block
-/// loads. Weights are quantized with step 1, matching the integral-weight
-/// workloads of the evaluation; distances above 65 534 cannot be encoded as
-/// MAC inputs and stop propagating (a documented device precision limit).
+/// Weights must be finite, non-negative and encodable: a negative, NaN or
+/// infinite weight, or one above the largest code of the engine's
+/// `weight_bits` (65 535 at 16 bits), is rejected as
+/// [`CoreError::InvalidInput`] before any block loads, instead of
+/// saturating in the MAC cell. Weights are quantized with step 1, matching
+/// the integral-weight workloads of the evaluation; distances above 65 534
+/// cannot be encoded as MAC inputs and stop propagating (a documented
+/// device precision limit).
 ///
 /// The controller tracks which vertices changed distance in the previous
 /// superstep (it already holds per-block vertex ranges as graph metadata,
@@ -50,28 +53,35 @@ impl Sssp {
         }
     }
 
-    /// Checks that every edge weight is finite and non-negative, the
-    /// shortest-path precondition both this mapping and the batched
-    /// traversal enforce.
+    /// Checks that every edge weight is finite, non-negative and at most
+    /// the largest value the step-1 quantizer encodes in `weight_bits`,
+    /// the precondition both this mapping and the batched traversal
+    /// enforce, and returns that quantizer.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] naming the first edge whose
-    /// weight is negative, NaN or infinite.
-    pub fn check_weights(grid: &GridPartition) -> Result<(), CoreError> {
+    /// weight is negative, NaN, infinite or too large to encode, and
+    /// propagates a quantizer error for an invalid `weight_bits`.
+    pub fn check_weights(grid: &GridPartition, weight_bits: u32) -> Result<Quantizer, CoreError> {
+        let quant = Quantizer::new(1.0, weight_bits)?;
         for e in grid.shards().flat_map(Shard::edges) {
             let what = if !e.weight.is_finite() {
                 "non-finite"
             } else if e.weight < 0.0 {
                 "negative"
+            } else if e.weight > quant.max_value() {
+                "unencodable"
             } else {
                 continue;
             };
             return Err(CoreError::InvalidInput(format!(
-                "{what} edge weight on {e}; shortest paths require finite non-negative weights"
+                "{what} edge weight on {e}; shortest paths require finite non-negative \
+                 weights of at most {}, the largest {weight_bits}-bit weight code",
+                quant.max_value()
             )));
         }
-        Ok(())
+        Ok(quant)
     }
 }
 
@@ -123,8 +133,8 @@ impl Sssp {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] for an out-of-range source or
-    /// a negative, NaN or infinite edge weight; propagates quantizer and
-    /// device errors.
+    /// a negative, NaN, infinite or unencodable edge weight; propagates
+    /// quantizer and device errors.
     pub fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
@@ -132,8 +142,7 @@ impl Sssp {
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
         let n = grid.num_vertices() as usize;
         check_source(self.source, n)?;
-        Sssp::check_weights(grid)?;
-        let w_quant = Quantizer::new(1.0, runner.engine().weight_bits())?;
+        let w_quant = Sssp::check_weights(grid, runner.engine().weight_bits())?;
         let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
@@ -367,5 +376,30 @@ mod tests {
                 other => panic!("weight {bad}: want InvalidInput, got {other:?}"),
             }
         }
+    }
+
+    /// Weights past the 16-bit code range used to saturate to 65 535
+    /// silently, returning `[0, 65535, inf]` for the first path.
+    #[test]
+    fn rejects_weights_past_the_encoder_range() {
+        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+        assert_eq!(engine.weight_bits(), 16);
+        let path = |w: &[f32]| {
+            let edges = (0u32..).zip(w).map(|(u, &w)| Edge::new(u, u + 1, w));
+            CooGraph::from_edges(w.len() as u32 + 1, edges.collect()).unwrap()
+        };
+        for weights in [&[70_000.0, 1.0][..], &[1e30; 3], &[65_535.5]] {
+            match Sssp::from_source(VertexId::new(0)).execute(&mut engine, &path(weights)) {
+                Err(CoreError::InvalidInput(msg)) => {
+                    assert!(msg.starts_with("unencodable edge weight on "), "{msg}");
+                    assert!(msg.ends_with("at most 65535, the largest 16-bit weight code"));
+                }
+                other => panic!("weights {weights:?}: want InvalidInput, got {other:?}"),
+            }
+        }
+        let top = Sssp::from_source(VertexId::new(0))
+            .execute(&mut engine, &path(&[65_535.0]))
+            .unwrap();
+        assert_eq!(top.output, [0.0, 65_535.0]);
     }
 }

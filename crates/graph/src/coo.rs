@@ -121,19 +121,18 @@ impl CooGraph {
         }
     }
 
-    /// Sorts edges by `(dst, src)`.
+    /// Sorts edges by `(dst, src)`; parallel edges keep their order.
     ///
     /// The paper assumes "edges within a sub-shard are sorted by destination
-    /// vertices" (§III-B); this is the whole-graph equivalent.
+    /// vertices" (§III-B); this is the whole-graph equivalent, with the
+    /// same stable order as each [`Shard`](crate::partition::Shard).
     pub fn sort_by_dst(&mut self) {
-        self.edges
-            .sort_unstable_by_key(|e| (e.dst.raw(), e.src.raw()));
+        self.edges.sort_by_key(|e| (e.dst.raw(), e.src.raw()));
     }
 
-    /// Sorts edges by `(src, dst)`.
+    /// Sorts edges by `(src, dst)`; parallel edges keep their order.
     pub fn sort_by_src(&mut self) {
-        self.edges
-            .sort_unstable_by_key(|e| (e.src.raw(), e.dst.raw()));
+        self.edges.sort_by_key(|e| (e.src.raw(), e.dst.raw()));
     }
 
     /// Out-degree of every vertex.
@@ -292,6 +291,26 @@ mod tests {
         g.sort_by_dst();
         let dsts: Vec<u32> = g.iter().map(|e| e.dst.raw()).collect();
         assert!(dsts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn sorting_keeps_parallel_edges_in_input_order() {
+        let g = CooGraph::from_edges(
+            3,
+            vec![
+                Edge::new(0, 1, 3.0),
+                Edge::new(2, 1, 9.0),
+                Edge::new(0, 1, 1.0),
+                Edge::new(0, 1, 2.0),
+            ],
+        )
+        .unwrap();
+        let weights = |g: &CooGraph| -> Vec<f32> { g.iter().map(|e| e.weight).collect() };
+        let (mut by_dst, mut by_src) = (g.clone(), g);
+        by_dst.sort_by_dst();
+        by_src.sort_by_src();
+        assert_eq!(weights(&by_dst), [3.0, 1.0, 2.0, 9.0]);
+        assert_eq!(weights(&by_src), [3.0, 1.0, 2.0, 9.0]);
     }
 
     #[test]

@@ -82,7 +82,9 @@ impl Shard {
         self.dst_interval
     }
 
-    /// The shard's edges, sorted by `(dst, src)`.
+    /// The shard's edges, sorted by `(dst, src)`. Parallel edges (equal
+    /// `(src, dst)`) keep their order in the input graph, so an algorithm
+    /// that reads weights sees them in a reproducible order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
@@ -153,6 +155,10 @@ pub struct GridPartition {
 impl GridPartition {
     /// Partitions `graph` into a grid with the given vertex `interval_size`.
     ///
+    /// Each shard's edges are sorted by `(dst, src)`, and parallel edges
+    /// keep their input order. The sort is a stable radix sort: time and
+    /// memory are linear in the edge count for any interval count.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] if `interval_size` is zero or
@@ -172,36 +178,47 @@ impl GridPartition {
         let p = n.div_ceil(interval_size);
         let interval = |i: u32| Interval::new(i * interval_size, interval_end(i, interval_size, n));
 
-        // Sort edges by (row, col, dst, src) and slice into shards: memory
-        // stays O(E) regardless of P (a full-scale graph at 16-wide tiles
-        // would have ~10¹⁰ grid cells, almost all empty). The four fields
-        // pack into one `u128` whose order is the tuple's, so a comparison
-        // is two word compares instead of a four-way lexicographic one.
+        // Sort edges by (row, col, dst, src) and copy each grid cell's run
+        // into its shard. Memory stays O(E) regardless of P (a full-scale
+        // graph at 16-wide tiles would have ~10¹⁰ grid cells, almost all
+        // empty): the radix sort counts digit values, never intervals or
+        // cells. Within a cell the offsets from the interval starts order
+        // edges as the ids do, so the key packs two interval indices and
+        // two offsets instead of two full ids.
+        let edges = graph.edges();
         let block = |v: VertexId| v.raw() / interval_size;
-        let mut edges: Vec<Edge> = graph.edges().to_vec();
-        edges.sort_unstable_by_key(|e| {
-            (u128::from(block(e.src)) << 96)
-                | (u128::from(block(e.dst)) << 64)
-                | (u128::from(e.dst.raw()) << 32)
-                | u128::from(e.src.raw())
-        });
+        let block_bits = bit_width(p - 1);
+        let offset_bits = bit_width(interval_size - 1);
+        let key = |i: usize| {
+            let e = &edges[i];
+            let (row, col) = (block(e.src), block(e.dst));
+            let cell = u128::from(row) << block_bits | u128::from(col);
+            let dst = u128::from(e.dst.raw() - col * interval_size);
+            let src = u128::from(e.src.raw() - row * interval_size);
+            (cell << offset_bits | dst) << offset_bits | src
+        };
+        let order = stable_radix_order(edges.len(), 2 * (block_bits + offset_bits), key);
         let mut occupied: Vec<((u32, u32), Shard)> = Vec::new();
         let mut start = 0usize;
-        while start < edges.len() {
-            let key = (block(edges[start].src), block(edges[start].dst));
-            let mut end = start + 1;
-            while end < edges.len() && (block(edges[end].src), block(edges[end].dst)) == key {
-                end += 1;
-            }
+        while let Some(&first) = order.get(start) {
+            let cell = (block(edges[first].src), block(edges[first].dst));
+            let (src_interval, dst_interval) = (interval(cell.0), interval(cell.1));
+            let in_cell = |&i: &usize| {
+                src_interval.contains(edges[i].src) && dst_interval.contains(edges[i].dst)
+            };
+            let len = order[start..].iter().take_while(|i| in_cell(i)).count();
             occupied.push((
-                key,
+                cell,
                 Shard {
-                    src_interval: interval(key.0),
-                    dst_interval: interval(key.1),
-                    edges: edges[start..end].to_vec(),
+                    src_interval,
+                    dst_interval,
+                    edges: order[start..start + len]
+                        .iter()
+                        .map(|&i| edges[i])
+                        .collect(),
                 },
             ));
-            start = end;
+            start += len;
         }
         Ok(GridPartition {
             num_vertices: n,
@@ -320,6 +337,68 @@ impl GridPartition {
     pub fn total_edges(&self) -> usize {
         self.occupied.iter().map(|(_, s)| s.num_edges()).sum()
     }
+}
+
+/// Bits per radix digit: a 30-bit key takes three passes.
+const RADIX_BITS: u32 = 11;
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// Bits needed to write `x`.
+fn bit_width(x: u32) -> u32 {
+    u32::BITS - x.leading_zeros()
+}
+
+/// The positions `0..len` in stable ascending order of `key(i)`, a key of
+/// at most `key_bits` bits: an LSD radix sort, so equal keys keep their
+/// input order.
+///
+/// Each element is one word: the position in its low bits and as much of
+/// the key as fits above it. A wider key is sorted in chunks from the
+/// least significant up, each chunk read again through the positions,
+/// and stability carries the order of the chunks below. A digit on which
+/// every element agrees costs no pass. Memory is two words per element
+/// plus one counter per digit value, whatever the key's range.
+fn stable_radix_order(len: usize, key_bits: u32, key: impl Fn(usize) -> u128) -> Vec<usize> {
+    let index_bits = usize::BITS - len.saturating_sub(1).leading_zeros();
+    let index_mask = (1usize << index_bits) - 1;
+    // `len <= isize::MAX`, so at least one bit is left for the key.
+    let chunk_bits = usize::BITS - index_bits;
+    let digit = |e: usize, d: u32| (e >> (index_bits + d * RADIX_BITS)) & (RADIX - 1);
+    let mut order: Vec<usize> = (0..len).collect();
+    let mut scratch = vec![0usize; len];
+    let mut lo = 0;
+    while lo < key_bits {
+        let width = chunk_bits.min(key_bits - lo);
+        let chunk_mask = usize::MAX >> (usize::BITS - width);
+        let mut counts = vec![[0usize; RADIX]; width.div_ceil(RADIX_BITS) as usize];
+        for e in &mut order {
+            let i = *e & index_mask;
+            *e = ((key(i) >> lo) as usize & chunk_mask) << index_bits | i;
+            for (d, c) in (0..).zip(counts.iter_mut()) {
+                c[digit(*e, d)] += 1;
+            }
+        }
+        for (d, c) in (0..).zip(counts.iter_mut()) {
+            if c.contains(&len) {
+                continue;
+            }
+            let mut next = 0;
+            for slot in c.iter_mut() {
+                next += std::mem::replace(slot, next);
+            }
+            for &e in &order {
+                let slot = &mut c[digit(e, d)];
+                scratch[*slot] = e;
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut scratch);
+        }
+        lo += width;
+    }
+    for e in &mut order {
+        *e &= index_mask;
+    }
+    order
 }
 
 /// One past the last vertex of interval `i`. The unclamped end of the
@@ -455,12 +534,12 @@ mod tests {
         (e.src.raw(), e.dst.raw(), e.weight.to_bits())
     }
 
-    /// Oracle: the `(row, col, dst, src)` tuple-key sort the partition used
-    /// before its packed key, sliced by grid cell.
+    /// Oracle: a stable comparison sort on the `(row, col, dst, src)`
+    /// tuple key, sliced by grid cell.
     fn tuple_sorted_shards(graph: &CooGraph, interval_size: u32) -> Vec<ShardEdges> {
         let block = |v: VertexId| v.raw() / interval_size;
         let mut edges = graph.edges().to_vec();
-        edges.sort_unstable_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
+        edges.sort_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
         let mut shards: Vec<ShardEdges> = Vec::new();
         let mut last = None;
         for e in &edges {
@@ -476,7 +555,9 @@ mod tests {
         shards
     }
 
-    /// The same edges with every id moved to just below `u32::MAX`.
+    /// The same edges with every id moved to just below `u32::MAX`, so
+    /// that small intervals pack several vertices, and cells several
+    /// distinct edges, at the top of the range.
     fn near_u32_max(graph: &CooGraph) -> CooGraph {
         let base = u32::MAX - graph.num_vertices() - 1;
         let edges = graph
@@ -487,26 +568,83 @@ mod tests {
         CooGraph::from_edges(u32::MAX, edges).unwrap()
     }
 
+    /// The same edges with ids spread evenly over the `u32` range, the
+    /// largest just below `u32::MAX`, so that ids, and the sort keys built
+    /// from them, differ in their top bits.
+    fn spread_to_u32_max(graph: &CooGraph) -> CooGraph {
+        let n = graph.num_vertices();
+        let stride = u32::MAX / n;
+        let id = |v: VertexId| u32::MAX - 1 - (n - 1 - v.raw()) * stride;
+        let edges = graph
+            .edges()
+            .iter()
+            .map(|e| Edge::new(id(e.src), id(e.dst), e.weight))
+            .collect();
+        CooGraph::from_edges(u32::MAX, edges).unwrap()
+    }
+
+    fn shard_edges(grid: &GridPartition) -> Vec<ShardEdges> {
+        grid.shards()
+            .map(|s| s.edges().iter().map(triple).collect())
+            .collect()
+    }
+
+    /// Interval size 1 gives 2³² − 1 intervals, and size 3 a sort key of
+    /// 66 bits: a partitioner that counts per interval or per cell, or
+    /// packs the key into 64 bits, fails here.
     #[test]
     fn intervals_reach_the_top_of_the_id_range() {
-        let g = near_u32_max(&generators::path_graph(8));
-        for size in [1000, u32::MAX / 2 + 1] {
-            let grid = GridPartition::new(&g, size).unwrap();
-            let last = grid.interval(grid.num_intervals() - 1);
-            assert_eq!(last.end(), u32::MAX, "size {size}");
-            assert_eq!(grid.total_edges(), 7);
+        let path = generators::path_graph(8);
+        for g in [near_u32_max(&path), spread_to_u32_max(&path)] {
+            for size in [1, 3, 1000, u32::MAX / 2 + 1] {
+                let grid = GridPartition::new(&g, size).unwrap();
+                let last = grid.interval(grid.num_intervals() - 1);
+                assert_eq!(last.end(), u32::MAX, "size {size}");
+                assert_eq!(grid.total_edges(), 7);
+                assert_eq!(
+                    shard_edges(&grid),
+                    tuple_sorted_shards(&g, size),
+                    "size {size}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn parallel_edges_keep_their_input_order() {
+        let g = CooGraph::from_edges(
+            2,
+            vec![
+                Edge::new(0, 1, 3.0),
+                Edge::new(1, 0, 5.0),
+                Edge::new(0, 1, 1.0),
+                Edge::new(0, 1, 2.0),
+            ],
+        )
+        .unwrap();
+        let grid = GridPartition::new(&g, 2).unwrap();
+        let weights: Vec<f32> = grid
+            .shard(0, 0)
+            .expect("occupied")
+            .edges()
+            .iter()
+            .filter(|e| e.src.raw() == 0)
+            .map(|e| e.weight)
+            .collect();
+        assert_eq!(weights, [3.0, 1.0, 2.0]);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The packed key orders every shard exactly as the tuple key did,
-        /// parallel edges with different weights included: RMAT over a few
-        /// vertices repeats most edges, and that order feeds SSSP's
-        /// attribute-write counts and its fault interactions.
+        /// The radix sort orders every shard exactly as a stable sort on
+        /// the tuple key does, parallel edges with different weights
+        /// included: RMAT over a few vertices repeats most edges, and that
+        /// order feeds SSSP's attribute-write counts and its fault
+        /// interactions. Near `u32::MAX` small intervals need keys wider
+        /// than 64 bits.
         #[test]
-        fn packed_key_keeps_the_tuple_key_order(
+        fn radix_sort_matches_a_stable_tuple_sort(
             log_v in 2u32..6,
             num_edges in 200usize..2500,
             seed in proptest::prelude::any::<u64>(),
@@ -517,14 +655,13 @@ mod tests {
                     .with_max_weight(16),
             )
             .unwrap();
-            for graph in [near_u32_max(&g), g] {
+            for graph in [near_u32_max(&g), spread_to_u32_max(&g), g] {
                 for size in [1, 3, 7, 16, 1000, graph.num_vertices()] {
                     let grid = GridPartition::new(&graph, size).unwrap();
-                    let got: Vec<ShardEdges> = grid
-                        .shards()
-                        .map(|s| s.edges().iter().map(triple).collect())
-                        .collect();
-                    proptest::prop_assert_eq!(got, tuple_sorted_shards(&graph, size));
+                    proptest::prop_assert_eq!(
+                        shard_edges(&grid),
+                        tuple_sorted_shards(&graph, size)
+                    );
                 }
             }
         }

@@ -28,7 +28,6 @@
 
 use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
-use gaasx_xbar::fixed::Quantizer;
 
 use gaasx_core::algorithms::Sssp;
 use gaasx_core::engine::{partition_for_streaming, CellLayout};
@@ -85,8 +84,7 @@ pub fn run_batch_on_grid<R: ShardRunner>(
     let k = sources.len();
     check_sources(sources, n)?;
     let w_quant = if weighted {
-        Sssp::check_weights(grid)?;
-        Some(Quantizer::new(1.0, runner.engine().weight_bits())?)
+        Some(Sssp::check_weights(grid, runner.engine().weight_bits())?)
     } else {
         // BFS: all weight cells read as 1; set once, never per edge.
         runner.preset_mac(1)?;
@@ -347,16 +345,21 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_weights_fail_sssp_but_not_bfs() {
-        // The path 0→1→2 with a non-finite first hop.
+    fn invalid_weights_fail_sssp_but_not_bfs() {
+        // The path 0→1→2 with a non-finite first hop, or one past the
+        // 16-bit weight code range (which used to saturate to 65 535).
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
         let source = [VertexId::new(0)];
-        for bad in [f32::NAN, f32::INFINITY] {
+        for (bad, want) in [
+            (f32::NAN, "non-finite edge weight on "),
+            (f32::INFINITY, "non-finite edge weight on "),
+            (70_000.0, "unencodable edge weight on (v0 -> v1, w=70000); "),
+        ] {
             let g =
                 CooGraph::from_edges(3, vec![Edge::new(0, 1, bad), Edge::new(1, 2, 1.0)]).unwrap();
             match run_batch(&mut engine, &g, true, &source) {
                 Err(CoreError::InvalidInput(msg)) => {
-                    assert!(msg.starts_with("non-finite edge weight on "), "{msg}");
+                    assert!(msg.starts_with(want), "{msg}");
                 }
                 other => panic!("weight {bad}: want InvalidInput, got {other:?}"),
             }

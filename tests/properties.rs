@@ -1,18 +1,21 @@
 //! Property-based integration tests over randomly generated workloads.
 
 #![allow(clippy::unwrap_used)]
+use std::ops::Range;
+
 use proptest::prelude::*;
 
 use gaasx::baselines::reference;
-use gaasx::core::algorithms::{Bfs, PageRank, Sssp};
+use gaasx::core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gaasx::core::{GaasX, GaasXConfig};
 use gaasx::graph::generators::{self, RmatConfig};
 use gaasx::graph::partition::{GridPartition, TraversalOrder};
 use gaasx::graph::{CooGraph, Csr, Edge, VertexId};
 
-/// Strategy: a small random weighted digraph plus a valid source vertex.
-fn graph_and_source() -> impl Strategy<Value = (CooGraph, VertexId)> {
-    (2u32..60, 1usize..150, any::<u64>()).prop_flat_map(|(n, m, seed)| {
+/// Strategy: a random weighted digraph with a vertex count from `n` and
+/// an edge count from `m`, plus a valid source vertex.
+fn graph_and_source(n: Range<u32>, m: Range<usize>) -> impl Strategy<Value = (CooGraph, VertexId)> {
+    (n, m, any::<u64>()).prop_flat_map(|(n, m, seed)| {
         let g = generators::rmat(&RmatConfig::new(n, m).with_seed(seed).with_max_weight(12))
             .expect("valid rmat config");
         let verts = g.num_vertices();
@@ -20,19 +23,49 @@ fn graph_and_source() -> impl Strategy<Value = (CooGraph, VertexId)> {
     })
 }
 
+/// The same graph with its edge list reversed, which reverses the order
+/// of every group of parallel edges.
+fn reversed(graph: &CooGraph) -> CooGraph {
+    let mut edges = graph.edges().to_vec();
+    edges.reverse();
+    CooGraph::from_edges(graph.num_vertices(), edges).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Shards keep parallel edges in input order, and only an algorithm
+    /// that reads weights can tell: on a multigraph over a few vertices,
+    /// where RMAT repeats most edges with different weights, reversing the
+    /// edge list leaves PageRank, BFS and CC bit-identical.
     #[test]
-    fn device_sssp_always_matches_dijkstra((graph, src) in graph_and_source()) {
-        let out = GaasX::new(GaasXConfig::small())
-            .run(&Sssp::from_source(src), &graph)
-            .unwrap();
-        prop_assert_eq!(out.result, reference::dijkstra(&graph, src));
+    fn parallel_edge_order_reaches_only_weight_readers(
+        (graph, src) in graph_and_source(2..10, 40..200)
+    ) {
+        let run = |g: &CooGraph| {
+            let mut accel = GaasX::new(GaasXConfig::small());
+            let pr = accel.run(&PageRank::fixed_iterations(3), g).unwrap();
+            let bfs = accel.run(&Bfs::from_source(src), g).unwrap();
+            let cc = accel.run(&ConnectedComponents::new(), g).unwrap();
+            (pr.result, pr.report, bfs.result, bfs.report, cc.result, cc.report)
+        };
+        prop_assert_eq!(run(&reversed(&graph)), run(&graph));
+    }
+
+    /// SSSP reads weights, so it sees the order of parallel edges; in
+    /// either order it still matches Dijkstra.
+    #[test]
+    fn device_sssp_always_matches_dijkstra((graph, src) in graph_and_source(2..60, 1..150)) {
+        for g in [reversed(&graph), graph] {
+            let out = GaasX::new(GaasXConfig::small())
+                .run(&Sssp::from_source(src), &g)
+                .unwrap();
+            prop_assert_eq!(out.result, reference::dijkstra(&g, src));
+        }
     }
 
     #[test]
-    fn device_bfs_always_matches_queue_bfs((graph, src) in graph_and_source()) {
+    fn device_bfs_always_matches_queue_bfs((graph, src) in graph_and_source(2..60, 1..150)) {
         let out = GaasX::new(GaasXConfig::small())
             .run(&Bfs::from_source(src), &graph)
             .unwrap();
@@ -40,7 +73,7 @@ proptest! {
     }
 
     #[test]
-    fn device_pagerank_tracks_oracle((graph, _src) in graph_and_source()) {
+    fn device_pagerank_tracks_oracle((graph, _src) in graph_and_source(2..60, 1..150)) {
         let out = GaasX::new(GaasXConfig::small())
             .run(&PageRank::fixed_iterations(5), &graph)
             .unwrap();
@@ -52,7 +85,7 @@ proptest! {
     }
 
     #[test]
-    fn partition_preserves_every_edge((graph, _src) in graph_and_source()) {
+    fn partition_preserves_every_edge((graph, _src) in graph_and_source(2..60, 1..150)) {
         let grid = GridPartition::with_num_intervals(&graph, 8).unwrap();
         prop_assert_eq!(grid.total_edges(), graph.num_edges());
         let mut collected: Vec<Edge> = grid
@@ -67,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn csr_and_transpose_are_consistent((graph, _src) in graph_and_source()) {
+    fn csr_and_transpose_are_consistent((graph, _src) in graph_and_source(2..60, 1..150)) {
         let csr = Csr::from_coo(&graph);
         let tr = Csr::from_coo(&graph.transposed());
         // Out-degree of v in G equals in-degree of v in Gᵀ.
@@ -78,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn sssp_distances_satisfy_triangle_inequality((graph, src) in graph_and_source()) {
+    fn sssp_distances_satisfy_triangle_inequality((graph, src) in graph_and_source(2..60, 1..150)) {
         // For every edge (u, v, w): dist(v) ≤ dist(u) + w.
         let dist = reference::dijkstra(&graph, src);
         for e in graph.iter() {
@@ -91,7 +124,7 @@ proptest! {
     }
 
     #[test]
-    fn report_energy_is_monotone_in_iterations((graph, _src) in graph_and_source()) {
+    fn report_energy_is_monotone_in_iterations((graph, _src) in graph_and_source(2..60, 1..150)) {
         let mut accel = GaasX::new(GaasXConfig::small());
         let short = accel.run(&PageRank::fixed_iterations(2), &graph).unwrap().report;
         let long = accel.run(&PageRank::fixed_iterations(6), &graph).unwrap().report;
