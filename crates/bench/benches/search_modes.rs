@@ -1,6 +1,5 @@
 //! Linear-vs-Indexed search-path microbenchmarks: the raw CAM search in
-//! both host modes, the memoized replay path, and a full PageRank run per
-//! mode. These measure the simulator's host cost — the modeled hardware
+//! both host modes and a full PageRank run per mode. These measure the simulator's host cost — the modeled hardware
 //! latency and every `RunReport` are bit-identical across modes.
 
 #![allow(clippy::unwrap_used)]

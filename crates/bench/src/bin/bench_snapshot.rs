@@ -91,8 +91,8 @@ fn config(bank: &str, mode: SearchMode, fault: bool) -> GaasXConfig {
     if fault {
         // Mild stuck-cell + transient-write model with the standard
         // write-verify/spare-row recovery: runs complete, the fault RNG
-        // draws on every programming op, and the memo layer must disable
-        // itself — the strictest identity regime.
+        // draws on every programming op, and blocks program through the
+        // per-slot verify loop — the strictest identity regime.
         c.fault = FaultModel {
             seed: 0xBE05,
             cam_stuck_ber: 1e-4,

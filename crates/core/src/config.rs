@@ -198,6 +198,9 @@ impl GaasXConfig {
                 "noise_sigma must be non-negative".into(),
             ));
         }
+        self.energy
+            .validate()
+            .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
         self.fault
             .validate()
             .map_err(|e| CoreError::InvalidConfig(format!("fault model: {e}")))?;
@@ -378,6 +381,66 @@ mod tests {
         assert!(c.validate().is_err(), "spares must leave usable rows");
         c.recovery.spare_rows = 16;
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn energy_fields_must_be_finite_and_non_negative() {
+        use crate::algorithms::PageRank;
+        use crate::GaasX;
+        use gaasx_sim::Picojoules;
+        type Set = fn(&mut DeviceEnergyModel, f64);
+        let fields: [(&str, Set); 13] = [
+            ("mac_op_pj", |m, v| m.mac_op_pj = Picojoules::from_pj(v)),
+            ("mac_op_ns", |m, v| m.mac_op_ns = Nanos::from_ns(v)),
+            ("cam_search_pj", |m, v| {
+                m.cam_search_pj = Picojoules::from_pj(v)
+            }),
+            ("cam_search_ns", |m, v| m.cam_search_ns = Nanos::from_ns(v)),
+            ("cell_write_pj", |m, v| {
+                m.cell_write_pj = Picojoules::from_pj(v)
+            }),
+            ("cam_bit_write_pj", |m, v| {
+                m.cam_bit_write_pj = Picojoules::from_pj(v)
+            }),
+            ("row_write_ns", |m, v| m.row_write_ns = Nanos::from_ns(v)),
+            ("value_program_ns", |m, v| {
+                m.value_program_ns = Nanos::from_ns(v)
+            }),
+            ("verify_read_pj", |m, v| {
+                m.verify_read_pj = Picojoules::from_pj(v)
+            }),
+            ("verify_read_ns", |m, v| {
+                m.verify_read_ns = Nanos::from_ns(v)
+            }),
+            ("sfu_op_pj", |m, v| m.sfu_op_pj = Picojoules::from_pj(v)),
+            ("sfu_op_ns", |m, v| m.sfu_op_ns = Nanos::from_ns(v)),
+            ("static_mw", |m, v| m.static_mw = v),
+        ];
+        let graph = gaasx_graph::generators::rmat(
+            &gaasx_graph::generators::RmatConfig::new(64, 400).with_seed(3),
+        )
+        .unwrap();
+        let pagerank = PageRank::fixed_iterations(3);
+        for (name, set) in fields {
+            for bad in [f64::NAN, -1.0, f64::INFINITY] {
+                let mut c = GaasXConfig::small();
+                set(&mut c.energy, bad);
+                match c.validate() {
+                    Err(CoreError::InvalidConfig(msg)) => assert!(msg.contains(name), "{msg}"),
+                    other => panic!("{name} = {bad}: validate gave {other:?}"),
+                }
+                let run = GaasX::new(c).run(&pagerank, &graph);
+                assert!(
+                    matches!(run, Err(CoreError::InvalidConfig(_))),
+                    "{name} = {bad}: run must fail as InvalidConfig"
+                );
+            }
+            // Zero is a legal sensitivity point (the write-cost ablation
+            // sweeps value_program_ns down to 0).
+            let mut c = GaasXConfig::small();
+            set(&mut c.energy, 0.0);
+            c.validate().unwrap();
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ use gaasx_xbar::{
 
 use crate::config::GaasXConfig;
 use crate::error::CoreError;
-use crate::memo::SearchMemo;
 use crate::sfu::Sfu;
 
 /// Effective parallel lanes in the SFU (it contains multiple adders,
@@ -264,26 +263,14 @@ pub struct Engine {
     /// Recovery activity detected by this engine (verify reads, retries,
     /// remaps); merged across sharded workers and surfaced in the report.
     faults: FaultReport,
-    /// Per-block search memo (see [`crate::memo`]); only consulted when
-    /// `memo_active`.
-    memo: SearchMemo,
-    /// Whether memoization is permitted at all: the config's mode can
-    /// resolve to Indexed and no fault model is attached (device state
-    /// must be a pure function of the programmed keys).
-    memo_enabled: bool,
-    /// Whether the *current block* memoizes — re-derived at every
-    /// [`load_block`](Engine::load_block) from the block's resolved
-    /// search mode and the declared profile. A mixed Auto bank memoizes
-    /// only its Indexed blocks, and only a [`SearchProfile::OnePerKey`]
-    /// algorithm memoizes at all.
-    memo_active: bool,
     /// The querying algorithm's declared access pattern — the
     /// [`SearchCostModel`]'s workload input when resolving `Auto` blocks.
     search_profile: SearchProfile,
     /// Per-block Linear-vs-Indexed cost model, calibrated against the
     /// config's device time base.
     search_costs: SearchCostModel,
-    /// CAM key sequence of the block being loaded (memo registration).
+    /// CAM key sequence of the block being loaded: one bulk
+    /// [`CamCrossbar::program_block`] write, or the verified per-slot loop.
     key_buf: Vec<u128>,
     /// Reused MAC-code buffer for [`CellLayout::PerEdge`] loading.
     codes_buf: Vec<u32>,
@@ -378,12 +365,6 @@ impl Engine {
             remap_active: false,
             phys_buf,
             faults: FaultReport::default(),
-            memo: SearchMemo::new(rows),
-            memo_enabled: config.search_mode != SearchMode::Linear && !fault_active,
-            // Per-block; re-derived at each load_block from the resolved
-            // mode. Before any block loads, only a fixed Indexed config
-            // can replay (Auto has nothing resolved yet).
-            memo_active: config.search_mode == SearchMode::Indexed && !fault_active,
             search_profile: SearchProfile::default(),
             search_costs: SearchCostModel::calibrated(&config.energy),
             key_buf: Vec::with_capacity(rows),
@@ -406,9 +387,8 @@ impl Engine {
 
     /// Declares how the running algorithm queries its blocks — the
     /// [`SearchCostModel`]'s workload input when the config's search mode
-    /// is [`SearchMode::Auto`], and the search memo's admission rule: only
-    /// [`SearchProfile::OnePerKey`] blocks are memoized. Takes effect at
-    /// the next [`load_block`](Engine::load_block).
+    /// is [`SearchMode::Auto`]. Takes effect at the next
+    /// [`load_block`](Engine::load_block).
     pub fn set_search_profile(&mut self, profile: SearchProfile) {
         self.search_profile = profile;
     }
@@ -601,10 +581,6 @@ impl Engine {
         self.phys2log[spare] = slot;
         self.log2phys[slot] = spare;
         self.remap_active = true;
-        // A remap decouples physical state from the programmed key
-        // sequence; drop any memoized hit vectors. (Defensive: remaps
-        // require an active fault model, which already disables the memo.)
-        self.memo.clear();
         self.faults.row_remaps = self.faults.row_remaps.saturating_add(1);
         if self.tracer.enabled() {
             self.tracer
@@ -647,6 +623,17 @@ impl Engine {
         }
     }
 
+    /// Programming time of one slot: the CAM key programs as one ternary
+    /// word while the MAC row programs its values in the paired array
+    /// concurrently, so the slower of the two paces the row.
+    fn slot_program_ns(&self, codes: Option<&[u32]>) -> Nanos {
+        let cam_ns = self.config.energy.row_program_ns(1);
+        match codes {
+            Some(c) => cam_ns.max(self.config.energy.row_program_ns(c.len())),
+            None => cam_ns,
+        }
+    }
+
     /// Programs one logical slot (CAM key plus optional MAC codes) with
     /// write-verify, bounded retry, and spare-row remapping per the
     /// [`RecoveryPolicy`](crate::RecoveryPolicy). Returns the programming
@@ -657,12 +644,7 @@ impl Engine {
         key: u128,
         codes: Option<&[u32]>,
     ) -> Result<Nanos, CoreError> {
-        let cam_ns = self.config.energy.row_program_ns(1);
-        let attempt_ns = match codes {
-            Some(c) => cam_ns.max(self.config.energy.row_program_ns(c.len())),
-            None => cam_ns,
-        };
-        let verify = self.verify_on();
+        let attempt_ns = self.slot_program_ns(codes);
         let mut ns = Nanos::ZERO;
         loop {
             let phys = self.log2phys[slot];
@@ -673,9 +655,6 @@ impl Engine {
                     self.mac.write_row(phys, c)?;
                 }
                 ns += attempt_ns;
-                if !verify {
-                    return Ok(ns);
-                }
                 ns += self.config.energy.verify_read_ns;
                 self.faults.verify_reads = self.faults.verify_reads.saturating_add(1);
                 if self.row_matches(phys, key, codes)? {
@@ -697,6 +676,10 @@ impl Engine {
     /// Loads a block of edges into the working CAM+MAC bank (data loading
     /// phase). Ends any previous block.
     ///
+    /// Without write-verify the CAM programs the whole block in one
+    /// [`CamCrossbar::program_block`] write; with it, every slot programs
+    /// through write-verify, retry and remapping.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the block exceeds the bank
@@ -717,48 +700,52 @@ impl Engine {
         self.end_block();
         self.in_block = true;
 
-        self.cam.invalidate_all();
         self.block_len = edges.len();
         let block = Block::new(edges);
-
-        // Resolve the host search algorithm for this block before
-        // programming: the memo registers key sequences only for blocks
-        // that resolve Indexed, so the decision must precede the loop.
-        // Only dense sweeps repeat their searches on a reload; a frontier
-        // block would fill the memo with vectors nothing replays.
         let resolved = self.resolve_block_mode(&block);
         self.cam.set_search_mode(resolved);
-        self.memo_active = self.memo_enabled
-            && resolved == SearchMode::Indexed
-            && self.search_profile == SearchProfile::OnePerKey;
 
-        let mut program_ns = Nanos::ZERO;
         self.key_buf.clear();
+        self.key_buf.extend(
+            edges
+                .iter()
+                .map(|e| (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw())),
+        );
+        let verify = self.verify_on();
+        if verify {
+            // Write-verify keeps the per-slot loop: a retry draws from the
+            // CAM's stream before the next row is written, so batching the
+            // writes would shift every later fault outcome. Counter-based
+            // fault draws (ROADMAP item 3) would let this path go too.
+            self.cam.invalidate_all();
+        } else {
+            // Without verification nothing remaps, so slot `i` is physical
+            // row `i` and the whole block programs as one bank write.
+            self.cam.program_block(&self.key_buf)?;
+        }
+        // Each slot's programming time still accrues in slot order, so the
+        // f64 sum is the same whichever path wrote the CAM.
+        let mut program_ns = Nanos::ZERO;
         let mut codes = std::mem::take(&mut self.codes_buf);
         for (slot, e) in edges.iter().enumerate() {
-            let key = (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw());
-            // The CAM key programs as one ternary word; the MAC row
-            // programs its values in the paired array concurrently — the
-            // slower of the two paces the row. Under an active fault model
-            // the slot programs through write-verify/retry/remap.
-            program_ns += match cells {
+            let row_codes = match cells {
                 CellLayout::PerEdge(f) => {
                     codes.clear();
                     f(e, &mut codes);
-                    self.program_slot(slot, key, Some(&codes))?
+                    Some(codes.as_slice())
                 }
-                CellLayout::Preset => self.program_slot(slot, key, None)?,
+                CellLayout::Preset => None,
             };
-            if self.memo_active {
-                self.key_buf.push(key);
-            }
+            program_ns += if verify {
+                self.program_slot(slot, self.key_buf[slot], row_codes)?
+            } else {
+                if let Some(c) = row_codes {
+                    self.mac.write_row(slot, c)?;
+                }
+                self.slot_program_ns(row_codes)
+            };
         }
         self.codes_buf = codes;
-        if self.memo_active {
-            // Re-loading a block with the same key sequence revives its
-            // memoized hit vectors; a new block starts an empty memo entry.
-            self.memo.begin_block(&self.key_buf);
-        }
 
         let bytes = edges.len() as u64 * self.config.edge_record_bytes;
         self.input_buf.write(bytes);
@@ -811,24 +798,12 @@ impl Engine {
     /// upsets, and translates physical hit rows back to logical slots.
     ///
     /// The search is *always* billed (time, energy, `cam_searches`) as one
-    /// physical CAM operation — the hardware searches every time. When the
-    /// memo is active the host may replay the hit vector a previous search
-    /// on this exact block content derived, which is what makes the memo
-    /// invisible in every [`RunReport`].
+    /// physical CAM operation per vote — the hardware searches every time.
     fn searched_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
         let ns = self.config.energy.cam_search_ns;
         self.current
             .add_phase(Phase::CamSearch, ns, self.record_ops);
         self.trace_op(Phase::CamSearch, ns);
-        if self.memo_active {
-            // gaasx-lint: hot
-            if let Some(words) = self.memo.lookup(key, mask) {
-                out.copy_from_words(self.config.cam_geometry.rows, words);
-                self.cam.count_replayed_search();
-                return;
-            }
-            // gaasx-lint: end-hot
-        }
         self.cam.search_into(key, mask, out);
         if self.fault_active && self.config.recovery.cam_double_check {
             // Two extra searches; a per-row majority vote masks any single
@@ -859,8 +834,6 @@ impl Engine {
             // past its occupancy, or an unmapped spare) are dropped
             // first: algorithms index the block by slot. Without upsets
             // every hit is on a valid mapped row, so nothing drops.
-            // (Both need an active fault model, so this never runs on
-            // the memoized steady-state path.)
             std::mem::swap(out, &mut self.hits_scratch);
             out.reset(self.hits_scratch.len());
             for phys in self.hits_scratch.iter_ones() {
@@ -869,10 +842,6 @@ impl Engine {
                     out.set(slot);
                 }
             }
-            return;
-        }
-        if self.memo_active {
-            self.memo.insert(key, mask, out);
         }
     }
 
@@ -1212,9 +1181,6 @@ impl Engine {
         if self.in_block {
             self.costs.push(std::mem::take(&mut self.current));
             self.in_block = false;
-            // Cached vectors survive for future re-loads of the same block
-            // content; only the live registration ends with the block.
-            self.memo.end_block();
         }
     }
 
@@ -1319,8 +1285,8 @@ impl Engine {
     /// Clears every per-run accounting accumulator so a resident engine
     /// can serve its next query with a clean report, while leaving device
     /// state in place: programmed CAM/MAC contents, endurance wear maps,
-    /// transient fault RNG streams, spare-row remappings, and warm search
-    /// memos all survive. The deadline is cleared (it is per-query).
+    /// transient fault RNG streams, and spare-row remappings all survive.
+    /// The deadline is cleared (it is per-query).
     pub fn reset_accounting(&mut self) {
         self.costs.clear();
         self.current = BlockCost::default();
@@ -2519,24 +2485,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_per_block_and_gates_the_memo_on_the_resolved_mode() {
-        // Regression for the construction-time memo gate: with Auto (the
-        // default) a single bank can mix Linear and Indexed blocks, and
-        // only the Indexed ones may memoize. small() keeps the default
-        // Auto mode and OnePerKey profile.
+    fn auto_resolves_each_block_on_its_own_shape() {
+        // With Auto (the default) a single bank can mix Linear and Indexed
+        // blocks. small() keeps the default Auto mode and OnePerKey
+        // profile.
         let mut e = Engine::new(GaasXConfig::small()).unwrap();
         assert_eq!(e.config().search_mode, SearchMode::Auto);
 
         // Dense block: 128 edges, all-distinct dsts → cost model picks
-        // Indexed, which enables the memo for this block.
+        // Indexed.
         let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
         let b = e.load_block(&dense, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        assert!(e.memo_active, "Indexed-resolved block must memoize");
         let first = e.search_dst(VertexId::new(1000));
         assert_eq!(first.count(), 1);
-        // The replay path serves the repeat without touching the device's
-        // index bookkeeping — same hits, device counter still advances.
+        // A repeat probes the clean index: same hits, and the device
+        // counter still advances.
         let searches_before = e.cam.stats().cam_searches;
         let again = e.search_dst(VertexId::new(1000));
         assert_eq!(again, first);
@@ -2545,23 +2509,21 @@ mod tests {
 
         // Degenerate block on the same bank: 100 edges, 2 distinct dsts →
         // 2 searches per visit never amortize an index build; the model
-        // picks Linear and the memo must stay off.
+        // picks Linear.
         let skewed: Vec<Edge> = (0..100u32)
             .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
             .collect();
         let _b2 = e.load_block(&skewed, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
-        assert!(!e.memo_active, "Linear-resolved block must not memoize");
         let hits = e.search_dst(VertexId::new(5000));
         assert_eq!(hits.count(), 50);
         // Repeated searches on the linear block stay correct too.
         assert_eq!(e.search_dst(VertexId::new(5000)), hits);
 
-        // A third dense block flips back to Indexed with the memo alive.
+        // A third dense block flips back to Indexed.
         let dense2: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 7000 + i, 1.0)).collect();
         let _b3 = e.load_block(&dense2, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        assert!(e.memo_active);
         assert_eq!(e.search_dst(VertexId::new(7003)).count(), 1);
     }
 
@@ -2569,7 +2531,7 @@ mod tests {
     fn fixed_modes_bypass_the_cost_model() {
         // A fixed config mode must never be second-guessed per block: the
         // degenerate 2-distinct-dst shape resolves Linear under Auto, but
-        // an Indexed config keeps Indexed (and its memo).
+        // an Indexed config keeps Indexed.
         let skewed: Vec<Edge> = (0..100u32)
             .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
             .collect();
@@ -2581,7 +2543,6 @@ mod tests {
             .unwrap();
             let _b = e.load_block(&skewed, CellLayout::Preset).unwrap();
             assert_eq!(e.resolved_search_mode(), fixed);
-            assert_eq!(e.memo_active, fixed == SearchMode::Indexed);
         }
     }
 
@@ -2599,22 +2560,19 @@ mod tests {
         assert_eq!(e.search_profile(), SearchProfile::Frontier);
         let _b = e.load_block(&block, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
-        assert!(!e.memo_active);
 
         let mut e2 = engine();
         e2.set_search_profile(SearchProfile::OnePerKey);
         let _b = e2.load_block(&block, CellLayout::Preset).unwrap();
         assert_eq!(e2.resolved_search_mode(), SearchMode::Indexed);
-        assert!(e2.memo_active);
         assert_eq!(e2.search_dst(VertexId::new(1000)).count(), 1);
     }
 
     #[test]
-    fn only_one_per_key_blocks_enter_the_memo() {
-        // Both engines resolve every block Indexed (fixed mode), so only
-        // the declared profile decides admission: a frontier engine caches
-        // nothing across a reload, a dense sweep replays, and the memo
-        // stays invisible in the report either way.
+    fn search_profile_never_changes_a_report_across_reloads() {
+        // Both engines resolve every block Indexed (fixed mode), so the
+        // declared profile is the only difference: the hits and the
+        // report must not depend on it, across a reload of the block.
         let block: Vec<Edge> = (0..128u32)
             .map(|i| Edge::new(i % 16, 1000 + i % 32, 1.0))
             .collect();
@@ -2626,22 +2584,17 @@ mod tests {
             .unwrap();
             e.set_search_profile(profile);
             let mut hits = Vec::new();
-            let mut replayable = 0;
             for _visit in 0..2 {
                 let _b = e.load_block(&block, CellLayout::Preset).unwrap();
                 assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
                 for v in 0..32u32 {
-                    let key = u128::from(1000 + v);
-                    replayable += usize::from(e.memo.lookup(key, 0xFFFF_FFFF).is_some());
                     hits.push(e.search_dst(VertexId::new(1000 + v)));
                 }
             }
-            (replayable, hits, e.finish("t", "t", "t", 1, 8))
+            (hits, e.finish("t", "t", "t", 1, 8))
         };
-        let (frontier_replays, frontier_hits, frontier_report) = run(SearchProfile::Frontier);
-        let (dense_replays, dense_hits, dense_report) = run(SearchProfile::OnePerKey);
-        assert_eq!(frontier_replays, 0, "a frontier block must cache nothing");
-        assert_eq!(dense_replays, 32, "the reload must replay every search");
+        let (frontier_hits, frontier_report) = run(SearchProfile::Frontier);
+        let (dense_hits, dense_report) = run(SearchProfile::OnePerKey);
         assert_eq!(frontier_hits, dense_hits);
         assert!(frontier_hits.iter().all(|h| h.count() == 4));
         assert_eq!(frontier_report, dense_report);

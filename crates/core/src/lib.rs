@@ -39,7 +39,6 @@
 
 mod accelerator;
 mod error;
-mod memo;
 mod sfu;
 
 pub mod algorithms;

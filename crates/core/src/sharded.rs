@@ -215,8 +215,8 @@ impl ShardedEngine {
 
     /// Clears per-run accounting on the primary and every worker so a
     /// resident sharded engine can serve its next query with a clean
-    /// report (see [`Engine::reset_accounting`] — device state, wear, and
-    /// warm memos survive).
+    /// report (see [`Engine::reset_accounting`] — device state and wear
+    /// survive).
     ///
     /// Worker tracers are re-attached from the primary's tracer: `finish`
     /// folds worker metric registries into the primary *without* clearing

@@ -2,12 +2,12 @@
 //! selective MAC gather on an already-loaded block — must not touch the
 //! heap. The engine owns reusable hit-vector, chunk, input, and MAC-output
 //! buffers that are sized on the first pass; every later pass (the common
-//! case: PageRank runs tens of iterations over the same blocks) replays
-//! searches from the memo and gathers into the warm buffers. The same holds
-//! under CAM upsets, where every search is physically triple-voted into
-//! engine-owned scratch vectors, and for a frontier traversal on a deep
-//! bank, whose searches after every block reload rebuild the chained
-//! field index in its warm buffers and probe it without the memo.
+//! case: PageRank runs tens of iterations over the same blocks) probes the
+//! clean field index and gathers into the warm buffers — nothing is
+//! replayed. The same holds under CAM upsets, where every search is
+//! physically triple-voted into engine-owned scratch vectors, and for a
+//! frontier traversal on a deep bank, whose searches after every block
+//! reload rebuild the chained field index in its warm buffers.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -54,8 +54,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_search_and_gather_allocate_nothing() {
     measure_steady_state(GaasXConfig::small(), true);
-    // Under CAM upsets every search is physically triple-voted (the memo
-    // is off under faults); the vote must reuse the engine's scratch.
+    // Under CAM upsets every search is physically triple-voted; the vote
+    // must reuse the engine's scratch.
     measure_steady_state(
         GaasXConfig {
             fault: FaultModel {
@@ -125,9 +125,9 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
         .unwrap();
     let mut hits = HitVector::new(0);
 
-    // Two warm passes: the first physically searches and populates the memo
-    // and the engine's scratch buffers; the second confirms the replay path
-    // works and settles every buffer at its steady-state capacity.
+    // Two warm passes: the first builds the field index and sizes the
+    // engine's scratch buffers; the second probes the clean index and
+    // settles every buffer at its steady-state capacity.
     let mut warm_total = 0u64;
     for _ in 0..2 {
         for &dst in block.distinct_dsts() {

@@ -4,8 +4,8 @@
 //! built once at registration: the layout is host data, not bank state,
 //! so it outlives evictions and panic replacements, and no query
 //! partitions again. It also keeps a programmed [`ShardedEngine`] alive
-//! between queries so consecutive queries reuse the warm search memo;
-//! per-query accounting is wiped with
+//! between queries so consecutive queries skip building engines and
+//! their warm host buffers; per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
 //! wear, fault RNG streams, spare-row remaps — persists, exactly as it
 //! would on real hardware. Eviction drops the engines (freeing the
@@ -114,7 +114,7 @@ impl ResidentGraph {
     }
 
     /// Drops the programmed engines, freeing the modeled banks. The next
-    /// query reprograms from scratch (fresh wear, fresh memo).
+    /// query reprograms from scratch (fresh wear).
     pub fn evict(&mut self) {
         self.exec = None;
     }

@@ -43,7 +43,9 @@ use crate::cam::SearchMode;
 use crate::energy::DeviceEnergyModel;
 
 /// How an algorithm queries the blocks it loads — the access-pattern
-/// input of the [`SearchCostModel`].
+/// input of the [`SearchCostModel`], and nothing else: it only steers how
+/// an `Auto` engine resolves each block, never what a run computes or
+/// bills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum SearchProfile {
@@ -243,7 +245,7 @@ mod tests {
     fn degenerate_key_sets_resolve_linear_even_for_dense_sweeps() {
         // A block whose searched field holds 2 distinct values sees 2
         // searches per visit: no number of hits amortizes a 128-entry
-        // build. (This is the shape the engine's mixed-bank memo
+        // build. (This is the shape the engine's mixed-bank resolver
         // regression test uses.)
         let m = model();
         let skewed = BlockShape {

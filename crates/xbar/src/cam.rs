@@ -212,9 +212,9 @@ pub struct CamCrossbar {
     /// Lazily created per-mask exact-match indexes (at most
     /// [`MAX_INDEXED_MASKS`]; further masks use the linear scan).
     indexes: Vec<FieldIndex>,
-    /// How many of `indexes` are clean at the current epoch. Block loading
-    /// issues one `write` per edge while every index is stale, so the
-    /// per-write patch loop reduces to a single zero-check here.
+    /// How many of `indexes` are clean at the current epoch. Verified block
+    /// loading issues one `write` per edge while every index is stale, so
+    /// the per-write patch loop reduces to a single zero-check here.
     clean_indexes: u32,
     /// Debug-build scratch for cross-checking every search result against
     /// the scalar scan without allocating per search.
@@ -259,12 +259,15 @@ impl CamCrossbar {
         }
     }
 
-    /// Selects the host search algorithm. Switching drops any built
-    /// indexes; they are rebuilt lazily when indexed searches resume.
+    /// Selects the host search algorithm. Switching turns every built
+    /// index stale, so Linear-mode writes patch nothing; the indexes keep
+    /// their buffers and rebuild lazily when indexed searches resume. An
+    /// `Auto` engine switches per block, so dropping the buffers would
+    /// reallocate them on every Indexed block after a Linear one.
     pub fn set_search_mode(&mut self, mode: SearchMode) {
         if mode != self.mode {
             self.mode = mode;
-            self.indexes.clear();
+            self.epoch = self.epoch.wrapping_add(1);
             self.clean_indexes = 0;
         }
     }
@@ -367,15 +370,65 @@ impl CamCrossbar {
         };
         let old = self.entries[row];
         self.entries[row] = stored;
-        // Block programs rewrite whole banks, often for blocks the index
-        // or the memo serves, so the write only stales the row's plane
-        // word; a packed search rebuilds it in bulk if one ever comes.
+        // Most blocks are served by the index, so the write only stales
+        // the row's plane word; a packed search rebuilds it in bulk if one
+        // ever comes.
         self.packed.mark_stale(row);
         self.patch_indexes(old, stored, row);
-        self.stats.row_writes += 1;
-        // A TCAM cell is a complementary ReRAM pair: 2 device writes per bit.
-        self.stats.cells_written += 2 * self.geometry.width_bits as u64;
+        self.bill_row_writes(1);
         Ok(())
+    }
+
+    /// Programs a whole block in one bank write (the paper's data-loading
+    /// phase, §III-B): row `i` stores `keys[i]` and every row past
+    /// `keys.len()` is left invalid.
+    ///
+    /// Equivalent to [`invalidate_all`](Self::invalidate_all) followed by
+    /// [`write`](Self::write)`(i, keys[i])` for every `i`: the same stored
+    /// bits, the same billing, and the same fault outcomes — stuck bits
+    /// and transient write-failure draws apply per row, in row order, from
+    /// this CAM's own stream. Host-side it skips the per-row bookkeeping:
+    /// the indexes and every plane word turn stale once for the block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XbarError::RowOutOfRange`] without touching the CAM if
+    /// the block has more keys than the geometry has rows.
+    pub fn program_block(&mut self, keys: &[u128]) -> Result<(), XbarError> {
+        let rows = self.geometry.rows;
+        if keys.len() > rows {
+            return Err(XbarError::RowOutOfRange {
+                row: keys.len() - 1,
+                rows,
+            });
+        }
+        let width_mask = self.width_mask;
+        let (written, rest) = self.entries.split_at_mut(keys.len());
+        for (row, (e, &key)) in written.iter_mut().zip(keys).enumerate() {
+            let masked = key & width_mask;
+            *e = CamEntry {
+                bits: match self.faults.as_mut() {
+                    Some(faults) => faults.programmed(row, masked) & width_mask,
+                    None => masked,
+                },
+                valid: true,
+            };
+        }
+        for e in rest {
+            e.valid = false;
+        }
+        self.packed.mark_all_stale();
+        self.epoch = self.epoch.wrapping_add(1);
+        self.clean_indexes = 0;
+        self.bill_row_writes(keys.len() as u64);
+        Ok(())
+    }
+
+    /// Bills `rows` row-programming bursts.
+    fn bill_row_writes(&mut self, rows: u64) {
+        self.stats.row_writes += rows;
+        // A TCAM cell is a complementary ReRAM pair: 2 device writes per bit.
+        self.stats.cells_written += 2 * self.geometry.width_bits as u64 * rows;
     }
 
     /// Invalidates `row` without counting a programming burst (valid bits
@@ -411,9 +464,7 @@ impl CamCrossbar {
         // rebuilds whatever the new block programmed.
         self.packed.mark_all_stale();
         // Bulk clears only bump the epoch: every index turns stale at once
-        // and rebuilds lazily on its next indexed search. Memoized
-        // steady-state iterations never physically search a reloaded block
-        // again, so they pay no index maintenance here at all.
+        // and rebuilds lazily on its next indexed search.
         self.epoch = self.epoch.wrapping_add(1);
         self.clean_indexes = 0;
     }
@@ -552,11 +603,10 @@ impl CamCrossbar {
 
     /// Counts one CAM search without recomputing a hit vector.
     ///
-    /// The engine's per-block search memo replays a previously derived hit
-    /// vector when the loaded block is untouched — but the simulated
-    /// hardware still performs the physical search every time, so the
-    /// device counter (and therefore energy accounting) must advance
-    /// exactly as for [`search`](Self::search).
+    /// The engine's fault-free CAM vote re-searches unchanged entries and
+    /// reuses the first result — but the simulated hardware still performs
+    /// every physical search, so the device counter (and therefore energy
+    /// accounting) must advance exactly as for [`search`](Self::search).
     pub fn count_replayed_search(&mut self) {
         self.stats.cam_searches += 1;
     }
@@ -669,6 +719,29 @@ mod tests {
         }
         c.invalidate_all();
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn program_block_fills_a_prefix_and_rejects_an_oversized_block() {
+        let mut c = cam();
+        for i in 0..10 {
+            c.write(i, 99).unwrap();
+        }
+        c.program_block(&[5, 6, 7]).unwrap();
+        assert_eq!(c.occupancy(), 3);
+        assert_eq!(
+            c.read(2).unwrap(),
+            CamEntry {
+                bits: 7,
+                valid: true
+            }
+        );
+        assert_eq!(c.search(99, u128::MAX).count(), 0);
+        assert_eq!(c.stats().row_writes, 13);
+        let before = c.stats().clone();
+        assert!(c.program_block(&[0; 129]).is_err());
+        assert_eq!(c.stats(), &before);
+        assert_eq!(c.occupancy(), 3, "a rejected block leaves the CAM alone");
     }
 
     #[test]
@@ -864,6 +937,14 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b, d);
         assert_eq!(c.stats().cam_searches, 3);
+        // A write in Linear mode must not leave the kept index answering
+        // with the old contents once Indexed searches resume.
+        c.set_search_mode(SearchMode::Linear);
+        c.write(0, 1).unwrap();
+        c.invalidate(1).unwrap();
+        c.set_search_mode(SearchMode::Indexed);
+        let e = c.search(1, DST_MASK);
+        assert_eq!(e.iter_ones().collect::<Vec<_>>(), vec![0, 4, 7]);
     }
 
     #[test]

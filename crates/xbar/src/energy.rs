@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use gaasx_sim::{Nanojoules, Nanos, Picojoules};
 
+use crate::error::XbarError;
 use crate::XbarStats;
 
 /// Number of MAC (and CAM) crossbar banks in the paper's configuration.
@@ -89,6 +90,41 @@ impl DeviceEnergyModel {
             sfu_op_ns: Nanos::from_ns(1.0),
             static_mw,
         }
+    }
+
+    /// Checks that every latency, energy and static-power field is a
+    /// finite, non-negative number. A NaN latency would silently vanish
+    /// from the makespan, a negative one shrink it, and an infinite one
+    /// poison every report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XbarError::InvalidParameter`] naming the first offending
+    /// field.
+    pub fn validate(&self) -> Result<(), XbarError> {
+        let fields = [
+            ("mac_op_pj", self.mac_op_pj.pj()),
+            ("mac_op_ns", self.mac_op_ns.ns()),
+            ("cam_search_pj", self.cam_search_pj.pj()),
+            ("cam_search_ns", self.cam_search_ns.ns()),
+            ("cell_write_pj", self.cell_write_pj.pj()),
+            ("cam_bit_write_pj", self.cam_bit_write_pj.pj()),
+            ("row_write_ns", self.row_write_ns.ns()),
+            ("value_program_ns", self.value_program_ns.ns()),
+            ("verify_read_pj", self.verify_read_pj.pj()),
+            ("verify_read_ns", self.verify_read_ns.ns()),
+            ("sfu_op_pj", self.sfu_op_pj.pj()),
+            ("sfu_op_ns", self.sfu_op_ns.ns()),
+            ("static_mw", self.static_mw),
+        ];
+        for (name, value) in fields {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(XbarError::InvalidParameter(format!(
+                    "energy model: {name} {value} must be finite and non-negative"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Dynamic energy of a device stats block.

@@ -3,8 +3,7 @@
 //! The standard library's default hasher (SipHash-1-3) is keyed and
 //! DoS-resistant, but costs tens of nanoseconds per 16-byte CAM key — more
 //! than the entire crossbar scan it is supposed to replace. The indexed
-//! search path and the search memo hash millions of fixed-width integer
-//! keys per run, all derived from graph data the process itself generated,
+//! search path hashes millions of fixed-width integer keys per run, all derived from graph data the process itself generated,
 //! so collision-flooding resistance buys nothing here. [`FxHasher`] is the
 //! classic Firefox/rustc multiply-rotate fold: one wrapping multiply per
 //! word, a few instructions per key.

@@ -99,15 +99,6 @@ impl HitVector {
         self.words[index / 64] |= 1 << (index % 64);
     }
 
-    /// Makes this vector a `len`-row copy of `words` (the packed form
-    /// [`words`](HitVector::words) returns), reusing the word buffer — the
-    /// memoized-search replay path.
-    pub fn copy_from_words(&mut self, len: usize, words: &[u64]) {
-        self.len = len;
-        self.words.clear();
-        self.words.extend_from_slice(words);
-    }
-
     /// Number of 64-row words backing this vector.
     pub fn num_words(&self) -> usize {
         self.words.len()
@@ -436,17 +427,6 @@ mod tests {
         assert_eq!(hv.len(), 200);
         hv.set(199);
         assert_eq!(hv.iter_ones().collect::<Vec<_>>(), vec![199]);
-    }
-
-    #[test]
-    fn copy_from_words_duplicates_any_length() {
-        let src = HitVector::from_indices(70, &[0, 69]);
-        let mut dst = HitVector::new(0);
-        dst.copy_from_words(src.len(), src.words());
-        assert_eq!(dst, src);
-        let shorter = HitVector::from_indices(10, &[3]);
-        dst.copy_from_words(shorter.len(), shorter.words());
-        assert_eq!(dst, shorter);
     }
 
     #[test]

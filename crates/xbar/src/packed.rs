@@ -19,8 +19,8 @@
 //! per row, plus a second one for the high half only when some row of the
 //! word has a nonzero high half (the paper's 32+32-bit edge keys never do,
 //! so those planes are simply zeroed). Every block program rewrites the
-//! whole bank and most blocks are served by the exact-match index or the
-//! search memo, never by the planes, so a write costs one OR and the
+//! whole bank and most blocks are served by the exact-match index, never
+//! by the planes, so a block program only marks every word stale and the
 //! planes are paid for only when a search needs them — in bulk.
 
 use crate::cam::CamEntry;

@@ -5,7 +5,9 @@
 //! must return exactly the hit vector of a reference scan this test
 //! builds from the public [`CamCrossbar::read`]. Quantized MAC bursts,
 //! full and restricted, must equal a bit-sliced reference built from the
-//! public [`MacCrossbar::read_cell`].
+//! public [`MacCrossbar::read_cell`]. A bulk
+//! [`CamCrossbar::program_block`] must leave a CAM exactly as
+//! `invalidate_all` plus one `write` per row does.
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
@@ -307,6 +309,96 @@ proptest! {
         }
         let upset_count = cam.fault_stats().map_or(0, |f| f.cam_upsets);
         prop_assert_eq!(wrong_lines, upset_count, "mismatches must all be counted upsets");
+    }
+
+    /// Twin crossbars from the same arbitrary prior state: one programs a
+    /// block with `program_block`, the other with `invalidate_all` plus one
+    /// `write` per row. Fault-free or with stuck cells and transient write
+    /// failures on the same seed, they must agree on every stored row, the
+    /// billing, the fault counters, packed and indexed searches, and the
+    /// next transient draw.
+    #[test]
+    fn program_block_matches_invalidate_all_plus_writes(
+        prior in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 0..60),
+        keys in prop::collection::vec((any::<u8>(), any::<u8>()), 0..=130),
+        depth_ix in 0usize..4,
+        seed in any::<u64>(),
+        faulty in any::<bool>(),
+        indexed_first in any::<bool>(),
+    ) {
+        let rows = [64usize, 70, 128, 130][depth_ix];
+        // The mode the prior searches ran in is searched first after the
+        // program, so a stale index or plane word would answer.
+        let modes = if indexed_first {
+            [SearchMode::Indexed, SearchMode::Linear]
+        } else {
+            [SearchMode::Linear, SearchMode::Indexed]
+        };
+        let g = CamGeometry {
+            rows,
+            ..CamGeometry::paper()
+        };
+        // Few distinct field values, so searches hit several rows.
+        let key_of = |src: u8, dst: u8| (u128::from(src % 8) << 32) | u128::from(dst % 8);
+        let keys: Vec<u128> = keys.iter().take(rows).map(|&(s, d)| key_of(s, d)).collect();
+        let twin = || {
+            let mut cam = CamCrossbar::new(g);
+            cam.set_search_mode(modes[0]);
+            if faulty {
+                cam.set_faults(Some(CamFaultState::new(
+                    FaultModel {
+                        seed,
+                        cam_stuck_ber: 0.01,
+                        write_fail_rate: 0.2,
+                        ..FaultModel::none()
+                    },
+                    &g,
+                )));
+            }
+            // Prior contents, with the index or the planes clean.
+            let mut hv = HitVector::new(0);
+            for &(code, row, v) in &prior {
+                let row = usize::from(row) % rows;
+                match code {
+                    0 | 1 => cam.write(row, key_of(v, v >> 3)).unwrap(),
+                    2 => cam.invalidate(row).unwrap(),
+                    _ => {
+                        cam.search_into(u128::from(v % 8), DST_MASK, &mut hv);
+                        cam.search_into(u128::from(v % 8) << 32, SRC_MASK, &mut hv);
+                    }
+                }
+            }
+            cam
+        };
+        let mut bulk = twin();
+        let mut rowwise = twin();
+        bulk.program_block(&keys).unwrap();
+        rowwise.invalidate_all();
+        for (row, &key) in keys.iter().enumerate() {
+            rowwise.write(row, key).unwrap();
+        }
+        for row in 0..rows {
+            prop_assert_eq!(bulk.read(row).unwrap(), rowwise.read(row).unwrap(), "row {}", row);
+        }
+        prop_assert_eq!(bulk.stats(), rowwise.stats());
+        prop_assert_eq!(bulk.fault_stats(), rowwise.fault_stats());
+        let (mut a, mut b) = (HitVector::new(0), HitVector::new(0));
+        for mode in modes {
+            bulk.set_search_mode(mode);
+            rowwise.set_search_mode(mode);
+            for v in 0..8u128 {
+                for (key, mask) in [(v << 32, SRC_MASK), (v, DST_MASK)] {
+                    prop_assert_eq!(search_vs_reference(&mut bulk, key, mask, &mut a), 0);
+                    rowwise.search_into(key, mask, &mut b);
+                    prop_assert_eq!(&a, &b, "{} search {:#x}/{:#x}", mode, key, mask);
+                }
+            }
+        }
+        // The next write on each twin draws from the same stream position.
+        bulk.write(rows - 1, key_of(5, 6)).unwrap();
+        rowwise.write(rows - 1, key_of(5, 6)).unwrap();
+        prop_assert_eq!(bulk.read(rows - 1).unwrap(), rowwise.read(rows - 1).unwrap());
+        prop_assert_eq!(bulk.fault_stats(), rowwise.fault_stats());
     }
 
     /// Quantized MAC bursts — full (`mac`) and restricted read-out

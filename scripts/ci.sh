@@ -62,9 +62,11 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC x banks x fault x jobs vs reference orac
 # that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
-echo "==> matcher equivalence (release): packed matcher + chained field index vs reference scan"
+echo "==> matcher equivalence (release): packed matcher + chained field index vs reference scan, program_block twin check"
 # Release builds compile out the per-search debug cross-check against the
 # scalar scan, so this is the only release-mode check of the field index.
+# It also runs the program_block twin check: a bulk block program must
+# leave a CAM exactly as invalidate_all plus one write per row does.
 cargo test -q --release --offline -p gaasx-xbar --test packed_equivalence
 
 echo "==> trace-export smoke: Chrome-trace JSON well-formedness"

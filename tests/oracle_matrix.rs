@@ -16,6 +16,11 @@
 //! cross-check every CAM search against the scalar scan inside the
 //! crossbar, so running it under `--release` covers the binary shape the
 //! benchmarks time.
+//!
+//! Stuck cells without write-verify are the one fault row checked for
+//! identity rather than oracle answers: nothing repairs the cells, but
+//! stuck bits draw no random numbers, so reruns and sharded runs must
+//! report exactly what the serial run does.
 
 #![allow(clippy::unwrap_used)]
 use gaasx::baselines::reference;
@@ -167,4 +172,62 @@ fn every_run_matches_the_oracles() {
             assert_eq!(cc.result, cc_oracle, "{}", label("cc"));
         }
     }
+}
+
+/// Stuck cells with write-verify off: every block programs through the
+/// bulk CAM write with fault state attached. Stuck bits are positional
+/// and draw nothing, so a rerun and a two-worker run must match the
+/// serial run bit for bit, and the faults must show in the answers.
+#[test]
+fn unverified_stuck_faults_are_deterministic_across_reruns_and_jobs() {
+    let graph = rmat(&RmatConfig::new(128, 600).with_seed(7)).unwrap();
+    let src = VertexId::new(0);
+    for bank in ["paper", "deep"] {
+        let clean = bank_config(bank, false);
+        let cfg = GaasXConfig {
+            fault: FaultModel {
+                seed: 0x5EED,
+                cam_stuck_ber: 1e-2,
+                mac_stuck_ber: 1e-2,
+                ..FaultModel::none()
+            },
+            recovery: RecoveryPolicy {
+                write_verify: false,
+                ..RecoveryPolicy::standard()
+            },
+            ..clean.clone()
+        };
+        let pagerank = PageRank::fixed_iterations(PAGERANK_ITERS);
+        let stuck = assert_stuck_runs_agree(&pagerank, &graph, &cfg, bank);
+        let fault_free = GaasX::new(clean).run(&pagerank, &graph).unwrap();
+        assert_ne!(
+            stuck.result, fault_free.result,
+            "bank={bank}: stuck cells must reach the bulk-programmed banks"
+        );
+        assert_stuck_runs_agree(&Bfs::from_source(src), &graph, &cfg, bank);
+    }
+}
+
+/// Runs `algorithm` serially, again, and over two workers, and asserts all
+/// three agree on output and report.
+fn assert_stuck_runs_agree<A>(
+    algorithm: &A,
+    input: &A::Input,
+    cfg: &GaasXConfig,
+    bank: &str,
+) -> RunOutcome<A::Output>
+where
+    A: ShardableAlgorithm,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let serial = GaasX::new(cfg.clone()).run(algorithm, input).unwrap();
+    let rerun = GaasX::new(cfg.clone()).run(algorithm, input).unwrap();
+    let sharded = GaasX::new(cfg.clone())
+        .run_sharded(algorithm, input, 2)
+        .unwrap();
+    for (label, other) in [("rerun", &rerun), ("jobs=2", &sharded)] {
+        assert_eq!(other.result, serial.result, "bank={bank} {label}: output");
+        assert_eq!(other.report, serial.report, "bank={bank} {label}: report");
+    }
+    serial
 }
