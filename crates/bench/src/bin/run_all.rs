@@ -7,9 +7,6 @@
 //! `--jobs <N>` fans the GaaS-X shard streams of the main matrix out over
 //! `N` worker threads (default `GAASX_JOBS` or 1); reported totals are
 //! bit-identical to the serial run.
-//! `--search-mode linear|indexed|auto` picks the GaaS-X host hit-vector
-//! algorithm (default auto); like `--jobs`, it only changes host
-//! wall-clock.
 
 #![allow(clippy::unwrap_used)]
 use std::fs;
@@ -17,21 +14,18 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gaasx_bench::experiments as exp;
-use gaasx_core::SearchMode;
 use gaasx_sim::{EnergyBreakdown, OpSummary};
 
 struct Cli {
     trace: Option<PathBuf>,
     timeline: Option<PathBuf>,
     jobs: usize,
-    search_mode: SearchMode,
 }
 
 fn cli() -> Result<Cli, String> {
     let mut trace = None;
     let mut timeline = None;
     let mut jobs = gaasx_bench::jobs();
-    let mut search_mode = SearchMode::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -53,12 +47,6 @@ fn cli() -> Result<Cli, String> {
                     .filter(|&j| j >= 1)
                     .ok_or("--jobs requires a worker count >= 1")?;
             }
-            "--search-mode" => {
-                search_mode = args
-                    .next()
-                    .ok_or("--search-mode requires a value (linear | indexed | auto)")?
-                    .parse()?;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -66,7 +54,6 @@ fn cli() -> Result<Cli, String> {
         trace,
         timeline,
         jobs,
-        search_mode,
     })
 }
 
@@ -77,7 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace,
         timeline,
         jobs,
-        search_mode,
     } = cli()?;
     let start = Instant::now();
     fs::create_dir_all("results")?;
@@ -91,9 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!(
         "[run_all] simulating GaaS-X + GraphR matrix \
-         (cap {cap} edges, {jobs} job(s), {search_mode} search)..."
+         (cap {cap} edges, {jobs} job(s))..."
     );
-    let matrix = exp::run_matrix_configured(cap, iters, jobs, search_mode)?;
+    let matrix = exp::run_matrix_with_jobs(cap, iters, jobs)?;
     sections.push(("fig11", exp::fig11(&matrix)));
     sections.push(("fig12", exp::fig12(&matrix)));
     sections.push(("fig13", exp::fig13(&matrix)));

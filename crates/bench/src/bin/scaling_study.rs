@@ -9,20 +9,17 @@
 
 //! `--jobs <N>` runs the GaaS-X side on the sharded engine with `N`
 //! worker threads (default `GAASX_JOBS` or 1); the simulated numbers are
-//! bit-identical either way. `--search-mode linear|indexed|auto` picks
-//! the GaaS-X host hit-vector algorithm (default auto), also
-//! report-invariant.
+//! bit-identical either way.
 
 #![allow(clippy::unwrap_used)]
 use gaasx_baselines::{GraphR, GraphRConfig};
 use gaasx_core::algorithms::PageRank;
-use gaasx_core::{GaasX, GaasXConfig, SearchMode};
+use gaasx_core::{GaasX, GaasXConfig};
 use gaasx_graph::datasets::PaperDataset;
 use gaasx_sim::table::{count, ratio, Table};
 
-fn cli_args() -> Result<(usize, SearchMode), String> {
+fn cli_args() -> Result<usize, String> {
     let mut jobs = gaasx_bench::jobs();
-    let mut search_mode = SearchMode::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -33,21 +30,15 @@ fn cli_args() -> Result<(usize, SearchMode), String> {
                     .filter(|&j| j >= 1)
                     .ok_or_else(|| String::from("--jobs requires a worker count >= 1"))?;
             }
-            "--search-mode" => {
-                search_mode = args
-                    .next()
-                    .ok_or("--search-mode requires a value (linear | indexed | auto)")?
-                    .parse()?;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok((jobs, search_mode))
+    Ok(jobs)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let iters = 5;
-    let (jobs, search_mode) = cli_args()?;
+    let jobs = cli_args()?;
     let mut t = Table::new(&[
         "edges",
         "GaaS-X ns/edge/iter",
@@ -58,10 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for cap in [30_000usize, 100_000, 300_000, 1_000_000] {
         let scale = (cap as f64 / PaperDataset::LiveJournal.full_edges() as f64).min(1.0);
         let graph = PaperDataset::LiveJournal.instantiate_graph(scale)?;
-        let mut gx = GaasX::new(GaasXConfig {
-            search_mode,
-            ..GaasXConfig::paper()
-        });
+        let mut gx = GaasX::new(GaasXConfig::paper());
         let pr = PageRank::fixed_iterations(iters);
         let a = if jobs > 1 {
             gx.run_labeled_sharded(&pr, &graph, "LJ", jobs)?.report

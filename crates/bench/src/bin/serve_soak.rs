@@ -92,9 +92,9 @@ fn check_contract(label: &str, server: &Server, responses: &[QueryResponse]) -> 
                     return Err(format!("{label}: rejection billed time: {e}"));
                 }
             }
-            Err(ServeError::UnknownGraph { .. }) => {
+            Err(ServeError::UnknownGraph { .. } | ServeError::InvalidTiming { .. }) => {
                 if r.billed_ns != Nanos::ZERO {
-                    return Err(format!("{label}: unknown-graph rejection billed time"));
+                    return Err(format!("{label}: rejection billed time"));
                 }
             }
             Err(e @ ServeError::DeadlineExceeded { .. })

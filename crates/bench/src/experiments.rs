@@ -66,23 +66,6 @@ pub fn run_matrix_with_jobs(
     pr_iters: u32,
     jobs: usize,
 ) -> BenchResult<Vec<MatrixEntry>> {
-    run_matrix_configured(cap, pr_iters, jobs, gaasx_core::SearchMode::default())
-}
-
-/// [`run_matrix_with_jobs`] with an explicit host search mode for the
-/// GaaS-X side (`--search-mode` on the bench binaries). Like the jobs
-/// knob, the mode changes only host wall-clock: reports are bit-identical
-/// across modes.
-///
-/// # Errors
-///
-/// Propagates generator and simulation errors.
-pub fn run_matrix_configured(
-    cap: usize,
-    pr_iters: u32,
-    jobs: usize,
-    search_mode: gaasx_core::SearchMode,
-) -> BenchResult<Vec<MatrixEntry>> {
     let mut out = Vec::new();
     for ds in PaperDataset::GRAPH_DATASETS {
         let graph = load_graph(ds, cap)?;
@@ -92,7 +75,6 @@ pub fn run_matrix_configured(
         let units = crate::scaled_units(ds, cap);
         let mut accel = GaasX::new(GaasXConfig {
             num_banks: units,
-            search_mode,
             ..GaasXConfig::paper()
         });
         let mut graphr = GraphR::new(GraphRConfig {

@@ -19,7 +19,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod experiments;
 pub mod trace;
 

@@ -98,7 +98,6 @@ impl GaasX {
     ) -> Result<RunOutcome<A::Output>, CoreError> {
         let mut engine = Engine::new(self.config.clone())?;
         engine.set_tracer(self.tracer.clone());
-        engine.set_search_profile(algorithm.search_profile());
         let run = match algorithm.execute(&mut engine, input) {
             Ok(run) => run,
             Err(e) => {
@@ -193,7 +192,6 @@ impl GaasX {
     ) -> Result<RunOutcome<A::Output>, CoreError> {
         let mut sharded = ShardedEngine::new(self.config.clone(), jobs)?;
         sharded.set_tracer(self.tracer.clone());
-        sharded.set_search_profile(algorithm.search_profile());
         let run = match algorithm.execute_on(&mut sharded, input) {
             Ok(run) => run,
             Err(CoreError::DeviceFault {

@@ -48,9 +48,9 @@ impl Algorithm for Bfs {
         input.num_edges() as u64
     }
 
-    fn search_profile(&self) -> gaasx_xbar::SearchProfile {
+    fn search_profile(&self) -> crate::SearchProfile {
         // Searches only frontier sources per superstep, not every key.
-        gaasx_xbar::SearchProfile::Frontier
+        crate::SearchProfile::Frontier
     }
 
     fn execute(

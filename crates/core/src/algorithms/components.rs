@@ -48,9 +48,9 @@ impl Algorithm for ConnectedComponents {
         input.num_edges() as u64
     }
 
-    fn search_profile(&self) -> gaasx_xbar::SearchProfile {
+    fn search_profile(&self) -> crate::SearchProfile {
         // Label propagation searches only vertices whose label changed.
-        gaasx_xbar::SearchProfile::Frontier
+        crate::SearchProfile::Frontier
     }
 
     fn execute(

@@ -32,7 +32,6 @@ use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
 use gaasx_graph::VertexId;
-use gaasx_xbar::SearchProfile;
 
 /// Rejects a source vertex outside a graph of `n` vertices.
 fn check_source(source: VertexId, n: usize) -> Result<(), CoreError> {
@@ -42,6 +41,21 @@ fn check_source(source: VertexId, n: usize) -> Result<(), CoreError> {
         )));
     }
     Ok(())
+}
+
+/// How an algorithm queries the blocks it loads. Descriptive only: the
+/// CAM has one host search path, so nothing in the library reads the
+/// profile, and it never changes what a run computes or bills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SearchProfile {
+    /// One search per distinct key in the block on every visit — the
+    /// dense sweep shape (PageRank, SpMV, GCN and collaborative filtering
+    /// gather every distinct destination each iteration).
+    #[default]
+    OnePerKey,
+    /// Searches only an algorithm-maintained active subset of the block's
+    /// keys per visit (BFS, SSSP and CC expand frontier sources only).
+    Frontier,
 }
 
 /// Result of executing an algorithm: its output plus the iteration count
@@ -67,10 +81,9 @@ pub trait Algorithm {
     /// Number of edges in the input, for throughput reporting.
     fn input_edges(input: &Self::Input) -> u64;
 
-    /// How the algorithm queries the blocks it loads — the workload input
-    /// of the [`SearchMode::Auto`](gaasx_xbar::SearchMode) cost model.
-    /// Dense sweeps (the default) search every distinct key per visit;
-    /// frontier traversals override this to declare their sparse access.
+    /// How the algorithm queries the blocks it loads. Dense sweeps (the
+    /// default) search every distinct key per visit; frontier traversals
+    /// override this to declare their sparse access.
     fn search_profile(&self) -> SearchProfile {
         SearchProfile::OnePerKey
     }

@@ -97,9 +97,9 @@ impl Algorithm for Sssp {
         input.num_edges() as u64
     }
 
-    fn search_profile(&self) -> gaasx_xbar::SearchProfile {
+    fn search_profile(&self) -> crate::SearchProfile {
         // Searches only active (relaxed-last-superstep) sources.
-        gaasx_xbar::SearchProfile::Frontier
+        crate::SearchProfile::Frontier
     }
 
     fn execute(

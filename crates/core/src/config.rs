@@ -6,7 +6,7 @@ use gaasx_sim::des::SchedulePolicy;
 use gaasx_sim::Nanos;
 use gaasx_xbar::energy::DeviceEnergyModel;
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
-use gaasx_xbar::{FaultModel, Fidelity, SearchMode};
+use gaasx_xbar::{FaultModel, Fidelity};
 
 use crate::error::CoreError;
 
@@ -99,13 +99,6 @@ pub struct GaasXConfig {
     /// Write-verify / retry / spare-row recovery policy (off by default).
     #[serde(default)]
     pub recovery: RecoveryPolicy,
-    /// Host algorithm for deriving CAM hit vectors
-    /// ([`SearchMode::Auto`] by default: a per-block cost model resolves
-    /// each loaded block to Linear or Indexed at program time). Purely a
-    /// functional-simulator speed knob: reports are bit-identical in all
-    /// modes.
-    #[serde(default)]
-    pub search_mode: SearchMode,
 }
 
 impl GaasXConfig {
@@ -125,7 +118,6 @@ impl GaasXConfig {
             scheduler: SchedulePolicy::Waves,
             fault: FaultModel::none(),
             recovery: RecoveryPolicy::off(),
-            search_mode: SearchMode::default(),
         }
     }
 
@@ -463,16 +455,6 @@ mod tests {
         let c = GaasXConfig::paper();
         assert!(c.fault.is_none());
         assert_eq!(c.recovery, RecoveryPolicy::off());
-    }
-
-    #[test]
-    fn search_mode_defaults_to_auto() {
-        // Additive field: paper() and serde-defaulted configs pick the
-        // cost-modeled Auto path, which resolves per block and is
-        // report-identical to both fixed modes. (Indexed-by-default was a
-        // measured regression: BENCH_06 showed it slowing fault-free
-        // BFS/CC/SSSP on the paper bank by up to 1.66x.)
-        assert_eq!(GaasXConfig::paper().search_mode, SearchMode::Auto);
     }
 
     #[test]

@@ -37,11 +37,9 @@ use gaasx_sim::{
     RunReport, SramBuffer, Timeline, Tracer, UtilizationReport, CONTROLLER_BANK,
 };
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
-use gaasx_xbar::{
-    BlockShape, CamCrossbar, HitVector, MacCrossbar, MacDirection, SearchCostModel, SearchMode,
-    SearchProfile, XbarStats,
-};
+use gaasx_xbar::{CamCrossbar, HitVector, MacCrossbar, MacDirection, XbarStats};
 
+use crate::algorithms::SearchProfile;
 use crate::config::GaasXConfig;
 use crate::error::CoreError;
 use crate::sfu::Sfu;
@@ -79,9 +77,8 @@ impl std::fmt::Debug for CellLayout<'_> {
 
 /// A loaded block: the controller's metadata for one CAM+MAC bank fill.
 ///
-/// The distinct-vertex lists are derived on first use: a block's search
-/// mode resolution reads at most one of them, and most algorithms iterate
-/// only one field.
+/// The distinct-vertex lists are derived on first use: most algorithms
+/// iterate only one field.
 #[derive(Debug, Clone)]
 pub struct Block {
     rows: Vec<Edge>,
@@ -263,12 +260,6 @@ pub struct Engine {
     /// Recovery activity detected by this engine (verify reads, retries,
     /// remaps); merged across sharded workers and surfaced in the report.
     faults: FaultReport,
-    /// The querying algorithm's declared access pattern — the
-    /// [`SearchCostModel`]'s workload input when resolving `Auto` blocks.
-    search_profile: SearchProfile,
-    /// Per-block Linear-vs-Indexed cost model, calibrated against the
-    /// config's device time base.
-    search_costs: SearchCostModel,
     /// CAM key sequence of the block being loaded: one bulk
     /// [`CamCrossbar::program_block`] write, or the verified per-slot loop.
     key_buf: Vec<u128>,
@@ -312,7 +303,6 @@ impl Engine {
             )));
         }
         let mut cam = CamCrossbar::new(config.cam_geometry);
-        cam.set_search_mode(config.search_mode);
         // Faults apply to the edge-storage CAM/MAC pair; the auxiliary
         // attribute arrays model ECC-protected storage-class banks and
         // stay clean.
@@ -365,8 +355,6 @@ impl Engine {
             remap_active: false,
             phys_buf,
             faults: FaultReport::default(),
-            search_profile: SearchProfile::default(),
-            search_costs: SearchCostModel::calibrated(&config.energy),
             key_buf: Vec::with_capacity(rows),
             codes_buf: Vec::new(),
             hits_scratch: HitVector::new(0),
@@ -385,60 +373,11 @@ impl Engine {
         &self.config
     }
 
-    /// Declares how the running algorithm queries its blocks — the
-    /// [`SearchCostModel`]'s workload input when the config's search mode
-    /// is [`SearchMode::Auto`]. Takes effect at the next
-    /// [`load_block`](Engine::load_block).
-    pub fn set_search_profile(&mut self, profile: SearchProfile) {
-        self.search_profile = profile;
-    }
-
-    /// The declared access pattern ([`SearchProfile::OnePerKey`] until
-    /// overridden).
-    pub fn search_profile(&self) -> SearchProfile {
-        self.search_profile
-    }
-
-    /// The concrete host search algorithm serving the current block.
-    /// Under a fixed config mode this is that mode; under
-    /// [`SearchMode::Auto`] it is whatever the cost model resolved the
-    /// most recently loaded block to.
-    pub fn resolved_search_mode(&self) -> SearchMode {
-        self.cam.search_mode()
-    }
-
-    /// Resolves the search mode for a block about to be programmed: fixed
-    /// config modes pass through; `Auto` asks the cost model, feeding it
-    /// the distinct-key count of the field the declared profile searches
-    /// (dense sweeps probe destinations, frontier expansion probes
-    /// sources) and the physical-search multiplier CAM majority voting
-    /// would impose. Only `Auto` derives a distinct-key list, and only
-    /// that one field's.
-    fn resolve_block_mode(&self, block: &Block) -> SearchMode {
-        match self.config.search_mode {
-            SearchMode::Auto => {
-                let distinct_keys = match self.search_profile {
-                    SearchProfile::OnePerKey => block.distinct_dsts(),
-                    SearchProfile::Frontier => block.distinct_srcs(),
-                }
-                .len();
-                let physical_per_logical =
-                    if self.fault_active && self.config.recovery.cam_double_check {
-                        3
-                    } else {
-                        1
-                    };
-                self.search_costs.resolve(&BlockShape {
-                    rows: self.config.cam_geometry.rows,
-                    occupancy: block.len(),
-                    distinct_keys,
-                    physical_per_logical,
-                    profile: self.search_profile,
-                })
-            }
-            fixed => fixed,
-        }
-    }
+    /// Accepts an algorithm's declared [`SearchProfile`] and ignores it:
+    /// the CAM has one host search path, so there is nothing to choose.
+    /// Nothing in the library calls this; it stays for callers that still
+    /// declare a profile.
+    pub fn set_search_profile(&mut self, _profile: SearchProfile) {}
 
     /// Attaches a tracer: every subsequent operation emits a phase span on
     /// the engine's functional (serial) time axis, and `finish` publishes
@@ -702,8 +641,6 @@ impl Engine {
 
         self.block_len = edges.len();
         let block = Block::new(edges);
-        let resolved = self.resolve_block_mode(&block);
-        self.cam.set_search_mode(resolved);
 
         self.key_buf.clear();
         self.key_buf.extend(
@@ -1783,41 +1720,30 @@ mod tests {
             state ^= state << 17;
             (state % bound) as u32
         };
-        for (profile, mode) in [
-            (SearchProfile::OnePerKey, SearchMode::Auto),
-            (SearchProfile::Frontier, SearchMode::Auto),
-            (SearchProfile::OnePerKey, SearchMode::Linear),
-        ] {
-            let mut e = Engine::new(GaasXConfig {
-                search_mode: mode,
-                ..GaasXConfig::small()
-            })
-            .unwrap();
-            e.set_search_profile(profile);
-            for case in 0..40 {
-                let len = next(e.block_capacity() as u64 + 1) as usize;
-                // Narrow and wide vertex ranges: many and few duplicates.
-                let span = if case % 2 == 0 { 8 } else { 1 << 20 };
-                let edges: Vec<Edge> = (0..len)
-                    .map(|_| Edge::new(next(span), next(span), 1.0))
-                    .collect();
-                let eager = |field: fn(&Edge) -> VertexId| {
-                    let mut v: Vec<VertexId> = edges.iter().map(field).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                let b = e.load_block(&edges, CellLayout::Preset).unwrap();
-                for (got, want) in [
-                    (b.distinct_dsts(), eager(|e| e.dst)),
-                    (b.distinct_srcs(), eager(|e| e.src)),
-                ] {
-                    assert!(
-                        got.windows(2).all(|w| w[0] < w[1]),
-                        "ascending, deduplicated"
-                    );
-                    assert_eq!(got, &want[..]);
-                }
+        let mut e = engine();
+        for case in 0..120 {
+            let len = next(e.block_capacity() as u64 + 1) as usize;
+            // Narrow and wide vertex ranges: many and few duplicates.
+            let span = if case % 2 == 0 { 8 } else { 1 << 20 };
+            let edges: Vec<Edge> = (0..len)
+                .map(|_| Edge::new(next(span), next(span), 1.0))
+                .collect();
+            let eager = |field: fn(&Edge) -> VertexId| {
+                let mut v: Vec<VertexId> = edges.iter().map(field).collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            let b = e.load_block(&edges, CellLayout::Preset).unwrap();
+            for (got, want) in [
+                (b.distinct_dsts(), eager(|e| e.dst)),
+                (b.distinct_srcs(), eager(|e| e.src)),
+            ] {
+                assert!(
+                    got.windows(2).all(|w| w[0] < w[1]),
+                    "ascending, deduplicated"
+                );
+                assert_eq!(got, &want[..]);
             }
         }
     }
@@ -2485,108 +2411,19 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_each_block_on_its_own_shape() {
-        // With Auto (the default) a single bank can mix Linear and Indexed
-        // blocks. small() keeps the default Auto mode and OnePerKey
-        // profile.
-        let mut e = Engine::new(GaasXConfig::small()).unwrap();
-        assert_eq!(e.config().search_mode, SearchMode::Auto);
-
-        // Dense block: 128 edges, all-distinct dsts → cost model picks
-        // Indexed.
-        let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
-        let b = e.load_block(&dense, CellLayout::Preset).unwrap();
-        assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        let first = e.search_dst(VertexId::new(1000));
-        assert_eq!(first.count(), 1);
-        // A repeat probes the clean index: same hits, and the device
-        // counter still advances.
-        let searches_before = e.cam.stats().cam_searches;
-        let again = e.search_dst(VertexId::new(1000));
-        assert_eq!(again, first);
-        assert_eq!(e.cam.stats().cam_searches, searches_before + 1);
-        assert_eq!(b.distinct_dsts().len(), 128);
-
-        // Degenerate block on the same bank: 100 edges, 2 distinct dsts →
-        // 2 searches per visit never amortize an index build; the model
-        // picks Linear.
-        let skewed: Vec<Edge> = (0..100u32)
-            .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
-            .collect();
-        let _b2 = e.load_block(&skewed, CellLayout::Preset).unwrap();
-        assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
-        let hits = e.search_dst(VertexId::new(5000));
-        assert_eq!(hits.count(), 50);
-        // Repeated searches on the linear block stay correct too.
-        assert_eq!(e.search_dst(VertexId::new(5000)), hits);
-
-        // A third dense block flips back to Indexed.
-        let dense2: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 7000 + i, 1.0)).collect();
-        let _b3 = e.load_block(&dense2, CellLayout::Preset).unwrap();
-        assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        assert_eq!(e.search_dst(VertexId::new(7003)).count(), 1);
-    }
-
-    #[test]
-    fn fixed_modes_bypass_the_cost_model() {
-        // A fixed config mode must never be second-guessed per block: the
-        // degenerate 2-distinct-dst shape resolves Linear under Auto, but
-        // an Indexed config keeps Indexed.
-        let skewed: Vec<Edge> = (0..100u32)
-            .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
-            .collect();
-        for fixed in [SearchMode::Linear, SearchMode::Indexed] {
-            let mut e = Engine::new(GaasXConfig {
-                search_mode: fixed,
-                ..GaasXConfig::small()
-            })
-            .unwrap();
-            let _b = e.load_block(&skewed, CellLayout::Preset).unwrap();
-            assert_eq!(e.resolved_search_mode(), fixed);
-        }
-    }
-
-    #[test]
-    fn frontier_profile_feeds_the_resolver() {
-        // The same block resolves differently by declared profile: a dense
-        // sweep searches all 128 distinct dsts and amortizes the index, a
-        // frontier traversal expects sqrt(16) searches over its 16
-        // distinct srcs and does not at paper depth.
-        let block: Vec<Edge> = (0..128u32)
-            .map(|i| Edge::new(i % 16, 1000 + i, 1.0))
-            .collect();
-        let mut e = engine();
-        e.set_search_profile(SearchProfile::Frontier);
-        assert_eq!(e.search_profile(), SearchProfile::Frontier);
-        let _b = e.load_block(&block, CellLayout::Preset).unwrap();
-        assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
-
-        let mut e2 = engine();
-        e2.set_search_profile(SearchProfile::OnePerKey);
-        let _b = e2.load_block(&block, CellLayout::Preset).unwrap();
-        assert_eq!(e2.resolved_search_mode(), SearchMode::Indexed);
-        assert_eq!(e2.search_dst(VertexId::new(1000)).count(), 1);
-    }
-
-    #[test]
     fn search_profile_never_changes_a_report_across_reloads() {
-        // Both engines resolve every block Indexed (fixed mode), so the
-        // declared profile is the only difference: the hits and the
-        // report must not depend on it, across a reload of the block.
+        // The declared profile is the only difference between the two
+        // engines: the hits and the report must not depend on it, across
+        // a reload of the block.
         let block: Vec<Edge> = (0..128u32)
             .map(|i| Edge::new(i % 16, 1000 + i % 32, 1.0))
             .collect();
         let run = |profile: SearchProfile| {
-            let mut e = Engine::new(GaasXConfig {
-                search_mode: SearchMode::Indexed,
-                ..GaasXConfig::small()
-            })
-            .unwrap();
+            let mut e = engine();
             e.set_search_profile(profile);
             let mut hits = Vec::new();
             for _visit in 0..2 {
                 let _b = e.load_block(&block, CellLayout::Preset).unwrap();
-                assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
                 for v in 0..32u32 {
                     hits.push(e.search_dst(VertexId::new(1000 + v)));
                 }

@@ -47,10 +47,9 @@ pub mod engine;
 pub mod sharded;
 
 pub use accelerator::{GaasX, RunOutcome};
-pub use algorithms::ShardableAlgorithm;
+pub use algorithms::{SearchProfile, ShardableAlgorithm};
 pub use config::{GaasXConfig, RecoveryPolicy};
 pub use engine::WearSnapshot;
 pub use error::CoreError;
-pub use gaasx_xbar::{SearchCostModel, SearchMode, SearchProfile};
 pub use sfu::Sfu;
 pub use sharded::{ShardRunner, ShardedEngine};

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
 use gaasx_sim::{MemorySink, Nanos, RunReport, Tracer};
 
+use crate::algorithms::SearchProfile;
 use crate::config::GaasXConfig;
 use crate::engine::{BlockCost, Engine, WearSnapshot};
 use crate::error::CoreError;
@@ -185,17 +186,10 @@ impl ShardedEngine {
         }
     }
 
-    /// Declares the running algorithm's access pattern on the primary and
-    /// every worker engine, so all of them resolve `Auto` blocks with the
-    /// same cost-model inputs. Resolution is deterministic per block, so
-    /// sharded runs stay bit-identical to serial regardless of which
-    /// engine loads which shard.
-    pub fn set_search_profile(&mut self, profile: gaasx_xbar::SearchProfile) {
-        self.primary.set_search_profile(profile);
-        for worker in &mut self.workers {
-            worker.set_search_profile(profile);
-        }
-    }
+    /// Accepts an algorithm's declared [`SearchProfile`] and ignores it,
+    /// like [`Engine::set_search_profile`]. Nothing in the library calls
+    /// this; it stays for callers that still declare a profile.
+    pub fn set_search_profile(&mut self, _profile: SearchProfile) {}
 
     /// Sets (or clears) the per-query modeled-time budget on the primary
     /// and every worker engine (see [`Engine::set_deadline`]).

@@ -1,5 +1,5 @@
-//! Property tests for the bank-occupancy timeline: for any RMAT graph, any
-//! CAM [`SearchMode`], and any worker count, the [`UtilizationReport`]
+//! Property tests for the bank-occupancy timeline: for any RMAT graph and
+//! any worker count, the [`UtilizationReport`]
 //! attached to a traced run must
 //!
 //! * contain **non-overlapping** intervals per `(bank, lane)` track,
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gaasx_core::algorithms::PageRank;
-use gaasx_core::{GaasX, GaasXConfig, SearchMode};
+use gaasx_core::{GaasX, GaasXConfig};
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_graph::CooGraph;
 use gaasx_sim::{Phase, RunReport, TimelineSink, Tracer, UtilizationReport};
@@ -30,11 +30,9 @@ fn graph_for(vertex_exp: u32, edges: usize, seed: u64) -> CooGraph {
 /// returns the report plus the recorded intervals.
 fn traced_run(
     graph: &CooGraph,
-    mode: SearchMode,
     jobs: Option<usize>,
 ) -> (RunReport, Vec<gaasx_sim::TimelineInterval>) {
-    let mut config = GaasXConfig::small();
-    config.search_mode = mode;
+    let config = GaasXConfig::small();
     let sink = Arc::new(TimelineSink::new());
     let mut accel = GaasX::new(config).with_tracer(Tracer::with_sink(sink.clone()));
     let algorithm = PageRank::fixed_iterations(3);
@@ -103,18 +101,16 @@ proptest! {
         vertex_exp in 5u32..8,
         edges in 60usize..500,
         seed in 0u64..1_000,
-        mode_indexed in any::<bool>(),
     ) {
-        let mode = if mode_indexed { SearchMode::Indexed } else { SearchMode::Linear };
         let graph = graph_for(vertex_exp, edges, seed);
 
-        let (serial_report, serial_intervals) = traced_run(&graph, mode, None);
+        let (serial_report, serial_intervals) = traced_run(&graph, None);
         prop_assert!(serial_report.utilization.is_some());
         assert_conserves(&serial_report);
         assert_non_overlapping(&serial_intervals);
 
         for jobs in [1usize, 2, 4] {
-            let (report, intervals) = traced_run(&graph, mode, Some(jobs));
+            let (report, intervals) = traced_run(&graph, Some(jobs));
             assert_conserves(&report);
             assert_non_overlapping(&intervals);
             assert_same_utilization(

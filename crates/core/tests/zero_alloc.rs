@@ -20,9 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gaasx_core::engine::{CellLayout, Engine};
-use gaasx_core::{GaasXConfig, RecoveryPolicy, SearchMode};
+use gaasx_core::{GaasXConfig, RecoveryPolicy};
 use gaasx_graph::{generators, Edge};
-use gaasx_xbar::{FaultModel, HitVector, SearchProfile};
+use gaasx_xbar::{FaultModel, HitVector};
 
 /// Counts every allocation and reallocation made through the global
 /// allocator; deallocations are free.
@@ -69,14 +69,13 @@ fn steady_state_search_and_gather_allocate_nothing() {
         false,
     );
     measure_index_rebuilds(GaasXConfig {
-        search_mode: SearchMode::Indexed,
         num_banks: 8,
         ..GaasXConfig::deep_bank()
     });
 }
 
-/// Loads three full deep-bank blocks under the frontier profile — two
-/// warm-up blocks, then the first one's edges in reverse order, a new key
+/// Loads three full deep-bank blocks and searches them the way a frontier
+/// traversal does — two warm-up blocks, then the first one's edges in reverse order, a new key
 /// sequence with the same distinct sources — and asserts the searches on
 /// the third block allocate nothing: an index rebuild over every valid
 /// row, then one probe per distinct source. (`load_block` itself is
@@ -85,7 +84,6 @@ fn steady_state_search_and_gather_allocate_nothing() {
 fn measure_index_rebuilds(config: GaasXConfig) {
     let graph = generators::rmat(&generators::RmatConfig::new(1 << 10, 5000).with_seed(5)).unwrap();
     let mut engine = Engine::new(config).unwrap();
-    engine.set_search_profile(SearchProfile::Frontier);
     let capacity = engine.block_capacity();
     let first = &graph.edges()[..capacity];
     let reversed: Vec<Edge> = first.iter().rev().copied().collect();
@@ -94,7 +92,6 @@ fn measure_index_rebuilds(config: GaasXConfig) {
     let mut allocs = 0;
     for chunk in chunks {
         let block = engine.load_block(chunk, CellLayout::Preset).unwrap();
-        assert_eq!(engine.resolved_search_mode(), SearchMode::Indexed);
         let srcs = block.distinct_srcs(); // derived on first use
         let before = ALLOCS.load(Ordering::SeqCst);
         for &src in srcs {

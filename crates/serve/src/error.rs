@@ -66,6 +66,15 @@ pub enum ServeError {
         /// Panic payload rendered to text.
         detail: String,
     },
+    /// The request's timing has no place on the modeled clock: a NaN or
+    /// infinite arrival time, or a NaN deadline. Rejected at admission;
+    /// never dispatched or billed.
+    InvalidTiming {
+        /// The offending request field (`"arrival_ns"` or `"deadline_ns"`).
+        field: &'static str,
+        /// Its value.
+        value: Nanos,
+    },
     /// The query referenced a graph never registered with the server.
     UnknownGraph {
         /// The graph name the query asked for.
@@ -105,13 +114,14 @@ impl ServeError {
     }
 
     /// `true` for rejections decided *before* any work ran (overload,
-    /// quota, unknown graph, empty graph, capacity) — these are never
-    /// billed.
+    /// quota, invalid timing, unknown graph, empty graph, capacity) —
+    /// these are never billed.
     pub fn is_rejection(&self) -> bool {
         matches!(
             self,
             ServeError::Overloaded { .. }
                 | ServeError::QuotaExceeded { .. }
+                | ServeError::InvalidTiming { .. }
                 | ServeError::UnknownGraph { .. }
                 | ServeError::EmptyGraph { .. }
                 | ServeError::CapacityExceeded { .. }
@@ -156,6 +166,9 @@ impl fmt::Display for ServeError {
             } => write!(f, "device fault after {attempts} attempt(s): {detail}"),
             ServeError::Internal { query_id, detail } => {
                 write!(f, "internal error serving query {query_id}: {detail}")
+            }
+            ServeError::InvalidTiming { field, value } => {
+                write!(f, "request {field} of {value} ns is not schedulable")
             }
             ServeError::UnknownGraph { graph } => {
                 write!(f, "graph {graph:?} is not registered with this server")

@@ -176,7 +176,6 @@ impl ResidentGraph {
         let grid = self.grid.as_ref().ok_or_else(|| {
             CoreError::InvalidInput(format!("graph {:?} has no vertices", self.name))
         })?;
-        exec.set_search_profile(gaasx_xbar::SearchProfile::Frontier);
         exec.set_deadline(deadline);
         // (per-query values, per-query iterations, algorithm label).
         type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);

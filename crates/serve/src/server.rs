@@ -8,7 +8,9 @@
 //!   of modeled service lanes; a full queue sheds load with
 //!   [`ServeError::Overloaded`] carrying a retry-after hint, and tenants
 //!   past their billed-time quota are rejected with
-//!   [`ServeError::QuotaExceeded`]. Rejections are never billed.
+//!   [`ServeError::QuotaExceeded`]. A request whose arrival time is not
+//!   finite, or whose deadline is NaN, is rejected with
+//!   [`ServeError::InvalidTiming`]. Rejections are never billed.
 //! * **Deadlines** — per-query modeled-time budgets enforced at
 //!   cooperative block-boundary checkpoints; a miss returns
 //!   [`ServeError::DeadlineExceeded`] with the partial
@@ -188,6 +190,8 @@ pub struct ServerStats {
     pub rejected_quota: u64,
     /// Unknown-graph rejections.
     pub rejected_unknown: u64,
+    /// Rejections of requests with a non-finite arrival or a NaN deadline.
+    pub rejected_invalid: u64,
     /// Admitted queries that missed their deadline.
     pub failed_deadline: u64,
     /// Admitted queries whose retry budget ended in a device fault.
@@ -308,15 +312,23 @@ impl Server {
     /// Drains every submitted query through the admission/dispatch loop
     /// and returns one response per query, in completion order
     /// (rejections complete at arrival; dispatched queries complete when
-    /// their lane frees).
+    /// their lane frees). Requests with invalid timing have no place on
+    /// the clock: their rejections come first, in submission order.
     pub fn run(&mut self) -> Vec<QueryResponse> {
-        let mut arrivals = std::mem::take(&mut self.pending);
+        let pending = std::mem::take(&mut self.pending);
+        let mut responses = Vec::with_capacity(pending.len());
+        let mut arrivals = Vec::with_capacity(pending.len());
+        for (id, request) in pending {
+            match self.timing_rejection(&request) {
+                Some(rejection) => responses.push(self.reject(id, request, rejection)),
+                None => arrivals.push((id, request)),
+            }
+        }
         arrivals.sort_by(|a, b| a.1.arrival_ns.total_cmp(&b.1.arrival_ns));
 
         let mut lanes = vec![Nanos::ZERO; self.config.lanes.max(1)];
         let mut queue: BoundedQueue<(u64, QueryRequest)> =
             BoundedQueue::new(self.config.queue_capacity);
-        let mut responses = Vec::with_capacity(arrivals.len());
 
         for (id, request) in arrivals {
             let now = request.arrival_ns;
@@ -333,19 +345,8 @@ impl Server {
                 }
             }
 
-            if let Some(rejection) = self.admission_rejection(&request, &queue, &lanes) {
-                self.stats_for_rejection(&rejection);
-                self.ledger.record_rejected(&request.tenant);
-                responses.push(QueryResponse {
-                    id,
-                    tenant: request.tenant.clone(),
-                    graph: request.graph.clone(),
-                    arrival_ns: now,
-                    start_ns: now,
-                    finish_ns: now,
-                    billed_ns: Nanos::ZERO,
-                    outcome: Err(rejection),
-                });
+            if let Some(rejection) = self.admission_rejection(&request) {
+                responses.push(self.reject(id, request, rejection));
                 continue;
             }
 
@@ -357,23 +358,12 @@ impl Server {
             } else if let Err((id, request)) = queue.push((id, request)) {
                 // Full queue: shed load with a typed rejection. All lanes
                 // are busy past `now` here, so the hint is positive.
-                let retry_after_ns = free_at - now;
-                self.stats.rejected_overload += 1;
-                self.ledger.record_rejected(&request.tenant);
-                responses.push(QueryResponse {
-                    id,
-                    tenant: request.tenant.clone(),
-                    graph: request.graph.clone(),
-                    arrival_ns: now,
-                    start_ns: now,
-                    finish_ns: now,
-                    billed_ns: Nanos::ZERO,
-                    outcome: Err(ServeError::Overloaded {
-                        queue_depth: queue.len(),
-                        queue_capacity: queue.capacity(),
-                        retry_after_ns,
-                    }),
-                });
+                let rejection = ServeError::Overloaded {
+                    queue_depth: queue.len(),
+                    queue_capacity: queue.capacity(),
+                    retry_after_ns: free_at - now,
+                };
+                responses.push(self.reject(id, request, rejection));
             }
         }
 
@@ -398,14 +388,29 @@ impl Server {
         (best, lanes[best])
     }
 
+    /// Rejects a request whose arrival time is not finite or whose
+    /// effective deadline is NaN. An infinite deadline means no budget; a
+    /// negative one is a budget already spent, so it runs to its first
+    /// checkpoint and fails with [`ServeError::DeadlineExceeded`].
+    fn timing_rejection(&self, request: &QueryRequest) -> Option<ServeError> {
+        if !request.arrival_ns.is_finite() {
+            return Some(ServeError::InvalidTiming {
+                field: "arrival_ns",
+                value: request.arrival_ns,
+            });
+        }
+        match request.deadline_ns.or(self.config.default_deadline_ns) {
+            Some(deadline) if deadline.ns().is_nan() => Some(ServeError::InvalidTiming {
+                field: "deadline_ns",
+                value: deadline,
+            }),
+            _ => None,
+        }
+    }
+
     /// Pre-dispatch rejection checks (unknown graph, quota). Overload is
     /// decided at enqueue time by the caller.
-    fn admission_rejection(
-        &self,
-        request: &QueryRequest,
-        _queue: &BoundedQueue<(u64, QueryRequest)>,
-        _lanes: &[Nanos],
-    ) -> Option<ServeError> {
+    fn admission_rejection(&self, request: &QueryRequest) -> Option<ServeError> {
         if !self.graphs.contains_key(&request.graph) {
             return Some(ServeError::UnknownGraph {
                 graph: request.graph.clone(),
@@ -424,11 +429,26 @@ impl Server {
         None
     }
 
-    fn stats_for_rejection(&mut self, rejection: &ServeError) {
+    /// Counts and records a rejection, which completes at the request's
+    /// arrival and bills nothing.
+    fn reject(&mut self, id: u64, request: QueryRequest, rejection: ServeError) -> QueryResponse {
         match rejection {
             ServeError::UnknownGraph { .. } => self.stats.rejected_unknown += 1,
             ServeError::QuotaExceeded { .. } => self.stats.rejected_quota += 1,
+            ServeError::InvalidTiming { .. } => self.stats.rejected_invalid += 1,
             _ => self.stats.rejected_overload += 1,
+        }
+        self.ledger.record_rejected(&request.tenant);
+        let now = request.arrival_ns;
+        QueryResponse {
+            id,
+            tenant: request.tenant,
+            graph: request.graph,
+            arrival_ns: now,
+            start_ns: now,
+            finish_ns: now,
+            billed_ns: Nanos::ZERO,
+            outcome: Err(rejection),
         }
     }
 

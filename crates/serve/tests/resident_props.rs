@@ -1,8 +1,8 @@
 //! Property: residency is functionally invisible. A graph that is
 //! evicted, reprogrammed onto fresh banks, and queried again returns a
 //! result and report bit-identical to a fresh one-shot
-//! `GaasX::run_labeled_sharded` of the same request — across search
-//! modes, job counts, and fault models (stuck cells, transient write
+//! `GaasX::run_labeled_sharded` of the same request — across job counts
+//! and fault models (stuck cells, transient write
 //! failures, endurance tracking; all deterministic per seed, so a
 //! reprogram replays the same recovery the one-shot run performs).
 
@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use gaasx_core::algorithms::{Bfs, Sssp};
-use gaasx_core::{GaasX, GaasXConfig, RecoveryPolicy, SearchMode};
+use gaasx_core::{GaasX, GaasXConfig, RecoveryPolicy};
 use gaasx_graph::{generators, CooGraph, VertexId};
 use gaasx_serve::{QueryKind, ResidentGraph};
 use gaasx_xbar::FaultModel;
@@ -20,11 +20,8 @@ fn graph(seed: u64) -> CooGraph {
     generators::rmat(&generators::RmatConfig::new(1 << 5, 250).with_seed(seed)).unwrap()
 }
 
-fn config(mode: SearchMode, faulty: bool) -> GaasXConfig {
-    let mut config = GaasXConfig {
-        search_mode: mode,
-        ..GaasXConfig::small()
-    };
+fn config(faulty: bool) -> GaasXConfig {
+    let mut config = GaasXConfig::small();
     if faulty {
         config.fault = FaultModel {
             seed: 11,
@@ -45,16 +42,14 @@ proptest! {
     #[test]
     fn evict_reprogram_rerun_is_bit_identical_to_one_shot(
         graph_seed in 0u64..6,
-        mode_idx in 0usize..3,
         jobs_idx in 0usize..3,
         faulty in any::<bool>(),
         weighted in any::<bool>(),
         source in 0u32..32,
     ) {
-        let mode = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto][mode_idx];
         let jobs = [1usize, 2, 4][jobs_idx];
         let g = graph(graph_seed);
-        let config = config(mode, faulty);
+        let config = config(faulty);
         let kind = if weighted {
             QueryKind::Sssp { source }
         } else {
@@ -90,17 +85,15 @@ proptest! {
     }
 
     #[test]
-    fn batched_sources_stay_identical_to_one_shots_across_modes(
+    fn batched_sources_stay_identical_to_one_shots(
         graph_seed in 0u64..6,
-        mode_idx in 0usize..3,
         jobs_idx in 0usize..2,
         weighted in any::<bool>(),
         sources in prop::collection::vec(0u32..32, 1..4),
     ) {
-        let mode = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto][mode_idx];
         let jobs = [1usize, 2][jobs_idx];
         let g = graph(graph_seed);
-        let config = config(mode, false);
+        let config = config(false);
 
         let kind = if weighted {
             QueryKind::BatchSssp { sources: sources.clone() }

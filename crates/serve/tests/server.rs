@@ -219,6 +219,71 @@ fn deadline_misses_return_and_bill_the_partial_report() {
 }
 
 #[test]
+fn unschedulable_timing_is_rejected_at_admission_and_never_billed() {
+    let mut server = Server::new(ServerConfig::new(GaasXConfig::small()));
+    server.register_graph("g", rmat(400, 5)).unwrap();
+    let bfs = QueryKind::Bfs { source: 0 };
+    let mut nan_deadline = request("acme", "g", bfs.clone(), 1.0);
+    nan_deadline.deadline_ns = Some(Nanos::from_ns(f64::NAN));
+    let bad = [
+        (nan_deadline, "deadline_ns"),
+        (request("acme", "g", bfs.clone(), f64::NAN), "arrival_ns"),
+        (
+            request("acme", "g", bfs.clone(), f64::INFINITY),
+            "arrival_ns",
+        ),
+        (
+            request("acme", "g", bfs.clone(), f64::NEG_INFINITY),
+            "arrival_ns",
+        ),
+    ];
+    let mut bad_ids = Vec::new();
+    for (req, _) in &bad {
+        bad_ids.push(server.submit(req.clone()));
+    }
+    // A finite negative deadline is a budget already spent: it is
+    // admitted and misses at its first checkpoint, as before.
+    let mut spent = request("acme", "g", bfs.clone(), 2.0);
+    spent.deadline_ns = Some(Nanos::from_ns(-1.0));
+    let spent_id = server.submit(spent);
+    let ok_id = server.submit(request("acme", "g", bfs, 5.0));
+    let responses = server.run();
+    assert_eq!(responses.len(), bad.len() + 2);
+
+    for (id, (_, field)) in bad_ids.iter().zip(&bad) {
+        let r = responses.iter().find(|r| r.id == *id).unwrap();
+        match &r.outcome {
+            Err(e @ ServeError::InvalidTiming { field: got, .. }) => {
+                assert_eq!(got, field, "query {id}");
+                assert!(e.is_rejection());
+                assert!(e.partial_report().is_none());
+            }
+            other => panic!("query {id}: want InvalidTiming, got {other:?}"),
+        }
+        assert_eq!(r.billed_ns, Nanos::ZERO);
+    }
+    let spent = responses.iter().find(|r| r.id == spent_id).unwrap();
+    assert!(matches!(
+        spent.outcome,
+        Err(ServeError::DeadlineExceeded { .. })
+    ));
+    let ok = responses.iter().find(|r| r.id == ok_id).unwrap();
+    assert!(ok.outcome.is_ok());
+    assert!(ok.start_ns.is_finite() && ok.finish_ns.is_finite());
+    assert!(ok.start_ns >= Nanos::from_ns(5.0));
+
+    let stats = server.stats();
+    assert_eq!(stats.rejected_invalid, bad.len() as u64);
+    assert_eq!(stats.rejected_overload, 0);
+    assert_eq!(stats.admitted, 2);
+    let usage = server.ledger().usage("acme").unwrap();
+    assert_eq!(usage.rejected, bad.len() as u64);
+    assert_eq!(usage.admitted, 2);
+    let billed: Nanos = responses.iter().map(|r| r.billed_ns).sum();
+    assert_eq!(server.ledger().billed_ns("acme"), billed);
+}
+
+#[test]
 fn transient_device_faults_retry_and_succeed() {
     // Chosen so the first attempt write-faults under detect-only recovery
     // but a retry's fresh RNG draws succeed (deterministic per seed).

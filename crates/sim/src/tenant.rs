@@ -30,7 +30,8 @@ pub struct TenantUsage {
     pub admitted: u64,
     /// Queries that completed successfully.
     pub completed: u64,
-    /// Queries rejected at admission (overload or quota) — never billed.
+    /// Queries rejected at admission (overload, quota, unknown graph or
+    /// invalid timing) — never billed.
     pub rejected: u64,
     /// Admitted queries that ended in a typed failure (deadline, device
     /// fault, internal error). Partial work is still billed.

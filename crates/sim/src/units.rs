@@ -32,8 +32,8 @@
 //! Serialization note: the workspace's serde derives are no-op shims (the
 //! build is offline); all real JSON is hand-rolled. The hand-rolled
 //! writers call [`Nanos::ns`] / [`Picojoules::pj`] / [`Nanojoules::nj`]
-//! and format the raw `f64` exactly as before, so committed baselines
-//! such as `results/BENCH_07.json` stay byte-compatible.
+//! and format the raw `f64` exactly as before, so committed result files
+//! stay byte-compatible.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,4 +1,10 @@
 //! Ternary content-addressable memory (TCAM) crossbar model.
+//!
+//! The simulated hardware performs every search as one parallel TCAM
+//! operation (paper §II-C, Fig 3(b)). The host derives the hit vector from
+//! a per-mask chained exact-match index; a search whose mask gets no index
+//! slot runs the scalar scan instead. Neither path changes what a search
+//! returns or bills.
 
 use serde::{Deserialize, Serialize};
 
@@ -7,75 +13,7 @@ use crate::fast_hash::FxHashMap;
 use crate::fault::{CamFaultState, FaultStats};
 use crate::geometry::CamGeometry;
 use crate::hit_vector::HitVector;
-use crate::packed::PackedPlanes;
 use crate::XbarStats;
-
-/// How the *functional* side of a CAM search computes its hit vector.
-///
-/// The simulated hardware always performs the same parallel TCAM operation
-/// — all modes count identical [`XbarStats`] and return identical hit
-/// vectors — the mode only selects the host algorithm that derives the
-/// result:
-///
-/// * [`Linear`](SearchMode::Linear): scan all rows, O(rows) per search.
-/// * [`Indexed`](SearchMode::Indexed): consult a per-field chained
-///   exact-match index, rebuilt in one O(rows) pass after a block load
-///   and probed in O(hits) per search without allocating, with the
-///   linear scan retained for arbitrary ternary masks and as a
-///   `debug_assert!` cross-check. It beats `Linear` on every
-///   `bench_snapshot` row, paper banks included.
-/// * [`Auto`](SearchMode::Auto) (the default): let the engine resolve
-///   each loaded block to `Linear` or `Indexed` through the analytical
-///   [`SearchCostModel`](crate::auto::SearchCostModel). Resolution
-///   happens above the device — an `Auto` left unresolved on the
-///   crossbar itself behaves exactly like `Indexed` (always correct,
-///   and what standalone device users got before `Auto` existed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum SearchMode {
-    /// Scan every row per search (the pre-index reference path).
-    Linear,
-    /// Serve full-field searches from an incremental exact-match index.
-    Indexed,
-    /// Resolve per block via the cost model (device-side: as `Indexed`).
-    #[default]
-    Auto,
-}
-
-impl SearchMode {
-    /// Whether this is a concrete host algorithm rather than the
-    /// resolve-per-block marker.
-    pub fn is_resolved(self) -> bool {
-        self != SearchMode::Auto
-    }
-}
-
-impl std::fmt::Display for SearchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SearchMode::Linear => "linear",
-            SearchMode::Indexed => "indexed",
-            SearchMode::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for SearchMode {
-    type Err = String;
-
-    /// Parses the CLI spelling (`linear | indexed | auto`), matching the
-    /// serde snake_case encoding.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "linear" => Ok(SearchMode::Linear),
-            "indexed" => Ok(SearchMode::Indexed),
-            "auto" => Ok(SearchMode::Auto),
-            other => Err(format!(
-                "invalid search mode '{other}' (linear | indexed | auto)"
-            )),
-        }
-    }
-}
 
 /// Most distinct search masks indexed before falling back to the linear
 /// scan. Real workloads use exactly two (the src field and the dst field).
@@ -199,13 +137,6 @@ pub struct CamCrossbar {
     width_mask: u128,
     faults: Option<CamFaultState>,
     stats: XbarStats,
-    /// Host algorithm used to derive hit vectors (device behaviour and
-    /// accounting are identical in both modes).
-    mode: SearchMode,
-    /// Bit-plane transposed view of `entries` for the word-parallel
-    /// matcher. Mutations only mark the touched 64-row word stale; the
-    /// next packed search rebuilds the stale words.
-    packed: PackedPlanes,
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
     epoch: u64,
@@ -216,8 +147,8 @@ pub struct CamCrossbar {
     /// loading issues one `write` per edge while every index is stale, so
     /// the per-write patch loop reduces to a single zero-check here.
     clean_indexes: u32,
-    /// Debug-build scratch for cross-checking every search result against
-    /// the scalar scan without allocating per search.
+    /// Debug-build scratch for cross-checking every index-served search
+    /// against the scalar scan without allocating per search.
     #[cfg(debug_assertions)]
     check_hv: HitVector,
 }
@@ -249,32 +180,12 @@ impl CamCrossbar {
             width_mask,
             faults: None,
             stats: XbarStats::new(),
-            mode: SearchMode::default(),
-            packed: PackedPlanes::new(geometry.rows, geometry.width_bits as usize),
             epoch: 1,
             indexes: Vec::new(),
             clean_indexes: 0,
             #[cfg(debug_assertions)]
             check_hv: HitVector::new(0),
         }
-    }
-
-    /// Selects the host search algorithm. Switching turns every built
-    /// index stale, so Linear-mode writes patch nothing; the indexes keep
-    /// their buffers and rebuild lazily when indexed searches resume. An
-    /// `Auto` engine switches per block, so dropping the buffers would
-    /// reallocate them on every Indexed block after a Linear one.
-    pub fn set_search_mode(&mut self, mode: SearchMode) {
-        if mode != self.mode {
-            self.mode = mode;
-            self.epoch = self.epoch.wrapping_add(1);
-            self.clean_indexes = 0;
-        }
-    }
-
-    /// The active host search algorithm.
-    pub fn search_mode(&self) -> SearchMode {
-        self.mode
     }
 
     /// Attaches seeded device-fault state. Stuck bits corrupt entries as
@@ -346,9 +257,8 @@ impl CamCrossbar {
 
     /// Writes an entry into `row`, counting the cell programming cost.
     ///
-    /// Host-side the write is a store plus bookkeeping: clean exact-match
-    /// indexes are patched, and the packed bit-planes only mark the row's
-    /// 64-row word stale (rebuilt by the next packed search).
+    /// Host-side the write is a store plus patching the clean exact-match
+    /// indexes.
     ///
     /// # Errors
     ///
@@ -370,10 +280,6 @@ impl CamCrossbar {
         };
         let old = self.entries[row];
         self.entries[row] = stored;
-        // Most blocks are served by the index, so the write only stales
-        // the row's plane word; a packed search rebuilds it in bulk if one
-        // ever comes.
-        self.packed.mark_stale(row);
         self.patch_indexes(old, stored, row);
         self.bill_row_writes(1);
         Ok(())
@@ -388,7 +294,7 @@ impl CamCrossbar {
     /// bits, the same billing, and the same fault outcomes — stuck bits
     /// and transient write-failure draws apply per row, in row order, from
     /// this CAM's own stream. Host-side it skips the per-row bookkeeping:
-    /// the indexes and every plane word turn stale once for the block.
+    /// the indexes turn stale once for the block.
     ///
     /// # Errors
     ///
@@ -417,7 +323,6 @@ impl CamCrossbar {
         for e in rest {
             e.valid = false;
         }
-        self.packed.mark_all_stale();
         self.epoch = self.epoch.wrapping_add(1);
         self.clean_indexes = 0;
         self.bill_row_writes(keys.len() as u64);
@@ -447,22 +352,18 @@ impl CamCrossbar {
         let old = self.entries[row];
         if old.valid {
             self.entries[row].valid = false;
-            self.packed.mark_stale(row);
             self.patch_indexes(old, self.entries[row], row);
         }
         Ok(())
     }
 
     /// Invalidates every row (start of a new shard load). Stored bits
-    /// survive; the indexes and the packed bit-planes are only marked
-    /// stale and rebuild on their next use.
+    /// survive; the indexes are only marked stale and rebuild on their
+    /// next use.
     pub fn invalidate_all(&mut self) {
         for e in &mut self.entries {
             e.valid = false;
         }
-        // The planes only mark every word stale; the next packed search
-        // rebuilds whatever the new block programmed.
-        self.packed.mark_all_stale();
         // Bulk clears only bump the epoch: every index turns stale at once
         // and rebuilds lazily on its next indexed search.
         self.epoch = self.epoch.wrapping_add(1);
@@ -543,16 +444,16 @@ impl CamCrossbar {
     /// [`search`](Self::search), writing the result into a caller-owned
     /// buffer so the steady state allocates nothing. `out` is resized (to
     /// the row count) and overwritten; prior contents are irrelevant.
+    ///
+    /// The hit vector comes from the chained index over `mask`, or from
+    /// the scalar scan when every index slot holds another mask.
     pub fn search_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
         self.stats.cam_searches += 1;
         let key = key & self.width_mask;
         let mask = mask & self.width_mask;
         out.reset(self.geometry.rows);
-        let mut via_index = false;
-        // An unresolved `Auto` takes the indexed path (see the enum docs);
-        // engines resolve it per block before searching.
-        if self.mode != SearchMode::Linear {
-            if let Some(pos) = self.ensure_index(mask) {
+        match self.ensure_index(mask) {
+            Some(pos) => {
                 let ix = &self.indexes[pos];
                 // gaasx-lint: hot
                 if let Some(&head) = ix.heads.get(&(key & mask)) {
@@ -564,23 +465,20 @@ impl CamCrossbar {
                     }
                 }
                 // gaasx-lint: end-hot
-                via_index = true;
+                #[cfg(debug_assertions)]
+                {
+                    let mut check = std::mem::replace(&mut self.check_hv, HitVector::new(0));
+                    check.reset(self.geometry.rows);
+                    Self::linear_scan_into(&self.entries, key, mask, &mut check);
+                    debug_assert!(
+                        *out == check,
+                        "indexed search diverged from the scalar scan \
+                         (key={key:#x}, mask={mask:#x})"
+                    );
+                    self.check_hv = check;
+                }
             }
-        }
-        if !via_index {
-            self.packed.search_into(&self.entries, key, mask, out);
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut check = std::mem::replace(&mut self.check_hv, HitVector::new(0));
-            check.reset(self.geometry.rows);
-            Self::linear_scan_into(&self.entries, key, mask, &mut check);
-            debug_assert!(
-                *out == check,
-                "search diverged from the scalar scan (key={key:#x}, mask={mask:#x}, \
-                 indexed={via_index})"
-            );
-            self.check_hv = check;
+            None => Self::linear_scan_into(&self.entries, key, mask, out),
         }
         if let Some(faults) = self.faults.as_mut() {
             faults.upset(out);
@@ -588,9 +486,8 @@ impl CamCrossbar {
     }
 
     /// The scalar reference scan: O(rows) over the post-fault entries.
-    /// Kept only as an oracle — the debug-build cross-check of every
-    /// indexed or packed result, and the unit tests' reference.
-    #[cfg(any(debug_assertions, test))]
+    /// Serves masks past the index cap, and is the debug-build
+    /// cross-check of every index-served result.
     fn linear_scan_into(entries: &[CamEntry], key: u128, mask: u128, out: &mut HitVector) {
         // gaasx-lint: hot
         for (i, e) in entries.iter().enumerate() {
@@ -793,23 +690,42 @@ mod tests {
         assert_eq!(hits.count(), g.rows - corrupted);
     }
 
-    /// Runs the same op sequence in every mode (including a device-level
-    /// unresolved `Auto`) and asserts identical hit vectors and stats.
-    /// (Debug builds additionally cross-check every indexed search
-    /// against the linear scan inside `search_into`.)
-    fn assert_modes_agree(ops: impl Fn(&mut CamCrossbar) -> Vec<HitVector>) {
-        let mut linear = cam();
-        linear.set_search_mode(SearchMode::Linear);
-        let a = ops(&mut linear);
-        for mode in [SearchMode::Indexed, SearchMode::Auto] {
-            let mut other = cam();
-            other.set_search_mode(mode);
-            let b = ops(&mut other);
-            assert_eq!(a, b, "hit vectors diverged between Linear and {mode}");
+    /// One search, paired with the scalar scan's answer over the same
+    /// post-fault entries.
+    fn search_vs_scan(
+        c: &mut CamCrossbar,
+        key: u128,
+        mask: u128,
+        out: &mut Vec<(HitVector, HitVector)>,
+    ) {
+        let got = c.search(key, mask);
+        let mut oracle = HitVector::new(c.geometry.rows);
+        CamCrossbar::linear_scan_into(
+            &c.entries,
+            key & c.width_mask,
+            mask & c.width_mask,
+            &mut oracle,
+        );
+        out.push((got, oracle));
+    }
+
+    /// Runs `ops` on a CAM of `rows` rows and asserts every search it
+    /// issued matched the scalar scan.
+    fn assert_searches_match_scan(
+        rows: usize,
+        ops: impl Fn(&mut CamCrossbar, &mut Vec<(HitVector, HitVector)>),
+    ) {
+        let mut c = CamCrossbar::new(CamGeometry {
+            rows,
+            width_bits: 128,
+        });
+        let mut pairs = Vec::new();
+        ops(&mut c, &mut pairs);
+        assert!(!pairs.is_empty());
+        for (i, (got, oracle)) in pairs.iter().enumerate() {
             assert_eq!(
-                linear.stats(),
-                other.stats(),
-                "stats diverged between Linear and {mode}"
+                got, oracle,
+                "search {i} diverged from the scan ({rows} rows)"
             );
         }
     }
@@ -818,83 +734,105 @@ mod tests {
     const DST_MASK: u128 = 0xFFFF_FFFF;
 
     #[test]
-    fn indexed_matches_linear_on_field_searches() {
-        assert_modes_agree(|c| {
-            for i in 0..20 {
-                let key = (u128::from(i as u32 % 5) << 32) | u128::from(i as u32 % 7);
-                c.write(i, key).unwrap();
-            }
-            let mut out = Vec::new();
-            for v in 0..8u32 {
-                out.push(c.search(u128::from(v) << 32, SRC_MASK));
-            }
-            for v in 0..8u32 {
-                out.push(c.search(u128::from(v), DST_MASK));
-            }
-            out
-        });
+    fn field_searches_match_the_scan_including_a_partial_last_word() {
+        for rows in [64, 70, 128, 130] {
+            assert_searches_match_scan(rows, |c, out| {
+                for i in 0..c.geometry().rows {
+                    let key = (u128::from(i as u32 % 5) << 32) | u128::from(i as u32 % 7);
+                    c.write(i, key).unwrap();
+                }
+                for v in 0..8u32 {
+                    search_vs_scan(c, u128::from(v) << 32, SRC_MASK, out);
+                    search_vs_scan(c, u128::from(v), DST_MASK, out);
+                }
+                search_vs_scan(c, 0, u128::MAX, out);
+                search_vs_scan(c, (1u128 << 32) | 1, SRC_MASK | DST_MASK, out);
+            });
+        }
     }
 
     #[test]
-    fn indexed_matches_linear_across_invalidate_and_rewrite() {
-        assert_modes_agree(|c| {
-            let mut out = Vec::new();
-            for i in 0..16 {
-                c.write(i, (u128::from(i as u32) << 32) | 1).unwrap();
+    fn searches_match_the_scan_across_invalidate_and_rewrite() {
+        assert_searches_match_scan(70, |c, out| {
+            for i in 0..70 {
+                c.write(i, (u128::from(i as u32 % 9) << 32) | 1).unwrap();
             }
-            out.push(c.search(1, DST_MASK));
+            search_vs_scan(c, 1, DST_MASK, out);
             c.invalidate(3).unwrap();
             c.invalidate(3).unwrap(); // idempotent
-            out.push(c.search(1, DST_MASK));
+            c.invalidate(69).unwrap();
+            search_vs_scan(c, 1, DST_MASK, out);
             c.write(3, (7u128 << 32) | 2).unwrap(); // remap-style rewrite
-            out.push(c.search(2, DST_MASK));
-            out.push(c.search(7u128 << 32, SRC_MASK));
+            search_vs_scan(c, 2, DST_MASK, out);
+            search_vs_scan(c, 7u128 << 32, SRC_MASK, out);
             c.invalidate_all();
-            out.push(c.search(1, DST_MASK));
+            search_vs_scan(c, 1, DST_MASK, out);
             for i in 0..4 {
                 c.write(i, (9u128 << 32) | u128::from(i as u32)).unwrap();
             }
-            out.push(c.search(9u128 << 32, SRC_MASK));
-            out
+            search_vs_scan(c, 9u128 << 32, SRC_MASK, out);
+            c.program_block(&[1, 2, 1]).unwrap();
+            search_vs_scan(c, 1, DST_MASK, out);
         });
     }
 
     #[test]
-    fn mask_cap_falls_back_to_linear_scan() {
-        assert_modes_agree(|c| {
-            for i in 0..12 {
-                c.write(i, u128::from(i as u32) * 3).unwrap();
-            }
-            // More distinct masks than MAX_INDEXED_MASKS: the excess must
-            // still return correct results via the linear fallback.
-            (0..(MAX_INDEXED_MASKS as u32 + 3))
-                .map(|b| c.search(0, 1u128 << b))
-                .collect()
-        });
+    fn a_mask_past_the_index_cap_is_scanned_and_writes_still_patch_the_indexes() {
+        let mut c = cam();
+        for i in 0..12 {
+            c.write(i, u128::from(i as u32) * 3).unwrap();
+        }
+        let masks: Vec<u128> = (0..=MAX_INDEXED_MASKS as u32).map(|b| 1u128 << b).collect();
+        let (indexed, past_cap) = masks.split_at(MAX_INDEXED_MASKS);
+        let mut out = Vec::new();
+        for &mask in indexed {
+            search_vs_scan(&mut c, 0, mask, &mut out);
+        }
+        // The fifth mask gets no index slot: the scan serves it.
+        search_vs_scan(&mut c, 0, past_cap[0], &mut out);
+        assert_eq!(c.indexes.len(), MAX_INDEXED_MASKS);
+        assert!(c.indexes.iter().all(|ix| ix.mask != past_cap[0]));
+        // A later write patches all four indexes in place, so each stays
+        // clean and answers like the scan without a rebuild.
+        c.write(20, 0).unwrap();
+        c.invalidate(3).unwrap();
+        assert_eq!(c.clean_indexes as usize, MAX_INDEXED_MASKS);
+        assert!(c.indexes.iter().all(|ix| ix.clean_epoch == c.epoch));
+        for &mask in &masks {
+            search_vs_scan(&mut c, 0, mask, &mut out);
+            search_vs_scan(&mut c, mask, mask, &mut out);
+        }
+        assert_eq!(c.clean_indexes as usize, MAX_INDEXED_MASKS, "no rebuild");
+        for (i, (got, oracle)) in out.iter().enumerate() {
+            assert_eq!(got, oracle, "search {i} diverged from the scan");
+        }
+        assert!(out[MAX_INDEXED_MASKS + 1].0.get(20), "the write is visible");
     }
 
     #[test]
-    fn indexed_search_reflects_post_fault_bits() {
+    fn searches_reflect_post_fault_bits() {
         use crate::fault::{CamFaultState, FaultModel};
         let g = CamGeometry::paper();
-        let model = FaultModel {
-            seed: 7,
-            cam_stuck_ber: 0.02,
-            ..FaultModel::none()
-        };
-        let run = |mode: SearchMode| {
-            let mut c = CamCrossbar::new(g);
-            c.set_search_mode(mode);
-            c.set_faults(Some(CamFaultState::new(model, &g)));
-            let key = 0xA5A5_A5A5_A5A5_A5A5u128;
-            for row in 0..g.rows {
-                c.write(row, key).unwrap();
-            }
-            c.search(key, u128::MAX)
-        };
-        // Stuck bits corrupt entries identically (same seed), and the index
-        // is built over the corrupted bits, so both modes miss the same rows.
-        assert_eq!(run(SearchMode::Linear), run(SearchMode::Indexed));
+        let mut c = CamCrossbar::new(g);
+        c.set_faults(Some(CamFaultState::new(
+            FaultModel {
+                seed: 7,
+                cam_stuck_ber: 0.02,
+                ..FaultModel::none()
+            },
+            &g,
+        )));
+        let key = 0xA5A5_A5A5_A5A5_A5A5u128;
+        for row in 0..g.rows {
+            c.write(row, key).unwrap();
+        }
+        // The index is built over the corrupted bits, so it misses the
+        // same rows the scan does.
+        let mut out = Vec::new();
+        search_vs_scan(&mut c, key, u128::MAX, &mut out);
+        let (got, oracle) = &out[0];
+        assert_eq!(got, oracle);
+        assert!(got.count() < g.rows, "stuck bits must miss some rows");
     }
 
     #[test]
@@ -924,155 +862,13 @@ mod tests {
     }
 
     #[test]
-    fn switching_modes_mid_stream_stays_correct() {
+    fn writes_after_a_search_patch_the_index() {
         let mut c = cam();
         for i in 0..10 {
             c.write(i, u128::from(i as u32 % 3)).unwrap();
         }
         let a = c.search(1, DST_MASK);
-        c.set_search_mode(SearchMode::Linear);
-        let b = c.search(1, DST_MASK);
-        c.set_search_mode(SearchMode::Indexed);
-        let d = c.search(1, DST_MASK);
-        assert_eq!(a, b);
-        assert_eq!(b, d);
-        assert_eq!(c.stats().cam_searches, 3);
-        // A write in Linear mode must not leave the kept index answering
-        // with the old contents once Indexed searches resume.
-        c.set_search_mode(SearchMode::Linear);
-        c.write(0, 1).unwrap();
-        c.invalidate(1).unwrap();
-        c.set_search_mode(SearchMode::Indexed);
-        let e = c.search(1, DST_MASK);
-        assert_eq!(e.iter_ones().collect::<Vec<_>>(), vec![0, 4, 7]);
-    }
-
-    #[test]
-    fn auto_is_the_default_and_round_trips_its_spellings() {
-        assert_eq!(SearchMode::default(), SearchMode::Auto);
-        assert!(!SearchMode::Auto.is_resolved());
-        for mode in [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto] {
-            assert!(mode.to_string().parse::<SearchMode>() == Ok(mode));
-        }
-        assert!("fast".parse::<SearchMode>().is_err());
-    }
-
-    /// One Linear-mode search (so the packed matcher, not the index,
-    /// derives the result), paired with the scalar scan's answer over the
-    /// same post-fault entries.
-    fn search_vs_scan(
-        c: &mut CamCrossbar,
-        key: u128,
-        mask: u128,
-        out: &mut Vec<(HitVector, HitVector)>,
-    ) {
-        let packed = c.search(key, mask);
-        let mut oracle = HitVector::new(c.geometry.rows);
-        CamCrossbar::linear_scan_into(
-            &c.entries,
-            key & c.width_mask,
-            mask & c.width_mask,
-            &mut oracle,
-        );
-        out.push((packed, oracle));
-    }
-
-    /// Runs `ops` on a Linear-mode CAM of `rows` rows and asserts every
-    /// packed search it issued matched the scalar scan.
-    fn assert_packed_matches_scan(
-        rows: usize,
-        ops: impl Fn(&mut CamCrossbar, &mut Vec<(HitVector, HitVector)>),
-    ) {
-        let mut c = CamCrossbar::new(CamGeometry {
-            rows,
-            width_bits: 128,
-        });
-        c.set_search_mode(SearchMode::Linear);
-        let mut pairs = Vec::new();
-        ops(&mut c, &mut pairs);
-        assert!(!pairs.is_empty());
-        for (i, (packed, oracle)) in pairs.iter().enumerate() {
-            assert_eq!(
-                packed, oracle,
-                "search {i} diverged from the scan ({rows} rows)"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_matcher_matches_scan_including_partial_last_word() {
-        for rows in [64, 70, 128, 130] {
-            assert_packed_matches_scan(rows, |c, out| {
-                for i in 0..c.geometry().rows {
-                    let key = (u128::from(i as u32 % 5) << 32) | u128::from(i as u32 % 7);
-                    c.write(i, key).unwrap();
-                }
-                for v in 0..8u32 {
-                    search_vs_scan(c, u128::from(v) << 32, SRC_MASK, out);
-                    search_vs_scan(c, u128::from(v), DST_MASK, out);
-                }
-                search_vs_scan(c, 0, u128::MAX, out);
-                search_vs_scan(c, (1u128 << 32) | 1, SRC_MASK | DST_MASK, out);
-            });
-        }
-    }
-
-    #[test]
-    fn packed_matcher_matches_scan_across_invalidate_and_rewrite() {
-        assert_packed_matches_scan(70, |c, out| {
-            for i in 0..70 {
-                c.write(i, (u128::from(i as u32 % 9) << 32) | 1).unwrap();
-            }
-            search_vs_scan(c, 1, DST_MASK, out);
-            c.invalidate(3).unwrap();
-            c.invalidate(69).unwrap();
-            search_vs_scan(c, 1, DST_MASK, out);
-            c.write(3, (7u128 << 32) | 2).unwrap();
-            search_vs_scan(c, 2, DST_MASK, out);
-            search_vs_scan(c, 7u128 << 32, SRC_MASK, out);
-            c.invalidate_all();
-            search_vs_scan(c, 1, DST_MASK, out);
-            for i in 0..4 {
-                c.write(i, (9u128 << 32) | u128::from(i as u32)).unwrap();
-            }
-            search_vs_scan(c, 9u128 << 32, SRC_MASK, out);
-        });
-    }
-
-    #[test]
-    fn packed_matcher_reflects_post_fault_bits() {
-        use crate::fault::{CamFaultState, FaultModel};
-        let g = CamGeometry::paper();
-        let mut c = CamCrossbar::new(g);
-        c.set_search_mode(SearchMode::Linear);
-        c.set_faults(Some(CamFaultState::new(
-            FaultModel {
-                seed: 7,
-                cam_stuck_ber: 0.02,
-                ..FaultModel::none()
-            },
-            &g,
-        )));
-        let key = 0xA5A5_A5A5_A5A5_A5A5u128;
-        for row in 0..g.rows {
-            c.write(row, key).unwrap();
-        }
-        let mut out = Vec::new();
-        search_vs_scan(&mut c, key, u128::MAX, &mut out);
-        let (packed, oracle) = &out[0];
-        assert_eq!(packed, oracle);
-        assert!(packed.count() < g.rows, "stuck bits must miss some rows");
-    }
-
-    #[test]
-    fn writes_after_a_packed_search_restale_the_planes() {
-        let mut c = cam();
-        c.set_search_mode(SearchMode::Linear);
-        for i in 0..10 {
-            c.write(i, u128::from(i as u32 % 3)).unwrap();
-        }
-        let a = c.search(1, DST_MASK);
-        c.write(5, 1).unwrap(); // restales one word after the rebuild
+        c.write(5, 1).unwrap(); // patches the now-clean index
         let d = c.search(1, DST_MASK);
         assert_eq!(d.count(), a.count() + 1);
         c.invalidate(1).unwrap();

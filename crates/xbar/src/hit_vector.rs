@@ -99,41 +99,6 @@ impl HitVector {
         self.words[index / 64] |= 1 << (index % 64);
     }
 
-    /// Number of 64-row words backing this vector.
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The backing words, least-significant row first within each word.
-    /// Bits past `len` in the last word are always zero.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Overwrites one backing word with 64 row bits at once — the store
-    /// half of the word-parallel packed search path. Bits addressing rows
-    /// past `len` are masked off so the padding-bit invariant (and thus
-    /// [`count`](HitVector::count)/[`any`](HitVector::any)) holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_index` is out of range.
-    pub fn set_word(&mut self, word_index: usize, word: u64) {
-        // gaasx-lint: allow(hot-reachable-panic) -- the bounds assert guards phantom rows in the padding bits; a silent wrong hit count is worse than an abort
-        assert!(
-            word_index < self.words.len(),
-            "hit word {word_index} out of {}",
-            self.words.len()
-        );
-        let tail = self.len - word_index * 64;
-        let mask = if tail >= 64 {
-            u64::MAX
-        } else {
-            (1 << tail) - 1
-        };
-        self.words[word_index] = word & mask;
-    }
-
     /// Number of set rows.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -457,25 +422,6 @@ mod tests {
     #[should_panic(expected = "chunk size must be positive")]
     fn chunks_iter_rejects_zero_cap() {
         let _ = HitVector::new(8).chunks_iter(0);
-    }
-
-    #[test]
-    fn set_word_masks_padding_bits() {
-        let mut hv = HitVector::new(70);
-        hv.set_word(0, u64::MAX);
-        hv.set_word(1, u64::MAX);
-        // Rows 64..70 live in the last word; bits 70..128 are padding.
-        assert_eq!(hv.count(), 70);
-        assert_eq!(hv.words()[1], (1 << 6) - 1);
-        assert_eq!(hv.num_words(), 2);
-        hv.set_word(0, 0b101);
-        assert_eq!(hv.iter_ones().take(2).collect::<Vec<_>>(), vec![0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn set_word_out_of_range_panics() {
-        HitVector::new(64).set_word(1, 1);
     }
 
     #[test]

@@ -30,9 +30,7 @@ mod cam;
 mod error;
 mod hit_vector;
 mod mac;
-mod packed;
 
-pub mod auto;
 pub mod energy;
 pub mod fast_hash;
 pub mod fault;
@@ -41,8 +39,7 @@ pub mod geometry;
 pub mod noise;
 pub mod periphery;
 
-pub use auto::{BlockShape, SearchCostModel, SearchProfile};
-pub use cam::{CamCrossbar, CamEntry, SearchMode};
+pub use cam::{CamCrossbar, CamEntry};
 pub use error::XbarError;
 pub use fault::FaultModel;
 pub use hit_vector::{ChunkOnes, HitVector};

@@ -1,11 +1,11 @@
-//! Matcher equivalence gate: every CAM search — served by the
-//! word-parallel packed matcher or the exact-match index, in any search
-//! mode, clean or seeded-faulty, across invalidations and rewrites, on
-//! any bank depth (including partial last words, `rows % 64 != 0`) —
-//! must return exactly the hit vector of a reference scan this test
-//! builds from the public [`CamCrossbar::read`]. Quantized MAC bursts,
-//! full and restricted, must equal a bit-sliced reference built from the
-//! public [`MacCrossbar::read_cell`]. A bulk
+//! Matcher equivalence gate: every CAM search — served by the chained
+//! exact-match index or, for a mask past the index cap, the scan; clean
+//! or seeded-faulty, across invalidations and rewrites, on any bank depth
+//! (including partial last words, `rows % 64 != 0`) — must return exactly
+//! the hit vector of a reference scan this test builds from the public
+//! [`CamCrossbar::read`]. Quantized MAC bursts, full and restricted, must
+//! equal a bit-sliced reference built from the public
+//! [`MacCrossbar::read_cell`]. A bulk
 //! [`CamCrossbar::program_block`] must leave a CAM exactly as
 //! `invalidate_all` plus one `write` per row does.
 
@@ -14,9 +14,7 @@ use proptest::prelude::*;
 
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
-use gaasx_xbar::{
-    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, SearchMode,
-};
+use gaasx_xbar::{CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection};
 
 /// Bank depths straddling the 64-row word boundary: one word exactly, a
 /// partial single word, partial and full multi-word, the paper depth, and
@@ -33,8 +31,6 @@ const DEEP_ROWS: usize = 2048;
 /// Source vertex held by every fourth row of the deep bank: one index
 /// chain hundreds of rows long.
 const HUB: u32 = 7;
-
-const MODES: [SearchMode; 3] = [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto];
 
 /// The reference ternary match: every valid stored entry (post-fault, as
 /// `read` returns it) whose unmasked bits within the geometry width equal
@@ -155,14 +151,13 @@ fn deep_key(row: usize) -> u128 {
     (u128::from(src) << 32) | u128::from((row % 96) as u32)
 }
 
-/// A fully programmed 2048-row Indexed bank whose src and dst indexes are
-/// built (and therefore clean) by one search each.
+/// A fully programmed 2048-row bank whose src and dst indexes are built
+/// (and therefore clean) by one search each.
 fn deep_indexed_bank() -> CamCrossbar {
     let mut cam = CamCrossbar::new(CamGeometry {
         rows: DEEP_ROWS,
         ..CamGeometry::paper()
     });
-    cam.set_search_mode(SearchMode::Indexed);
     for row in 0..DEEP_ROWS {
         cam.write(row, deep_key(row)).unwrap();
     }
@@ -263,8 +258,8 @@ proptest! {
         prop_assert_eq!(deep_bank_mismatches(&mut cam, &mut hv), 0);
     }
 
-    /// Any op interleaving on any bank depth, in every search mode,
-    /// fault-free or with stuck cells, failed writes and search upsets:
+    /// Any op interleaving on any bank depth, fault-free or with stuck
+    /// cells, failed writes and search upsets:
     /// every search answers like the reference scan, except for the one
     /// match line each counted upset toggles.
     #[test]
@@ -277,7 +272,6 @@ proptest! {
         seed in any::<u64>(),
         faulty in any::<bool>(),
         upsets in any::<bool>(),
-        mode_ix in 0usize..MODES.len(),
     ) {
         let rows = DEPTHS[depth_ix];
         let g = CamGeometry {
@@ -285,7 +279,6 @@ proptest! {
             ..CamGeometry::paper()
         };
         let mut cam = CamCrossbar::new(g);
-        cam.set_search_mode(MODES[mode_ix]);
         if faulty {
             cam.set_faults(Some(CamFaultState::new(
                 FaultModel {
@@ -315,8 +308,8 @@ proptest! {
     /// block with `program_block`, the other with `invalidate_all` plus one
     /// `write` per row. Fault-free or with stuck cells and transient write
     /// failures on the same seed, they must agree on every stored row, the
-    /// billing, the fault counters, packed and indexed searches, and the
-    /// next transient draw.
+    /// billing, the fault counters, every search, and the next transient
+    /// draw.
     #[test]
     fn program_block_matches_invalidate_all_plus_writes(
         prior in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 0..60),
@@ -324,16 +317,8 @@ proptest! {
         depth_ix in 0usize..4,
         seed in any::<u64>(),
         faulty in any::<bool>(),
-        indexed_first in any::<bool>(),
     ) {
         let rows = [64usize, 70, 128, 130][depth_ix];
-        // The mode the prior searches ran in is searched first after the
-        // program, so a stale index or plane word would answer.
-        let modes = if indexed_first {
-            [SearchMode::Indexed, SearchMode::Linear]
-        } else {
-            [SearchMode::Linear, SearchMode::Indexed]
-        };
         let g = CamGeometry {
             rows,
             ..CamGeometry::paper()
@@ -343,7 +328,6 @@ proptest! {
         let keys: Vec<u128> = keys.iter().take(rows).map(|&(s, d)| key_of(s, d)).collect();
         let twin = || {
             let mut cam = CamCrossbar::new(g);
-            cam.set_search_mode(modes[0]);
             if faulty {
                 cam.set_faults(Some(CamFaultState::new(
                     FaultModel {
@@ -355,7 +339,8 @@ proptest! {
                     &g,
                 )));
             }
-            // Prior contents, with the index or the planes clean.
+            // Prior contents, with the indexes clean after a prior search,
+            // so an index left clean across the program would answer.
             let mut hv = HitVector::new(0);
             for &(code, row, v) in &prior {
                 let row = usize::from(row) % rows;
@@ -383,15 +368,11 @@ proptest! {
         prop_assert_eq!(bulk.stats(), rowwise.stats());
         prop_assert_eq!(bulk.fault_stats(), rowwise.fault_stats());
         let (mut a, mut b) = (HitVector::new(0), HitVector::new(0));
-        for mode in modes {
-            bulk.set_search_mode(mode);
-            rowwise.set_search_mode(mode);
-            for v in 0..8u128 {
-                for (key, mask) in [(v << 32, SRC_MASK), (v, DST_MASK)] {
-                    prop_assert_eq!(search_vs_reference(&mut bulk, key, mask, &mut a), 0);
-                    rowwise.search_into(key, mask, &mut b);
-                    prop_assert_eq!(&a, &b, "{} search {:#x}/{:#x}", mode, key, mask);
-                }
+        for v in 0..8u128 {
+            for (key, mask) in [(v << 32, SRC_MASK), (v, DST_MASK)] {
+                prop_assert_eq!(search_vs_reference(&mut bulk, key, mask, &mut a), 0);
+                rowwise.search_into(key, mask, &mut b);
+                prop_assert_eq!(&a, &b, "search {:#x}/{:#x}", key, mask);
             }
         }
         // The next write on each twin draws from the same stream position.
@@ -452,13 +433,14 @@ proptest! {
         }
     }
 
-    /// Lazily rebuilt planes on banks with a partial last word (70 rows),
-    /// the paper depth and a deep bank, at widths below, at and above one
-    /// 64-bit half: any interleaving of writes, single and bulk
-    /// invalidations and Linear-mode searches answers exactly like the
-    /// reference scan, including keys and masks with nonzero high halves.
+    /// Lazily rebuilt and patched indexes on banks with a partial last
+    /// word (70 rows), the paper depth and a deep bank, at widths below, at
+    /// and above one 64-bit half: any interleaving of writes, single and
+    /// bulk invalidations and searches answers exactly like the reference
+    /// scan, including keys and masks with nonzero high halves. Arbitrary
+    /// masks soon fill the index cap, so the scan fallback runs here too.
     #[test]
-    fn lazy_planes_match_the_reference_across_depths_and_widths(
+    fn index_matches_the_reference_across_depths_and_widths(
         ops in prop::collection::vec(
             (0u8..8, any::<u16>(), any::<u64>(), any::<u64>()),
             1..120,
@@ -472,7 +454,6 @@ proptest! {
             width_bits: [48u32, 64, 128][width_ix],
         };
         let mut cam = CamCrossbar::new(g);
-        cam.set_search_mode(SearchMode::Linear);
         let mut hv = HitVector::new(0);
         for &(code, row, lo, hi) in &ops {
             let row = usize::from(row) % rows;

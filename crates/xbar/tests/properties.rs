@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use gaasx_xbar::fault::CamFaultState;
 use gaasx_xbar::fixed::Quantizer;
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
-use gaasx_xbar::{
-    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, SearchMode,
-};
+use gaasx_xbar::{CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection};
 
 /// Strategy: cell contents for up to 16 rows × 16 cols plus matching
 /// active-row inputs.
@@ -56,53 +54,9 @@ fn apply_cam_op(cam: &mut CamCrossbar, op: (u8, u8, u8, u8), out: &mut Vec<HitVe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of program/invalidate/remap/search operations —
-    /// with or without a seeded fault model — yields identical hit
-    /// vectors, device stats, and fault stats under `SearchMode::Linear`,
-    /// `SearchMode::Indexed`, and (unresolved) `SearchMode::Auto`.
-    #[test]
-    fn linear_and_indexed_modes_agree(
-        ops in prop::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
-            1..80,
-        ),
-        seed in any::<u64>(),
-        faulty in any::<bool>(),
-    ) {
-        let g = CamGeometry::paper();
-        let run = |mode: SearchMode| {
-            let mut cam = CamCrossbar::new(g);
-            cam.set_search_mode(mode);
-            if faulty {
-                cam.set_faults(Some(CamFaultState::new(
-                    FaultModel {
-                        seed,
-                        cam_stuck_ber: 0.01,
-                        write_fail_rate: 0.05,
-                        cam_upset_rate: 0.02,
-                        ..FaultModel::none()
-                    },
-                    &g,
-                )));
-            }
-            let mut hits = Vec::new();
-            for &op in &ops {
-                apply_cam_op(&mut cam, op, &mut hits);
-            }
-            (hits, cam.stats().clone(), cam.fault_stats().copied())
-        };
-        let lin = run(SearchMode::Linear);
-        for mode in [SearchMode::Indexed, SearchMode::Auto] {
-            let other = run(mode);
-            prop_assert_eq!(&lin.0, &other.0, "hit vectors diverged under {}", mode);
-            prop_assert_eq!(&lin.1, &other.1, "device stats diverged under {}", mode);
-            prop_assert_eq!(&lin.2, &other.2, "fault stats diverged under {}", mode);
-        }
-    }
-
     /// Under a fault model with stuck bits and write failures but no
     /// search upsets, a search draws no random numbers: repeating it on
-    /// unchanged entries returns the same hit vector, in every mode. This
+    /// unchanged entries returns the same hit vector. This
     /// is what lets the engine replay the 2nd and 3rd vote of a CAM
     /// majority vote instead of searching again.
     #[test]
@@ -122,23 +76,20 @@ proptest! {
             write_fail_rate,
             ..FaultModel::none()
         };
-        for mode in [SearchMode::Linear, SearchMode::Indexed, SearchMode::Auto] {
-            let mut cam = CamCrossbar::new(g);
-            cam.set_search_mode(mode);
-            cam.set_faults(Some(CamFaultState::new(model, &g)));
-            prop_assert!(!cam.search_draws());
-            let mut hits = Vec::new();
-            for &op in &ops {
+        let mut cam = CamCrossbar::new(g);
+        cam.set_faults(Some(CamFaultState::new(model, &g)));
+        prop_assert!(!cam.search_draws());
+        let mut hits = Vec::new();
+        for &op in &ops {
+            apply_cam_op(&mut cam, op, &mut hits);
+            let before = hits.len();
+            // Replaying the op repeats a search (and only a search).
+            if op.0 % 8 >= 5 {
                 apply_cam_op(&mut cam, op, &mut hits);
-                let before = hits.len();
-                // Replaying the op repeats a search (and only a search).
-                if op.0 % 8 >= 5 {
-                    apply_cam_op(&mut cam, op, &mut hits);
-                    prop_assert_eq!(&hits[before - 1], &hits[before], "repeat diverged under {}", mode);
-                }
+                prop_assert_eq!(&hits[before - 1], &hits[before], "repeat diverged");
             }
-            prop_assert_eq!(cam.fault_stats().unwrap().cam_upsets, 0);
         }
+        prop_assert_eq!(cam.fault_stats().unwrap().cam_upsets, 0);
         let mut upsetting = CamCrossbar::new(g);
         upsetting.set_faults(Some(CamFaultState::new(
             FaultModel { cam_upset_rate: 1e-3, ..model },

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use gaasx::baselines::{GraphR, GraphRConfig};
 use gaasx::core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
-use gaasx::core::{GaasX, GaasXConfig, SearchMode};
+use gaasx::core::{GaasX, GaasXConfig};
 use gaasx::graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use gaasx::graph::stats::{GraphSummary, TileDensityProfile};
 use gaasx::graph::{io as gio, CooGraph, VertexId};
@@ -66,48 +66,56 @@ fn print_usage() {
          \x20 bfs <file> --source V\n\
          \x20 cc <file>                           weakly connected components\n\
          \x20 compare <file> [--iters N]          GaaS-X vs GraphR on PageRank\n\n\
-         OPTIONS (pagerank/sssp/bfs/cc/compare):\n\
-         \x20 --search-mode linear|indexed|auto   host hit-vector algorithm (default\n\
-         \x20                                     auto: a per-block cost model picks\n\
-         \x20                                     the faster mode; reports are\n\
-         \x20                                     bit-identical in all modes)\n"
+         Options go before or after the positional argument; each takes a\n\
+         value. An option the command does not list is an error.\n"
     );
 }
 
-/// Parses `--flag value` pairs from an argument list.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A command's arguments: one positional argument plus the `--flag value`
+/// pairs it reads, in any order.
+struct Args<'a> {
+    positional: &'a str,
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for {name}")),
+impl<'a> Args<'a> {
+    /// Splits `args` into `--flag value` pairs and one positional argument
+    /// named `what`. A flag outside `known`, a flag without a value, and a
+    /// missing or second positional argument are errors.
+    fn parse(args: &'a [String], known: &[&str], what: &str) -> Result<Self, String> {
+        let mut positional = None;
+        let mut flags = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if arg.starts_with("--") {
+                if !known.contains(&arg.as_str()) {
+                    return Err(format!("unknown option '{arg}'; try 'gaasx-cli help'"));
+                }
+                let value = rest
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a value"))?;
+                flags.push((arg.as_str(), value.as_str()));
+            } else if positional.replace(arg.as_str()).is_some() {
+                return Err(format!("unexpected argument '{arg}'"));
+            }
+        }
+        let positional = positional.ok_or_else(|| format!("missing <{what}> argument"))?;
+        Ok(Args { positional, flags })
     }
-}
 
-/// Builds the accelerator config from the shared CLI flags
-/// (`--search-mode linear|indexed|auto`, defaulting to auto — all modes
-/// produce bit-identical reports; linear keeps the O(rows) reference
-/// scan for cross-checking, auto resolves per block via the cost model).
-fn cli_config(args: &[String]) -> Result<GaasXConfig, String> {
-    let mut config = GaasXConfig::paper();
-    config.search_mode = match flag(args, "--search-mode") {
-        None => SearchMode::default(),
-        Some(v) => v.parse::<SearchMode>()?,
-    };
-    Ok(config)
-}
+    /// The value of the first `name` flag, if given.
+    fn flag(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == name).map(|&(_, v)| v)
+    }
 
-fn positional(args: &[String]) -> Result<&str, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .ok_or_else(|| "missing <file> argument".to_string())
+    fn flag_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.flag(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value '{v}' for {name}")),
+        }
+    }
 }
 
 fn load(path: &str) -> Result<CooGraph, Box<dyn std::error::Error>> {
@@ -137,7 +145,7 @@ fn report_line(r: &RunReport) {
 }
 
 fn cmd_info(args: &[String]) -> CliResult {
-    let graph = load(positional(args)?)?;
+    let graph = load(Args::parse(args, &[], "file")?.positional)?;
     let summary = GraphSummary::compute(&graph)?;
     println!(
         "vertices: {}\nedges: {}\ndensity: {:.3e}",
@@ -162,26 +170,27 @@ fn cmd_info(args: &[String]) -> CliResult {
 }
 
 fn cmd_generate(args: &[String]) -> CliResult {
-    let kind = args
-        .first()
-        .map(String::as_str)
-        .ok_or("generate requires a kind: rmat | er")?;
-    let n: u32 = flag_parse(args, "--vertices", 1024)?;
-    let m: usize = flag_parse(args, "--edges", 10_000)?;
-    let seed: u64 = flag_parse(args, "--seed", 1)?;
-    let graph = match kind {
+    let args = Args::parse(
+        args,
+        &["--vertices", "--edges", "--seed", "--out"],
+        "rmat|er",
+    )?;
+    let n: u32 = args.flag_parse("--vertices", 1024)?;
+    let m: usize = args.flag_parse("--edges", 10_000)?;
+    let seed: u64 = args.flag_parse("--seed", 1)?;
+    let graph = match args.positional {
         "rmat" => rmat(&RmatConfig::new(n, m).with_seed(seed))?,
         "er" => erdos_renyi(&ErdosRenyiConfig::new(n, m).with_seed(seed))?,
         other => return Err(format!("unknown generator '{other}' (rmat | er)").into()),
     };
-    match flag(args, "--out") {
+    match args.flag("--out") {
         Some(path) if path.ends_with(".bin") => {
-            let mut w = BufWriter::new(File::create(&path)?);
+            let mut w = BufWriter::new(File::create(path)?);
             w.write_all(&gio::to_binary(&graph))?;
             println!("wrote {} edges to {path} (binary)", graph.num_edges());
         }
         Some(path) => {
-            gio::write_edge_list(BufWriter::new(File::create(&path)?), &graph)?;
+            gio::write_edge_list(BufWriter::new(File::create(path)?), &graph)?;
             println!("wrote {} edges to {path}", graph.num_edges());
         }
         None => gio::write_edge_list(std::io::stdout().lock(), &graph)?,
@@ -190,10 +199,11 @@ fn cmd_generate(args: &[String]) -> CliResult {
 }
 
 fn cmd_pagerank(args: &[String]) -> CliResult {
-    let graph = load(positional(args)?)?;
-    let iters: u32 = flag_parse(args, "--iters", 20)?;
-    let top: usize = flag_parse(args, "--top", 10)?;
-    let mut accel = GaasX::new(cli_config(args)?);
+    let args = Args::parse(args, &["--iters", "--top"], "file")?;
+    let graph = load(args.positional)?;
+    let iters: u32 = args.flag_parse("--iters", 20)?;
+    let top: usize = args.flag_parse("--top", 10)?;
+    let mut accel = GaasX::new(GaasXConfig::paper());
     let out = accel.run(&PageRank::fixed_iterations(iters), &graph)?;
     report_line(&out.report);
     let mut ranked: Vec<(usize, f64)> = out.result.iter().copied().enumerate().collect();
@@ -205,10 +215,11 @@ fn cmd_pagerank(args: &[String]) -> CliResult {
 }
 
 fn cmd_traversal(args: &[String], bfs: bool) -> CliResult {
-    let graph = load(positional(args)?)?;
-    let source: u32 = flag_parse(args, "--source", 0)?;
+    let args = Args::parse(args, &["--source"], "file")?;
+    let graph = load(args.positional)?;
+    let source: u32 = args.flag_parse("--source", 0)?;
     let src = VertexId::new(source);
-    let mut accel = GaasX::new(cli_config(args)?);
+    let mut accel = GaasX::new(GaasXConfig::paper());
     let (report, dist) = if bfs {
         let out = accel.run(&Bfs::from_source(src), &graph)?;
         (out.report, out.result)
@@ -232,8 +243,8 @@ fn cmd_traversal(args: &[String], bfs: bool) -> CliResult {
 }
 
 fn cmd_cc(args: &[String]) -> CliResult {
-    let graph = load(positional(args)?)?.symmetrized();
-    let mut accel = GaasX::new(cli_config(args)?);
+    let graph = load(Args::parse(args, &[], "file")?.positional)?.symmetrized();
+    let mut accel = GaasX::new(GaasXConfig::paper());
     let out = accel.run(&ConnectedComponents::new(), &graph)?;
     report_line(&out.report);
     let mut labels = out.result;
@@ -244,9 +255,10 @@ fn cmd_cc(args: &[String]) -> CliResult {
 }
 
 fn cmd_compare(args: &[String]) -> CliResult {
-    let graph = load(positional(args)?)?;
-    let iters: u32 = flag_parse(args, "--iters", 10)?;
-    let mut accel = GaasX::new(cli_config(args)?);
+    let args = Args::parse(args, &["--iters"], "file")?;
+    let graph = load(args.positional)?;
+    let iters: u32 = args.flag_parse("--iters", 10)?;
+    let mut accel = GaasX::new(GaasXConfig::paper());
     let a = accel
         .run(&PageRank::fixed_iterations(iters), &graph)?
         .report;
