@@ -5,7 +5,7 @@ use gaasx_core::RunOutcome;
 use gaasx_graph::bipartite::BipartiteGraph;
 use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::CooGraph;
-use gaasx_sim::pipeline::PipelineClock;
+use gaasx_sim::pipeline::{wave_schedule, BlockStages};
 use gaasx_sim::{
     attribute_makespan, EnergyBreakdown, Histogram, Nanojoules, Nanos, OpSummary, Phase, RunReport,
     SramBuffer, Tracer,
@@ -192,41 +192,29 @@ impl Tally {
 
     fn finish(mut self, algorithm: &str, iterations: u32, num_edges: u64) -> RunReport {
         self.end_tile();
-        let pes = self.config.num_pe.max(1);
-        let mut clock = PipelineClock::new();
-        for (w, wave) in self.costs.chunks(pes).enumerate() {
-            let stream_ns: Nanos = wave
-                .iter()
-                .map(|t| Nanos::from_ns(t.stream_bytes as f64 / self.config.stream_bandwidth_gbps))
-                .sum();
-            let program_ns = wave
-                .iter()
-                .map(|t| t.program_ns)
-                .fold(Nanos::ZERO, Nanos::max);
-            let compute_ns = wave
-                .iter()
-                .map(|t| t.compute_ns)
-                .fold(Nanos::ZERO, Nanos::max);
-            // The pipeline clock is an untyped scheduling core; `.ns()`
-            // marks the exit from the typed accounting.
-            let done = clock.advance(stream_ns.max(program_ns).ns(), compute_ns.ns());
+        let stages = |t: &TileCost| BlockStages {
+            stream: Nanos::from_ns(t.stream_bytes as f64 / self.config.stream_bandwidth_gbps),
+            program: t.program_ns,
+            compute: t.compute_ns,
+        };
+        let tiles = wave_schedule(&self.costs, self.config.num_pe.max(1), stages, |wave| {
             if self.tracer.enabled() {
                 // One dispatch event per tile; PE = position in the wave.
-                let compute_start = done - compute_ns.ns();
-                for (i, t) in wave.iter().enumerate() {
+                let compute_start = wave.compute_start.ns();
+                for (i, t) in wave.blocks.iter().enumerate() {
                     self.tracer
                         .span(
                             Phase::Dispatch,
                             (compute_start - t.program_ns.ns()).max(0.0),
                         )
                         .bank(i as u32)
-                        .attr("tile", w * pes + i)
-                        .attr("wave", w)
+                        .attr("tile", wave.first + i)
+                        .attr("wave", wave.index)
                         .end(compute_start + t.compute_ns.ns());
                 }
             }
-        }
-        let makespan = Nanos::from_ns(clock.makespan()) + self.extra_parallel_ns;
+        });
+        let makespan = tiles + self.extra_parallel_ns;
         let e = &self.config.energy;
         let buffer_nj =
             self.input_buf.energy_nj() + self.attr_buf.energy_nj() + self.output_buf.energy_nj();

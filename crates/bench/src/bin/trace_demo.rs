@@ -22,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             other => trace = Some(PathBuf::from(other)),
         }
     }
-    println!(
+    // `print!`: the rendered table already ends in a newline, so stdout is
+    // byte-equal to the `results/trace_demo.md` that `run_all` writes.
+    print!(
         "{}",
         gaasx_bench::experiments::trace_demo(trace.as_deref(), timeline.as_deref())?
     );

@@ -101,13 +101,15 @@ impl GaasX {
         let run = match algorithm.execute(&mut engine, input) {
             Ok(run) => run,
             Err(e) => {
-                return Err(Self::attach_partial_report(
-                    e,
-                    &mut engine,
-                    algorithm.name(),
-                    workload,
-                    A::input_edges(input),
-                ))
+                return Err(Self::attach_partial_report(e, || {
+                    engine.finish(
+                        "gaasx",
+                        algorithm.name(),
+                        workload,
+                        0,
+                        A::input_edges(input),
+                    )
+                }))
             }
         };
         let report = engine.finish(
@@ -126,36 +128,25 @@ impl GaasX {
     /// Graceful degradation: an unrecoverable [`CoreError::DeviceFault`]
     /// or deadline [`CoreError::Cancelled`] aborts the algorithm, but the
     /// work done up to the abort still cost time and energy — attach the
-    /// partial report so callers can account for (and bill) it. Other
-    /// errors pass through untouched.
-    fn attach_partial_report(
-        e: CoreError,
-        engine: &mut Engine,
-        algorithm: &str,
-        workload: &str,
-        num_edges: u64,
-    ) -> CoreError {
+    /// partial report `finish` assembles so callers can account for (and
+    /// bill) it. Other errors pass through untouched, and `finish` is not
+    /// called.
+    fn attach_partial_report(e: CoreError, finish: impl FnOnce() -> RunReport) -> CoreError {
         match e {
             CoreError::DeviceFault {
                 detail,
                 report: None,
-            } => {
-                let partial = engine.finish("gaasx", algorithm, workload, 0, num_edges);
-                CoreError::DeviceFault {
-                    detail,
-                    report: Some(Box::new(partial)),
-                }
-            }
+            } => CoreError::DeviceFault {
+                detail,
+                report: Some(Box::new(finish())),
+            },
             CoreError::Cancelled {
                 detail,
                 report: None,
-            } => {
-                let partial = engine.finish("gaasx", algorithm, workload, 0, num_edges);
-                CoreError::Cancelled {
-                    detail,
-                    report: Some(Box::new(partial)),
-                }
-            }
+            } => CoreError::Cancelled {
+                detail,
+                report: Some(Box::new(finish())),
+            },
             other => other,
         }
     }
@@ -194,39 +185,17 @@ impl GaasX {
         sharded.set_tracer(self.tracer.clone());
         let run = match algorithm.execute_on(&mut sharded, input) {
             Ok(run) => run,
-            Err(CoreError::DeviceFault {
-                detail,
-                report: None,
-            }) => {
-                let partial = sharded.finish(
-                    "gaasx",
-                    algorithm.name(),
-                    workload,
-                    0,
-                    A::input_edges(input),
-                );
-                return Err(CoreError::DeviceFault {
-                    detail,
-                    report: Some(Box::new(partial)),
-                });
+            Err(e) => {
+                return Err(Self::attach_partial_report(e, || {
+                    sharded.finish(
+                        "gaasx",
+                        algorithm.name(),
+                        workload,
+                        0,
+                        A::input_edges(input),
+                    )
+                }))
             }
-            Err(CoreError::Cancelled {
-                detail,
-                report: None,
-            }) => {
-                let partial = sharded.finish(
-                    "gaasx",
-                    algorithm.name(),
-                    workload,
-                    0,
-                    A::input_edges(input),
-                );
-                return Err(CoreError::Cancelled {
-                    detail,
-                    report: Some(Box::new(partial)),
-                });
-            }
-            Err(e) => return Err(e),
         };
         let report = sharded.finish(
             "gaasx",

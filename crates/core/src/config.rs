@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use gaasx_sim::des::SchedulePolicy;
 use gaasx_sim::Nanos;
 use gaasx_xbar::energy::DeviceEnergyModel;
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
@@ -89,9 +88,6 @@ pub struct GaasXConfig {
     pub stream_bandwidth_gbps: f64,
     /// Bytes per streamed edge record (COO: two u32 ids + f32 weight).
     pub edge_record_bytes: u64,
-    /// Block dispatch discipline: synchronous waves (default, a simple
-    /// controller) or event-driven earliest-available-bank scheduling.
-    pub scheduler: SchedulePolicy,
     /// Seeded device-fault injection ([`FaultModel::none`] disables it and
     /// costs nothing).
     #[serde(default)]
@@ -115,7 +111,6 @@ impl GaasXConfig {
             noise_seed: 0,
             stream_bandwidth_gbps: 128.0,
             edge_record_bytes: 12,
-            scheduler: SchedulePolicy::Waves,
             fault: FaultModel::none(),
             recovery: RecoveryPolicy::off(),
         }
@@ -132,10 +127,11 @@ impl GaasXConfig {
     /// A deep-bank design point: 2048-row CAM+MAC bank pairs, 16× deeper
     /// and 16× fewer than Table I, holding the same number of resident
     /// edges. Deeper banks amortize per-block load overhead over more
-    /// edges and stress the search path — a search must discriminate
-    /// among 16× more rows, so this is the regime where the O(rows)
-    /// linear host scan falls furthest behind the O(hits) indexed path
-    /// (and where a physical TCAM's constant-time search shines).
+    /// edges and stress the search path: a search must discriminate
+    /// among 16× more rows. The device's TCAM search stays one
+    /// constant-time operation, and the host answers it from the CAM's
+    /// field index in O(hits); the O(rows) scan only serves a fifth
+    /// distinct search mask, and the engine searches two.
     pub fn deep_bank() -> Self {
         GaasXConfig {
             mac_geometry: MacGeometry {
@@ -156,7 +152,8 @@ impl GaasXConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] on inconsistent geometries, zero
-    /// bank counts, or non-positive bandwidth.
+    /// bank counts, non-positive bandwidth, or a full block whose byte
+    /// count overflows or whose stream time is infinite.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.mac_geometry
             .validate()
@@ -185,6 +182,20 @@ impl GaasXConfig {
                 "edge_record_bytes must be positive".into(),
             ));
         }
+        // A full block is the largest stream the engine bills at once.
+        let Some(block_bytes) = (self.cam_geometry.rows as u64).checked_mul(self.edge_record_bytes)
+        else {
+            return Err(CoreError::InvalidConfig(format!(
+                "edge_record_bytes {} overflows a {}-row block's byte count",
+                self.edge_record_bytes, self.cam_geometry.rows
+            )));
+        };
+        if !self.stream_ns(block_bytes).is_finite() {
+            return Err(CoreError::InvalidConfig(format!(
+                "stream_bandwidth_gbps {} gives a full block an infinite stream time",
+                self.stream_bandwidth_gbps
+            )));
+        }
         if !(self.noise_sigma.is_finite() && self.noise_sigma >= 0.0) {
             return Err(CoreError::InvalidConfig(
                 "noise_sigma must be non-negative".into(),
@@ -205,9 +216,10 @@ impl GaasXConfig {
         Ok(())
     }
 
-    /// Edges resident across all banks at once (`num_banks × cam rows`).
+    /// Edges resident across all banks at once (`num_banks × cam rows`,
+    /// saturating at `usize::MAX`).
     pub fn resident_edges(&self) -> usize {
-        self.num_banks * self.cam_geometry.rows
+        self.num_banks.saturating_mul(self.cam_geometry.rows)
     }
 
     /// Time to stream `bytes` from storage into the compute arrays.
@@ -373,6 +385,61 @@ mod tests {
         assert!(c.validate().is_err(), "spares must leave usable rows");
         c.recovery.spare_rows = 16;
         c.validate().unwrap();
+
+        // Extreme values past the simple range checks: each is rejected
+        // by both `validate` and `run`, or runs to a report whose phases
+        // sum to the makespan exactly.
+        use crate::algorithms::{Bfs, PageRank};
+        use crate::GaasX;
+        type Set = fn(&mut GaasXConfig);
+        let extremes: [(&str, Set); 5] = [
+            ("edge_record_bytes = u64::MAX", |c| {
+                c.edge_record_bytes = u64::MAX
+            }),
+            ("stream_bandwidth_gbps = MIN_POSITIVE", |c| {
+                c.stream_bandwidth_gbps = f64::MIN_POSITIVE
+            }),
+            ("stream_bandwidth_gbps = 1e-300", |c| {
+                c.stream_bandwidth_gbps = 1e-300
+            }),
+            ("stream_bandwidth_gbps = 1e-20", |c| {
+                c.stream_bandwidth_gbps = 1e-20
+            }),
+            ("num_banks = usize::MAX", |c| c.num_banks = usize::MAX),
+        ];
+        let graph = gaasx_graph::generators::rmat(
+            &gaasx_graph::generators::RmatConfig::new(64, 400).with_seed(3),
+        )
+        .unwrap();
+        let pagerank = PageRank::fixed_iterations(3);
+        let bfs = Bfs::from_source(gaasx_graph::VertexId::new(0));
+        for (name, set) in extremes {
+            let mut c = GaasXConfig::small();
+            set(&mut c);
+            let runs = [
+                GaasX::new(c.clone())
+                    .run(&pagerank, &graph)
+                    .map(|o| o.report),
+                GaasX::new(c.clone()).run(&bfs, &graph).map(|o| o.report),
+            ];
+            if c.validate().is_err() {
+                for run in runs {
+                    assert!(
+                        matches!(run, Err(CoreError::InvalidConfig(_))),
+                        "{name}: run must fail as InvalidConfig"
+                    );
+                }
+                continue;
+            }
+            for run in runs {
+                let report = run.unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    report.phases_total_sched_ns(),
+                    report.elapsed_ns,
+                    "{name}: phases must sum to the makespan"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`Histogram`] — e.g. the rows-accumulated-per-MAC distribution behind
 //!   Fig 13,
 //! * [`pipeline`] — the two-stage load/compute overlap model of the shard
-//!   streaming execution,
+//!   streaming execution, and the wave schedule both accelerator engines
+//!   dispatch their blocks with,
 //! * [`obs`] — the tracing/metrics layer: phase spans, per-bank counters,
 //!   and pluggable sinks (in-memory rollups or JSONL event streams),
 //! * [`timeline`] — bank-occupancy timelines on the modeled time axis,
@@ -27,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod buffer;
-pub mod des;
 pub mod energy;
 pub mod histogram;
 pub mod obs;

@@ -340,10 +340,12 @@ impl MetricsRegistry {
 /// `busy` lists `(phase, busy_ns, op_count)` tallies; entries that saw
 /// neither busy time nor operations are dropped. Each surviving phase
 /// receives a `sched_ns` share proportional to its busy time (an even
-/// split if no busy time was recorded at all), and the largest share is
-/// then adjusted so the shares sum to `makespan_ns` **exactly** — which is
-/// what makes [`crate::RunReport::phases_total_sched_ns`] equal
-/// `elapsed_ns` bit-for-bit rather than merely approximately.
+/// split if no busy time was recorded at all), and the last nonzero share
+/// is then adjusted so the shares sum to `makespan_ns` **exactly** — which
+/// is what makes [`crate::RunReport::phases_total_sched_ns`] equal
+/// `elapsed_ns` bit-for-bit rather than merely approximately. In the rare
+/// case that no value of the last share lands the sum exactly, an earlier
+/// nonzero share is pinned instead.
 pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> Vec<PhaseBreakdown> {
     let total: Nanos = busy.iter().map(|&(_, ns, _)| ns.max(Nanos::ZERO)).sum();
     let mut out: Vec<PhaseBreakdown> = busy
@@ -354,8 +356,16 @@ pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> V
             sched_ns: if total > Nanos::ZERO {
                 // Raw f64 keeps the historical `(makespan * busy) / total`
                 // evaluation order; `makespan * (busy / total)` rounds
-                // differently and would break report bit-identity.
-                Nanos::from_ns(makespan_ns.ns() * ns.max(Nanos::ZERO).ns() / total.ns())
+                // differently and would break report bit-identity. It
+                // only serves when the product overflows a finite
+                // makespan.
+                let busy = ns.max(Nanos::ZERO).ns();
+                let share = makespan_ns.ns() * busy / total.ns();
+                Nanos::from_ns(if share.is_finite() || !makespan_ns.is_finite() {
+                    share
+                } else {
+                    makespan_ns.ns() * (busy / total.ns())
+                })
             } else {
                 Nanos::ZERO
             },
@@ -383,6 +393,7 @@ pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> V
         .iter()
         .rposition(|p| p.sched_ns > Nanos::ZERO)
         .unwrap_or(out.len() - 1);
+    let proportional = out[pinned].sched_ns;
     // Shares are non-negative finite, so stepping one ulp is a bit bump.
     let ulp_up = |x: Nanos| Nanos::from_ns(f64::from_bits(x.ns().to_bits() + 1));
     let ulp_down = |x: Nanos| {
@@ -393,9 +404,9 @@ pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> V
         }
     };
     for _ in 0..64 {
-        let total: Nanos = out.iter().map(|p| p.sched_ns).sum();
+        let total = sum_shares(&out);
         if total == makespan_ns {
-            break;
+            return out;
         }
         let cur = out[pinned].sched_ns;
         let mut next = (cur + (makespan_ns - total)).max(Nanos::ZERO);
@@ -412,7 +423,50 @@ pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> V
         }
         out[pinned].sched_ns = next;
     }
+    if sum_shares(&out) != makespan_ns {
+        out[pinned].sched_ns = proportional;
+        pin_exactly(&mut out, makespan_ns);
+    }
     out
+}
+
+/// Left-to-right sum of the shares — the order
+/// [`crate::RunReport::phases_total_sched_ns`] adds them in.
+fn sum_shares(shares: &[PhaseBreakdown]) -> Nanos {
+    shares.iter().map(|p| p.sched_ns).sum()
+}
+
+/// Fallback of [`attribute_makespan`] for when its steps straddle the
+/// target: if the partial sum before the pin is finer-grained than the
+/// makespan, every candidate sum may fall on a rounding tie, and ties
+/// round to even on both sides of an odd makespan. Pins each nonzero
+/// share in turn, from the last to the first, and tries the few ulps
+/// either side of its closed-form value `makespan − Σ(other shares)`;
+/// keeps the first that lands the sum exactly. When none does the
+/// shares stay proportional.
+fn pin_exactly(shares: &mut [PhaseBreakdown], makespan_ns: Nanos) {
+    const REACH: i64 = 4;
+    for i in (0..shares.len()).rev() {
+        let share = shares[i].sched_ns;
+        if share <= Nanos::ZERO {
+            continue;
+        }
+        shares[i].sched_ns = Nanos::ZERO;
+        let estimate = (makespan_ns - sum_shares(shares))
+            .max(Nanos::ZERO)
+            .ns()
+            .to_bits();
+        for step in (0..=2 * REACH).map(|k| if k % 2 == 0 { k / 2 } else { -(k + 1) / 2 }) {
+            let Some(bits) = estimate.checked_add_signed(step) else {
+                continue;
+            };
+            shares[i].sched_ns = Nanos::from_ns(f64::from_bits(bits));
+            if sum_shares(shares) == makespan_ns {
+                return;
+            }
+        }
+        shares[i].sched_ns = share;
+    }
 }
 
 #[derive(Debug)]

@@ -9,6 +9,13 @@
 //! ```
 //!
 //! which this module evaluates from per-shard load and compute times.
+//!
+//! [`wave_schedule`] is the block schedule both accelerator engines share:
+//! a central controller fills `banks` banks with consecutive blocks, one
+//! synchronous wave at a time, and waves overlap load with compute through
+//! [`PipelineClock`].
+
+use crate::units::Nanos;
 
 /// Makespan of a two-stage pipeline with double buffering.
 ///
@@ -80,6 +87,88 @@ impl PipelineClock {
     pub fn makespan(&self) -> f64 {
         self.compute_done.max(self.load_ready)
     }
+}
+
+/// One block's stage times in a [`wave_schedule`] — or, from
+/// [`wave_stages`], one whole wave's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BlockStages {
+    /// Streaming the block from storage over the shared channel.
+    pub stream: Nanos,
+    /// Programming the block's rows into its bank.
+    pub program: Nanos,
+    /// Computing on the programmed block.
+    pub compute: Nanos,
+}
+
+impl BlockStages {
+    /// The load stage: streaming and row programming overlap, so the
+    /// slower of the two bounds it.
+    pub fn load(&self) -> Nanos {
+        self.stream.max(self.program)
+    }
+}
+
+/// A wave's stage times: its blocks stream one after another over the
+/// shared channel (a sum), while programming and compute run
+/// bank-parallel (a max). Sums and maxima accumulate in block order.
+pub fn wave_stages<T>(wave: &[T], stages: impl Fn(&T) -> BlockStages) -> BlockStages {
+    let mut w = BlockStages::default();
+    for block in wave {
+        let s = stages(block);
+        w.stream += s.stream;
+        w.program = w.program.max(s.program);
+        w.compute = w.compute.max(s.compute);
+    }
+    w
+}
+
+/// One synchronous wave of a [`wave_schedule`].
+#[derive(Debug)]
+pub struct Wave<'a, T> {
+    /// Position of the wave in the schedule.
+    pub index: usize,
+    /// Index of the wave's first block in the whole block slice; block
+    /// `first + i` runs on bank `i`.
+    pub first: usize,
+    /// The wave's blocks, one per bank.
+    pub blocks: &'a [T],
+    /// When the wave's compute window opens (all its blocks loaded and
+    /// the previous wave's compute drained).
+    pub compute_start: Nanos,
+    /// When the wave's slowest block finishes computing.
+    pub compute_end: Nanos,
+}
+
+/// Schedules `blocks` in synchronous waves of `banks` consecutive blocks
+/// and returns the makespan. Each wave's load ([`BlockStages::load`] of
+/// its [`wave_stages`]) and compute advance one [`PipelineClock`], so
+/// loading a wave overlaps the previous wave's compute. `visit` sees
+/// every wave with its compute window, in order; the walk allocates
+/// nothing.
+///
+/// # Panics
+///
+/// Panics if `banks` is zero.
+pub fn wave_schedule<'a, T>(
+    blocks: &'a [T],
+    banks: usize,
+    stages: impl Fn(&T) -> BlockStages,
+    mut visit: impl FnMut(Wave<'a, T>),
+) -> Nanos {
+    let mut clock = PipelineClock::new();
+    for (index, wave) in blocks.chunks(banks).enumerate() {
+        let s = wave_stages(wave, &stages);
+        let done = Nanos::from_ns(clock.advance(s.load().ns(), s.compute.ns()));
+        visit(Wave {
+            index,
+            first: index * banks,
+            blocks: wave,
+            compute_start: done - s.compute,
+            compute_end: done,
+        });
+    }
+    Nanos::from_ns(clock.makespan())
 }
 
 /// Intra-block CAM-search / MAC-compute overlap clock.
@@ -192,6 +281,44 @@ mod tests {
     #[should_panic(expected = "align")]
     fn mismatched_lengths_panic() {
         pipelined_makespan(&[1.0], &[]);
+    }
+
+    #[test]
+    fn wave_schedule_by_hand() {
+        // Five blocks on three banks: a full wave, then an uneven one.
+        let ns = Nanos::from_ns;
+        let blocks = [
+            (2.0, 5.0, 10.0),
+            (2.0, 3.0, 7.0),
+            (2.0, 4.0, 12.0),
+            (1.0, 8.0, 4.0),
+            (1.0, 2.0, 9.0),
+        ];
+        let stages = |&(stream, program, compute): &(f64, f64, f64)| BlockStages {
+            stream: ns(stream),
+            program: ns(program),
+            compute: ns(compute),
+        };
+        let mut waves = Vec::new();
+        let makespan = wave_schedule(&blocks, 3, stages, |w| {
+            waves.push((
+                w.index,
+                w.first,
+                w.blocks.len(),
+                w.compute_start,
+                w.compute_end,
+            ));
+        });
+        // Wave 0: streaming 2+2+2 = 6 outlasts the slowest program (5), so
+        // compute runs 6..6+12. Wave 1: the slowest program (8) bounds the
+        // load, done at 6+8 = 14, but compute waits for wave 0 until 18
+        // and runs 18..18+9.
+        assert_eq!(
+            waves,
+            [(0, 0, 3, ns(6.0), ns(18.0)), (1, 3, 2, ns(18.0), ns(27.0))]
+        );
+        assert_eq!(makespan, ns(27.0));
+        assert_eq!(wave_schedule(&blocks[..0], 3, stages, |_| {}), Nanos::ZERO);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests for the tracing layer: the `AggregateSink` rollup must
 //! be a pure function of the emitted span set, independent of how spans
-//! nest.
+//! nest, and the makespan attribution must sum to the makespan exactly.
 
 #![allow(clippy::unwrap_used)]
 use std::sync::Arc;
 
-use gaasx_sim::{AggregateSink, Phase, Tracer};
+use gaasx_sim::{attribute_makespan, AggregateSink, Nanos, Phase, Tracer};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -76,5 +76,27 @@ proptest! {
             prop_assert_eq!(count_a, count_b);
             prop_assert!((busy_a - busy_b).abs() <= 1e-6 * busy_a.max(1.0));
         }
+    }
+
+    #[test]
+    fn attribution_sums_to_the_makespan_exactly(
+        magnitude in 2.0f64..11.0,
+        load in 0.05f64..1.05,
+        weights in vec(0.0f64..1.0, 1..7),
+    ) {
+        // A makespan of 1e2..1e11 ns at 5-105% of the total busy time,
+        // split over up to six phases.
+        let makespan = Nanos::from_ns(10f64.powf(magnitude));
+        let busy_total = makespan.ns() / load;
+        let weight_total: f64 = weights.iter().sum();
+        let tallies: Vec<(Phase, Nanos, u64)> = weights
+            .iter()
+            .zip(Phase::ALL)
+            .map(|(&w, phase)| (phase, Nanos::from_ns(busy_total * w / weight_total), 1))
+            .collect();
+        let phases = attribute_makespan(makespan, &tallies);
+        prop_assert_eq!(phases.len(), tallies.len());
+        let total: Nanos = phases.iter().map(|p| p.sched_ns).sum();
+        prop_assert_eq!(total, makespan, "tallies {:?}", tallies);
     }
 }

@@ -39,6 +39,11 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> modeled schedule: trace_demo output vs results/trace_demo.md"
+# Both engines' makespans and per-phase attributions, byte for byte: a
+# change to either schedule or to the attribution shows up here.
+cargo run -q --release --offline -p gaasx-bench --bin trace_demo | diff -u results/trace_demo.md -
+
 echo "==> workspace tests"
 cargo test -q --workspace --offline
 
