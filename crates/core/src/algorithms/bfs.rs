@@ -1,22 +1,20 @@
 //! Breadth-first search mapped to SpMV-add (paper §IV, Equation 2).
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 
-use crate::algorithms::{check_source, AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_sources, traverse, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{partition_for_streaming, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
-
-/// Distances beyond this cannot be driven as MAC inputs.
-const MAX_ENCODABLE_DIST: f64 = 65_534.0;
 
 /// BFS on GaaS-X.
 ///
 /// Identical to SSSP with all edge weights fixed at 1: the paper notes BFS
 /// runs "without the overhead of loading edge weights into MAC crossbars
 /// but setting the edge weight columns to a fixed value of 1" — so data
-/// loading writes only the CAM pairs ([`CellLayout::Preset`]), saving the
+/// loading writes only the CAM pairs
+/// ([`CellLayout::Preset`](crate::engine::CellLayout::Preset)), saving the
 /// MAC programming entirely.
 ///
 /// Unlike the paper's full-range sweep, the engine only searches sources on
@@ -70,7 +68,7 @@ impl ShardableAlgorithm for Bfs {
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
         // A graph with no vertices cannot be partitioned; checking the
         // source first keeps its error the out-of-range source.
-        check_source(self.source, graph.num_vertices() as usize)?;
+        check_sources(&[self.source], graph.num_vertices() as usize)?;
         self.execute_on_grid(runner, &partition_for_streaming(graph)?)
     }
 }
@@ -79,7 +77,8 @@ impl Bfs {
     /// Runs BFS over a graph already partitioned by
     /// [`partition_for_streaming`]. [`ShardableAlgorithm::execute_on`]
     /// partitions and then calls this; a graph kept resident across
-    /// queries partitions once and calls it directly.
+    /// queries partitions once and calls it directly. The supersteps are
+    /// [`traverse`]'s with this one source.
     ///
     /// # Errors
     ///
@@ -90,84 +89,7 @@ impl Bfs {
         runner: &mut R,
         grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        let n = grid.num_vertices() as usize;
-        check_source(self.source, n)?;
-        // All weight cells read as 1; set once, never per edge.
-        runner.preset_mac(1)?;
-        let capacity = runner.engine().block_capacity();
-
-        let mut dist = vec![f64::INFINITY; n];
-        dist[self.source.index()] = 0.0;
-        let mut frontier = vec![false; n];
-        frontier[self.source.index()] = true;
-        let mut supersteps = 0;
-
-        loop {
-            // Snapshot pass per shard (see Sssp::execute_on); the frontier
-            // already enforces snapshot semantics — a vertex first reached
-            // this superstep is not expanded until the next one.
-            let dist_snapshot = &dist;
-            let frontier_snapshot = &frontier;
-            let candidates =
-                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
-                    let mut cands: Vec<(u32, f64)> = Vec::new();
-                    let mut hits = gaasx_xbar::HitVector::new(0);
-                    let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| frontier_snapshot[e.src.index()]) {
-                            continue;
-                        }
-                        let block = engine.load_block(chunk, CellLayout::Preset)?;
-                        for &src in block.distinct_srcs() {
-                            if !frontier_snapshot[src.index()] {
-                                continue;
-                            }
-                            let d = dist_snapshot[src.index()];
-                            engine.attr_read(8);
-                            if d > MAX_ENCODABLE_DIST {
-                                continue;
-                            }
-                            engine.search_src_into(src, &mut hits);
-                            engine.propagate_rows_into(
-                                &hits,
-                                &[0, 1],
-                                &[1, d.round() as u32],
-                                &mut results,
-                            )?;
-                            for &(row, sum) in &results {
-                                cands.push((block.edge(row).dst.raw(), sum as f64));
-                            }
-                        }
-                    }
-                    Ok(cands)
-                })?;
-
-            let engine = runner.engine();
-            let mut next = vec![false; n];
-            let mut changed = false;
-            for cands in &candidates {
-                for &(dst, cand) in cands {
-                    let v = dst as usize;
-                    if engine.sfu_less_than(cand, dist[v]) {
-                        dist[v] = engine.sfu_min(cand, dist[v]);
-                        engine.attr_write(8);
-                        next[v] = true;
-                        changed = true;
-                    }
-                }
-            }
-            supersteps += 1;
-            if !changed {
-                break;
-            }
-            frontier = next;
-        }
-        runner.engine().output_write(8 * n as u64);
-
-        Ok(AlgoRun {
-            output: dist,
-            iterations: supersteps,
-        })
+        Ok(traverse(runner, grid, false, &[self.source], u32::MAX)?.into_first())
     }
 }
 

@@ -24,8 +24,8 @@ use gaasx_graph::Edge;
 use gaasx_xbar::fixed::Quantizer;
 
 use crate::algorithms::signed::{dual_rail_inputs, encode_row, SignedQuantizer};
-use crate::algorithms::{AlgoRun, Algorithm};
-use crate::engine::{CellLayout, Engine};
+use crate::algorithms::{misfit, AlgoRun, Algorithm};
+use crate::engine::{CellLayout, Engine, Keys};
 use crate::error::CoreError;
 
 /// Collaborative filtering on GaaS-X.
@@ -217,6 +217,35 @@ impl CollaborativeFiltering {
         Ok(())
     }
 
+    /// Checks that every rating is finite, non-negative and at most the
+    /// largest value the step-1 quantizer encodes in `weight_bits`, so no
+    /// MAC cell clamps or saturates a rating into a different one, and
+    /// returns that quantizer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] naming the first rating that is
+    /// negative, NaN, infinite or too large to encode, and propagates a
+    /// quantizer error for an invalid `weight_bits`.
+    fn check_ratings(ratings: &BipartiteGraph, weight_bits: u32) -> Result<Quantizer, CoreError> {
+        let quant = Quantizer::new(1.0, weight_bits)?;
+        for r in ratings.iter() {
+            let Some(what) = misfit(r.value, &quant) else {
+                continue;
+            };
+            return Err(CoreError::InvalidInput(format!(
+                "{what} rating {} of item {} by user {}; collaborative filtering requires \
+                 finite non-negative ratings of at most {}, the largest {weight_bits}-bit \
+                 rating code",
+                r.value,
+                r.item,
+                r.user,
+                quant.max_value()
+            )));
+        }
+        Ok(quant)
+    }
+
     // The SGD update takes every latent-factor coefficient separately by
     // design: bundling them into a struct would hide which of the paper's
     // Eq. 7 terms each call site supplies.
@@ -263,7 +292,7 @@ impl Algorithm for CollaborativeFiltering {
         let feat_max = 2.0f32;
         let feat_q = SignedQuantizer::new(feat_max, 16)?;
         let err_q = SignedQuantizer::new(8.0, 16)?;
-        let rate_q = Quantizer::new(1.0, engine.weight_bits())?;
+        let rate_q = Self::check_ratings(ratings, engine.weight_bits())?;
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let scale = 0.5 / (f as f32).sqrt();
@@ -275,7 +304,6 @@ impl Algorithm for CollaborativeFiltering {
         let mut user_f = init(ratings.num_users());
         let mut item_f = init(ratings.num_items());
 
-        let capacity = engine.block_capacity();
         let cols = engine.config().mac_geometry.cols;
         let rows_per_vector = (2 * f).div_ceil(cols);
         let num_users = ratings.num_users() as usize;
@@ -290,6 +318,7 @@ impl Algorithm for CollaborativeFiltering {
         let total_vertices = (ratings.num_users() + ratings.num_items()) as usize;
         let mut hits = gaasx_xbar::HitVector::new(0);
         let mut rows: Vec<usize> = Vec::new();
+        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(rate_q.encode(e.weight));
         for _ in 0..self.epochs {
             // The attribute MAC crossbars across the banks hold the feature
             // matrix of the active vertex ranges (2048 banks × 128 rows fit
@@ -309,69 +338,73 @@ impl Algorithm for CollaborativeFiltering {
                 engine.load_aux_rows_parallel(fresh * rows_per_vector, cols);
                 engine.attr_read(4 * (fresh * f) as u64);
 
-                for chunk in shard.edges().chunks(capacity) {
-                    let cells = |e: &Edge, c: &mut Vec<u32>| c.push(rate_q.encode(e.weight));
-                    let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-
-                    // Item update phase (Fig 10(b)).
-                    for &item in block.distinct_dsts() {
-                        let i = item.index() - num_users;
-                        engine.search_dst_into(item, &mut hits);
-                        rows.clear();
-                        rows.extend(hits.iter_ones());
-                        let mut errs = Vec::with_capacity(rows.len());
-                        let mut user_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
-                        let item_vec = item_f[i].clone();
-                        for &row in &rows {
-                            let e = block.edge(row);
-                            engine.attr_read(4);
-                            let pred =
-                                device_dot(engine, &user_f[e.src.index()], &item_vec, &feat_q)?;
-                            errs.push(engine.sfu_add(f64::from(e.weight), -pred));
-                            user_vecs.push(&user_f[e.src.index()]);
+                engine.sweep(
+                    shard.edges(),
+                    CellLayout::PerEdge(&cells),
+                    Keys::Both,
+                    |_| true,
+                    |engine, block| {
+                        // Item update phase (Fig 10(b)).
+                        for &item in block.distinct_dsts() {
+                            let i = item.index() - num_users;
+                            engine.search_dst_into(item, &mut hits);
+                            rows.clear();
+                            rows.extend(hits.iter_ones());
+                            let mut errs = Vec::with_capacity(rows.len());
+                            let mut user_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
+                            let item_vec = item_f[i].clone();
+                            for &row in &rows {
+                                let e = block.edge(row);
+                                engine.attr_read(4);
+                                let pred =
+                                    device_dot(engine, &user_f[e.src.index()], &item_vec, &feat_q)?;
+                                errs.push(engine.sfu_add(f64::from(e.weight), -pred));
+                                user_vecs.push(&user_f[e.src.index()]);
+                            }
+                            let delta =
+                                device_weighted_sum(engine, &errs, &user_vecs, &err_q, &feat_q, f)?;
+                            Self::apply_update(
+                                engine,
+                                &mut item_f[i],
+                                &delta,
+                                rows.len(),
+                                self.learning_rate,
+                                self.regularization,
+                                feat_max,
+                            );
                         }
-                        let delta =
-                            device_weighted_sum(engine, &errs, &user_vecs, &err_q, &feat_q, f)?;
-                        Self::apply_update(
-                            engine,
-                            &mut item_f[i],
-                            &delta,
-                            rows.len(),
-                            self.learning_rate,
-                            self.regularization,
-                            feat_max,
-                        );
-                    }
 
-                    // User update phase (Fig 10(c)).
-                    for &user in block.distinct_srcs() {
-                        engine.search_src_into(user, &mut hits);
-                        rows.clear();
-                        rows.extend(hits.iter_ones());
-                        let mut errs = Vec::with_capacity(rows.len());
-                        let mut item_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
-                        let user_vec = user_f[user.index()].clone();
-                        for &row in &rows {
-                            let e = block.edge(row);
-                            engine.attr_read(4);
-                            let i = e.dst.index() - num_users;
-                            let pred = device_dot(engine, &user_vec, &item_f[i], &feat_q)?;
-                            errs.push(engine.sfu_add(f64::from(e.weight), -pred));
-                            item_vecs.push(&item_f[i]);
+                        // User update phase (Fig 10(c)).
+                        for &user in block.distinct_srcs() {
+                            engine.search_src_into(user, &mut hits);
+                            rows.clear();
+                            rows.extend(hits.iter_ones());
+                            let mut errs = Vec::with_capacity(rows.len());
+                            let mut item_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
+                            let user_vec = user_f[user.index()].clone();
+                            for &row in &rows {
+                                let e = block.edge(row);
+                                engine.attr_read(4);
+                                let i = e.dst.index() - num_users;
+                                let pred = device_dot(engine, &user_vec, &item_f[i], &feat_q)?;
+                                errs.push(engine.sfu_add(f64::from(e.weight), -pred));
+                                item_vecs.push(&item_f[i]);
+                            }
+                            let delta =
+                                device_weighted_sum(engine, &errs, &item_vecs, &err_q, &feat_q, f)?;
+                            Self::apply_update(
+                                engine,
+                                &mut user_f[user.index()],
+                                &delta,
+                                rows.len(),
+                                self.learning_rate,
+                                self.regularization,
+                                feat_max,
+                            );
                         }
-                        let delta =
-                            device_weighted_sum(engine, &errs, &item_vecs, &err_q, &feat_q, f)?;
-                        Self::apply_update(
-                            engine,
-                            &mut user_f[user.index()],
-                            &delta,
-                            rows.len(),
-                            self.learning_rate,
-                            self.regularization,
-                            feat_max,
-                        );
-                    }
-                }
+                        Ok(())
+                    },
+                )?;
                 engine.end_block();
             }
         }
@@ -476,6 +509,40 @@ mod tests {
             },
         ] {
             assert!(cf.execute(&mut engine, &ratings).is_err());
+        }
+    }
+
+    #[test]
+    fn rejects_hostile_ratings_before_any_block_loads() {
+        // 65 535 is the largest 16-bit rating code. Each bad rating must
+        // fail before any block loads, not train into a NaN or inf RMSE.
+        for (bad, want) in [
+            (f32::NAN, "non-finite rating NaN "),
+            (f32::INFINITY, "non-finite rating inf "),
+            (f32::NEG_INFINITY, "non-finite rating -inf "),
+            (-3.0, "negative rating -3 "),
+            (65_536.0, "unencodable rating 65536 "),
+        ] {
+            let ratings = BipartiteGraph::from_ratings(
+                2,
+                2,
+                [(0, 0, 4.0), (1, 1, bad)]
+                    .into_iter()
+                    .map(|(user, item, value)| gaasx_graph::bipartite::Rating { user, item, value })
+                    .collect(),
+            )
+            .unwrap();
+            let mut engine = Engine::new(GaasXConfig::small()).unwrap();
+            match small_cf().execute(&mut engine, &ratings) {
+                Err(CoreError::InvalidInput(msg)) => {
+                    assert!(msg.starts_with(want), "{msg}");
+                    assert!(msg.contains("of item 1 by user 1;"), "{msg}");
+                    assert!(msg.ends_with("of at most 65535, the largest 16-bit rating code"));
+                }
+                other => panic!("rating {bad}: want InvalidInput, got {other:?}"),
+            }
+            let report = engine.finish("gaasx", "cf", "t", 0, 2);
+            assert_eq!(report.ops.cells_written, 0, "rating {bad}: nothing loaded");
         }
     }
 

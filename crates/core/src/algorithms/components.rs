@@ -13,7 +13,7 @@ use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::CooGraph;
 
 use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -85,7 +85,6 @@ impl ShardableAlgorithm for ConnectedComponents {
         // programming during data loading.
         runner.preset_mac(1)?;
         let grid = partition_for_streaming(graph)?;
-        let capacity = runner.engine().block_capacity();
 
         let mut label: Vec<u32> = (0..n as u32).collect();
         let mut active = vec![true; n];
@@ -103,29 +102,32 @@ impl ShardableAlgorithm for ConnectedComponents {
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| active_snapshot[e.src.index()]) {
-                            continue;
-                        }
-                        let block = engine.load_block(chunk, CellLayout::Preset)?;
-                        for &src in block.distinct_srcs() {
-                            if !active_snapshot[src.index()] {
-                                continue;
+                    engine.sweep(
+                        shard.edges(),
+                        CellLayout::Preset,
+                        Keys::Srcs,
+                        |rows| rows.iter().any(|e| active_snapshot[e.src.index()]),
+                        |engine, block| {
+                            for &src in block.distinct_srcs() {
+                                if !active_snapshot[src.index()] {
+                                    continue;
+                                }
+                                engine.attr_read(4);
+                                engine.search_src_into(src, &mut hits);
+                                // Single unit column: out[row] = label(src) × 1.
+                                engine.propagate_rows_into(
+                                    &hits,
+                                    &[0],
+                                    &[label_snapshot[src.index()]],
+                                    &mut results,
+                                )?;
+                                for &(row, pushed) in &results {
+                                    cands.push((block.edge(row).dst.raw(), pushed as u32));
+                                }
                             }
-                            engine.attr_read(4);
-                            engine.search_src_into(src, &mut hits);
-                            // Single unit column: out[row] = label(src) × 1.
-                            engine.propagate_rows_into(
-                                &hits,
-                                &[0],
-                                &[label_snapshot[src.index()]],
-                                &mut results,
-                            )?;
-                            for &(row, pushed) in &results {
-                                cands.push((block.edge(row).dst.raw(), pushed as u32));
-                            }
-                        }
-                    }
+                            Ok(())
+                        },
+                    )?;
                     Ok(cands)
                 })?;
 

@@ -25,7 +25,7 @@ use gaasx_xbar::fixed::Quantizer;
 
 use crate::algorithms::signed::{encode_row, SignedQuantizer};
 use crate::algorithms::{AlgoRun, Algorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use crate::error::CoreError;
 
 /// Input to a GCN layer: a graph plus non-negative vertex features
@@ -140,29 +140,33 @@ impl Algorithm for GcnLayer {
         // --- Aggregation phase: agg = D⁻¹(A + I) · H ------------------
         let mut agg = vec![vec![0.0f64; f_in]; n];
         let grid = partition_for_streaming(graph)?;
-        let capacity = engine.block_capacity();
         let mut hits = gaasx_xbar::HitVector::new(0);
+        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(norm_quant.encode(norm(e.dst.index())));
         for shard in grid.stream(TraversalOrder::ColumnMajor) {
-            for chunk in shard.edges().chunks(capacity) {
-                let cells =
-                    |e: &Edge, c: &mut Vec<u32>| c.push(norm_quant.encode(norm(e.dst.index())));
-                let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-                for &dst in block.distinct_dsts() {
-                    // One CAM search; the hit-vector register drives f_in
-                    // successive MAC bursts, one per input feature.
-                    engine.search_dst_into(dst, &mut hits);
-                    for k in 0..f_in {
-                        let code = engine.gather_rows(
-                            &hits,
-                            &mut |row| h_quant.encode(h[block.edge(row).src.index()][k]),
-                            0,
-                        )?;
-                        let sum = f64::from(h_quant.decode_product_sum(&norm_quant, code));
-                        agg[dst.index()][k] = engine.sfu_add(agg[dst.index()][k], sum);
+            engine.sweep(
+                shard.edges(),
+                CellLayout::PerEdge(&cells),
+                Keys::Dsts,
+                |_| true,
+                |engine, block| {
+                    for &dst in block.distinct_dsts() {
+                        // One CAM search; the hit-vector register drives
+                        // f_in successive MAC bursts, one per input feature.
+                        engine.search_dst_into(dst, &mut hits);
+                        for k in 0..f_in {
+                            let code = engine.gather_rows(
+                                &hits,
+                                &mut |row| h_quant.encode(h[block.edge(row).src.index()][k]),
+                                0,
+                            )?;
+                            let sum = f64::from(h_quant.decode_product_sum(&norm_quant, code));
+                            agg[dst.index()][k] = engine.sfu_add(agg[dst.index()][k], sum);
+                        }
+                        engine.attr_write(4 * f_in as u64);
                     }
-                    engine.attr_write(4 * f_in as u64);
-                }
-            }
+                    Ok(())
+                },
+            )?;
         }
         engine.end_block();
         // Self-loop term, per vertex, in the SFU.

@@ -6,7 +6,11 @@
 //!   (PageRank ranks, CF feature products) via CAM-search +
 //!   [`Engine::gather_rows`];
 //! * **SpMV-add** — parallel updates of neighbor attributes from an active
-//!   vertex (SSSP, BFS) via CAM-search + [`Engine::propagate_rows`].
+//!   vertex (SSSP, BFS) via CAM-search + [`Engine::propagate_rows_into`].
+//!
+//! Every mapping streams its shards block by block through
+//! [`Engine::sweep`]. BFS, SSSP and batched multi-source queries share one
+//! frontier superstep body, [`traverse`].
 //!
 //! [`Engine`]: crate::engine::Engine
 
@@ -18,6 +22,7 @@ mod pagerank;
 pub mod signed;
 mod spmv;
 mod sssp;
+mod traversal;
 
 pub use bfs::Bfs;
 pub use cf::{CfModel, CollaborativeFiltering};
@@ -26,21 +31,27 @@ pub use gcn::{GcnInput, GcnLayer};
 pub use pagerank::PageRank;
 pub use spmv::SpMV;
 pub use sssp::Sssp;
+pub use traversal::{check_sources, traverse, BatchOutcome};
+
+use gaasx_xbar::fixed::Quantizer;
 
 use crate::engine::Engine;
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
-use gaasx_graph::VertexId;
-
-/// Rejects a source vertex outside a graph of `n` vertices.
-fn check_source(source: VertexId, n: usize) -> Result<(), CoreError> {
-    if source.index() >= n {
-        return Err(CoreError::InvalidInput(format!(
-            "source {source} out of range for {n} vertices"
-        )));
+/// Why a step-1 quantizer cannot store `value` as it is: `"non-finite"`,
+/// `"negative"` or `"unencodable"` (above its largest code); `None` when
+/// it can.
+fn misfit(value: f32, quant: &Quantizer) -> Option<&'static str> {
+    if !value.is_finite() {
+        Some("non-finite")
+    } else if value < 0.0 {
+        Some("negative")
+    } else if value > quant.max_value() {
+        Some("unencodable")
+    } else {
+        None
     }
-    Ok(())
 }
 
 /// How an algorithm queries the blocks it loads. Descriptive only: the

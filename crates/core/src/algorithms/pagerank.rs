@@ -5,7 +5,7 @@ use gaasx_graph::{CooGraph, Edge};
 use gaasx_xbar::fixed::Quantizer;
 
 use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -106,7 +106,6 @@ impl ShardableAlgorithm for PageRank {
             .collect();
 
         let grid = partition_for_streaming(graph)?;
-        let capacity = runner.engine().block_capacity();
         let mut ranks = vec![1.0f64; n];
         let mut rank_code: Vec<u32> = Vec::with_capacity(n);
         let mut iterations = 0;
@@ -133,21 +132,26 @@ impl ShardableAlgorithm for PageRank {
                 runner.for_each_shard(&grid, TraversalOrder::ColumnMajor, |engine, shard| {
                     let mut contribs: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
-                    for chunk in shard.edges().chunks(capacity) {
-                        let cells =
-                            |e: &Edge, c: &mut Vec<u32>| c.push(inv_deg_code[e.src.index()]);
-                        let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-                        for &dst in block.distinct_dsts() {
-                            engine.search_dst_into(dst, &mut hits);
-                            let code = engine.gather_rows(
-                                &hits,
-                                &mut |row| rank_code[block.edge(row).src.index()],
-                                0,
-                            )?;
-                            let sum = f64::from(r_quant.decode_product_sum(&w_quant, code));
-                            contribs.push((dst.raw(), sum));
-                        }
-                    }
+                    let cells = |e: &Edge, c: &mut Vec<u32>| c.push(inv_deg_code[e.src.index()]);
+                    engine.sweep(
+                        shard.edges(),
+                        CellLayout::PerEdge(&cells),
+                        Keys::Dsts,
+                        |_| true,
+                        |engine, block| {
+                            for &dst in block.distinct_dsts() {
+                                engine.search_dst_into(dst, &mut hits);
+                                let code = engine.gather_rows(
+                                    &hits,
+                                    &mut |row| rank_code[block.edge(row).src.index()],
+                                    0,
+                                )?;
+                                let sum = f64::from(r_quant.decode_product_sum(&w_quant, code));
+                                contribs.push((dst.raw(), sum));
+                            }
+                            Ok(())
+                        },
+                    )?;
                     Ok(contribs)
                 })?;
 

@@ -14,7 +14,7 @@ use gaasx_graph::{CooGraph, Edge};
 use gaasx_xbar::fixed::Quantizer;
 
 use crate::algorithms::{AlgoRun, Algorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use crate::error::CoreError;
 
 /// One SpMV operation `y = Aᵀ·x` over the graph's weighted adjacency.
@@ -89,26 +89,31 @@ impl Algorithm for SpMV {
         let x_quant = Quantizer::for_max_value(max_x.max(1e-6), 16)?;
 
         let grid = partition_for_streaming(graph)?;
-        let capacity = engine.block_capacity();
         let mut y = vec![0.0f64; n];
 
         let mut hits = gaasx_xbar::HitVector::new(0);
+        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(w_quant.encode(e.weight));
         for shard in grid.stream(TraversalOrder::ColumnMajor) {
-            for chunk in shard.edges().chunks(capacity) {
-                let cells = |e: &Edge, c: &mut Vec<u32>| c.push(w_quant.encode(e.weight));
-                let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-                for &dst in block.distinct_dsts() {
-                    engine.search_dst_into(dst, &mut hits);
-                    let code = engine.gather_rows(
-                        &hits,
-                        &mut |row| x_quant.encode(self.x[block.edge(row).src.index()]),
-                        0,
-                    )?;
-                    let sum = f64::from(x_quant.decode_product_sum(&w_quant, code));
-                    y[dst.index()] = engine.sfu_add(y[dst.index()], sum);
-                    engine.attr_write(8);
-                }
-            }
+            engine.sweep(
+                shard.edges(),
+                CellLayout::PerEdge(&cells),
+                Keys::Dsts,
+                |_| true,
+                |engine, block| {
+                    for &dst in block.distinct_dsts() {
+                        engine.search_dst_into(dst, &mut hits);
+                        let code = engine.gather_rows(
+                            &hits,
+                            &mut |row| x_quant.encode(self.x[block.edge(row).src.index()]),
+                            0,
+                        )?;
+                        let sum = f64::from(x_quant.decode_product_sum(&w_quant, code));
+                        y[dst.index()] = engine.sfu_add(y[dst.index()], sum);
+                        engine.attr_write(8);
+                    }
+                    Ok(())
+                },
+            )?;
         }
         engine.end_block();
         engine.output_write(8 * n as u64);

@@ -1,16 +1,13 @@
 //! Single-source shortest paths mapped to SpMV-add (paper §IV, Fig 9(b)).
 
-use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
-use gaasx_graph::{CooGraph, Edge, VertexId};
+use gaasx_graph::partition::{GridPartition, Shard};
+use gaasx_graph::{CooGraph, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{check_source, AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_sources, misfit, traverse, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{partition_for_streaming, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
-
-/// Largest distance encodable as a 16-bit MAC input code.
-const MAX_ENCODABLE_DIST: f64 = 65_534.0;
 
 /// SSSP on GaaS-X.
 ///
@@ -66,13 +63,7 @@ impl Sssp {
     pub fn check_weights(grid: &GridPartition, weight_bits: u32) -> Result<Quantizer, CoreError> {
         let quant = Quantizer::new(1.0, weight_bits)?;
         for e in grid.shards().flat_map(Shard::edges) {
-            let what = if !e.weight.is_finite() {
-                "non-finite"
-            } else if e.weight < 0.0 {
-                "negative"
-            } else if e.weight > quant.max_value() {
-                "unencodable"
-            } else {
+            let Some(what) = misfit(e.weight, &quant) else {
                 continue;
             };
             return Err(CoreError::InvalidInput(format!(
@@ -119,7 +110,7 @@ impl ShardableAlgorithm for Sssp {
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
         // A graph with no vertices cannot be partitioned; checking the
         // source first keeps its error the out-of-range source.
-        check_source(self.source, graph.num_vertices() as usize)?;
+        check_sources(&[self.source], graph.num_vertices() as usize)?;
         self.execute_on_grid(runner, &partition_for_streaming(graph)?)
     }
 }
@@ -128,7 +119,8 @@ impl Sssp {
     /// Runs SSSP over a graph already partitioned by
     /// [`partition_for_streaming`]. [`ShardableAlgorithm::execute_on`]
     /// partitions and then calls this; a graph kept resident across
-    /// queries partitions once and calls it directly.
+    /// queries partitions once and calls it directly. The supersteps are
+    /// [`traverse`]'s with this one source, capped at `max_supersteps`.
     ///
     /// # Errors
     ///
@@ -140,91 +132,7 @@ impl Sssp {
         runner: &mut R,
         grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        let n = grid.num_vertices() as usize;
-        check_source(self.source, n)?;
-        let w_quant = Sssp::check_weights(grid, runner.engine().weight_bits())?;
-        let capacity = runner.engine().block_capacity();
-
-        let mut dist = vec![f64::INFINITY; n];
-        dist[self.source.index()] = 0.0;
-        let mut active = vec![false; n];
-        active[self.source.index()] = true;
-        let mut supersteps = 0;
-        let bound = (n as u32).saturating_sub(1).max(1);
-
-        for _ in 0..bound.min(self.max_supersteps) {
-            // Row-major shard streaming: sources of a shard are contiguous.
-            // Each shard pass reads the superstep-start distances (Jacobi
-            // snapshot) and emits `(dst, candidate)` relaxations; the
-            // sequential reduce below takes the mins. The V−1 Bellman–Ford
-            // bound holds for snapshot relaxation too.
-            let dist_snapshot = &dist;
-            let active_snapshot = &active;
-            let candidates =
-                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
-                    let mut cands: Vec<(u32, f64)> = Vec::new();
-                    let mut hits = gaasx_xbar::HitVector::new(0);
-                    let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| active_snapshot[e.src.index()]) {
-                            continue;
-                        }
-                        let cells = |e: &Edge, c: &mut Vec<u32>| {
-                            c.extend_from_slice(&[w_quant.encode(e.weight), 1])
-                        };
-                        let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-                        for &src in block.distinct_srcs() {
-                            if !active_snapshot[src.index()] {
-                                continue;
-                            }
-                            let d = dist_snapshot[src.index()];
-                            engine.attr_read(8);
-                            if !d.is_finite() || d > MAX_ENCODABLE_DIST {
-                                continue;
-                            }
-                            engine.search_src_into(src, &mut hits);
-                            // α = 1 drives the weight column; dist(U) drives
-                            // the ones column.
-                            engine.propagate_rows_into(
-                                &hits,
-                                &[0, 1],
-                                &[1, d.round() as u32],
-                                &mut results,
-                            )?;
-                            for &(row, sum) in &results {
-                                cands.push((block.edge(row).dst.raw(), sum as f64));
-                            }
-                        }
-                    }
-                    Ok(cands)
-                })?;
-
-            let engine = runner.engine();
-            let mut next = vec![false; n];
-            let mut changed = false;
-            for cands in &candidates {
-                for &(dst, cand) in cands {
-                    let v = dst as usize;
-                    if engine.sfu_less_than(cand, dist[v]) {
-                        dist[v] = engine.sfu_min(cand, dist[v]);
-                        engine.attr_write(8);
-                        next[v] = true;
-                        changed = true;
-                    }
-                }
-            }
-            supersteps += 1;
-            if !changed {
-                break;
-            }
-            active = next;
-        }
-        runner.engine().output_write(8 * n as u64);
-
-        Ok(AlgoRun {
-            output: dist,
-            iterations: supersteps,
-        })
+        Ok(traverse(runner, grid, true, &[self.source], self.max_supersteps)?.into_first())
     }
 }
 
@@ -232,7 +140,7 @@ impl Sssp {
 mod tests {
     use super::*;
     use crate::config::GaasXConfig;
-    use gaasx_graph::generators;
+    use gaasx_graph::{generators, Edge};
 
     fn run(graph: &CooGraph, source: u32) -> Vec<f64> {
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();

@@ -5,11 +5,14 @@
 //! model (§III-B):
 //!
 //! 1. *Initialization* — [`Engine::new`];
-//! 2. *Data loading* — [`Engine::load_block`] writes a block of ≤128 edges
-//!    into a CAM+MAC bank pair;
-//! 3. *CAM search* — [`Engine::search_src`] / [`Engine::search_dst`];
+//! 2. *Data loading* — [`Engine::sweep`] streams a shard block by block:
+//!    [`Engine::load_block`] writes each block of ≤128 edges into a
+//!    CAM+MAC bank pair, and the sweep hands the algorithm a [`Block`]
+//!    with its distinct vertices;
+//! 3. *CAM search* — [`Engine::search_src_into`] /
+//!    [`Engine::search_dst_into`];
 //! 4. *MAC operation* — [`Engine::gather_rows`] (SpMV-multiply style
-//!    accumulation down columns) and [`Engine::propagate_rows`]
+//!    accumulation down columns) and [`Engine::propagate_rows_into`]
 //!    (SpMV-add style per-row sums through the transposed array);
 //! 5. *Special function execution* — the [`Sfu`] wrappers.
 //!
@@ -23,8 +26,6 @@
 //! while row programming and compute run bank-parallel, and waves overlap
 //! load-with-compute through the double-buffered pipeline model
 //! ([`gaasx_sim::pipeline`]).
-
-use std::sync::OnceLock;
 
 use gaasx_graph::{CooGraph, Edge, GraphError, VertexId};
 use gaasx_sim::pipeline::{
@@ -52,6 +53,7 @@ const SFU_LANES: f64 = 16.0;
 const UNMAPPED: usize = usize::MAX;
 
 /// How the MAC cells of a block are populated during data loading.
+#[derive(Clone, Copy)]
 pub enum CellLayout<'a> {
     /// Write per-edge codes (e.g. edge weights, reciprocal out-degrees).
     /// The closure pushes one edge's MAC-row codes into a buffer the
@@ -74,34 +76,31 @@ impl std::fmt::Debug for CellLayout<'_> {
     }
 }
 
-/// A loaded block: the controller's metadata for one CAM+MAC bank fill.
-///
-/// The distinct-vertex lists are derived on first use: most algorithms
-/// iterate only one field.
-#[derive(Debug, Clone)]
-pub struct Block {
-    rows: Vec<Edge>,
-    distinct_srcs: OnceLock<Vec<VertexId>>,
-    distinct_dsts: OnceLock<Vec<VertexId>>,
+/// Which distinct-vertex lists [`Engine::sweep`] derives for each block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keys {
+    /// Distinct sources only (frontier traversals search the source field).
+    Srcs,
+    /// Distinct destinations only (gathers search the destination field).
+    Dsts,
+    /// Both lists (collaborative filtering searches items, then users).
+    Both,
 }
 
-impl Block {
-    fn new(edges: &[Edge]) -> Self {
-        Block {
-            rows: edges.to_vec(),
-            distinct_srcs: OnceLock::new(),
-            distinct_dsts: OnceLock::new(),
-        }
-    }
+/// A loaded block as the controller sees it (§III-A): the edges at its
+/// CAM/MAC rows, borrowed from the shard, and the ascending distinct
+/// vertices of the field(s) named by the sweep's [`Keys`]. The lists live
+/// in buffers the sweep reuses from block to block, so a block costs no
+/// allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct Block<'a> {
+    rows: &'a [Edge],
+    keys: Keys,
+    srcs: &'a [VertexId],
+    dsts: &'a [VertexId],
+}
 
-    /// The ascending, deduplicated values of one edge field.
-    fn distinct(&self, field: fn(&Edge) -> VertexId) -> Vec<VertexId> {
-        let mut keys: Vec<VertexId> = self.rows.iter().map(field).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
+impl<'a> Block<'a> {
     /// The edge stored at a CAM/MAC row.
     ///
     /// # Panics
@@ -111,26 +110,29 @@ impl Block {
         self.rows[row]
     }
 
-    /// Number of edges in the block.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Distinct source vertices, ascending (the controller tracks loaded
-    /// vertex ranges as graph metadata, §III-A).
-    pub fn distinct_srcs(&self) -> &[VertexId] {
-        self.distinct_srcs.get_or_init(|| self.distinct(|e| e.src))
+    /// vertex ranges as graph metadata, §III-A). Derived only when the
+    /// sweep asked for [`Keys::Srcs`] or [`Keys::Both`].
+    pub fn distinct_srcs(&self) -> &'a [VertexId] {
+        debug_assert!(self.keys != Keys::Dsts, "no source list derived");
+        self.srcs
     }
 
-    /// Distinct destination vertices, ascending.
-    pub fn distinct_dsts(&self) -> &[VertexId] {
-        self.distinct_dsts.get_or_init(|| self.distinct(|e| e.dst))
+    /// Distinct destination vertices, ascending. Derived only when the
+    /// sweep asked for [`Keys::Dsts`] or [`Keys::Both`].
+    pub fn distinct_dsts(&self) -> &'a [VertexId] {
+        debug_assert!(self.keys != Keys::Srcs, "no destination list derived");
+        self.dsts
     }
+}
+
+/// Overwrites `out` with the ascending, deduplicated values of one edge
+/// field of `rows`, reusing its capacity.
+fn distinct_into(rows: &[Edge], field: fn(&Edge) -> VertexId, out: &mut Vec<VertexId>) {
+    out.clear();
+    out.extend(rows.iter().map(field));
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[derive(Debug, Clone, Default)]
@@ -278,6 +280,10 @@ pub struct Engine {
     chunk_buf: Vec<usize>,
     /// Reused physical read-out line list for restricted MAC propagation.
     lines_buf: Vec<usize>,
+    /// The distinct-source and distinct-destination lists behind every
+    /// [`Block`] of [`Engine::sweep`], reused from load to load.
+    srcs_buf: Vec<VertexId>,
+    dsts_buf: Vec<VertexId>,
 }
 
 impl Engine {
@@ -363,6 +369,8 @@ impl Engine {
             mac_out: Vec::new(),
             chunk_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             lines_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
+            srcs_buf: Vec::new(),
+            dsts_buf: Vec::new(),
             config,
         })
     }
@@ -611,8 +619,71 @@ impl Engine {
         }
     }
 
+    /// Streams a shard through the working CAM+MAC bank block by block:
+    /// the controller loop every algorithm runs (§III-A/§III-C).
+    ///
+    /// `edges` is cut into chunks of [`block_capacity`](Self::block_capacity)
+    /// rows. A chunk `filter` rejects is never loaded (the frontier check
+    /// of a traversal; dense sweeps accept every chunk). Each accepted
+    /// chunk is loaded with [`load_block`](Self::load_block), its distinct
+    /// vertices are derived for the fields `keys` names, and `visit` runs
+    /// once with the engine and the [`Block`] — it issues the block's
+    /// searches, MAC operations and SFU work in whatever order it needs.
+    /// The sweep leaves the last block open, as a hand-written loop over
+    /// `load_block` would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of a load or a visit; later chunks are
+    /// not loaded.
+    pub fn sweep(
+        &mut self,
+        edges: &[Edge],
+        cells: CellLayout<'_>,
+        keys: Keys,
+        mut filter: impl FnMut(&[Edge]) -> bool,
+        mut visit: impl FnMut(&mut Engine, &Block<'_>) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        // The lists leave the engine for the sweep so a block can borrow
+        // them while `visit` holds the engine mutably. A list `keys` does
+        // not name stays empty rather than stale.
+        let mut srcs = std::mem::take(&mut self.srcs_buf);
+        let mut dsts = std::mem::take(&mut self.dsts_buf);
+        srcs.clear();
+        dsts.clear();
+        let mut swept = Ok(());
+        for rows in edges.chunks(self.block_capacity()) {
+            if !filter(rows) {
+                continue;
+            }
+            swept = self.load_block(rows, cells).and_then(|()| {
+                if keys != Keys::Dsts {
+                    distinct_into(rows, |e| e.src, &mut srcs);
+                }
+                if keys != Keys::Srcs {
+                    distinct_into(rows, |e| e.dst, &mut dsts);
+                }
+                let block = Block {
+                    rows,
+                    keys,
+                    srcs: &srcs,
+                    dsts: &dsts,
+                };
+                visit(self, &block)
+            });
+            if swept.is_err() {
+                break;
+            }
+        }
+        self.srcs_buf = srcs;
+        self.dsts_buf = dsts;
+        swept
+    }
+
     /// Loads a block of edges into the working CAM+MAC bank (data loading
-    /// phase). Ends any previous block.
+    /// phase). Ends any previous block. Algorithms reach this through
+    /// [`Engine::sweep`], which also builds the block's [`Block`] view;
+    /// it stays public so unit tests can program a bank directly.
     ///
     /// Without write-verify the CAM programs the whole block in one
     /// [`CamCrossbar::program_block`] write; with it, every slot programs
@@ -622,11 +693,7 @@ impl Engine {
     ///
     /// Returns [`CoreError::InvalidInput`] if the block exceeds the bank
     /// capacity, or a device error on bad cell codes.
-    pub fn load_block(
-        &mut self,
-        edges: &[Edge],
-        cells: CellLayout<'_>,
-    ) -> Result<Block, CoreError> {
+    pub fn load_block(&mut self, edges: &[Edge], cells: CellLayout<'_>) -> Result<(), CoreError> {
         self.check_deadline()?;
         if edges.len() > self.block_capacity() {
             return Err(CoreError::InvalidInput(format!(
@@ -639,7 +706,6 @@ impl Engine {
         self.in_block = true;
 
         self.block_len = edges.len();
-        let block = Block::new(edges);
 
         self.key_buf.clear();
         self.key_buf.extend(
@@ -652,7 +718,8 @@ impl Engine {
             // Write-verify keeps the per-slot loop: a retry draws from the
             // CAM's stream before the next row is written, so batching the
             // writes would shift every later fault outcome. Counter-based
-            // fault draws (ROADMAP item 3) would let this path go too.
+            // fault draws, which do not depend on the order of host
+            // operations, would let this path go too.
             self.cam.invalidate_all();
         } else {
             // Without verification nothing remaps, so slot `i` is physical
@@ -701,31 +768,18 @@ impl Engine {
                 .end((start + load_ns).ns());
         }
 
-        Ok(block)
+        Ok(())
     }
 
-    /// CAM search for all edges with the given source (row-wise key field).
-    pub fn search_src(&mut self, src: VertexId) -> HitVector {
-        let mut hits = HitVector::new(0);
-        self.search_src_into(src, &mut hits);
-        hits
-    }
-
-    /// CAM search for all edges with the given destination.
-    pub fn search_dst(&mut self, dst: VertexId) -> HitVector {
-        let mut hits = HitVector::new(0);
-        self.search_dst_into(dst, &mut hits);
-        hits
-    }
-
-    /// [`search_src`](Self::search_src) into a caller-owned buffer so hot
-    /// loops allocate nothing. `hits` is overwritten.
+    /// CAM search for all edges of the loaded block with the given source
+    /// (row-wise key field), into a caller-owned buffer so hot loops
+    /// allocate nothing. `hits` is overwritten.
     pub fn search_src_into(&mut self, src: VertexId, hits: &mut HitVector) {
         self.searched_into(u128::from(src.raw()) << 32, 0xFFFF_FFFF_0000_0000, hits);
     }
 
-    /// [`search_dst`](Self::search_dst) into a caller-owned buffer so hot
-    /// loops allocate nothing. `hits` is overwritten.
+    /// CAM search for all edges of the loaded block with the given
+    /// destination, into a caller-owned buffer. `hits` is overwritten.
     pub fn search_dst_into(&mut self, dst: VertexId, hits: &mut HitVector) {
         self.searched_into(u128::from(dst.raw()), 0xFFFF_FFFF, hits);
     }
@@ -861,26 +915,11 @@ impl Engine {
     }
 
     /// SpMV-add propagation through the transposed array: activates the
-    /// given columns with the given inputs and returns, for each hit row,
-    /// `Σ inputs[i] × cell[row][cols[i]]`. Hit rows are consumed in ≤16-row
-    /// groups (the ADC read-out cap), one MAC burst per group.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn propagate_rows(
-        &mut self,
-        hits: &HitVector,
-        cols: &[usize],
-        col_inputs: &[u32],
-    ) -> Result<Vec<(usize, u64)>, CoreError> {
-        let mut results = Vec::new();
-        self.propagate_rows_into(hits, cols, col_inputs, &mut results)?;
-        Ok(results)
-    }
-
-    /// [`propagate_rows`](Self::propagate_rows) into a caller-owned buffer
-    /// so hot loops allocate nothing. `results` is cleared first.
+    /// given columns with the given inputs and writes, for each hit row,
+    /// `(row, Σ inputs[i] × cell[row][cols[i]])` into a caller-owned
+    /// buffer, so hot loops allocate nothing (`results` is cleared first).
+    /// Hit rows are consumed in ≤16-row groups (the ADC read-out cap), one
+    /// MAC burst per group.
     ///
     /// # Errors
     ///
@@ -1599,27 +1638,33 @@ mod tests {
         Engine::new(GaasXConfig::small()).unwrap()
     }
 
-    fn fig7_block(engine: &mut Engine) -> Block {
+    /// Loads the paper's Fig 7 graph as one block; returns its edges, which
+    /// sit at CAM/MAC rows `0..8` in order.
+    fn fig7_block(engine: &mut Engine) -> Vec<Edge> {
         let g = generators::paper_fig7_graph();
         let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         engine
             .load_block(g.edges(), CellLayout::PerEdge(&cells))
-            .unwrap()
+            .unwrap();
+        g.edges().to_vec()
     }
 
-    #[test]
-    fn load_block_tracks_metadata() {
-        let mut e = engine();
-        let b = fig7_block(&mut e);
-        assert_eq!(b.len(), 8);
-        // Fig 7 graph has sources {1,2,3,4,5} (1-based) = {0,1,2,3,4}.
-        assert_eq!(b.distinct_srcs().len(), 5);
-        // Destinations are {2,3,4} (1-based).
-        assert_eq!(b.distinct_dsts().len(), 3);
+    fn src_hits(e: &mut Engine, src: u32) -> HitVector {
+        let mut hits = HitVector::new(0);
+        e.search_src_into(VertexId::new(src), &mut hits);
+        hits
     }
 
+    fn dst_hits(e: &mut Engine, dst: u32) -> HitVector {
+        let mut hits = HitVector::new(0);
+        e.search_dst_into(VertexId::new(dst), &mut hits);
+        hits
+    }
+
+    /// The sweep loads exactly the chunks its filter accepts, and each
+    /// block's lists equal sort + dedup of its rows.
     #[test]
-    fn lazy_block_metadata_matches_eager_sort_and_dedup() {
+    fn sweep_filters_chunks_and_lists_match_sort_and_dedup() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |bound: u64| {
             state ^= state << 13;
@@ -1628,31 +1673,73 @@ mod tests {
             (state % bound) as u32
         };
         let mut e = engine();
-        for case in 0..120 {
-            let len = next(e.block_capacity() as u64 + 1) as usize;
+        let capacity = e.block_capacity();
+        let sorted = |rows: &[Edge], field: fn(&Edge) -> VertexId| {
+            let mut v: Vec<VertexId> = rows.iter().map(field).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for case in 0..60 {
+            let len = next(3 * capacity as u64 + 1) as usize;
             // Narrow and wide vertex ranges: many and few duplicates.
             let span = if case % 2 == 0 { 8 } else { 1 << 20 };
             let edges: Vec<Edge> = (0..len)
                 .map(|_| Edge::new(next(span), next(span), 1.0))
                 .collect();
-            let eager = |field: fn(&Edge) -> VertexId| {
-                let mut v: Vec<VertexId> = edges.iter().map(field).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
+            let (mut chunk, mut visited) = (0, Vec::new());
+            let odd_chunks = |_: &[Edge]| {
+                chunk += 1;
+                chunk % 2 == 1
             };
-            let b = e.load_block(&edges, CellLayout::Preset).unwrap();
-            for (got, want) in [
-                (b.distinct_dsts(), eager(|e| e.dst)),
-                (b.distinct_srcs(), eager(|e| e.src)),
-            ] {
-                assert!(
-                    got.windows(2).all(|w| w[0] < w[1]),
-                    "ascending, deduplicated"
-                );
-                assert_eq!(got, &want[..]);
-            }
+            e.sweep(
+                &edges,
+                CellLayout::Preset,
+                Keys::Both,
+                odd_chunks,
+                |_, b| {
+                    assert_eq!(b.distinct_srcs(), sorted(b.rows, |e| e.src));
+                    assert_eq!(b.distinct_dsts(), sorted(b.rows, |e| e.dst));
+                    visited.push(b.rows.to_vec());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let want: Vec<Vec<Edge>> = edges
+                .chunks(capacity)
+                .step_by(2)
+                .map(<[_]>::to_vec)
+                .collect();
+            assert_eq!(visited, want, "case {case}");
         }
+        // A list the keys do not name stays empty, not stale.
+        let all = |_: &[Edge]| true;
+        e.sweep(
+            &[Edge::new(0, 1, 1.0)],
+            CellLayout::Preset,
+            Keys::Srcs,
+            all,
+            |_, b| {
+                assert_eq!((b.srcs.len(), b.dsts.len()), (1, 0));
+                Ok(())
+            },
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn sweep_stops_at_the_first_visit_error() {
+        let mut e = engine();
+        let g = generators::path_graph(300); // three blocks of ≤128 edges
+        let (all, mut visits) = (|_: &[Edge]| true, 0);
+        let err = e.sweep(g.edges(), CellLayout::Preset, Keys::Srcs, all, |_, _| {
+            visits += 1;
+            Err(CoreError::InvalidInput("stop".into()))
+        });
+        assert!(matches!(err, Err(CoreError::InvalidInput(_))));
+        assert_eq!(visits, 1);
+        let r = e.finish("t", "t", "t", 1, 299);
+        assert_eq!(r.phase(Phase::LoadBlock).unwrap().count, 1);
     }
 
     #[test]
@@ -1660,10 +1747,10 @@ mod tests {
         let mut e = engine();
         let b = fig7_block(&mut e);
         // Vertex 2 (1-based) = id 1 has in-edges from 1, 3, 4 (Fig 7).
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         assert_eq!(hits.count(), 3);
         for row in hits.iter_ones() {
-            assert_eq!(b.edge(row).dst, VertexId::new(1));
+            assert_eq!(b[row].dst, VertexId::new(1));
         }
     }
 
@@ -1671,10 +1758,10 @@ mod tests {
     fn search_src_matches_out_edges() {
         let mut e = engine();
         let b = fig7_block(&mut e);
-        let hits = e.search_src(VertexId::new(4)); // vertex 5, out-edges to 3 and 4
+        let hits = src_hits(&mut e, 4); // vertex 5, out-edges to 3 and 4
         assert_eq!(hits.count(), 2);
         for row in hits.iter_ones() {
-            assert_eq!(b.edge(row).src, VertexId::new(4));
+            assert_eq!(b[row].src, VertexId::new(4));
         }
     }
 
@@ -1684,7 +1771,7 @@ mod tests {
         // vertex 2 (1-based): 6 + 5 + 8 = 19.
         let mut e = engine();
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         assert_eq!(sum, 19);
     }
@@ -1695,11 +1782,13 @@ mod tests {
         // (1-based): edges (5,3,6) and (5,4,7) -> sums 16 and 17.
         let mut e = engine();
         let b = fig7_block(&mut e);
-        let hits = e.search_src(VertexId::new(4));
-        let results = e.propagate_rows(&hits, &[0, 1], &[1, 10]).unwrap();
+        let hits = src_hits(&mut e, 4);
+        let mut results = Vec::new();
+        e.propagate_rows_into(&hits, &[0, 1], &[1, 10], &mut results)
+            .unwrap();
         let mut sums: Vec<(u32, u64)> = results
             .iter()
-            .map(|&(row, sum)| (b.edge(row).dst.raw(), sum))
+            .map(|&(row, sum)| (b[row].dst.raw(), sum))
             .collect();
         sums.sort();
         assert_eq!(sums, vec![(2, 16), (3, 17)]);
@@ -1710,12 +1799,13 @@ mod tests {
         let mut e = engine();
         let g = generators::star_graph(40); // hub 0 -> 39 spokes
         let cells = |_: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[1, 1]);
-        let _b = e
-            .load_block(g.edges(), CellLayout::PerEdge(&cells))
+        e.load_block(g.edges(), CellLayout::PerEdge(&cells))
             .unwrap();
-        let hits = e.search_src(VertexId::new(0));
+        let hits = src_hits(&mut e, 0);
         assert_eq!(hits.count(), 39);
-        let results = e.propagate_rows(&hits, &[0, 1], &[1, 0]).unwrap();
+        let mut results = Vec::new();
+        e.propagate_rows_into(&hits, &[0, 1], &[1, 0], &mut results)
+            .unwrap();
         assert_eq!(results.len(), 39);
         // 39 hits at a 16-row cap = 3 MAC bursts.
         let hist = e.rows_per_mac.counts();
@@ -1739,7 +1829,7 @@ mod tests {
         let mut e = engine();
         e.preset_mac(1).unwrap();
         let g = generators::paper_fig2_graph();
-        let _b = e.load_block(g.edges(), CellLayout::Preset).unwrap();
+        e.load_block(g.edges(), CellLayout::Preset).unwrap();
         let report = e.finish("t", "t", "t", 1, 10);
         // Only CAM cells were programmed: 10 edges × 2×128 TCAM devices.
         assert_eq!(report.ops.cells_written, 10 * 2 * 128);
@@ -1750,15 +1840,13 @@ mod tests {
         let mut e = engine();
         let big = generators::star_graph(20);
         let cells = |_: &Edge, c: &mut Vec<u32>| c.push(1);
-        let _b1 = e
-            .load_block(big.edges(), CellLayout::PerEdge(&cells))
+        e.load_block(big.edges(), CellLayout::PerEdge(&cells))
             .unwrap();
         let small = generators::path_graph(3); // edges (0,1), (1,2)
-        let _b2 = e
-            .load_block(small.edges(), CellLayout::PerEdge(&cells))
+        e.load_block(small.edges(), CellLayout::PerEdge(&cells))
             .unwrap();
         // Searching src 0 must only match the one path edge, not stale star rows.
-        assert_eq!(e.search_src(VertexId::new(0)).count(), 1);
+        assert_eq!(src_hits(&mut e, 0).count(), 1);
     }
 
     #[test]
@@ -1767,10 +1855,9 @@ mod tests {
         let g = generators::paper_fig7_graph();
         let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         for _ in 0..3 {
-            let _b = e
-                .load_block(g.edges(), CellLayout::PerEdge(&cells))
+            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
                 .unwrap();
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(&mut e, 1);
             let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         }
         e.end_block();
@@ -1790,7 +1877,7 @@ mod tests {
     fn report_has_energy_and_ops() {
         let mut e = engine();
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "test", "fig7", 1, 8);
         assert!(r.elapsed_ns > Nanos::ZERO);
@@ -1845,7 +1932,7 @@ mod tests {
     fn phases_attribute_the_full_makespan() {
         let mut e = engine();
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "t", "t", 1, 8);
         assert!(!r.phases.is_empty());
@@ -1868,7 +1955,7 @@ mod tests {
         e.set_tracer(Tracer::with_sink(agg.clone()));
         assert!(e.tracer().enabled());
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "t", "t", 1, 8);
         // Span busy time per phase agrees with the engine's own tally.
@@ -1904,10 +1991,9 @@ mod tests {
         let g = generators::paper_fig7_graph();
         let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         for _ in 0..4 {
-            let _b = e
-                .load_block(g.edges(), CellLayout::PerEdge(&cells))
+            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
                 .unwrap();
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(&mut e, 1);
             let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         }
         let _ = e.finish("gaasx", "t", "t", 1, 8);
@@ -1921,11 +2007,13 @@ mod tests {
     fn empty_hits_cost_nothing_in_mac() {
         let mut e = engine();
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(0)); // vertex 1 has no in-edges
+        let hits = dst_hits(&mut e, 0); // vertex 1 has no in-edges
         assert_eq!(hits.count(), 0);
         let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         assert_eq!(sum, 0);
-        let propagated = e.propagate_rows(&hits, &[0, 1], &[1, 5]).unwrap();
+        let mut propagated = Vec::new();
+        e.propagate_rows_into(&hits, &[0, 1], &[1, 5], &mut propagated)
+            .unwrap();
         assert!(propagated.is_empty());
         let r = e.finish("t", "t", "t", 1, 8);
         assert_eq!(r.ops.mac_ops, 0);
@@ -1943,7 +2031,7 @@ mod tests {
     fn preset_preserves_prior_mac_stats() {
         let mut e = engine();
         let _b = fig7_block(&mut e);
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         let before = e.mac.stats().clone();
         assert!(before.cells_written > 0);
@@ -1969,7 +2057,7 @@ mod tests {
         // worker and absorbing the worker into an idle primary.
         let run = |e: &mut Engine| {
             let _b = fig7_block(e);
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(e, 1);
             let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
             e.attr_write(8);
         };
@@ -2015,7 +2103,7 @@ mod tests {
     fn recovery_policy_is_inert_without_faults() {
         let run = |e: &mut Engine| {
             let _b = fig7_block(e);
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(e, 1);
             e.gather_rows(&hits, &mut |_| 1, 0).unwrap()
         };
         let mut plain = engine();
@@ -2042,10 +2130,9 @@ mod tests {
         let g = generators::paper_fig7_graph();
         let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
         for _ in 0..40 {
-            let _b = e
-                .load_block(g.edges(), CellLayout::PerEdge(&cells))
+            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
                 .unwrap();
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(&mut e, 1);
             // Every pass stays exact: 6 + 5 + 8 = 19 despite injected
             // transient programming failures.
             assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 19);
@@ -2074,18 +2161,20 @@ mod tests {
         assert_eq!(e.block_capacity(), 128 - 16);
         let edges = full_block_edges(e.block_capacity());
         let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
-        let b = e.load_block(&edges, CellLayout::PerEdge(&cells)).unwrap();
+        e.load_block(&edges, CellLayout::PerEdge(&cells)).unwrap();
         for i in 0..edges.len() as u32 {
             // Each dst hits exactly one (possibly remapped) row, reported
             // at its logical slot with the correct stored weight.
-            let hits = e.search_dst(VertexId::new(1000 + i));
+            let hits = dst_hits(&mut e, 1000 + i);
             assert_eq!(hits.count(), 1, "dst {i}");
             assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 3);
-            let src_hits = e.search_src(VertexId::new(i));
-            let res = e.propagate_rows(&src_hits, &[0], &[1]).unwrap();
+            let src_hits = src_hits(&mut e, i);
+            let mut res = Vec::new();
+            e.propagate_rows_into(&src_hits, &[0], &[1], &mut res)
+                .unwrap();
             assert_eq!(res.len(), 1, "src {i}");
             assert_eq!(res[0].1, 3);
-            assert_eq!(b.edge(res[0].0).src, VertexId::new(i));
+            assert_eq!(edges[res[0].0].src, VertexId::new(i));
         }
         let r = e.finish("t", "t", "t", 1, edges.len() as u64);
         assert!(
@@ -2106,9 +2195,9 @@ mod tests {
         let mut e = faulty(fault, RecoveryPolicy::standard());
         e.preset_mac(1).unwrap();
         let edges = full_block_edges(e.block_capacity());
-        let _b = e.load_block(&edges, CellLayout::Preset).unwrap();
+        e.load_block(&edges, CellLayout::Preset).unwrap();
         for i in 0..edges.len() as u32 {
-            let hits = e.search_dst(VertexId::new(1000 + i));
+            let hits = dst_hits(&mut e, 1000 + i);
             assert_eq!(hits.count(), 1, "dst {i}");
             // The preset-1 weight column survives through remapped rows.
             assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 1);
@@ -2154,10 +2243,10 @@ mod tests {
         let b = fig7_block(&mut e);
         // Vertex 2 (1-based) has in-edges from rows storing dst=1; the
         // majority vote over three searches masks the per-search glitch.
-        let hits = e.search_dst(VertexId::new(1));
+        let hits = dst_hits(&mut e, 1);
         assert_eq!(hits.count(), 3);
         for row in hits.iter_ones() {
-            assert_eq!(b.edge(row).dst, VertexId::new(1));
+            assert_eq!(b[row].dst, VertexId::new(1));
         }
         let r = e.finish("t", "t", "t", 1, 8);
         assert!(r.faults.cam_double_checks >= 1);
@@ -2180,14 +2269,14 @@ mod tests {
         let _ = fig7_block(&mut clean);
         let mut logical = 0u64;
         for v in 0..5 {
-            let dst = e.search_dst(VertexId::new(v));
-            assert_eq!(dst, clean.search_dst(VertexId::new(v)), "dst {v}");
-            assert_eq!(dst, e.search_dst(VertexId::new(v)), "repeat dst {v}");
-            let _ = clean.search_dst(VertexId::new(v));
-            let src = e.search_src(VertexId::new(v));
-            assert_eq!(src, clean.search_src(VertexId::new(v)), "src {v}");
+            let dst = dst_hits(&mut e, v);
+            assert_eq!(dst, dst_hits(&mut clean, v), "dst {v}");
+            assert_eq!(dst, dst_hits(&mut e, v), "repeat dst {v}");
+            let _ = dst_hits(&mut clean, v);
+            let src = src_hits(&mut e, v);
+            assert_eq!(src, src_hits(&mut clean, v), "src {v}");
             for row in src.iter_ones() {
-                assert_eq!(b.edge(row).src, VertexId::new(v));
+                assert_eq!(b[row].src, VertexId::new(v));
             }
             logical += 3;
         }
@@ -2219,13 +2308,20 @@ mod tests {
         let g = generators::rmat(&generators::RmatConfig::new(1 << 7, 1200).with_seed(5)).unwrap();
         let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
         let mut hits = HitVector::new(0);
-        for chunk in g.edges().chunks(128) {
-            let block = e.load_block(chunk, CellLayout::PerEdge(&cells)).unwrap();
-            for &dst in block.distinct_dsts() {
-                e.search_dst_into(dst, &mut hits);
-                let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
-            }
-        }
+        e.sweep(
+            g.edges(),
+            CellLayout::PerEdge(&cells),
+            Keys::Dsts,
+            |_| true,
+            |e, block| {
+                for &dst in block.distinct_dsts() {
+                    e.search_dst_into(dst, &mut hits);
+                    let _ = e.gather_rows(&hits, &mut |_| 1, 0)?;
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
         // Some controller-side (out-of-block) work too, so the synthetic
         // bank shows.
         e.end_block();
@@ -2294,9 +2390,9 @@ mod tests {
             e.set_search_profile(profile);
             let mut hits = Vec::new();
             for _visit in 0..2 {
-                let _b = e.load_block(&block, CellLayout::Preset).unwrap();
+                e.load_block(&block, CellLayout::Preset).unwrap();
                 for v in 0..32u32 {
-                    hits.push(e.search_dst(VertexId::new(1000 + v)));
+                    hits.push(dst_hits(&mut e, 1000 + v));
                 }
             }
             (hits, e.finish("t", "t", "t", 1, 8))
@@ -2338,7 +2434,7 @@ mod tests {
     fn reset_accounting_gives_a_resident_engine_a_clean_bill() {
         let run_once = |e: &mut Engine| {
             let _b = fig7_block(e);
-            let hits = e.search_dst(VertexId::new(1));
+            let hits = dst_hits(e, 1);
             let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
             assert_eq!(sum, 19);
             e.finish("gaasx", "probe", "fig7", 1, 8)

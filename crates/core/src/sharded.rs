@@ -423,7 +423,7 @@ mod tests {
     use gaasx_graph::{generators, Edge};
     use gaasx_sim::AggregateSink;
 
-    use crate::engine::CellLayout;
+    use crate::engine::{CellLayout, Keys};
 
     fn grid(edges: usize, seed: u64) -> (gaasx_graph::CooGraph, GridPartition) {
         let g =
@@ -434,20 +434,24 @@ mod tests {
 
     /// One gather pass over every shard, counting hits per shard.
     fn gather_pass<R: ShardRunner>(runner: &mut R, grid: &GridPartition) -> Vec<u64> {
-        let capacity = runner.engine().block_capacity();
         runner
             .for_each_shard(grid, TraversalOrder::ColumnMajor, |engine, shard| {
                 let mut total = 0u64;
                 let mut hits = gaasx_xbar::HitVector::new(0);
-                for chunk in shard.edges().chunks(capacity) {
-                    let cells =
-                        |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
-                    let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
-                    for &dst in block.distinct_dsts() {
-                        engine.search_dst_into(dst, &mut hits);
-                        total += engine.gather_rows(&hits, &mut |_| 1, 0)?;
-                    }
-                }
+                let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
+                engine.sweep(
+                    shard.edges(),
+                    CellLayout::PerEdge(&cells),
+                    Keys::Dsts,
+                    |_| true,
+                    |engine, block| {
+                        for &dst in block.distinct_dsts() {
+                            engine.search_dst_into(dst, &mut hits);
+                            total += engine.gather_rows(&hits, &mut |_| 1, 0)?;
+                        }
+                        Ok(())
+                    },
+                )?;
                 Ok(total)
             })
             .unwrap()
@@ -530,16 +534,18 @@ mod tests {
         let (_, g) = grid(900, 13);
         for jobs in [1, 2] {
             let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
-            let capacity = sharded.engine().block_capacity();
             let seen = std::sync::atomic::AtomicUsize::new(0);
             let r = sharded.for_each_shard(&g, TraversalOrder::RowMajor, |engine, shard| {
                 if seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= jobs {
                     return Err(CoreError::InvalidInput("synthetic abort".into()));
                 }
-                for chunk in shard.edges().chunks(capacity) {
-                    engine.load_block(chunk, CellLayout::Preset)?;
-                }
-                Ok(())
+                engine.sweep(
+                    shard.edges(),
+                    CellLayout::Preset,
+                    Keys::Srcs,
+                    |_| true,
+                    |_, _| Ok(()),
+                )
             });
             assert!(r.is_err(), "jobs={jobs}");
             let partial = sharded.finish("t", "t", "t", 0, 900);
@@ -656,24 +662,28 @@ mod tests {
         let run = |jobs: usize| {
             let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
             sharded.set_tracer(Tracer::with_sink(Arc::new(AggregateSink::new())));
-            let capacity = sharded.engine().block_capacity();
             sharded
                 .for_each_shard(&g, TraversalOrder::ColumnMajor, |engine, shard| {
                     let mut hits = gaasx_xbar::HitVector::new(0);
-                    for chunk in shard.edges().chunks(capacity) {
-                        let block = engine.load_block(chunk, CellLayout::Preset)?;
-                        for &dst in block.distinct_dsts() {
-                            engine.search_dst_into(dst, &mut hits);
-                            // Worker-side metrics: these land in the
-                            // worker tracer's registry and must survive
-                            // the merge.
-                            engine.tracer().counter_add("shard_probes", 1);
-                            engine
-                                .tracer()
-                                .histogram_record("hits_per_search", hits.count().max(1));
-                        }
-                    }
-                    Ok(())
+                    engine.sweep(
+                        shard.edges(),
+                        CellLayout::Preset,
+                        Keys::Dsts,
+                        |_| true,
+                        |engine, block| {
+                            for &dst in block.distinct_dsts() {
+                                engine.search_dst_into(dst, &mut hits);
+                                // Worker-side metrics: these land in the
+                                // worker tracer's registry and must survive
+                                // the merge.
+                                engine.tracer().counter_add("shard_probes", 1);
+                                engine
+                                    .tracer()
+                                    .histogram_record("hits_per_search", hits.count().max(1));
+                            }
+                            Ok(())
+                        },
+                    )
                 })
                 .unwrap();
             let _ = sharded.finish("t", "t", "t", 1, 700);

@@ -1,13 +1,17 @@
-//! Regression test: the steady-state PageRank inner loop — CAM search plus
-//! selective MAC gather on an already-loaded block — must not touch the
-//! heap. The engine owns reusable hit-vector, chunk, input, and MAC-output
-//! buffers that are sized on the first pass; every later pass (the common
-//! case: PageRank runs tens of iterations over the same blocks) probes the
-//! clean field index and gathers into the warm buffers — nothing is
-//! replayed. The same holds under CAM upsets, where every search is
-//! physically triple-voted into engine-owned scratch vectors, and for a
-//! frontier traversal on a deep bank, whose searches after every block
-//! reload rebuild the chained field index in its warm buffers.
+//! Regression test: the engine's block loop must not touch the heap once
+//! its buffers are warm. The engine owns reusable key, hit-vector, chunk,
+//! input, MAC-output and distinct-vertex buffers that are sized on the
+//! first pass; every later pass reuses them.
+//!
+//! Two shapes are measured. The steady-state PageRank inner loop — CAM
+//! search plus selective MAC gather on an already-loaded block — probes
+//! the clean field index and gathers into the warm buffers, also under CAM
+//! upsets, where every search is physically triple-voted into
+//! engine-owned scratch vectors. A whole frontier-filtered sweep over a
+//! deep-bank shard — chunking, the frontier filter, every block load, the
+//! distinct-source derivation, one search per frontier source (each
+//! reload rebuilds the chained field index) and one propagate per search —
+//! allocates nothing either.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -19,8 +23,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gaasx_core::engine::{CellLayout, Engine};
+use gaasx_core::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use gaasx_core::{GaasXConfig, RecoveryPolicy};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{generators, Edge};
 use gaasx_xbar::{FaultModel, HitVector};
 
@@ -49,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Both measured configurations run in this one test, one after the
+/// Every measured configuration runs in this one test, one after the
 /// other, so they never share the counter concurrently.
 #[test]
 fn steady_state_search_and_gather_allocate_nothing() {
@@ -68,41 +73,80 @@ fn steady_state_search_and_gather_allocate_nothing() {
         },
         false,
     );
-    measure_index_rebuilds(GaasXConfig {
+    measure_frontier_sweep(GaasXConfig {
         num_banks: 8,
         ..GaasXConfig::deep_bank()
     });
 }
 
-/// Loads three full deep-bank blocks and searches them the way a frontier
-/// traversal does — two warm-up blocks, then the first one's edges in reverse order, a new key
-/// sequence with the same distinct sources — and asserts the searches on
-/// the third block allocate nothing: an index rebuild over every valid
-/// row, then one probe per distinct source. (`load_block` itself is
-/// outside the count: it returns an owned
-/// [`Block`](gaasx_core::engine::Block).)
-fn measure_index_rebuilds(config: GaasXConfig) {
-    let graph = generators::rmat(&generators::RmatConfig::new(1 << 10, 5000).with_seed(5)).unwrap();
+/// Sweeps the largest shard of a deep-bank partition the way a frontier
+/// traversal does: only blocks holding a frontier source load, and each
+/// frontier source is searched and propagated. Two warm-up sweeps size
+/// every buffer; the third must allocate nothing.
+fn measure_frontier_sweep(config: GaasXConfig) {
+    let graph =
+        generators::rmat(&generators::RmatConfig::new(1 << 10, 100_000).with_seed(5)).unwrap();
+    let grid = partition_for_streaming(&graph).unwrap();
+    let shard = grid
+        .stream(TraversalOrder::RowMajor)
+        .max_by_key(|s| s.edges().len())
+        .unwrap();
     let mut engine = Engine::new(config).unwrap();
-    let capacity = engine.block_capacity();
-    let first = &graph.edges()[..capacity];
-    let reversed: Vec<Edge> = first.iter().rev().copied().collect();
-    let chunks = [first, &graph.edges()[capacity..2 * capacity], &reversed];
+    engine.preset_mac(1).unwrap();
+    let blocks: Vec<&[Edge]> = shard.edges().chunks(engine.block_capacity()).collect();
+    assert!(blocks.len() >= 3, "the shard spans {} blocks", blocks.len());
+    // The frontier: the last block's sources that the first block lacks,
+    // so the filter skips at least the first block.
+    let mut frontier = vec![false; graph.num_vertices() as usize];
+    blocks[blocks.len() - 1]
+        .iter()
+        .for_each(|e| frontier[e.src.index()] = true);
+    blocks[0]
+        .iter()
+        .for_each(|e| frontier[e.src.index()] = false);
     let mut hits = HitVector::new(0);
-    let mut allocs = 0;
-    for chunk in chunks {
-        let block = engine.load_block(chunk, CellLayout::Preset).unwrap();
-        let srcs = block.distinct_srcs(); // derived on first use
-        let before = ALLOCS.load(Ordering::SeqCst);
-        for &src in srcs {
-            engine.search_src_into(src, &mut hits);
-            assert!(hits.any());
-        }
-        allocs = ALLOCS.load(Ordering::SeqCst) - before;
-    }
+    let mut results: Vec<(usize, u64)> = Vec::new();
+    let mut sweep = |engine: &mut Engine| {
+        let (mut loads, mut searches) = (0, 0);
+        engine
+            .sweep(
+                shard.edges(),
+                CellLayout::Preset,
+                Keys::Srcs,
+                |rows| rows.iter().any(|e| frontier[e.src.index()]),
+                |engine, block| {
+                    loads += 1;
+                    for &src in block.distinct_srcs() {
+                        if frontier[src.index()] {
+                            engine.search_src_into(src, &mut hits);
+                            engine.propagate_rows_into(&hits, &[0, 1], &[1, 2], &mut results)?;
+                            searches += usize::from(!results.is_empty());
+                        }
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+        (loads, searches)
+    };
+    let warm = sweep(&mut engine);
+    assert_eq!(sweep(&mut engine), warm);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let (loads, searches) = sweep(&mut engine);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        (loads, searches),
+        warm,
+        "the measured sweep repeats the work"
+    );
+    assert!(loads > 0 && searches > 0, "the sweep must do real work");
+    assert!(
+        loads < blocks.len(),
+        "the frontier filter must skip a block"
+    );
     assert_eq!(
         allocs, 0,
-        "searches after a block reload performed {allocs} heap allocations"
+        "a warm sweep of {loads} blocks and {searches} searches performed {allocs} heap allocations"
     );
 }
 
@@ -114,11 +158,14 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     let graph = generators::rmat(&generators::RmatConfig::new(1 << 6, 400).with_seed(11)).unwrap();
     let mut engine = Engine::new(config).unwrap();
     let capacity = engine.block_capacity();
-    let chunk: Vec<Edge> = graph.edges().iter().take(capacity).copied().collect();
+    let chunk = &graph.edges()[..capacity];
+    let mut dsts: Vec<_> = chunk.iter().map(|e| e.dst).collect();
+    dsts.sort_unstable();
+    dsts.dedup();
 
     let cells = |_e: &Edge, c: &mut Vec<u32>| c.push(1u32);
-    let block = engine
-        .load_block(&chunk, CellLayout::PerEdge(&cells))
+    engine
+        .load_block(chunk, CellLayout::PerEdge(&cells))
         .unwrap();
     let mut hits = HitVector::new(0);
 
@@ -127,7 +174,7 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     // settles every buffer at its steady-state capacity.
     let mut warm_total = 0u64;
     for _ in 0..2 {
-        for &dst in block.distinct_dsts() {
+        for &dst in &dsts {
             engine.search_dst_into(dst, &mut hits);
             warm_total += engine.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         }
@@ -137,7 +184,7 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     // Measured pass: bit-for-bit the same work, zero heap traffic.
     let before = ALLOCS.load(Ordering::SeqCst);
     let mut total = 0u64;
-    for &dst in block.distinct_dsts() {
+    for &dst in &dsts {
         engine.search_dst_into(dst, &mut hits);
         total += engine.gather_rows(&hits, &mut |_| 1, 0).unwrap();
     }

@@ -1,51 +1,24 @@
 //! Batched multi-source traversal: K BFS/SSSP queries against one
 //! resident graph in a single selective-row-activation pass.
 //!
-//! The crossbar cost of a frontier traversal is dominated by block
-//! programming: every superstep reloads each chunk that holds an active
-//! source. When K queries target the *same* resident graph, one pass can
-//! load each needed chunk once and run all K queries' CAM searches
-//! against it — the searches are per-source row activations and never
-//! interfere.
-//!
-//! # Bit-identity
-//!
-//! For each query `q`, the candidate stream the batch produces is exactly
-//! the stream the one-shot run produces: a chunk contributes candidates
-//! to `q` only when `q`'s frontier intersects it (the one-shot load
-//! condition), sources iterate in the same `distinct_srcs` order, and the
-//! sequential reduce folds shards and candidates in the same order with
-//! the same SFU float ops. Distances therefore evolve bit-identically —
-//! [`run_batch`] of K sources returns the same values and iteration
-//! counts as K one-shot runs. (This holds whenever block programming is
-//! deterministic, i.e. fault-free or stuck-only fault models; transient
-//! write faults draw from the engine RNG per programming event, and a
-//! batch programs fewer blocks.)
-//!
-//! What changes is the *cost*: shared chunk loads make the batch strictly
-//! cheaper than the sum of its one-shot parts on any graph where sources
-//! share blocks.
+//! The cost of a frontier traversal is dominated by block programming:
+//! every superstep reloads each chunk that holds an active source. K
+//! queries on the *same* graph can share each load, since the CAM
+//! searches are per-source row activations and never interfere. The
+//! superstep body is [`gaasx_core::algorithms::traverse`], the one the
+//! one-shot BFS and SSSP mappings run with a single source, so
+//! [`run_batch`] of K sources returns the values and iteration counts of
+//! K one-shot runs (under deterministic block programming; see there)
+//! and bills strictly less on any graph where sources share blocks.
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
-use gaasx_graph::{CooGraph, Edge, VertexId};
+use gaasx_graph::partition::GridPartition;
+use gaasx_graph::{CooGraph, VertexId};
 
-use gaasx_core::algorithms::Sssp;
-use gaasx_core::engine::{partition_for_streaming, CellLayout};
+use gaasx_core::algorithms::{check_sources, traverse};
+use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, ShardRunner};
 
-/// Largest distance encodable as a 16-bit MAC input code (same device
-/// limit the one-shot BFS/SSSP mappings enforce).
-const MAX_ENCODABLE_DIST: f64 = 65_534.0;
-
-/// Result of a batched multi-source traversal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// Per-query distance vectors, indexed like `sources`.
-    pub values: Vec<Vec<f64>>,
-    /// Per-query superstep counts — identical to what the one-shot run
-    /// of that source would report.
-    pub iterations: Vec<u32>,
-}
+pub use gaasx_core::algorithms::BatchOutcome;
 
 /// Runs BFS (`weighted == false`) or SSSP (`weighted == true`) from every
 /// vertex in `sources` over `graph`, sharing block loads across queries.
@@ -80,153 +53,7 @@ pub fn run_batch_on_grid<R: ShardRunner>(
     weighted: bool,
     sources: &[VertexId],
 ) -> Result<BatchOutcome, CoreError> {
-    let n = grid.num_vertices() as usize;
-    let k = sources.len();
-    check_sources(sources, n)?;
-    let w_quant = if weighted {
-        Some(Sssp::check_weights(grid, runner.engine().weight_bits())?)
-    } else {
-        // BFS: all weight cells read as 1; set once, never per edge.
-        runner.preset_mac(1)?;
-        None
-    };
-    let capacity = runner.engine().block_capacity();
-
-    let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; k];
-    let mut frontier: Vec<Vec<bool>> = vec![vec![false; n]; k];
-    for (q, source) in sources.iter().enumerate() {
-        dist[q][source.index()] = 0.0;
-        frontier[q][source.index()] = true;
-    }
-    let mut iterations = vec![0u32; k];
-    let mut done = vec![false; k];
-    // The V−1 Bellman–Ford bound the one-shot SSSP loop runs under; BFS
-    // terminates naturally (hop counts only ever shrink once).
-    let bound = (n as u32).saturating_sub(1).max(1);
-
-    loop {
-        let active: Vec<bool> = (0..k)
-            .map(|q| !done[q] && (!weighted || iterations[q] < bound))
-            .collect();
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-
-        let dist_snapshot = &dist;
-        let frontier_snapshot = &frontier;
-        let active_snapshot = &active;
-        let candidates =
-            runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
-                let mut cands: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
-                let mut hits = gaasx_xbar::HitVector::new(0);
-                let mut results: Vec<(usize, u64)> = Vec::new();
-                for chunk in shard.edges().chunks(capacity) {
-                    // One load serves every query with a frontier source
-                    // in the chunk; queries without one contribute no
-                    // searches — exactly the one-shot skip condition.
-                    let wanted = |q: usize| {
-                        active_snapshot[q]
-                            && chunk.iter().any(|e| frontier_snapshot[q][e.src.index()])
-                    };
-                    if !(0..k).any(wanted) {
-                        continue;
-                    }
-                    let cells = |e: &Edge, c: &mut Vec<u32>| {
-                        // `wanted` guarantees `w_quant` is Some on this path.
-                        if let Some(q) = &w_quant {
-                            c.extend_from_slice(&[q.encode(e.weight), 1]);
-                        }
-                    };
-                    let layout = if weighted {
-                        CellLayout::PerEdge(&cells)
-                    } else {
-                        CellLayout::Preset
-                    };
-                    let block = engine.load_block(chunk, layout)?;
-                    for (q, q_cands) in cands.iter_mut().enumerate() {
-                        if !wanted(q) {
-                            continue;
-                        }
-                        for &src in block.distinct_srcs() {
-                            if !frontier_snapshot[q][src.index()] {
-                                continue;
-                            }
-                            let d = dist_snapshot[q][src.index()];
-                            engine.attr_read(8);
-                            let encodable = if weighted {
-                                d.is_finite() && d <= MAX_ENCODABLE_DIST
-                            } else {
-                                d <= MAX_ENCODABLE_DIST
-                            };
-                            if !encodable {
-                                continue;
-                            }
-                            engine.search_src_into(src, &mut hits);
-                            engine.propagate_rows_into(
-                                &hits,
-                                &[0, 1],
-                                &[1, d.round() as u32],
-                                &mut results,
-                            )?;
-                            for &(row, sum) in &results {
-                                q_cands.push((block.edge(row).dst.raw(), sum as f64));
-                            }
-                        }
-                    }
-                }
-                Ok(cands)
-            })?;
-
-        let engine = runner.engine();
-        for q in 0..k {
-            if !active[q] {
-                continue;
-            }
-            let mut next = vec![false; n];
-            let mut changed = false;
-            for shard_cands in &candidates {
-                for &(dst, cand) in &shard_cands[q] {
-                    let v = dst as usize;
-                    if engine.sfu_less_than(cand, dist[q][v]) {
-                        dist[q][v] = engine.sfu_min(cand, dist[q][v]);
-                        engine.attr_write(8);
-                        next[v] = true;
-                        changed = true;
-                    }
-                }
-            }
-            iterations[q] += 1;
-            if changed {
-                frontier[q] = next;
-            } else {
-                done[q] = true;
-            }
-        }
-    }
-    // Each query drains its own distance vector through the output buffer.
-    runner.engine().output_write(8 * n as u64 * k as u64);
-
-    Ok(BatchOutcome {
-        values: dist,
-        iterations,
-    })
-}
-
-/// Rejects an empty batch and any source outside a graph of `n` vertices.
-fn check_sources(sources: &[VertexId], n: usize) -> Result<(), CoreError> {
-    if sources.is_empty() {
-        return Err(CoreError::InvalidInput(
-            "batch query carries no source vertices".into(),
-        ));
-    }
-    for source in sources {
-        if source.index() >= n {
-            return Err(CoreError::InvalidInput(format!(
-                "source {source} out of range for {n} vertices"
-            )));
-        }
-    }
-    Ok(())
+    traverse(runner, grid, weighted, sources, u32::MAX)
 }
 
 #[cfg(test)]
@@ -236,6 +63,7 @@ mod tests {
     use gaasx_core::engine::Engine;
     use gaasx_core::GaasXConfig;
     use gaasx_graph::generators;
+    use gaasx_graph::Edge;
 
     fn rmat(edges: usize, seed: u64) -> CooGraph {
         generators::rmat(&generators::RmatConfig::new(1 << 6, edges).with_seed(seed)).unwrap()

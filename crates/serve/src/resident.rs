@@ -20,11 +20,10 @@ use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 use gaasx_sim::Nanos;
 
-use gaasx_core::algorithms::{Bfs, Sssp};
+use gaasx_core::algorithms::{traverse, BatchOutcome};
 use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, GaasXConfig, ShardedEngine, WearSnapshot};
 
-use crate::batch::run_batch_on_grid;
 use crate::server::{QueryKind, QueryOutput};
 
 /// A registered graph and (when resident) its programmed engines.
@@ -177,32 +176,22 @@ impl ResidentGraph {
             CoreError::InvalidInput(format!("graph {:?} has no vertices", self.name))
         })?;
         exec.set_deadline(deadline);
-        // (per-query values, per-query iterations, algorithm label).
-        type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);
-        let run: Result<QueryRun, CoreError> = match kind {
-            QueryKind::Bfs { source } => Bfs::from_source(VertexId::new(*source))
-                .execute_on_grid(exec, grid)
-                .map(|r| (vec![r.output], vec![r.iterations], "bfs")),
-            QueryKind::Sssp { source } => Sssp::from_source(VertexId::new(*source))
-                .execute_on_grid(exec, grid)
-                .map(|r| (vec![r.output], vec![r.iterations], "sssp")),
-            QueryKind::BatchBfs { sources } => {
-                let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch_on_grid(exec, grid, false, &sources)
-                    .map(|b| (b.values, b.iterations, "bfs_batch"))
-            }
-            QueryKind::BatchSssp { sources } => {
-                let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch_on_grid(exec, grid, true, &sources)
-                    .map(|b| (b.values, b.iterations, "sssp_batch"))
-            }
+        let (weighted, sources, algorithm) = match kind {
+            QueryKind::Bfs { source } => (false, std::slice::from_ref(source), "bfs"),
+            QueryKind::Sssp { source } => (true, std::slice::from_ref(source), "sssp"),
+            QueryKind::BatchBfs { sources } => (false, &sources[..], "bfs_batch"),
+            QueryKind::BatchSssp { sources } => (true, &sources[..], "sssp_batch"),
             QueryKind::DebugPanic => {
                 // gaasx-lint: allow(panic-in-lib) -- deliberate fault-injection probe for the serve boundary's catch_unwind guard
                 panic!("deliberate debug panic injected into worker")
             }
         };
+        // One traversal body serves every kind: with one source it is the
+        // one-shot BFS or SSSP run (no superstep cap beyond SSSP's V−1).
+        let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
+        let run = traverse(exec, grid, weighted, &sources, u32::MAX);
         match run {
-            Ok((values, iterations, algorithm)) => {
+            Ok(BatchOutcome { values, iterations }) => {
                 let supersteps = iterations.iter().copied().max().unwrap_or(0);
                 let report = exec.finish("gaasx", algorithm, &self.name, supersteps, num_edges);
                 exec.reset_accounting();

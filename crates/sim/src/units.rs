@@ -16,7 +16,8 @@
 //! 1. **Bit-identity.** All arithmetic delegates to the wrapped `f64`
 //!    operation on the raw value, in the same order the untyped code
 //!    performed it, so every report stays bit-identical to the pre-typed
-//!    accounting (ROADMAP item 4's conservation gates depend on this).
+//!    accounting (the phase-attribution and timeline conservation checks
+//!    compare f64 sums bit for bit, so they depend on this).
 //!    In particular [`Picojoules`] and [`Nanojoules`] are *distinct types*
 //!    rather than auto-rescaling views of one another: a ×1000 rescale is
 //!    not exact in floating point, so conversion is explicit and happens

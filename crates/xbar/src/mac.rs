@@ -958,7 +958,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(got, vec![out[5], out[0], out[2]], "{label}");
-            // The transposed read-out `propagate_rows` issues.
+            // The transposed read-out `propagate_rows_into` issues.
             let out = full
                 .mac(MacDirection::ColumnsToRows, &[0, 2], &inputs)
                 .unwrap();

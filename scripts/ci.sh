@@ -57,7 +57,7 @@ cargo run -q --release --offline -p gaasx-bench --bin fault_campaign -- --smoke
 echo "==> serving soak smoke: typed degradation + exact per-tenant billing"
 cargo run -q --release --offline -p gaasx-bench --bin serve_soak -- --smoke
 
-echo "==> oracle matrix: PR/SSSP/BFS/CC x banks x fault x jobs vs reference oracles"
+echo "==> oracle matrix: PR/SSSP/BFS/CC and batched BFS/SSSP x banks x fault x jobs vs reference oracles"
 # The tier-1 pass above already runs this in the dev profile, where every
 # index-served CAM search is also cross-checked against the scalar scan;
 # re-running it under --release covers the binary shape the repo benchmark

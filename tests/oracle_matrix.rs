@@ -3,6 +3,8 @@
 //! [`RecoveryPolicy::standard`], serial and sharded over 2 and 4 workers —
 //! must answer like the `gaasx_baselines::reference` oracles, and a
 //! fault-free sharded run must report exactly what the serial run does.
+//! Batched BFS and SSSP queries (three sources through one multi-source
+//! traversal) run the same matrix.
 //!
 //! Under injected faults a sharded run's report may differ from the
 //! serial one: every crossbar draws its transient write failures from its
@@ -24,8 +26,11 @@
 
 #![allow(clippy::unwrap_used)]
 use gaasx::baselines::reference;
-use gaasx::core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
-use gaasx::core::{GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, ShardableAlgorithm};
+use gaasx::core::algorithms::{traverse, Bfs, ConnectedComponents, PageRank, Sssp};
+use gaasx::core::engine::{partition_for_streaming, Engine};
+use gaasx::core::{
+    GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, ShardableAlgorithm, ShardedEngine,
+};
 use gaasx::graph::generators::{rmat, RmatConfig};
 use gaasx::graph::{CooGraph, VertexId};
 use gaasx::xbar::FaultModel;
@@ -170,6 +175,49 @@ fn every_run_matches_the_oracles() {
 
             let cc = run_all_jobs(&ConnectedComponents::new(), &sym, &cfg, &label("cc"));
             assert_eq!(cc.result, cc_oracle, "{}", label("cc"));
+        }
+    }
+}
+
+/// Batched traversal: three sources at once through the core
+/// multi-source traversal, for BFS and SSSP, on every bank and fault row,
+/// serially and sharded over 1, 2 and 4 workers. Every query must answer
+/// like its oracle, and a fault-free sharded run must report exactly what
+/// the serial run does.
+#[test]
+fn batched_traversals_match_the_oracles() {
+    let graph = rmat(&RmatConfig::new(128, 600).with_seed(7)).unwrap();
+    let grid = partition_for_streaming(&graph).unwrap();
+    let sources = [0u32, 5, 17].map(VertexId::new);
+    for weighted in [false, true] {
+        let oracles: Vec<Vec<f64>> = sources
+            .iter()
+            .map(|&s| {
+                if weighted {
+                    reference::dijkstra(&graph, s)
+                } else {
+                    reference::bfs(&graph, s)
+                }
+            })
+            .collect();
+        for bank in ["paper", "deep"] {
+            for fault in [false, true] {
+                let cfg = bank_config(bank, fault);
+                let label = format!("batch weighted={weighted} bank={bank} fault={fault}");
+                let mut serial = Engine::new(cfg.clone()).unwrap();
+                let want = traverse(&mut serial, &grid, weighted, &sources, u32::MAX).unwrap();
+                assert_eq!(want.values, oracles, "{label}");
+                let want_report = serial.finish("gaasx", "batch", "rmat", 1, 600);
+                for jobs in [1usize, 2, 4] {
+                    let mut sharded = ShardedEngine::new(cfg.clone(), jobs).unwrap();
+                    let got = traverse(&mut sharded, &grid, weighted, &sources, u32::MAX).unwrap();
+                    assert_eq!(got, want, "{label} jobs={jobs}");
+                    let report = sharded.finish("gaasx", "batch", "rmat", 1, 600);
+                    if !fault {
+                        assert_eq!(report, want_report, "{label} jobs={jobs}: report diverged");
+                    }
+                }
+            }
         }
     }
 }
