@@ -12,13 +12,14 @@
 //!    detect-only policy surfaces a typed `CoreError::DeviceFault` carrying
 //!    the partial report, never a panic.
 //!
-//! Exits nonzero on any violation, so CI exercises the recovery path on
-//! every run. `--smoke` runs a tiny subset for the CI gate;
-//! `--edges <N>` overrides the RMAT edge count.
+//! Errors on any violation, so CI exercises the recovery path on every
+//! run. `--smoke` runs a tiny subset for the CI gate.
 //!
 //! Everything is seeded — the campaign replays bit-for-bit.
 
-#![allow(clippy::unwrap_used)]
+use std::fmt::Write;
+
+use gaasx_bench::experiments::BenchResult;
 use gaasx_core::algorithms::{Bfs, PageRank, Sssp};
 use gaasx_core::{CoreError, GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, ShardableAlgorithm};
 use gaasx_graph::generators::{rmat, RmatConfig};
@@ -27,32 +28,7 @@ use gaasx_sim::table::{count, Table};
 use gaasx_sim::RunReport;
 use gaasx_xbar::FaultModel;
 
-struct Args {
-    smoke: bool,
-    edges: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut smoke = false;
-    let mut edges = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--edges" => {
-                edges = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&e| e > 0)
-                        .ok_or_else(|| "--edges requires a positive count".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let edges = edges.unwrap_or(if smoke { 200 } else { 600 });
-    Ok(Args { smoke, edges })
-}
+use crate::Ctx;
 
 /// The fault model for one sweep point: stuck cells in both arrays at
 /// `ber`, plus a 1% transient write-failure rate whenever faults are on.
@@ -147,7 +123,7 @@ where
 
 /// Property 3: a BER far beyond the spare pool under a detect-only policy
 /// must surface as a typed `DeviceFault` with a partial report attached.
-fn check_graceful_degradation(graph: &CooGraph) -> Result<RunReport, String> {
+fn check_graceful_degradation(graph: &CooGraph, out: &mut String) -> BenchResult<RunReport> {
     let config = GaasXConfig {
         fault: FaultModel {
             seed: 0xDEAD,
@@ -165,32 +141,35 @@ fn check_graceful_degradation(graph: &CooGraph) -> Result<RunReport, String> {
             if report.ops.verify_reads == 0 {
                 return Err("partial report carries no verify reads".into());
             }
-            println!("detect-only @ BER=1e-2: DeviceFault as expected ({detail})");
+            writeln!(
+                out,
+                "detect-only @ BER=1e-2: DeviceFault as expected ({detail})"
+            )?;
             Ok(*report)
         }
-        Err(other) => Err(format!(
-            "want DeviceFault with partial report, got: {other}"
-        )),
+        Err(other) => Err(format!("want DeviceFault with partial report, got: {other}").into()),
         Ok(_) => Err("BER=1e-2 under detect-only unexpectedly succeeded".into()),
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args()?;
-    let graph = rmat(&RmatConfig::new(64, args.edges).with_seed(13))?;
+pub fn run(cx: &mut Ctx) -> BenchResult<String> {
+    let smoke = cx.s.smoke;
+    let graph = rmat(&RmatConfig::new(64, if smoke { 200 } else { 600 }).with_seed(13))?;
     let src = gaasx_bench::traversal_source(&graph);
-    let (bers, retries): (&[f64], &[u32]) = if args.smoke {
+    let (bers, retries): (&[f64], &[u32]) = if smoke {
         (&[0.0, 1e-4], &[3])
     } else {
         (&[0.0, 1e-5, 1e-4, 3e-4], &[1, 3])
     };
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "Fault campaign — RMAT |V|={} |E|={}, stuck-cell BER sweep × retry budget, \
          write-fail 1%, 16 spare rows{}\n",
         count(graph.num_vertices() as u64),
         count(graph.num_edges() as u64),
-        if args.smoke { " (smoke subset)" } else { "" },
-    );
+        if smoke { " (smoke subset)" } else { "" },
+    )?;
 
     let mut table = Table::new(&[
         "algorithm",
@@ -212,7 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bers,
         retries,
     )?;
-    if !args.smoke {
+    if !smoke {
         sweep(
             &mut table,
             "sssp",
@@ -230,17 +209,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             retries,
         )?;
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
 
-    let partial = check_graceful_degradation(&graph)?;
-    println!(
+    let partial = check_graceful_degradation(&graph, &mut out)?;
+    writeln!(
+        out,
         "partial report: {} verify reads, {} faults detected before abort\n",
         count(partial.ops.verify_reads),
         count(partial.faults.faults_detected),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "All sweep points reproduced the fault-free results; BER=0 was bit-identical; \
          the unrecoverable case degraded gracefully."
-    );
-    Ok(())
+    )?;
+    Ok(out)
 }

@@ -1,37 +1,24 @@
 //! Sharded-execution scaling check: runs the RMAT scaling workload on the
 //! serial engine and on [`gaasx_core::ShardedEngine`] at increasing worker
 //! counts, verifies the merged reports and algorithm outputs are
-//! **bit-identical** to the serial run, and prints the host wall-clock
-//! table. Exits nonzero on any mismatch, so CI exercises the parallel
-//! path on every run.
+//! **bit-identical** to the serial run, and renders the host wall-clock
+//! table. Errors on any mismatch, so CI exercises the parallel path on
+//! every run.
 //!
-//! `--jobs <N>` sets the largest worker count (default `GAASX_JOBS` or 4);
-//! the sweep covers 1, 2, …, N in powers of two plus N itself.
-//! `GAASX_CAP_EDGES` caps the RMAT edge count (default
-//! [`gaasx_bench::DEFAULT_CAP_EDGES`]).
+//! `--jobs <N>` sets the largest worker count (default 4); the sweep
+//! covers 1, 2, …, N in powers of two plus N itself. `--cap` sets the
+//! RMAT edge count (default 300 000, 20 000 under `--smoke`).
 
-#![allow(clippy::unwrap_used)]
+use std::fmt::Write;
 use std::time::Instant;
 
+use gaasx_bench::experiments::BenchResult;
 use gaasx_core::algorithms::{PageRank, Sssp};
 use gaasx_core::{GaasX, GaasXConfig, RunOutcome, ShardableAlgorithm};
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_sim::table::{count, Table};
 
-fn jobs_arg() -> Result<usize, String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&j| j >= 1)
-                .ok_or_else(|| "--jobs requires a worker count >= 1".into());
-        }
-    }
-    let env = gaasx_bench::jobs();
-    Ok(if env > 1 { env } else { 4 })
-}
+use crate::Ctx;
 
 /// 1, 2, 4, … capped at `max`, always ending exactly at `max`.
 fn sweep(max: usize) -> Vec<usize> {
@@ -52,7 +39,7 @@ struct Timed<T> {
     wall: f64,
 }
 
-fn run<A: ShardableAlgorithm>(
+fn run_timed<A: ShardableAlgorithm>(
     algorithm: &A,
     input: &A::Input,
     jobs: usize,
@@ -76,7 +63,7 @@ where
     A::Output: PartialEq,
 {
     let mut t = Table::new(&["jobs", "host wall (s)", "vs jobs=1", "report"]);
-    let serial = run(algorithm, input, 1).map_err(|e| e.to_string())?;
+    let serial = run_timed(algorithm, input, 1).map_err(|e| e.to_string())?;
     t.row_owned(vec![
         "1".into(),
         format!("{:.3}", serial.wall),
@@ -84,7 +71,7 @@ where
         "reference".into(),
     ]);
     for jobs in sweep(jobs_max).into_iter().skip(1) {
-        let sharded = run(algorithm, input, jobs).map_err(|e| e.to_string())?;
+        let sharded = run_timed(algorithm, input, jobs).map_err(|e| e.to_string())?;
         if sharded.outcome.report != serial.outcome.report {
             return Err(format!(
                 "{name}: jobs={jobs} report diverged from serial \
@@ -110,23 +97,28 @@ where
     Ok(t)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let jobs_max = jobs_arg()?;
-    let cap = gaasx_bench::cap_edges();
+pub fn run(cx: &mut Ctx) -> BenchResult<String> {
+    let jobs_max = cx.s.jobs.unwrap_or(4);
+    let cap = cx.s.cap_or(20_000);
     let vertices = (cap / 16).clamp(64, 1 << 17).next_power_of_two();
     let graph = rmat(&RmatConfig::new(vertices as u32, cap).with_seed(17))?;
     let src = gaasx_bench::traversal_source(&graph);
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "Sharded-execution scaling — RMAT |V|={} |E|={}, paper configuration, \
          jobs up to {jobs_max}\nEvery sharded run is checked bit-identical \
          (full RunReport + algorithm output) against the serial engine.\n",
         count(graph.num_vertices() as u64),
         count(graph.num_edges() as u64),
-    );
+    )?;
     let pr = check(&PageRank::fixed_iterations(5), &graph, "pagerank", jobs_max)?;
-    println!("PageRank x5\n\n{pr}");
+    writeln!(out, "PageRank x5\n\n{pr}")?;
     let sssp = check(&Sssp::from_source(src), &graph, "sssp", jobs_max)?;
-    println!("SSSP\n\n{sssp}");
-    println!("All sharded runs matched the serial reference bit-for-bit.");
-    Ok(())
+    writeln!(out, "SSSP\n\n{sssp}")?;
+    writeln!(
+        out,
+        "All sharded runs matched the serial reference bit-for-bit."
+    )?;
+    Ok(out)
 }

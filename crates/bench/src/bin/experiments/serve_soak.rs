@@ -17,10 +17,12 @@
 //!    from the responses equal the ledger, and the tenant sums equal the
 //!    grand total, `f64::to_bits` for `f64::to_bits`.
 //!
-//! Exits nonzero on any violation. `--smoke` shrinks the traffic for the
-//! CI gate; everything is seeded, so the soak replays bit-for-bit.
+//! Errors on any violation. `--smoke` shrinks the traffic for the CI
+//! gate; everything is seeded, so the soak replays bit-for-bit.
 
-#![allow(clippy::unwrap_used)]
+use std::fmt::Write;
+
+use gaasx_bench::experiments::BenchResult;
 use gaasx_core::algorithms::Bfs;
 use gaasx_core::{GaasX, GaasXConfig, RecoveryPolicy};
 use gaasx_graph::generators::{rmat, RmatConfig};
@@ -30,20 +32,7 @@ use gaasx_sim::table::{count, Table};
 use gaasx_sim::Nanos;
 use gaasx_xbar::FaultModel;
 
-struct Args {
-    smoke: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(Args { smoke })
-}
+use crate::Ctx;
 
 fn graph(edges: usize, seed: u64) -> CooGraph {
     rmat(&RmatConfig::new(1 << 6, edges).with_seed(seed)).unwrap()
@@ -230,8 +219,9 @@ fn mixed_scenario(rounds: usize, edges: usize) -> Result<(Server, Vec<QueryRespo
 
 /// Invariant 3 on the mixed scenario's responses: a resident query and
 /// every lane of the batched query match fresh one-shots bit-for-bit,
-/// and the batch bills strictly less than the serial sum.
-fn check_identity(responses: &[QueryResponse], edges: usize) -> Result<(), String> {
+/// and the batch bills strictly less than the serial sum. Returns the
+/// report line.
+fn check_identity(responses: &[QueryResponse], edges: usize) -> Result<String, String> {
     // Mirrors `mixed_scenario`'s registration of `orders`.
     let g0 = graph(edges, 21);
     // Resident identity: first completed single-source BFS on `orders`.
@@ -283,14 +273,13 @@ fn check_identity(responses: &[QueryResponse], edges: usize) -> Result<(), Strin
             serial_sum.ns()
         ));
     }
-    println!(
+    Ok(format!(
         "identity: resident == one-shot (bit-exact); batch of 3 billed {} vs serial {} ns \
-         ({:.1}% saved)",
+         ({:.1}% saved)\n",
         count(batch.1.ns() as u64),
         count(serial_sum.ns() as u64),
         100.0 * (1.0 - batch.1.ns() / serial_sum.ns()),
-    );
-    Ok(())
+    ))
 }
 
 /// Scenario 2 — transient write faults under detect-only recovery:
@@ -426,19 +415,21 @@ fn utilization_table(server: &Server) -> Table {
     table
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args()?;
+pub fn run(cx: &mut Ctx) -> BenchResult<String> {
+    let smoke = cx.s.smoke;
     install_quiet_panic_hook();
-    let (rounds, edges) = if args.smoke { (4, 200) } else { (12, 500) };
-    println!(
+    let (rounds, edges) = if smoke { (4, 200) } else { (12, 500) };
+    let mut out = String::new();
+    writeln!(
+        out,
         "Serving soak — {rounds} rounds x 4 tenants over RMAT graphs (|E|~{edges}), \
          overload + deadlines + quota + eviction + faults + panic{}\n",
-        if args.smoke { " (smoke subset)" } else { "" },
-    );
+        if smoke { " (smoke subset)" } else { "" },
+    )?;
 
     let (mixed, mixed_responses) = mixed_scenario(rounds, edges)?;
     check_contract("mixed", &mixed, &mixed_responses)?;
-    check_identity(&mixed_responses, edges)?;
+    out.push_str(&check_identity(&mixed_responses, edges)?);
     let stats = mixed.stats();
     if stats.panics_caught != 1 || stats.worker_replacements != 1 {
         return Err(format!(
@@ -457,7 +448,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if stats.failed_deadline == 0 || stats.rejected_unknown == 0 {
         return Err("mixed scenario missed its deadline/unknown-graph probes".into());
     }
-    println!(
+    writeln!(
+        out,
         "mixed: {} submitted, {} completed, {} shed (overload), {} quota, {} deadline-missed, \
          {} capacity evictions, 1 worker panic caught",
         count(mixed_responses.len() as u64),
@@ -466,35 +458,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         count(stats.rejected_quota),
         count(stats.failed_deadline),
         count(stats.capacity_evictions),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\nper-tenant utilization (mixed scenario):\n{}",
         utilization_table(&mixed)
-    );
+    )?;
 
     let (flaky, flaky_responses) = flaky_scenario(400)?;
     check_contract("flaky", &flaky, &flaky_responses)?;
-    println!(
+    writeln!(
+        out,
         "flaky: transient write faults recovered after {} retry(ies), result bit-identical",
         count(flaky.stats().retries),
-    );
+    )?;
 
     let (exhausted, exhausted_responses) = exhausted_scenario(400)?;
     check_contract("exhausted", &exhausted, &exhausted_responses)?;
-    println!("exhausted: unrecoverable fault surfaced typed DeviceFault with partial report");
+    writeln!(
+        out,
+        "exhausted: unrecoverable fault surfaced typed DeviceFault with partial report"
+    )?;
 
     let (worn, worn_responses) = worn_scenario(400)?;
     check_contract("worn", &worn, &worn_responses)?;
-    println!(
+    writeln!(
+        out,
         "worn: {} wear evictions, {} reprograms, results unchanged",
         count(worn.stats().wear_evictions),
         count(worn.stats().reprograms),
-    );
+    )?;
 
-    println!(
+    writeln!(
+        out,
         "\nAll scenarios honored the degradation contract: no panic escaped, every \
          rejection/timeout/fault was typed, residency and batching were bit-invisible, \
          and per-tenant bills conserve exactly."
-    );
-    Ok(())
+    )?;
+    Ok(out)
 }

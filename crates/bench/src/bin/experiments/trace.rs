@@ -1,50 +1,19 @@
-//! Exports a bank-occupancy timeline as Chrome trace-event JSON.
-//!
-//! Runs PageRank on one RMAT graph with a [`TimelineSink`] attached,
-//! writes the recorded timeline to the output path (default
-//! `results/trace.json`; load it in Perfetto at <https://ui.perfetto.dev>
-//! or in `chrome://tracing`), and prints the per-bank utilization table
-//! derived from the same intervals.
-//!
-//! `--deep` switches to the 2048-row deep-bank geometry, where load and
-//! compute overlap far less evenly. `--check` additionally scans the
-//! written JSON for structural well-formedness (balanced delimiters, a
-//! `traceEvents` array, at least one complete event) and exits nonzero
-//! if the scan fails — the CI smoke mode.
+//! The two trace tools: `trace_export` writes a bank-occupancy timeline
+//! as Chrome trace-event JSON, and `trace_summary` replays a JSONL event
+//! trace into per-phase and per-bank tables.
 
-#![allow(clippy::unwrap_used)]
-use std::path::PathBuf;
+use std::fmt::Write;
+use std::path::Path;
 
+use gaasx_bench::experiments::BenchResult;
+use gaasx_bench::trace::TraceSummary;
 use gaasx_core::algorithms::PageRank;
 use gaasx_core::{GaasX, GaasXConfig};
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_sim::table::{count, Table};
 use gaasx_sim::{chrome_trace_json, Timeline, TimelineSink, Tracer, CONTROLLER_BANK};
 
-struct Cli {
-    out: PathBuf,
-    deep: bool,
-    check: bool,
-}
-
-fn cli() -> Result<Cli, String> {
-    let mut out = None;
-    let mut deep = false;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--deep" => deep = true,
-            "--check" => check = true,
-            other if !other.starts_with('-') => out = Some(PathBuf::from(other)),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(Cli {
-        out: out.unwrap_or_else(|| PathBuf::from("results/trace.json")),
-        deep,
-        check,
-    })
-}
+use crate::Ctx;
 
 /// Structural sanity scan over the exported JSON: delimiters balance
 /// outside string literals and the document is one object holding a
@@ -94,9 +63,20 @@ fn check_json(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let Cli { out, deep, check } = cli()?;
-    let edges = gaasx_bench::cap_edges().min(60_000);
+/// Runs PageRank on one RMAT graph with a [`TimelineSink`] attached,
+/// writes the recorded timeline to `--timeline-out` (default
+/// `results/trace.json`; load it in Perfetto at <https://ui.perfetto.dev>
+/// or in `chrome://tracing`), and renders the per-bank utilization table
+/// derived from the same intervals. The written JSON must then pass a
+/// structural scan (balanced delimiters, a `traceEvents` array, at least
+/// one complete event).
+///
+/// `deep` switches to the 2048-row deep-bank geometry, where load and
+/// compute overlap far less evenly.
+pub fn export(cx: &mut Ctx, deep: bool) -> BenchResult<String> {
+    let path = cx.s.timeline.as_deref();
+    let path = path.unwrap_or(Path::new("results/trace.json"));
+    let edges = cx.s.cap_or(8_000).min(60_000);
     let vertices = (edges / 8).clamp(64, 1 << 16).next_power_of_two();
     let graph = rmat(&RmatConfig::new(vertices as u32, edges).with_seed(7))?;
 
@@ -108,24 +88,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sink = std::sync::Arc::new(TimelineSink::new());
     let mut accel = GaasX::new(config).with_tracer(Tracer::with_sink(sink.clone()));
     let report = accel
-        .run(
-            &PageRank::fixed_iterations(gaasx_bench::pr_iterations()),
-            &graph,
-        )?
+        .run(&PageRank::fixed_iterations(cx.s.iters_or(3)), &graph)?
         .report;
 
     let timeline = Timeline::from_intervals(report.elapsed_ns, &sink.take());
     let json = chrome_trace_json(&timeline);
-    if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&out, &json)?;
+    std::fs::write(path, &json)?;
 
     let util = report
         .utilization
         .as_ref()
         .expect("interval-observing sink attached, utilization must be present");
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "Timeline export — PageRank on RMAT (|V|={}, |E|={}), {} banks, {} intervals, \
          makespan {:.0} ns.",
         count(graph.num_vertices() as u64),
@@ -136,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .count(),
         timeline.len(),
         util.makespan_ns,
-    );
+    )?;
     // With hundreds of banks a full table is noise: show the busiest 16
     // plus the controller row and say how many were elided.
     const TABLE_CAP: usize = 16;
@@ -171,25 +150,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.1}%", 100.0 * b.utilization),
         ]);
     }
-    println!("{t}");
+    writeln!(out, "{t}")?;
     if elided > 0 {
-        println!("({elided} less-busy banks elided; the trace JSON holds all of them.)");
+        writeln!(
+            out,
+            "({elided} less-busy banks elided; the trace JSON holds all of them.)"
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "Mean utilization {:.1}%, critical bank {}, pipeline overlap {:.1}%.",
         100.0 * util.mean_utilization(),
         util.critical_bank
             .map_or("-".to_string(), |b| b.to_string()),
         100.0 * util.pipeline_overlap_ratio,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "Wrote {} — load in Perfetto (ui.perfetto.dev).",
-        out.display()
-    );
+        path.display()
+    )?;
+    check_json(&json).map_err(|e| format!("trace JSON failed the sanity scan: {e}"))?;
+    writeln!(out, "JSON sanity scan passed.")?;
+    Ok(out)
+}
 
-    if check {
-        check_json(&json).map_err(|e| format!("trace JSON failed the sanity scan: {e}"))?;
-        println!("JSON sanity scan passed.");
+/// Replays the JSONL event trace named by `--trace` (written by
+/// `trace_demo` or any `JsonlSink`) into per-phase and per-bank
+/// utilization tables.
+pub fn summary(cx: &mut Ctx) -> BenchResult<String> {
+    let path =
+        cx.s.trace
+            .as_deref()
+            .ok_or("trace_summary reads the JSONL file named by --trace")?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|err| format!("trace_summary: cannot read {}: {err}", path.display()))?;
+    let summary = TraceSummary::parse(&text);
+    if summary.spans.is_empty() && summary.skipped > 0 {
+        return Err(format!(
+            "trace_summary: no recognizable events in {}",
+            path.display()
+        )
+        .into());
     }
-    Ok(())
+    Ok(format!("Trace: {}\n\n{}", path.display(), summary.render()))
 }

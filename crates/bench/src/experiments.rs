@@ -1,8 +1,8 @@
 //! The experiment implementations behind every table and figure.
 //!
 //! Each function renders a plain-text table (via [`gaasx_sim::table`]) so
-//! the `src/bin/` wrappers and `run_all` can compose them. Heavy
-//! simulations share one [`run_matrix`] pass.
+//! the `experiments` binary can compose them. Heavy simulations share one
+//! [`run_matrix`] pass.
 
 use std::error::Error;
 
@@ -44,28 +44,14 @@ pub struct MatrixEntry {
 /// Runs GaaS-X and GraphR on every (graph dataset × algorithm) pair —
 /// the simulation pass behind Figs 11, 12, 13, and 14.
 ///
-/// Equivalent to [`run_matrix_with_jobs`] with `jobs = 1` (the serial
-/// engine).
-///
-/// # Errors
-///
-/// Propagates generator and simulation errors.
-pub fn run_matrix(cap: usize, pr_iters: u32) -> BenchResult<Vec<MatrixEntry>> {
-    run_matrix_with_jobs(cap, pr_iters, 1)
-}
-
-/// [`run_matrix`] with the GaaS-X side fanned out over `jobs` shard worker
+/// `jobs > 1` fans the GaaS-X side out over that many shard worker
 /// threads ([`gaasx_core::ShardedEngine`]). The reported totals are
 /// bit-identical to the serial pass; only host wall-clock changes.
 ///
 /// # Errors
 ///
 /// Propagates generator and simulation errors.
-pub fn run_matrix_with_jobs(
-    cap: usize,
-    pr_iters: u32,
-    jobs: usize,
-) -> BenchResult<Vec<MatrixEntry>> {
+pub fn run_matrix(cap: usize, pr_iters: u32, jobs: usize) -> BenchResult<Vec<MatrixEntry>> {
     let mut out = Vec::new();
     for ds in PaperDataset::GRAPH_DATASETS {
         let graph = load_graph(ds, cap)?;
@@ -772,7 +758,8 @@ pub fn phase_table(matrix: &[MatrixEntry]) -> String {
 
 /// Tracing demo: PageRank on one RMAT graph, GaaS-X vs GraphR, with the
 /// per-phase breakdown side by side. When `trace` is given, the GaaS-X
-/// run streams its JSONL events there (replayable with `trace_summary`).
+/// run streams its JSONL events there (replayable with the `experiments`
+/// binary's `trace_summary` entry).
 /// When `timeline` is given, the run's bank-occupancy timeline is written
 /// there as Chrome trace-event JSON (loadable in Perfetto or
 /// `chrome://tracing`).
@@ -796,7 +783,8 @@ pub fn trace_demo(
     if let Some(path) = trace {
         sinks.push(Arc::new(JsonlSink::create(path)?));
         note.push_str(&format!(
-            "\nJSONL events written to {} — replay with `cargo run --bin trace_summary -- {}`.\n",
+            "\nJSONL events written to {} — replay with \
+             `cargo run --release -p gaasx-bench --bin experiments -- --trace {} trace_summary`.\n",
             path.display(),
             path.display()
         ));
@@ -903,7 +891,7 @@ mod tests {
 
     #[test]
     fn matrix_and_figures_run_at_tiny_scale() {
-        let matrix = run_matrix(TINY, 2).unwrap();
+        let matrix = run_matrix(TINY, 2, 1).unwrap();
         assert_eq!(matrix.len(), 18);
         let f11 = fig11(&matrix);
         assert!(f11.contains("geometric mean"));
@@ -915,8 +903,8 @@ mod tests {
 
     #[test]
     fn sharded_matrix_matches_serial_bit_for_bit() {
-        let serial = run_matrix(TINY, 2).unwrap();
-        let sharded = run_matrix_with_jobs(TINY, 2, 3).unwrap();
+        let serial = run_matrix(TINY, 2, 1).unwrap();
+        let sharded = run_matrix(TINY, 2, 3).unwrap();
         assert_eq!(serial.len(), sharded.len());
         for (a, b) in serial.iter().zip(&sharded) {
             assert_eq!(
@@ -938,7 +926,7 @@ mod tests {
 
     #[test]
     fn phase_table_renders_shares() {
-        let matrix = run_matrix(TINY, 2).unwrap();
+        let matrix = run_matrix(TINY, 2, 1).unwrap();
         let s = phase_table(&matrix);
         assert!(s.contains("gaasx"));
         assert!(s.contains("graphr"));

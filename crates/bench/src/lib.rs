@@ -1,20 +1,20 @@
 //! Experiment harness regenerating every table and figure of the GaaS-X
 //! paper.
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` is a thin wrapper over the
-//! functions in [`experiments`]; `run_all` executes everything and emits
-//! the data behind `EXPERIMENTS.md`.
+//! The functions in [`experiments`] render each table and figure; the
+//! `experiments` binary in `src/bin/experiments/` maps a name (`table1`,
+//! `fig11`, `fault_campaign`, …) to one of them or to a self-checking
+//! report, and with no names regenerates every `results/*.md` section.
 //!
 //! ## Scaling
 //!
 //! The paper's largest graphs (LiveJournal 69 M, Orkut 106 M edges) are
 //! impractical to simulate per-edge on a laptop at full size, so each
-//! dataset is instantiated at `scale = min(1, cap_edges / full_edges)`.
-//! The cap defaults to [`DEFAULT_CAP_EDGES`] and can be raised via the
-//! `GAASX_CAP_EDGES` environment variable (set it to `200000000` for
-//! full-scale runs). Average degree — and therefore tile density, the
-//! property every measured ratio depends on — is preserved under this
-//! scaling.
+//! dataset is instantiated at `scale = min(1, cap / full_edges)`. The cap
+//! defaults to [`DEFAULT_CAP_EDGES`] and is raised with the binary's
+//! `--cap` flag (`--cap 200000000` for full-scale runs). Average degree —
+//! and therefore tile density, the property every measured ratio depends
+//! on — is preserved under this scaling.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
@@ -29,35 +29,8 @@ use gaasx_graph::{CooGraph, GraphError, VertexId};
 /// Default per-dataset edge cap for scaled instantiation.
 pub const DEFAULT_CAP_EDGES: usize = 300_000;
 
-/// Reads the edge cap from `GAASX_CAP_EDGES` (default
-/// [`DEFAULT_CAP_EDGES`]).
-pub fn cap_edges() -> usize {
-    std::env::var("GAASX_CAP_EDGES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CAP_EDGES)
-}
-
-/// PageRank iteration count used across experiments (`GAASX_PR_ITERS`,
-/// default 10).
-pub fn pr_iterations() -> u32 {
-    std::env::var("GAASX_PR_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
-}
-
-/// Worker-thread count for GaaS-X shard execution (`GAASX_JOBS`, default
-/// 1 = the serial engine). Values above 1 route the simulations through
-/// [`gaasx_core::ShardedEngine`]; the reported totals are bit-identical
-/// either way — only host wall-clock changes.
-pub fn jobs() -> usize {
-    std::env::var("GAASX_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&j| j >= 1)
-        .unwrap_or(1)
-}
+/// Default PageRank iteration count across experiments.
+pub const DEFAULT_PR_ITERS: u32 = 10;
 
 /// The scale factor that keeps `dataset` at or under `cap` edges.
 pub fn scale_for(dataset: PaperDataset, cap: usize) -> f64 {

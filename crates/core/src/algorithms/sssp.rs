@@ -150,31 +150,6 @@ mod tests {
             .output
     }
 
-    /// Dijkstra oracle.
-    fn oracle(graph: &CooGraph, source: u32) -> Vec<f64> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = graph.num_vertices() as usize;
-        let csr = gaasx_graph::Csr::from_coo(graph);
-        let mut dist = vec![f64::INFINITY; n];
-        dist[source as usize] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u64, source)));
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d as f64 > dist[v as usize] {
-                continue;
-            }
-            for (u, w) in csr.neighbors(VertexId::new(v)) {
-                let nd = d as f64 + f64::from(w);
-                if nd < dist[u.index()] {
-                    dist[u.index()] = nd;
-                    heap.push(Reverse((nd as u64, u.raw())));
-                }
-            }
-        }
-        dist
-    }
-
     #[test]
     fn path_graph_distances() {
         let g = generators::path_graph(10);
@@ -192,18 +167,6 @@ mod tests {
         assert!(d[1].is_infinite());
         assert_eq!(d[3], 0.0);
         assert_eq!(d[4], 1.0);
-    }
-
-    #[test]
-    fn matches_dijkstra_on_fig7() {
-        let g = generators::paper_fig7_graph();
-        assert_eq!(run(&g, 0), oracle(&g, 0));
-    }
-
-    #[test]
-    fn matches_dijkstra_on_weighted_rmat() {
-        let g = generators::rmat(&generators::RmatConfig::new(1 << 6, 500).with_seed(8)).unwrap();
-        assert_eq!(run(&g, 1), oracle(&g, 1));
     }
 
     #[test]

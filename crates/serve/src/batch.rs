@@ -117,16 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_batches() {
-        let g = generators::path_graph(4);
-        let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-        assert!(run_batch(&mut engine, &g, false, &[]).is_err());
-        assert!(run_batch(&mut engine, &g, false, &[VertexId::new(9)]).is_err());
-        let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -2.0)]).unwrap();
-        assert!(run_batch(&mut engine, &neg, true, &[VertexId::new(0)]).is_err());
-    }
-
-    #[test]
     fn duplicate_sources_stay_independent() {
         let g = generators::path_graph(5);
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
@@ -137,8 +127,9 @@ mod tests {
     }
 
     /// The one-shot error kinds and their order, pinned: an empty batch
-    /// first, then each source's range, then (SSSP) the weights; an empty
-    /// graph reports its sources (it is never partitioned).
+    /// first (weighted or not), then each source's range, then (SSSP) the
+    /// weights; an empty graph reports its sources (it is never
+    /// partitioned).
     #[test]
     fn input_errors_keep_their_kind_and_order() {
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
@@ -154,6 +145,15 @@ mod tests {
             err(&empty, true, &[]),
             "batch query carries no source vertices"
         );
+        let path = generators::path_graph(4);
+        assert_eq!(
+            err(&path, false, &[]),
+            "batch query carries no source vertices"
+        );
+        assert_eq!(
+            err(&path, false, &[9]),
+            "source v9 out of range for 4 vertices"
+        );
         assert_eq!(
             err(&empty, false, &[0]),
             "source v0 out of range for 0 vertices"
@@ -167,7 +167,11 @@ mod tests {
             err(&neg, true, &[0, 5]),
             "source v5 out of range for 2 vertices"
         );
-        assert!(err(&neg, true, &[0]).starts_with("negative edge weight on "));
+        assert_eq!(
+            err(&neg, true, &[0]),
+            "negative edge weight on (v0 -> v1, w=-2); shortest paths require finite \
+             non-negative weights of at most 65535, the largest 16-bit weight code"
+        );
         let bfs = run_batch(&mut engine, &neg, false, &[VertexId::new(0)]).unwrap();
         assert_eq!(bfs.values, vec![vec![0.0, 1.0]]);
     }

@@ -18,7 +18,7 @@
 //! disabled tracer, which is cheaper still), [`AggregateSink`] keeps
 //! per-phase/per-bank rollups in memory, and [`JsonlSink`] streams one
 //! JSON object per event to a writer for offline analysis (see the
-//! `trace_summary` binary in `gaasx-bench`).
+//! `trace_summary` entry of `gaasx-bench`'s `experiments` binary).
 //!
 //! ## Time axes and the two totals
 //!

@@ -222,7 +222,7 @@ impl Sink for MemorySink {
 /// The format is hand-rolled (the workspace's serde is an offline shim —
 /// see `shims/README.md`): `span`, `counter`, `gauge`, and `interval`
 /// records as emitted by `span_to_json` and friends. Decoded by the
-/// `trace_summary` binary in `gaasx-bench`.
+/// `trace_summary` entry of `gaasx-bench`'s `experiments` binary.
 ///
 /// A full disk mid-trace must not abort a simulation, so write errors do
 /// not propagate from the `Sink` callbacks; instead the first error is

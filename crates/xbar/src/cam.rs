@@ -34,10 +34,9 @@ const NIL: u32 = u32::MAX;
 ///
 /// Built from the *post-fault* stored bits, so stuck-cell corruption is
 /// indexed exactly as the device would match it. An index is **clean** when
-/// `clean_epoch` equals the crossbar's entry-store epoch; single-row
-/// mutations patch clean indexes in place (unlinking or prepending one
-/// row), while bulk invalidation only bumps the epoch and lets the index
-/// rebuild lazily on its next use.
+/// `clean_epoch` equals the crossbar's entry-store epoch. Every mutation
+/// bumps the epoch, so a written or invalidated row turns every index
+/// stale and the next indexed search rebuilds it.
 #[derive(Debug, Clone)]
 struct FieldIndex {
     mask: u128,
@@ -66,33 +65,6 @@ impl FieldIndex {
         let head = self.heads.entry(bits & self.mask).or_insert(NIL);
         self.next[row as usize] = *head;
         *head = row;
-    }
-
-    /// Unlinks `row` from its value's chain, dropping the value once its
-    /// chain empties. A no-op if `row` is not linked under that value.
-    fn unlink_row(&mut self, bits: u128, row: u32) {
-        let key = bits & self.mask;
-        let Some(head) = self.heads.get_mut(&key) else {
-            return;
-        };
-        let after = self.next[row as usize];
-        if *head == row {
-            if after == NIL {
-                self.heads.remove(&key);
-            } else {
-                *head = after;
-            }
-            return;
-        }
-        let mut at = *head;
-        while at != NIL {
-            let link = self.next[at as usize];
-            if link == row {
-                self.next[at as usize] = after;
-                return;
-            }
-            at = link;
-        }
     }
 }
 
@@ -143,10 +115,6 @@ pub struct CamCrossbar {
     /// Lazily created per-mask exact-match indexes (at most
     /// [`MAX_INDEXED_MASKS`]; further masks use the linear scan).
     indexes: Vec<FieldIndex>,
-    /// How many of `indexes` are clean at the current epoch. Verified block
-    /// loading issues one `write` per edge while every index is stale, so
-    /// the per-write patch loop reduces to a single zero-check here.
-    clean_indexes: u32,
     /// Debug-build scratch for cross-checking every index-served search
     /// against the scalar scan without allocating per search.
     #[cfg(debug_assertions)]
@@ -182,7 +150,6 @@ impl CamCrossbar {
             stats: XbarStats::new(),
             epoch: 1,
             indexes: Vec::new(),
-            clean_indexes: 0,
             #[cfg(debug_assertions)]
             check_hv: HitVector::new(0),
         }
@@ -257,8 +224,8 @@ impl CamCrossbar {
 
     /// Writes an entry into `row`, counting the cell programming cost.
     ///
-    /// Host-side the write is a store plus patching the clean exact-match
-    /// indexes.
+    /// Host-side the write is a store plus an epoch bump: the exact-match
+    /// indexes rebuild on their next search.
     ///
     /// # Errors
     ///
@@ -278,9 +245,8 @@ impl CamCrossbar {
             },
             valid: true,
         };
-        let old = self.entries[row];
         self.entries[row] = stored;
-        self.patch_indexes(old, stored, row);
+        self.epoch = self.epoch.wrapping_add(1);
         self.bill_row_writes(1);
         Ok(())
     }
@@ -324,7 +290,6 @@ impl CamCrossbar {
             e.valid = false;
         }
         self.epoch = self.epoch.wrapping_add(1);
-        self.clean_indexes = 0;
         self.bill_row_writes(keys.len() as u64);
         Ok(())
     }
@@ -349,10 +314,9 @@ impl CamCrossbar {
                 rows: self.geometry.rows,
             });
         }
-        let old = self.entries[row];
-        if old.valid {
+        if self.entries[row].valid {
             self.entries[row].valid = false;
-            self.patch_indexes(old, self.entries[row], row);
+            self.epoch = self.epoch.wrapping_add(1);
         }
         Ok(())
     }
@@ -364,38 +328,7 @@ impl CamCrossbar {
         for e in &mut self.entries {
             e.valid = false;
         }
-        // Bulk clears only bump the epoch: every index turns stale at once
-        // and rebuilds lazily on its next indexed search.
         self.epoch = self.epoch.wrapping_add(1);
-        self.clean_indexes = 0;
-    }
-
-    /// Bumps the entry-store epoch and patches any index that was clean
-    /// across the single-row mutation `old → new`, keeping it clean. Stale
-    /// indexes are left alone; they rebuild lazily on their next use.
-    fn patch_indexes(&mut self, old: CamEntry, new: CamEntry, row: usize) {
-        let next = self.epoch.wrapping_add(1);
-        if self.clean_indexes == 0 {
-            // Nothing to patch (the block-loading fast path): stale indexes
-            // stay stale across the bump and rebuild lazily later.
-            self.epoch = next;
-            return;
-        }
-        // gaasx-lint: hot
-        for ix in &mut self.indexes {
-            if ix.clean_epoch != self.epoch {
-                continue;
-            }
-            if old.valid {
-                ix.unlink_row(old.bits, row as u32);
-            }
-            if new.valid {
-                ix.link_row(new.bits, row as u32);
-            }
-            ix.clean_epoch = next;
-        }
-        // gaasx-lint: end-hot
-        self.epoch = next;
     }
 
     /// Returns the position of a clean index over `mask`, building or
@@ -427,7 +360,6 @@ impl CamCrossbar {
             }
             // gaasx-lint: end-hot
             ix.clean_epoch = epoch;
-            self.clean_indexes += 1;
         }
         Some(pos)
     }
@@ -792,17 +724,14 @@ mod tests {
         search_vs_scan(&mut c, 0, past_cap[0], &mut out);
         assert_eq!(c.indexes.len(), MAX_INDEXED_MASKS);
         assert!(c.indexes.iter().all(|ix| ix.mask != past_cap[0]));
-        // A later write patches all four indexes in place, so each stays
-        // clean and answers like the scan without a rebuild.
+        // Later writes leave all four indexes stale; each rebuilds on its
+        // next search and answers like the scan.
         c.write(20, 0).unwrap();
         c.invalidate(3).unwrap();
-        assert_eq!(c.clean_indexes as usize, MAX_INDEXED_MASKS);
-        assert!(c.indexes.iter().all(|ix| ix.clean_epoch == c.epoch));
         for &mask in &masks {
             search_vs_scan(&mut c, 0, mask, &mut out);
             search_vs_scan(&mut c, mask, mask, &mut out);
         }
-        assert_eq!(c.clean_indexes as usize, MAX_INDEXED_MASKS, "no rebuild");
         for (i, (got, oracle)) in out.iter().enumerate() {
             assert_eq!(got, oracle, "search {i} diverged from the scan");
         }
@@ -868,7 +797,7 @@ mod tests {
             c.write(i, u128::from(i as u32 % 3)).unwrap();
         }
         let a = c.search(1, DST_MASK);
-        c.write(5, 1).unwrap(); // patches the now-clean index
+        c.write(5, 1).unwrap(); // turns the now-clean index stale
         let d = c.search(1, DST_MASK);
         assert_eq!(d.count(), a.count() + 1);
         c.invalidate(1).unwrap();

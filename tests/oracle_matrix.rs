@@ -31,7 +31,7 @@ use gaasx::core::engine::{partition_for_streaming, Engine};
 use gaasx::core::{
     GaasX, GaasXConfig, RecoveryPolicy, RunOutcome, ShardableAlgorithm, ShardedEngine,
 };
-use gaasx::graph::generators::{rmat, RmatConfig};
+use gaasx::graph::generators::{paper_fig7_graph, rmat, RmatConfig};
 use gaasx::graph::{CooGraph, VertexId};
 use gaasx::xbar::FaultModel;
 
@@ -138,11 +138,19 @@ fn union_find_labels(graph: &CooGraph) -> Vec<u32> {
 fn every_run_matches_the_oracles() {
     let graph = rmat(&RmatConfig::new(128, 600).with_seed(7)).unwrap();
     let sym = graph.symmetrized();
-    let src = VertexId::new(0);
     let pr_oracle = reference::pagerank(&graph, 0.85, PAGERANK_ITERS);
-    let sssp_oracle = reference::dijkstra(&graph, src);
-    let bfs_oracle = reference::bfs(&graph, src);
     let cc_oracle = union_find_labels(&sym);
+    // Traversals also run on a second RMAT (BFS), the paper's Fig 7
+    // example and a weighted RMAT from another source (SSSP).
+    let bfs_rmat = rmat(&RmatConfig::new(64, 500).with_seed(2)).unwrap();
+    let fig7 = paper_fig7_graph();
+    let sssp_rmat = rmat(&RmatConfig::new(64, 500).with_seed(8)).unwrap();
+    let bfs_inputs = [("rmat 128", &graph, 0), ("rmat 64 seed 2", &bfs_rmat, 0)];
+    let sssp_inputs = [
+        ("rmat 128", &graph, 0),
+        ("fig7", &fig7, 0),
+        ("rmat 64 seed 8", &sssp_rmat, 1),
+    ];
     for bank in ["paper", "deep"] {
         for fault in [false, true] {
             let cfg = bank_config(bank, fault);
@@ -167,11 +175,17 @@ fn every_run_matches_the_oracles() {
                 label("pagerank")
             );
 
-            let sssp = run_all_jobs(&Sssp::from_source(src), &graph, &cfg, &label("sssp"));
-            assert_eq!(sssp.result, sssp_oracle, "{}", label("sssp"));
+            for (name, input, src) in sssp_inputs {
+                let (src, label) = (VertexId::new(src), label(&format!("sssp {name}")));
+                let sssp = run_all_jobs(&Sssp::from_source(src), input, &cfg, &label);
+                assert_eq!(sssp.result, reference::dijkstra(input, src), "{label}");
+            }
 
-            let bfs = run_all_jobs(&Bfs::from_source(src), &graph, &cfg, &label("bfs"));
-            assert_eq!(bfs.result, bfs_oracle, "{}", label("bfs"));
+            for (name, input, src) in bfs_inputs {
+                let (src, label) = (VertexId::new(src), label(&format!("bfs {name}")));
+                let bfs = run_all_jobs(&Bfs::from_source(src), input, &cfg, &label);
+                assert_eq!(bfs.result, reference::bfs(input, src), "{label}");
+            }
 
             let cc = run_all_jobs(&ConnectedComponents::new(), &sym, &cfg, &label("cc"));
             assert_eq!(cc.result, cc_oracle, "{}", label("cc"));
