@@ -167,11 +167,11 @@ pub fn table1() -> String {
 pub fn table2(cap: usize) -> BenchResult<String> {
     let mut t = Table::new(&[
         "Dataset",
-        "Paper |V|",
-        "Paper |E|",
+        "Paper V",
+        "Paper E",
         "Scale",
-        "Run |V|",
-        "Run |E|",
+        "Run V",
+        "Run E",
         "Tiles ≤10% dense",
     ]);
     for ds in PaperDataset::GRAPH_DATASETS {

@@ -128,11 +128,49 @@ impl<'a> Block<'a> {
 
 /// Overwrites `out` with the ascending, deduplicated values of one edge
 /// field of `rows`, reusing its capacity.
-fn distinct_into(rows: &[Edge], field: fn(&Edge) -> VertexId, out: &mut Vec<VertexId>) {
+///
+/// A field whose values span fewer than 64 ids per row is marked in
+/// `bitmap` (also reused) and read back in ascending order: linear time,
+/// no sort. A full block of a partition shard qualifies whenever the
+/// partition's vertex intervals (`|V|/16` ids) are narrower than that,
+/// e.g. up to 131,072 vertices on 128-row banks. A wider span falls back
+/// to sort + dedup.
+fn distinct_into(
+    rows: &[Edge],
+    field: fn(&Edge) -> VertexId,
+    out: &mut Vec<VertexId>,
+    bitmap: &mut Vec<u64>,
+) {
     out.clear();
-    out.extend(rows.iter().map(field));
-    out.sort_unstable();
-    out.dedup();
+    if rows.is_empty() {
+        return;
+    }
+    let (mut min, mut max) = (u32::MAX, 0);
+    for e in rows {
+        let v = field(e).raw();
+        min = min.min(v);
+        max = max.max(v);
+    }
+    let span = (max - min) as usize;
+    if span >= 64 * rows.len() {
+        out.extend(rows.iter().map(field));
+        out.sort_unstable();
+        out.dedup();
+        return;
+    }
+    bitmap.clear();
+    bitmap.resize(span / 64 + 1, 0);
+    for e in rows {
+        let offset = (field(e).raw() - min) as usize;
+        bitmap[offset / 64] |= 1 << (offset % 64);
+    }
+    for (w, &word) in bitmap.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            out.push(VertexId::new(min + (64 * w) as u32 + word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -281,9 +319,11 @@ pub struct Engine {
     /// Reused physical read-out line list for restricted MAC propagation.
     lines_buf: Vec<usize>,
     /// The distinct-source and distinct-destination lists behind every
-    /// [`Block`] of [`Engine::sweep`], reused from load to load.
+    /// [`Block`] of [`Engine::sweep`], and the bitmap that derives them,
+    /// reused from load to load.
     srcs_buf: Vec<VertexId>,
     dsts_buf: Vec<VertexId>,
+    bitmap_buf: Vec<u64>,
 }
 
 impl Engine {
@@ -371,6 +411,7 @@ impl Engine {
             lines_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             srcs_buf: Vec::new(),
             dsts_buf: Vec::new(),
+            bitmap_buf: Vec::new(),
             config,
         })
     }
@@ -649,6 +690,7 @@ impl Engine {
         // not name stays empty rather than stale.
         let mut srcs = std::mem::take(&mut self.srcs_buf);
         let mut dsts = std::mem::take(&mut self.dsts_buf);
+        let mut bitmap = std::mem::take(&mut self.bitmap_buf);
         srcs.clear();
         dsts.clear();
         let mut swept = Ok(());
@@ -658,10 +700,10 @@ impl Engine {
             }
             swept = self.load_block(rows, cells).and_then(|()| {
                 if keys != Keys::Dsts {
-                    distinct_into(rows, |e| e.src, &mut srcs);
+                    distinct_into(rows, |e| e.src, &mut srcs, &mut bitmap);
                 }
                 if keys != Keys::Srcs {
-                    distinct_into(rows, |e| e.dst, &mut dsts);
+                    distinct_into(rows, |e| e.dst, &mut dsts, &mut bitmap);
                 }
                 let block = Block {
                     rows,
@@ -677,6 +719,7 @@ impl Engine {
         }
         self.srcs_buf = srcs;
         self.dsts_buf = dsts;
+        self.bitmap_buf = bitmap;
         swept
     }
 
@@ -1725,6 +1768,58 @@ mod tests {
             },
         )
         .unwrap();
+    }
+
+    /// `distinct_into` equals sort + dedup on both paths: the bitmap (a
+    /// span below 64 ids per row) and the sort fallback (a wider span).
+    #[test]
+    fn distinct_into_matches_sort_and_dedup_on_both_paths() {
+        let top = u32::MAX;
+        // (field values, whether the bitmap path serves them)
+        let mut cases: Vec<(Vec<u32>, bool)> = vec![
+            (vec![], false),
+            (vec![42], true),
+            (vec![top], true),
+            (vec![0], true),
+            (vec![top, 0, top, 0], false),
+            (vec![top, top - 1, top - 255, top], true),
+            (vec![5, 5 + 127], true),
+            (vec![5, 5 + 128], false),
+            ((0..10).rev().map(|i| 64 * i).collect(), true),
+            ((0..10).map(|i| 1000 * i).collect(), false),
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..40 {
+            let len = 1 + next(300);
+            let span = [8, 64 * len - 1, 64 * len, 1 << 20][case % 4];
+            let base = next(u64::from(top) - span) as u32;
+            let mut values: Vec<u32> = (0..len).map(|_| base + next(span + 1) as u32).collect();
+            // Pin both ends, so the span is exactly `span`.
+            values[0] = base;
+            *values.last_mut().unwrap() = base + span as u32;
+            cases.push((values, span < 64 * len));
+        }
+        let sentinel = vec![u64::MAX; 3];
+        for (values, bitmap_path) in cases {
+            let rows: Vec<Edge> = values
+                .iter()
+                .map(|&v| Edge::new(v, v.wrapping_mul(7), 1.0))
+                .collect();
+            let mut want = values.clone();
+            want.sort_unstable();
+            want.dedup();
+            let (mut out, mut bitmap) = (vec![VertexId::new(9)], sentinel.clone());
+            distinct_into(&rows, |e| e.src, &mut out, &mut bitmap);
+            let got: Vec<u32> = out.iter().map(|v| v.raw()).collect();
+            assert_eq!(got, want, "{} values", values.len());
+            assert_eq!(bitmap != sentinel, bitmap_path, "path for {values:?}");
+        }
     }
 
     #[test]

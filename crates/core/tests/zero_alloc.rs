@@ -1,17 +1,20 @@
 //! Regression test: the engine's block loop must not touch the heap once
 //! its buffers are warm. The engine owns reusable key, hit-vector, chunk,
-//! input, MAC-output and distinct-vertex buffers that are sized on the
-//! first pass; every later pass reuses them.
+//! input, MAC-output, distinct-vertex and bitmap buffers that are sized on
+//! the first pass; every later pass reuses them.
 //!
-//! Two shapes are measured. The steady-state PageRank inner loop — CAM
+//! Three shapes are measured. The steady-state PageRank inner loop — CAM
 //! search plus selective MAC gather on an already-loaded block — probes
 //! the clean field index and gathers into the warm buffers, also under CAM
 //! upsets, where every search is physically triple-voted into
 //! engine-owned scratch vectors. A whole frontier-filtered sweep over a
 //! deep-bank shard — chunking, the frontier filter, every block load, the
 //! distinct-source derivation, one search per frontier source (each
-//! reload rebuilds the chained field index) and one propagate per search —
-//! allocates nothing either.
+//! reload rebuilds the bucket field index) and one propagate per search —
+//! allocates nothing either. Neither does a dense paper-bank sweep that
+//! programs per-edge MAC cells and derives both distinct lists (the
+//! destination path and the bitmap buffer), with one search and gather
+//! per destination.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -77,6 +80,67 @@ fn steady_state_search_and_gather_allocate_nothing() {
         num_banks: 8,
         ..GaasXConfig::deep_bank()
     });
+    measure_dense_sweep(GaasXConfig::small());
+}
+
+/// Sweeps the largest shard of a paper-bank partition the way PageRank
+/// does: every block loads with per-edge MAC cells, both distinct lists
+/// are derived, and each destination is searched and gathered. Two
+/// warm-up sweeps size every buffer; the third must allocate nothing.
+/// Each sweep starts from a clean bill, as a resident engine's queries
+/// do, so the per-block cost ledger refills its kept capacity.
+fn measure_dense_sweep(config: GaasXConfig) {
+    let graph =
+        generators::rmat(&generators::RmatConfig::new(1 << 10, 20_000).with_seed(7)).unwrap();
+    let grid = partition_for_streaming(&graph).unwrap();
+    let shard = grid
+        .stream(TraversalOrder::RowMajor)
+        .max_by_key(|s| s.edges().len())
+        .unwrap();
+    let mut engine = Engine::new(config).unwrap();
+    assert!(
+        shard.edges().len() > 2 * engine.block_capacity(),
+        "the shard spans {} edges",
+        shard.edges().len()
+    );
+    let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
+    let mut hits = HitVector::new(0);
+    let mut sweep = |engine: &mut Engine| {
+        let (mut loads, mut srcs, mut total) = (0, 0, 0u64);
+        engine
+            .sweep(
+                shard.edges(),
+                CellLayout::PerEdge(&cells),
+                Keys::Both,
+                |_| true,
+                |engine, block| {
+                    loads += 1;
+                    srcs += block.distinct_srcs().len();
+                    for &dst in block.distinct_dsts() {
+                        engine.search_dst_into(dst, &mut hits);
+                        total += engine.gather_rows(&hits, &mut |_| 1, 1)?;
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+        (loads, srcs, total)
+    };
+    engine.reset_accounting();
+    let warm = sweep(&mut engine);
+    engine.reset_accounting();
+    assert_eq!(sweep(&mut engine), warm);
+    engine.reset_accounting();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let measured = sweep(&mut engine);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(measured, warm, "the measured sweep repeats the work");
+    assert!(warm.0 > 2 && warm.2 > 0, "the sweep must do real work");
+    assert_eq!(
+        allocs, 0,
+        "a warm dense sweep of {} blocks performed {allocs} heap allocations",
+        warm.0
+    );
 }
 
 /// Sweeps the largest shard of a deep-bank partition the way a frontier

@@ -2,14 +2,13 @@
 //!
 //! The simulated hardware performs every search as one parallel TCAM
 //! operation (paper §II-C, Fig 3(b)). The host derives the hit vector from
-//! a per-mask chained exact-match index; a search whose mask gets no index
-//! slot runs the scalar scan instead. Neither path changes what a search
-//! returns or bills.
+//! a per-mask bucket index keyed by the field's low bits; a search whose
+//! mask gets no index slot runs the scalar scan instead. Neither path
+//! changes what a search returns or bills.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::XbarError;
-use crate::fast_hash::FxHashMap;
 use crate::fault::{CamFaultState, FaultStats};
 use crate::geometry::CamGeometry;
 use crate::hit_vector::HitVector;
@@ -19,18 +18,27 @@ use crate::XbarStats;
 /// scan. Real workloads use exactly two (the src field and the dst field).
 const MAX_INDEXED_MASKS: usize = 4;
 
-/// Chain terminator in [`FieldIndex::next`].
+/// Chain terminator in [`FieldIndex::heads`] and [`FieldIndex::next`].
 const NIL: u32 = u32::MAX;
 
-/// Exact-match index over one maskable field: `stored_bits & mask` → rows.
+/// Bucket index over one maskable field: the low bits of
+/// `stored_bits & mask` → rows.
 ///
-/// The rows sharing a field value form one chain: `heads` maps the value
-/// to its first row and `next[row]` links each row to the following one
-/// (or [`NIL`]). A rebuild is one O(rows) pass with one hash insert per
-/// valid row, and a probe walks the chain setting hit bits, so neither
-/// allocates once the two buffers are warm — both are reused across
-/// rebuilds. This emulates the paper's one-operation TCAM search at
-/// O(rows) host cost per block load and O(hits) per search.
+/// A row's bucket is its masked field value shifted down to the mask's
+/// lowest set bit, truncated to `heads.len()` (a power of two, at least
+/// twice the row count). The rows of one bucket form a chain: `heads`
+/// holds its first row and `next[row]` links each row to the following
+/// one (or [`NIL`]). A rebuild is one O(rows) pass with no hashing, and a
+/// probe walks its bucket's chain and keeps the rows whose field equals
+/// the key's, so neither allocates — both buffers are sized once. This
+/// emulates the paper's one-operation TCAM search at O(rows) host cost per
+/// block load and O(chain) per search.
+///
+/// The probe is exact: every valid row sits in exactly one chain, the one
+/// of its own value, and the compare drops rows of other values that
+/// share the bucket. Consecutive vertex ids never share a bucket; in the
+/// worst case, every value equal modulo the bucket count, a chain is as
+/// long as a scan.
 ///
 /// Built from the *post-fault* stored bits, so stuck-cell corruption is
 /// indexed exactly as the device would match it. An index is **clean** when
@@ -40,12 +48,10 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct FieldIndex {
     mask: u128,
-    /// Field value → first row of its chain. Keyed through
-    /// [`FxHashMap`]: the default SipHash hasher costs more per 16-byte
-    /// key than the whole linear scan it replaces.
-    heads: FxHashMap<u128, u32>,
-    /// Per geometry row: the next row holding the same field value.
-    /// Only meaningful for rows currently linked into a chain.
+    /// Bucket → first row of its chain ([`NIL`] when empty).
+    heads: Vec<u32>,
+    /// Per geometry row: the next row in the same bucket. Only meaningful
+    /// for rows currently linked into a chain.
     next: Vec<u32>,
     clean_epoch: u64,
 }
@@ -54,17 +60,25 @@ impl FieldIndex {
     fn new(mask: u128, rows: usize) -> Self {
         FieldIndex {
             mask,
-            heads: FxHashMap::default(),
+            heads: vec![NIL; (2 * rows).next_power_of_two()],
             next: vec![NIL; rows],
             clean_epoch: 0,
         }
     }
 
-    /// Links `row` at the head of its value's chain.
+    /// The bucket of a field value: its bits from the mask's lowest set
+    /// bit up, truncated to the bucket count. A zero mask puts every
+    /// value in bucket 0.
+    fn bucket(&self, bits: u128) -> usize {
+        ((bits & self.mask).wrapping_shr(self.mask.trailing_zeros()) as usize)
+            & (self.heads.len() - 1)
+    }
+
+    /// Links `row` at the head of its bucket's chain.
     fn link_row(&mut self, bits: u128, row: u32) {
-        let head = self.heads.entry(bits & self.mask).or_insert(NIL);
-        self.next[row as usize] = *head;
-        *head = row;
+        let b = self.bucket(bits);
+        self.next[row as usize] = self.heads[b];
+        self.heads[b] = row;
     }
 }
 
@@ -112,7 +126,7 @@ pub struct CamCrossbar {
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
     epoch: u64,
-    /// Lazily created per-mask exact-match indexes (at most
+    /// Lazily created per-mask bucket indexes (at most
     /// [`MAX_INDEXED_MASKS`]; further masks use the linear scan).
     indexes: Vec<FieldIndex>,
     /// Debug-build scratch for cross-checking every index-served search
@@ -350,8 +364,8 @@ impl CamCrossbar {
         let ix = &mut self.indexes[pos];
         if ix.clean_epoch != epoch {
             // Rows are linked in descending order so each chain lists its
-            // rows ascending; `clear` keeps the map's buckets for reuse.
-            ix.heads.clear();
+            // rows ascending.
+            ix.heads.fill(NIL);
             // gaasx-lint: hot
             for (row, e) in self.entries.iter().enumerate().rev() {
                 if e.valid {
@@ -377,7 +391,7 @@ impl CamCrossbar {
     /// buffer so the steady state allocates nothing. `out` is resized (to
     /// the row count) and overwritten; prior contents are irrelevant.
     ///
-    /// The hit vector comes from the chained index over `mask`, or from
+    /// The hit vector comes from the bucket index over `mask`, or from
     /// the scalar scan when every index slot holds another mask.
     pub fn search_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
         self.stats.cam_searches += 1;
@@ -387,14 +401,15 @@ impl CamCrossbar {
         match self.ensure_index(mask) {
             Some(pos) => {
                 let ix = &self.indexes[pos];
+                let want = key & mask;
                 // gaasx-lint: hot
-                if let Some(&head) = ix.heads.get(&(key & mask)) {
-                    // Walk the value's chain, one hit bit per linked row.
-                    let mut row = head;
-                    while row != NIL {
+                // Walk the key's bucket; a hit bit per row of the key's value.
+                let mut row = ix.heads[ix.bucket(key)];
+                while row != NIL {
+                    if self.entries[row as usize].bits & mask == want {
                         out.set_chained_row(row as usize);
-                        row = ix.next[row as usize];
                     }
+                    row = ix.next[row as usize];
                 }
                 // gaasx-lint: end-hot
                 #[cfg(debug_assertions)]
@@ -736,6 +751,50 @@ mod tests {
             assert_eq!(got, oracle, "search {i} diverged from the scan");
         }
         assert!(out[MAX_INDEXED_MASKS + 1].0.get(20), "the write is visible");
+    }
+
+    /// Field values equal modulo the bucket count share one chain; the
+    /// probe's compare keeps only the key's rows, and an absent value in a
+    /// present value's bucket hits nothing.
+    #[test]
+    fn values_colliding_in_one_bucket_match_the_scan() {
+        for rows in [128, 2048] {
+            assert_searches_match_scan(rows, |c, out| {
+                let stride = (2 * rows).next_power_of_two() as u128;
+                for i in 0..rows {
+                    let v = (i % 3) as u128 * stride;
+                    c.write(i, (v << 32) | v).unwrap();
+                }
+                // Values 3·stride and 4·stride are absent from bucket 0.
+                for k in 0..5 {
+                    search_vs_scan(c, (k * stride) << 32, SRC_MASK, out);
+                    search_vs_scan(c, k * stride, DST_MASK, out);
+                }
+                for ix in &c.indexes {
+                    assert_eq!(ix.heads.len() as u128, stride);
+                    let (mut row, mut chain) = (ix.heads[0], 0);
+                    while row != NIL {
+                        chain += 1;
+                        row = ix.next[row as usize];
+                    }
+                    assert_eq!(chain, rows, "every row collides in bucket 0");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn values_differing_only_above_bit_64_match_the_scan() {
+        assert_searches_match_scan(128, |c, out| {
+            for i in 0..128 {
+                c.write(i, (u128::from(i as u32 % 9) << 64) | 5).unwrap();
+            }
+            for k in 0..11 {
+                search_vs_scan(c, (k << 64) | 5, u128::MAX, out);
+                search_vs_scan(c, k << 64, u128::MAX << 64, out);
+            }
+            search_vs_scan(c, 5, u128::from(u64::MAX), out);
+        });
     }
 
     #[test]

@@ -32,7 +32,6 @@ mod hit_vector;
 mod mac;
 
 pub mod energy;
-pub mod fast_hash;
 pub mod fault;
 pub mod fixed;
 pub mod geometry;

@@ -1,7 +1,8 @@
-//! Matcher equivalence gate: every CAM search — served by the chained
-//! exact-match index or, for a mask past the index cap, the scan; clean
-//! or seeded-faulty, across invalidations and rewrites, on any bank depth
-//! (including partial last words, `rows % 64 != 0`) — must return exactly
+//! Matcher equivalence gate: every CAM search — served by the low-bits
+//! bucket index or, for a mask past the index cap, the scan; clean or
+//! seeded-faulty, across invalidations and rewrites, on any bank depth
+//! (including partial last words, `rows % 64 != 0`), with field values
+//! colliding in one bucket — must return exactly
 //! the hit vector of a reference scan this test builds from the public
 //! [`CamCrossbar::read`]. Quantized MAC bursts, full and restricted, must
 //! equal a bit-sliced reference built from the public
@@ -25,7 +26,7 @@ const DEPTHS: [usize; 6] = [64, 70, 128, 130, 192, 2048];
 const SRC_MASK: u128 = 0xFFFF_FFFF_0000_0000;
 const DST_MASK: u128 = 0xFFFF_FFFF;
 
-/// Deep-bank depth for the chained-index tests.
+/// Deep-bank depth for the bucket-index tests.
 const DEEP_ROWS: usize = 2048;
 
 /// Source vertex held by every fourth row of the deep bank: one index
@@ -225,8 +226,135 @@ fn chained_index_patches_match_the_reference_on_a_deep_hub_bank() {
     assert_eq!(hub_rows, DEEP_ROWS / 4 - 4, "four hub rows left the chain");
 }
 
+/// The field index's bucket count on a bank of `rows` rows: values equal
+/// modulo it share one bucket chain.
+fn bucket_stride(rows: usize) -> u128 {
+    (2 * rows).next_power_of_two() as u128
+}
+
+/// Field values that collide modulo the bucket count on the paper and
+/// deep banks, absent values sharing a present value's bucket, and values
+/// that differ only above bit 64: every search answers like the reference
+/// scan.
+#[test]
+fn bucket_collisions_match_the_reference() {
+    for rows in [128, DEEP_ROWS] {
+        let stride = bucket_stride(rows);
+        let mut cam = CamCrossbar::new(CamGeometry {
+            rows,
+            ..CamGeometry::paper()
+        });
+        let mut hv = HitVector::new(0);
+        for row in 0..rows {
+            let v = (row % 3) as u128 * stride;
+            cam.write(row, (v << 32) | v).unwrap();
+        }
+        // 3·stride and 4·stride are absent; 1 and stride + 1 land in the
+        // empty bucket 1.
+        for v in [0, stride, 2 * stride, 3 * stride, 4 * stride, 1, stride + 1] {
+            assert_eq!(search_vs_reference(&mut cam, v << 32, SRC_MASK, &mut hv), 0);
+            assert_eq!(search_vs_reference(&mut cam, v, DST_MASK, &mut hv), 0);
+        }
+        for row in 0..rows {
+            cam.write(row, (((row % 5) as u128) << 64) | 9).unwrap();
+        }
+        for k in 0..7u128 {
+            assert_eq!(
+                search_vs_reference(&mut cam, (k << 64) | 9, u128::MAX, &mut hv),
+                0
+            );
+        }
+        assert_eq!(search_vs_reference(&mut cam, 9, DST_MASK, &mut hv), 0);
+        assert_eq!(hv.count(), rows);
+    }
+}
+
+/// A stuck-bit outlier — a row whose stored field differs from the key it
+/// was written with — answers to its post-fault value, not the written one.
+#[test]
+fn stuck_bit_outliers_match_the_reference() {
+    for rows in [128, DEEP_ROWS] {
+        let g = CamGeometry {
+            rows,
+            ..CamGeometry::paper()
+        };
+        let mut cam = CamCrossbar::new(g);
+        cam.set_faults(Some(CamFaultState::new(
+            FaultModel {
+                seed: 9,
+                cam_stuck_ber: 0.005,
+                ..FaultModel::none()
+            },
+            &g,
+        )));
+        let key = (11u128 << 32) | 4;
+        for row in 0..rows {
+            cam.write(row, key).unwrap();
+        }
+        let mut hv = HitVector::new(0);
+        let mut outliers = 0;
+        for row in 0..rows {
+            let bits = cam.read(row).unwrap().bits;
+            outliers += usize::from(bits & DST_MASK != 4);
+            assert_eq!(search_vs_reference(&mut cam, bits, DST_MASK, &mut hv), 0);
+            assert_eq!(search_vs_reference(&mut cam, bits, SRC_MASK, &mut hv), 0);
+        }
+        assert!(outliers > 0, "no stuck bit moved a dst field ({rows} rows)");
+        assert_eq!(search_vs_reference(&mut cam, key, DST_MASK, &mut hv), 0);
+        assert_eq!(hv.count(), rows - outliers);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random writes, invalidations and searches whose field values all
+    /// sit in three buckets (multiples of the bucket count plus 0 or 1),
+    /// fault-free or with stuck cells: every search answers like the
+    /// reference scan.
+    #[test]
+    fn bucket_collisions_under_random_ops_match_the_reference(
+        ops in prop::collection::vec((0u8..5, any::<u16>(), 0u8..12), 1..80),
+        deep in any::<bool>(),
+        seed in any::<u64>(),
+        faulty in any::<bool>(),
+    ) {
+        let rows = if deep { DEEP_ROWS } else { 128 };
+        let g = CamGeometry {
+            rows,
+            ..CamGeometry::paper()
+        };
+        let mut cam = CamCrossbar::new(g);
+        if faulty {
+            cam.set_faults(Some(CamFaultState::new(
+                FaultModel {
+                    seed,
+                    cam_stuck_ber: 0.01,
+                    ..FaultModel::none()
+                },
+                &g,
+            )));
+        }
+        let stride = bucket_stride(rows);
+        let mut hv = HitVector::new(0);
+        for &(code, row, value) in &ops {
+            let row = usize::from(row) % rows;
+            let v = u128::from(value / 3) * stride + u128::from(value % 3);
+            let wrong = match code {
+                0 | 1 => {
+                    cam.write(row, (v << 32) | v).unwrap();
+                    0
+                }
+                2 => {
+                    cam.invalidate(row).unwrap();
+                    0
+                }
+                3 => search_vs_reference(&mut cam, v << 32, SRC_MASK, &mut hv),
+                _ => search_vs_reference(&mut cam, v, DST_MASK, &mut hv),
+            };
+            prop_assert_eq!(wrong, 0, "search diverged from the reference scan");
+        }
+    }
 
     /// Random single-row invalidates and rewrites on the clean deep hub
     /// bank — never a bulk invalidate, so every mutation patches the

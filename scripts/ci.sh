@@ -66,7 +66,7 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC and batched BFS/SSSP x banks x fault x j
 # times, with that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
-echo "==> matcher equivalence (release): chained field index + scan fallback vs reference scan, packed MAC bursts, program_block twin check"
+echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, packed MAC bursts, program_block twin check"
 # Release builds compile out the per-search debug cross-check against the
 # scalar scan, so this is the only release-mode check of the field index.
 # It also runs the program_block twin check: a bulk block program must
