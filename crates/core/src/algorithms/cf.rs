@@ -318,7 +318,9 @@ impl Algorithm for CollaborativeFiltering {
         let total_vertices = (ratings.num_users() + ratings.num_items()) as usize;
         let mut hits = gaasx_xbar::HitVector::new(0);
         let mut rows: Vec<usize> = Vec::new();
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(rate_q.encode(e.weight));
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+            c.extend(edges.iter().map(|e| rate_q.encode(e.weight)));
+        };
         for _ in 0..self.epochs {
             // The attribute MAC crossbars across the banks hold the feature
             // matrix of the active vertex ranges (2048 banks × 128 rows fit
@@ -340,7 +342,10 @@ impl Algorithm for CollaborativeFiltering {
 
                 engine.sweep(
                     shard.edges(),
-                    CellLayout::PerEdge(&cells),
+                    CellLayout::PerEdge {
+                        width: 1,
+                        fill: &cells,
+                    },
                     Keys::Both,
                     |_| true,
                     |engine, block| {

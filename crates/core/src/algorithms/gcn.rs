@@ -141,11 +141,16 @@ impl Algorithm for GcnLayer {
         let mut agg = vec![vec![0.0f64; f_in]; n];
         let grid = partition_for_streaming(graph)?;
         let mut hits = gaasx_xbar::HitVector::new(0);
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(norm_quant.encode(norm(e.dst.index())));
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+            c.extend(edges.iter().map(|e| norm_quant.encode(norm(e.dst.index()))));
+        };
         for shard in grid.stream(TraversalOrder::ColumnMajor) {
             engine.sweep(
                 shard.edges(),
-                CellLayout::PerEdge(&cells),
+                CellLayout::PerEdge {
+                    width: 1,
+                    fill: &cells,
+                },
                 Keys::Dsts,
                 |_| true,
                 |engine, block| {

@@ -132,10 +132,15 @@ impl ShardableAlgorithm for PageRank {
                 runner.for_each_shard(&grid, TraversalOrder::ColumnMajor, |engine, shard| {
                     let mut contribs: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
-                    let cells = |e: &Edge, c: &mut Vec<u32>| c.push(inv_deg_code[e.src.index()]);
+                    let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+                        c.extend(edges.iter().map(|e| inv_deg_code[e.src.index()]));
+                    };
                     engine.sweep(
                         shard.edges(),
-                        CellLayout::PerEdge(&cells),
+                        CellLayout::PerEdge {
+                            width: 1,
+                            fill: &cells,
+                        },
                         Keys::Dsts,
                         |_| true,
                         |engine, block| {

@@ -92,11 +92,16 @@ impl Algorithm for SpMV {
         let mut y = vec![0.0f64; n];
 
         let mut hits = gaasx_xbar::HitVector::new(0);
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.push(w_quant.encode(e.weight));
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+            c.extend(edges.iter().map(|e| w_quant.encode(e.weight)));
+        };
         for shard in grid.stream(TraversalOrder::ColumnMajor) {
             engine.sweep(
                 shard.edges(),
-                CellLayout::PerEdge(&cells),
+                CellLayout::PerEdge {
+                    width: 1,
+                    fill: &cells,
+                },
                 Keys::Dsts,
                 |_| true,
                 |engine, block| {

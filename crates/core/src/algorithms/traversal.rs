@@ -103,9 +103,11 @@ pub fn traverse<R: ShardRunner>(
         (None, max_supersteps)
     };
     // Edge weights go to MAC column 0 and a constant 1 to column 1.
-    let weight_cells = |e: &Edge, c: &mut Vec<u32>| {
+    let weight_cells = |edges: &[Edge], c: &mut Vec<u32>| {
         if let Some(q) = &w_quant {
-            c.extend_from_slice(&[q.encode(e.weight), 1]);
+            for e in edges {
+                c.extend_from_slice(&[q.encode(e.weight), 1]);
+            }
         }
     };
 
@@ -135,7 +137,10 @@ pub fn traverse<R: ShardRunner>(
                 let mut hits = gaasx_xbar::HitVector::new(0);
                 let mut results: Vec<(usize, u64)> = Vec::new();
                 let layout = if weighted {
-                    CellLayout::PerEdge(&weight_cells)
+                    CellLayout::PerEdge {
+                        width: 2,
+                        fill: &weight_cells,
+                    }
                 } else {
                     CellLayout::Preset
                 };

@@ -55,11 +55,17 @@ const UNMAPPED: usize = usize::MAX;
 /// How the MAC cells of a block are populated during data loading.
 #[derive(Clone, Copy)]
 pub enum CellLayout<'a> {
-    /// Write per-edge codes (e.g. edge weights, reciprocal out-degrees).
-    /// The closure pushes one edge's MAC-row codes into a buffer the
-    /// engine clears and reuses across the block, so loading issues no
-    /// per-edge heap allocation.
-    PerEdge(&'a dyn Fn(&Edge, &mut Vec<u32>)),
+    /// Write per-edge codes (e.g. edge weights, reciprocal out-degrees),
+    /// `width` per MAC row. `fill` appends the whole block's codes,
+    /// row-major — edge `i`'s row is `codes[i * width..(i + 1) * width]` —
+    /// to a buffer the engine clears and reuses, so loading issues one
+    /// closure call per block and no heap allocation once warm.
+    PerEdge {
+        /// Codes per edge: every MAC row of the block is this wide.
+        width: usize,
+        /// Appends `width` codes per edge of the block, in edge order.
+        fill: &'a dyn Fn(&[Edge], &mut Vec<u32>),
+    },
     /// All cells hold a fixed preset code; no per-edge MAC writes are
     /// issued. This is the BFS optimization (§IV: BFS runs "without the
     /// overhead of loading edge weights into MAC crossbars but setting the
@@ -70,7 +76,9 @@ pub enum CellLayout<'a> {
 impl std::fmt::Debug for CellLayout<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CellLayout::PerEdge(_) => f.write_str("CellLayout::PerEdge(..)"),
+            CellLayout::PerEdge { width, .. } => {
+                write!(f, "CellLayout::PerEdge {{ width: {width}, .. }}")
+            }
             CellLayout::Preset => f.write_str("CellLayout::Preset"),
         }
     }
@@ -610,13 +618,14 @@ impl Engine {
         }
     }
 
-    /// Programming time of one slot: the CAM key programs as one ternary
-    /// word while the MAC row programs its values in the paired array
-    /// concurrently, so the slower of the two paces the row.
-    fn slot_program_ns(&self, codes: Option<&[u32]>) -> Nanos {
+    /// Programming time of one slot with `width` MAC codes (`None`: no
+    /// MAC row): the CAM key programs as one ternary word while the MAC
+    /// row programs its values in the paired array concurrently, so the
+    /// slower of the two paces the row.
+    fn slot_program_ns(&self, width: Option<usize>) -> Nanos {
         let cam_ns = self.config.energy.row_program_ns(1);
-        match codes {
-            Some(c) => cam_ns.max(self.config.energy.row_program_ns(c.len())),
+        match width {
+            Some(w) => cam_ns.max(self.config.energy.row_program_ns(w)),
             None => cam_ns,
         }
     }
@@ -631,7 +640,7 @@ impl Engine {
         key: u128,
         codes: Option<&[u32]>,
     ) -> Result<Nanos, CoreError> {
-        let attempt_ns = self.slot_program_ns(codes);
+        let attempt_ns = self.slot_program_ns(codes.map(<[u32]>::len));
         let mut ns = Nanos::ZERO;
         loop {
             let phys = self.log2phys[slot];
@@ -723,19 +732,44 @@ impl Engine {
         swept
     }
 
+    /// Fills `codes` with the block's MAC codes for `cells` and checks
+    /// them against the MAC geometry, touching no device. Returns the row
+    /// width, or `None` for a [`CellLayout::Preset`] block.
+    fn fill_codes(
+        &self,
+        edges: &[Edge],
+        cells: CellLayout<'_>,
+        codes: &mut Vec<u32>,
+    ) -> Result<Option<usize>, CoreError> {
+        codes.clear();
+        let CellLayout::PerEdge { width, fill } = cells else {
+            return Ok(None);
+        };
+        fill(edges, codes);
+        self.mac
+            .check_block(codes, width, edges.len())
+            .map_err(|e| CoreError::InvalidInput(format!("block cell codes: {e}")))?;
+        Ok(Some(width))
+    }
+
     /// Loads a block of edges into the working CAM+MAC bank (data loading
     /// phase). Ends any previous block. Algorithms reach this through
     /// [`Engine::sweep`], which also builds the block's [`Block`] view;
     /// it stays public so unit tests can program a bank directly.
     ///
-    /// Without write-verify the CAM programs the whole block in one
-    /// [`CamCrossbar::program_block`] write; with it, every slot programs
+    /// The block's MAC codes are filled and checked before anything is
+    /// programmed, so a rejected block bills nothing. Without
+    /// write-verify the CAM and the MAC each program the whole block in
+    /// one bank write ([`CamCrossbar::program_block`],
+    /// [`MacCrossbar::program_block`]); with it, every slot programs
     /// through write-verify, retry and remapping.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the block exceeds the bank
-    /// capacity, or a device error on bad cell codes.
+    /// capacity, or if its [`CellLayout::PerEdge`] fill holds the wrong
+    /// number of codes, a width past the MAC columns or a code past the
+    /// cell range.
     pub fn load_block(&mut self, edges: &[Edge], cells: CellLayout<'_>) -> Result<(), CoreError> {
         self.check_deadline()?;
         if edges.len() > self.block_capacity() {
@@ -745,6 +779,14 @@ impl Engine {
                 self.block_capacity()
             )));
         }
+        let mut codes = std::mem::take(&mut self.codes_buf);
+        let width = match self.fill_codes(edges, cells, &mut codes) {
+            Ok(width) => width,
+            Err(e) => {
+                self.codes_buf = codes;
+                return Err(e);
+            }
+        };
         self.end_block();
         self.in_block = true;
 
@@ -756,40 +798,31 @@ impl Engine {
                 .iter()
                 .map(|e| (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw())),
         );
-        let verify = self.verify_on();
-        if verify {
+        // Each slot's programming time accrues in slot order, so the f64
+        // sum is the same whichever path programs the bank.
+        let mut program_ns = Nanos::ZERO;
+        if self.verify_on() {
             // Write-verify keeps the per-slot loop: a retry draws from the
             // CAM's stream before the next row is written, so batching the
             // writes would shift every later fault outcome. Counter-based
             // fault draws, which do not depend on the order of host
             // operations, would let this path go too.
             self.cam.invalidate_all();
+            for slot in 0..edges.len() {
+                let row_codes = width.map(|w| &codes[slot * w..(slot + 1) * w]);
+                program_ns += self.program_slot(slot, self.key_buf[slot], row_codes)?;
+            }
         } else {
             // Without verification nothing remaps, so slot `i` is physical
-            // row `i` and the whole block programs as one bank write.
+            // row `i` and each array programs the block as one bank write.
             self.cam.program_block(&self.key_buf)?;
-        }
-        // Each slot's programming time still accrues in slot order, so the
-        // f64 sum is the same whichever path wrote the CAM.
-        let mut program_ns = Nanos::ZERO;
-        let mut codes = std::mem::take(&mut self.codes_buf);
-        for (slot, e) in edges.iter().enumerate() {
-            let row_codes = match cells {
-                CellLayout::PerEdge(f) => {
-                    codes.clear();
-                    f(e, &mut codes);
-                    Some(codes.as_slice())
-                }
-                CellLayout::Preset => None,
-            };
-            program_ns += if verify {
-                self.program_slot(slot, self.key_buf[slot], row_codes)?
-            } else {
-                if let Some(c) = row_codes {
-                    self.mac.write_row(slot, c)?;
-                }
-                self.slot_program_ns(row_codes)
-            };
+            if let Some(w) = width {
+                self.mac.program_block(&codes, w, edges.len())?;
+            }
+            let slot_ns = self.slot_program_ns(width);
+            for _ in edges {
+                program_ns += slot_ns;
+            }
         }
         self.codes_buf = codes;
 
@@ -1681,14 +1714,23 @@ mod tests {
         Engine::new(GaasXConfig::small()).unwrap()
     }
 
+    /// Edge weights in MAC column 0 and a constant 1 in column 1.
+    fn weight_and_one(edges: &[Edge], c: &mut Vec<u32>) {
+        for e in edges {
+            c.extend_from_slice(&[e.weight as u32, 1]);
+        }
+    }
+
+    const WEIGHT_AND_ONE: CellLayout<'static> = CellLayout::PerEdge {
+        width: 2,
+        fill: &weight_and_one,
+    };
+
     /// Loads the paper's Fig 7 graph as one block; returns its edges, which
     /// sit at CAM/MAC rows `0..8` in order.
     fn fig7_block(engine: &mut Engine) -> Vec<Edge> {
         let g = generators::paper_fig7_graph();
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
-        engine
-            .load_block(g.edges(), CellLayout::PerEdge(&cells))
-            .unwrap();
+        engine.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
         g.edges().to_vec()
     }
 
@@ -1893,9 +1935,15 @@ mod tests {
     fn chunking_splits_large_hit_vectors() {
         let mut e = engine();
         let g = generators::star_graph(40); // hub 0 -> 39 spokes
-        let cells = |_: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[1, 1]);
-        e.load_block(g.edges(), CellLayout::PerEdge(&cells))
-            .unwrap();
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| c.resize(2 * edges.len(), 1);
+        e.load_block(
+            g.edges(),
+            CellLayout::PerEdge {
+                width: 2,
+                fill: &cells,
+            },
+        )
+        .unwrap();
         let hits = src_hits(&mut e, 0);
         assert_eq!(hits.count(), 39);
         let mut results = Vec::new();
@@ -1912,11 +1960,83 @@ mod tests {
     fn block_capacity_enforced() {
         let mut e = engine();
         let g = generators::path_graph(200);
-        let cells = |_: &Edge, c: &mut Vec<u32>| c.push(1);
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| c.resize(edges.len(), 1);
         assert!(matches!(
-            e.load_block(g.edges(), CellLayout::PerEdge(&cells)),
+            e.load_block(
+                g.edges(),
+                CellLayout::PerEdge {
+                    width: 1,
+                    fill: &cells,
+                }
+            ),
             Err(CoreError::InvalidInput(_))
         ));
+    }
+
+    /// A block whose cell fill has the wrong length, a width past the MAC
+    /// columns or a code past the cell range is rejected before anything
+    /// programs: no device write, no bill, and the open block stays open
+    /// and searchable — with and without write-verify.
+    #[test]
+    fn a_rejected_cell_fill_programs_and_bills_nothing() {
+        let faulty = GaasXConfig {
+            fault: gaasx_xbar::FaultModel {
+                seed: 4,
+                mac_stuck_ber: 0.01,
+                ..gaasx_xbar::FaultModel::none()
+            },
+            recovery: crate::RecoveryPolicy::standard(),
+            ..GaasXConfig::small()
+        };
+        let short = |edges: &[Edge], c: &mut Vec<u32>| c.resize(edges.len(), 1);
+        let past_range = |edges: &[Edge], c: &mut Vec<u32>| {
+            c.resize(edges.len(), 1);
+            c[edges.len() / 2] = u32::MAX;
+        };
+        let wide = |edges: &[Edge], c: &mut Vec<u32>| c.resize(17 * edges.len(), 1);
+        let rejected = [
+            CellLayout::PerEdge {
+                width: 2,
+                fill: &short,
+            },
+            CellLayout::PerEdge {
+                width: 1,
+                fill: &past_range,
+            },
+            CellLayout::PerEdge {
+                width: 17,
+                fill: &wide,
+            },
+        ];
+        for config in [GaasXConfig::small(), faulty] {
+            let mut e = Engine::new(config).unwrap();
+            assert_eq!(e.verify_on(), e.fault_active);
+            let b = fig7_block(&mut e);
+            let state = |e: &Engine| {
+                (
+                    e.cam.stats().clone(),
+                    e.mac.stats().clone(),
+                    e.faults,
+                    format!("{:?} {:?}", e.costs, e.current),
+                    (e.cursor_ns, e.in_block, e.phase_counts),
+                    (0..b.len())
+                        .flat_map(|r| (0..2).map(move |c| (r, c)))
+                        .map(|(r, c)| e.mac.read_cell(r, c).unwrap())
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let before = state(&e);
+            for cells in rejected {
+                assert!(
+                    matches!(e.load_block(&b, cells), Err(CoreError::InvalidInput(_))),
+                    "{cells:?} (verify {})",
+                    e.verify_on()
+                );
+                assert_eq!(state(&e), before, "{cells:?} (verify {})", e.verify_on());
+            }
+            // The fig7 block is still the loaded one.
+            assert_eq!(src_hits(&mut e, 4).count(), 2);
+        }
     }
 
     #[test]
@@ -1934,12 +2054,24 @@ mod tests {
     fn stale_rows_do_not_match_after_reload() {
         let mut e = engine();
         let big = generators::star_graph(20);
-        let cells = |_: &Edge, c: &mut Vec<u32>| c.push(1);
-        e.load_block(big.edges(), CellLayout::PerEdge(&cells))
-            .unwrap();
+        let cells = |edges: &[Edge], c: &mut Vec<u32>| c.resize(edges.len(), 1);
+        e.load_block(
+            big.edges(),
+            CellLayout::PerEdge {
+                width: 1,
+                fill: &cells,
+            },
+        )
+        .unwrap();
         let small = generators::path_graph(3); // edges (0,1), (1,2)
-        e.load_block(small.edges(), CellLayout::PerEdge(&cells))
-            .unwrap();
+        e.load_block(
+            small.edges(),
+            CellLayout::PerEdge {
+                width: 1,
+                fill: &cells,
+            },
+        )
+        .unwrap();
         // Searching src 0 must only match the one path edge, not stale star rows.
         assert_eq!(src_hits(&mut e, 0).count(), 1);
     }
@@ -1948,10 +2080,8 @@ mod tests {
     fn makespan_pipelines_waves() {
         let mut e = engine();
         let g = generators::paper_fig7_graph();
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         for _ in 0..3 {
-            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
-                .unwrap();
+            e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
             let hits = dst_hits(&mut e, 1);
             let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         }
@@ -2084,10 +2214,8 @@ mod tests {
         .unwrap();
         e.set_tracer(Tracer::with_sink(agg.clone()));
         let g = generators::paper_fig7_graph();
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         for _ in 0..4 {
-            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
-                .unwrap();
+            e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
             let hits = dst_hits(&mut e, 1);
             let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
         }
@@ -2223,10 +2351,8 @@ mod tests {
         };
         let mut e = faulty(fault, RecoveryPolicy::standard());
         let g = generators::paper_fig7_graph();
-        let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
         for _ in 0..40 {
-            e.load_block(g.edges(), CellLayout::PerEdge(&cells))
-                .unwrap();
+            e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
             let hits = dst_hits(&mut e, 1);
             // Every pass stays exact: 6 + 5 + 8 = 19 despite injected
             // transient programming failures.
@@ -2255,8 +2381,7 @@ mod tests {
         let mut e = faulty(fault, RecoveryPolicy::standard());
         assert_eq!(e.block_capacity(), 128 - 16);
         let edges = full_block_edges(e.block_capacity());
-        let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
-        e.load_block(&edges, CellLayout::PerEdge(&cells)).unwrap();
+        e.load_block(&edges, WEIGHT_AND_ONE).unwrap();
         for i in 0..edges.len() as u32 {
             // Each dst hits exactly one (possibly remapped) row, reported
             // at its logical slot with the correct stored weight.
@@ -2317,10 +2442,7 @@ mod tests {
         let mut e = faulty(fault, RecoveryPolicy::detect_only());
         assert_eq!(e.block_capacity(), 128, "no spares reserved");
         let edges = full_block_edges(e.block_capacity());
-        let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
-        let err = e
-            .load_block(&edges, CellLayout::PerEdge(&cells))
-            .unwrap_err();
+        let err = e.load_block(&edges, WEIGHT_AND_ONE).unwrap_err();
         assert!(
             matches!(err, CoreError::DeviceFault { report: None, .. }),
             "{err}"
@@ -2401,11 +2523,10 @@ mod tests {
         .unwrap();
         e.set_tracer(Tracer::with_sink(sink.clone()));
         let g = generators::rmat(&generators::RmatConfig::new(1 << 7, 1200).with_seed(5)).unwrap();
-        let cells = |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
         let mut hits = HitVector::new(0);
         e.sweep(
             g.edges(),
-            CellLayout::PerEdge(&cells),
+            WEIGHT_AND_ONE,
             Keys::Dsts,
             |_| true,
             |e, block| {
@@ -2509,10 +2630,7 @@ mod tests {
         // run, mirroring how a deadline can only fire between blocks.
         let _b = fig7_block(&mut e);
         let g = generators::paper_fig7_graph();
-        let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
-        let err = e
-            .load_block(g.edges(), CellLayout::PerEdge(&cells))
-            .unwrap_err();
+        let err = e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap_err();
         match err {
             CoreError::Cancelled { detail, report } => {
                 assert!(detail.contains("deadline"), "{detail}");
@@ -2522,7 +2640,7 @@ mod tests {
         }
         // Clearing the deadline resumes service on the same engine.
         e.set_deadline(None);
-        assert!(e.load_block(g.edges(), CellLayout::PerEdge(&cells)).is_ok());
+        assert!(e.load_block(g.edges(), WEIGHT_AND_ONE).is_ok());
     }
 
     #[test]

@@ -438,10 +438,17 @@ mod tests {
             .for_each_shard(grid, TraversalOrder::ColumnMajor, |engine, shard| {
                 let mut total = 0u64;
                 let mut hits = gaasx_xbar::HitVector::new(0);
-                let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
+                let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+                    for e in edges {
+                        c.extend_from_slice(&[e.weight as u32, 1]);
+                    }
+                };
                 engine.sweep(
                     shard.edges(),
-                    CellLayout::PerEdge(&cells),
+                    CellLayout::PerEdge {
+                        width: 2,
+                        fill: &cells,
+                    },
                     Keys::Dsts,
                     |_| true,
                     |engine, block| {

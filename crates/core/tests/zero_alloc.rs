@@ -12,9 +12,9 @@
 //! distinct-source derivation, one search per frontier source (each
 //! reload rebuilds the bucket field index) and one propagate per search —
 //! allocates nothing either. Neither does a dense paper-bank sweep that
-//! programs per-edge MAC cells and derives both distinct lists (the
-//! destination path and the bitmap buffer), with one search and gather
-//! per destination.
+//! programs each block's MAC cells in one bank write, one and two codes
+//! per edge, and derives both distinct lists (the destination path and
+//! the bitmap buffer), with one search and gather per destination.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -80,16 +80,19 @@ fn steady_state_search_and_gather_allocate_nothing() {
         num_banks: 8,
         ..GaasXConfig::deep_bank()
     });
-    measure_dense_sweep(GaasXConfig::small());
+    // One weight per MAC row (PageRank's shape) and two (traversal's).
+    measure_dense_sweep(GaasXConfig::small(), 1);
+    measure_dense_sweep(GaasXConfig::small(), 2);
 }
 
 /// Sweeps the largest shard of a paper-bank partition the way PageRank
-/// does: every block loads with per-edge MAC cells, both distinct lists
-/// are derived, and each destination is searched and gathered. Two
-/// warm-up sweeps size every buffer; the third must allocate nothing.
-/// Each sweep starts from a clean bill, as a resident engine's queries
-/// do, so the per-block cost ledger refills its kept capacity.
-fn measure_dense_sweep(config: GaasXConfig) {
+/// does: every block loads with per-edge MAC cells `width` codes wide,
+/// both distinct lists are derived, and each destination is searched and
+/// gathered. Two warm-up sweeps size every buffer; the third must
+/// allocate nothing. Each sweep starts from a clean bill, as a resident
+/// engine's queries do, so the per-block cost ledger refills its kept
+/// capacity.
+fn measure_dense_sweep(config: GaasXConfig, width: usize) {
     let graph =
         generators::rmat(&generators::RmatConfig::new(1 << 10, 20_000).with_seed(7)).unwrap();
     let grid = partition_for_streaming(&graph).unwrap();
@@ -103,14 +106,22 @@ fn measure_dense_sweep(config: GaasXConfig) {
         "the shard spans {} edges",
         shard.edges().len()
     );
-    let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
+    // The last column holds a constant 1, the one the gathers read.
+    let cells = |edges: &[Edge], c: &mut Vec<u32>| {
+        for e in edges {
+            c.extend_from_slice(&[e.weight as u32, 1][2 - width..]);
+        }
+    };
     let mut hits = HitVector::new(0);
     let mut sweep = |engine: &mut Engine| {
         let (mut loads, mut srcs, mut total) = (0, 0, 0u64);
         engine
             .sweep(
                 shard.edges(),
-                CellLayout::PerEdge(&cells),
+                CellLayout::PerEdge {
+                    width,
+                    fill: &cells,
+                },
                 Keys::Both,
                 |_| true,
                 |engine, block| {
@@ -118,7 +129,7 @@ fn measure_dense_sweep(config: GaasXConfig) {
                     srcs += block.distinct_srcs().len();
                     for &dst in block.distinct_dsts() {
                         engine.search_dst_into(dst, &mut hits);
-                        total += engine.gather_rows(&hits, &mut |_| 1, 1)?;
+                        total += engine.gather_rows(&hits, &mut |_| 1, width - 1)?;
                     }
                     Ok(())
                 },
@@ -138,7 +149,7 @@ fn measure_dense_sweep(config: GaasXConfig) {
     assert!(warm.0 > 2 && warm.2 > 0, "the sweep must do real work");
     assert_eq!(
         allocs, 0,
-        "a warm dense sweep of {} blocks performed {allocs} heap allocations",
+        "a warm width-{width} dense sweep of {} blocks performed {allocs} heap allocations",
         warm.0
     );
 }
@@ -227,9 +238,15 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     dsts.sort_unstable();
     dsts.dedup();
 
-    let cells = |_e: &Edge, c: &mut Vec<u32>| c.push(1u32);
+    let cells = |edges: &[Edge], c: &mut Vec<u32>| c.resize(edges.len(), 1);
     engine
-        .load_block(chunk, CellLayout::PerEdge(&cells))
+        .load_block(
+            chunk,
+            CellLayout::PerEdge {
+                width: 1,
+                fill: &cells,
+            },
+        )
         .unwrap();
     let mut hits = HitVector::new(0);
 

@@ -724,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn a_mask_past_the_index_cap_is_scanned_and_writes_still_patch_the_indexes() {
+    fn a_mask_past_the_index_cap_is_scanned_and_writes_still_rebuild_the_indexes() {
         let mut c = cam();
         for i in 0..12 {
             c.write(i, u128::from(i as u32) * 3).unwrap();
@@ -850,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn writes_after_a_search_patch_the_index() {
+    fn writes_after_a_search_rebuild_the_index() {
         let mut c = cam();
         for i in 0..10 {
             c.write(i, u128::from(i as u32 % 3)).unwrap();

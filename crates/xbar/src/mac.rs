@@ -194,15 +194,15 @@ impl MacCrossbar {
                 what: "row codes",
             });
         }
-        let max = self.max_code();
-        for &c in codes {
-            if c > max {
-                return Err(XbarError::InvalidParameter(format!(
-                    "code {c} exceeds {}-bit cell range",
-                    self.geometry.weight_bits()
-                )));
-            }
-        }
+        self.check_codes(codes)?;
+        self.land_row(row, codes);
+        Ok(())
+    }
+
+    /// Body of [`write_row`](Self::write_row) after validation: programs
+    /// `codes` (through the fault model, if attached) into the leading
+    /// cells of `row`, zeroes its old tail and bills one row burst.
+    fn land_row(&mut self, row: usize, codes: &[u32]) {
         let base = row * self.geometry.cols;
         if let Some(faults) = self.faults.as_mut() {
             for (col, &c) in codes.iter().enumerate() {
@@ -214,7 +214,102 @@ impl MacCrossbar {
         self.zero_tail(row, codes.len());
         self.stats.row_writes += 1;
         self.stats.cells_written += (codes.len() * self.geometry.slices) as u64;
+    }
+
+    /// Programs a whole block in one bank write (the paper's data-loading
+    /// phase, §III-B): row `i` of `0..rows` takes
+    /// `codes[i * width..(i + 1) * width]` and zeroes the rest of its
+    /// cells. Rows past the block keep their contents.
+    ///
+    /// Equivalent to [`write_row`](Self::write_row)`(i, row codes)` for
+    /// every row in order: the same cells, the same billing (`rows` row
+    /// bursts and `rows × width × slices` cell writes, for a width of 0
+    /// too), and the same fault outcomes — wear, stuck cells and
+    /// transient write-failure draws apply per cell, in row then column
+    /// order, from this crossbar's own stream.
+    ///
+    /// # Errors
+    ///
+    /// Errors as in [`check_block`](Self::check_block); a rejected block
+    /// leaves the crossbar untouched.
+    pub fn program_block(
+        &mut self,
+        codes: &[u32],
+        width: usize,
+        rows: usize,
+    ) -> Result<(), XbarError> {
+        self.check_block(codes, width, rows)?;
+        // Faulty rows take `write_row`'s own body, so the two draw alike;
+        // width 0 goes there too, as `chunks_exact(0)` would panic.
+        if self.faults.is_some() || width == 0 {
+            for row in 0..rows {
+                self.land_row(row, &codes[row * width..(row + 1) * width]);
+            }
+            return Ok(());
+        }
+        let cols = self.geometry.cols;
+        // gaasx-lint: hot
+        let dsts = self.cells[..rows * cols].chunks_exact_mut(cols);
+        let row_codes = dsts.zip(codes.chunks_exact(width));
+        for ((dst, src), old) in row_codes.zip(&mut self.row_width[..rows]) {
+            dst[..width].copy_from_slice(src);
+            zero_tail_from(dst, old, width);
+        }
+        // gaasx-lint: end-hot
+        self.stats.row_writes += rows as u64;
+        self.stats.cells_written += (rows * width * self.geometry.slices) as u64;
         Ok(())
+    }
+
+    /// Checks a block for [`program_block`](Self::program_block) without
+    /// touching the crossbar.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XbarError::RowOutOfRange`] if `rows` exceeds the
+    /// geometry, [`XbarError::DimensionMismatch`] if `width` exceeds the
+    /// column count or `codes` does not hold exactly `rows × width`
+    /// codes, or [`XbarError::InvalidParameter`] if a code exceeds the
+    /// cell range.
+    pub fn check_block(&self, codes: &[u32], width: usize, rows: usize) -> Result<(), XbarError> {
+        if rows > self.geometry.rows {
+            return Err(XbarError::RowOutOfRange {
+                row: rows - 1,
+                rows: self.geometry.rows,
+            });
+        }
+        if width > self.geometry.cols {
+            return Err(XbarError::DimensionMismatch {
+                got: width,
+                expected: self.geometry.cols,
+                what: "row codes",
+            });
+        }
+        if codes.len() != rows * width {
+            return Err(XbarError::DimensionMismatch {
+                got: codes.len(),
+                expected: rows * width,
+                what: "block codes",
+            });
+        }
+        self.check_codes(codes)
+    }
+
+    /// Rejects the first code past the cell range.
+    fn check_codes(&self, codes: &[u32]) -> Result<(), XbarError> {
+        let max = self.max_code();
+        debug_assert_eq!(max & max.wrapping_add(1), 0, "max code is a mask");
+        // The cell range is a low-bit mask, so one branch-free OR fold
+        // over the codes finds any code past it; the offender is looked
+        // up only on the error path.
+        if codes.iter().fold(0, |bits, &c| bits | c) & !max == 0 {
+            return Ok(());
+        }
+        let c = codes.iter().copied().find(|&c| c > max).unwrap_or(max);
+        Err(XbarError::InvalidParameter(format!(
+            "code {c} exceeds {}-bit cell range",
+            self.geometry.weight_bits()
+        )))
     }
 
     /// Writes a single cell. Counts one row burst and `slices` cell writes.
@@ -675,11 +770,9 @@ impl MacCrossbar {
     /// past the width are zero already) and records `len` as the new
     /// width, after the leading `len` cells were (re)written.
     fn zero_tail(&mut self, row: usize, len: usize) {
-        let width = std::mem::replace(&mut self.row_width[row], len);
-        let base = row * self.geometry.cols;
-        if width > len {
-            self.cells[base + len..base + width].fill(0);
-        }
+        let cols = self.geometry.cols;
+        let cells = &mut self.cells[row * cols..(row + 1) * cols];
+        zero_tail_from(cells, &mut self.row_width[row], len);
     }
 
     /// Re-materializes a row *without* counting writes.
@@ -708,15 +801,7 @@ impl MacCrossbar {
                 what: "row codes",
             });
         }
-        let max = self.max_code();
-        for &c in codes {
-            if c > max {
-                return Err(XbarError::InvalidParameter(format!(
-                    "code {c} exceeds {}-bit cell range",
-                    self.geometry.weight_bits()
-                )));
-            }
-        }
+        self.check_codes(codes)?;
         let base = row * self.geometry.cols;
         if let Some(faults) = self.faults.as_ref() {
             // Stuck-at is positional physics: a preload restores the same
@@ -730,6 +815,16 @@ impl MacCrossbar {
         }
         self.zero_tail(row, codes.len());
         Ok(())
+    }
+}
+
+/// Zeroes a just-written row's cells from `width` up to its old width
+/// `old` (cells past it are zero already) and records `width` there.
+#[inline(always)]
+fn zero_tail_from(row: &mut [u32], old: &mut usize, width: usize) {
+    let old = std::mem::replace(old, width);
+    if old > width {
+        row[width..old].fill(0);
     }
 }
 

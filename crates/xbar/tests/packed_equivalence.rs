@@ -8,14 +8,18 @@
 //! equal a bit-sliced reference built from the public
 //! [`MacCrossbar::read_cell`]. A bulk
 //! [`CamCrossbar::program_block`] must leave a CAM exactly as
-//! `invalidate_all` plus one `write` per row does.
+//! `invalidate_all` plus one `write` per row does, and a bulk
+//! [`MacCrossbar::program_block`] a MAC crossbar exactly as one
+//! `write_row` per row does.
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
-use gaasx_xbar::{CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection};
+use gaasx_xbar::{
+    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, XbarError,
+};
 
 /// Bank depths straddling the 64-row word boundary: one word exactly, a
 /// partial single word, partial and full multi-word, the paper depth, and
@@ -77,7 +81,7 @@ fn apply_cam_op(
     let (code, a, b, c) = op;
     // 32 rows spread over the whole bank, first and last included: every
     // 64-row word is touched, and rows are rewritten and invalidated
-    // often enough to exercise index patching.
+    // often enough that most searches rebuild a stale index.
     let row = usize::from(a % 32) * (rows - 1) / 31;
     // Small vertex spaces force key collisions across rows.
     let src = u32::from(b) % 8;
@@ -183,12 +187,13 @@ fn deep_bank_mismatches(cam: &mut CamCrossbar, hv: &mut HitVector) -> usize {
     wrong
 }
 
-/// Single-row invalidates and rewrites on a clean deep-bank index unlink
-/// the head, the middle and the tail of the 512-row hub chain (and of the
-/// dst chains they sit on) in place, and relink rewritten rows; every
-/// search after every patch answers like the reference scan.
+/// Single-row invalidates and rewrites on a searched deep bank drop the
+/// head, the middle and the tail of the 512-row hub chain (and of the dst
+/// chains they sit on) and move rewritten rows between chains; each turns
+/// the index stale, and every search after every mutation rebuilds it and
+/// answers like the reference scan.
 #[test]
-fn chained_index_patches_match_the_reference_on_a_deep_hub_bank() {
+fn index_rebuilds_after_rewrites_match_the_reference_on_a_deep_hub_bank() {
     let mut cam = deep_indexed_bank();
     let mut hv = HitVector::new(0);
     // Hub rows are 0, 4, ..., 2044: the chain's head, middle and tail.
@@ -224,6 +229,114 @@ fn chained_index_patches_match_the_reference_on_a_deep_hub_bank() {
         .filter(|e| e.valid && e.bits >> 32 == u128::from(HUB))
         .count();
     assert_eq!(hub_rows, DEEP_ROWS / 4 - 4, "four hub rows left the chain");
+}
+
+/// Fault model for the MAC twin tests: stuck cells, transient write
+/// failures and an endurance low enough that repeated blocks wear cells
+/// out.
+fn mac_wear_model(seed: u64) -> FaultModel {
+    FaultModel {
+        seed,
+        mac_stuck_ber: 0.02,
+        write_fail_rate: 0.05,
+        endurance: 3,
+        ..FaultModel::none()
+    }
+}
+
+/// A paper-geometry MAC crossbar, with [`mac_wear_model`] faults when
+/// `seed` is given.
+fn mac_twin(seed: Option<u64>) -> MacCrossbar {
+    let g = MacGeometry::paper();
+    let mut mac = MacCrossbar::new(g, Fidelity::Exact);
+    mac.set_faults(seed.map(|s| MacFaultState::new(mac_wear_model(s), &g)));
+    mac
+}
+
+/// Every observable of two MAC crossbars that should be twins: cells,
+/// stats, fault counters and wear; then both take the same row write and
+/// must latch the same values, so their fault streams sit at the same
+/// position.
+fn assert_mac_twins(a: &mut MacCrossbar, b: &mut MacCrossbar) {
+    let g = a.geometry();
+    for row in 0..g.rows {
+        for col in 0..g.cols {
+            assert_eq!(
+                a.read_cell(row, col).unwrap(),
+                b.read_cell(row, col).unwrap(),
+                "cell ({}, {})",
+                row,
+                col
+            );
+        }
+    }
+    assert_eq!(a.stats(), b.stats());
+    assert_eq!(a.fault_stats(), b.fault_stats());
+    assert_eq!(a.fault_wear(), b.fault_wear());
+    let next: Vec<u32> = (0..g.cols as u32).map(|c| 0x1234 ^ c).collect();
+    for row in [0, g.rows - 1] {
+        a.write_row(row, &next).unwrap();
+        b.write_row(row, &next).unwrap();
+        for col in 0..g.cols {
+            assert_eq!(
+                a.read_cell(row, col).unwrap(),
+                b.read_cell(row, col).unwrap()
+            );
+        }
+    }
+    assert_eq!(a.fault_stats(), b.fault_stats());
+    assert_eq!(a.fault_wear(), b.fault_wear());
+}
+
+/// A block [`MacCrossbar::program_block`] rejects — too many rows, a
+/// width past the columns, a code count that is not rows × width, or a
+/// code past the cell range — returns a typed error and leaves the
+/// crossbar exactly as it was, fault stream included.
+#[test]
+fn mac_program_block_rejects_bad_blocks_untouched() {
+    for seed in [None, Some(17)] {
+        let mut mac = mac_twin(seed);
+        mac.program_block(&[0xABCD; 3 * 5], 3, 5).unwrap();
+        let mut past_range = vec![1u32; 8];
+        past_range[5] = 0x1_0000;
+        let bad: [(Vec<u32>, usize, usize); 4] = [
+            (vec![1; 129], 1, 129),
+            (vec![1; 17 * 2], 17, 2),
+            (vec![1; 5], 3, 2),
+            (past_range, 2, 4),
+        ];
+        for (i, (codes, width, rows)) in bad.into_iter().enumerate() {
+            let mut twin = mac.clone();
+            let err = mac.program_block(&codes, width, rows).unwrap_err();
+            match i {
+                0 => assert!(matches!(
+                    err,
+                    XbarError::RowOutOfRange {
+                        row: 128,
+                        rows: 128
+                    }
+                )),
+                1 => assert!(matches!(
+                    err,
+                    XbarError::DimensionMismatch {
+                        got: 17,
+                        expected: 16,
+                        ..
+                    }
+                )),
+                2 => assert!(matches!(
+                    err,
+                    XbarError::DimensionMismatch {
+                        got: 5,
+                        expected: 6,
+                        ..
+                    }
+                )),
+                _ => assert!(matches!(err, XbarError::InvalidParameter(_))),
+            }
+            assert_mac_twins(&mut mac, &mut twin);
+        }
+    }
 }
 
 /// The field index's bucket count on a bank of `rows` rows: values equal
@@ -356,11 +469,12 @@ proptest! {
         }
     }
 
-    /// Random single-row invalidates and rewrites on the clean deep hub
-    /// bank — never a bulk invalidate, so every mutation patches the
-    /// chains in place — interleaved with searches of both fields.
+    /// Random single-row invalidates and rewrites on the searched deep hub
+    /// bank — never a bulk invalidate, so only row-level mutations turn
+    /// the index stale — interleaved with searches of both fields, each of
+    /// which rebuilds the index it probes.
     #[test]
-    fn chained_index_patches_match_the_reference(
+    fn index_rebuilds_after_rewrites_match_the_reference(
         ops in prop::collection::vec((0u8..4, any::<u16>(), 0u8..8), 1..60),
     ) {
         let mut cam = deep_indexed_bank();
@@ -510,6 +624,47 @@ proptest! {
         prop_assert_eq!(bulk.fault_stats(), rowwise.fault_stats());
     }
 
+    /// Twin MAC crossbars from the same prior row writes: one programs a
+    /// run of blocks with `program_block`, the other with one `write_row`
+    /// per row, in row order. Widths span 0..=cols and block lengths
+    /// 0..=rows, in random order or shrinking; fault-free or with stuck
+    /// cells, transient write failures and endurance wear on the same
+    /// seed, the twins must agree on every cell, the stats, the fault
+    /// counters, the wear and the next writes.
+    #[test]
+    fn mac_program_block_matches_write_row_per_row(
+        prior in prop::collection::vec((0usize..128, 0usize..=16, any::<u16>()), 0..24),
+        blocks in prop::collection::vec((0usize..=16, 0usize..=128, any::<u16>()), 1..5),
+        shrinking in any::<bool>(),
+        seed in any::<u64>(),
+        faulty in any::<bool>(),
+    ) {
+        let code = |salt: u16, row: usize, col: usize| {
+            u32::from(salt) ^ ((row as u32 * 31 + col as u32 * 17) & 0xFFFF)
+        };
+        let seed = faulty.then_some(seed);
+        let (mut bulk, mut rowwise) = (mac_twin(seed), mac_twin(seed));
+        for &(row, width, salt) in &prior {
+            let codes: Vec<u32> = (0..width).map(|col| code(salt, row, col)).collect();
+            bulk.write_row(row, &codes).unwrap();
+            rowwise.write_row(row, &codes).unwrap();
+        }
+        let mut blocks = blocks;
+        if shrinking {
+            blocks.sort_by_key(|b| std::cmp::Reverse(b.0));
+        }
+        for &(width, rows, salt) in &blocks {
+            let codes: Vec<u32> = (0..rows * width)
+                .map(|i| code(salt, i / width.max(1), i % width.max(1)))
+                .collect();
+            bulk.program_block(&codes, width, rows).unwrap();
+            for row in 0..rows {
+                rowwise.write_row(row, &codes[row * width..(row + 1) * width]).unwrap();
+            }
+        }
+        assert_mac_twins(&mut bulk, &mut rowwise);
+    }
+
     /// Quantized MAC bursts — full (`mac`) and restricted read-out
     /// (`mac_lines_into`), both directions, fault-free or stuck-cell
     /// seeded — equal the bit-sliced reference on every line.
@@ -561,7 +716,7 @@ proptest! {
         }
     }
 
-    /// Lazily rebuilt and patched indexes on banks with a partial last
+    /// Lazily rebuilt indexes on banks with a partial last
     /// word (70 rows), the paper depth and a deep bank, at widths below, at
     /// and above one 64-bit half: any interleaving of writes, single and
     /// bulk invalidations and searches answers exactly like the reference

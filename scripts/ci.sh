@@ -66,11 +66,13 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC and batched BFS/SSSP x banks x fault x j
 # times, with that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
-echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, packed MAC bursts, program_block twin check"
+echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, packed MAC bursts, CAM and MAC program_block twin checks"
 # Release builds compile out the per-search debug cross-check against the
 # scalar scan, so this is the only release-mode check of the field index.
-# It also runs the program_block twin check: a bulk block program must
-# leave a CAM exactly as invalidate_all plus one write per row does.
+# It also runs the program_block twin checks: a bulk block program must
+# leave a CAM exactly as invalidate_all plus one write per row does, and
+# a MAC crossbar exactly as one write_row per row does (cells, stats,
+# fault counters, wear and the next writes).
 cargo test -q --release --offline -p gaasx-xbar --test packed_equivalence
 
 echo "==> repo benchmark: fmt, clippy -D warnings, tests, --smoke"
