@@ -58,19 +58,18 @@ fn bench_cam(c: &mut Criterion) {
 
 fn bench_hit_vector(c: &mut Criterion) {
     let mut group = c.benchmark_group("hit_vector");
-    let indices: Vec<usize> = (0..128).step_by(3).collect();
-    let hv = HitVector::from_indices(128, &indices);
-    group.bench_function("iter_ones", |b| {
-        b.iter(|| black_box(&hv).iter_ones().count())
+    let mut hv = HitVector::new(128);
+    (0..128).step_by(3).for_each(|row| hv.push(row));
+    group.bench_function("iter_rows", |b| {
+        b.iter(|| black_box(&hv).rows().iter().sum::<usize>())
     });
-    group.bench_function("chunks_iter_of_16", |b| {
+    group.bench_function("chunks_of_16", |b| {
         b.iter(|| {
-            let mut chunks = black_box(&hv).chunks_iter(16);
-            let mut total = 0usize;
-            while let Some(chunk) = chunks.next_chunk() {
-                total += chunk.len();
-            }
-            total
+            black_box(&hv)
+                .rows()
+                .chunks(16)
+                .map(<[usize]>::len)
+                .sum::<usize>()
         })
     });
     group.finish();

@@ -317,7 +317,6 @@ impl Algorithm for CollaborativeFiltering {
 
         let total_vertices = (ratings.num_users() + ratings.num_items()) as usize;
         let mut hits = gaasx_xbar::HitVector::new(0);
-        let mut rows: Vec<usize> = Vec::new();
         let cells = |edges: &[Edge], c: &mut Vec<u32>| {
             c.extend(edges.iter().map(|e| rate_q.encode(e.weight)));
         };
@@ -353,12 +352,11 @@ impl Algorithm for CollaborativeFiltering {
                         for &item in block.distinct_dsts() {
                             let i = item.index() - num_users;
                             engine.search_dst_into(item, &mut hits);
-                            rows.clear();
-                            rows.extend(hits.iter_ones());
+                            let rows = hits.rows();
                             let mut errs = Vec::with_capacity(rows.len());
                             let mut user_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
                             let item_vec = item_f[i].clone();
-                            for &row in &rows {
+                            for &row in rows {
                                 let e = block.edge(row);
                                 engine.attr_read(4);
                                 let pred =
@@ -382,12 +380,11 @@ impl Algorithm for CollaborativeFiltering {
                         // User update phase (Fig 10(c)).
                         for &user in block.distinct_srcs() {
                             engine.search_src_into(user, &mut hits);
-                            rows.clear();
-                            rows.extend(hits.iter_ones());
+                            let rows = hits.rows();
                             let mut errs = Vec::with_capacity(rows.len());
                             let mut item_vecs: Vec<&Vec<f32>> = Vec::with_capacity(rows.len());
                             let user_vec = user_f[user.index()].clone();
-                            for &row in &rows {
+                            for &row in rows {
                                 let e = block.edge(row);
                                 engine.attr_read(4);
                                 let i = e.dst.index() - num_users;

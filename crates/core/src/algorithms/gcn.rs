@@ -161,7 +161,7 @@ impl Algorithm for GcnLayer {
                         for k in 0..f_in {
                             let code = engine.gather_rows(
                                 &hits,
-                                &mut |row| h_quant.encode(h[block.edge(row).src.index()][k]),
+                                |row| h_quant.encode(h[block.edge(row).src.index()][k]),
                                 0,
                             )?;
                             let sum = f64::from(h_quant.decode_product_sum(&norm_quant, code));

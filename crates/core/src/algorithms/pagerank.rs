@@ -148,7 +148,7 @@ impl ShardableAlgorithm for PageRank {
                                 engine.search_dst_into(dst, &mut hits);
                                 let code = engine.gather_rows(
                                     &hits,
-                                    &mut |row| rank_code[block.edge(row).src.index()],
+                                    |row| rank_code[block.edge(row).src.index()],
                                     0,
                                 )?;
                                 let sum = f64::from(r_quant.decode_product_sum(&w_quant, code));

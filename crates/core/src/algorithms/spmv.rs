@@ -109,7 +109,7 @@ impl Algorithm for SpMV {
                         engine.search_dst_into(dst, &mut hits);
                         let code = engine.gather_rows(
                             &hits,
-                            &mut |row| x_quant.encode(self.x[block.edge(row).src.index()]),
+                            |row| x_quant.encode(self.x[block.edge(row).src.index()]),
                             0,
                         )?;
                         let sum = f64::from(x_quant.decode_product_sum(&w_quant, code));

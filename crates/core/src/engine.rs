@@ -301,8 +301,8 @@ pub struct Engine {
     spares: Vec<usize>,
     /// `true` once any slot maps away from its identity row.
     remap_active: bool,
-    /// Scratch for translating logical activation chunks to physical rows
-    /// (preallocated: the translation sits inside the MAC hot loop).
+    /// Scratch for translating a logical activation chunk to physical rows
+    /// (preallocated: the translation sits inside the MAC hot loops).
     phys_buf: Vec<usize>,
     /// Recovery activity detected by this engine (verify reads, retries,
     /// remaps); merged across sharded workers and surfaced in the report.
@@ -312,20 +312,15 @@ pub struct Engine {
     key_buf: Vec<u128>,
     /// Reused MAC-code buffer for [`CellLayout::PerEdge`] loading.
     codes_buf: Vec<u32>,
-    /// Scratch for the phys→logical hit translation under remapping, and
-    /// for the first vote of a CAM majority vote.
-    hits_scratch: HitVector,
-    /// The second and third votes of a CAM majority vote.
+    /// The three votes of a CAM majority vote: the first swapped out of
+    /// the caller's buffer, then the two re-searches.
+    vote_a: HitVector,
     vote_b: HitVector,
     vote_c: HitVector,
     /// Reused MAC input buffer for [`Engine::gather_rows`].
     inputs_buf: Vec<u32>,
     /// Reused MAC output buffer (one accumulated sum per crossed line).
     mac_out: Vec<u64>,
-    /// Reused ≤16-row activation chunk for the MAC hot loops.
-    chunk_buf: Vec<usize>,
-    /// Reused physical read-out line list for restricted MAC propagation.
-    lines_buf: Vec<usize>,
     /// The distinct-source and distinct-destination lists behind every
     /// [`Block`] of [`Engine::sweep`], and the bitmap that derives them,
     /// reused from load to load.
@@ -410,13 +405,11 @@ impl Engine {
             faults: FaultReport::default(),
             key_buf: Vec::with_capacity(rows),
             codes_buf: Vec::new(),
-            hits_scratch: HitVector::new(0),
+            vote_a: HitVector::new(0),
             vote_b: HitVector::new(0),
             vote_c: HitVector::new(0),
             inputs_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             mac_out: Vec::new(),
-            chunk_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
-            lines_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             srcs_buf: Vec::new(),
             dsts_buf: Vec::new(),
             bitmap_buf: Vec::new(),
@@ -882,8 +875,8 @@ impl Engine {
             if self.cam.search_draws() {
                 self.cam.search_into(key, mask, &mut self.vote_b);
                 self.cam.search_into(key, mask, &mut self.vote_c);
-                std::mem::swap(out, &mut self.hits_scratch);
-                out.majority3_from(&self.hits_scratch, &self.vote_b, &self.vote_c);
+                std::mem::swap(out, &mut self.vote_a);
+                out.majority3_from(&self.vote_a, &self.vote_b, &self.vote_c);
             } else {
                 // Without upsets the re-searches are exact copies of the
                 // first and the vote is unanimous: bill them, skip the work.
@@ -899,15 +892,14 @@ impl Engine {
             // hits on rows holding no edge of the loaded block (invalid,
             // past its occupancy, or an unmapped spare) are dropped
             // first: algorithms index the block by slot. Without upsets
-            // every hit is on a valid mapped row, so nothing drops.
-            std::mem::swap(out, &mut self.hits_scratch);
-            out.reset(self.hits_scratch.len());
-            for phys in self.hits_scratch.iter_ones() {
-                let slot = self.phys2log[phys];
-                if slot < self.block_len && self.cam.read(phys).is_ok_and(|e| e.valid) {
-                    out.set(slot);
-                }
-            }
+            // every hit is on a valid mapped row, so nothing drops. A
+            // spare sits past the identity rows, so the slots are sorted
+            // back into ascending order.
+            let (phys2log, block_len, cam) = (&self.phys2log, self.block_len, &self.cam);
+            out.translate(|phys| {
+                let slot = phys2log[phys];
+                (slot < block_len && cam.read(phys).is_ok_and(|e| e.valid)).then_some(slot)
+            });
         }
     }
 
@@ -923,48 +915,24 @@ impl Engine {
     pub fn gather_rows(
         &mut self,
         hits: &HitVector,
-        input: &mut dyn FnMut(usize) -> u32,
+        mut input: impl FnMut(usize) -> u32,
         out_col: usize,
     ) -> Result<u64, CoreError> {
         let mut total: u64 = 0;
-        let mut first = true;
         let cap = self.config.mac_geometry.max_active_rows;
-        let mut ones = hits.iter_ones();
         // gaasx-lint: hot
-        loop {
-            // Fill the reused chunk buffer with the next ≤cap hit rows
-            // (hand-rolled chunking keeps the hot loop allocation-free).
-            self.chunk_buf.clear();
-            while self.chunk_buf.len() < cap {
-                match ones.next() {
-                    Some(row) => self.chunk_buf.push(row),
-                    None => break,
-                }
-            }
-            if self.chunk_buf.is_empty() {
-                break;
-            }
-            let chunk_len = self.chunk_buf.len();
+        for (i, chunk) in hits.rows().chunks(cap).enumerate() {
             self.inputs_buf.clear();
-            for i in 0..chunk_len {
+            for &row in chunk {
                 self.attr_buf.read(4);
-                let v = input(self.chunk_buf[i]);
-                self.inputs_buf.push(v);
+                self.inputs_buf.push(input(row));
             }
             // Only `out_col` is consumed, so the device restricts the
             // functional evaluation to that line (the burst is still billed
             // in full, and the all-lines path runs only when a full burst
             // draws random numbers: quantized noise or ADC flips).
-            let active = if self.remap_active {
-                // Activate the physical rows behind the logical slots.
-                self.phys_buf.clear();
-                for i in 0..chunk_len {
-                    self.phys_buf.push(self.log2phys[self.chunk_buf[i]]);
-                }
-                &self.phys_buf
-            } else {
-                &self.chunk_buf
-            };
+            let active =
+                physical_rows(self.remap_active, &self.log2phys, &mut self.phys_buf, chunk);
             self.mac.mac_lines_into(
                 MacDirection::RowsToColumns,
                 active,
@@ -973,18 +941,17 @@ impl Engine {
                 &mut self.mac_out,
             )?;
             let v = self.mac_out[0];
-            self.rows_per_mac.record(chunk_len);
+            self.rows_per_mac.record(chunk.len());
             let ns = self.config.energy.mac_op_ns;
             self.current
                 .add_phase(Phase::MacGather, ns, self.record_ops);
             self.trace_op(Phase::MacGather, ns);
-            self.compute_items = self.compute_items.saturating_add(chunk_len as u64);
-            if first {
-                total = v;
-                first = false;
+            self.compute_items = self.compute_items.saturating_add(chunk.len() as u64);
+            total = if i == 0 {
+                v
             } else {
-                total = self.sfu_add_u64(total, v);
-            }
+                self.sfu_add_u64(total, v)
+            };
         }
         // gaasx-lint: end-hot
         Ok(total)
@@ -1010,55 +977,34 @@ impl Engine {
         results.clear();
         // No hits means no MAC burst — and no attribute fetch either: the
         // controller only stages the column inputs once a burst is issued.
-        if !hits.any() {
+        if hits.rows().is_empty() {
             return Ok(());
         }
-        results.reserve(hits.count());
+        results.reserve(hits.rows().len());
         self.attr_buf.read(4 * col_inputs.len() as u64);
         let cap = self.config.mac_geometry.max_active_rows;
-        let mut ones = hits.iter_ones();
         // gaasx-lint: hot
-        loop {
-            self.chunk_buf.clear();
-            while self.chunk_buf.len() < cap {
-                match ones.next() {
-                    Some(row) => self.chunk_buf.push(row),
-                    None => break,
-                }
-            }
-            if self.chunk_buf.is_empty() {
-                break;
-            }
-            let chunk_len = self.chunk_buf.len();
+        for chunk in hits.rows().chunks(cap) {
             // Restricted read-out: only this chunk's (physical) rows are
             // evaluated — billing still covers the full burst, so stats,
             // energy, and modeled time match the full-evaluation path. The
             // device evaluates every line only when a full burst draws
             // random numbers (quantized noise or ADC flips).
-            self.lines_buf.clear();
-            for &row in &self.chunk_buf {
-                self.lines_buf.push(if self.remap_active {
-                    self.log2phys[row]
-                } else {
-                    row
-                });
-            }
+            let lines = physical_rows(self.remap_active, &self.log2phys, &mut self.phys_buf, chunk);
             self.mac.mac_lines_into(
                 MacDirection::ColumnsToRows,
                 cols,
                 col_inputs,
-                &self.lines_buf,
+                lines,
                 &mut self.mac_out,
             )?;
-            self.rows_per_mac.record(chunk_len);
+            self.rows_per_mac.record(chunk.len());
             let ns = self.config.energy.mac_op_ns;
             self.current
                 .add_phase(Phase::MacPropagate, ns, self.record_ops);
             self.trace_op(Phase::MacPropagate, ns);
-            self.compute_items = self.compute_items.saturating_add(chunk_len as u64);
-            for (i, &row) in self.chunk_buf.iter().enumerate() {
-                results.push((row, self.mac_out[i]));
-            }
+            self.compute_items = self.compute_items.saturating_add(chunk.len() as u64);
+            results.extend(chunk.iter().copied().zip(self.mac_out.iter().copied()));
         }
         // gaasx-lint: end-hot
         Ok(())
@@ -1704,6 +1650,23 @@ pub fn partition_for_streaming(
     gaasx_graph::partition::GridPartition::with_num_intervals(graph, 16)
 }
 
+/// The physical rows behind a chunk of logical slots: the chunk itself
+/// until a remap moves a slot, otherwise its translation through
+/// `log2phys` into the reused `buf`.
+fn physical_rows<'a>(
+    remap_active: bool,
+    log2phys: &[usize],
+    buf: &'a mut Vec<usize>,
+    chunk: &'a [usize],
+) -> &'a [usize] {
+    if !remap_active {
+        return chunk;
+    }
+    buf.clear();
+    buf.extend(chunk.iter().map(|&slot| log2phys[slot]));
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1885,8 +1848,8 @@ mod tests {
         let b = fig7_block(&mut e);
         // Vertex 2 (1-based) = id 1 has in-edges from 1, 3, 4 (Fig 7).
         let hits = dst_hits(&mut e, 1);
-        assert_eq!(hits.count(), 3);
-        for row in hits.iter_ones() {
+        assert_eq!(hits.rows().len(), 3);
+        for &row in hits.rows() {
             assert_eq!(b[row].dst, VertexId::new(1));
         }
     }
@@ -1896,8 +1859,8 @@ mod tests {
         let mut e = engine();
         let b = fig7_block(&mut e);
         let hits = src_hits(&mut e, 4); // vertex 5, out-edges to 3 and 4
-        assert_eq!(hits.count(), 2);
-        for row in hits.iter_ones() {
+        assert_eq!(hits.rows().len(), 2);
+        for &row in hits.rows() {
             assert_eq!(b[row].src, VertexId::new(4));
         }
     }
@@ -1909,7 +1872,7 @@ mod tests {
         let mut e = engine();
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 1);
-        let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        let sum = e.gather_rows(&hits, |_| 1, 0).unwrap();
         assert_eq!(sum, 19);
     }
 
@@ -1945,7 +1908,7 @@ mod tests {
         )
         .unwrap();
         let hits = src_hits(&mut e, 0);
-        assert_eq!(hits.count(), 39);
+        assert_eq!(hits.rows().len(), 39);
         let mut results = Vec::new();
         e.propagate_rows_into(&hits, &[0, 1], &[1, 0], &mut results)
             .unwrap();
@@ -2035,7 +1998,7 @@ mod tests {
                 assert_eq!(state(&e), before, "{cells:?} (verify {})", e.verify_on());
             }
             // The fig7 block is still the loaded one.
-            assert_eq!(src_hits(&mut e, 4).count(), 2);
+            assert_eq!(src_hits(&mut e, 4).rows().len(), 2);
         }
     }
 
@@ -2073,7 +2036,7 @@ mod tests {
         )
         .unwrap();
         // Searching src 0 must only match the one path edge, not stale star rows.
-        assert_eq!(src_hits(&mut e, 0).count(), 1);
+        assert_eq!(src_hits(&mut e, 0).rows().len(), 1);
     }
 
     #[test]
@@ -2083,7 +2046,7 @@ mod tests {
         for _ in 0..3 {
             e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
             let hits = dst_hits(&mut e, 1);
-            let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+            let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         }
         e.end_block();
         let m = e.makespan_ns().ns();
@@ -2103,7 +2066,7 @@ mod tests {
         let mut e = engine();
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 1);
-        let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "test", "fig7", 1, 8);
         assert!(r.elapsed_ns > Nanos::ZERO);
         assert!(r.energy.total_nj() > Nanojoules::ZERO);
@@ -2158,7 +2121,7 @@ mod tests {
         let mut e = engine();
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 1);
-        let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "t", "t", 1, 8);
         assert!(!r.phases.is_empty());
         // Exact: the last nonzero share absorbs the rounding residue.
@@ -2181,7 +2144,7 @@ mod tests {
         assert!(e.tracer().enabled());
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 1);
-        let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         let r = e.finish("gaasx", "t", "t", 1, 8);
         // Span busy time per phase agrees with the engine's own tally.
         let rollup = agg.phase_rollup();
@@ -2217,7 +2180,7 @@ mod tests {
         for _ in 0..4 {
             e.load_block(g.edges(), WEIGHT_AND_ONE).unwrap();
             let hits = dst_hits(&mut e, 1);
-            let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+            let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         }
         let _ = e.finish("gaasx", "t", "t", 1, 8);
         // Two waves of two blocks: each bank runs one block per wave.
@@ -2231,8 +2194,8 @@ mod tests {
         let mut e = engine();
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 0); // vertex 1 has no in-edges
-        assert_eq!(hits.count(), 0);
-        let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        assert_eq!(hits.rows().len(), 0);
+        let sum = e.gather_rows(&hits, |_| 1, 0).unwrap();
         assert_eq!(sum, 0);
         let mut propagated = Vec::new();
         e.propagate_rows_into(&hits, &[0, 1], &[1, 5], &mut propagated)
@@ -2255,7 +2218,7 @@ mod tests {
         let mut e = engine();
         let _b = fig7_block(&mut e);
         let hits = dst_hits(&mut e, 1);
-        let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
         let before = e.mac.stats().clone();
         assert!(before.cells_written > 0);
         assert!(before.mac_ops > 0);
@@ -2281,7 +2244,7 @@ mod tests {
         let run = |e: &mut Engine| {
             let _b = fig7_block(e);
             let hits = dst_hits(e, 1);
-            let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+            let _ = e.gather_rows(&hits, |_| 1, 0).unwrap();
             e.attr_write(8);
         };
         let mut serial = engine();
@@ -2327,7 +2290,7 @@ mod tests {
         let run = |e: &mut Engine| {
             let _b = fig7_block(e);
             let hits = dst_hits(e, 1);
-            e.gather_rows(&hits, &mut |_| 1, 0).unwrap()
+            e.gather_rows(&hits, |_| 1, 0).unwrap()
         };
         let mut plain = engine();
         let mut guarded = faulty(FaultModel::none(), RecoveryPolicy::standard());
@@ -2356,7 +2319,7 @@ mod tests {
             let hits = dst_hits(&mut e, 1);
             // Every pass stays exact: 6 + 5 + 8 = 19 despite injected
             // transient programming failures.
-            assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 19);
+            assert_eq!(e.gather_rows(&hits, |_| 1, 0).unwrap(), 19);
         }
         let r = e.finish("t", "t", "t", 1, 8);
         // 40 blocks × 8 rows, one verify read per successful attempt.
@@ -2386,8 +2349,8 @@ mod tests {
             // Each dst hits exactly one (possibly remapped) row, reported
             // at its logical slot with the correct stored weight.
             let hits = dst_hits(&mut e, 1000 + i);
-            assert_eq!(hits.count(), 1, "dst {i}");
-            assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 3);
+            assert_eq!(hits.rows().len(), 1, "dst {i}");
+            assert_eq!(e.gather_rows(&hits, |_| 1, 0).unwrap(), 3);
             let src_hits = src_hits(&mut e, i);
             let mut res = Vec::new();
             e.propagate_rows_into(&src_hits, &[0], &[1], &mut res)
@@ -2405,6 +2368,54 @@ mod tests {
         assert!(r.faults.verify_reads >= edges.len() as u64);
     }
 
+    /// Searches after remaps, with every search glitched by an upset,
+    /// voted or not: each hit list ascends, holds only slots of the loaded
+    /// block on valid rows, and differs from the true matches by at most
+    /// one line: the toggled one, or once voted, a line two of the three
+    /// votes toggled alike. Four sources share the block, so remapped
+    /// slots sit among unmoved ones in one list.
+    #[test]
+    fn remapped_and_upset_searches_return_ascending_valid_slots() {
+        for cam_double_check in [false, true] {
+            let fault = FaultModel {
+                cam_stuck_ber: 1e-3,
+                mac_stuck_ber: 1e-3,
+                cam_upset_rate: 1.0,
+                seed: 7,
+                ..FaultModel::none()
+            };
+            let recovery = RecoveryPolicy {
+                cam_double_check,
+                ..RecoveryPolicy::standard()
+            };
+            let mut e = faulty(fault, recovery);
+            let edges: Vec<Edge> = (0..e.block_capacity() as u32)
+                .map(|i| Edge::new(i % 4, 1000 + i, 3.0))
+                .collect();
+            e.load_block(&edges, WEIGHT_AND_ONE).unwrap();
+            assert!(e.remap_active, "seed must exercise remapping");
+            let mut moved_among_others = false;
+            for _ in 0..8 {
+                for src in 0..4 {
+                    let hits = src_hits(&mut e, src);
+                    let rows = hits.rows();
+                    assert!(rows.windows(2).all(|w| w[0] < w[1]), "{rows:?}");
+                    for &slot in rows {
+                        assert!(slot < edges.len(), "slot {slot} past the block");
+                        assert!(e.cam.read(e.log2phys[slot]).unwrap().valid);
+                    }
+                    let wrong = (0..edges.len())
+                        .filter(|&s| rows.contains(&s) != (edges[s].src.raw() == src))
+                        .count();
+                    assert!(wrong <= 1, "src {src}: {rows:?}");
+                    moved_among_others |=
+                        rows.len() > 1 && rows.iter().any(|&s| e.log2phys[s] != s);
+                }
+            }
+            assert!(moved_among_others, "a remapped slot must share a hit list");
+        }
+    }
+
     #[test]
     fn preset_audit_remaps_stuck_mac_rows() {
         let fault = FaultModel {
@@ -2418,9 +2429,9 @@ mod tests {
         e.load_block(&edges, CellLayout::Preset).unwrap();
         for i in 0..edges.len() as u32 {
             let hits = dst_hits(&mut e, 1000 + i);
-            assert_eq!(hits.count(), 1, "dst {i}");
+            assert_eq!(hits.rows().len(), 1, "dst {i}");
             // The preset-1 weight column survives through remapped rows.
-            assert_eq!(e.gather_rows(&hits, &mut |_| 1, 0).unwrap(), 1);
+            assert_eq!(e.gather_rows(&hits, |_| 1, 0).unwrap(), 1);
         }
         let r = e.finish("t", "t", "t", 1, edges.len() as u64);
         assert!(
@@ -2461,8 +2472,8 @@ mod tests {
         // Vertex 2 (1-based) has in-edges from rows storing dst=1; the
         // majority vote over three searches masks the per-search glitch.
         let hits = dst_hits(&mut e, 1);
-        assert_eq!(hits.count(), 3);
-        for row in hits.iter_ones() {
+        assert_eq!(hits.rows().len(), 3);
+        for &row in hits.rows() {
             assert_eq!(b[row].dst, VertexId::new(1));
         }
         let r = e.finish("t", "t", "t", 1, 8);
@@ -2492,7 +2503,7 @@ mod tests {
             let _ = dst_hits(&mut clean, v);
             let src = src_hits(&mut e, v);
             assert_eq!(src, src_hits(&mut clean, v), "src {v}");
-            for row in src.iter_ones() {
+            for &row in src.rows() {
                 assert_eq!(b[row].src, VertexId::new(v));
             }
             logical += 3;
@@ -2532,7 +2543,7 @@ mod tests {
             |e, block| {
                 for &dst in block.distinct_dsts() {
                     e.search_dst_into(dst, &mut hits);
-                    let _ = e.gather_rows(&hits, &mut |_| 1, 0)?;
+                    let _ = e.gather_rows(&hits, |_| 1, 0)?;
                 }
                 Ok(())
             },
@@ -2616,7 +2627,7 @@ mod tests {
         let (frontier_hits, frontier_report) = run(SearchProfile::Frontier);
         let (dense_hits, dense_report) = run(SearchProfile::OnePerKey);
         assert_eq!(frontier_hits, dense_hits);
-        assert!(frontier_hits.iter().all(|h| h.count() == 4));
+        assert!(frontier_hits.iter().all(|h| h.rows().len() == 4));
         assert_eq!(frontier_report, dense_report);
     }
 
@@ -2648,7 +2659,7 @@ mod tests {
         let run_once = |e: &mut Engine| {
             let _b = fig7_block(e);
             let hits = dst_hits(e, 1);
-            let sum = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+            let sum = e.gather_rows(&hits, |_| 1, 0).unwrap();
             assert_eq!(sum, 19);
             e.finish("gaasx", "probe", "fig7", 1, 8)
         };

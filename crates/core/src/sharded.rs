@@ -454,7 +454,7 @@ mod tests {
                     |engine, block| {
                         for &dst in block.distinct_dsts() {
                             engine.search_dst_into(dst, &mut hits);
-                            total += engine.gather_rows(&hits, &mut |_| 1, 0)?;
+                            total += engine.gather_rows(&hits, |_| 1, 0)?;
                         }
                         Ok(())
                     },
@@ -686,7 +686,7 @@ mod tests {
                                 engine.tracer().counter_add("shard_probes", 1);
                                 engine
                                     .tracer()
-                                    .histogram_record("hits_per_search", hits.count().max(1));
+                                    .histogram_record("hits_per_search", hits.rows().len().max(1));
                             }
                             Ok(())
                         },

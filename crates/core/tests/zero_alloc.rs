@@ -9,8 +9,9 @@
 //! upsets, where every search is physically triple-voted into
 //! engine-owned scratch vectors. A whole frontier-filtered sweep over a
 //! deep-bank shard — chunking, the frontier filter, every block load, the
-//! distinct-source derivation, one search per frontier source (each
-//! reload rebuilds the bucket field index) and one propagate per search —
+//! distinct-source derivation, one search per frontier source and per
+//! block for the shard's hub (each reload rebuilds the bucket field index;
+//! a hub search fills hundreds of hit rows) and one propagate per search —
 //! allocates nothing either. Neither does a dense paper-bank sweep that
 //! programs each block's MAC cells in one bank write, one and two codes
 //! per edge, and derives both distinct lists (the destination path and
@@ -129,7 +130,7 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
                     srcs += block.distinct_srcs().len();
                     for &dst in block.distinct_dsts() {
                         engine.search_dst_into(dst, &mut hits);
-                        total += engine.gather_rows(&hits, &mut |_| 1, width - 1)?;
+                        total += engine.gather_rows(&hits, |_| 1, width - 1)?;
                     }
                     Ok(())
                 },
@@ -156,8 +157,9 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
 
 /// Sweeps the largest shard of a deep-bank partition the way a frontier
 /// traversal does: only blocks holding a frontier source load, and each
-/// frontier source is searched and propagated. Two warm-up sweeps size
-/// every buffer; the third must allocate nothing.
+/// frontier source is searched and propagated, as is the shard's hub,
+/// whose hit lists run to hundreds of rows. Two warm-up sweeps size every
+/// buffer; the third must allocate nothing.
 fn measure_frontier_sweep(config: GaasXConfig) {
     let graph =
         generators::rmat(&generators::RmatConfig::new(1 << 10, 100_000).with_seed(5)).unwrap();
@@ -179,10 +181,18 @@ fn measure_frontier_sweep(config: GaasXConfig) {
     blocks[0]
         .iter()
         .for_each(|e| frontier[e.src.index()] = false);
+    // The shard's hub, its most frequent source, is searched in every
+    // loaded block too: hundreds of hits, far past one MAC burst.
+    let mut degree = vec![0usize; graph.num_vertices() as usize];
+    shard
+        .edges()
+        .iter()
+        .for_each(|e| degree[e.src.index()] += 1);
+    let hub = (0..degree.len()).max_by_key(|&v| degree[v]).unwrap();
     let mut hits = HitVector::new(0);
     let mut results: Vec<(usize, u64)> = Vec::new();
     let mut sweep = |engine: &mut Engine| {
-        let (mut loads, mut searches) = (0, 0);
+        let (mut loads, mut searches, mut most_hits) = (0, 0, 0);
         engine
             .sweep(
                 shard.edges(),
@@ -192,29 +202,31 @@ fn measure_frontier_sweep(config: GaasXConfig) {
                 |engine, block| {
                     loads += 1;
                     for &src in block.distinct_srcs() {
-                        if frontier[src.index()] {
+                        if frontier[src.index()] || src.index() == hub {
                             engine.search_src_into(src, &mut hits);
                             engine.propagate_rows_into(&hits, &[0, 1], &[1, 2], &mut results)?;
                             searches += usize::from(!results.is_empty());
+                            most_hits = most_hits.max(hits.rows().len());
                         }
                     }
                     Ok(())
                 },
             )
             .unwrap();
-        (loads, searches)
+        (loads, searches, most_hits)
     };
     let warm = sweep(&mut engine);
     assert_eq!(sweep(&mut engine), warm);
     let before = ALLOCS.load(Ordering::SeqCst);
-    let (loads, searches) = sweep(&mut engine);
+    let (loads, searches, most_hits) = sweep(&mut engine);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(
-        (loads, searches),
+        (loads, searches, most_hits),
         warm,
         "the measured sweep repeats the work"
     );
     assert!(loads > 0 && searches > 0, "the sweep must do real work");
+    assert!(most_hits > 64, "the hub search hit only {most_hits} rows");
     assert!(
         loads < blocks.len(),
         "the frontier filter must skip a block"
@@ -257,7 +269,7 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     for _ in 0..2 {
         for &dst in &dsts {
             engine.search_dst_into(dst, &mut hits);
-            warm_total += engine.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+            warm_total += engine.gather_rows(&hits, |_| 1, 0).unwrap();
         }
     }
     assert!(warm_total > 0, "warm passes must do real work");
@@ -267,7 +279,7 @@ fn measure_steady_state(config: GaasXConfig, repeatable: bool) {
     let mut total = 0u64;
     for &dst in &dsts {
         engine.search_dst_into(dst, &mut hits);
-        total += engine.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        total += engine.gather_rows(&hits, |_| 1, 0).unwrap();
     }
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
 

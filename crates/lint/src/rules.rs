@@ -1076,7 +1076,7 @@ let setup = Vec::new();
 let v = Vec::new();
 let w = vec![0u8; 4];
 let c = xs.iter().collect::<Vec<_>>();
-let ok = hv.chunks_iter(16);
+let ok = hv.rows().chunks(16);
 // gaasx-lint: end-hot
 let after = Vec::new();
 ";

@@ -1,10 +1,11 @@
 //! Ternary content-addressable memory (TCAM) crossbar model.
 //!
 //! The simulated hardware performs every search as one parallel TCAM
-//! operation (paper §II-C, Fig 3(b)). The host derives the hit vector from
+//! operation (paper §II-C, Fig 3(b)). The host derives the hit list from
 //! a per-mask bucket index keyed by the field's low bits; a search whose
-//! mask gets no index slot runs the scalar scan instead. Neither path
-//! changes what a search returns or bills.
+//! mask gets no index slot runs the scalar scan instead. Both push the
+//! matching rows in ascending order, and neither path changes what a
+//! search returns or bills.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,7 +112,7 @@ pub struct CamEntry {
 /// cam.write(1, 0xCD_01)?;
 /// // Search dst field (low 8 bits) for 0x01, masking the src field.
 /// let hits = cam.search(0x01, 0xFF);
-/// assert_eq!(hits.count(), 2);
+/// assert_eq!(hits.rows(), &[0, 1]);
 /// # Ok::<(), gaasx_xbar::XbarError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -378,7 +379,7 @@ impl CamCrossbar {
         Some(pos)
     }
 
-    /// Ternary search: returns the hit vector of valid rows where
+    /// Ternary search: returns the ascending list of valid rows where
     /// `(stored ^ key) & mask == 0`. Bits outside the geometry width are
     /// ignored. One call = one 4 ns CAM operation.
     pub fn search(&mut self, key: u128, mask: u128) -> HitVector {
@@ -391,8 +392,8 @@ impl CamCrossbar {
     /// buffer so the steady state allocates nothing. `out` is resized (to
     /// the row count) and overwritten; prior contents are irrelevant.
     ///
-    /// The hit vector comes from the bucket index over `mask`, or from
-    /// the scalar scan when every index slot holds another mask.
+    /// The hits come from the bucket index over `mask`, or from the
+    /// scalar scan when every index slot holds another mask.
     pub fn search_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
         self.stats.cam_searches += 1;
         let key = key & self.width_mask;
@@ -403,11 +404,12 @@ impl CamCrossbar {
                 let ix = &self.indexes[pos];
                 let want = key & mask;
                 // gaasx-lint: hot
-                // Walk the key's bucket; a hit bit per row of the key's value.
+                // Walk the key's bucket, which lists its rows ascending;
+                // keep the rows of the key's value.
                 let mut row = ix.heads[ix.bucket(key)];
                 while row != NIL {
                     if self.entries[row as usize].bits & mask == want {
-                        out.set_chained_row(row as usize);
+                        out.push(row as usize);
                     }
                     row = ix.next[row as usize];
                 }
@@ -439,7 +441,7 @@ impl CamCrossbar {
         // gaasx-lint: hot
         for (i, e) in entries.iter().enumerate() {
             if e.valid && (e.bits ^ key) & mask == 0 {
-                out.set(i);
+                out.push(i);
             }
         }
         // gaasx-lint: end-hot
@@ -502,7 +504,7 @@ mod tests {
         c.write(0, 42).unwrap();
         c.write(5, 43).unwrap();
         let hv = c.search(42, u128::MAX);
-        assert_eq!(hv.iter_ones().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(hv.rows(), vec![0]);
     }
 
     #[test]
@@ -513,7 +515,7 @@ mod tests {
         c.write(1, 0x02_10).unwrap();
         c.write(2, 0x02_20).unwrap();
         let hv = c.search(0x10, 0xFF);
-        assert_eq!(hv.count(), 2);
+        assert_eq!(hv.rows().len(), 2);
     }
 
     #[test]
@@ -521,7 +523,7 @@ mod tests {
         let mut c = cam();
         c.write(0, 7).unwrap();
         c.invalidate(0).unwrap();
-        assert_eq!(c.search(7, u128::MAX).count(), 0);
+        assert_eq!(c.search(7, u128::MAX).rows().len(), 0);
         assert_eq!(c.occupancy(), 0);
     }
 
@@ -552,7 +554,7 @@ mod tests {
         });
         c.write(0, 0x1FF).unwrap(); // stored as 0xFF
         assert_eq!(c.read(0).unwrap().bits, 0xFF);
-        assert_eq!(c.search(0xFF, u128::MAX).count(), 1);
+        assert_eq!(c.search(0xFF, u128::MAX).rows().len(), 1);
     }
 
     #[test]
@@ -580,7 +582,7 @@ mod tests {
                 valid: true
             }
         );
-        assert_eq!(c.search(99, u128::MAX).count(), 0);
+        assert_eq!(c.search(99, u128::MAX).rows().len(), 0);
         assert_eq!(c.stats().row_writes, 13);
         let before = c.stats().clone();
         assert!(c.program_block(&[0; 129]).is_err());
@@ -634,7 +636,7 @@ mod tests {
         assert!(corrupted > 0, "2% BER over 128×128 bits must corrupt rows");
         // An exact search for the intended key misses every corrupted row.
         let hits = c.search(0xA5A5_A5A5_A5A5_A5A5, u128::MAX);
-        assert_eq!(hits.count(), g.rows - corrupted);
+        assert_eq!(hits.rows().len(), g.rows - corrupted);
     }
 
     /// One search, paired with the scalar scan's answer over the same
@@ -750,7 +752,10 @@ mod tests {
         for (i, (got, oracle)) in out.iter().enumerate() {
             assert_eq!(got, oracle, "search {i} diverged from the scan");
         }
-        assert!(out[MAX_INDEXED_MASKS + 1].0.get(20), "the write is visible");
+        assert!(
+            out[MAX_INDEXED_MASKS + 1].0.rows().contains(&20),
+            "the write is visible"
+        );
     }
 
     /// Field values equal modulo the bucket count share one chain; the
@@ -820,7 +825,7 @@ mod tests {
         search_vs_scan(&mut c, key, u128::MAX, &mut out);
         let (got, oracle) = &out[0];
         assert_eq!(got, oracle);
-        assert!(got.count() < g.rows, "stuck bits must miss some rows");
+        assert!(got.rows().len() < g.rows, "stuck bits must miss some rows");
     }
 
     #[test]
@@ -830,9 +835,9 @@ mod tests {
         c.write(9, 42).unwrap();
         let mut hv = HitVector::new(0);
         c.search_into(42, u128::MAX, &mut hv);
-        assert_eq!(hv.iter_ones().collect::<Vec<_>>(), vec![0, 9]);
+        assert_eq!(hv.rows(), vec![0, 9]);
         c.search_into(7, u128::MAX, &mut hv);
-        assert_eq!(hv.count(), 0);
+        assert_eq!(hv.rows().len(), 0);
         assert_eq!(hv.len(), CamGeometry::paper().rows);
         assert_eq!(c.stats().cam_searches, 2);
     }
@@ -858,9 +863,9 @@ mod tests {
         let a = c.search(1, DST_MASK);
         c.write(5, 1).unwrap(); // turns the now-clean index stale
         let d = c.search(1, DST_MASK);
-        assert_eq!(d.count(), a.count() + 1);
+        assert_eq!(d.rows().len(), a.rows().len() + 1);
         c.invalidate(1).unwrap();
-        assert_eq!(c.search(1, DST_MASK).count(), a.count());
+        assert_eq!(c.search(1, DST_MASK).rows().len(), a.rows().len());
     }
 
     #[test]
@@ -879,7 +884,9 @@ mod tests {
         c.write(0, 99).unwrap();
         let hits = c.search(99, u128::MAX);
         // Exactly one match line toggled relative to the true result {0}.
-        let wrong = (0..g.rows).filter(|&r| hits.get(r) != (r == 0)).count();
+        let wrong = (0..g.rows)
+            .filter(|r| hits.rows().contains(r) != (*r == 0))
+            .count();
         assert_eq!(wrong, 1);
         assert_eq!(c.fault_stats().unwrap().cam_upsets, 1);
     }

@@ -494,15 +494,10 @@ impl CamFaultState {
     }
 
     /// Rolls for a transient match-line upset on one search, toggling a
-    /// single random row's hit bit in place.
+    /// single random row's match line in place.
     pub fn upset(&mut self, hits: &mut HitVector) {
         if self.model.cam_upset_rate > 0.0 && self.rng.gen::<f64>() < self.model.cam_upset_rate {
-            let row = self.rng.gen_range(0..self.rows);
-            if hits.get(row) {
-                hits.clear(row);
-            } else {
-                hits.set(row);
-            }
+            hits.toggle(self.rng.gen_range(0..self.rows));
             self.stats.cam_upsets = self.stats.cam_upsets.saturating_add(1);
         }
     }
@@ -708,10 +703,12 @@ mod tests {
         let g = CamGeometry::paper();
         let mut st = CamFaultState::new(model(|m| m.cam_upset_rate = 1.0), &g);
         let mut hits = HitVector::new(g.rows);
-        hits.set(3);
+        hits.push(3);
         st.upset(&mut hits);
         assert_eq!(st.stats().cam_upsets, 1);
-        let delta: usize = (0..g.rows).filter(|&r| hits.get(r) != (r == 3)).count();
+        let delta: usize = (0..g.rows)
+            .filter(|r| hits.rows().contains(r) != (*r == 3))
+            .count();
         assert_eq!(delta, 1, "exactly one match line toggled");
     }
 

@@ -11,7 +11,9 @@
 //!   accumulate only valid edges.
 //! * [`CamCrossbar`] — a 128×128 ternary content-addressable memory: a
 //!   masked search key is broadcast to all rows in one 4 ns operation and
-//!   every matching row raises a line in the returned [`HitVector`].
+//!   every matching row raises a line. The host returns those lines as a
+//!   [`HitVector`]: the ascending list of matching rows, which the MAC
+//!   bursts then consume in chunks of at most `max_active_rows`.
 //!
 //! Device *cost* is captured separately from device *function*: every
 //! operation bumps counters in [`XbarStats`], and
@@ -41,7 +43,7 @@ pub mod periphery;
 pub use cam::{CamCrossbar, CamEntry};
 pub use error::XbarError;
 pub use fault::FaultModel;
-pub use hit_vector::{ChunkOnes, HitVector};
+pub use hit_vector::HitVector;
 pub use mac::{Fidelity, MacCrossbar, MacDirection};
 
 use serde::{Deserialize, Serialize};

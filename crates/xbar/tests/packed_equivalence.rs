@@ -2,9 +2,11 @@
 //! bucket index or, for a mask past the index cap, the scan; clean or
 //! seeded-faulty, across invalidations and rewrites, on any bank depth
 //! (including partial last words, `rows % 64 != 0`), with field values
-//! colliding in one bucket — must return exactly
-//! the hit vector of a reference scan this test builds from the public
-//! [`CamCrossbar::read`]. Quantized MAC bursts, full and restricted, must
+//! colliding in one bucket — must return an ascending, duplicate-free hit
+//! list equal to the bitmap of a reference scan this test builds from the
+//! public [`CamCrossbar::read`]; under search upsets, equal but for the
+//! counted toggled lines. The three-way hit-list vote must equal a bitwise
+//! majority. Quantized MAC bursts, full and restricted, must
 //! equal a bit-sliced reference built from the public
 //! [`MacCrossbar::read_cell`]. A bulk
 //! [`CamCrossbar::program_block`] must leave a CAM exactly as
@@ -37,35 +39,42 @@ const DEEP_ROWS: usize = 2048;
 /// chain hundreds of rows long.
 const HUB: u32 = 7;
 
-/// The reference ternary match: every valid stored entry (post-fault, as
-/// `read` returns it) whose unmasked bits within the geometry width equal
-/// the key's.
-fn reference_scan(cam: &CamCrossbar, key: u128, mask: u128) -> HitVector {
+/// The reference ternary match, as a bitmap over the rows: every valid
+/// stored entry (post-fault, as `read` returns it) whose unmasked bits
+/// within the geometry width equal the key's.
+fn reference_scan(cam: &CamCrossbar, key: u128, mask: u128) -> Vec<bool> {
     let g = cam.geometry();
     let width_mask = if g.width_bits == 128 {
         u128::MAX
     } else {
         (1u128 << g.width_bits) - 1
     };
-    let mut hv = HitVector::new(g.rows);
-    for row in 0..g.rows {
-        let e = cam.read(row).unwrap();
-        if e.valid && (e.bits ^ key) & mask & width_mask == 0 {
-            hv.set(row);
-        }
-    }
-    hv
+    (0..g.rows)
+        .map(|row| {
+            let e = cam.read(row).unwrap();
+            e.valid && (e.bits ^ key) & mask & width_mask == 0
+        })
+        .collect()
 }
 
 /// Searches through `search_into` and returns how many match lines differ
 /// from the reference scan. Without search upsets that must be zero; an
-/// upset toggles exactly one line.
+/// upset toggles exactly one line. Either way the hit list must ascend
+/// without duplicates and stay inside the bank.
 fn search_vs_reference(cam: &mut CamCrossbar, key: u128, mask: u128, out: &mut HitVector) -> usize {
     let want = reference_scan(cam, key, mask);
     cam.search_into(key, mask, out);
-    (0..want.len())
-        .filter(|&r| out.get(r) != want.get(r))
-        .count()
+    assert_eq!(out.len(), want.len());
+    let rows = out.rows();
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "hit rows must ascend without duplicates: {rows:?}"
+    );
+    let mut got = vec![false; want.len()];
+    for &row in rows {
+        got[row] = true;
+    }
+    got.iter().zip(&want).filter(|(g, w)| g != w).count()
 }
 
 /// Decodes one raw tuple into a CAM operation — program, invalidate
@@ -171,7 +180,7 @@ fn deep_indexed_bank() -> CamCrossbar {
         search_vs_reference(&mut cam, u128::from(HUB) << 32, SRC_MASK, &mut hv),
         0
     );
-    assert_eq!(hv.count(), DEEP_ROWS / 4);
+    assert_eq!(hv.rows().len(), DEEP_ROWS / 4);
     assert_eq!(search_vs_reference(&mut cam, 5, DST_MASK, &mut hv), 0);
     cam
 }
@@ -378,7 +387,7 @@ fn bucket_collisions_match_the_reference() {
             );
         }
         assert_eq!(search_vs_reference(&mut cam, 9, DST_MASK, &mut hv), 0);
-        assert_eq!(hv.count(), rows);
+        assert_eq!(hv.rows().len(), rows);
     }
 }
 
@@ -414,7 +423,7 @@ fn stuck_bit_outliers_match_the_reference() {
         }
         assert!(outliers > 0, "no stuck bit moved a dst field ({rows} rows)");
         assert_eq!(search_vs_reference(&mut cam, key, DST_MASK, &mut hv), 0);
-        assert_eq!(hv.count(), rows - outliers);
+        assert_eq!(hv.rows().len(), rows - outliers);
     }
 }
 
@@ -535,7 +544,7 @@ proptest! {
         }
         // A dirty, wrongly sized buffer: `search_into` must reset it.
         let mut hv = HitVector::new(3);
-        hv.set(1);
+        hv.push(1);
         let mut wrong_lines = 0u64;
         for &op in &ops {
             let wrong = apply_cam_op(&mut cam, rows, op, &mut hv);
@@ -544,6 +553,74 @@ proptest! {
         }
         let upset_count = cam.fault_stats().map_or(0, |f| f.cam_upsets);
         prop_assert_eq!(wrong_lines, upset_count, "mismatches must all be counted upsets");
+    }
+
+    /// Stuck cells and search upsets on fully programmed paper and deep
+    /// banks, where a search matches dozens to hundreds of rows: every
+    /// hit list ascends without duplicates and equals the bitmap
+    /// reference scan except for the lines upsets toggled, and each
+    /// search adds exactly as many upsets to the fault stats as it got
+    /// lines wrong.
+    #[test]
+    fn hit_lists_under_stuck_cells_and_upsets_match_the_bitmap_reference(
+        ops in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            1..60,
+        ),
+        deep in any::<bool>(),
+        seed in any::<u64>(),
+        upset_rate in 0.05f64..=1.0,
+    ) {
+        let rows = if deep { DEEP_ROWS } else { 128 };
+        let g = CamGeometry {
+            rows,
+            ..CamGeometry::paper()
+        };
+        let mut cam = CamCrossbar::new(g);
+        cam.set_faults(Some(CamFaultState::new(
+            FaultModel {
+                seed,
+                cam_stuck_ber: 0.01,
+                cam_upset_rate: upset_rate,
+                ..FaultModel::none()
+            },
+            &g,
+        )));
+        // The src and dst fields span the values `apply_cam_op` searches.
+        for row in 0..rows {
+            cam.write(row, ((row % 8) as u128) << 32 | ((row / 8 % 8) as u128)).unwrap();
+        }
+        let mut hv = HitVector::new(0);
+        for &op in &ops {
+            let before = cam.fault_stats().unwrap().cam_upsets;
+            let wrong = apply_cam_op(&mut cam, rows, op, &mut hv);
+            let upsets = cam.fault_stats().unwrap().cam_upsets - before;
+            prop_assert_eq!(wrong as u64, upsets, "wrong lines vs counted upsets");
+        }
+    }
+
+    /// The three-way vote over ascending hit lists keeps exactly the rows
+    /// a bitwise majority of the three votes' bitmaps sets.
+    #[test]
+    fn majority_vote_equals_the_bitwise_majority(
+        bitmaps in prop::collection::vec(prop::collection::vec(any::<bool>(), 130), 3),
+    ) {
+        let lists: Vec<HitVector> = bitmaps
+            .iter()
+            .map(|bits| {
+                let mut hv = HitVector::new(bits.len());
+                (0..bits.len()).filter(|&row| bits[row]).for_each(|row| hv.push(row));
+                hv
+            })
+            .collect();
+        let mut voted = HitVector::new(0);
+        voted.majority3_from(&lists[0], &lists[1], &lists[2]);
+        let (a, b, c) = (&bitmaps[0], &bitmaps[1], &bitmaps[2]);
+        let want: Vec<usize> = (0..130)
+            .filter(|&row| (a[row] & b[row]) | (a[row] & c[row]) | (b[row] & c[row]))
+            .collect();
+        prop_assert_eq!(voted.len(), 130);
+        prop_assert_eq!(voted.rows(), &want[..]);
     }
 
     /// Twin crossbars from the same arbitrary prior state: one programs a

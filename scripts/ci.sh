@@ -21,9 +21,9 @@ cargo run -q --offline -p gaasx-lint -- . --baseline results/lint_baseline.json
 
 echo "==> miri (gated): unsafe-free memory-model check of gaasx-xbar"
 # The offline image ships no miri component. When a toolchain with miri
-# is available the bit-level crate (hit vectors, small-row packing) runs
-# under it; otherwise this step degrades to a visible skip rather than a
-# hidden hole. Known-skipped under miri by design (would be filtered via
+# is available the device crate (CAM field index, hit lists, bit-sliced
+# MAC bursts) runs under it; otherwise this step degrades to a visible
+# skip rather than a hidden hole. Known-skipped under miri by design (would be filtered via
 # GAASX_MIRI_SKIP if ever enabled): none today — the crate is #![forbid(unsafe_code)]
 # and file-I/O-free, so the whole suite is miri-eligible.
 if cargo miri --version >/dev/null 2>&1; then
