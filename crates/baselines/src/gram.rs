@@ -53,14 +53,19 @@ impl GramModel {
     pub fn report_from_graphr(&self, graphr: &RunReport) -> RunReport {
         let mut report = graphr.clone();
         report.engine = "gram".into();
-        report.elapsed_ns /= self.perf_vs_graphr;
+        report.elapsed_ns = report.elapsed_ns.scale(1.0 / self.perf_vs_graphr);
         let scale = 1.0 / self.energy_vs_graphr;
-        report.energy.mac_nj *= scale;
-        report.energy.cam_nj *= scale;
-        report.energy.write_nj *= scale;
-        report.energy.sfu_nj *= scale;
-        report.energy.buffer_nj *= scale;
-        report.energy.static_nj *= scale;
+        let e = &mut report.energy;
+        for nj in [
+            &mut e.mac_nj,
+            &mut e.cam_nj,
+            &mut e.write_nj,
+            &mut e.sfu_nj,
+            &mut e.buffer_nj,
+            &mut e.static_nj,
+        ] {
+            *nj = nj.scale(scale);
+        }
         // Operation counts are GraphR's; GRAM's digital op mix is not
         // directly comparable, so we clear the crossbar-specific fields.
         report.ops.mac_ops = 0;

@@ -1,6 +1,7 @@
 //! The GraphR simulator: dense tile mapping with GaaS-X's device substrate.
 
 use gaasx_core::algorithms::CfModel;
+use gaasx_core::config::SFU_LANES;
 use gaasx_core::RunOutcome;
 use gaasx_graph::bipartite::BipartiteGraph;
 use gaasx_graph::partition::{GridPartition, TraversalOrder};
@@ -59,7 +60,7 @@ impl Default for GraphRConfig {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct TileCost {
-    stream_bytes: u64,
+    stream_ns: Nanos,
     program_ns: Nanos,
     compute_ns: Nanos,
 }
@@ -68,6 +69,13 @@ struct TileCost {
 #[derive(Debug)]
 struct Tally {
     config: GraphRConfig,
+    /// Stream time of one edge record, rounded once.
+    edge_stream_ns: Nanos,
+    /// Programming time of one dense tile (`T` rows of `T` values),
+    /// rounded once.
+    tile_program_ns: Nanos,
+    /// One scalar op's share of an sALU lane, rounded once.
+    salu_lane_ns: Nanos,
     costs: Vec<TileCost>,
     current: TileCost,
     in_tile: bool,
@@ -90,8 +98,15 @@ struct Tally {
 
 impl Tally {
     fn new(config: GraphRConfig, tracer: Tracer) -> Self {
+        let t = u64::from(config.tile_size);
         Tally {
             rows_per_mac: Histogram::new(config.tile_size as usize),
+            edge_stream_ns: Nanos::from_ns(
+                config.edge_record_bytes as f64 / config.stream_bandwidth_gbps,
+            ),
+            tile_program_ns: config.energy.row_program_ns(config.tile_size as usize) * t,
+            // GraphR's sALUs are as parallel as GaaS-X's SFU lanes.
+            salu_lane_ns: config.energy.sfu_op_ns / SFU_LANES,
             config,
             costs: Vec::new(),
             current: TileCost::default(),
@@ -120,8 +135,11 @@ impl Tally {
         let start = self.cursor_ns;
         self.cursor_ns += dur_ns;
         // The span/telemetry boundary is untyped; `.ns()` marks the exit
-        // from the typed accounting.
-        self.tracer.emit(phase, start.ns(), dur_ns.ns());
+        // from the typed accounting, and costs a conversion per op, so only
+        // a live tracer pays it.
+        if self.tracer.enabled() {
+            self.tracer.emit(phase, start.ns(), dur_ns.ns());
+        }
     }
 
     /// Sparse→dense conversion and programming of one tile holding `nnz`
@@ -130,19 +148,15 @@ impl Tally {
         self.end_tile();
         self.in_tile = true;
         let t = u64::from(self.config.tile_size);
-        let bytes = nnz as u64 * self.config.edge_record_bytes;
-        self.input_buf.write(bytes);
-        self.current.stream_bytes = bytes;
+        self.input_buf
+            .write(nnz as u64 * self.config.edge_record_bytes);
+        let stream_ns = self.edge_stream_ns * nnz as u64;
+        self.current.stream_ns = stream_ns;
         // Every dense row programs all T values (zeros included): the
         // timing face of the Fig 5 write redundancy.
-        self.current.program_ns = self.config.tile_size as f64
-            * self
-                .config
-                .energy
-                .row_program_ns(self.config.tile_size as usize);
+        self.current.program_ns = self.tile_program_ns;
         self.row_writes += t;
         self.cells_written += t * t * self.config.slices;
-        let stream_ns = Nanos::from_ns(bytes as f64 / self.config.stream_bandwidth_gbps);
         self.trace_op(Phase::LoadBlock, stream_ns + self.current.program_ns, 1);
     }
 
@@ -159,8 +173,7 @@ impl Tally {
     }
 
     fn sfu(&mut self, ops: u64) {
-        // GraphR's sALUs are as parallel as GaaS-X's SFU lanes.
-        let ns = ops as f64 * self.config.energy.sfu_op_ns / 16.0;
+        let ns = self.salu_lane_ns * ops;
         if self.in_tile {
             self.current.compute_ns += ns;
         }
@@ -177,7 +190,7 @@ impl Tally {
         debug_assert!(self.in_tile, "feature load outside a tile");
         self.row_writes += rows;
         self.cells_written += rows * values as u64 * self.config.slices;
-        let ns = rows as f64 * self.config.energy.row_program_ns(values);
+        let ns = self.config.energy.row_program_ns(values) * rows;
         self.current.program_ns += ns;
         self.trace_op(Phase::LoadBlock, ns, 1);
     }
@@ -193,24 +206,24 @@ impl Tally {
     fn finish(mut self, algorithm: &str, iterations: u32, num_edges: u64) -> RunReport {
         self.end_tile();
         let stages = |t: &TileCost| BlockStages {
-            stream: Nanos::from_ns(t.stream_bytes as f64 / self.config.stream_bandwidth_gbps),
+            stream: t.stream_ns,
             program: t.program_ns,
             compute: t.compute_ns,
         };
         let tiles = wave_schedule(&self.costs, self.config.num_pe.max(1), stages, |wave| {
             if self.tracer.enabled() {
                 // One dispatch event per tile; PE = position in the wave.
-                let compute_start = wave.compute_start.ns();
+                let compute_start = wave.compute_start;
                 for (i, t) in wave.blocks.iter().enumerate() {
                     self.tracer
                         .span(
                             Phase::Dispatch,
-                            (compute_start - t.program_ns.ns()).max(0.0),
+                            (compute_start - t.program_ns).max(Nanos::ZERO).ns(),
                         )
                         .bank(i as u32)
                         .attr("tile", wave.first + i)
                         .attr("wave", wave.index)
-                        .end(compute_start + t.compute_ns.ns());
+                        .end((compute_start + t.compute_ns).ns());
                 }
             }
         });
@@ -219,10 +232,10 @@ impl Tally {
         let buffer_nj =
             self.input_buf.energy_nj() + self.attr_buf.energy_nj() + self.output_buf.energy_nj();
         let energy = EnergyBreakdown {
-            mac_nj: (self.mac_ops as f64 * e.mac_op_pj).to_nanojoules(),
+            mac_nj: (e.mac_op_pj * self.mac_ops).to_nanojoules(),
             cam_nj: Nanojoules::ZERO,
-            write_nj: (self.cells_written as f64 * e.cell_write_pj).to_nanojoules(),
-            sfu_nj: (self.sfu_ops as f64 * e.sfu_op_pj).to_nanojoules(),
+            write_nj: (e.cell_write_pj * self.cells_written).to_nanojoules(),
+            sfu_nj: (e.sfu_op_pj * self.sfu_ops).to_nanojoules(),
             buffer_nj,
             static_nj: e.static_energy_nj(makespan),
         };

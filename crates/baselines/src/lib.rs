@@ -31,6 +31,5 @@ pub mod gram;
 pub mod graphr;
 pub mod redundancy;
 pub mod reference;
-pub mod tesseract;
 
 pub use graphr::{GraphR, GraphRConfig};

@@ -36,7 +36,7 @@ fn host_power_energy_is_power_times_time() {
         host.dynamic_power_w * elapsed.ns()
     );
     // Doubling time exactly doubles energy — no constant term leaks in.
-    let r2 = host.report("gapbs", "pagerank", elapsed * 2.0, 10, 1_000);
+    let r2 = host.report("gapbs", "pagerank", elapsed * 2, 10, 1_000);
     assert_eq!(r2.energy.total_nj().nj(), 2.0 * r.energy.total_nj().nj());
 }
 
@@ -63,7 +63,9 @@ fn gram_rescales_time_and_energy_lanes_independently() {
     let model = GramModel::for_algorithm("pagerank").unwrap();
     let graphr = graphr_report(2.8e6, 4.0e6);
     let gram = model.report_from_graphr(&graphr);
-    assert!(((gram.elapsed_ns * model.perf_vs_graphr) / graphr.elapsed_ns - 1.0).abs() < 1e-12);
+    assert!(
+        (gram.elapsed_ns.ns() * model.perf_vs_graphr / graphr.elapsed_ns.ns() - 1.0).abs() < 1e-12
+    );
     assert!(
         (gram.energy.total_nj().nj() * model.energy_vs_graphr / graphr.energy.total_nj().nj()
             - 1.0)
@@ -83,7 +85,9 @@ fn gram_time_lane_does_not_leak_into_energy() {
         base.energy.total_nj().nj().to_bits(),
         slow.energy.total_nj().nj().to_bits()
     );
-    assert!((slow.elapsed_ns / base.elapsed_ns - 7.0).abs() < 1e-12);
+    // Each scaled time rounds once to the femtosecond tick, so seven
+    // times the base lands within 0.5 + 7 × 0.5 ticks of the slow run.
+    assert!((slow.elapsed_ns.fs() - 7 * base.elapsed_ns.fs()).abs() <= 4);
     // And symmetrically: scaling only energy leaves time untouched.
     let hot = model.report_from_graphr(&graphr_report(1.0e6, 15.0e6));
     assert_eq!(

@@ -200,7 +200,7 @@ pub fn scaling_study(cx: &mut Ctx) -> BenchResult<String> {
         };
         let mut gr = GraphR::new(GraphRConfig::paper());
         let b = gr.pagerank(&graph, 0.85, iters)?.report;
-        let per = |r: &RunReport| r.elapsed_ns / (r.num_edges as f64 * f64::from(iters));
+        let per = |r: &RunReport| r.elapsed_ns.ns() / (r.num_edges as f64 * f64::from(iters));
         t.row_owned(vec![
             count(graph.num_edges() as u64),
             format!("{:.3}", per(&a)),

@@ -10,7 +10,8 @@
 //! and 11–17, the GAPBS comparison, the phase table and the trace demo),
 //! writes each to `results/<name>.md` plus `results/all.md`, and prints
 //! them. Figs 11–14 and `phases` share one simulation matrix; Figs 15, 16
-//! and `gapbs` share one software-baseline pass.
+//! and `gapbs` share one modeled baseline pass, and their `_host` halves
+//! one pass of CPU kernels timed on the host.
 //!
 //! * `--cap N` — per-dataset edge cap (default 300 000);
 //! * `--iters N` — PageRank iterations (default 10);
@@ -22,9 +23,9 @@
 //!   at 8 000 edges × 3 iterations, and the smoke subsets of
 //!   `fault_campaign` and `serve_soak`; `--cap`/`--iters` still override;
 //! * `--check` — regenerates the selected deterministic sections (all of
-//!   them when no names are given) and diffs each against its
-//!   `results/<name>.md` instead of writing it; exits nonzero on any
-//!   difference;
+//!   them when no names are given; every section but the `_host` ones) and
+//!   diffs each against its `results/<name>.md` instead of writing it;
+//!   exits nonzero on any difference;
 //! * `--trace P` — the JSONL event file `trace_demo` writes and
 //!   `trace_summary` reads;
 //! * `--timeline-out P` — the Chrome-trace file of `trace_demo` and
@@ -37,7 +38,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gaasx_bench::experiments::{self as exp, BenchResult, MatrixEntry, SoftwareEntry};
+use gaasx_bench::experiments::{
+    self as exp, BenchResult, CfComparison, HostEntry, MatrixEntry, SoftwareEntry,
+};
 use gaasx_bench::{DEFAULT_CAP_EDGES, DEFAULT_PR_ITERS};
 
 mod ablations;
@@ -85,12 +88,14 @@ impl Settings {
     }
 }
 
-/// Shared state of one invocation: the settings plus the two expensive
+/// Shared state of one invocation: the settings plus the expensive
 /// passes, each run at most once however many entries read it.
 struct Ctx {
     s: Settings,
     matrix: Option<Vec<MatrixEntry>>,
     software: Option<Vec<SoftwareEntry>>,
+    host: Option<Vec<HostEntry>>,
+    cf: Option<CfComparison>,
 }
 
 impl Ctx {
@@ -115,11 +120,34 @@ impl Ctx {
             None => {
                 let (cap, iters) = (self.s.cap(), self.s.iters());
                 let matrix = self.matrix()?;
-                eprintln!("[experiments] running software baselines...");
+                eprintln!("[experiments] running modeled baselines...");
                 exp::run_software(matrix, cap, iters)?
             }
         };
         Ok(self.software.insert(software))
+    }
+
+    /// The modeled baseline pass and the CPU kernels timed on it.
+    fn host(&mut self) -> BenchResult<(&[SoftwareEntry], &[HostEntry])> {
+        self.software()?;
+        if self.host.is_none() {
+            eprintln!("[experiments] timing CPU baselines on the host...");
+            self.host = Some(exp::run_host_baselines(self.s.cap(), self.s.iters())?);
+        }
+        match (&self.software, &self.host) {
+            (Some(sw), Some(host)) => Ok((sw, host)),
+            _ => unreachable!("both passes ran above"),
+        }
+    }
+
+    fn cf(&mut self) -> BenchResult<&CfComparison> {
+        let cf = match self.cf.take() {
+            Some(cf) => cf,
+            // CF simulates per-rating feature MACs; cap ratings below the
+            // graph cap.
+            None => exp::run_cf((self.s.cap() / 6).max(2_000), 32, 3)?,
+        };
+        Ok(self.cf.insert(cf))
     }
 }
 
@@ -163,15 +191,23 @@ const REGISTRY: &[Entry] = &[
     entry("trace_demo", Modeled, |cx| {
         exp::trace_demo(cx.s.trace.as_deref(), cx.s.timeline.as_deref())
     }),
-    entry("fig15", Measured, |cx| Ok(exp::fig15(cx.software()?))),
-    entry("fig16", Measured, |cx| Ok(exp::fig16(cx.software()?))),
-    entry("gapbs", Measured, |cx| {
-        Ok(exp::gapbs_comparison(cx.software()?))
+    entry("fig15", Modeled, |cx| Ok(exp::fig15(cx.software()?))),
+    entry("fig15_host", Measured, |cx| {
+        let (sw, host) = cx.host()?;
+        Ok(exp::fig15_host(sw, host))
     }),
-    // CF simulates per-rating feature MACs; cap ratings below the graph cap.
-    entry("fig17", Measured, |cx| {
-        exp::fig17((cx.s.cap() / 6).max(2_000), 32, 3)
+    entry("fig16", Modeled, |cx| Ok(exp::fig16(cx.software()?))),
+    entry("fig16_host", Measured, |cx| {
+        let (sw, host) = cx.host()?;
+        Ok(exp::fig16_host(sw, host))
     }),
+    entry("gapbs", Modeled, |cx| Ok(exp::gapbs(cx.software()?))),
+    entry("gapbs_host", Measured, |cx| {
+        let (sw, host) = cx.host()?;
+        Ok(exp::gapbs_host(sw, host))
+    }),
+    entry("fig17", Modeled, |cx| Ok(exp::fig17(cx.cf()?))),
+    entry("fig17_host", Measured, |cx| exp::fig17_host(cx.cf()?)),
     entry("ablation_locality", Report, ablations::locality),
     entry("ablation_row_cap", Report, ablations::row_cap),
     entry("ablation_write_cost", Report, ablations::write_cost),
@@ -280,6 +316,8 @@ fn run(s: Settings, named: Vec<&Entry>) -> BenchResult<()> {
         s,
         matrix: None,
         software: None,
+        host: None,
+        cf: None,
     };
     let mut combined = String::new();
     let mut differing = Vec::new();
@@ -376,11 +414,12 @@ mod tests {
         assert_eq!(names("--cap 5"), Ok(vec![]));
         let all: Vec<&str> = default_set(false).iter().map(|e| e.name).collect();
         assert_eq!(all.first(), Some(&"table1"));
-        assert_eq!(all.last(), Some(&"fig17"));
-        assert!(all.contains(&"fig15") && !all.contains(&"fault_campaign"));
+        assert_eq!(all.last(), Some(&"fig17_host"));
+        assert!(all.contains(&"fig15_host") && !all.contains(&"fault_campaign"));
         let checked: Vec<&str> = default_set(true).iter().map(|e| e.name).collect();
         assert!(checked.contains(&"trace_demo") && checked.contains(&"phases"));
-        assert!(!checked.contains(&"fig15") && !checked.contains(&"gapbs"));
+        assert!(checked.contains(&"fig15") && checked.contains(&"gapbs"));
+        assert!(!checked.iter().any(|name| name.ends_with("_host")));
     }
 
     #[test]
@@ -424,8 +463,8 @@ mod tests {
             ("--iters x", "--iters requires a count >= 1"),
             ("--trace", "--trace requires a path"),
             (
-                "--check fig15",
-                "--check: `fig15` has no deterministic results/ section",
+                "--check fig15_host",
+                "--check: `fig15_host` has no deterministic results/ section",
             ),
         ] {
             assert_eq!(names(line).unwrap_err(), want, "{line}");

@@ -13,9 +13,9 @@
 //!    and batched results are bit-identical to fresh one-shot
 //!    `run_labeled_sharded` runs, and a batch bills strictly less than
 //!    the serial sum;
-//! 4. **billing conserves bit-exactly** — per-tenant sums recomputed
-//!    from the responses equal the ledger, and the tenant sums equal the
-//!    grand total, `f64::to_bits` for `f64::to_bits`.
+//! 4. **billing conserves exactly** — per-tenant sums recomputed from
+//!    the responses equal the ledger, and the tenant sums equal the grand
+//!    total, tick for tick.
 //!
 //! Errors on any violation. `--smoke` shrinks the traffic for the CI
 //! gate; everything is seeded, so the soak replays bit-for-bit.
@@ -71,7 +71,7 @@ fn install_quiet_panic_hook() {
 /// Invariant 2 + 4 for one finished server: every non-OK outcome is a
 /// typed error (with a partial report where the contract promises one),
 /// rejections bill nothing, and recomputing per-tenant bills from the
-/// responses reproduces the ledger bit-exactly.
+/// responses reproduces the ledger exactly.
 fn check_contract(label: &str, server: &Server, responses: &[QueryResponse]) -> Result<(), String> {
     for r in responses {
         match &r.outcome {
@@ -101,25 +101,23 @@ fn check_contract(label: &str, server: &Server, responses: &[QueryResponse]) -> 
             Err(other) => return Err(format!("{label}: unexpected outcome `{other}`")),
         }
     }
-    // Bit-exact conservation: fold the responses the way the ledger does
-    // (record order per tenant, then lexicographic tenant order).
+    // Exact conservation: bills are integer ticks, so the responses may
+    // be folded in any order; this walks them last to first.
     let mut per_tenant: std::collections::BTreeMap<&str, Nanos> = std::collections::BTreeMap::new();
-    for r in responses {
+    for r in responses.iter().rev() {
         *per_tenant.entry(r.tenant.as_str()).or_insert(Nanos::ZERO) += r.billed_ns;
     }
     let mut total = Nanos::ZERO;
     for (tenant, billed) in &per_tenant {
         let ledger = server.ledger().billed_ns(tenant);
-        if ledger.ns().to_bits() != billed.ns().to_bits() {
+        if ledger != *billed {
             return Err(format!(
-                "{label}: tenant `{tenant}` ledger {} != response sum {}",
-                ledger.ns(),
-                billed.ns()
+                "{label}: tenant `{tenant}` ledger {ledger} != response sum {billed}"
             ));
         }
         total += *billed;
     }
-    if server.ledger().total_billed_ns().ns().to_bits() != total.ns().to_bits() {
+    if server.ledger().total_billed_ns() != total {
         return Err(format!("{label}: tenant bills do not sum to the total"));
     }
     Ok(())

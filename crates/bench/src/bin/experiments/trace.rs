@@ -124,7 +124,7 @@ pub fn export(cx: &mut Ctx, deep: bool) -> BenchResult<String> {
         .iter()
         .filter(|b| b.bank != CONTROLLER_BANK)
         .collect();
-    shown.sort_by(|a, b| b.busy_ns.total_cmp(&a.busy_ns));
+    shown.sort_by_key(|b| std::cmp::Reverse(b.busy_ns));
     let elided = shown.len().saturating_sub(TABLE_CAP);
     shown.truncate(TABLE_CAP);
     shown.sort_by_key(|b| b.bank);

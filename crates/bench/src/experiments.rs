@@ -404,19 +404,23 @@ pub fn fig14(matrix: &[MatrixEntry]) -> String {
     )
 }
 
-/// CPU/GPU comparison data for Figs 15–16 and the GAPBS paragraph.
+/// The modeled side of Figs 15–16 and the GAPBS paragraph: GaaS-X and
+/// the analytical GPU model, one entry per (dataset, algorithm).
 ///
 /// Two views are carried per entry:
 ///
 /// * *measured*: GaaS-X at its full paper configuration (2048 banks)
-///   against the software baselines on the **same scaled workload** — an
+///   against the baselines on the **same scaled workload** — an
 ///   apples-to-apples run, but one on which a 2048-bank chip is badly
 ///   underutilized (the scaled graph fits in a wave or two);
 /// * *projected*: the scaled-units GaaS-X time (structurally equivalent to
 ///   the full chip on the full dataset, see [`crate::scaled_units`])
-///   against the software time linearly extrapolated to the full dataset
+///   against the baseline time linearly extrapolated to the full dataset
 ///   (`measured / scale`) — conservative for the software side, whose real
 ///   full-size runs fall out of cache and go out-of-core.
+///
+/// Everything here is modeled and replays byte for byte; the CPU
+/// baselines, timed on the host, are in [`HostEntry`].
 #[derive(Debug, Clone)]
 pub struct SoftwareEntry {
     /// Dataset.
@@ -429,38 +433,52 @@ pub struct SoftwareEntry {
     pub gaasx_measured: RunReport,
     /// GaaS-X with scaled units (full-dataset-equivalent structure).
     pub gaasx_projected: RunReport,
-    /// Measured GridGraph-style CPU report.
-    pub cpu: RunReport,
-    /// Measured GAPBS-style CPU report.
-    pub gapbs: RunReport,
     /// Modeled Gunrock GPU report.
     pub gpu: RunReport,
 }
 
 impl SoftwareEntry {
+    /// GaaS-X's speedup (or energy savings) over `other`, measured on the
+    /// same scaled workload.
+    fn measured_ratio(&self, other: &RunReport, energy: bool) -> f64 {
+        if energy {
+            self.gaasx_measured.energy_savings_over(other)
+        } else {
+            self.gaasx_measured.speedup_over(other)
+        }
+    }
+
     fn projected_ratio(&self, other: &RunReport, energy: bool) -> f64 {
         // Software time/energy extrapolates linearly to the full dataset.
         let factor = 1.0 / self.scale;
         if energy {
-            other.energy.total_nj() * factor / self.gaasx_projected.energy.total_nj()
+            other.energy.total_nj().nj() * factor / self.gaasx_projected.energy.total_nj().nj()
         } else {
-            other.elapsed_ns * factor / self.gaasx_projected.elapsed_ns
+            other.elapsed_ns.ns() * factor / self.gaasx_projected.elapsed_ns.ns()
         }
     }
 }
 
-/// Runs the software baselines for every matrix entry.
+/// The CPU baselines of one [`SoftwareEntry`], timed by host wall clock.
+#[derive(Debug, Clone)]
+pub struct HostEntry {
+    /// Measured GridGraph-style CPU report.
+    pub cpu: RunReport,
+    /// Measured GAPBS-style CPU report.
+    pub gapbs: RunReport,
+}
+
+/// Runs GaaS-X at the paper configuration and the GPU model for every
+/// matrix entry.
 ///
 /// # Errors
 ///
-/// Propagates generator and kernel errors.
+/// Propagates generator and simulation errors.
 pub fn run_software(
     matrix: &[MatrixEntry],
     cap: usize,
     pr_iters: u32,
 ) -> BenchResult<Vec<SoftwareEntry>> {
-    let cpu = GridGraphCpu::new();
-    let gapbs = GapbsCpu::new();
     let gpu = GpuModel::titan_v();
     let mut accel = GaasX::new(GaasXConfig::paper());
     let mut out = Vec::new();
@@ -472,29 +490,23 @@ pub fn run_software(
                 .iter()
                 .find(|e| e.dataset == ds && e.algorithm == algo)
                 .ok_or_else(|| format!("missing matrix entry for {}/{algo}", ds.abbrev()))?;
-            let (gx, c, ga, gp) = match algo {
+            let (gx, gp) = match algo {
                 "pagerank" => (
                     accel
                         .run_labeled(&PageRank::fixed_iterations(pr_iters), &graph, ds.abbrev())?
                         .report,
-                    cpu.pagerank(&graph, 0.85, pr_iters)?.report,
-                    gapbs.pagerank(&graph, 0.85, pr_iters)?.report,
                     gpu.pagerank(&graph, pr_iters),
                 ),
                 "bfs" => (
                     accel
                         .run_labeled(&Bfs::from_source(src), &graph, ds.abbrev())?
                         .report,
-                    cpu.bfs(&graph, src)?.report,
-                    gapbs.bfs(&graph, src)?.report,
                     gpu.bfs(&graph, src)?,
                 ),
                 "sssp" => (
                     accel
                         .run_labeled(&Sssp::from_source(src), &graph, ds.abbrev())?
                         .report,
-                    cpu.sssp(&graph, src)?.report,
-                    gapbs.sssp(&graph, src)?.report,
                     gpu.sssp(&graph, src)?,
                 ),
                 _ => unreachable!(),
@@ -505,8 +517,6 @@ pub fn run_software(
                 scale: crate::scale_for(ds, cap),
                 gaasx_measured: gx,
                 gaasx_projected: entry.gaasx.clone(),
-                cpu: c,
-                gapbs: ga,
                 gpu: gp,
             });
         }
@@ -514,141 +524,225 @@ pub fn run_software(
     Ok(out)
 }
 
-// The `(Table, [f64; 4])` pair mirrors the figure outputs (rendered table +
-// geomean row) one-to-one; naming it would add a type used exactly once.
-#[allow(clippy::type_complexity)]
-fn software_table(entries: &[SoftwareEntry], energy: bool) -> (Table, [f64; 4]) {
-    let mut t = Table::new(&[
-        "Algorithm",
-        "Dataset",
-        "vs GPU (measured)",
-        "vs CPU (measured)",
-        "vs GPU (projected)",
-        "vs CPU (projected)",
-    ]);
-    let mut acc: [Vec<f64>; 4] = Default::default();
-    for e in entries {
-        let vals = [
-            if energy {
-                e.gaasx_measured.energy_savings_over(&e.gpu)
-            } else {
-                e.gaasx_measured.speedup_over(&e.gpu)
-            },
-            if energy {
-                e.gaasx_measured.energy_savings_over(&e.cpu)
-            } else {
-                e.gaasx_measured.speedup_over(&e.cpu)
-            },
-            e.projected_ratio(&e.gpu, energy),
-            e.projected_ratio(&e.cpu, energy),
-        ];
+/// Times the CPU baselines on the workloads of [`run_software`], in the
+/// same order.
+///
+/// # Errors
+///
+/// Propagates generator and kernel errors.
+pub fn run_host_baselines(cap: usize, pr_iters: u32) -> BenchResult<Vec<HostEntry>> {
+    let cpu = GridGraphCpu::new();
+    let gapbs = GapbsCpu::new();
+    let mut out = Vec::new();
+    for ds in PaperDataset::GRAPH_DATASETS {
+        let graph = load_graph(ds, cap)?;
+        let src = traversal_source(&graph);
+        for algo in ALGORITHMS {
+            out.push(match algo {
+                "pagerank" => HostEntry {
+                    cpu: cpu.pagerank(&graph, 0.85, pr_iters)?.report,
+                    gapbs: gapbs.pagerank(&graph, 0.85, pr_iters)?.report,
+                },
+                "bfs" => HostEntry {
+                    cpu: cpu.bfs(&graph, src)?.report,
+                    gapbs: gapbs.bfs(&graph, src)?.report,
+                },
+                "sssp" => HostEntry {
+                    cpu: cpu.sssp(&graph, src)?.report,
+                    gapbs: gapbs.sssp(&graph, src)?.report,
+                },
+                _ => unreachable!(),
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// A per-entry ratio column: its header and the value for entry `i`.
+type RatioColumn<'a> = (String, Box<dyn Fn(usize) -> f64 + 'a>);
+
+/// One row of ratio cells per entry, plus each column's geometric mean.
+fn ratio_table(entries: &[SoftwareEntry], columns: &[RatioColumn<'_>]) -> (Table, Vec<String>) {
+    let mut headers = vec!["Algorithm", "Dataset"];
+    headers.extend(columns.iter().map(|c| c.0.as_str()));
+    let mut t = Table::new(&headers);
+    let mut acc = vec![Vec::with_capacity(entries.len()); columns.len()];
+    for (i, e) in entries.iter().enumerate() {
         let mut cells = vec![e.algorithm.to_string(), e.dataset.abbrev().to_string()];
-        for (a, v) in acc.iter_mut().zip(vals) {
+        for (a, (_, value)) in acc.iter_mut().zip(columns) {
+            let v = value(i);
             a.push(v);
             cells.push(ratio(v));
         }
         t.row_owned(cells);
     }
-    let geo = [
-        geometric_mean(&acc[0]).unwrap_or(0.0),
-        geometric_mean(&acc[1]).unwrap_or(0.0),
-        geometric_mean(&acc[2]).unwrap_or(0.0),
-        geometric_mean(&acc[3]).unwrap_or(0.0),
-    ];
+    let geo = acc
+        .iter()
+        .map(|a| ratio(geometric_mean(a).unwrap_or(0.0)))
+        .collect();
     (t, geo)
 }
 
-/// Fig 15: speedup over the software frameworks.
+/// Fig 15/16's measured and projected columns against one baseline.
+fn versus<'a>(
+    entries: &'a [SoftwareEntry],
+    name: &'static str,
+    baseline: impl Fn(usize) -> &'a RunReport + Copy + 'a,
+    energy: bool,
+) -> [RatioColumn<'a>; 2] {
+    [
+        (
+            format!("vs {name} (measured)"),
+            Box::new(move |i| entries[i].measured_ratio(baseline(i), energy)),
+        ),
+        (
+            format!("vs {name} (projected)"),
+            Box::new(move |i| entries[i].projected_ratio(baseline(i), energy)),
+        ),
+    ]
+}
+
+const SCALE_NOTE: &str = "Measured = same scaled workload (2048-bank chip underutilized); \
+                          projected = full-dataset equivalent (see DESIGN.md).";
+
+const HOST_NOTE: &str = "Host wall clock: the CPU baselines are timed on the machine that \
+                         produced this file, so these cells change from run to run and host \
+                         to host.";
+
+/// Fig 15, modeled half: speedup over the Gunrock GPU model.
 pub fn fig15(entries: &[SoftwareEntry]) -> String {
-    let (t, geo) = software_table(entries, false);
+    let (t, geo) = ratio_table(entries, &versus(entries, "GPU", |i| &entries[i].gpu, false));
     format!(
-        "Fig 15 — speedup in execution time of GaaS-X vs CPU (GridGraph) and \
-         GPU (Gunrock)\nPaper: geometric means 805× (CPU) and 12.3× (GPU) on the \
-         full datasets.\nMeasured = same scaled workload (2048-bank chip \
-         underutilized); projected = full-dataset equivalent (see DESIGN.md).\n\n{t}\n\
-         Geometric means — measured: GPU {}, CPU {}; projected: GPU {}, CPU {}\n",
-        ratio(geo[0]),
-        ratio(geo[1]),
-        ratio(geo[2]),
-        ratio(geo[3]),
+        "Fig 15 — speedup in execution time of GaaS-X vs GPU (Gunrock model)\n\
+         Paper: geometric mean 12.3× (GPU) on the full datasets; the CPU half is \
+         in fig15_host.\n{SCALE_NOTE}\n\n{t}\n\
+         Geometric means — measured: GPU {}; projected: GPU {}\n",
+        geo[0], geo[1],
     )
 }
 
-/// Fig 16: energy savings over the software frameworks.
+/// Fig 15, host half: speedup over the GridGraph-style CPU kernels.
+pub fn fig15_host(entries: &[SoftwareEntry], host: &[HostEntry]) -> String {
+    let (t, geo) = ratio_table(entries, &versus(entries, "CPU", |i| &host[i].cpu, false));
+    format!(
+        "Fig 15 (host) — speedup in execution time of GaaS-X vs CPU (GridGraph)\n\
+         Paper: geometric mean 805× (CPU) on the full datasets.\n{SCALE_NOTE}\n{HOST_NOTE}\n\n\
+         {t}\nGeometric means — measured: CPU {}; projected: CPU {}\n",
+        geo[0], geo[1],
+    )
+}
+
+/// Fig 16, modeled half: energy savings over the Gunrock GPU model.
 pub fn fig16(entries: &[SoftwareEntry]) -> String {
-    let (t, geo) = software_table(entries, true);
+    let (t, geo) = ratio_table(entries, &versus(entries, "GPU", |i| &entries[i].gpu, true));
     format!(
-        "Fig 16 — energy savings of GaaS-X vs CPU (GridGraph) and GPU (Gunrock)\n\
-         Paper: geometric means 5357× (CPU) and 252× (GPU) on the full datasets.\n\n{t}\n\
-         Geometric means — measured: GPU {}, CPU {}; projected: GPU {}, CPU {}\n",
-        ratio(geo[0]),
-        ratio(geo[1]),
-        ratio(geo[2]),
-        ratio(geo[3]),
+        "Fig 16 — energy savings of GaaS-X vs GPU (Gunrock model)\n\
+         Paper: geometric mean 252× (GPU) on the full datasets; the CPU half is \
+         in fig16_host.\n\n{t}\n\
+         Geometric means — measured: GPU {}; projected: GPU {}\n",
+        geo[0], geo[1],
     )
 }
 
-/// §V-B GAPBS paragraph: geomean speedup/energy vs the optimized CPU suite.
-pub fn gapbs_comparison(entries: &[SoftwareEntry]) -> String {
+/// Fig 16, host half: energy savings over the GridGraph-style CPU kernels.
+pub fn fig16_host(entries: &[SoftwareEntry], host: &[HostEntry]) -> String {
+    let (t, geo) = ratio_table(entries, &versus(entries, "CPU", |i| &host[i].cpu, true));
+    format!(
+        "Fig 16 (host) — energy savings of GaaS-X vs CPU (GridGraph)\n\
+         Paper: geometric mean 5357× (CPU) on the full datasets.\n{HOST_NOTE}\n\n\
+         {t}\nGeometric means — measured: CPU {}; projected: CPU {}\n",
+        geo[0], geo[1],
+    )
+}
+
+/// §V-B GAPBS paragraph, modeled half: the GaaS-X time and energy that
+/// the host-timed GAPBS runs are divided by.
+pub fn gapbs(entries: &[SoftwareEntry]) -> String {
     let mut t = Table::new(&[
         "Algorithm",
         "Dataset",
-        "Speedup (measured)",
-        "Energy (measured)",
-        "Speedup (projected)",
-        "Energy (projected)",
+        "GaaS-X us (measured)",
+        "GaaS-X uJ (measured)",
+        "GaaS-X us (projected)",
+        "GaaS-X uJ (projected)",
     ]);
-    let mut perf = Vec::new();
-    let mut energy = Vec::new();
-    let mut perf_proj = Vec::new();
-    let mut energy_proj = Vec::new();
     for e in entries {
-        let s = e.gaasx_measured.speedup_over(&e.gapbs);
-        let en = e.gaasx_measured.energy_savings_over(&e.gapbs);
-        let sp = e.projected_ratio(&e.gapbs, false);
-        let enp = e.projected_ratio(&e.gapbs, true);
-        perf.push(s);
-        energy.push(en);
-        perf_proj.push(sp);
-        energy_proj.push(enp);
+        let (m, p) = (&e.gaasx_measured, &e.gaasx_projected);
         t.row_owned(vec![
             e.algorithm.into(),
             e.dataset.abbrev().into(),
-            ratio(s),
-            ratio(en),
-            ratio(sp),
-            ratio(enp),
+            format!("{:.2}", m.elapsed_ns.ns() / 1e3),
+            format!("{:.3}", m.energy.total_nj().nj() / 1e3),
+            format!("{:.2}", p.elapsed_ns.ns() / 1e3),
+            format!("{:.3}", p.energy.total_nj().nj() / 1e3),
         ]);
     }
     format!(
-        "GAPBS comparison (§V-B text)\n\
-         Paper: ≈155× speedup, ≈1500× energy savings on the full datasets.\n\n{t}\n\
-         Geometric means — measured: speedup {}, energy {}; \
-         projected: speedup {}, energy {}\n",
-        ratio(geometric_mean(&perf).unwrap_or(0.0)),
-        ratio(geometric_mean(&energy).unwrap_or(0.0)),
-        ratio(geometric_mean(&perf_proj).unwrap_or(0.0)),
-        ratio(geometric_mean(&energy_proj).unwrap_or(0.0)),
+        "GAPBS comparison (§V-B text) — GaaS-X modeled time and energy\n\
+         The ratios against GAPBS, timed on the host, are in gapbs_host.\n\
+         {SCALE_NOTE}\n\n{t}"
     )
 }
 
-/// Fig 17: collaborative filtering vs GraphChi (CPU), cuMF (GPU), GraphR.
+/// §V-B GAPBS paragraph, host half: geomean speedup/energy vs the
+/// optimized CPU suite.
+pub fn gapbs_host(entries: &[SoftwareEntry], host: &[HostEntry]) -> String {
+    let gapbs = |i: usize| &host[i].gapbs;
+    let ratios = |energy: bool, projected: bool| -> Box<dyn Fn(usize) -> f64 + '_> {
+        Box::new(move |i| {
+            if projected {
+                entries[i].projected_ratio(gapbs(i), energy)
+            } else {
+                entries[i].measured_ratio(gapbs(i), energy)
+            }
+        })
+    };
+    let columns: [RatioColumn<'_>; 4] = [
+        ("Speedup (measured)".into(), ratios(false, false)),
+        ("Energy (measured)".into(), ratios(true, false)),
+        ("Speedup (projected)".into(), ratios(false, true)),
+        ("Energy (projected)".into(), ratios(true, true)),
+    ];
+    let (t, geo) = ratio_table(entries, &columns);
+    format!(
+        "GAPBS comparison (§V-B text, host)\n\
+         Paper: ≈155× speedup, ≈1500× energy savings on the full datasets.\n\
+         {HOST_NOTE}\n\n{t}\n\
+         Geometric means — measured: speedup {}, energy {}; \
+         projected: speedup {}, energy {}\n",
+        geo[0], geo[1], geo[2], geo[3],
+    )
+}
+
+/// The collaborative-filtering runs of Fig 17 that are modeled: GaaS-X
+/// at the paper configuration and at scaled units, GraphR, and the cuMF
+/// GPU model, on one ratings workload.
+#[derive(Debug, Clone)]
+pub struct CfComparison {
+    ratings: gaasx_graph::bipartite::BipartiteGraph,
+    cf: CollaborativeFiltering,
+    scale: f64,
+    gx: RunReport,
+    gx_rmse: f64,
+    gx_scaled: RunReport,
+    graphr: RunReport,
+    graphr_rmse: f64,
+    gpu: RunReport,
+}
+
+/// Runs the modeled half of Fig 17 on `cap` ratings.
 ///
 /// # Errors
 ///
 /// Propagates generator and simulation errors.
-pub fn fig17(cap: usize, features: usize, epochs: u32) -> BenchResult<String> {
+pub fn run_cf(cap: usize, features: usize, epochs: u32) -> BenchResult<CfComparison> {
     let ratings = load_ratings(cap)?;
-    let scale = scale_for(PaperDataset::Netflix, cap);
-    let lr = 0.01;
-    let reg = 0.05;
-    let seed = 0xcf17;
     let cf = CollaborativeFiltering {
         features,
         epochs,
-        learning_rate: lr,
-        regularization: reg,
-        seed,
+        learning_rate: 0.01,
+        regularization: 0.05,
+        seed: 0xcf17,
     };
 
     // PIM-vs-PIM comparison at matched, scale-preserving unit counts
@@ -658,58 +752,111 @@ pub fn fig17(cap: usize, features: usize, epochs: u32) -> BenchResult<String> {
         num_banks: units,
         ..GaasXConfig::paper()
     });
-    let gx_scaled = accel_scaled.run_labeled(&cf, &ratings, "NF")?;
+    let gx_scaled = accel_scaled.run_labeled(&cf, &ratings, "NF")?.report;
     let mut graphr = GraphR::new(GraphRConfig {
         num_pe: units,
         ..GraphRConfig::paper()
     });
-    let gr = graphr.cf(&ratings, features, epochs, lr, reg, seed)?;
-    let gr_rmse = gr.result.rmse(&ratings).unwrap_or(f64::NAN);
+    let gr = graphr.cf(
+        &ratings,
+        features,
+        epochs,
+        cf.learning_rate,
+        cf.regularization,
+        cf.seed,
+    )?;
 
     // Software comparison at the paper configuration on the same workload.
     let mut accel = GaasX::new(GaasXConfig::paper());
     let gx = accel.run_labeled(&cf, &ratings, "NF")?;
-    let gx_rmse = gx.result.rmse(&ratings).unwrap_or(f64::NAN);
-    let chi = GraphChiCpu::new().cf(&ratings, features, epochs, lr, reg, seed)?;
-    let chi_rmse = chi.result.rmse(&ratings).unwrap_or(f64::NAN);
-    let gpu = GpuModel::titan_v().cf(&ratings, features, epochs);
+    Ok(CfComparison {
+        scale: scale_for(PaperDataset::Netflix, cap),
+        gx_rmse: gx.result.rmse(&ratings).unwrap_or(f64::NAN),
+        gx: gx.report,
+        gx_scaled,
+        graphr_rmse: gr.result.rmse(&ratings).unwrap_or(f64::NAN),
+        graphr: gr.report,
+        gpu: GpuModel::titan_v().cf(&ratings, features, epochs),
+        ratings,
+        cf,
+    })
+}
 
-    let project = 1.0 / scale;
-    let mut t = Table::new(&[
-        "Baseline",
-        "Speedup",
-        "Energy savings",
-        "Speedup (projected)",
-    ]);
-    t.row_owned(vec![
-        "GraphChi (CPU)".into(),
-        ratio(gx.report.speedup_over(&chi.report)),
-        ratio(gx.report.energy_savings_over(&chi.report)),
-        ratio(chi.report.elapsed_ns * project / gx_scaled.report.elapsed_ns),
-    ]);
-    t.row_owned(vec![
-        "cuMF (GPU)".into(),
-        ratio(gx.report.speedup_over(&gpu)),
-        ratio(gx.report.energy_savings_over(&gpu)),
-        ratio(gpu.elapsed_ns * project / gx_scaled.report.elapsed_ns),
-    ]);
+impl CfComparison {
+    fn header(&self) -> String {
+        format!(
+            "{} ratings, {} features, {} epochs",
+            count(self.ratings.num_ratings() as u64),
+            self.cf.features,
+            self.cf.epochs,
+        )
+    }
+
+    /// A baseline row: speedup and energy savings of GaaS-X at the paper
+    /// configuration, and the projected speedup of the scaled-units run
+    /// over the baseline extrapolated to the full dataset.
+    fn row(&self, name: &str, baseline: &RunReport) -> Vec<String> {
+        vec![
+            name.into(),
+            ratio(self.gx.speedup_over(baseline)),
+            ratio(self.gx.energy_savings_over(baseline)),
+            ratio(baseline.elapsed_ns.ns() * (1.0 / self.scale) / self.gx_scaled.elapsed_ns.ns()),
+        ]
+    }
+}
+
+const FIG17_COLUMNS: [&str; 4] = [
+    "Baseline",
+    "Speedup",
+    "Energy savings",
+    "Speedup (projected)",
+];
+
+/// Fig 17, modeled half: collaborative filtering vs cuMF (GPU model) and
+/// GraphR.
+pub fn fig17(cf: &CfComparison) -> String {
+    let mut t = Table::new(&FIG17_COLUMNS);
+    t.row_owned(cf.row("cuMF (GPU)", &cf.gpu));
     t.row_owned(vec![
         "GraphR".into(),
-        ratio(gx_scaled.report.speedup_over(&gr.report)),
-        ratio(gx_scaled.report.energy_savings_over(&gr.report)),
+        ratio(cf.gx_scaled.speedup_over(&cf.graphr)),
+        ratio(cf.gx_scaled.energy_savings_over(&cf.graphr)),
         "-".into(),
     ]);
-    Ok(format!(
-        "Fig 17 — collaborative filtering ({} ratings, {} features, {} epochs)\n\
+    format!(
+        "Fig 17 — collaborative filtering ({})\n\
          Paper: speedups 196× / 2× / 4× and energy savings 2962× / 86× / 24× \
-         vs CPU / GPU / GraphR.\n\n{t}\n\
-         Training RMSE — GaaS-X {:.4}, GraphChi {:.4}, GraphR {:.4}\n",
-        count(ratings.num_ratings() as u64),
-        features,
-        epochs,
-        gx_rmse,
-        chi_rmse,
-        gr_rmse,
+         vs CPU / GPU / GraphR; the CPU row is in fig17_host.\n\n{t}\n\
+         Training RMSE — GaaS-X {:.4}, GraphR {:.4}\n",
+        cf.header(),
+        cf.gx_rmse,
+        cf.graphr_rmse,
+    )
+}
+
+/// Fig 17, host half: collaborative filtering vs GraphChi on the CPU.
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub fn fig17_host(cf: &CfComparison) -> BenchResult<String> {
+    let c = &cf.cf;
+    let chi = GraphChiCpu::new().cf(
+        &cf.ratings,
+        c.features,
+        c.epochs,
+        c.learning_rate,
+        c.regularization,
+        c.seed,
+    )?;
+    let mut t = Table::new(&FIG17_COLUMNS);
+    t.row_owned(cf.row("GraphChi (CPU)", &chi.report));
+    Ok(format!(
+        "Fig 17 (host) — collaborative filtering ({})\n\
+         Paper: speedup 196× and energy savings 2962× vs CPU.\n{HOST_NOTE}\n\n{t}\n\
+         Training RMSE — GraphChi {:.4}\n",
+        cf.header(),
+        chi.result.rmse(&cf.ratings).unwrap_or(f64::NAN),
     ))
 }
 
@@ -839,7 +986,7 @@ pub fn trace_demo(
                 format!("{:.1}", p.sched_ns),
                 format!(
                     "{:.1}%",
-                    100.0 * p.sched_ns / elapsed.max(f64::MIN_POSITIVE)
+                    100.0 * p.sched_ns.ns() / elapsed.max(f64::MIN_POSITIVE)
                 ),
                 p.count.to_string(),
             ],
@@ -918,10 +1065,44 @@ mod tests {
     }
 
     #[test]
+    fn software_figures_split_modeled_and_host_cells() {
+        let matrix = run_matrix(TINY, 2, 1).unwrap();
+        let software = run_software(&matrix, TINY, 2).unwrap();
+        assert_eq!(software.len(), 18);
+        // The modeled halves replay exactly and never mention the CPU.
+        for (a, b) in [
+            (
+                fig15(&software),
+                fig15(&run_software(&matrix, TINY, 2).unwrap()),
+            ),
+            (fig16(&software), fig16(&software)),
+            (gapbs(&software), gapbs(&software)),
+        ] {
+            assert_eq!(a, b);
+            assert!(!a.contains("vs CPU ("), "{a}");
+        }
+        let host = run_host_baselines(TINY, 2).unwrap();
+        assert_eq!(host.len(), software.len());
+        for s in [
+            fig15_host(&software, &host),
+            fig16_host(&software, &host),
+            gapbs_host(&software, &host),
+        ] {
+            assert!(
+                s.contains("Host wall clock") && s.contains("Geometric means"),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
     fn fig17_runs_at_tiny_scale() {
-        let s = fig17(2_000, 8, 1).unwrap();
-        assert!(s.contains("GraphChi"));
-        assert!(s.contains("RMSE"));
+        let cf = run_cf(2_000, 8, 1).unwrap();
+        let s = fig17(&cf);
+        assert!(s.contains("cuMF") && s.contains("RMSE"));
+        assert!(!s.contains("GraphChi (CPU)"));
+        let host = fig17_host(&cf).unwrap();
+        assert!(host.contains("GraphChi (CPU)") && host.contains("RMSE"));
     }
 
     #[test]

@@ -9,6 +9,10 @@ use gaasx_xbar::{FaultModel, Fidelity};
 
 use crate::error::CoreError;
 
+/// Effective parallel lanes in the SFU (it contains multiple adders,
+/// comparators and multipliers, paper §III-B).
+pub const SFU_LANES: u64 = 16;
+
 /// Fault-recovery policy of the engine's write path.
 ///
 /// The default is fully off: no verify reads, no retries, no reserved
@@ -152,8 +156,9 @@ impl GaasXConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] on inconsistent geometries, zero
-    /// bank counts, non-positive bandwidth, or a full block whose byte
-    /// count overflows or whose stream time is infinite.
+    /// bank counts, non-positive bandwidth, a full block whose byte count
+    /// or whose stream or program time overflows, or a nonzero edge stream
+    /// time or SFU lane share that rounds to zero ticks.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.mac_geometry
             .validate()
@@ -190,10 +195,19 @@ impl GaasXConfig {
                 self.edge_record_bytes, self.cam_geometry.rows
             )));
         };
-        if !self.stream_ns(block_bytes).is_finite() {
+        let rows = self.cam_geometry.rows as u64;
+        let edge_ns = self.edge_stream_ns();
+        if !(edge_ns * rows).is_finite() {
             return Err(CoreError::InvalidConfig(format!(
-                "stream_bandwidth_gbps {} gives a full block an infinite stream time",
+                "stream_bandwidth_gbps {} gives a full {block_bytes}-byte block a stream \
+                 time past the modeled range",
                 self.stream_bandwidth_gbps
+            )));
+        }
+        if edge_ns == Nanos::ZERO {
+            return Err(CoreError::InvalidConfig(format!(
+                "stream_bandwidth_gbps {} streams a {}-byte edge in under half a femtosecond",
+                self.stream_bandwidth_gbps, self.edge_record_bytes
             )));
         }
         if !(self.noise_sigma.is_finite() && self.noise_sigma >= 0.0) {
@@ -204,6 +218,22 @@ impl GaasXConfig {
         self.energy
             .validate()
             .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
+        if self.energy.sfu_op_ns > Nanos::ZERO && self.sfu_lane_ns() == Nanos::ZERO {
+            return Err(CoreError::InvalidConfig(format!(
+                "energy model: sfu_op_ns {} rounds to a zero {SFU_LANES}-lane share",
+                self.energy.sfu_op_ns
+            )));
+        }
+        let e = &self.energy;
+        let row_ns = e
+            .row_program_ns(1)
+            .max(e.row_program_ns(self.mac_geometry.cols));
+        if !(row_ns * rows + e.verify_read_ns * rows).is_finite() {
+            return Err(CoreError::InvalidConfig(format!(
+                "energy model: programming a full {rows}-row block ({row_ns} ns a row) \
+                 overflows the modeled time range"
+            )));
+        }
         self.fault
             .validate()
             .map_err(|e| CoreError::InvalidConfig(format!("fault model: {e}")))?;
@@ -225,6 +255,18 @@ impl GaasXConfig {
     /// Time to stream `bytes` from storage into the compute arrays.
     pub fn stream_ns(&self, bytes: u64) -> Nanos {
         Nanos::from_ns(bytes as f64 / self.stream_bandwidth_gbps)
+    }
+
+    /// Time to stream one edge record, rounded once: a block of `n` edges
+    /// streams in exactly `n` times this.
+    pub fn edge_stream_ns(&self) -> Nanos {
+        self.stream_ns(self.edge_record_bytes)
+    }
+
+    /// One SFU operation's share of time on one of the [`SFU_LANES`]
+    /// lanes, rounded once.
+    pub fn sfu_lane_ns(&self) -> Nanos {
+        self.energy.sfu_op_ns / SFU_LANES
     }
 }
 
@@ -503,6 +545,65 @@ mod tests {
     }
 
     #[test]
+    fn constants_must_round_to_ticks_and_fit_a_full_block() {
+        // Each setting is finite and non-negative, yet a nonzero constant
+        // rounds to zero ticks or a full 128-row block's stream or program
+        // time overflows the modeled range.
+        type Set = fn(&mut GaasXConfig);
+        let cases: [(&str, &str, Set); 6] = [
+            ("edge stream rounds to 0 fs", "half a femtosecond", |c| {
+                c.stream_bandwidth_gbps = 1e20
+            }),
+            ("static power rounds to 0 aJ/ns", "zero attojoules", |c| {
+                c.energy.static_mw = 1e-7
+            }),
+            ("sfu lane share rounds to 0 fs", "zero 16-lane share", |c| {
+                c.energy.sfu_op_ns = Nanos::from_ns(7e-6)
+            }),
+            ("block stream overflows", "past the modeled range", |c| {
+                c.stream_bandwidth_gbps = 1e-11
+            }),
+            ("block program overflows", "overflows", |c| {
+                c.energy.value_program_ns = Nanos::from_ns(1e10)
+            }),
+            ("block verify overflows", "overflows", |c| {
+                c.energy.verify_read_ns = Nanos::from_ns(1e11)
+            }),
+        ];
+        let graph = gaasx_graph::generators::rmat(
+            &gaasx_graph::generators::RmatConfig::new(64, 400).with_seed(3),
+        )
+        .unwrap();
+        for (name, want, set) in cases {
+            let mut c = GaasXConfig::small();
+            set(&mut c);
+            match c.validate() {
+                Err(CoreError::InvalidConfig(msg)) => assert!(msg.contains(want), "{name}: {msg}"),
+                other => panic!("{name}: validate gave {other:?}"),
+            }
+            let run =
+                crate::GaasX::new(c).run(&crate::algorithms::PageRank::fixed_iterations(2), &graph);
+            assert!(
+                matches!(run, Err(CoreError::InvalidConfig(_))),
+                "{name}: run must fail as InvalidConfig"
+            );
+        }
+        // One tick is enough: 8 fs of SFU time is a 0.5 fs lane share,
+        // which rounds up to 1 fs.
+        let mut c = GaasXConfig::small();
+        c.energy.sfu_op_ns = Nanos::from_fs(8);
+        c.validate().unwrap();
+        assert_eq!(c.sfu_lane_ns(), Nanos::from_fs(1));
+    }
+
+    #[test]
+    fn paper_stream_and_sfu_shares_are_exact() {
+        let c = GaasXConfig::paper();
+        assert_eq!(c.edge_stream_ns(), Nanos::from_fs(93_750));
+        assert_eq!(c.sfu_lane_ns(), Nanos::from_fs(62_500));
+    }
+
+    #[test]
     fn recovery_policy_presets() {
         assert_eq!(RecoveryPolicy::off(), RecoveryPolicy::default());
         assert!(!RecoveryPolicy::off().write_verify);
@@ -536,6 +637,6 @@ mod tests {
     fn stream_time_scales() {
         let c = GaasXConfig::paper();
         // 128 bytes at 128 GB/s = 1 ns.
-        assert!((c.stream_ns(128).ns() - 1.0).abs() < 1e-12);
+        assert_eq!(c.stream_ns(128), Nanos::from_ns(1.0));
     }
 }

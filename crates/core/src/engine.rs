@@ -44,10 +44,6 @@ use crate::config::GaasXConfig;
 use crate::error::CoreError;
 use crate::sfu::Sfu;
 
-/// Effective parallel lanes in the SFU (it contains multiple adders,
-/// comparators and multipliers, paper §III-B).
-const SFU_LANES: f64 = 16.0;
-
 /// Sentinel for a physical row that maps to no logical slot (a free or
 /// retired row).
 const UNMAPPED: usize = usize::MAX;
@@ -183,7 +179,7 @@ fn distinct_into(
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockCost {
-    stream_bytes: u64,
+    stream_ns: Nanos,
     program_ns: Nanos,
     compute_ns: Nanos,
     /// Partition of `compute_ns` by [`Phase`] (indexed by `Phase::index`).
@@ -193,7 +189,7 @@ pub(crate) struct BlockCost {
     /// the attached tracer observes timeline intervals. Timeline
     /// construction replays it to lay each compute op on its bank's
     /// occupancy track; summing the entries per phase reproduces
-    /// `compute_phase_ns` bit-exactly (same accumulation order).
+    /// `compute_phase_ns` exactly.
     ops: Vec<(Phase, Nanos)>,
     /// Intra-block search/MAC overlap clock, fed one op at a time as the
     /// ledger accrues. Its makespan is the block's *pipelined* compute
@@ -208,9 +204,9 @@ impl BlockCost {
         self.compute_ns += ns;
         self.compute_phase_ns[phase.index()] += ns;
         if phase == Phase::CamSearch {
-            self.pipe.search(ns.ns());
+            self.pipe.search(ns);
         } else {
-            self.pipe.compute(ns.ns());
+            self.pipe.compute(ns);
         }
         if record_op {
             self.ops.push((phase, ns));
@@ -218,10 +214,9 @@ impl BlockCost {
     }
 
     /// The block's compute time under the search/MAC overlap pipeline.
-    /// For blocks without CAM searches this equals `compute_ns` bit-for-
-    /// bit (the pipe accumulates the same f64 sum in the same order).
+    /// For blocks without CAM searches this equals `compute_ns`.
     fn pipelined_compute_ns(&self) -> Nanos {
-        Nanos::from_ns(self.pipe.makespan())
+        self.pipe.makespan()
     }
 }
 
@@ -258,6 +253,10 @@ impl WearSnapshot {
 #[derive(Debug)]
 pub struct Engine {
     config: GaasXConfig,
+    /// [`GaasXConfig::edge_stream_ns`], rounded once at build time.
+    edge_stream_ns: Nanos,
+    /// [`GaasXConfig::sfu_lane_ns`], rounded once at build time.
+    sfu_lane_ns: Nanos,
     cam: CamCrossbar,
     mac: MacCrossbar,
     aux_mac: MacCrossbar,
@@ -413,6 +412,8 @@ impl Engine {
             srcs_buf: Vec::new(),
             dsts_buf: Vec::new(),
             bitmap_buf: Vec::new(),
+            edge_stream_ns: config.edge_stream_ns(),
+            sfu_lane_ns: config.sfu_lane_ns(),
             config,
         })
     }
@@ -456,8 +457,11 @@ impl Engine {
         let start = self.cursor_ns;
         self.cursor_ns += dur_ns;
         // The span/telemetry boundary is untyped; `.ns()` marks the exit
-        // from the typed accounting.
-        self.tracer.emit(phase, start.ns(), dur_ns.ns());
+        // from the typed accounting, and costs a conversion per op, so only
+        // a live tracer pays it.
+        if self.tracer.enabled() {
+            self.tracer.emit(phase, start.ns(), dur_ns.ns());
+        }
     }
 
     /// Maximum edges per block: CAM rows per bank, minus the spare rows
@@ -791,8 +795,6 @@ impl Engine {
                 .iter()
                 .map(|e| (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw())),
         );
-        // Each slot's programming time accrues in slot order, so the f64
-        // sum is the same whichever path programs the bank.
         let mut program_ns = Nanos::ZERO;
         if self.verify_on() {
             // Write-verify keeps the per-slot loop: a retry draws from the
@@ -812,19 +814,17 @@ impl Engine {
             if let Some(w) = width {
                 self.mac.program_block(&codes, w, edges.len())?;
             }
-            let slot_ns = self.slot_program_ns(width);
-            for _ in edges {
-                program_ns += slot_ns;
-            }
+            program_ns = self.slot_program_ns(width) * edges.len() as u64;
         }
         self.codes_buf = codes;
 
         let bytes = edges.len() as u64 * self.config.edge_record_bytes;
         self.input_buf.write(bytes);
-        self.current.stream_bytes = bytes;
+        let stream_ns = self.edge_stream_ns * edges.len() as u64;
+        self.current.stream_ns = stream_ns;
         self.current.program_ns = program_ns;
 
-        let load_ns = self.config.stream_ns(bytes) + program_ns;
+        let load_ns = stream_ns + program_ns;
         self.phase_counts[Phase::LoadBlock.index()] =
             self.phase_counts[Phase::LoadBlock.index()].saturating_add(1);
         let start = self.cursor_ns;
@@ -1056,8 +1056,8 @@ impl Engine {
         self.extra_aux_cells = self
             .extra_aux_cells
             .saturating_add((rows * values_per_row * self.config.mac_geometry.slices) as u64);
-        let ns = rows as f64 * self.config.energy.row_program_ns(values_per_row)
-            / self.config.num_banks as f64;
+        let ns = self.config.energy.row_program_ns(values_per_row) * rows as u64
+            / self.config.num_banks as u64;
         self.add_compute(Phase::LoadBlock, ns);
         self.phase_counts[Phase::LoadBlock.index()] =
             self.phase_counts[Phase::LoadBlock.index()].saturating_add(1);
@@ -1124,7 +1124,7 @@ impl Engine {
     }
 
     fn sfu_cost(&mut self) {
-        let ns = self.config.energy.sfu_op_ns / SFU_LANES;
+        let ns = self.sfu_lane_ns;
         self.add_compute(Phase::Sfu, ns);
         self.trace_op(Phase::Sfu, ns);
     }
@@ -1331,7 +1331,7 @@ impl Engine {
     fn phase_busy_ns(&self) -> [Nanos; 7] {
         let mut busy = self.extra_phase_ns;
         for b in &self.costs {
-            busy[Phase::LoadBlock.index()] += self.config.stream_ns(b.stream_bytes) + b.program_ns;
+            busy[Phase::LoadBlock.index()] += b.stream_ns + b.program_ns;
             for (acc, ns) in busy.iter_mut().zip(b.compute_phase_ns.iter()) {
                 *acc += *ns;
             }
@@ -1343,7 +1343,7 @@ impl Engine {
     /// stream, its row programming, and its pipelined compute.
     fn block_stages(&self, b: &BlockCost) -> BlockStages {
         BlockStages {
-            stream: self.config.stream_ns(b.stream_bytes),
+            stream: b.stream_ns,
             program: b.program_ns,
             compute: b.pipelined_compute_ns(),
         }
@@ -1372,17 +1372,17 @@ impl Engine {
             // Within a wave, bank = position; the span covers the bank's
             // occupancy (program + compute) aligned to the wave's compute
             // window.
-            let compute_start = wave.compute_start.ns();
+            let compute_start = wave.compute_start;
             for (i, b) in wave.blocks.iter().enumerate() {
                 self.tracer
                     .span(
                         Phase::Dispatch,
-                        (compute_start - b.program_ns.ns()).max(0.0),
+                        (compute_start - b.program_ns).max(Nanos::ZERO).ns(),
                     )
                     .bank(i as u32)
                     .attr("block", wave.first + i)
                     .attr("wave", wave.index)
-                    .end(compute_start + b.pipelined_compute_ns().ns());
+                    .end((compute_start + b.pipelined_compute_ns()).ns());
             }
         });
     }
@@ -1406,7 +1406,7 @@ impl Engine {
         compute_start: Nanos,
         block: u32,
     ) {
-        let load_ns = self.config.stream_ns(b.stream_bytes) + b.program_ns;
+        let load_ns = b.stream_ns + b.program_ns;
         tl.push(
             bank,
             LOAD_LANE,
@@ -1418,18 +1418,11 @@ impl Engine {
         let mut pipe = PhasePipe::new();
         for &(phase, ns) in &b.ops {
             let (lane, start) = if phase == Phase::CamSearch {
-                (SEARCH_LANE, pipe.search(ns.ns()))
+                (SEARCH_LANE, pipe.search(ns))
             } else {
-                (COMPUTE_LANE, pipe.compute(ns.ns()))
+                (COMPUTE_LANE, pipe.compute(ns))
             };
-            tl.push(
-                bank,
-                lane,
-                phase,
-                compute_start + Nanos::from_ns(start),
-                ns,
-                Some(block),
-            );
+            tl.push(bank, lane, phase, compute_start + start, ns, Some(block));
         }
     }
 
@@ -1438,7 +1431,7 @@ impl Engine {
     /// the synthetic controller track), then every block's load and
     /// compute intervals placed by the same scheduler math that produced
     /// the makespan. Folding the result per phase reproduces
-    /// [`Engine::phase_busy_ns`] bit-exactly.
+    /// [`Engine::phase_busy_ns`] exactly.
     fn build_timeline(&self, makespan: Nanos) -> Timeline {
         let mut tl = Timeline::new(makespan);
         for phase in Phase::ALL {
@@ -1479,17 +1472,16 @@ impl Engine {
         let mut piped_computes = Vec::with_capacity(waves.len());
         for wave in waves {
             let stages = wave_stages(wave, |b| self.block_stages(b));
-            loads.push(stages.load().ns());
+            loads.push(stages.load());
             serial_computes.push(
                 wave.iter()
                     .map(|b| b.compute_ns)
-                    .fold(Nanos::ZERO, Nanos::max)
-                    .ns(),
+                    .fold(Nanos::ZERO, Nanos::max),
             );
-            piped_computes.push(stages.compute.ns());
+            piped_computes.push(stages.compute);
         }
         let serial = serial_makespan(&loads, &serial_computes);
-        if serial <= 0.0 {
+        if serial <= Nanos::ZERO {
             return 0.0;
         }
         (serial - pipelined_makespan(&loads, &piped_computes)) / serial
@@ -1521,15 +1513,15 @@ impl Engine {
         let buffer_nj =
             self.input_buf.energy_nj() + self.output_buf.energy_nj() + self.attr_buf.energy_nj();
         let energy = EnergyBreakdown {
-            mac_nj: (stats.mac_ops as f64 * e.mac_op_pj).to_nanojoules(),
-            cam_nj: (stats.cam_searches as f64 * e.cam_search_pj).to_nanojoules(),
+            mac_nj: (e.mac_op_pj * stats.mac_ops).to_nanojoules(),
+            cam_nj: (e.cam_search_pj * stats.cam_searches).to_nanojoules(),
             // Write-verify read-backs bill to the write path: they guard
             // programming bursts, not MAC compute.
-            write_nj: (mac_cells as f64 * e.cell_write_pj
-                + cam_cells as f64 * e.cam_bit_write_pj
-                + self.faults.verify_reads as f64 * e.verify_read_pj)
+            write_nj: (e.cell_write_pj * mac_cells
+                + e.cam_bit_write_pj * cam_cells
+                + e.verify_read_pj * self.faults.verify_reads)
                 .to_nanojoules(),
-            sfu_nj: (self.sfu.total_ops() as f64 * e.sfu_op_pj).to_nanojoules(),
+            sfu_nj: (e.sfu_op_pj * self.sfu.total_ops()).to_nanojoules(),
             buffer_nj,
             static_nj: e.static_energy_nj(makespan),
         };
@@ -1556,7 +1548,7 @@ impl Engine {
         let phases = attribute_makespan(makespan, &tallies);
         // Every report — single-engine or sharded (the sharded runner
         // funnels through the primary's `finish`) — must conserve the
-        // makespan across the phase attribution, bit-for-bit.
+        // makespan across the phase attribution exactly.
         debug_assert!(
             phases.is_empty() || phases.iter().map(|p| p.sched_ns).sum::<Nanos>() == makespan,
             "phase attribution dropped schedule time: {} != {makespan}",
@@ -1565,11 +1557,9 @@ impl Engine {
 
         self.emit_dispatch_events();
         // Replay the schedule into a bank-occupancy timeline when some
-        // sink wants it. The per-phase fold over the timeline must
-        // conserve the accounting's busy attribution bit-for-bit — per
-        // block the load collapses to the same one-term sum and the
-        // compute ledger re-accumulates in issue order, so the folds are
-        // term-by-term identical.
+        // sink wants it. The per-phase fold over the timeline sums the
+        // same integer durations as the accounting, so it conserves the
+        // busy attribution exactly.
         let utilization = if self.record_ops {
             let tl = self.build_timeline(makespan);
             debug_assert!(
@@ -2329,7 +2319,7 @@ mod tests {
         assert_eq!(r.ops.verify_reads, r.faults.verify_reads);
         // Verify reads bill read-class energy to the write path.
         let e_model = &GaasXConfig::small().energy;
-        let floor = (r.faults.verify_reads as f64 * e_model.verify_read_pj).to_nanojoules();
+        let floor = (e_model.verify_read_pj * r.faults.verify_reads).to_nanojoules();
         assert!(r.energy.write_nj > floor);
     }
 

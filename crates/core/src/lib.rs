@@ -27,8 +27,8 @@
 //! let sssp = accel.run(&Sssp::from_source(VertexId::new(0)), &graph)?;
 //! println!(
 //!     "pagerank: {:.3} µs, sssp: {:.3} µs",
-//!     pr.report.elapsed_ns / 1e3,
-//!     sssp.report.elapsed_ns / 1e3,
+//!     pr.report.elapsed_ns.ns() / 1e3,
+//!     sssp.report.elapsed_ns.ns() / 1e3,
 //! );
 //! # Ok::<(), gaasx_core::CoreError>(())
 //! ```

@@ -20,8 +20,9 @@
 //!
 //! For noise-free configurations the merged [`gaasx_sim::RunReport`] is
 //! bit-identical to the serial one: the block-cost sequence — the only
-//! input to the scheduler — is reassembled in the same order, and every
-//! counter is an integer sum or an order-preserved f64 fold. (With
+//! input to the scheduler, whose wave placement walks blocks in order —
+//! is reassembled in the same order, and every counter and modeled
+//! time or energy is an integer sum, exact in any order. (With
 //! conductance noise enabled, per-device RNG draws depend on which engine
 //! executed a shard, so only then do results diverge. Likewise for the
 //! *transient* classes of an active [`FaultModel`](gaasx_xbar::FaultModel):

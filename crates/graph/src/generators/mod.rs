@@ -11,13 +11,11 @@ mod classic;
 mod erdos_renyi;
 mod locality;
 mod rmat;
-mod small_world;
 
 pub use classic::{complete_graph, cycle_graph, grid_graph, path_graph, star_graph};
 pub use erdos_renyi::{erdos_renyi, ErdosRenyiConfig};
 pub use locality::{localize, LocalityConfig};
 pub use rmat::{rmat, RmatConfig};
-pub use small_world::{small_world, SmallWorldConfig};
 
 use crate::coo::CooGraph;
 use crate::types::Edge;

@@ -67,8 +67,9 @@ pub enum ServeError {
         detail: String,
     },
     /// The request's timing has no place on the modeled clock: a NaN or
-    /// infinite arrival time, or a NaN deadline. Rejected at admission;
-    /// never dispatched or billed.
+    /// infinite arrival time, or a NaN or `-inf` deadline (both saturate
+    /// to [`Nanos::MIN`]). Rejected at admission; never dispatched or
+    /// billed.
     InvalidTiming {
         /// The offending request field (`"arrival_ns"` or `"deadline_ns"`).
         field: &'static str,

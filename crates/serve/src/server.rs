@@ -9,8 +9,9 @@
 //!   [`ServeError::Overloaded`] carrying a retry-after hint, and tenants
 //!   past their billed-time quota are rejected with
 //!   [`ServeError::QuotaExceeded`]. A request whose arrival time is not
-//!   finite, or whose deadline is NaN, is rejected with
-//!   [`ServeError::InvalidTiming`]. Rejections are never billed.
+//!   finite, or whose deadline is `-inf` or NaN ([`Nanos::MIN`]), is
+//!   rejected with [`ServeError::InvalidTiming`]. Rejections are never
+//!   billed.
 //! * **Deadlines** — per-query modeled-time budgets enforced at
 //!   cooperative block-boundary checkpoints; a miss returns
 //!   [`ServeError::DeadlineExceeded`] with the partial
@@ -36,11 +37,10 @@
 //! # Billing conservation
 //!
 //! Every admitted query produces exactly one
-//! [`TenantLedger::record_billed`] call, in response-completion order.
-//! Summing each response's `billed_ns` per tenant in that order and
-//! folding tenants lexicographically reproduces
-//! [`TenantLedger::total_billed_ns`] bit-exactly — the soak harness
-//! asserts this.
+//! [`TenantLedger::record_billed`] call. Bills are integer ticks, so
+//! summing the responses' `billed_ns` per tenant, in any order,
+//! reproduces each tenant's bill and [`TenantLedger::total_billed_ns`]
+//! exactly — the soak harness asserts this.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,7 +324,7 @@ impl Server {
                 None => arrivals.push((id, request)),
             }
         }
-        arrivals.sort_by(|a, b| a.1.arrival_ns.total_cmp(&b.1.arrival_ns));
+        arrivals.sort_by_key(|a| a.1.arrival_ns);
 
         let mut lanes = vec![Nanos::ZERO; self.config.lanes.max(1)];
         let mut queue: BoundedQueue<(u64, QueryRequest)> =
@@ -381,7 +381,7 @@ impl Server {
     fn earliest_lane(lanes: &[Nanos]) -> (usize, Nanos) {
         let mut best = 0;
         for (i, free_at) in lanes.iter().enumerate() {
-            if free_at.total_cmp(&lanes[best]) == std::cmp::Ordering::Less {
+            if *free_at < lanes[best] {
                 best = i;
             }
         }
@@ -389,9 +389,10 @@ impl Server {
     }
 
     /// Rejects a request whose arrival time is not finite or whose
-    /// effective deadline is NaN. An infinite deadline means no budget; a
-    /// negative one is a budget already spent, so it runs to its first
-    /// checkpoint and fails with [`ServeError::DeadlineExceeded`].
+    /// effective deadline is [`Nanos::MIN`] (where `-inf` and NaN land).
+    /// A [`Nanos::MAX`] deadline means no budget; a negative finite one
+    /// is a budget already spent, so it runs to its first checkpoint and
+    /// fails with [`ServeError::DeadlineExceeded`].
     fn timing_rejection(&self, request: &QueryRequest) -> Option<ServeError> {
         if !request.arrival_ns.is_finite() {
             return Some(ServeError::InvalidTiming {
@@ -400,7 +401,7 @@ impl Server {
             });
         }
         match request.deadline_ns.or(self.config.default_deadline_ns) {
-            Some(deadline) if deadline.ns().is_nan() => Some(ServeError::InvalidTiming {
+            Some(deadline) if deadline == Nanos::MIN => Some(ServeError::InvalidTiming {
                 field: "deadline_ns",
                 value: deadline,
             }),

@@ -284,6 +284,30 @@ fn unschedulable_timing_is_rejected_at_admission_and_never_billed() {
 }
 
 #[test]
+fn saturated_deadlines_mean_no_budget_or_invalid_timing() {
+    // `+inf` saturates to `Nanos::MAX`, no budget at all; `-inf` lands on
+    // `Nanos::MIN` with NaN and is rejected like it.
+    let mut server = Server::new(ServerConfig::new(GaasXConfig::small()));
+    server.register_graph("g", rmat(400, 5)).unwrap();
+    let bfs = QueryKind::Bfs { source: 0 };
+    let mut unbounded = request("acme", "g", bfs.clone(), 0.0);
+    unbounded.deadline_ns = Some(Nanos::from_ns(f64::INFINITY));
+    let mut past = request("acme", "g", bfs, 1.0);
+    past.deadline_ns = Some(Nanos::from_ns(f64::NEG_INFINITY));
+    let (unbounded, past) = (server.submit(unbounded), server.submit(past));
+    let responses = server.run();
+    let outcome = |id| &responses.iter().find(|r| r.id == id).unwrap().outcome;
+    assert!(outcome(unbounded).is_ok());
+    assert!(matches!(
+        outcome(past),
+        Err(ServeError::InvalidTiming {
+            field: "deadline_ns",
+            value: Nanos::MIN,
+        })
+    ));
+}
+
+#[test]
 fn transient_device_faults_retry_and_succeed() {
     // Chosen so the first attempt write-faults under detect-only recovery
     // but a retry's fresh RNG draws succeed (deterministic per seed).
@@ -356,7 +380,7 @@ fn exhausted_retries_surface_a_typed_device_fault() {
     // Backoff occupies the lane but is not billed device time.
     assert_eq!(
         responses[0].finish_ns,
-        responses[0].start_ns + responses[0].billed_ns + backoff * 3.0
+        responses[0].start_ns + responses[0].billed_ns + backoff * 3
     );
     assert!(responses[0].billed_ns > Nanos::ZERO);
 }
@@ -535,9 +559,8 @@ fn per_tenant_billing_conserves_bit_exactly() {
     let responses = server.run();
     assert_eq!(responses.len(), 9);
 
-    // Recompute per-tenant bills from the response stream in completion
-    // order and fold tenants lexicographically — the canonical fold must
-    // reproduce the ledger totals to the last bit.
+    // Recompute per-tenant bills from the response stream: bills are
+    // integer ticks, so this fold reproduces the ledger totals exactly.
     let mut recomputed: BTreeMap<&str, Nanos> = BTreeMap::new();
     for response in &responses {
         *recomputed

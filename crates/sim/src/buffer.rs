@@ -117,15 +117,15 @@ impl SramBuffer {
 
     /// Total energy so far in nanojoules.
     pub fn energy_nj(&self) -> Nanojoules {
-        (self.reads as f64 * self.read_energy_pj + self.writes as f64 * self.write_energy_pj)
-            .to_nanojoules()
+        let read_pj = self.read_energy_pj * self.reads;
+        (read_pj + self.write_energy_pj * self.writes).to_nanojoules()
     }
 
     /// Serial access latency so far (buffers are banked, so engines
     /// typically hide most of this behind crossbar latency; the figure is
     /// exposed for pessimistic bounds).
     pub fn serial_latency_ns(&self) -> Nanos {
-        self.accesses() as f64 * self.access_ns
+        self.access_ns * self.accesses()
     }
 
     /// Adds another buffer's access counters into this one (the

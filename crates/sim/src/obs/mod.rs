@@ -340,133 +340,52 @@ impl MetricsRegistry {
 /// `busy` lists `(phase, busy_ns, op_count)` tallies; entries that saw
 /// neither busy time nor operations are dropped. Each surviving phase
 /// receives a `sched_ns` share proportional to its busy time (an even
-/// split if no busy time was recorded at all), and the last nonzero share
-/// is then adjusted so the shares sum to `makespan_ns` **exactly** — which
-/// is what makes [`crate::RunReport::phases_total_sched_ns`] equal
-/// `elapsed_ns` bit-for-bit rather than merely approximately. In the rare
-/// case that no value of the last share lands the sum exactly, an earlier
-/// nonzero share is pinned instead.
+/// split if no busy time was recorded at all). The split is a largest-
+/// remainder apportionment in integer ticks: every share takes the floor
+/// of its exact proportion, and the ticks left over go one each to the
+/// largest remainders (ties to the earlier phase). The shares therefore
+/// sum to `makespan_ns` **exactly**, which is what makes
+/// [`crate::RunReport::phases_total_sched_ns`] equal `elapsed_ns`.
 pub fn attribute_makespan(makespan_ns: Nanos, busy: &[(Phase, Nanos, u64)]) -> Vec<PhaseBreakdown> {
-    let total: Nanos = busy.iter().map(|&(_, ns, _)| ns.max(Nanos::ZERO)).sum();
     let mut out: Vec<PhaseBreakdown> = busy
         .iter()
         .filter(|&&(_, ns, count)| ns > Nanos::ZERO || count > 0)
         .map(|&(phase, ns, count)| PhaseBreakdown {
             phase,
-            sched_ns: if total > Nanos::ZERO {
-                // Raw f64 keeps the historical `(makespan * busy) / total`
-                // evaluation order; `makespan * (busy / total)` rounds
-                // differently and would break report bit-identity. It
-                // only serves when the product overflows a finite
-                // makespan.
-                let busy = ns.max(Nanos::ZERO).ns();
-                let share = makespan_ns.ns() * busy / total.ns();
-                Nanos::from_ns(if share.is_finite() || !makespan_ns.is_finite() {
-                    share
-                } else {
-                    makespan_ns.ns() * (busy / total.ns())
-                })
-            } else {
-                Nanos::ZERO
-            },
+            sched_ns: Nanos::ZERO,
             busy_ns: ns.max(Nanos::ZERO),
             count,
         })
         .collect();
-    if out.is_empty() {
-        return out;
+    // Busy ticks as weights, or one each when no busy time was recorded.
+    // `i64 × i64` products fit in `i128`.
+    let mut weights: Vec<i128> = out.iter().map(|p| i128::from(p.busy_ns.fs())).collect();
+    let mut total: i128 = weights.iter().sum();
+    if total == 0 {
+        weights.fill(1);
+        total = weights.len() as i128;
     }
-    if total <= Nanos::ZERO {
-        let even = makespan_ns / out.len() as f64;
-        for p in &mut out {
-            p.sched_ns = even;
-        }
+    let span = i128::from(makespan_ns.fs());
+    let mut left = span;
+    let mut remainders = Vec::with_capacity(out.len());
+    for (i, (p, &w)) in out.iter_mut().zip(&weights).enumerate() {
+        let exact = span * w;
+        let floor = exact.div_euclid(total);
+        left -= floor;
+        remainders.push((exact.rem_euclid(total), i));
+        p.sched_ns = Nanos::from_fs(tick(floor));
     }
-    // Pin a share so the sum is exact, not within rounding — against the
-    // same left-to-right summation order `phases_total_sched_ns` uses
-    // (float addition does not re-associate). The pinned share must be
-    // the *last* nonzero one: any trailing additions are then `+0.0`
-    // (exact), so the correction suffers a single rounding and one-ulp
-    // steps cannot straddle the target the way a mid-stream adjustment
-    // can (where one input ulp may move the re-summed total by two).
-    let pinned = out
-        .iter()
-        .rposition(|p| p.sched_ns > Nanos::ZERO)
-        .unwrap_or(out.len() - 1);
-    let proportional = out[pinned].sched_ns;
-    // Shares are non-negative finite, so stepping one ulp is a bit bump.
-    let ulp_up = |x: Nanos| Nanos::from_ns(f64::from_bits(x.ns().to_bits() + 1));
-    let ulp_down = |x: Nanos| {
-        if x <= Nanos::ZERO {
-            Nanos::ZERO
-        } else {
-            Nanos::from_ns(f64::from_bits(x.ns().to_bits() - 1))
-        }
-    };
-    for _ in 0..64 {
-        let total = sum_shares(&out);
-        if total == makespan_ns {
-            return out;
-        }
-        let cur = out[pinned].sched_ns;
-        let mut next = (cur + (makespan_ns - total)).max(Nanos::ZERO);
-        if next == cur {
-            // The residue is below one ulp of the share; step directly.
-            next = if total < makespan_ns {
-                ulp_up(cur)
-            } else {
-                ulp_down(cur)
-            };
-        }
-        if next == cur {
-            break;
-        }
-        out[pinned].sched_ns = next;
-    }
-    if sum_shares(&out) != makespan_ns {
-        out[pinned].sched_ns = proportional;
-        pin_exactly(&mut out, makespan_ns);
+    // Each floor drops less than one tick, so `0 <= left < out.len()`.
+    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, i) in remainders.iter().take(usize::try_from(left).unwrap_or(0)) {
+        out[i].sched_ns += Nanos::from_fs(1);
     }
     out
 }
 
-/// Left-to-right sum of the shares — the order
-/// [`crate::RunReport::phases_total_sched_ns`] adds them in.
-fn sum_shares(shares: &[PhaseBreakdown]) -> Nanos {
-    shares.iter().map(|p| p.sched_ns).sum()
-}
-
-/// Fallback of [`attribute_makespan`] for when its steps straddle the
-/// target: if the partial sum before the pin is finer-grained than the
-/// makespan, every candidate sum may fall on a rounding tie, and ties
-/// round to even on both sides of an odd makespan. Pins each nonzero
-/// share in turn, from the last to the first, and tries the few ulps
-/// either side of its closed-form value `makespan − Σ(other shares)`;
-/// keeps the first that lands the sum exactly. When none does the
-/// shares stay proportional.
-fn pin_exactly(shares: &mut [PhaseBreakdown], makespan_ns: Nanos) {
-    const REACH: i64 = 4;
-    for i in (0..shares.len()).rev() {
-        let share = shares[i].sched_ns;
-        if share <= Nanos::ZERO {
-            continue;
-        }
-        shares[i].sched_ns = Nanos::ZERO;
-        let estimate = (makespan_ns - sum_shares(shares))
-            .max(Nanos::ZERO)
-            .ns()
-            .to_bits();
-        for step in (0..=2 * REACH).map(|k| if k % 2 == 0 { k / 2 } else { -(k + 1) / 2 }) {
-            let Some(bits) = estimate.checked_add_signed(step) else {
-                continue;
-            };
-            shares[i].sched_ns = Nanos::from_ns(f64::from_bits(bits));
-            if sum_shares(shares) == makespan_ns {
-                return;
-            }
-        }
-        shares[i].sched_ns = share;
-    }
+/// A share of an `i64` makespan, which fits `i64` by construction.
+fn tick(share: i128) -> i64 {
+    i64::try_from(share).unwrap_or(if share < 0 { i64::MIN } else { i64::MAX })
 }
 
 #[derive(Debug)]
@@ -746,6 +665,38 @@ mod tests {
         assert!(phases[2].sched_ns > phases[0].sched_ns);
         assert!(phases[0].sched_ns > phases[1].sched_ns);
         assert_eq!(phases[2].count, 99);
+    }
+
+    #[test]
+    fn attribution_gives_leftover_ticks_to_the_largest_remainders() {
+        let fs = Nanos::from_fs;
+        // 10 ticks over weights 1:1:1 -> 3.33 each; the leftover tick goes
+        // to the first of the tied remainders.
+        let even = [
+            (Phase::LoadBlock, fs(5), 1),
+            (Phase::CamSearch, fs(5), 1),
+            (Phase::Sfu, fs(5), 1),
+        ];
+        let shares: Vec<Nanos> = attribute_makespan(fs(10), &even)
+            .iter()
+            .map(|p| p.sched_ns)
+            .collect();
+        assert_eq!(shares, [fs(4), fs(3), fs(3)]);
+        // 7 ticks over 1:2:4 is exact; 8 ticks gives 8/7, 16/7, 32/7 and
+        // the leftover tick goes to the largest remainder (32/7 = 4 r 4).
+        let skew = [
+            (Phase::LoadBlock, fs(1), 1),
+            (Phase::CamSearch, fs(2), 1),
+            (Phase::Sfu, fs(4), 1),
+        ];
+        let split = |m| -> Vec<Nanos> {
+            attribute_makespan(fs(m), &skew)
+                .iter()
+                .map(|p| p.sched_ns)
+                .collect()
+        };
+        assert_eq!(split(7), [fs(1), fs(2), fs(4)]);
+        assert_eq!(split(8), [fs(1), fs(2), fs(5)]);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::units::Nanos;
 
 /// Makespan of a two-stage pipeline with double buffering.
 ///
-/// `loads[i]` and `computes[i]` are the stage times of shard `i` in any
-/// consistent time unit.
+/// `loads[i]` and `computes[i]` are the stage times of shard `i`.
 ///
 /// # Panics
 ///
@@ -28,18 +27,20 @@ use crate::units::Nanos;
 ///
 /// ```
 /// use gaasx_sim::pipeline::pipelined_makespan;
+/// use gaasx_sim::Nanos;
 ///
 /// // Perfect overlap: 3 shards, load 10, compute 10 -> 10 + 2*10 + 10.
-/// assert_eq!(pipelined_makespan(&[10.0; 3], &[10.0; 3]), 40.0);
+/// let ten = [Nanos::from_ns(10.0); 3];
+/// assert_eq!(pipelined_makespan(&ten, &ten), Nanos::from_ns(40.0));
 /// ```
-pub fn pipelined_makespan(loads: &[f64], computes: &[f64]) -> f64 {
+pub fn pipelined_makespan(loads: &[Nanos], computes: &[Nanos]) -> Nanos {
     assert_eq!(
         loads.len(),
         computes.len(),
         "pipeline stages must align per shard"
     );
     if loads.is_empty() {
-        return 0.0;
+        return Nanos::ZERO;
     }
     let mut total = loads[0];
     for i in 1..loads.len() {
@@ -49,21 +50,21 @@ pub fn pipelined_makespan(loads: &[f64], computes: &[f64]) -> f64 {
 }
 
 /// Makespan with no overlap (single buffering): the serial sum.
-pub fn serial_makespan(loads: &[f64], computes: &[f64]) -> f64 {
+pub fn serial_makespan(loads: &[Nanos], computes: &[Nanos]) -> Nanos {
     assert_eq!(
         loads.len(),
         computes.len(),
         "pipeline stages must align per shard"
     );
-    loads.iter().sum::<f64>() + computes.iter().sum::<f64>()
+    loads.iter().sum::<Nanos>() + computes.iter().sum::<Nanos>()
 }
 
 /// Incremental two-stage pipeline clock, for engines that discover shard
 /// costs on the fly instead of collecting them up front.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineClock {
-    load_ready: f64,
-    compute_done: f64,
+    load_ready: Nanos,
+    compute_done: Nanos,
 }
 
 impl PipelineClock {
@@ -75,7 +76,7 @@ impl PipelineClock {
     /// Accounts one shard: its load starts as soon as the load unit is free
     /// and its compute starts once both the load finished and the compute
     /// unit freed up. Returns the shard's compute completion time.
-    pub fn advance(&mut self, load_ns: f64, compute_ns: f64) -> f64 {
+    pub fn advance(&mut self, load_ns: Nanos, compute_ns: Nanos) -> Nanos {
         let load_done = self.load_ready + load_ns;
         self.load_ready = load_done;
         let start = load_done.max(self.compute_done);
@@ -84,7 +85,7 @@ impl PipelineClock {
     }
 
     /// Current makespan (completion time of the last computed shard).
-    pub fn makespan(&self) -> f64 {
+    pub fn makespan(&self) -> Nanos {
         self.compute_done.max(self.load_ready)
     }
 }
@@ -159,7 +160,7 @@ pub fn wave_schedule<'a, T>(
     let mut clock = PipelineClock::new();
     for (index, wave) in blocks.chunks(banks).enumerate() {
         let s = wave_stages(wave, &stages);
-        let done = Nanos::from_ns(clock.advance(s.load().ns(), s.compute.ns()));
+        let done = clock.advance(s.load(), s.compute);
         visit(Wave {
             index,
             first: index * banks,
@@ -168,7 +169,7 @@ pub fn wave_schedule<'a, T>(
             compute_end: done,
         });
     }
-    Nanos::from_ns(clock.makespan())
+    clock.makespan()
 }
 
 /// Intra-block CAM-search / MAC-compute overlap clock.
@@ -188,8 +189,8 @@ pub fn wave_schedule<'a, T>(
 /// timeline replay can place the op on its lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhasePipe {
-    search_ready: f64,
-    compute_done: f64,
+    search_ready: Nanos,
+    compute_done: Nanos,
     /// Whether the most recent op was a search — the next compute op then
     /// synchronizes on `search_ready` (it consumes the hit vector).
     last_was_search: bool,
@@ -202,7 +203,7 @@ impl PhasePipe {
     }
 
     /// Accounts one CAM-search op on the search unit; returns its start.
-    pub fn search(&mut self, ns: f64) -> f64 {
+    pub fn search(&mut self, ns: Nanos) -> Nanos {
         let start = self.search_ready;
         self.search_ready = start + ns;
         self.last_was_search = true;
@@ -212,7 +213,7 @@ impl PhasePipe {
     /// Accounts one non-search op on the compute unit; returns its start.
     /// When the preceding op was a search, the compute first waits for the
     /// search unit (it consumes the freshly produced hit vector).
-    pub fn compute(&mut self, ns: f64) -> f64 {
+    pub fn compute(&mut self, ns: Nanos) -> Nanos {
         if self.last_was_search {
             self.compute_done = self.compute_done.max(self.search_ready);
             self.last_was_search = false;
@@ -223,7 +224,7 @@ impl PhasePipe {
     }
 
     /// Pipelined makespan of the ops accounted so far.
-    pub fn makespan(&self) -> f64 {
+    pub fn makespan(&self) -> Nanos {
         self.compute_done.max(self.search_ready)
     }
 }
@@ -232,61 +233,68 @@ impl PhasePipe {
 mod tests {
     use super::*;
 
+    fn ns(v: f64) -> Nanos {
+        Nanos::from_ns(v)
+    }
+
+    fn all(vs: &[f64]) -> Vec<Nanos> {
+        vs.iter().map(|&v| ns(v)).collect()
+    }
+
     #[test]
     fn empty_pipeline_is_zero() {
-        assert_eq!(pipelined_makespan(&[], &[]), 0.0);
-        assert_eq!(serial_makespan(&[], &[]), 0.0);
+        assert_eq!(pipelined_makespan(&[], &[]), Nanos::ZERO);
+        assert_eq!(serial_makespan(&[], &[]), Nanos::ZERO);
     }
 
     #[test]
     fn single_shard_is_serial() {
-        assert_eq!(pipelined_makespan(&[5.0], &[7.0]), 12.0);
+        assert_eq!(pipelined_makespan(&[ns(5.0)], &[ns(7.0)]), ns(12.0));
     }
 
     #[test]
     fn compute_bound_hides_loads() {
         // Loads of 1 hide entirely behind computes of 10 (after the first).
-        let m = pipelined_makespan(&[1.0; 4], &[10.0; 4]);
-        assert_eq!(m, 1.0 + 3.0 * 10.0 + 10.0);
+        let m = pipelined_makespan(&[ns(1.0); 4], &[ns(10.0); 4]);
+        assert_eq!(m, ns(1.0 + 3.0 * 10.0 + 10.0));
     }
 
     #[test]
     fn load_bound_hides_computes() {
-        let m = pipelined_makespan(&[10.0; 4], &[1.0; 4]);
-        assert_eq!(m, 10.0 + 3.0 * 10.0 + 1.0);
+        let m = pipelined_makespan(&[ns(10.0); 4], &[ns(1.0); 4]);
+        assert_eq!(m, ns(10.0 + 3.0 * 10.0 + 1.0));
     }
 
     #[test]
     fn pipeline_never_beats_critical_stage_or_exceeds_serial() {
-        let loads = [3.0, 8.0, 2.0, 5.0];
-        let computes = [6.0, 1.0, 9.0, 2.0];
+        let loads = all(&[3.0, 8.0, 2.0, 5.0]);
+        let computes = all(&[6.0, 1.0, 9.0, 2.0]);
         let p = pipelined_makespan(&loads, &computes);
         let s = serial_makespan(&loads, &computes);
         assert!(p <= s);
-        assert!(p >= loads.iter().sum::<f64>().max(computes.iter().sum()));
+        assert!(p >= loads.iter().sum::<Nanos>().max(computes.iter().sum()));
     }
 
     #[test]
     fn clock_matches_batch_formula() {
-        let loads = [3.0, 8.0, 2.0, 5.0];
-        let computes = [6.0, 1.0, 9.0, 2.0];
+        let loads = all(&[3.0, 8.0, 2.0, 5.0]);
+        let computes = all(&[6.0, 1.0, 9.0, 2.0]);
         let mut clock = PipelineClock::new();
         for (&l, &c) in loads.iter().zip(&computes) {
             clock.advance(l, c);
         }
-        assert!((clock.makespan() - pipelined_makespan(&loads, &computes)).abs() < 1e-12);
+        assert_eq!(clock.makespan(), pipelined_makespan(&loads, &computes));
     }
 
     #[test]
     #[should_panic(expected = "align")]
     fn mismatched_lengths_panic() {
-        pipelined_makespan(&[1.0], &[]);
+        pipelined_makespan(&[ns(1.0)], &[]);
     }
 
     #[test]
     fn wave_schedule_by_hand() {
         // Five blocks on three banks: a full wave, then an uneven one.
-        let ns = Nanos::from_ns;
         let blocks = [
             (2.0, 5.0, 10.0),
             (2.0, 3.0, 7.0),
@@ -326,11 +334,11 @@ mod tests {
         // S(4) C(10) S(4) C(10): the second search runs during the first
         // MAC, so only the first search extends the makespan.
         let mut p = PhasePipe::new();
-        assert_eq!(p.search(4.0), 0.0);
-        assert_eq!(p.compute(10.0), 4.0);
-        assert_eq!(p.search(4.0), 4.0); // overlapped with the MAC
-        assert_eq!(p.compute(10.0), 14.0);
-        assert_eq!(p.makespan(), 24.0);
+        assert_eq!(p.search(ns(4.0)), ns(0.0));
+        assert_eq!(p.compute(ns(10.0)), ns(4.0));
+        assert_eq!(p.search(ns(4.0)), ns(4.0)); // overlapped with the MAC
+        assert_eq!(p.compute(ns(10.0)), ns(14.0));
+        assert_eq!(p.makespan(), ns(24.0));
         // Serial would be 28: the pipeline hid one 4 ns search.
     }
 
@@ -338,11 +346,11 @@ mod tests {
     fn phase_pipe_search_bound_blocks_compute() {
         // Long searches dominate: each compute waits for its hit vector.
         let mut p = PhasePipe::new();
-        p.search(10.0);
-        assert_eq!(p.compute(1.0), 10.0);
-        p.search(10.0);
-        assert_eq!(p.compute(1.0), 20.0);
-        assert_eq!(p.makespan(), 21.0);
+        p.search(ns(10.0));
+        assert_eq!(p.compute(ns(1.0)), ns(10.0));
+        p.search(ns(10.0));
+        assert_eq!(p.compute(ns(1.0)), ns(20.0));
+        assert_eq!(p.makespan(), ns(21.0));
     }
 
     #[test]
@@ -351,25 +359,25 @@ mod tests {
         // following compute waits for all three. Consecutive computes
         // serialize on the compute unit without re-syncing.
         let mut p = PhasePipe::new();
-        p.search(4.0);
-        p.search(4.0);
-        p.search(4.0);
-        assert_eq!(p.compute(5.0), 12.0);
-        assert_eq!(p.compute(5.0), 17.0);
-        assert_eq!(p.makespan(), 22.0);
+        p.search(ns(4.0));
+        p.search(ns(4.0));
+        p.search(ns(4.0));
+        assert_eq!(p.compute(ns(5.0)), ns(12.0));
+        assert_eq!(p.compute(ns(5.0)), ns(17.0));
+        assert_eq!(p.makespan(), ns(22.0));
     }
 
     #[test]
     fn phase_pipe_without_searches_is_serial() {
         let mut p = PhasePipe::new();
-        p.compute(3.0);
-        p.compute(7.0);
-        assert_eq!(p.makespan(), 10.0);
+        p.compute(ns(3.0));
+        p.compute(ns(7.0));
+        assert_eq!(p.makespan(), ns(10.0));
         // And search-only blocks are serial on the search unit.
         let mut q = PhasePipe::new();
-        q.search(2.0);
-        q.search(2.0);
-        assert_eq!(q.makespan(), 4.0);
+        q.search(ns(2.0));
+        q.search(ns(2.0));
+        assert_eq!(q.makespan(), ns(4.0));
     }
 
     #[test]
@@ -383,17 +391,18 @@ mod tests {
             (false, 6.0),
         ];
         let mut p = PhasePipe::new();
-        let mut serial = 0.0;
-        let (mut s_total, mut c_total) = (0.0, 0.0);
-        for &(is_search, ns) in &ops {
+        let mut serial = Nanos::ZERO;
+        let (mut s_total, mut c_total) = (Nanos::ZERO, Nanos::ZERO);
+        for &(is_search, raw) in &ops {
+            let t = ns(raw);
             if is_search {
-                p.search(ns);
-                s_total += ns;
+                p.search(t);
+                s_total += t;
             } else {
-                p.compute(ns);
-                c_total += ns;
+                p.compute(t);
+                c_total += t;
             }
-            serial += ns;
+            serial += t;
         }
         assert!(p.makespan() <= serial);
         assert!(p.makespan() >= s_total.max(c_total));

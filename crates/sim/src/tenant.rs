@@ -9,14 +9,10 @@
 //!
 //! # Exact conservation
 //!
-//! `f64` addition is not associative, so "per-tenant sums add up to the
-//! total" is only bit-exact if both sides fold in the same order. The
-//! ledger defines the canonical fold: each tenant's bill accumulates in
-//! record order, and [`TenantLedger::total_billed_ns`] folds the
-//! per-tenant sums in `BTreeMap` (lexicographic tenant-name) order. Any
-//! independent recomputation that groups the same billing events per
-//! tenant in the same record order and folds tenants lexicographically
-//! reproduces the total to the last bit.
+//! Bills are integer ticks ([`Nanos`], [`Nanojoules`]), whose sums are
+//! exact and associative. Any recomputation from the same billing events,
+//! grouped or ordered in any way, reproduces each tenant's bill and
+//! [`TenantLedger::total_billed_ns`] exactly.
 
 use std::collections::BTreeMap;
 
@@ -36,7 +32,7 @@ pub struct TenantUsage {
     /// Admitted queries that ended in a typed failure (deadline, device
     /// fault, internal error). Partial work is still billed.
     pub failed: u64,
-    /// Total modeled device time billed, in record order.
+    /// Total modeled device time billed.
     pub billed_ns: Nanos,
     /// Total modeled energy billed.
     pub energy_nj: Nanojoules,
@@ -63,9 +59,7 @@ impl TenantLedger {
     }
 
     /// Records an admitted query's bill: modeled time, energy, and the
-    /// operation counts behind them. Call once per billing event, in
-    /// response order — the per-tenant sum is order-sensitive in the last
-    /// bit and defines the canonical fold.
+    /// operation counts behind them. Call once per billing event.
     pub fn record_billed(&mut self, tenant: &str, ns: Nanos, energy: Nanojoules, ops: &OpSummary) {
         let u = self.entry(tenant);
         u.admitted = u.admitted.saturating_add(1);
@@ -105,13 +99,12 @@ impl TenantLedger {
             .map_or(Nanos::ZERO, |u| u.billed_ns)
     }
 
-    /// The canonical total: per-tenant bills folded in lexicographic
-    /// tenant order (see the module docs for why the order matters).
+    /// Total modeled time billed across all tenants.
     pub fn total_billed_ns(&self) -> Nanos {
         self.tenants.values().map(|u| u.billed_ns).sum()
     }
 
-    /// Total energy billed across all tenants, in the canonical order.
+    /// Total energy billed across all tenants.
     pub fn total_energy_nj(&self) -> Nanojoules {
         self.tenants.values().map(|u| u.energy_nj).sum()
     }
@@ -128,7 +121,7 @@ impl TenantLedger {
         }
     }
 
-    /// Iterates tenants in lexicographic (canonical fold) order.
+    /// Iterates tenants in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &TenantUsage)> {
         self.tenants.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -175,26 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn total_is_the_canonical_lexicographic_fold() {
-        // Values chosen so fold order changes the last bit: summing
-        // {a, b, c} as (a + b) + c vs (c + b) + a differs for these.
-        let (a, b, c) = (0.1f64, 0.2f64, 0.3f64);
-        assert_ne!(((a + b) + c).to_bits(), ((c + b) + a).to_bits());
-
+    fn total_and_share_over_tenants() {
         let mut ledger = TenantLedger::new();
-        // Insert in non-lexicographic order; the fold must still be
-        // lexicographic ("alpha", "beta", "gamma").
         let zero = OpSummary::new();
-        ledger.record_billed("gamma", Nanos::from_ns(c), Nanojoules::ZERO, &zero);
-        ledger.record_billed("alpha", Nanos::from_ns(a), Nanojoules::ZERO, &zero);
-        ledger.record_billed("beta", Nanos::from_ns(b), Nanojoules::ZERO, &zero);
-        assert_eq!(
-            ledger.total_billed_ns().ns().to_bits(),
-            ((a + b) + c).to_bits()
-        );
-
-        let share = ledger.billed_share("alpha");
-        assert_eq!(share.to_bits(), (a / ((a + b) + c)).to_bits());
+        ledger.record_billed("gamma", Nanos::from_ns(0.3), Nanojoules::ZERO, &zero);
+        ledger.record_billed("alpha", Nanos::from_ns(0.1), Nanojoules::ZERO, &zero);
+        ledger.record_billed("beta", Nanos::from_ns(0.2), Nanojoules::ZERO, &zero);
+        assert_eq!(ledger.total_billed_ns(), Nanos::from_ns(0.6));
+        assert_eq!(ledger.billed_share("beta"), 1.0 / 3.0);
         assert_eq!(ledger.billed_share("ghost"), 0.0);
     }
 

@@ -25,14 +25,11 @@
 //! ## The conservation invariant
 //!
 //! [`Timeline::phase_busy_ns`] folds interval durations back into
-//! per-phase busy totals using **the same grouping and addition order**
-//! the engine's accounting uses (per block: one load term, then the
-//! block's per-phase compute subtotals rebuilt in op order). Because
-//! float addition does not re-associate, replicating the fold is what
-//! makes the timeline conserve the engine's phase attribution
-//! *bit-exactly* — asserted by a `debug_assert` in the engine's `finish`
-//! and by property tests. Per-bank totals regroup the same durations
-//! across a different axis, so they conserve only up to f64 rounding.
+//! per-phase busy totals. Durations are integer ticks, so the fold is
+//! exact in any order: it reproduces the engine's phase attribution
+//! bit-exactly (asserted by a `debug_assert` in the engine's `finish`
+//! and by property tests), and so do the per-bank totals that regroup
+//! the same durations across banks.
 
 use serde::{Deserialize, Serialize};
 
@@ -53,9 +50,8 @@ pub const COMPUTE_LANE: u32 = 1;
 /// Lane holding CAM-search intervals when the engine models search/MAC
 /// pipeline overlap: searches for the next vertex proceed while the
 /// previous MAC burst drains, so they occupy their own track. The
-/// conservation fold treats any lane other than [`LOAD_LANE`] as compute,
-/// so splitting searches onto this lane leaves per-phase busy totals
-/// bit-identical.
+/// conservation fold keys on phase, not lane, so splitting searches onto
+/// this lane leaves per-phase busy totals unchanged.
 pub const SEARCH_LANE: u32 = 2;
 
 /// One occupancy interval on a `(bank, lane)` track of the modeled-time
@@ -136,7 +132,7 @@ impl Timeline {
         dur_ns: Nanos,
         block: Option<u32>,
     ) {
-        if dur_ns <= Nanos::ZERO || dur_ns.ns().is_nan() {
+        if dur_ns <= Nanos::ZERO {
             return;
         }
         let cursor = self.cursors.entry((bank, lane)).or_insert(Nanos::ZERO);
@@ -178,44 +174,11 @@ impl Timeline {
     }
 
     /// Folds interval durations into per-phase busy totals (indexed by
-    /// [`Phase::index`]), replicating the engine accounting fold exactly:
-    /// controller intervals add first, then per block — in stream order —
-    /// one load term followed by the block's per-phase compute subtotals
-    /// (rebuilt from the ops in issue order, added as one term per
-    /// phase). See the module docs for why the grouping matters.
+    /// [`Phase::index`]); exact in any order (see the module docs).
     pub fn phase_busy_ns(&self) -> [Nanos; 7] {
         let mut busy = [Nanos::ZERO; 7];
-        let mut cur_block: Option<u32> = None;
-        let mut pending_load = Nanos::ZERO;
-        let mut pending_compute = [Nanos::ZERO; 7];
-        let flush = |busy: &mut [Nanos; 7], load: &mut Nanos, compute: &mut [Nanos; 7]| {
-            busy[Phase::LoadBlock.index()] += *load;
-            for (acc, ns) in busy.iter_mut().zip(compute.iter()) {
-                *acc += *ns;
-            }
-            *load = Nanos::ZERO;
-            *compute = [Nanos::ZERO; 7];
-        };
         for iv in &self.intervals {
-            if iv.block != cur_block {
-                if cur_block.is_some() {
-                    flush(&mut busy, &mut pending_load, &mut pending_compute);
-                }
-                cur_block = iv.block;
-            }
-            match iv.block {
-                None => busy[iv.phase.index()] += iv.dur_ns,
-                Some(_) => {
-                    if iv.lane == LOAD_LANE {
-                        pending_load += iv.dur_ns;
-                    } else {
-                        pending_compute[iv.phase.index()] += iv.dur_ns;
-                    }
-                }
-            }
-        }
-        if cur_block.is_some() {
-            flush(&mut busy, &mut pending_load, &mut pending_compute);
+            busy[iv.phase.index()] += iv.dur_ns;
         }
         busy
     }
@@ -287,34 +250,34 @@ impl UtilizationReport {
         }
         let mut banks = Vec::with_capacity(bank_ids.len());
         for &bank in &bank_ids {
-            let load: Vec<(f64, f64)> = timeline
+            let span = |iv: &TimelineInterval| (iv.start_ns, iv.end_ns());
+            let load: Vec<(Nanos, Nanos)> = timeline
                 .intervals()
                 .iter()
                 .filter(|iv| iv.bank == bank && iv.lane == LOAD_LANE)
-                .map(|iv| (iv.start_ns.ns(), iv.end_ns().ns()))
+                .map(span)
                 .collect();
-            let mut compute: Vec<(f64, f64)> = timeline
+            let mut compute: Vec<(Nanos, Nanos)> = timeline
                 .intervals()
                 .iter()
                 .filter(|iv| iv.bank == bank && iv.lane != LOAD_LANE)
-                .map(|iv| (iv.start_ns.ns(), iv.end_ns().ns()))
+                .map(span)
                 .collect();
-            // `+ 0.0` normalizes the `-0.0` an empty lane's sum produces.
-            let load_busy_ns: f64 = load.iter().map(|&(s, e)| e - s).sum::<f64>() + 0.0;
-            let compute_busy_ns: f64 = compute.iter().map(|&(s, e)| e - s).sum::<f64>() + 0.0;
-            compute.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let length = |ivs: &[(Nanos, Nanos)]| ivs.iter().map(|&(s, e)| e - s).sum::<Nanos>();
+            let load_busy_ns = length(&load);
+            let compute_busy_ns = length(&compute);
+            compute.sort_unstable();
             let compute = merge_sorted(compute);
-            let compute_union_ns: f64 = compute.iter().map(|&(s, e)| e - s).sum::<f64>() + 0.0;
             let busy_ns = union_ns(&load, &compute);
-            let overlap_ns = (load_busy_ns + compute_union_ns - busy_ns).max(0.0);
+            let overlap_ns = (load_busy_ns + length(&compute) - busy_ns).max(Nanos::ZERO);
             banks.push(BankUtilization {
                 bank,
-                load_busy_ns: Nanos::from_ns(load_busy_ns),
-                compute_busy_ns: Nanos::from_ns(compute_busy_ns),
-                busy_ns: Nanos::from_ns(busy_ns),
-                overlap_ns: Nanos::from_ns(overlap_ns),
+                load_busy_ns,
+                compute_busy_ns,
+                busy_ns,
+                overlap_ns,
                 utilization: if makespan_ns > Nanos::ZERO {
-                    busy_ns / makespan_ns.ns()
+                    busy_ns / makespan_ns
                 } else {
                     0.0
                 },
@@ -323,7 +286,7 @@ impl UtilizationReport {
         let critical_bank = banks
             .iter()
             .filter(|b| b.bank != CONTROLLER_BANK)
-            .max_by(|a, b| a.busy_ns.total_cmp(&b.busy_ns))
+            .max_by_key(|b| b.busy_ns)
             .map(|b| b.bank);
         UtilizationReport {
             makespan_ns,
@@ -361,11 +324,11 @@ impl UtilizationReport {
 
 /// Collapses a start-sorted interval list into its non-overlapping
 /// union (touching intervals merge).
-fn merge_sorted(intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    let mut merged: Vec<(f64, f64)> = Vec::with_capacity(intervals.len());
+fn merge_sorted(intervals: Vec<(Nanos, Nanos)>) -> Vec<(Nanos, Nanos)> {
+    let mut merged: Vec<(Nanos, Nanos)> = Vec::with_capacity(intervals.len());
     for (s, e) in intervals {
         match merged.last_mut() {
-            Some((_, end)) if s <= *end => *end = end.max(e),
+            Some((_, end)) if s <= *end => *end = (*end).max(e),
             _ => merged.push((s, e)),
         }
     }
@@ -374,9 +337,9 @@ fn merge_sorted(intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
 
 /// Length of the union of two sorted, internally non-overlapping
 /// interval lists.
-fn union_ns(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let mut total = 0.0f64;
-    let mut open: Option<(f64, f64)> = None;
+fn union_ns(a: &[(Nanos, Nanos)], b: &[(Nanos, Nanos)]) -> Nanos {
+    let mut total = Nanos::ZERO;
+    let mut open: Option<(Nanos, Nanos)> = None;
     let (mut i, mut j) = (0usize, 0usize);
     loop {
         let next = match (a.get(i), b.get(j)) {
@@ -400,7 +363,7 @@ fn union_ns(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
             (None, None) => break,
         };
         match &mut open {
-            Some((_, end)) if next.0 <= *end => *end = end.max(next.1),
+            Some((_, end)) if next.0 <= *end => *end = (*end).max(next.1),
             Some((start, end)) => {
                 total += *end - *start;
                 open = Some(next);
@@ -768,14 +731,23 @@ mod tests {
 
     #[test]
     fn union_handles_disjoint_nested_and_touching() {
-        assert_eq!(union_ns(&[], &[]), 0.0);
-        assert_eq!(union_ns(&[(0.0, 2.0)], &[]), 2.0);
+        let iv = |ivs: &[(f64, f64)]| -> Vec<(Nanos, Nanos)> {
+            ivs.iter().map(|&(s, e)| (ns(s), ns(e))).collect()
+        };
+        assert_eq!(union_ns(&[], &[]), Nanos::ZERO);
+        assert_eq!(union_ns(&iv(&[(0.0, 2.0)]), &[]), ns(2.0));
         // Touching intervals merge seamlessly.
-        assert_eq!(union_ns(&[(0.0, 2.0), (4.0, 6.0)], &[(2.0, 4.0)]), 6.0);
+        assert_eq!(
+            union_ns(&iv(&[(0.0, 2.0), (4.0, 6.0)]), &iv(&[(2.0, 4.0)])),
+            ns(6.0)
+        );
         // Nested intervals count once.
-        assert_eq!(union_ns(&[(0.0, 10.0)], &[(2.0, 3.0), (5.0, 6.0)]), 10.0);
+        assert_eq!(
+            union_ns(&iv(&[(0.0, 10.0)]), &iv(&[(2.0, 3.0), (5.0, 6.0)])),
+            ns(10.0)
+        );
         // Disjoint.
-        assert_eq!(union_ns(&[(0.0, 1.0)], &[(5.0, 6.0)]), 2.0);
+        assert_eq!(union_ns(&iv(&[(0.0, 1.0)]), &iv(&[(5.0, 6.0)])), ns(2.0));
     }
 
     #[test]

@@ -2,95 +2,127 @@
 //!
 //! Every number GaaS-X reports is a sum of per-op costs billed in
 //! nanoseconds (time), picojoules (per-op energy), or nanojoules
-//! (aggregated energy). Historically those were bare `f64`s, so nothing
-//! stopped `elapsed_ns + energy_pj` from compiling — a single mixed-unit
-//! add silently corrupts every downstream table. These newtypes make the
-//! unit part of the type:
+//! (aggregated energy). The newtypes make the unit part of the type, so
+//! `elapsed_ns + energy_pj` does not compile:
 //!
-//! * [`Nanos`] — modeled time in nanoseconds,
-//! * [`Picojoules`] — per-operation energy (device-model granularity),
-//! * [`Nanojoules`] — aggregated energy (report granularity).
+//! * [`Nanos`] — modeled time, held as `i64` femtoseconds,
+//! * [`Picojoules`] — per-operation energy, held as `i128` attojoules,
+//! * [`Nanojoules`] — aggregated energy, held as `i128` attojoules.
 //!
-//! Design constraints, in priority order:
+//! # Integer ticks
 //!
-//! 1. **Bit-identity.** All arithmetic delegates to the wrapped `f64`
-//!    operation on the raw value, in the same order the untyped code
-//!    performed it, so every report stays bit-identical to the pre-typed
-//!    accounting (the phase-attribution and timeline conservation checks
-//!    compare f64 sums bit for bit, so they depend on this).
-//!    In particular [`Picojoules`] and [`Nanojoules`] are *distinct types*
-//!    rather than auto-rescaling views of one another: a ×1000 rescale is
-//!    not exact in floating point, so conversion is explicit and happens
-//!    exactly where the untyped code divided by 1000.
-//! 2. **Zero cost.** `#[repr(transparent)]` wrappers; every method is a
-//!    trivial delegation the optimizer erases.
-//! 3. **No overflow class.** The wrapped representation is `f64`, which
-//!    saturates to `±inf` instead of wrapping or panicking, so the
-//!    accounting sums cannot invoke integer-overflow UB regardless of
-//!    stream length. (Counts remain `u64` with saturating ops; see
-//!    [`crate::report::OpSummary`].)
+//! The paper's device model is integral: its Table I latencies are whole
+//! nanoseconds, and a 12-byte edge record at 128 GB/s streams in exactly
+//! 93.75 ps. A femtosecond tick keeps every such constant exact; an
+//! attojoule tick moves the Table I-derived MAC energy (9.3802734… pJ) by
+//! under 1e-7 of its value. Because the ticks are integers, `+` and
+//! [`Sum`](core::iter::Sum) are exact and associative: a total is the same
+//! in whatever order its terms are folded, so sharded runs, per-tenant
+//! ledgers and phase attributions conserve their sums without a fixed
+//! fold order.
+//!
+//! # Rounding once
+//!
+//! A quantity enters the typed accounting through [`Nanos::from_ns`],
+//! [`Picojoules::from_pj`] or [`Nanojoules::from_nj`], which round the
+//! `f64` magnitude to the nearest tick (ties away from zero). Configured
+//! constants take that one rounding when the configuration or the engine
+//! is built; billing then multiplies them by `u64` operation counts, which
+//! is exact. Division by a count ([`Div<u64>`](core::ops::Div)) rounds to
+//! the nearest tick, once.
+//!
+//! # Saturation and headroom
+//!
+//! Arithmetic saturates instead of wrapping. `from_*` maps `+inf` (and any
+//! magnitude past the range) to `MAX`, and `-inf` and NaN to `MIN`;
+//! [`Nanos::is_finite`] is false at both ends, and the `f64` getters
+//! report them as `±inf`. `i64` femtoseconds span ±9,223 s of modeled
+//! time (signed, so a spent deadline is representable). Energies use
+//! `i128` because `i64` attojoules would cap at 9.2 J, less than an 11 W
+//! CPU baseline bills for one host second.
 //!
 //! Serialization note: the workspace's serde derives are no-op shims (the
-//! build is offline); all real JSON is hand-rolled. The hand-rolled
-//! writers call [`Nanos::ns`] / [`Picojoules::pj`] / [`Nanojoules::nj`]
-//! and format the raw `f64` exactly as before, so committed result files
-//! stay byte-compatible.
+//! build is offline); all real JSON is hand-rolled through the `f64`
+//! getters ([`Nanos::ns`], [`Picojoules::pj`], [`Nanojoules::nj`]).
 
 use serde::{Deserialize, Serialize};
 
 macro_rules! unit_newtype {
     (
         $(#[$meta:meta])*
-        $name:ident, $raw_getter:ident, $from_ctor:ident, $unit_str:literal
+        $name:ident($raw:ty), $ticks_per_unit:expr,
+        $getter:ident, $from:ident, $tick_getter:ident, $from_ticks:ident
     ) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(
+            Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize,
+        )]
         #[repr(transparent)]
-        pub struct $name(f64);
+        pub struct $name($raw);
 
         impl $name {
             /// The additive identity.
-            pub const ZERO: Self = Self(0.0);
+            pub const ZERO: Self = Self(0);
+            /// The saturated top of the range (`+inf` maps here).
+            pub const MAX: Self = Self(<$raw>::MAX);
+            /// The saturated bottom of the range (`-inf` and NaN map here).
+            pub const MIN: Self = Self(<$raw>::MIN);
 
-            /// Wraps a raw magnitude expressed in this unit.
+            /// Rounds a magnitude in this unit to the nearest tick,
+            /// saturating at [`Self::MAX`] and [`Self::MIN`] (see the
+            /// module docs).
             #[inline]
-            pub const fn $from_ctor(raw: f64) -> Self {
-                Self(raw)
+            pub fn $from(raw: f64) -> Self {
+                Self::round_ticks(raw * $ticks_per_unit as f64)
             }
 
-            /// Returns the raw magnitude in this unit.
-            ///
-            /// This is the *only* door back to untyped floats; call sites
-            /// mark exactly where a quantity leaves the typed accounting
-            /// (formatting, telemetry, or an explicit unit conversion).
+            /// Scales by a dimensionless factor, rounded once to the
+            /// nearest tick (a published speedup or efficiency ratio).
             #[inline]
-            pub const fn $raw_getter(self) -> f64 {
+            pub fn scale(self, factor: f64) -> Self {
+                Self::round_ticks(self.0 as f64 * factor)
+            }
+
+            #[inline]
+            fn round_ticks(ticks: f64) -> Self {
+                if ticks.is_nan() {
+                    return Self::MIN;
+                }
+                // `as` saturates at the integer range, infinities included.
+                Self(ticks.round() as $raw)
+            }
+
+            /// Wraps a raw tick count.
+            #[inline]
+            pub const fn $from_ticks(ticks: $raw) -> Self {
+                Self(ticks)
+            }
+
+            /// Returns the raw tick count.
+            #[inline]
+            pub const fn $tick_getter(self) -> $raw {
                 self.0
             }
 
-            /// Elementwise maximum, preserving `f64::max` NaN semantics.
+            /// Returns the magnitude in this unit as an `f64` (`±inf` at
+            /// the saturated ends).
+            ///
+            /// This is the door back to untyped floats; call sites mark
+            /// exactly where a quantity leaves the typed accounting
+            /// (formatting, telemetry, or a ratio).
             #[inline]
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
+            pub fn $getter(self) -> f64 {
+                match self {
+                    Self::MAX => f64::INFINITY,
+                    Self::MIN => f64::NEG_INFINITY,
+                    Self(ticks) => ticks as f64 / $ticks_per_unit as f64,
+                }
             }
 
-            /// Elementwise minimum, preserving `f64::min` NaN semantics.
-            #[inline]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// True when the magnitude is finite (not NaN or ±inf).
+            /// True unless the quantity saturated at either end.
             #[inline]
             pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
-            /// Total ordering on the raw bits (`f64::total_cmp`), for
-            /// sorting modeled quantities deterministically.
-            #[inline]
-            pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-                self.0.total_cmp(&other.0)
+                self != Self::MAX && self != Self::MIN
             }
         }
 
@@ -98,14 +130,14 @@ macro_rules! unit_newtype {
             type Output = Self;
             #[inline]
             fn add(self, rhs: Self) -> Self {
-                Self(self.0 + rhs.0)
+                Self(self.0.saturating_add(rhs.0))
             }
         }
 
         impl core::ops::AddAssign for $name {
             #[inline]
             fn add_assign(&mut self, rhs: Self) {
-                self.0 += rhs.0;
+                *self = *self + rhs;
             }
         }
 
@@ -113,57 +145,45 @@ macro_rules! unit_newtype {
             type Output = Self;
             #[inline]
             fn sub(self, rhs: Self) -> Self {
-                Self(self.0 - rhs.0)
+                Self(self.0.saturating_sub(rhs.0))
             }
         }
 
         impl core::ops::SubAssign for $name {
             #[inline]
             fn sub_assign(&mut self, rhs: Self) {
-                self.0 -= rhs.0;
+                *self = *self - rhs;
             }
         }
 
-        /// Scaling by a dimensionless count or ratio keeps the unit.
-        impl core::ops::Mul<f64> for $name {
+        /// Billing `count` operations of one cost: exact until it
+        /// saturates.
+        impl core::ops::Mul<u64> for $name {
             type Output = Self;
             #[inline]
-            fn mul(self, rhs: f64) -> Self {
-                Self(self.0 * rhs)
+            fn mul(self, count: u64) -> Self {
+                let count = <$raw>::try_from(count).unwrap_or(<$raw>::MAX);
+                Self(self.0.saturating_mul(count))
             }
         }
 
-        /// `count * quantity` reads naturally at op-billing sites.
-        impl core::ops::Mul<$name> for f64 {
-            type Output = $name;
-            #[inline]
-            fn mul(self, rhs: $name) -> $name {
-                $name(self * rhs.0)
-            }
-        }
-
-        /// Dividing by a dimensionless factor keeps the unit.
-        impl core::ops::Div<f64> for $name {
+        /// Splitting a quantity `n` ways, rounded to the nearest tick
+        /// (ties away from zero). Dividing by zero saturates.
+        impl core::ops::Div<u64> for $name {
             type Output = Self;
             #[inline]
-            fn div(self, rhs: f64) -> Self {
-                Self(self.0 / rhs)
-            }
-        }
-
-        /// In-place scaling by a dimensionless factor.
-        impl core::ops::MulAssign<f64> for $name {
-            #[inline]
-            fn mul_assign(&mut self, rhs: f64) {
-                self.0 *= rhs;
-            }
-        }
-
-        /// In-place division by a dimensionless factor.
-        impl core::ops::DivAssign<f64> for $name {
-            #[inline]
-            fn div_assign(&mut self, rhs: f64) {
-                self.0 /= rhs;
+            fn div(self, n: u64) -> Self {
+                let n = <$raw>::try_from(n).unwrap_or(<$raw>::MAX);
+                if n == 0 {
+                    return if self.0 < 0 { Self::MIN } else { Self::MAX };
+                }
+                let (q, r) = (self.0 / n, self.0 % n);
+                // |r| >= n - |r| without overflowing `2 * |r|`.
+                if r.unsigned_abs() >= (n - r.abs()).unsigned_abs() {
+                    Self(q + self.0.signum())
+                } else {
+                    Self(q)
+                }
             }
         }
 
@@ -172,68 +192,77 @@ macro_rules! unit_newtype {
             type Output = f64;
             #[inline]
             fn div(self, rhs: Self) -> f64 {
-                self.0 / rhs.0
+                self.0 as f64 / rhs.0 as f64
             }
         }
 
         impl core::iter::Sum for $name {
             #[inline]
             fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-                Self(iter.map(|q| q.0).sum())
+                iter.fold(Self::ZERO, |acc, q| acc + q)
             }
         }
 
         impl<'a> core::iter::Sum<&'a $name> for $name {
             #[inline]
             fn sum<I: Iterator<Item = &'a Self>>(iter: I) -> Self {
-                Self(iter.map(|q| q.0).sum())
+                iter.copied().sum()
             }
         }
 
         impl core::fmt::Display for $name {
+            /// Formats the `f64` magnitude in this unit, honouring
+            /// precision and width flags.
             fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-                // Delegate (including precision/width flags) to the raw
-                // f64 so typed quantities format exactly like the untyped
-                // values they replaced.
-                core::fmt::Display::fmt(&self.0, f)
+                core::fmt::Display::fmt(&self.$getter(), f)
             }
         }
     };
 }
 
+/// Femtoseconds per nanosecond.
+const FS_PER_NS: i64 = 1_000_000;
+/// Attojoules per picojoule.
+const AJ_PER_PJ: i128 = 1_000_000;
+/// Attojoules per nanojoule.
+const AJ_PER_NJ: i128 = 1_000_000_000;
+
 unit_newtype!(
-    /// Modeled time in nanoseconds.
-    Nanos,
+    /// Modeled time, in femtosecond ticks; reads out in nanoseconds.
+    Nanos(i64),
+    FS_PER_NS,
     ns,
     from_ns,
-    "ns"
+    fs,
+    from_fs
 );
 
 unit_newtype!(
-    /// Per-operation energy in picojoules (device-model granularity).
-    Picojoules,
+    /// Per-operation energy, in attojoule ticks; reads out in picojoules.
+    Picojoules(i128),
+    AJ_PER_PJ,
     pj,
     from_pj,
-    "pJ"
+    aj,
+    from_aj
 );
 
 unit_newtype!(
-    /// Aggregated energy in nanojoules (report granularity).
-    Nanojoules,
+    /// Aggregated energy, in attojoule ticks; reads out in nanojoules.
+    Nanojoules(i128),
+    AJ_PER_NJ,
     nj,
     from_nj,
-    "nJ"
+    aj,
+    from_aj
 );
 
 impl Picojoules {
-    /// Converts to nanojoules by the explicit ÷1000 the untyped
-    /// accounting performed when rolling device-model costs into a
-    /// report. This is the only pj→nj door, so the (inexact) rescale
-    /// happens exactly once per aggregation, at the same point in the
-    /// fold as before.
+    /// The same energy read out in nanojoules. Both types count
+    /// attojoules, so the conversion is exact.
     #[inline]
-    pub fn to_nanojoules(self) -> Nanojoules {
-        Nanojoules(self.0 / 1000.0)
+    pub const fn to_nanojoules(self) -> Nanojoules {
+        Nanojoules(self.0)
     }
 }
 
@@ -242,83 +271,73 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arithmetic_is_bit_identical_to_raw_f64() {
-        let samples = [
-            0.0,
-            1.5,
-            0.1,
-            12.500,
-            1e-9,
-            1e12,
-            core::f64::consts::PI,
-            f64::MAX,
-        ];
-        for &a in &samples {
-            for &b in &samples {
-                assert_eq!(
-                    (Nanos::from_ns(a) + Nanos::from_ns(b)).ns().to_bits(),
-                    (a + b).to_bits()
-                );
-                assert_eq!(
-                    (Nanos::from_ns(a) - Nanos::from_ns(b)).ns().to_bits(),
-                    (a - b).to_bits()
-                );
-                assert_eq!((Nanos::from_ns(a) * b).ns().to_bits(), (a * b).to_bits());
-                assert_eq!((a * Nanos::from_ns(b)).ns().to_bits(), (a * b).to_bits());
-                assert_eq!((Nanos::from_ns(a) / b).ns().to_bits(), (a / b).to_bits());
-                assert_eq!(
-                    (Nanos::from_ns(a) / Nanos::from_ns(b)).to_bits(),
-                    (a / b).to_bits()
-                );
-            }
-        }
+    fn paper_constants_are_exact_ticks() {
+        assert_eq!(Nanos::from_ns(30.0).fs(), 30_000_000);
+        assert_eq!(Nanos::from_ns(0.09375).fs(), 93_750);
+        assert_eq!(Nanos::from_ns(1.0) / 16, Nanos::from_fs(62_500));
+        assert_eq!(Picojoules::from_pj(1.2).aj(), 1_200_000);
+        assert_eq!(Nanos::from_ns(12.5).ns(), 12.5);
     }
 
     #[test]
-    fn sum_matches_f64_fold_order() {
-        let xs = [0.1, 0.2, 0.3, 1e9, 1e-9, 7.25];
-        let raw: f64 = xs.iter().sum();
-        let typed: Nanos = xs.iter().map(|&x| Nanos::from_ns(x)).sum();
-        assert_eq!(typed.ns().to_bits(), raw.to_bits());
+    fn from_rounds_to_the_nearest_tick() {
+        assert_eq!(Nanos::from_ns(0.4e-6).fs(), 0);
+        assert_eq!(Nanos::from_ns(0.6e-6).fs(), 1);
+        assert_eq!(Nanos::from_ns(-0.6e-6).fs(), -1);
+        assert_eq!(Picojoules::from_pj(9.380_273_437_5).aj(), 9_380_273);
     }
 
     #[test]
-    fn saturates_to_infinity_instead_of_wrapping() {
-        let huge = Picojoules::from_pj(f64::MAX);
-        let sum = huge + huge;
-        assert!(!sum.is_finite());
-        assert!(sum.pj().is_sign_positive());
+    fn non_finite_inputs_saturate() {
+        assert_eq!(Nanos::from_ns(f64::INFINITY), Nanos::MAX);
+        assert_eq!(Nanos::from_ns(f64::NEG_INFINITY), Nanos::MIN);
+        assert_eq!(Nanos::from_ns(f64::NAN), Nanos::MIN);
+        assert_eq!(Nanos::from_ns(1e300), Nanos::MAX);
+        assert_eq!(Picojoules::from_pj(f64::NAN), Picojoules::MIN);
+        assert!(!Nanos::MAX.is_finite() && !Nanos::MIN.is_finite());
+        assert!(Nanos::from_ns(-1.0).is_finite());
+        assert_eq!(Nanos::MAX.ns(), f64::INFINITY);
+        assert_eq!(Nanojoules::MIN.nj(), f64::NEG_INFINITY);
     }
 
     #[test]
-    fn pj_to_nj_matches_untyped_divide() {
-        for &pj in &[0.0, 1.0, 1234.5, 0.007, 9.9e17] {
-            assert_eq!(
-                Picojoules::from_pj(pj).to_nanojoules().nj().to_bits(),
-                (pj / 1000.0).to_bits()
-            );
-        }
+    fn arithmetic_saturates_instead_of_wrapping() {
+        assert_eq!(Nanos::MAX + Nanos::from_ns(1.0), Nanos::MAX);
+        assert_eq!(Nanos::MIN - Nanos::from_ns(1.0), Nanos::MIN);
+        assert_eq!(Nanos::from_ns(1.0) * u64::MAX, Nanos::MAX);
+        assert_eq!(Picojoules::MAX * 2, Picojoules::MAX);
+        let huge: Nanos = [Nanos::MAX, Nanos::MAX].iter().sum();
+        assert_eq!(huge, Nanos::MAX);
     }
 
     #[test]
-    fn display_matches_raw_f64_formatting() {
-        assert_eq!(
-            format!("{:.3}", Nanos::from_ns(12.5)),
-            format!("{:.3}", 12.5)
-        );
-        assert_eq!(
-            format!("{}", Nanojoules::from_nj(0.25)),
-            format!("{}", 0.25)
-        );
+    fn division_by_a_count_rounds_to_nearest() {
+        let fs = Nanos::from_fs;
+        assert_eq!(fs(10) / 4, fs(3)); // 2.5 rounds away from zero
+        assert_eq!(fs(9) / 4, fs(2));
+        assert_eq!(fs(11) / 4, fs(3));
+        assert_eq!(fs(-10) / 4, fs(-3));
+        assert_eq!(fs(7) / 0, Nanos::MAX);
+        assert_eq!(Nanos::MAX / 1, Nanos::MAX);
     }
 
     #[test]
-    fn ordering_and_minmax() {
-        let a = Nanos::from_ns(1.0);
-        let b = Nanos::from_ns(2.0);
-        assert!(a < b);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.total_cmp(&b), core::cmp::Ordering::Less);
+    fn pj_to_nj_is_exact() {
+        let pj = Picojoules::from_pj(1234.5);
+        assert_eq!(pj.to_nanojoules().aj(), pj.aj());
+        assert_eq!(pj.to_nanojoules().nj(), 1.2345);
+    }
+
+    #[test]
+    fn scale_rounds_once() {
+        assert_eq!(Nanos::from_ns(2.8e6).scale(1.0 / 2.8), Nanos::from_ns(1e6));
+        assert_eq!(Nanos::from_fs(3).scale(0.5), Nanos::from_fs(2));
+        assert_eq!(Nanos::MAX.scale(2.0), Nanos::MAX);
+        assert_eq!(Nanos::from_fs(1).scale(f64::NAN), Nanos::MIN);
+    }
+
+    #[test]
+    fn ratio_of_like_units_is_dimensionless() {
+        assert_eq!(Nanos::from_ns(3.0) / Nanos::from_ns(12.0), 0.25);
     }
 }

@@ -93,9 +93,10 @@ impl DeviceEnergyModel {
     }
 
     /// Checks that every latency, energy and static-power field is a
-    /// finite, non-negative number. A NaN latency would silently vanish
-    /// from the makespan, a negative one shrink it, and an infinite one
-    /// poison every report.
+    /// finite, non-negative number, and that a nonzero static power bills
+    /// at least one attojoule per nanosecond. A NaN latency would
+    /// silently vanish from the makespan, a negative one shrink it, and a
+    /// saturated one poison every report.
     ///
     /// # Errors
     ///
@@ -124,34 +125,41 @@ impl DeviceEnergyModel {
                 )));
             }
         }
+        if self.static_mw > 0.0 && self.static_energy_nj(Nanos::from_ns(1.0)) == Nanojoules::ZERO {
+            return Err(XbarError::InvalidParameter(format!(
+                "energy model: static_mw {} rounds to zero attojoules per nanosecond",
+                self.static_mw
+            )));
+        }
         Ok(())
     }
 
     /// Dynamic energy of a device stats block.
     pub fn dynamic_energy_nj(&self, stats: &XbarStats) -> Nanojoules {
-        let pj = stats.mac_ops as f64 * self.mac_op_pj
-            + stats.cam_searches as f64 * self.cam_search_pj
-            + stats.cells_written as f64 * self.cell_write_pj;
+        let pj = self.mac_op_pj * stats.mac_ops
+            + self.cam_search_pj * stats.cam_searches
+            + self.cell_write_pj * stats.cells_written;
         pj.to_nanojoules()
     }
 
-    /// Static energy over an elapsed time (`mW × ns = pJ`).
+    /// Static energy over an elapsed time (`mW × ns = pJ`), rounded
+    /// once.
     pub fn static_energy_nj(&self, elapsed_ns: Nanos) -> Nanojoules {
         Picojoules::from_pj(self.static_mw * elapsed_ns.ns()).to_nanojoules()
     }
 
     /// Latency to program one row holding `values` logical values.
     pub fn row_program_ns(&self, values: usize) -> Nanos {
-        self.row_write_ns + values as f64 * self.value_program_ns
+        self.value_program_ns * values as u64 + self.row_write_ns
     }
 
     /// Serial latency of a stats block assuming no overlap. The
     /// accelerator's scheduler model refines this with its own overlap
     /// accounting; this is the pessimistic bound.
     pub fn serial_latency_ns(&self, stats: &XbarStats) -> Nanos {
-        stats.mac_ops as f64 * self.mac_op_ns
-            + stats.cam_searches as f64 * self.cam_search_ns
-            + stats.row_writes as f64 * self.row_write_ns
+        self.mac_op_ns * stats.mac_ops
+            + self.cam_search_ns * stats.cam_searches
+            + self.row_write_ns * stats.row_writes
     }
 }
 
@@ -184,9 +192,8 @@ mod tests {
         s.cam_searches = 1000;
         s.cells_written = 100;
         let nj = m.dynamic_energy_nj(&s);
-        let expect =
-            (1000.0 * m.mac_op_pj.pj() + 1000.0 * m.cam_search_pj.pj() + 100.0 * 20.0) / 1000.0;
-        assert!((nj.nj() - expect).abs() < 1e-9);
+        let aj = 1000 * m.mac_op_pj.aj() + 1000 * m.cam_search_pj.aj() + 100 * 20_000_000;
+        assert_eq!(nj, Nanojoules::from_aj(aj));
     }
 
     #[test]
@@ -202,6 +209,6 @@ mod tests {
         s.mac_ops = 2;
         s.cam_searches = 3;
         s.row_writes = 1;
-        assert!((m.serial_latency_ns(&s).ns() - (60.0 + 12.0 + 50.0)).abs() < 1e-9);
+        assert_eq!(m.serial_latency_ns(&s), Nanos::from_ns(60.0 + 12.0 + 50.0));
     }
 }

@@ -312,40 +312,6 @@ impl MacCrossbar {
         )))
     }
 
-    /// Writes a single cell. Counts one row burst and `slices` cell writes.
-    ///
-    /// # Errors
-    ///
-    /// Range and code errors as in [`MacCrossbar::write_row`].
-    pub fn write_cell(&mut self, row: usize, col: usize, code: u32) -> Result<(), XbarError> {
-        if row >= self.geometry.rows {
-            return Err(XbarError::RowOutOfRange {
-                row,
-                rows: self.geometry.rows,
-            });
-        }
-        if col >= self.geometry.cols {
-            return Err(XbarError::ColumnOutOfRange {
-                col,
-                cols: self.geometry.cols,
-            });
-        }
-        if code > self.max_code() {
-            return Err(XbarError::InvalidParameter(format!(
-                "code {code} exceeds {}-bit cell range",
-                self.geometry.weight_bits()
-            )));
-        }
-        self.cells[row * self.geometry.cols + col] = match self.faults.as_mut() {
-            Some(faults) => faults.programmed(row, col, code),
-            None => code,
-        };
-        self.row_width[row] = self.row_width[row].max(col + 1);
-        self.stats.row_writes += 1;
-        self.stats.cells_written += self.geometry.slices as u64;
-        Ok(())
-    }
-
     /// Reads back a cell code (digital peripheral read).
     ///
     /// # Errors
@@ -938,14 +904,12 @@ mod tests {
         assert!(m.mac(MacDirection::RowsToColumns, &[500], &[1]).is_err());
         assert!(m.mac(MacDirection::ColumnsToRows, &[16], &[1]).is_err());
         assert!(m.write_row(128, &[1]).is_err());
-        assert!(m.write_cell(0, 16, 1).is_err());
     }
 
     #[test]
     fn rejects_code_overflow() {
         let mut m = mac(Fidelity::Exact);
         assert!(m.write_row(0, &[0x1_0000]).is_err());
-        assert!(m.write_cell(0, 0, 0x1_0000).is_err());
     }
 
     #[test]
@@ -1235,19 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn write_cell_rejects_out_of_range_row() {
-        let mut m = mac(Fidelity::Exact);
-        assert!(matches!(
-            m.write_cell(128, 0, 1),
-            Err(XbarError::RowOutOfRange {
-                row: 128,
-                rows: 128
-            })
-        ));
-        assert_eq!(m.stats().row_writes, 0, "failed writes cost nothing");
-    }
-
-    #[test]
     fn read_cell_rejects_out_of_range_coordinates() {
         let m = mac(Fidelity::Exact);
         assert!(matches!(
@@ -1325,7 +1276,6 @@ mod tests {
     #[derive(Clone, Copy)]
     enum RowOp<'a> {
         Write(usize, &'a [u32]),
-        Cell(usize, usize, u32),
         Preload(usize, &'a [u32]),
         Clear,
     }
@@ -1334,7 +1284,6 @@ mod tests {
         for &op in ops {
             match op {
                 RowOp::Write(row, codes) => m.write_row(row, codes).unwrap(),
-                RowOp::Cell(row, col, code) => m.write_cell(row, col, code).unwrap(),
                 RowOp::Preload(row, codes) => m.preload_row(row, codes).unwrap(),
                 RowOp::Clear => m.clear(),
             }
@@ -1399,14 +1348,9 @@ mod tests {
                 vec![RowOp::Write(3, &narrow)],
             ),
             (
-                "cell past the width, then a row",
-                vec![
-                    RowOp::Write(4, &narrow),
-                    RowOp::Cell(4, 11, 0x77),
-                    RowOp::Write(4, &mid),
-                    RowOp::Cell(5, 15, 0x42),
-                ],
-                vec![RowOp::Write(4, &mid), RowOp::Cell(5, 15, 0x42)],
+                "narrow then wider row",
+                vec![RowOp::Write(4, &narrow), RowOp::Write(4, &mid)],
+                vec![RowOp::Write(4, &mid)],
             ),
             (
                 "preload then row",
@@ -1428,7 +1372,7 @@ mod tests {
                 "clear then narrow rows",
                 vec![
                     RowOp::Write(9, &wide),
-                    RowOp::Cell(10, 13, 5),
+                    RowOp::Write(10, &mid),
                     RowOp::Clear,
                     RowOp::Write(9, &narrow),
                     RowOp::Write(10, &[]),

@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hidden = accel.run_labeled(&layer1, &input1, "gcn-l1")?;
     println!(
         "layer 1 (8→16): {:.2} µs, {:.2} µJ, {} MAC bursts",
-        hidden.report.elapsed_ns / 1e3,
-        hidden.report.energy.total_nj() / 1e3,
+        hidden.report.elapsed_ns.ns() / 1e3,
+        hidden.report.energy.total_nj().nj() / 1e3,
         hidden.report.ops.mac_ops,
     );
 
@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let logits = accel.run_labeled(&layer2, &input2, "gcn-l2")?;
     println!(
         "layer 2 (16→4): {:.2} µs, {:.2} µJ",
-        logits.report.elapsed_ns / 1e3,
-        logits.report.energy.total_nj() / 1e3,
+        logits.report.elapsed_ns.ns() / 1e3,
+        logits.report.energy.total_nj().nj() / 1e3,
     );
 
     // Argmax classification summary.

@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = accel.run(&PageRank::fixed_iterations(10), &reloaded)?;
     println!(
         "PageRank on the reloaded graph: {:.2} µs, {:.2} µJ, {} iterations",
-        out.report.elapsed_ns / 1e3,
-        out.report.energy.total_nj() / 1e3,
+        out.report.elapsed_ns.ns() / 1e3,
+        out.report.energy.total_nj().nj() / 1e3,
         out.report.iterations
     );
 

@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "pagerank converged in {} iterations, {:.3} µs, {:.3} µJ",
         outcome.report.iterations,
-        outcome.report.elapsed_ns / 1e3,
-        outcome.report.energy.total_nj() / 1e3,
+        outcome.report.elapsed_ns.ns() / 1e3,
+        outcome.report.energy.total_nj().nj() / 1e3,
     );
     for (v, rank) in outcome.result.iter().enumerate() {
         println!("  vertex {v}: rank {rank:.4}");

@@ -77,15 +77,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nSSSP: {} supersteps, {:.2} µs, {:.2} µJ",
         sssp.report.iterations,
-        sssp.report.elapsed_ns / 1e3,
-        sssp.report.energy.total_nj() / 1e3,
+        sssp.report.elapsed_ns.ns() / 1e3,
+        sssp.report.energy.total_nj().nj() / 1e3,
     );
     println!(
         "BFS:  {} supersteps, {:.2} µs, {:.2} µJ \
          (no MAC programming — preset unit weights)",
         bfs.report.iterations,
-        bfs.report.elapsed_ns / 1e3,
-        bfs.report.energy.total_nj() / 1e3,
+        bfs.report.elapsed_ns.ns() / 1e3,
+        bfs.report.energy.total_nj().nj() / 1e3,
     );
     Ok(())
 }

@@ -40,8 +40,9 @@ cargo build --release --offline
 cargo test -q --offline
 
 echo "==> modeled results: every deterministic results/ section vs a fresh run"
-# Tables I-III, Figs 5 and 11-14, the phase table and the trace demo, byte
-# for byte: a change to any modeled number, to either engine's schedule or
+# Tables I-III, Figs 5 and 11-17, the GAPBS table, the phase table and the
+# trace demo (not the *_host sections, which hold host wall-clock cells),
+# byte for byte: a change to any modeled number, to either engine's schedule or
 # to the phase attribution fails here until results/ is regenerated with
 #   cargo run --release --offline -p gaasx-bench --bin experiments
 cargo run -q --release --offline -p gaasx-bench --bin experiments -- --check

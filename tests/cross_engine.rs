@@ -89,7 +89,7 @@ fn sparse_mapping_beats_dense_mapping_on_scale_free_data() {
     // burns 256 cheap binary devices, a dense tile 2048 expensive MLC
     // programs); the write *energy* is the meaningful aggregate.
     assert!(
-        b.energy.write_nj > 5.0 * a.energy.write_nj,
+        b.energy.write_nj > a.energy.write_nj * 5,
         "dense write energy {} vs sparse {}",
         b.energy.write_nj,
         a.energy.write_nj
