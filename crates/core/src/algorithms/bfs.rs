@@ -89,7 +89,7 @@ impl Bfs {
         runner: &mut R,
         grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        Ok(traverse(runner, grid, false, &[self.source], u32::MAX)?.into_first())
+        Ok(traverse(runner, grid, None, &[self.source], u32::MAX)?.into_first())
     }
 }
 

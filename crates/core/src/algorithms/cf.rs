@@ -349,7 +349,7 @@ impl Algorithm for CollaborativeFiltering {
                     |_| true,
                     |engine, block| {
                         // Item update phase (Fig 10(b)).
-                        for &item in block.distinct_dsts() {
+                        for item in block.dsts() {
                             let i = item.index() - num_users;
                             engine.search_dst_into(item, &mut hits);
                             let rows = hits.rows();
@@ -378,7 +378,7 @@ impl Algorithm for CollaborativeFiltering {
                         }
 
                         // User update phase (Fig 10(c)).
-                        for &user in block.distinct_srcs() {
+                        for user in block.srcs() {
                             engine.search_src_into(user, &mut hits);
                             let rows = hits.rows();
                             let mut errs = Vec::with_capacity(rows.len());

@@ -87,7 +87,11 @@ impl ShardableAlgorithm for ConnectedComponents {
         let grid = partition_for_streaming(graph)?;
 
         let mut label: Vec<u32> = (0..n as u32).collect();
-        let mut active = vec![true; n];
+        // The active set as a bitset over the vertex ids, like a
+        // traversal's frontier; `next` is reused across supersteps.
+        // Every vertex starts active; bits past `n` meet no source word.
+        let mut active = vec![u64::MAX; n.div_ceil(64)];
+        let mut next = vec![0u64; n.div_ceil(64)];
         let mut supersteps = 0;
 
         loop {
@@ -99,40 +103,41 @@ impl ShardableAlgorithm for ConnectedComponents {
             let active_snapshot = &active;
             let candidates =
                 runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
-                    let mut cands: Vec<(u32, u32)> = Vec::new();
-                    let mut hits = gaasx_xbar::HitVector::new(0);
-                    let mut results: Vec<(usize, u64)> = Vec::new();
-                    engine.sweep(
+                    let mut runs = engine.take_candidates(1);
+                    let swept = engine.sweep(
                         shard.edges(),
                         CellLayout::Preset,
                         Keys::Srcs,
-                        |rows| rows.iter().any(|e| active_snapshot[e.src.index()]),
+                        |block| block.has_src_in(active_snapshot),
                         |engine, block| {
-                            for &src in block.distinct_srcs() {
-                                if !active_snapshot[src.index()] {
-                                    continue;
-                                }
+                            for src in block.srcs_in(active_snapshot) {
                                 engine.attr_read(4);
-                                engine.search_src_into(src, &mut hits);
                                 // Single unit column: out[row] = label(src) × 1.
-                                engine.propagate_rows_into(
-                                    &hits,
+                                let results = engine.propagate_src(
+                                    src,
                                     &[0],
                                     &[label_snapshot[src.index()]],
-                                    &mut results,
                                 )?;
-                                for &(row, pushed) in &results {
-                                    cands.push((block.edge(row).dst.raw(), pushed as u32));
-                                }
+                                runs[0].extend(
+                                    results
+                                        .iter()
+                                        .map(|&(row, pushed)| (block.edge(row).dst.raw(), pushed)),
+                                );
                             }
                             Ok(())
                         },
-                    )?;
-                    Ok(cands)
+                    );
+                    // One exactly sized vector per shard that pushed labels.
+                    let cands: Vec<(u32, u32)> = runs[0]
+                        .iter()
+                        .map(|&(dst, pushed)| (dst, pushed as u32))
+                        .collect();
+                    engine.restore_candidates(runs);
+                    swept.map(|()| cands)
                 })?;
 
             let engine = runner.engine();
-            let mut next = vec![false; n];
+            next.fill(0);
             let mut changed = false;
             for cands in &candidates {
                 for &(dst, pushed) in cands {
@@ -140,7 +145,7 @@ impl ShardableAlgorithm for ConnectedComponents {
                     if engine.sfu_less_than(f64::from(pushed), f64::from(label[v])) {
                         label[v] = pushed;
                         engine.attr_write(4);
-                        next[v] = true;
+                        next[v / 64] |= 1 << (v % 64);
                         changed = true;
                     }
                 }
@@ -149,7 +154,7 @@ impl ShardableAlgorithm for ConnectedComponents {
             if !changed || supersteps as usize > n {
                 break;
             }
-            active = next;
+            std::mem::swap(&mut active, &mut next);
         }
         runner.engine().output_write(4 * n as u64);
 

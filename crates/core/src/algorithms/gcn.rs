@@ -154,7 +154,7 @@ impl Algorithm for GcnLayer {
                 Keys::Dsts,
                 |_| true,
                 |engine, block| {
-                    for &dst in block.distinct_dsts() {
+                    for dst in block.dsts() {
                         // One CAM search; the hit-vector register drives
                         // f_in successive MAC bursts, one per input feature.
                         engine.search_dst_into(dst, &mut hits);

@@ -144,7 +144,7 @@ impl ShardableAlgorithm for PageRank {
                         Keys::Dsts,
                         |_| true,
                         |engine, block| {
-                            for &dst in block.distinct_dsts() {
+                            for dst in block.dsts() {
                                 engine.search_dst_into(dst, &mut hits);
                                 let code = engine.gather_rows(
                                     &hits,

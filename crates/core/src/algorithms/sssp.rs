@@ -132,7 +132,16 @@ impl Sssp {
         runner: &mut R,
         grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        Ok(traverse(runner, grid, true, &[self.source], self.max_supersteps)?.into_first())
+        check_sources(&[self.source], grid.num_vertices() as usize)?;
+        let quant = Self::check_weights(grid, runner.engine().weight_bits())?;
+        Ok(traverse(
+            runner,
+            grid,
+            Some(&quant),
+            &[self.source],
+            self.max_supersteps,
+        )?
+        .into_first())
     }
 }
 

@@ -1,24 +1,38 @@
 //! The frontier traversal behind BFS, SSSP and batched multi-source
 //! queries (SpMV-add, paper §IV, Equations 1–2).
 //!
-//! Each superstep streams the row-major shards. A block loads once if any
-//! query's frontier holds one of its sources; each such query then
-//! searches its frontier sources in ascending order and emits `(dst,
-//! candidate)` relaxations, and the sequential reduce takes the mins,
-//! query by query, in canonical shard order. A query's candidate stream
-//! does not depend on the other queries, so one source issues exactly the
-//! operations of a one-shot BFS or SSSP run, and K sources return the
-//! values and superstep counts of K one-shot runs while sharing loads.
-//! This holds whenever block programming is deterministic (fault-free or
-//! stuck-only fault models): transient write faults draw from the
-//! engine's stream per programming event, and a batch programs fewer
-//! blocks.
+//! Each query keeps its frontier as a bitset over the vertex ids (`u64`
+//! words, bit `v % 64` of word `v / 64`), reused across supersteps. Each
+//! superstep streams the row-major shards; [`Engine::sweep`] hands every
+//! block's distinct sources over as vertex words ([`Block`]). A block
+//! loads once if some active query's frontier words AND non-zero with
+//! them; each such query then walks the set bits of that AND — exactly
+//! its frontier sources in the block, ascending, and no other — searches
+//! each and emits `(dst, MAC sum)` relaxations. The sequential reduce
+//! takes the mins, query by query, in canonical shard order. A query's
+//! candidate stream does not depend on the other queries, so one source
+//! issues exactly the operations of a one-shot BFS or SSSP run, and K
+//! sources return the values and superstep counts of K one-shot runs
+//! while sharing loads. This holds whenever block programming is
+//! deterministic (fault-free or stuck-only fault models): transient write
+//! faults draw from the engine's stream per programming event, and a
+//! batch programs fewer blocks.
+//!
+//! A warm superstep allocates only what it hands back: each loaded shard
+//! collects its relaxations in the engine's reused scratch and returns
+//! them in one exactly sized vector, and each pass adds a constant number
+//! of per-pass vectors. The search hit list and MAC results live in
+//! engine buffers ([`Engine::propagate_src`]).
+//!
+//! [`Engine::sweep`]: crate::engine::Engine::sweep
+//! [`Engine::propagate_src`]: crate::engine::Engine::propagate_src
 
 use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{Edge, VertexId};
+use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{AlgoRun, Sssp};
-use crate::engine::{CellLayout, Keys};
+use crate::algorithms::AlgoRun;
+use crate::engine::{Block, CellLayout, Keys};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -47,6 +61,64 @@ impl BatchOutcome {
     }
 }
 
+/// One relaxation: a destination and its integer MAC sum, kept whole in
+/// two 32-bit halves so a candidate takes 12 bytes, not 16.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    dst: u32,
+    sum: [u32; 2],
+}
+
+impl Candidate {
+    fn new(dst: u32, sum: u64) -> Self {
+        Candidate {
+            dst,
+            sum: [sum as u32, (sum >> 32) as u32],
+        }
+    }
+
+    fn sum(self) -> u64 {
+        u64::from(self.sum[0]) | (u64::from(self.sum[1]) << 32)
+    }
+}
+
+/// One shard's relaxations for every query, in one exactly sized
+/// allocation (none for a shard that relaxed nothing): the first `k`
+/// entries hold, as their sum, where each query's run ends; the runs
+/// follow in query order.
+struct ShardCandidates(Vec<Candidate>);
+
+impl ShardCandidates {
+    /// Packs the first `k` per-query scratch runs.
+    fn pack(runs: &[Vec<(u32, u64)>], k: usize) -> Self {
+        let runs = &runs[..k];
+        let total: usize = runs.iter().map(Vec::len).sum();
+        if total == 0 {
+            return ShardCandidates(Vec::new());
+        }
+        let mut packed = Vec::with_capacity(k + total);
+        let mut end = k;
+        for run in runs {
+            end += run.len();
+            packed.push(Candidate::new(0, end as u64));
+        }
+        for run in runs {
+            packed.extend(run.iter().map(|&(dst, sum)| Candidate::new(dst, sum)));
+        }
+        ShardCandidates(packed)
+    }
+
+    /// Query `q`'s relaxations out of `k`, in the order its visit emitted
+    /// them.
+    fn of(&self, q: usize, k: usize) -> &[Candidate] {
+        let Some(header) = self.0.get(..k) else {
+            return &[];
+        };
+        let start = q.checked_sub(1).map_or(k, |p| header[p].sum() as usize);
+        &self.0[start..header[q].sum() as usize]
+    }
+}
+
 /// Rejects an empty source list and any source outside a graph of `n`
 /// vertices with [`CoreError::InvalidInput`].
 ///
@@ -69,10 +141,15 @@ pub fn check_sources(sources: &[VertexId], n: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Runs BFS (`weighted == false`, hop counts over a preset unit weight
-/// column) or SSSP (`weighted == true`, step-1 quantized edge weights)
-/// from every vertex in `sources` over a graph partitioned by
+/// Runs BFS (`weights == None`, hop counts over a preset unit weight
+/// column) or SSSP (`weights == Some(quant)`, step-1 quantized edge
+/// weights) from every vertex in `sources` over a graph partitioned by
 /// [`partition_for_streaming`](crate::engine::partition_for_streaming).
+///
+/// `quant` must be the quantizer [`Sssp::check_weights`] returned for
+/// this grid and the engine's weight bits: the traversal encodes weights
+/// without checking them again, so a graph kept resident across queries
+/// checks its weights once.
 ///
 /// A query stops when a superstep changes none of its distances, or after
 /// `max_supersteps` supersteps. SSSP queries are further bounded by the
@@ -81,30 +158,30 @@ pub fn check_sources(sources: &[VertexId], n: usize) -> Result<(), CoreError> {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidInput`] for an empty or out-of-range
-/// source list or (SSSP) a weight [`Sssp::check_weights`] rejects;
-/// propagates device errors from the engine.
+/// source list; propagates device errors from the engine.
+///
+/// [`Sssp::check_weights`]: crate::algorithms::Sssp::check_weights
 pub fn traverse<R: ShardRunner>(
     runner: &mut R,
     grid: &GridPartition,
-    weighted: bool,
+    weights: Option<&Quantizer>,
     sources: &[VertexId],
     max_supersteps: u32,
 ) -> Result<BatchOutcome, CoreError> {
     let n = grid.num_vertices() as usize;
     let k = sources.len();
     check_sources(sources, n)?;
-    let (w_quant, cap) = if weighted {
+    let cap = if weights.is_some() {
         let bound = (n as u32).saturating_sub(1).max(1);
-        let quant = Sssp::check_weights(grid, runner.engine().weight_bits())?;
-        (Some(quant), bound.min(max_supersteps))
+        bound.min(max_supersteps)
     } else {
         // BFS: all weight cells read as 1; set once, never per edge.
         runner.preset_mac(1)?;
-        (None, max_supersteps)
+        max_supersteps
     };
     // Edge weights go to MAC column 0 and a constant 1 to column 1.
     let weight_cells = |edges: &[Edge], c: &mut Vec<u32>| {
-        if let Some(q) = &w_quant {
+        if let Some(q) = weights {
             for e in edges {
                 c.extend_from_slice(&[q.encode(e.weight), 1]);
             }
@@ -112,16 +189,21 @@ pub fn traverse<R: ShardRunner>(
     };
 
     let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; k];
-    let mut frontier: Vec<Vec<bool>> = vec![vec![false; n]; k];
+    let mut frontier: Vec<Vec<u64>> = vec![vec![0; n.div_ceil(64)]; k];
     for (q, source) in sources.iter().enumerate() {
-        dist[q][source.index()] = 0.0;
-        frontier[q][source.index()] = true;
+        let v = source.index();
+        dist[q][v] = 0.0;
+        frontier[q][v / 64] |= 1 << (v % 64);
     }
+    let mut next = vec![0u64; n.div_ceil(64)];
     let mut iterations = vec![0u32; k];
     let mut done = vec![false; k];
+    let mut active = vec![false; k];
 
     loop {
-        let active: Vec<bool> = (0..k).map(|q| !done[q] && iterations[q] < cap).collect();
+        for (q, a) in active.iter_mut().enumerate() {
+            *a = !done[q] && iterations[q] < cap;
+        }
         if !active.contains(&true) {
             break;
         }
@@ -131,12 +213,8 @@ pub fn traverse<R: ShardRunner>(
         let (dist_snapshot, frontier_snapshot, active) = (&dist, &frontier, &active);
         let candidates =
             runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
-                // Per query, this shard's candidates; no allocation unless
-                // a block of the shard loads.
-                let mut cands: Vec<Vec<(u32, f64)>> = Vec::new();
-                let mut hits = gaasx_xbar::HitVector::new(0);
-                let mut results: Vec<(usize, u64)> = Vec::new();
-                let layout = if weighted {
+                let mut runs = engine.take_candidates(k);
+                let layout = if weights.is_some() {
                     CellLayout::PerEdge {
                         width: 2,
                         fill: &weight_cells,
@@ -145,53 +223,46 @@ pub fn traverse<R: ShardRunner>(
                     CellLayout::Preset
                 };
                 // A chunk loads once if any active query's frontier meets
-                // it; each query's test runs at most once per chunk.
-                let wanted = |rows: &[Edge]| {
-                    (0..k).any(|q| {
-                        active[q] && rows.iter().any(|e| frontier_snapshot[q][e.src.index()])
-                    })
+                // its source words.
+                let wanted = |block: &Block<'_>| {
+                    (0..k).any(|q| active[q] && block.has_src_in(&frontier_snapshot[q]))
                 };
-                engine.sweep(
+                let swept = engine.sweep(
                     shard.edges(),
                     layout,
                     Keys::Srcs,
                     wanted,
                     |engine, block| {
-                        cands.resize_with(k, Vec::new);
-                        for (q, q_cands) in cands.iter_mut().enumerate() {
+                        for (q, run) in runs.iter_mut().enumerate().take(k) {
                             if !active[q] {
                                 continue;
                             }
-                            // A query whose frontier misses the block finds no
-                            // frontier source in it and issues nothing.
-                            let (frontier, dist) = (&frontier_snapshot[q], &dist_snapshot[q]);
-                            for &src in block.distinct_srcs() {
-                                if !frontier[src.index()] {
-                                    continue;
-                                }
+                            // A query whose frontier misses the block walks
+                            // no source and issues nothing.
+                            let dist = &dist_snapshot[q];
+                            for src in block.srcs_in(&frontier_snapshot[q]) {
                                 let d = dist[src.index()];
                                 engine.attr_read(8);
                                 if !d.is_finite() || d > MAX_ENCODABLE_DIST {
                                     continue;
                                 }
-                                engine.search_src_into(src, &mut hits);
-                                // α = 1 drives the weight column; dist(U) drives
-                                // the ones column.
-                                engine.propagate_rows_into(
-                                    &hits,
-                                    &[0, 1],
-                                    &[1, d.round() as u32],
-                                    &mut results,
-                                )?;
-                                for &(row, sum) in &results {
-                                    q_cands.push((block.edge(row).dst.raw(), sum as f64));
-                                }
+                                // α = 1 drives the weight column; dist(U)
+                                // drives the ones column.
+                                let results =
+                                    engine.propagate_src(src, &[0, 1], &[1, d.round() as u32])?;
+                                run.extend(
+                                    results
+                                        .iter()
+                                        .map(|&(row, sum)| (block.edge(row).dst.raw(), sum)),
+                                );
                             }
                         }
                         Ok(())
                     },
-                )?;
-                Ok(cands)
+                );
+                let packed = swept.map(|()| ShardCandidates::pack(&runs, k));
+                engine.restore_candidates(runs);
+                packed
             })?;
 
         let engine = runner.engine();
@@ -199,22 +270,22 @@ pub fn traverse<R: ShardRunner>(
             if !active[q] {
                 continue;
             }
-            let mut next = vec![false; n];
+            next.fill(0);
             let mut changed = false;
             for shard_cands in &candidates {
-                for &(dst, cand) in shard_cands.get(q).into_iter().flatten() {
-                    let v = dst as usize;
+                for &c in shard_cands.of(q, k) {
+                    let (v, cand) = (c.dst as usize, c.sum() as f64);
                     if engine.sfu_less_than(cand, dist[q][v]) {
                         dist[q][v] = engine.sfu_min(cand, dist[q][v]);
                         engine.attr_write(8);
-                        next[v] = true;
+                        next[v / 64] |= 1 << (v % 64);
                         changed = true;
                     }
                 }
             }
             iterations[q] += 1;
             if changed {
-                frontier[q] = next;
+                std::mem::swap(&mut frontier[q], &mut next);
             } else {
                 done[q] = true;
             }

@@ -80,28 +80,36 @@ impl std::fmt::Debug for CellLayout<'_> {
     }
 }
 
-/// Which distinct-vertex lists [`Engine::sweep`] derives for each block.
+/// Which vertex words [`Engine::sweep`] derives for each block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keys {
     /// Distinct sources only (frontier traversals search the source field).
     Srcs,
     /// Distinct destinations only (gathers search the destination field).
     Dsts,
-    /// Both lists (collaborative filtering searches items, then users).
+    /// Both (collaborative filtering searches items, then users).
     Both,
 }
 
 /// A loaded block as the controller sees it (§III-A): the edges at its
-/// CAM/MAC rows, borrowed from the shard, and the ascending distinct
-/// vertices of the field(s) named by the sweep's [`Keys`]. The lists live
-/// in buffers the sweep reuses from block to block, so a block costs no
-/// allocation.
+/// CAM/MAC rows, borrowed from the shard, and the distinct vertices of the
+/// field(s) named by the sweep's [`Keys`] as *vertex words*: ascending
+/// `(word, mask)` pairs in which bit `b` of `mask` marks vertex
+/// `64 * word + b`, every word appearing once with a non-zero mask. The
+/// words live in buffers the sweep reuses from block to block, so a block
+/// costs no allocation.
+///
+/// Word masks meet a frontier kept as a bitset over the same vertex ids
+/// (`frontier[w]` holding vertices `64 * w..64 * w + 64`) one word at a
+/// time: [`Block::has_src_in`] tests whether a block holds any frontier
+/// source and [`Block::srcs_in`] lists exactly those sources, without
+/// reading any other.
 #[derive(Debug, Clone, Copy)]
 pub struct Block<'a> {
     rows: &'a [Edge],
     keys: Keys,
-    srcs: &'a [VertexId],
-    dsts: &'a [VertexId],
+    srcs: &'a [(u32, u64)],
+    dsts: &'a [(u32, u64)],
 }
 
 impl<'a> Block<'a> {
@@ -114,36 +122,108 @@ impl<'a> Block<'a> {
         self.rows[row]
     }
 
-    /// Distinct source vertices, ascending (the controller tracks loaded
-    /// vertex ranges as graph metadata, §III-A). Derived only when the
-    /// sweep asked for [`Keys::Srcs`] or [`Keys::Both`].
-    pub fn distinct_srcs(&self) -> &'a [VertexId] {
-        debug_assert!(self.keys != Keys::Dsts, "no source list derived");
+    /// Distinct source vertices as vertex words (the controller tracks
+    /// loaded vertex ranges as graph metadata, §III-A). Derived only when
+    /// the sweep asked for [`Keys::Srcs`] or [`Keys::Both`].
+    pub fn src_words(&self) -> &'a [(u32, u64)] {
+        debug_assert!(self.keys != Keys::Dsts, "no source words derived");
         self.srcs
     }
 
-    /// Distinct destination vertices, ascending. Derived only when the
-    /// sweep asked for [`Keys::Dsts`] or [`Keys::Both`].
-    pub fn distinct_dsts(&self) -> &'a [VertexId] {
-        debug_assert!(self.keys != Keys::Srcs, "no destination list derived");
+    /// Distinct destination vertices as vertex words. Derived only when
+    /// the sweep asked for [`Keys::Dsts`] or [`Keys::Both`].
+    pub fn dst_words(&self) -> &'a [(u32, u64)] {
+        debug_assert!(self.keys != Keys::Srcs, "no destination words derived");
         self.dsts
+    }
+
+    /// Distinct source vertices, ascending.
+    pub fn srcs(&self) -> impl Iterator<Item = VertexId> + 'a {
+        WordBits::new(self.src_words(), |_, m| m)
+    }
+
+    /// Distinct destination vertices, ascending.
+    pub fn dsts(&self) -> impl Iterator<Item = VertexId> + 'a {
+        WordBits::new(self.dst_words(), |_, m| m)
+    }
+
+    /// Whether any source of the block is set in the bitset `frontier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frontier` is shorter than the block's highest source
+    /// word.
+    pub fn has_src_in(&self, frontier: &[u64]) -> bool {
+        self.src_words()
+            .iter()
+            .any(|&(w, m)| frontier[w as usize] & m != 0)
+    }
+
+    /// The block's sources set in the bitset `frontier`, ascending: the
+    /// set bits of each source word ANDed with its frontier word.
+    ///
+    /// # Panics
+    ///
+    /// As [`Block::has_src_in`].
+    pub fn srcs_in<'f>(&self, frontier: &'f [u64]) -> impl Iterator<Item = VertexId> + 'f
+    where
+        'a: 'f,
+    {
+        WordBits::new(self.src_words(), move |w, m| m & frontier[w as usize])
     }
 }
 
-/// Overwrites `out` with the ascending, deduplicated values of one edge
-/// field of `rows`, reusing its capacity.
+/// The vertices marked in vertex words, ascending, each word's mask first
+/// passed through `keep` (the identity, or an AND with a frontier word).
+struct WordBits<'a, F> {
+    words: std::slice::Iter<'a, (u32, u64)>,
+    keep: F,
+    base: u32,
+    mask: u64,
+}
+
+impl<'a, F: FnMut(u32, u64) -> u64> WordBits<'a, F> {
+    fn new(words: &'a [(u32, u64)], keep: F) -> Self {
+        WordBits {
+            words: words.iter(),
+            keep,
+            base: 0,
+            mask: 0,
+        }
+    }
+}
+
+impl<F: FnMut(u32, u64) -> u64> Iterator for WordBits<'_, F> {
+    type Item = VertexId;
+
+    fn next(&mut self) -> Option<VertexId> {
+        while self.mask == 0 {
+            let &(word, mask) = self.words.next()?;
+            // A word holds ids below 2^32, so `64 * word` does not overflow.
+            self.base = 64 * word;
+            self.mask = (self.keep)(word, mask);
+        }
+        let bit = self.mask.trailing_zeros();
+        self.mask &= self.mask - 1;
+        Some(VertexId::new(self.base + bit))
+    }
+}
+
+/// Overwrites `out` with the vertex words of one edge field of `rows`
+/// (see [`Block`]), reusing its capacity and that of `scratch`.
 ///
 /// A field whose values span fewer than 64 ids per row is marked in
-/// `bitmap` (also reused) and read back in ascending order: linear time,
-/// no sort. A full block of a partition shard qualifies whenever the
-/// partition's vertex intervals (`|V|/16` ids) are narrower than that,
-/// e.g. up to 131,072 vertices on 128-row banks. A wider span falls back
-/// to sort + dedup.
-fn distinct_into(
+/// `scratch` as a bitmap over the words it touches, then read back
+/// skipping empty words: linear time, no sort. A full block of a
+/// partition shard qualifies whenever the partition's vertex intervals
+/// (`|V|/16` ids) are narrower than that, e.g. up to 131,072 vertices on
+/// 128-row banks. A wider span sorts the raw ids in `scratch` instead and
+/// groups them by word.
+fn words_into(
     rows: &[Edge],
     field: fn(&Edge) -> VertexId,
-    out: &mut Vec<VertexId>,
-    bitmap: &mut Vec<u64>,
+    out: &mut Vec<(u32, u64)>,
+    scratch: &mut Vec<u64>,
 ) {
     out.clear();
     if rows.is_empty() {
@@ -155,24 +235,28 @@ fn distinct_into(
         min = min.min(v);
         max = max.max(v);
     }
-    let span = (max - min) as usize;
-    if span >= 64 * rows.len() {
-        out.extend(rows.iter().map(field));
-        out.sort_unstable();
-        out.dedup();
+    scratch.clear();
+    if ((max - min) as usize) < 64 * rows.len() {
+        let base = min / 64;
+        scratch.resize((max / 64 - base) as usize + 1, 0);
+        for e in rows {
+            let v = field(e).raw();
+            scratch[(v / 64 - base) as usize] |= 1 << (v % 64);
+        }
+        out.extend(
+            (base..)
+                .zip(scratch.iter().copied())
+                .filter(|&(_, mask)| mask != 0),
+        );
         return;
     }
-    bitmap.clear();
-    bitmap.resize(span / 64 + 1, 0);
-    for e in rows {
-        let offset = (field(e).raw() - min) as usize;
-        bitmap[offset / 64] |= 1 << (offset % 64);
-    }
-    for (w, &word) in bitmap.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            out.push(VertexId::new(min + (64 * w) as u32 + word.trailing_zeros()));
-            word &= word - 1;
+    scratch.extend(rows.iter().map(|e| u64::from(field(e).raw())));
+    scratch.sort_unstable();
+    for &v in scratch.iter() {
+        let (word, bit) = ((v / 64) as u32, 1 << (v % 64));
+        match out.last_mut() {
+            Some((w, mask)) if *w == word => *mask |= bit,
+            _ => out.push((word, bit)),
         }
     }
 }
@@ -320,12 +404,18 @@ pub struct Engine {
     inputs_buf: Vec<u32>,
     /// Reused MAC output buffer (one accumulated sum per crossed line).
     mac_out: Vec<u64>,
-    /// The distinct-source and distinct-destination lists behind every
-    /// [`Block`] of [`Engine::sweep`], and the bitmap that derives them,
-    /// reused from load to load.
-    srcs_buf: Vec<VertexId>,
-    dsts_buf: Vec<VertexId>,
-    bitmap_buf: Vec<u64>,
+    /// The source and destination vertex words behind every [`Block`] of
+    /// [`Engine::sweep`], and the scratch that derives them, reused from
+    /// load to load.
+    srcs_buf: Vec<(u32, u64)>,
+    dsts_buf: Vec<(u32, u64)>,
+    words_scratch: Vec<u64>,
+    /// The hit list and MAC results of [`Engine::propagate_src`].
+    hits_buf: HitVector,
+    results_buf: Vec<(usize, u64)>,
+    /// Per-query candidate scratch of the frontier traversals (see
+    /// [`Engine::take_candidates`]).
+    cands_buf: Vec<Vec<(u32, u64)>>,
 }
 
 impl Engine {
@@ -411,7 +501,10 @@ impl Engine {
             mac_out: Vec::new(),
             srcs_buf: Vec::new(),
             dsts_buf: Vec::new(),
-            bitmap_buf: Vec::new(),
+            words_scratch: Vec::new(),
+            hits_buf: HitVector::new(0),
+            results_buf: Vec::new(),
+            cands_buf: Vec::new(),
             edge_stream_ns: config.edge_stream_ns(),
             sfu_lane_ns: config.sfu_lane_ns(),
             config,
@@ -670,14 +763,15 @@ impl Engine {
     /// the controller loop every algorithm runs (§III-A/§III-C).
     ///
     /// `edges` is cut into chunks of [`block_capacity`](Self::block_capacity)
-    /// rows. A chunk `filter` rejects is never loaded (the frontier check
-    /// of a traversal; dense sweeps accept every chunk). Each accepted
-    /// chunk is loaded with [`load_block`](Self::load_block), its distinct
-    /// vertices are derived for the fields `keys` names, and `visit` runs
-    /// once with the engine and the [`Block`] — it issues the block's
-    /// searches, MAC operations and SFU work in whatever order it needs.
-    /// The sweep leaves the last block open, as a hand-written loop over
-    /// `load_block` would.
+    /// rows. For each chunk the sweep first derives the vertex words of the
+    /// fields `keys` names and hands `filter` the [`Block`] they describe.
+    /// A chunk `filter` rejects is never loaded (the frontier check of a
+    /// traversal, which meets the block's source words with its frontier;
+    /// dense sweeps accept every chunk). Each accepted chunk is loaded with
+    /// [`load_block`](Self::load_block), and `visit` runs once with the
+    /// engine and the same [`Block`] — it issues the block's searches, MAC
+    /// operations and SFU work in whatever order it needs. The sweep leaves
+    /// the last block open, as a hand-written loop over `load_block` would.
     ///
     /// # Errors
     ///
@@ -688,44 +782,44 @@ impl Engine {
         edges: &[Edge],
         cells: CellLayout<'_>,
         keys: Keys,
-        mut filter: impl FnMut(&[Edge]) -> bool,
+        mut filter: impl FnMut(&Block<'_>) -> bool,
         mut visit: impl FnMut(&mut Engine, &Block<'_>) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        // The lists leave the engine for the sweep so a block can borrow
-        // them while `visit` holds the engine mutably. A list `keys` does
-        // not name stays empty rather than stale.
+        // The words leave the engine for the sweep so a block can borrow
+        // them while `visit` holds the engine mutably. Words `keys` does
+        // not name stay empty rather than stale.
         let mut srcs = std::mem::take(&mut self.srcs_buf);
         let mut dsts = std::mem::take(&mut self.dsts_buf);
-        let mut bitmap = std::mem::take(&mut self.bitmap_buf);
+        let mut scratch = std::mem::take(&mut self.words_scratch);
         srcs.clear();
         dsts.clear();
         let mut swept = Ok(());
         for rows in edges.chunks(self.block_capacity()) {
-            if !filter(rows) {
+            if keys != Keys::Dsts {
+                words_into(rows, |e| e.src, &mut srcs, &mut scratch);
+            }
+            if keys != Keys::Srcs {
+                words_into(rows, |e| e.dst, &mut dsts, &mut scratch);
+            }
+            let block = Block {
+                rows,
+                keys,
+                srcs: &srcs,
+                dsts: &dsts,
+            };
+            if !filter(&block) {
                 continue;
             }
-            swept = self.load_block(rows, cells).and_then(|()| {
-                if keys != Keys::Dsts {
-                    distinct_into(rows, |e| e.src, &mut srcs, &mut bitmap);
-                }
-                if keys != Keys::Srcs {
-                    distinct_into(rows, |e| e.dst, &mut dsts, &mut bitmap);
-                }
-                let block = Block {
-                    rows,
-                    keys,
-                    srcs: &srcs,
-                    dsts: &dsts,
-                };
-                visit(self, &block)
-            });
+            swept = self
+                .load_block(rows, cells)
+                .and_then(|()| visit(self, &block));
             if swept.is_err() {
                 break;
             }
         }
         self.srcs_buf = srcs;
         self.dsts_buf = dsts;
-        self.bitmap_buf = bitmap;
+        self.words_scratch = scratch;
         swept
     }
 
@@ -1010,6 +1104,50 @@ impl Engine {
         Ok(())
     }
 
+    /// One source's step of a frontier traversal (SpMV-add, §IV): the CAM
+    /// search for `src`'s rows ([`search_src_into`](Self::search_src_into))
+    /// and one propagation over them
+    /// ([`propagate_rows_into`](Self::propagate_rows_into)), through the
+    /// engine's own hit and result buffers. Returns each hit row with its
+    /// sum, ascending by row, valid until the next engine call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn propagate_src(
+        &mut self,
+        src: VertexId,
+        cols: &[usize],
+        col_inputs: &[u32],
+    ) -> Result<&[(usize, u64)], CoreError> {
+        let mut hits = std::mem::replace(&mut self.hits_buf, HitVector::new(0));
+        let mut results = std::mem::take(&mut self.results_buf);
+        self.search_src_into(src, &mut hits);
+        let propagated = self.propagate_rows_into(&hits, cols, col_inputs, &mut results);
+        self.hits_buf = hits;
+        self.results_buf = results;
+        propagated.map(|()| self.results_buf.as_slice())
+    }
+
+    /// Lends the per-query candidate scratch of the frontier traversals:
+    /// at least `queries` empty vectors that keep their capacity from shard
+    /// to shard, so a warm shard pass collects its `(dst, MAC sum)`
+    /// relaxations without allocating. Hand it back with
+    /// [`restore_candidates`](Self::restore_candidates).
+    pub(crate) fn take_candidates(&mut self, queries: usize) -> Vec<Vec<(u32, u64)>> {
+        let mut cands = std::mem::take(&mut self.cands_buf);
+        if cands.len() < queries {
+            cands.resize_with(queries, Vec::new);
+        }
+        cands.iter_mut().for_each(Vec::clear);
+        cands
+    }
+
+    /// Returns the scratch [`take_candidates`](Self::take_candidates) lent.
+    pub(crate) fn restore_candidates(&mut self, cands: Vec<Vec<(u32, u64)>>) {
+        self.cands_buf = cands;
+    }
+
     /// Writes one row of the auxiliary (vertex-attribute) MAC crossbar —
     /// used by collaborative filtering to hold feature matrices. Counted as
     /// data loading.
@@ -1181,14 +1319,22 @@ impl Engine {
         }
     }
 
-    /// Drains every committed block cost (closing any open block first).
-    /// The sharded layer calls this on worker engines after each shard so
-    /// the costs can be re-appended to the primary engine in canonical
-    /// shard-stream order — which is what makes the merged wave schedule
-    /// bit-identical to a serial run.
-    pub(crate) fn take_costs(&mut self) -> Vec<BlockCost> {
+    /// Closes any open block and returns the number of committed block
+    /// costs. The sharded layer reads it on a worker engine after each
+    /// shard to mark where the shard's costs end.
+    pub(crate) fn committed_costs(&mut self) -> usize {
         self.end_block();
-        std::mem::take(&mut self.costs)
+        self.costs.len()
+    }
+
+    /// Drains every committed block cost (closing any open block first),
+    /// keeping the cost vector's capacity for the next pass. The sharded
+    /// layer drains its workers after each pass and re-appends their costs
+    /// to the primary engine in canonical shard-stream order — which is
+    /// what makes the merged wave schedule bit-identical to a serial run.
+    pub(crate) fn drain_costs(&mut self) -> std::vec::Drain<'_, BlockCost> {
+        self.end_block();
+        self.costs.drain(..)
     }
 
     /// Appends block costs drained from a worker engine, preserving order.
@@ -1201,7 +1347,7 @@ impl Engine {
     /// stats, SFU counters, buffer traffic, the rows-per-MAC histogram,
     /// phase tallies, and out-of-block extras. Block costs travel
     /// separately — in canonical stream order — via
-    /// [`Engine::take_costs`] / [`Engine::append_costs`].
+    /// [`Engine::drain_costs`] / [`Engine::append_costs`].
     pub(crate) fn absorb_functional(&mut self, worker: &Engine) {
         debug_assert!(
             !worker.in_block && worker.costs.is_empty(),
@@ -1699,8 +1845,9 @@ mod tests {
         hits
     }
 
-    /// The sweep loads exactly the chunks its filter accepts, and each
-    /// block's lists equal sort + dedup of its rows.
+    /// The sweep loads exactly the chunks its filter accepts, the filter
+    /// and the visit see the same words, and each block's vertices equal
+    /// sort + dedup of its rows.
     #[test]
     fn sweep_filters_chunks_and_lists_match_sort_and_dedup() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1725,9 +1872,13 @@ mod tests {
             let edges: Vec<Edge> = (0..len)
                 .map(|_| Edge::new(next(span), next(span), 1.0))
                 .collect();
-            let (mut chunk, mut visited) = (0, Vec::new());
-            let odd_chunks = |_: &[Edge]| {
+            let (mut chunk, mut filtered, mut seen, mut visited) =
+                (0, Vec::new(), Vec::new(), Vec::new());
+            let odd_chunks = |b: &Block<'_>| {
                 chunk += 1;
+                if chunk % 2 == 1 {
+                    filtered.push((b.src_words().to_vec(), b.dst_words().to_vec()));
+                }
                 chunk % 2 == 1
             };
             e.sweep(
@@ -1736,8 +1887,9 @@ mod tests {
                 Keys::Both,
                 odd_chunks,
                 |_, b| {
-                    assert_eq!(b.distinct_srcs(), sorted(b.rows, |e| e.src));
-                    assert_eq!(b.distinct_dsts(), sorted(b.rows, |e| e.dst));
+                    assert_eq!(b.srcs().collect::<Vec<_>>(), sorted(b.rows, |e| e.src));
+                    assert_eq!(b.dsts().collect::<Vec<_>>(), sorted(b.rows, |e| e.dst));
+                    seen.push((b.src_words().to_vec(), b.dst_words().to_vec()));
                     visited.push(b.rows.to_vec());
                     Ok(())
                 },
@@ -1749,9 +1901,10 @@ mod tests {
                 .map(<[_]>::to_vec)
                 .collect();
             assert_eq!(visited, want, "case {case}");
+            assert_eq!(seen, filtered, "the visit sees the words the filter saw");
         }
-        // A list the keys do not name stays empty, not stale.
-        let all = |_: &[Edge]| true;
+        // Words the keys do not name stay empty, not stale.
+        let all = |_: &Block<'_>| true;
         e.sweep(
             &[Edge::new(0, 1, 1.0)],
             CellLayout::Preset,
@@ -1765,10 +1918,12 @@ mod tests {
         .unwrap();
     }
 
-    /// `distinct_into` equals sort + dedup on both paths: the bitmap (a
-    /// span below 64 ids per row) and the sort fallback (a wider span).
+    /// `words_into` marks exactly the sorted, deduplicated values on both
+    /// paths: the bitmap (a span below 64 ids per row) and the sort
+    /// fallback (a wider span). Each word appears once, ascending, with a
+    /// non-zero mask, and a frontier meets exactly its own vertices.
     #[test]
-    fn distinct_into_matches_sort_and_dedup_on_both_paths() {
+    fn words_into_matches_sort_and_dedup_on_both_paths() {
         let top = u32::MAX;
         // (field values, whether the bitmap path serves them)
         let mut cases: Vec<(Vec<u32>, bool)> = vec![
@@ -1800,7 +1955,6 @@ mod tests {
             *values.last_mut().unwrap() = base + span as u32;
             cases.push((values, span < 64 * len));
         }
-        let sentinel = vec![u64::MAX; 3];
         for (values, bitmap_path) in cases {
             let rows: Vec<Edge> = values
                 .iter()
@@ -1809,11 +1963,41 @@ mod tests {
             let mut want = values.clone();
             want.sort_unstable();
             want.dedup();
-            let (mut out, mut bitmap) = (vec![VertexId::new(9)], sentinel.clone());
-            distinct_into(&rows, |e| e.src, &mut out, &mut bitmap);
-            let got: Vec<u32> = out.iter().map(|v| v.raw()).collect();
+            let (mut out, mut scratch) = (vec![(9, 9)], vec![u64::MAX; 3]);
+            words_into(&rows, |e| e.src, &mut out, &mut scratch);
+            assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "{out:?}");
+            assert!(out.iter().all(|&(_, m)| m != 0));
+            let block = Block {
+                rows: &rows,
+                keys: Keys::Srcs,
+                srcs: &out,
+                dsts: &[],
+            };
+            let got: Vec<u32> = block.srcs().map(VertexId::raw).collect();
             assert_eq!(got, want, "{} values", values.len());
-            assert_eq!(bitmap != sentinel, bitmap_path, "path for {values:?}");
+            // The bitmap path leaves one scratch word per word between the
+            // extremes; the sort path leaves the sorted ids.
+            if let (Some(&min), Some(&max)) = (want.first(), want.last()) {
+                if bitmap_path {
+                    assert_eq!(scratch.len(), (max / 64 - min / 64) as usize + 1);
+                } else {
+                    let mut ids: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
+                    ids.sort_unstable();
+                    assert_eq!(scratch, ids, "path for {values:?}");
+                }
+            }
+            // A frontier of every other distinct value meets exactly those.
+            if let Some(&(last, _)) = out.last() {
+                let mut frontier = vec![0u64; last as usize + 1];
+                for &v in want.iter().step_by(2) {
+                    frontier[(v / 64) as usize] |= 1 << (v % 64);
+                }
+                let met: Vec<u32> = block.srcs_in(&frontier).map(VertexId::raw).collect();
+                let even: Vec<u32> = want.iter().copied().step_by(2).collect();
+                assert_eq!(met, even);
+                assert!(block.has_src_in(&frontier));
+                assert!(!block.has_src_in(&vec![0; frontier.len()]));
+            }
         }
     }
 
@@ -1821,7 +2005,7 @@ mod tests {
     fn sweep_stops_at_the_first_visit_error() {
         let mut e = engine();
         let g = generators::path_graph(300); // three blocks of ≤128 edges
-        let (all, mut visits) = (|_: &[Edge]| true, 0);
+        let (all, mut visits) = (|_: &Block<'_>| true, 0);
         let err = e.sweep(g.edges(), CellLayout::Preset, Keys::Srcs, all, |_, _| {
             visits += 1;
             Err(CoreError::InvalidInput("stop".into()))
@@ -2244,9 +2428,8 @@ mod tests {
         let mut primary = engine();
         let mut worker = engine();
         run(&mut worker);
-        let costs = worker.take_costs();
+        primary.append_costs(worker.drain_costs());
         primary.absorb_functional(&worker);
-        primary.append_costs(costs);
         let got = primary.finish("t", "t", "t", 1, 8);
 
         assert_eq!(got.ops, want.ops);
@@ -2531,7 +2714,7 @@ mod tests {
             Keys::Dsts,
             |_| true,
             |e, block| {
-                for &dst in block.distinct_dsts() {
+                for dst in block.dsts() {
                     e.search_dst_into(dst, &mut hits);
                     let _ = e.gather_rows(&hits, |_| 1, 0)?;
                 }

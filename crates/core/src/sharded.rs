@@ -11,8 +11,9 @@
 //!   runs its share on the calling thread and workers `1..jobs` each on a
 //!   scoped OS thread (no `'static` bounds needed), so a single-worker
 //!   pass spawns no thread at all;
-//! * every worker drains its committed `BlockCost`s after each shard,
-//!   and the merge re-appends them to the full-bank *primary* engine in
+//! * every worker keeps its shards' committed `BlockCost`s in its own
+//!   reused cost vector, marking where each shard's costs end, and after the
+//!   pass the merge drains them into the full-bank *primary* engine in
 //!   canonical shard-stream order;
 //! * worker device stats, SFU counters, buffer traffic, and histograms
 //!   are absorbed into the primary, whose single `finish` then computes
@@ -44,7 +45,7 @@ use gaasx_sim::{MemorySink, Nanos, RunReport, Tracer};
 
 use crate::algorithms::SearchProfile;
 use crate::config::GaasXConfig;
-use crate::engine::{BlockCost, Engine, WearSnapshot};
+use crate::engine::{Engine, WearSnapshot};
 use crate::error::CoreError;
 
 /// Executes the per-shard passes of a shardable algorithm.
@@ -266,8 +267,7 @@ impl ShardedEngine {
             // `for_each_shard` — but after a run aborted by a device fault
             // this salvages costs stranded on the failing worker, so the
             // partial report still accounts for the work done.
-            let stranded = worker.take_costs();
-            self.primary.append_costs(stranded);
+            self.primary.append_costs(worker.drain_costs());
         }
         for worker in &self.workers {
             self.primary.absorb_functional(worker);
@@ -314,44 +314,34 @@ impl ShardRunner for ShardedEngine {
         T: Send,
         F: Fn(&mut Engine, &Shard) -> Result<T, CoreError> + Sync,
     {
-        let shards: Vec<&Shard> = grid.stream(order).collect();
+        let total = grid.num_nonempty_shards();
         let jobs = self.workers.len();
         let f = &f;
-        let shards_ref = &shards;
 
         // Worker `j` takes shards j, j+J, j+2J, ... — round-robin keeps
         // the assignment independent of worker speed, so reassembly needs
-        // no bookkeeping beyond the shard's stream position.
-        type ShardYield<T> = (usize, Vec<BlockCost>, T);
-        type ShardAbort = (Vec<(usize, Vec<BlockCost>)>, CoreError);
+        // no bookkeeping beyond the shard's stream position. A worker keeps
+        // every shard's block costs in its own cost vector and yields, per
+        // shard, where its costs end; the merge below drains them in
+        // stream order, so a pass allocates per worker, not per shard.
+        type ShardYield<T> = Vec<(usize, T)>;
         let run_share = |j: usize, worker: &mut Engine| {
-            let mut yielded: Vec<ShardYield<T>> = Vec::new();
-            let mut pos = j;
-            while pos < shards_ref.len() {
-                match f(worker, shards_ref[pos]) {
-                    // Drain the shard's block costs immediately: they are
-                    // re-appended in stream order below.
-                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
-                    Err(e) => {
-                        // Salvage the costs of this worker's completed
-                        // shards plus the failing shard's partial costs, so
-                        // the partial report still bills the aborted work.
-                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
-                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
-                        costs.push((pos, worker.take_costs()));
-                        return Err((costs, e));
-                    }
+            let mut yielded: ShardYield<T> =
+                Vec::with_capacity(total.saturating_sub(j).div_ceil(jobs));
+            for shard in grid.stream(order).skip(j).step_by(jobs) {
+                match f(worker, shard) {
+                    Ok(result) => yielded.push((worker.committed_costs(), result)),
+                    Err(e) => return (yielded, Some(e)),
                 }
-                pos += jobs;
             }
-            Ok(yielded)
+            (yielded, None)
         };
         let run_share = &run_share;
         // Worker 0 runs its share on the calling thread; only workers
         // 1..J get a scoped thread, so a single-worker pass spawns none.
         let mut workers = self.workers.iter_mut();
         let first = workers.next();
-        let per_worker: Vec<Result<Vec<ShardYield<T>>, ShardAbort>> =
+        let per_worker: Vec<(ShardYield<T>, Option<CoreError>)> =
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = workers
                     .enumerate()
@@ -370,51 +360,42 @@ impl ShardRunner for ShardedEngine {
                 outcomes
             });
 
-        let mut slots: Vec<Option<(Vec<BlockCost>, T)>> = Vec::new();
-        slots.resize_with(shards.len(), || None);
+        // Re-append every committed cost in stream order: the completed
+        // shards of every worker and, after a failure, the failing shard's
+        // partial costs (its open block closed here), so `finish` prices
+        // an aborted run's real work.
+        // Keep the error of the lowest-indexed failing worker (workers run
+        // their shard subsets independently, so this choice is
+        // deterministic).
         let mut aborted: Option<CoreError> = None;
-        let mut salvaged: Vec<(usize, Vec<BlockCost>)> = Vec::new();
-        for outcome in per_worker {
-            match outcome {
-                Ok(yielded) => {
-                    for (pos, costs, result) in yielded {
-                        slots[pos] = Some((costs, result));
-                    }
-                }
-                Err((costs, e)) => {
-                    salvaged.extend(costs);
-                    // Keep the error of the lowest-indexed failing worker
-                    // (workers run their shard subsets independently, so
-                    // this choice is deterministic).
-                    if aborted.is_none() {
-                        aborted = Some(e);
-                    }
-                }
+        let mut shares = Vec::with_capacity(jobs);
+        for ((yielded, error), worker) in per_worker.into_iter().zip(&mut self.workers) {
+            let partial = error.is_some().then(|| worker.committed_costs());
+            if aborted.is_none() {
+                aborted = error;
             }
+            shares.push((yielded.into_iter(), partial, 0, worker.drain_costs()));
         }
-        if let Some(e) = aborted {
-            // Fold every salvaged cost — from completed shards of failing
-            // and non-failing workers alike — into the primary in stream
-            // order, so `finish` prices the aborted run's real work.
-            for (pos, slot) in slots.into_iter().enumerate() {
-                if let Some((costs, _)) = slot {
-                    salvaged.push((pos, costs));
+        let mut results = Vec::with_capacity(total);
+        for pos in 0..total {
+            let (yielded, partial, start, costs) = &mut shares[pos % jobs];
+            let end = match yielded.next() {
+                Some((end, result)) => {
+                    results.push(result);
+                    end
                 }
-            }
-            salvaged.sort_by_key(|&(pos, _)| pos);
-            for (_, costs) in salvaged {
-                self.primary.append_costs(costs);
-            }
-            return Err(e);
+                None => match partial.take() {
+                    Some(end) => end,
+                    None => continue,
+                },
+            };
+            self.primary.append_costs(costs.by_ref().take(end - *start));
+            *start = end;
         }
-        let mut results = Vec::with_capacity(shards.len());
-        for slot in slots {
-            // gaasx-lint: allow(panic-in-lib) -- scope invariant: each worker writes exactly its own slot before the scope ends
-            let (costs, result) = slot.expect("every shard position filled");
-            self.primary.append_costs(costs);
-            results.push(result);
+        match aborted {
+            Some(e) => Err(e),
+            None => Ok(results),
         }
-        Ok(results)
     }
 }
 
@@ -453,7 +434,7 @@ mod tests {
                     Keys::Dsts,
                     |_| true,
                     |engine, block| {
-                        for &dst in block.distinct_dsts() {
+                        for dst in block.dsts() {
                             engine.search_dst_into(dst, &mut hits);
                             total += engine.gather_rows(&hits, |_| 1, 0)?;
                         }
@@ -679,7 +660,7 @@ mod tests {
                         Keys::Dsts,
                         |_| true,
                         |engine, block| {
-                            for &dst in block.distinct_dsts() {
+                            for dst in block.dsts() {
                                 engine.search_dst_into(dst, &mut hits);
                                 // Worker-side metrics: these land in the
                                 // worker tracer's registry and must survive

@@ -27,10 +27,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gaasx_core::algorithms::{traverse, Sssp};
 use gaasx_core::engine::{partition_for_streaming, CellLayout, Engine, Keys};
-use gaasx_core::{GaasXConfig, RecoveryPolicy};
+use gaasx_core::{GaasXConfig, RecoveryPolicy, ShardedEngine};
 use gaasx_graph::partition::TraversalOrder;
-use gaasx_graph::{generators, Edge};
+use gaasx_graph::{generators, Edge, VertexId};
+use gaasx_sim::Phase;
 use gaasx_xbar::{FaultModel, HitVector};
 
 /// Counts every allocation and reallocation made through the global
@@ -84,6 +86,8 @@ fn steady_state_search_and_gather_allocate_nothing() {
     // One weight per MAC row (PageRank's shape) and two (traversal's).
     measure_dense_sweep(GaasXConfig::small(), 1);
     measure_dense_sweep(GaasXConfig::small(), 2);
+    measure_warm_traversals(1);
+    measure_warm_traversals(2);
 }
 
 /// Sweeps the largest shard of a paper-bank partition the way PageRank
@@ -127,8 +131,8 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
                 |_| true,
                 |engine, block| {
                     loads += 1;
-                    srcs += block.distinct_srcs().len();
-                    for &dst in block.distinct_dsts() {
+                    srcs += block.srcs().count();
+                    for dst in block.dsts() {
                         engine.search_dst_into(dst, &mut hits);
                         total += engine.gather_rows(&hits, |_| 1, width - 1)?;
                     }
@@ -156,10 +160,11 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
 }
 
 /// Sweeps the largest shard of a deep-bank partition the way a frontier
-/// traversal does: only blocks holding a frontier source load, and each
-/// frontier source is searched and propagated, as is the shard's hub,
-/// whose hit lists run to hundreds of rows. Two warm-up sweeps size every
-/// buffer; the third must allocate nothing.
+/// traversal does: only blocks whose source words meet the frontier
+/// bitset load, and each block's sources set in a probe bitset (the
+/// frontier plus the shard's hub, whose hit lists run to hundreds of rows)
+/// are searched and propagated through the engine's own buffers. Two
+/// warm-up sweeps size every buffer; the third must allocate nothing.
 fn measure_frontier_sweep(config: GaasXConfig) {
     let graph =
         generators::rmat(&generators::RmatConfig::new(1 << 10, 100_000).with_seed(5)).unwrap();
@@ -172,15 +177,23 @@ fn measure_frontier_sweep(config: GaasXConfig) {
     engine.preset_mac(1).unwrap();
     let blocks: Vec<&[Edge]> = shard.edges().chunks(engine.block_capacity()).collect();
     assert!(blocks.len() >= 3, "the shard spans {} blocks", blocks.len());
+    let words = (graph.num_vertices() as usize).div_ceil(64);
+    let set = |bits: &mut Vec<u64>, v: usize, on: bool| {
+        if on {
+            bits[v / 64] |= 1 << (v % 64);
+        } else {
+            bits[v / 64] &= !(1 << (v % 64));
+        }
+    };
     // The frontier: the last block's sources that the first block lacks,
     // so the filter skips at least the first block.
-    let mut frontier = vec![false; graph.num_vertices() as usize];
+    let mut frontier = vec![0u64; words];
     blocks[blocks.len() - 1]
         .iter()
-        .for_each(|e| frontier[e.src.index()] = true);
+        .for_each(|e| set(&mut frontier, e.src.index(), true));
     blocks[0]
         .iter()
-        .for_each(|e| frontier[e.src.index()] = false);
+        .for_each(|e| set(&mut frontier, e.src.index(), false));
     // The shard's hub, its most frequent source, is searched in every
     // loaded block too: hundreds of hits, far past one MAC burst.
     let mut degree = vec![0usize; graph.num_vertices() as usize];
@@ -189,25 +202,22 @@ fn measure_frontier_sweep(config: GaasXConfig) {
         .iter()
         .for_each(|e| degree[e.src.index()] += 1);
     let hub = (0..degree.len()).max_by_key(|&v| degree[v]).unwrap();
-    let mut hits = HitVector::new(0);
-    let mut results: Vec<(usize, u64)> = Vec::new();
-    let mut sweep = |engine: &mut Engine| {
+    let mut probe = frontier.clone();
+    set(&mut probe, hub, true);
+    let sweep = |engine: &mut Engine| {
         let (mut loads, mut searches, mut most_hits) = (0, 0, 0);
         engine
             .sweep(
                 shard.edges(),
                 CellLayout::Preset,
                 Keys::Srcs,
-                |rows| rows.iter().any(|e| frontier[e.src.index()]),
+                |block| block.has_src_in(&frontier),
                 |engine, block| {
                     loads += 1;
-                    for &src in block.distinct_srcs() {
-                        if frontier[src.index()] || src.index() == hub {
-                            engine.search_src_into(src, &mut hits);
-                            engine.propagate_rows_into(&hits, &[0, 1], &[1, 2], &mut results)?;
-                            searches += usize::from(!results.is_empty());
-                            most_hits = most_hits.max(hits.rows().len());
-                        }
+                    for src in block.srcs_in(&probe) {
+                        let results = engine.propagate_src(src, &[0, 1], &[1, 2])?;
+                        searches += usize::from(!results.is_empty());
+                        most_hits = most_hits.max(results.len());
                     }
                     Ok(())
                 },
@@ -235,6 +245,77 @@ fn measure_frontier_sweep(config: GaasXConfig) {
         allocs, 0,
         "a warm sweep of {loads} blocks and {searches} searches performed {allocs} heap allocations"
     );
+}
+
+/// Allocations a warm traversal may make per superstep whatever the graph:
+/// the shard pass's result vector, each worker's per-pass yield vector,
+/// the merge's per-worker cursors, the shard stream's index on each worker
+/// and, above one job, the scoped threads.
+const PER_SUPERSTEP: u64 = 24;
+
+/// Allocations a traversal may make once per query: its distance and
+/// frontier vectors (one per source plus the outer vector each), the
+/// reused next-frontier bitset, and the iteration, done and active flags.
+fn per_query(sources: usize) -> u64 {
+    2 * (sources as u64 + 1) + 4
+}
+
+/// Runs BFS, SSSP and a 2-source batch SSSP on a resident
+/// [`ShardedEngine`] the way a server does — [`traverse`] over a grid
+/// partitioned once, weights checked once, `finish` and
+/// `reset_accounting` between queries — and bounds the third, warm run
+/// of each: at most one allocation per (loaded shard, query), which is
+/// the exactly sized candidate vector a shard returns, plus
+/// [`PER_SUPERSTEP`] per superstep and [`per_query`] once. Every shard
+/// fits one block, so the report's block loads count the loaded shards.
+fn measure_warm_traversals(jobs: usize) {
+    // A uniform graph of serve-mixed's size: 256 shards of about 39 edges.
+    let graph =
+        generators::erdos_renyi(&generators::ErdosRenyiConfig::new(2_048, 10_000).with_seed(13))
+            .unwrap();
+    let grid = partition_for_streaming(&graph).unwrap();
+    let config = GaasXConfig::small();
+    let capacity = Engine::new(config.clone()).unwrap().block_capacity();
+    assert!(
+        grid.shards().all(|s| s.num_edges() <= capacity),
+        "every shard must fit one block"
+    );
+    let quant = Sssp::check_weights(&grid, config.mac_geometry.weight_bits()).unwrap();
+    let mut exec = ShardedEngine::new(config, jobs).unwrap();
+    let ids = |ids: &[u32]| ids.iter().copied().map(VertexId::new).collect::<Vec<_>>();
+    let queries = [
+        ("bfs", None, ids(&[0])),
+        ("sssp", Some(&quant), ids(&[0])),
+        ("sssp_batch", Some(&quant), ids(&[0, 3])),
+    ];
+    for (name, weights, sources) in queries {
+        let run = |exec: &mut ShardedEngine| {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            let out = traverse(exec, &grid, weights, &sources, u32::MAX).unwrap();
+            let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+            let supersteps = out.iterations.iter().copied().max().unwrap();
+            let report = exec.finish("gaasx", name, "zero_alloc", supersteps, 10_000);
+            exec.reset_accounting();
+            let loads = report.phase(Phase::LoadBlock).map_or(0, |p| p.count);
+            (out, allocs, loads, u64::from(supersteps))
+        };
+        let warm = run(&mut exec);
+        assert_eq!(run(&mut exec).0, warm.0);
+        let (out, allocs, loads, supersteps) = run(&mut exec);
+        assert_eq!(out, warm.0, "the measured {name} query repeats the work");
+        assert!(
+            supersteps > 2 && loads > 2 * supersteps,
+            "{name} must do real work"
+        );
+        let k = sources.len() as u64;
+        let bound = loads * k + PER_SUPERSTEP * supersteps + per_query(sources.len());
+        println!("{name} jobs={jobs}: {allocs} allocations, bound {bound} ({loads} loaded shards, {supersteps} supersteps)");
+        assert!(
+            allocs <= bound,
+            "a warm {name} at jobs={jobs} made {allocs} allocations over {loads} loaded \
+             shards and {supersteps} supersteps; the bound is {bound}"
+        );
+    }
 }
 
 /// Warms an engine with two full search+gather passes over one block,

@@ -14,7 +14,7 @@
 use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 
-use gaasx_core::algorithms::{check_sources, traverse};
+use gaasx_core::algorithms::{check_sources, traverse, Sssp};
 use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, ShardRunner};
 
@@ -53,7 +53,13 @@ pub fn run_batch_on_grid<R: ShardRunner>(
     weighted: bool,
     sources: &[VertexId],
 ) -> Result<BatchOutcome, CoreError> {
-    traverse(runner, grid, weighted, sources, u32::MAX)
+    check_sources(sources, grid.num_vertices() as usize)?;
+    let quant = if weighted {
+        Some(Sssp::check_weights(grid, runner.engine().weight_bits())?)
+    } else {
+        None
+    };
+    traverse(runner, grid, quant.as_ref(), sources, u32::MAX)
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@
 use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 use gaasx_sim::Nanos;
+use gaasx_xbar::fixed::Quantizer;
 
-use gaasx_core::algorithms::{traverse, BatchOutcome};
+use gaasx_core::algorithms::{check_sources, traverse, BatchOutcome, Sssp};
 use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, GaasXConfig, ShardedEngine, WearSnapshot};
 
@@ -36,6 +37,11 @@ pub struct ResidentGraph {
     grid: Option<GridPartition>,
     config: GaasXConfig,
     jobs: usize,
+    /// The outcome of [`Sssp::check_weights`] on the layout, taken at the
+    /// first SSSP query and reused by every later one (see
+    /// [`sssp_weights`]): the quantizer, or the message of the
+    /// `InvalidInput` error each SSSP query returns.
+    weights: Option<Result<Quantizer, String>>,
     exec: Option<ShardedEngine>,
     /// Dispatch sequence number of the most recent query — the LRU key.
     last_used: u64,
@@ -53,6 +59,7 @@ impl ResidentGraph {
             grid: partition_for_streaming(&graph).ok(),
             config,
             jobs,
+            weights: None,
             exec: None,
             last_used: 0,
             queries_served: 0,
@@ -189,7 +196,13 @@ impl ResidentGraph {
         // One traversal body serves every kind: with one source it is the
         // one-shot BFS or SSSP run (no superstep cap beyond SSSP's V−1).
         let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-        let run = traverse(exec, grid, weighted, &sources, u32::MAX);
+        let weight_bits = self.config.mac_geometry.weight_bits();
+        let run = check_sources(&sources, grid.num_vertices() as usize)
+            .and_then(|()| match weighted {
+                false => Ok(None),
+                true => sssp_weights(&mut self.weights, grid, weight_bits).map(Some),
+            })
+            .and_then(|quant| traverse(exec, grid, quant, &sources, u32::MAX));
         match run {
             Ok(BatchOutcome { values, iterations }) => {
                 let supersteps = iterations.iter().copied().max().unwrap_or(0);
@@ -231,6 +244,28 @@ impl ResidentGraph {
             }
         }
     }
+}
+
+/// The layout's SSSP weight check ([`Sssp::check_weights`]), run at the
+/// first call and kept in `cache`: every call returns the same quantizer
+/// or the same `InvalidInput` error. Any other error is not kept.
+fn sssp_weights<'a>(
+    cache: &'a mut Option<Result<Quantizer, String>>,
+    grid: &GridPartition,
+    weight_bits: u32,
+) -> Result<&'a Quantizer, CoreError> {
+    let checked = match cache.take() {
+        Some(checked) => checked,
+        None => match Sssp::check_weights(grid, weight_bits) {
+            Ok(quant) => Ok(quant),
+            Err(CoreError::InvalidInput(msg)) => Err(msg),
+            Err(other) => return Err(other),
+        },
+    };
+    cache
+        .insert(checked)
+        .as_ref()
+        .map_err(|msg| CoreError::InvalidInput(msg.clone()))
 }
 
 #[cfg(test)]
@@ -293,6 +328,51 @@ mod tests {
         }
         // The resident engine is reusable after the miss.
         assert!(r.run_query(&QueryKind::Sssp { source: 0 }, None).is_ok());
+    }
+
+    #[test]
+    fn the_weight_check_runs_once_and_every_sssp_query_reuses_it() {
+        let g = CooGraph::from_edges(
+            3,
+            vec![
+                gaasx_graph::Edge::new(0, 1, 2.0),
+                gaasx_graph::Edge::new(1, 2, -1.0),
+            ],
+        )
+        .unwrap();
+        let mut r = ResidentGraph::new("neg".into(), g, GaasXConfig::small(), 1);
+        r.ensure_resident().unwrap();
+        assert!(r.weights.is_none(), "registration checks no weights");
+        assert!(r.run_query(&QueryKind::Bfs { source: 0 }, None).is_ok());
+        assert!(r.weights.is_none(), "BFS checks no weights");
+        let errors: Vec<String> = [
+            QueryKind::Sssp { source: 0 },
+            QueryKind::BatchSssp {
+                sources: vec![0, 1],
+            },
+        ]
+        .iter()
+        .map(|kind| match r.run_query(kind, None) {
+            Err(CoreError::InvalidInput(msg)) => msg,
+            other => panic!("want InvalidInput, got {other:?}"),
+        })
+        .collect();
+        assert!(errors[0].contains("negative edge weight"), "{}", errors[0]);
+        assert_eq!(errors[0], errors[1]);
+        assert!(matches!(r.weights, Some(Err(_))));
+        // A bad source is still the source's error, checked first.
+        let e = r
+            .run_query(&QueryKind::Sssp { source: 9 }, None)
+            .unwrap_err();
+        assert!(
+            matches!(e, CoreError::InvalidInput(ref m) if m.contains("out of range")),
+            "{e}"
+        );
+
+        let mut ok = resident(1);
+        ok.ensure_resident().unwrap();
+        assert!(ok.run_query(&QueryKind::Sssp { source: 0 }, None).is_ok());
+        assert!(matches!(ok.weights, Some(Ok(_))));
     }
 
     #[test]

@@ -67,6 +67,13 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC and batched BFS/SSSP x banks x fault x j
 # times, with that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
+echo "==> allocation bounds (release): warm sweeps allocate nothing, warm traversals once per loaded shard"
+# The tier-1 and workspace passes run this in the dev profile; the
+# benchmark times release builds, whose inlining and buffer growth differ,
+# so the zero-allocation sweeps and the warm BFS/SSSP/batch bound on a
+# resident sharded engine are checked in that shape too.
+cargo test -q --release --offline -p gaasx-core --test zero_alloc
+
 echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, packed MAC bursts, CAM and MAC program_block twin checks"
 # Release builds compile out the per-search debug cross-check against the
 # scalar scan, so this is the only release-mode check of the field index.

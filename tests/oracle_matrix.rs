@@ -218,13 +218,16 @@ fn batched_traversals_match_the_oracles() {
             for fault in [false, true] {
                 let cfg = bank_config(bank, fault);
                 let label = format!("batch weighted={weighted} bank={bank} fault={fault}");
+                let quant = weighted
+                    .then(|| Sssp::check_weights(&grid, cfg.mac_geometry.weight_bits()).unwrap());
+                let weights = quant.as_ref();
                 let mut serial = Engine::new(cfg.clone()).unwrap();
-                let want = traverse(&mut serial, &grid, weighted, &sources, u32::MAX).unwrap();
+                let want = traverse(&mut serial, &grid, weights, &sources, u32::MAX).unwrap();
                 assert_eq!(want.values, oracles, "{label}");
                 let want_report = serial.finish("gaasx", "batch", "rmat", 1, 600);
                 for jobs in [1usize, 2, 4] {
                     let mut sharded = ShardedEngine::new(cfg.clone(), jobs).unwrap();
-                    let got = traverse(&mut sharded, &grid, weighted, &sources, u32::MAX).unwrap();
+                    let got = traverse(&mut sharded, &grid, weights, &sources, u32::MAX).unwrap();
                     assert_eq!(got, want, "{label} jobs={jobs}");
                     let report = sharded.finish("gaasx", "batch", "rmat", 1, 600);
                     if !fault {
