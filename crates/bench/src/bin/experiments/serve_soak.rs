@@ -319,10 +319,11 @@ fn flaky_scenario(edges: usize) -> Result<(Server, Vec<QueryResponse>), String> 
 
 /// Scenario 3 — unrecoverable write-fault rate: retries exhaust and the
 /// query surfaces a typed `DeviceFault` carrying the partial report.
+/// Seeded so all four attempts fault (each attempt keys its own draws).
 fn exhausted_scenario(edges: usize) -> Result<(Server, Vec<QueryResponse>), String> {
     let accel = GaasXConfig {
         fault: FaultModel {
-            seed: 5,
+            seed: 1,
             write_fail_rate: 2e-3,
             ..FaultModel::none()
         },

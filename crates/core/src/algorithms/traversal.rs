@@ -13,10 +13,13 @@
 //! candidate stream does not depend on the other queries, so one source
 //! issues exactly the operations of a one-shot BFS or SSSP run, and K
 //! sources return the values and superstep counts of K one-shot runs
-//! while sharing loads. This holds whenever block programming is
-//! deterministic (fault-free or stuck-only fault models): transient write
-//! faults draw from the engine's stream per programming event, and a
-//! batch programs fewer blocks.
+//! while sharing loads. This holds under transient write faults too,
+//! verified or not: a load's fault draws are keyed by the superstep's
+//! pass ordinal, the shard and the chunk, so a chunk the batch loads
+//! holds what every one-shot load of it holds, however few blocks the
+//! batch programs. (Search upsets key on the searched source too, so
+//! they agree as well; ADC flips key on the burst's ordinal within the
+//! load, which a batch's extra bursts shift.)
 //!
 //! A warm superstep allocates only what it hands back: each loaded shard
 //! collects its relaxations in the engine's reused scratch and returns

@@ -19,18 +19,19 @@
 //!   are absorbed into the primary, whose single `finish` then computes
 //!   the makespan and energy exactly as a serial run would.
 //!
-//! For noise-free configurations the merged [`gaasx_sim::RunReport`] is
-//! bit-identical to the serial one: the block-cost sequence — the only
-//! input to the scheduler, whose wave placement walks blocks in order —
-//! is reassembled in the same order, and every counter and modeled
-//! time or energy is an integer sum, exact in any order. (With
-//! conductance noise enabled, per-device RNG draws depend on which engine
-//! executed a shard, so only then do results diverge. Likewise for the
-//! *transient* classes of an active [`FaultModel`](gaasx_xbar::FaultModel):
-//! stuck-cell maps are positional and identical on every engine, but
-//! transient write failures and upsets draw from per-engine RNG streams,
-//! so a nonzero transient rate makes sharded runs diverge from serial
-//! ones — exactly as documented for noise.)
+//! The merged [`gaasx_sim::RunReport`] is bit-identical to the serial
+//! one: the block-cost sequence — the only input to the scheduler, whose
+//! wave placement walks blocks in order — is reassembled in the same
+//! order, and every counter and modeled time or energy is an integer sum,
+//! exact in any order. Device randomness does not depend on the engine
+//! either: stuck-cell maps are positional, and every transient fault
+//! (write failures, search upsets, ADC flips) and every noise sample is
+//! a draw keyed by the runner's pass ordinal, the shard's stream position
+//! and the chunk's index in the shard (see [`Engine::load_block`]), never
+//! by which worker ran the shard or what it ran before. Two things remain
+//! per engine and can still split a faulty sharded run from the serial
+//! one: the spare-row pool a stuck row remaps onto, and the endurance
+//! wear map.
 //!
 //! Algorithms opt in through [`ShardRunner`]: they express each superstep
 //! as a *pure-per-shard* pass (snapshot state in, candidate updates out)
@@ -58,7 +59,8 @@ pub trait ShardRunner {
     fn engine(&mut self) -> &mut Engine;
 
     /// Presets every MAC weight cell on *all* engines (primary and
-    /// workers) to `code` — see [`Engine::preset_mac`].
+    /// workers) to `code`, billing one post-preset audit — see
+    /// [`Engine::preset_mac`].
     ///
     /// # Errors
     ///
@@ -107,8 +109,12 @@ impl ShardRunner for Engine {
         F: Fn(&mut Engine, &Shard) -> Result<T, CoreError> + Sync,
     {
         let mut results = Vec::with_capacity(grid.num_nonempty_shards());
-        for (_, shard) in grid.stream_indexed(order) {
-            let r = f(self, shard)?;
+        let pass = self.next_pass();
+        for (pos, shard) in grid.stream(order).enumerate() {
+            self.begin_shard(pass, pos);
+            let r = f(self, shard);
+            self.end_shard();
+            let r = r?;
             // Close the shard's trailing block so the serial cost stream
             // has the same block boundaries the sharded merge reassembles.
             self.end_block();
@@ -229,6 +235,16 @@ impl ShardedEngine {
         self.set_tracer(tracer);
     }
 
+    /// Keys the transient fault draws of the runs that follow as attempt
+    /// `attempt` at their query, on the primary and every worker (see
+    /// [`Engine::set_attempt`]).
+    pub fn set_attempt(&mut self, attempt: u32) {
+        self.primary.set_attempt(attempt);
+        for worker in &mut self.workers {
+            worker.set_attempt(attempt);
+        }
+    }
+
     /// Captures the endurance wear of every engine (primary first, then
     /// workers in order), for carry-over into a replacement
     /// `ShardedEngine` on the same modeled banks.
@@ -297,9 +313,11 @@ impl ShardRunner for ShardedEngine {
     }
 
     fn preset_mac(&mut self, code: u32) -> Result<(), CoreError> {
+        // Every engine presets its bank, but the audit is billed once, on
+        // the primary, as a serial engine bills it.
         self.primary.preset_mac(code)?;
         for worker in &mut self.workers {
-            worker.preset_mac(code)?;
+            worker.preset_mac_billed(code, false)?;
         }
         Ok(())
     }
@@ -316,6 +334,7 @@ impl ShardRunner for ShardedEngine {
     {
         let total = grid.num_nonempty_shards();
         let jobs = self.workers.len();
+        let pass = self.primary.next_pass();
         let f = &f;
 
         // Worker `j` takes shards j, j+J, j+2J, ... — round-robin keeps
@@ -328,8 +347,11 @@ impl ShardRunner for ShardedEngine {
         let run_share = |j: usize, worker: &mut Engine| {
             let mut yielded: ShardYield<T> =
                 Vec::with_capacity(total.saturating_sub(j).div_ceil(jobs));
-            for shard in grid.stream(order).skip(j).step_by(jobs) {
-                match f(worker, shard) {
+            for (pos, shard) in grid.stream(order).enumerate().skip(j).step_by(jobs) {
+                worker.begin_shard(pass, pos);
+                let shard_result = f(worker, shard);
+                worker.end_shard();
+                match shard_result {
                     Ok(result) => yielded.push((worker.committed_costs(), result)),
                     Err(e) => return (yielded, Some(e)),
                 }

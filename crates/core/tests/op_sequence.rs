@@ -37,14 +37,14 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("paper/jobs2/sssp", 6648, 0x9621da75aff85ec2),
     ("paper/jobs2/batch3", 20867, 0x814586b56b963fb0),
     ("paper/jobs2/cc", 11725, 0x28e3a69edc576bf4),
-    ("paper+faults/serial/bfs", 5867, 0x021c7a1ca77bd06f),
-    ("paper+faults/serial/sssp", 9059, 0x9e48afd51b03cdd4),
-    ("paper+faults/serial/batch3", 28987, 0x1f37d96d41653728),
-    ("paper+faults/serial/cc", 16888, 0x369511692a9474d1),
-    ("paper+faults/jobs2/bfs", 5869, 0xbf38a20c33e72c1b),
-    ("paper+faults/jobs2/sssp", 9059, 0x4968e20d81493e12),
-    ("paper+faults/jobs2/batch3", 28987, 0x7106f49c4abb2ec4),
-    ("paper+faults/jobs2/cc", 16890, 0xe63824a1796dbd19),
+    ("paper+faults/serial/bfs", 5867, 0x10f5e2f7a0be5573),
+    ("paper+faults/serial/sssp", 9059, 0xe1d7c1e646e10650),
+    ("paper+faults/serial/batch3", 28987, 0x8f33e1964dbd998c),
+    ("paper+faults/serial/cc", 16888, 0xb45b73e636c4cffd),
+    ("paper+faults/jobs2/bfs", 5867, 0x99808a8f2cd5b44b),
+    ("paper+faults/jobs2/sssp", 9059, 0x13f322c8bc2468ac),
+    ("paper+faults/jobs2/batch3", 28987, 0x8ed6a68a93abc9d3),
+    ("paper+faults/jobs2/cc", 16888, 0xdc4452941f9781e2),
     ("deep/serial/bfs", 4292, 0x0d4c78ae3825ec57),
     ("deep/serial/sssp", 6603, 0x9a81ab5c600fbbe6),
     ("deep/serial/batch3", 20739, 0x55c58b0c2cfcf6c7),
@@ -53,14 +53,14 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("deep/jobs2/sssp", 6603, 0xb1d9f3a5cd04f06f),
     ("deep/jobs2/batch3", 20739, 0x0a19c86ec2acd924),
     ("deep/jobs2/cc", 11725, 0x28e3a69edc576bf4),
-    ("deep+faults/serial/bfs", 5824, 0x732dffa6b5c4a5ed),
-    ("deep+faults/serial/sssp", 8973, 0xd7391d8b5655ade4),
-    ("deep+faults/serial/batch3", 28717, 0xe23255593a880106),
-    ("deep+faults/serial/cc", 16903, 0x23835a66b090e64a),
-    ("deep+faults/jobs2/bfs", 5856, 0x89e1ead64a39d319),
-    ("deep+faults/jobs2/sssp", 8973, 0x65ade44a757dcdd4),
-    ("deep+faults/jobs2/batch3", 28717, 0xe5d451088a0cd636),
-    ("deep+faults/jobs2/cc", 16935, 0xb1f14a16387dbe10),
+    ("deep+faults/serial/bfs", 5824, 0x5de0c4b5f6267277),
+    ("deep+faults/serial/sssp", 8973, 0xdd749240b638a695),
+    ("deep+faults/serial/batch3", 28717, 0xb10ab9949603e033),
+    ("deep+faults/serial/cc", 16903, 0x688baae266a5ac90),
+    ("deep+faults/jobs2/bfs", 5824, 0x1657fc5b766965b7),
+    ("deep+faults/jobs2/sssp", 8973, 0x536174a39d3590c3),
+    ("deep+faults/jobs2/batch3", 28717, 0x3dbdcc274041de45),
+    ("deep+faults/jobs2/cc", 16903, 0x5a9f2d6001a6680c),
 ];
 
 /// FNV-1a over each span's phase index and the bit patterns of its start

@@ -312,20 +312,26 @@ impl GridPartition {
     /// their canonical stream position `0..num_nonempty_shards()`. The
     /// position is what a parallel executor keys on to reassemble
     /// out-of-order per-shard results into the serial stream order.
+    ///
+    /// Row-major order is the storage order, so it walks the shards in
+    /// place and allocates nothing; column-major order sorts an index of
+    /// the shards once per call.
     pub fn stream_indexed(
         &self,
         order: TraversalOrder,
     ) -> impl Iterator<Item = (usize, &Shard)> + '_ {
-        let mut idx: Vec<usize> = (0..self.occupied.len()).collect();
-        if order == TraversalOrder::ColumnMajor {
+        let column_major = (order == TraversalOrder::ColumnMajor).then(|| {
+            let mut idx: Vec<usize> = (0..self.occupied.len()).collect();
             idx.sort_by_key(|&i| {
                 let ((r, c), _) = self.occupied[i];
                 (c, r)
             });
-        }
-        idx.into_iter()
-            .enumerate()
-            .map(move |(pos, i)| (pos, &self.occupied[i].1))
+            idx
+        });
+        (0..self.occupied.len()).map(move |pos| {
+            let i = column_major.as_ref().map_or(pos, |idx| idx[pos]);
+            (pos, &self.occupied[i].1)
+        })
     }
 
     /// Number of non-empty shards.

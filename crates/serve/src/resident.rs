@@ -7,8 +7,11 @@
 //! between queries so consecutive queries skip building engines and
 //! their warm host buffers; per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
-//! wear, fault RNG streams, spare-row remaps — persists, exactly as it
-//! would on real hardware. Eviction drops the engines (freeing the
+//! wear, spare-row remaps — persists, exactly as it would on real
+//! hardware. Transient fault draws are keyed by the query's own passes
+//! and loads, so each query draws as it would on fresh banks; only a
+//! retry after a device fault ([`ResidentGraph::retry_query`]) draws
+//! anew. Eviction drops the engines (freeing the
 //! modeled banks); the next query *reprograms* the graph onto fresh
 //! banks, which resets wear but changes nothing functionally.
 //!
@@ -175,6 +178,23 @@ impl ResidentGraph {
         kind: &QueryKind,
         deadline: Option<Nanos>,
     ) -> Result<QueryOutput, CoreError> {
+        self.retry_query(kind, deadline, 0)
+    }
+
+    /// [`run_query`](Self::run_query) as attempt `attempt` at the query
+    /// (0 for the first): a retry after a device fault passes a later
+    /// attempt, so its transient faults are drawn anew (see
+    /// [`ShardedEngine::set_attempt`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`run_query`](Self::run_query).
+    pub fn retry_query(
+        &mut self,
+        kind: &QueryKind,
+        deadline: Option<Nanos>,
+        attempt: u32,
+    ) -> Result<QueryOutput, CoreError> {
         let num_edges = self.num_edges() as u64;
         let exec = self.exec.as_mut().ok_or_else(|| {
             CoreError::InvalidInput(format!("graph {:?} is not resident", self.name))
@@ -183,6 +203,7 @@ impl ResidentGraph {
             CoreError::InvalidInput(format!("graph {:?} has no vertices", self.name))
         })?;
         exec.set_deadline(deadline);
+        exec.set_attempt(attempt);
         let (weighted, sources, algorithm) = match kind {
             QueryKind::Bfs { source } => (false, std::slice::from_ref(source), "bfs"),
             QueryKind::Sssp { source } => (true, std::slice::from_ref(source), "sssp"),

@@ -520,7 +520,10 @@ impl Server {
             g.touch(seq);
             attempts += 1;
 
-            match catch_unwind(AssertUnwindSafe(|| g.run_query(&request.kind, deadline))) {
+            let attempt = attempts - 1;
+            match catch_unwind(AssertUnwindSafe(|| {
+                g.retry_query(&request.kind, deadline, attempt)
+            })) {
                 Err(payload) => {
                     // The worker tore down mid-query: replace its engines
                     // (same banks, wear carried over) and keep serving.

@@ -5,6 +5,12 @@
 //! and fault models (stuck cells, transient write
 //! failures, endurance tracking; all deterministic per seed, so a
 //! reprogram replays the same recovery the one-shot run performs).
+//!
+//! A batch of sources answers each source as its one-shot run does, also
+//! when unverified transient write failures corrupt what the banks hold:
+//! a failure is keyed by the pass, the shard and the chunk being loaded,
+//! so the chunks a batch loads hold exactly what the one-shot runs'
+//! loads of them hold.
 
 #![allow(clippy::unwrap_used)]
 
@@ -18,6 +24,23 @@ use gaasx_xbar::FaultModel;
 
 fn graph(seed: u64) -> CooGraph {
     generators::rmat(&generators::RmatConfig::new(1 << 5, 250).with_seed(seed)).unwrap()
+}
+
+/// Transient write failures with write-verify off: nothing repairs the
+/// corrupted keys and weights, so they reach the answers.
+fn unverified_transient_config() -> GaasXConfig {
+    GaasXConfig {
+        fault: FaultModel {
+            seed: 11,
+            write_fail_rate: 0.02,
+            ..FaultModel::none()
+        },
+        recovery: RecoveryPolicy {
+            write_verify: false,
+            ..RecoveryPolicy::standard()
+        },
+        ..GaasXConfig::small()
+    }
 }
 
 fn config(faulty: bool) -> GaasXConfig {
@@ -90,10 +113,15 @@ proptest! {
         jobs_idx in 0usize..2,
         weighted in any::<bool>(),
         sources in prop::collection::vec(0u32..32, 1..4),
+        transient in any::<bool>(),
     ) {
         let jobs = [1usize, 2][jobs_idx];
         let g = graph(graph_seed);
-        let config = config(false);
+        let config = if transient {
+            unverified_transient_config()
+        } else {
+            config(false)
+        };
 
         let kind = if weighted {
             QueryKind::BatchSssp { sources: sources.clone() }

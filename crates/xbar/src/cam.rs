@@ -13,7 +13,7 @@ use crate::error::XbarError;
 use crate::fault::{CamFaultState, FaultStats};
 use crate::geometry::CamGeometry;
 use crate::hit_vector::HitVector;
-use crate::XbarStats;
+use crate::{is_prefix, XbarStats};
 
 /// Most distinct search masks indexed before falling back to the linear
 /// scan. Real workloads use exactly two (the src field and the dst field).
@@ -122,7 +122,10 @@ pub struct CamCrossbar {
     /// as entries are written, so the hot search loop reads them unchanged.
     entries: Vec<CamEntry>,
     width_mask: u128,
-    faults: Option<CamFaultState>,
+    /// Boxed, so a fault-free crossbar holds one pointer of it.
+    faults: Option<Box<CamFaultState>>,
+    /// Draw key of the load held (see [`set_draw_key`](Self::set_draw_key)).
+    draw_key: u64,
     stats: XbarStats,
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
@@ -162,6 +165,7 @@ impl CamCrossbar {
             ],
             width_mask,
             faults: None,
+            draw_key: 0,
             stats: XbarStats::new(),
             epoch: 1,
             indexes: Vec::new(),
@@ -171,25 +175,41 @@ impl CamCrossbar {
     }
 
     /// Attaches seeded device-fault state. Stuck bits corrupt entries as
-    /// they are written; transient write failures and search upsets draw
-    /// from the state's RNG. `None` detaches all fault behaviour.
+    /// they are written; transient write failures and search upsets are
+    /// keyed draws (see [`set_draw_key`](Self::set_draw_key)). `None`
+    /// detaches all fault behaviour.
     pub fn set_faults(&mut self, faults: Option<CamFaultState>) {
-        self.faults = faults;
+        self.faults = faults.map(Box::new);
+        if let Some(f) = self.faults.as_mut() {
+            f.set_key(self.draw_key);
+        }
+    }
+
+    /// Names the load the CAM now holds. Write failures draw on this key,
+    /// the physical row and the row's attempt under the key (a new key
+    /// restarts every row at attempt 0); search upsets draw on this key,
+    /// the searched key and mask, and the vote round. Two CAMs given the
+    /// same keys draw alike however their operations interleave.
+    pub fn set_draw_key(&mut self, key: u64) {
+        self.draw_key = key;
+        if let Some(f) = self.faults.as_mut() {
+            f.set_key(key);
+        }
     }
 
     /// Injected-fault counters, when fault state is attached.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(CamFaultState::stats)
+        self.faults.as_deref().map(CamFaultState::stats)
     }
 
-    /// Whether a search draws random numbers (attached fault state with a
-    /// nonzero upset rate). When it does not, repeating a search on
-    /// unchanged entries returns the same hit vector, so a caller may
-    /// replay the result and bill the repeat with
+    /// Whether a search draws upsets (attached fault state with a nonzero
+    /// upset rate). When it does not, every round of a search on unchanged
+    /// entries returns the same hit vector, so a caller may replay the
+    /// result and bill the repeat with
     /// [`count_replayed_search`](Self::count_replayed_search).
     pub fn search_draws(&self) -> bool {
         self.faults
-            .as_ref()
+            .as_deref()
             .is_some_and(CamFaultState::upsets_searches)
     }
 
@@ -205,7 +225,7 @@ impl CamCrossbar {
     /// `None` when no fault state is attached or endurance tracking is off.
     pub fn fault_wear(&self) -> Option<&[u64]> {
         self.faults
-            .as_ref()
+            .as_deref()
             .map(CamFaultState::wear)
             .filter(|w| !w.is_empty())
     }
@@ -219,8 +239,7 @@ impl CamCrossbar {
     }
 
     /// Clears the attached fault state's injected-event counters for a new
-    /// accounting window, preserving wear and the transient RNG stream
-    /// (no-op without fault state).
+    /// accounting window, preserving wear (no-op without fault state).
     pub fn reset_fault_stats(&mut self) {
         if let Some(f) = self.faults.as_mut() {
             f.reset_stats();
@@ -267,42 +286,67 @@ impl CamCrossbar {
     }
 
     /// Programs a whole block in one bank write (the paper's data-loading
-    /// phase, §III-B): row `i` stores `keys[i]` and every row past
-    /// `keys.len()` is left invalid.
+    /// phase, §III-B): physical row `rows[i]` stores `keys[i]` and every
+    /// other row is left invalid. `rows` holds distinct rows, in any order.
     ///
     /// Equivalent to [`invalidate_all`](Self::invalidate_all) followed by
-    /// [`write`](Self::write)`(i, keys[i])` for every `i`: the same stored
-    /// bits, the same billing, and the same fault outcomes — stuck bits
-    /// and transient write-failure draws apply per row, in row order, from
-    /// this CAM's own stream. Host-side it skips the per-row bookkeeping:
-    /// the indexes turn stale once for the block.
+    /// [`write`](Self::write)`(rows[i], keys[i])` for every `i`, in any
+    /// order: the same stored bits, the same billing, and the same fault
+    /// outcomes — stuck bits apply per row, and each row burst draws its
+    /// write failure on the current draw key, its row and its attempt,
+    /// never on the order of the writes. Host-side it skips the per-row
+    /// bookkeeping: the indexes turn stale once for the block.
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::RowOutOfRange`] without touching the CAM if
-    /// the block has more keys than the geometry has rows.
-    pub fn program_block(&mut self, keys: &[u128]) -> Result<(), XbarError> {
-        let rows = self.geometry.rows;
-        if keys.len() > rows {
-            return Err(XbarError::RowOutOfRange {
-                row: keys.len() - 1,
-                rows,
+    /// Returns [`XbarError::DimensionMismatch`] if `rows` and `keys`
+    /// differ in length, or [`XbarError::RowOutOfRange`] for a row past
+    /// the geometry, without touching the CAM.
+    pub fn program_block(&mut self, rows: &[usize], keys: &[u128]) -> Result<(), XbarError> {
+        if rows.len() != keys.len() {
+            return Err(XbarError::DimensionMismatch {
+                got: keys.len(),
+                expected: rows.len(),
+                what: "block keys",
             });
         }
-        let width_mask = self.width_mask;
-        let (written, rest) = self.entries.split_at_mut(keys.len());
-        for (row, (e, &key)) in written.iter_mut().zip(keys).enumerate() {
-            let masked = key & width_mask;
-            *e = CamEntry {
-                bits: match self.faults.as_mut() {
-                    Some(faults) => faults.programmed(row, masked) & width_mask,
-                    None => masked,
-                },
-                valid: true,
-            };
+        // An unremapped block is the prefix `0..n`: it writes the leading
+        // rows in order and invalidates the rest. Any other block
+        // invalidates every row, then writes its own.
+        let prefix = rows.len() <= self.geometry.rows && is_prefix(rows);
+        if !prefix {
+            if let Some(&row) = rows.iter().find(|&&r| r >= self.geometry.rows) {
+                return Err(XbarError::RowOutOfRange {
+                    row,
+                    rows: self.geometry.rows,
+                });
+            }
         }
-        for e in rest {
-            e.valid = false;
+        let stale = if prefix { rows.len() } else { 0 };
+        self.entries[stale..]
+            .iter_mut()
+            .for_each(|e| e.valid = false);
+        let width_mask = self.width_mask;
+        let entry = |bits: u128| CamEntry {
+            bits: bits & width_mask,
+            valid: true,
+        };
+        match self.faults.as_mut() {
+            None if prefix => {
+                for (e, &key) in self.entries.iter_mut().zip(keys) {
+                    *e = entry(key);
+                }
+            }
+            None => {
+                for (&row, &key) in rows.iter().zip(keys) {
+                    self.entries[row] = entry(key);
+                }
+            }
+            Some(faults) => {
+                for (&row, &key) in rows.iter().zip(keys) {
+                    self.entries[row] = entry(faults.programmed(row, key & width_mask));
+                }
+            }
         }
         self.epoch = self.epoch.wrapping_add(1);
         self.bill_row_writes(keys.len() as u64);
@@ -393,8 +437,23 @@ impl CamCrossbar {
     /// the row count) and overwritten; prior contents are irrelevant.
     ///
     /// The hits come from the bucket index over `mask`, or from the
-    /// scalar scan when every index slot holds another mask.
+    /// scalar scan when every index slot holds another mask. The search is
+    /// vote round 0 (see [`search_round_into`](Self::search_round_into)).
     pub fn search_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
+        self.search_in_round(key, mask, 0, out);
+    }
+
+    /// [`search_into`](Self::search_into) as vote round `round` of a
+    /// repeated search: the stored entries match alike in every round,
+    /// but each round draws its own upset.
+    pub fn search_round_into(&mut self, key: u128, mask: u128, round: u32, out: &mut HitVector) {
+        self.search_in_round(key, mask, round, out);
+    }
+
+    /// The body of both searches, inlined into each so the common
+    /// round-0 search costs one call.
+    #[inline(always)]
+    fn search_in_round(&mut self, key: u128, mask: u128, round: u32, out: &mut HitVector) {
         self.stats.cam_searches += 1;
         let key = key & self.width_mask;
         let mask = mask & self.width_mask;
@@ -430,7 +489,7 @@ impl CamCrossbar {
             None => Self::linear_scan_into(&self.entries, key, mask, out),
         }
         if let Some(faults) = self.faults.as_mut() {
-            faults.upset(out);
+            faults.upset(out, key, mask, round);
         }
     }
 
@@ -462,6 +521,7 @@ impl CamCrossbar {
     /// # Errors
     ///
     /// Returns [`XbarError::RowOutOfRange`] if `row` exceeds the geometry.
+    #[inline]
     pub fn read(&self, row: usize) -> Result<CamEntry, XbarError> {
         self.entries
             .get(row)
@@ -568,12 +628,12 @@ mod tests {
     }
 
     #[test]
-    fn program_block_fills_a_prefix_and_rejects_an_oversized_block() {
+    fn program_block_fills_its_rows_and_rejects_a_bad_block() {
         let mut c = cam();
         for i in 0..10 {
             c.write(i, 99).unwrap();
         }
-        c.program_block(&[5, 6, 7]).unwrap();
+        c.program_block(&[0, 1, 2], &[5, 6, 7]).unwrap();
         assert_eq!(c.occupancy(), 3);
         assert_eq!(
             c.read(2).unwrap(),
@@ -585,9 +645,28 @@ mod tests {
         assert_eq!(c.search(99, u128::MAX).rows().len(), 0);
         assert_eq!(c.stats().row_writes, 13);
         let before = c.stats().clone();
-        assert!(c.program_block(&[0; 129]).is_err());
+        assert!(matches!(
+            c.program_block(&[0, 128], &[1, 2]),
+            Err(XbarError::RowOutOfRange {
+                row: 128,
+                rows: 128
+            })
+        ));
+        assert!(matches!(
+            c.program_block(&[0, 1], &[1]),
+            Err(XbarError::DimensionMismatch {
+                got: 1,
+                expected: 2,
+                ..
+            })
+        ));
         assert_eq!(c.stats(), &before);
         assert_eq!(c.occupancy(), 3, "a rejected block leaves the CAM alone");
+        // Scattered rows in any order: the rest turns invalid.
+        c.program_block(&[9, 4], &[8, 9]).unwrap();
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.read(4).unwrap().bits, 9);
+        assert!(!c.read(0).unwrap().valid);
     }
 
     #[test]
@@ -720,7 +799,7 @@ mod tests {
                 c.write(i, (9u128 << 32) | u128::from(i as u32)).unwrap();
             }
             search_vs_scan(c, 9u128 << 32, SRC_MASK, out);
-            c.program_block(&[1, 2, 1]).unwrap();
+            c.program_block(&[0, 1, 2], &[1, 2, 1]).unwrap();
             search_vs_scan(c, 1, DST_MASK, out);
         });
     }

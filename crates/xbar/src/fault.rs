@@ -9,7 +9,8 @@
 //! which is why the engine layers write-verify / retry / spare-row remapping
 //! on top of this module (see `gaasx-core`).
 //!
-//! Everything here is deterministic given [`FaultModel::seed`]:
+//! Everything here is deterministic given [`FaultModel::seed`], and no
+//! outcome depends on the order of host operations:
 //!
 //! * **Stuck-at maps** are *positional* — whether device `(row, col, slice)`
 //!   (MAC) or bit `(row, bit)` (CAM) is stuck, and at which polarity, is a
@@ -17,15 +18,22 @@
 //!   same model agree on every stuck device, so sharded engines that model
 //!   the same physical bank see the same defects.
 //! * **Transient events** (write failures, CAM search upsets, ADC flips)
-//!   draw from a per-crossbar [`SmallRng`] seeded from the model, so a given
-//!   serial run replays exactly.
+//!   are counter-based draws in the manner of Salmon et al., "Parallel
+//!   Random Numbers: As Easy as 1, 2, 3" (SC'11): each is a hash of the
+//!   seed, the mechanism and a *key* naming the event, never the next
+//!   value of a stream. The caller names the load being programmed with a
+//!   draw key ([`CamFaultState::set_key`], [`MacFaultState::set_key`]);
+//!   a write failure keys on it plus the physical row and the attempt (how
+//!   often that row was programmed under the key), a search upset on it
+//!   plus the searched key, mask and vote round, and an ADC flip on a
+//!   sample key built from it by the crossbar (burst, line, step, slice).
+//!   Two crossbars given the same keys draw the same events however their
+//!   operations interleave.
 //!
 //! The model composes with [`NoiseModel`](crate::noise::NoiseModel): noise
 //! perturbs analog MAC sums, faults corrupt stored state and digital samples.
 //! A [`FaultModel::none`] model injects nothing and costs nothing.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::XbarError;
@@ -35,7 +43,7 @@ use crate::hit_vector::HitVector;
 /// Configuration for seeded device-fault injection.
 ///
 /// All rates are probabilities in `[0, 1]`. The default (and
-/// [`FaultModel::none`]) is all-zero: no faults, no RNG draws, no cost.
+/// [`FaultModel::none`]) is all-zero: no faults, no draws, no cost.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultModel {
     /// Seed for the positional stuck maps and the transient-event streams.
@@ -167,12 +175,153 @@ fn stuck_hash(seed: u64, domain: u64, position: u64) -> u64 {
 
 /// Converts the top bits of a hash to a uniform in `[0, 1)`.
 #[inline]
-fn unit(hash: u64) -> f64 {
+pub(crate) fn unit(hash: u64) -> f64 {
     (hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Folds one more part into a draw key: `mix64(key ^ mix64(part))`.
+/// Chaining the parts of an event's name (a load, a burst, a line, …)
+/// gives the key its draws hash; distinct part sequences give unrelated
+/// keys.
+#[inline]
+pub fn chain_key(key: u64, part: u64) -> u64 {
+    mix64(key ^ mix64(part))
+}
+
+/// A uniform index below `n` from a hash (multiply-shift, no modulo bias
+/// beyond `n / 2^64`).
+#[inline]
+fn below(hash: u64, n: usize) -> usize {
+    ((u128::from(hash) * n as u128) >> 64) as usize
+}
+
+/// The draw of one transient event: `prefix` (the seed, the mechanism's
+/// domain and the load key, chained once per load) folded with the
+/// event's parts, one [`mix64`] per part. The event happens when the
+/// draw [`fires`] against its rate's [`threshold`]; [`mix64`] of the draw
+/// picks what the event corrupts.
+#[inline]
+pub(crate) fn draw(prefix: u64, parts: &[u64]) -> u64 {
+    parts.iter().fold(prefix, |h, &p| mix64(h ^ p))
+}
+
+/// The draw threshold of a probability: a draw fires when it falls below
+/// the threshold, which it does with probability `rate` (to within
+/// 2^-64); at a rate of 1 every draw fires.
+fn threshold(rate: f64) -> u64 {
+    if rate >= 1.0 {
+        u64::MAX
+    } else {
+        (rate * 18_446_744_073_709_551_616.0) as u64
+    }
+}
+
+/// Whether a draw fires against a [`threshold`].
+#[inline]
+fn fires(hash: u64, threshold: u64) -> bool {
+    hash < threshold || threshold == u64::MAX
+}
+
+/// A row and its attempt as one draw part.
+#[inline]
+fn row_attempt(row: usize, attempt: u32) -> u64 {
+    row as u64 | u64::from(attempt) << 32
 }
 
 const MAC_DOMAIN: u64 = 0x6D61_635F_7374_7563; // "mac_stuc"
 const CAM_DOMAIN: u64 = 0x6361_6D5F_7374_7563; // "cam_stuc"
+const MAC_WRITE_DOMAIN: u64 = 0x6D61_635F_7772_6974; // "mac_writ"
+const CAM_WRITE_DOMAIN: u64 = 0x6361_6D5F_7772_6974; // "cam_writ"
+const CAM_UPSET_DOMAIN: u64 = 0x6361_6D5F_7570_7365; // "cam_upse"
+const ADC_FLIP_DOMAIN: u64 = 0x6164_635F_666C_6970; // "adc_flip"
+
+/// The write-failure draws of one crossbar under its current draw key.
+///
+/// A row burst's write fails with probability `write_fail_rate`, drawn on
+/// `(key, row, attempt)`, where the attempt counts the bursts the row took
+/// under the key. Each row is stamped with the key's generation when first
+/// written under it; the few rows written again (retries) keep their count
+/// in a short list.
+#[derive(Debug, Clone)]
+struct WriteDraws {
+    /// The seed mixed with the mechanism's domain.
+    base: u64,
+    /// `base` chained with the current draw key.
+    prefix: u64,
+    /// The [`threshold`] of the rate.
+    threshold: u64,
+    /// The current key's generation (never 0).
+    generation: u32,
+    /// Per row: the generation it was first written under (0: never).
+    /// Empty at a zero rate, when nothing ever fails.
+    stamps: Vec<u32>,
+    /// `(row, attempts after the first)` for every row written again.
+    again: Vec<(usize, u32)>,
+}
+
+impl WriteDraws {
+    /// Draws for `rows` rows at `rate`.
+    fn new(base: u64, rate: f64, rows: usize) -> Self {
+        WriteDraws {
+            base,
+            prefix: chain_key(base, 0),
+            threshold: threshold(rate),
+            generation: 1,
+            stamps: if rate > 0.0 {
+                vec![0; rows]
+            } else {
+                Vec::new()
+            },
+            again: Vec::new(),
+        }
+    }
+
+    /// Whether writes can fail (a nonzero rate).
+    #[inline]
+    fn on(&self) -> bool {
+        !self.stamps.is_empty()
+    }
+
+    /// Restarts every row at attempt 0 under `key`.
+    fn set_key(&mut self, key: u64) {
+        self.prefix = chain_key(self.base, key);
+        self.again.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // The stamps wrapped: clear them so no old stamp matches.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Counts one write of `row` and returns, when it fails, its draw (from
+    /// which the caller picks the flipped bit); `None` when it latches.
+    #[inline]
+    fn failure(&mut self, row: usize) -> Option<u64> {
+        let h = draw(self.prefix, &[row_attempt(row, self.next(row))]);
+        fires(h, self.threshold).then(|| mix64(h))
+    }
+
+    /// Counts one write of `row` and returns its attempt number.
+    #[inline]
+    fn next(&mut self, row: usize) -> u32 {
+        let stamp = &mut self.stamps[row];
+        if *stamp != self.generation {
+            *stamp = self.generation;
+            return 0;
+        }
+        match self.again.iter_mut().find(|(r, _)| *r == row) {
+            Some((_, n)) => {
+                *n = n.saturating_add(1);
+                *n
+            }
+            None => {
+                self.again.push((row, 1));
+                1
+            }
+        }
+    }
+}
 
 /// Polarity of a stuck device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +355,13 @@ pub struct MacFaultState {
     /// Per-cell write counts, indexed `row * cols + col`; empty when
     /// endurance tracking is off.
     wear: Vec<u64>,
-    rng: SmallRng,
+    /// Write-failure draws under the current draw key (see
+    /// [`set_key`](Self::set_key)).
+    writes: WriteDraws,
+    /// The seed mixed with the ADC-flip domain, and the flip rate's
+    /// [`threshold`].
+    flip_base: u64,
+    flip_threshold: u64,
     stats: FaultStats,
 }
 
@@ -229,7 +384,13 @@ impl MacFaultState {
             stuck_set: Vec::new(),
             stuck_clear: Vec::new(),
             wear,
-            rng: SmallRng::seed_from_u64(mix64(model.seed ^ MAC_DOMAIN)),
+            writes: WriteDraws::new(
+                mix64(model.seed ^ MAC_WRITE_DOMAIN),
+                model.write_fail_rate,
+                geometry.rows,
+            ),
+            flip_base: mix64(model.seed ^ ADC_FLIP_DOMAIN),
+            flip_threshold: threshold(model.adc_flip_rate),
             stats: FaultStats::default(),
         };
         if model.mac_stuck_ber > 0.0 {
@@ -252,11 +413,18 @@ impl MacFaultState {
         state
     }
 
-    /// Whether sampling a MAC read-out draws random numbers: `true` when
-    /// the ADC-flip rate is nonzero. Stuck cells, wear and write failures
-    /// act at write time and never draw during a burst.
+    /// Whether sampling a MAC read-out draws: `true` when the ADC-flip
+    /// rate is nonzero. Stuck cells, wear and write failures act at write
+    /// time and never draw during a burst.
     pub(crate) fn flips_samples(&self) -> bool {
         self.model.adc_flip_rate > 0.0
+    }
+
+    /// Names the load the next writes program: a write failure draws on
+    /// this key, the physical row and the row's attempt under the key,
+    /// which restarts at 0 for every row.
+    pub fn set_key(&mut self, key: u64) {
+        self.writes.set_key(key);
     }
 
     /// Injected-event counters.
@@ -281,9 +449,9 @@ impl MacFaultState {
     }
 
     /// Clears the injected-event counters for a new accounting window,
-    /// preserving the wear map and the transient RNG stream. A bank that
-    /// stays resident across queries resets stats per query while its
-    /// physical degradation keeps accumulating.
+    /// preserving the wear map. A bank that stays resident across queries
+    /// resets stats per query while its physical degradation keeps
+    /// accumulating.
     pub fn reset_stats(&mut self) {
         self.stats = FaultStats::default();
     }
@@ -304,13 +472,15 @@ impl MacFaultState {
     }
 
     /// `true` once the cell's wear counter has exceeded its endurance.
+    #[inline]
     fn worn_out(&self, row: usize, col: usize) -> bool {
         self.model.endurance > 0 && self.wear[row * self.cols + col] > self.model.endurance
     }
 
     /// Applies the positional stuck map (and wear death) to a code headed
-    /// for `(row, col)`. Pure: no RNG, no wear increment — this is the view
+    /// for `(row, col)`. Pure: no draw, no wear increment — this is the view
     /// the cell array must hold for both counted writes and preloads.
+    #[inline]
     pub fn materialize(&self, row: usize, col: usize, code: u32) -> u32 {
         if self.worn_out(row, col) {
             return 0; // a dead cell holds GMIN in every slice
@@ -322,37 +492,61 @@ impl MacFaultState {
         (code | self.stuck_set[cell]) & !self.stuck_clear[cell]
     }
 
-    /// Records one programming pulse on `(row, col)`: bumps wear (possibly
-    /// killing the cell) and rolls for a transient burst failure. Returns
-    /// the value the cell actually latched.
-    pub fn programmed(&mut self, row: usize, col: usize, code: u32) -> u32 {
+    /// Programs one row burst: `dst[col]` latches `codes[col]` for every
+    /// column of the burst. Each cell takes one programming pulse (bumping
+    /// its wear, possibly killing it) and holds the stuck-map view of its
+    /// code. Then the burst draws once on `(key, row, attempt)`: with
+    /// probability `write_fail_rate` one bit of one written cell flips,
+    /// and stuck devices still win over the glitch.
+    #[inline(always)]
+    pub(crate) fn program_row(&mut self, row: usize, codes: &[u32], dst: &mut [u32]) {
+        debug_assert_eq!(codes.len(), dst.len());
+        let cells = row * self.cols..row * self.cols + codes.len();
         if self.model.endurance > 0 {
-            let cell = row * self.cols + col;
-            let was_alive = self.wear[cell] <= self.model.endurance;
-            self.wear[cell] = self.wear[cell].saturating_add(1);
-            if was_alive && self.wear[cell] > self.model.endurance {
-                self.stats.wear_deaths = self.stats.wear_deaths.saturating_add(1);
+            for w in &mut self.wear[cells.clone()] {
+                let was_alive = *w <= self.model.endurance;
+                *w = w.saturating_add(1);
+                if was_alive && *w > self.model.endurance {
+                    self.stats.wear_deaths = self.stats.wear_deaths.saturating_add(1);
+                }
+            }
+            for (col, (d, &c)) in dst.iter_mut().zip(codes).enumerate() {
+                *d = self.materialize(row, col, c);
+            }
+        } else if self.stuck_set.is_empty() {
+            dst.copy_from_slice(codes);
+        } else {
+            let masks = self.stuck_set[cells.clone()]
+                .iter()
+                .zip(&self.stuck_clear[cells]);
+            for ((d, &c), (&set, &clear)) in dst.iter_mut().zip(codes).zip(masks) {
+                *d = (c | set) & !clear;
             }
         }
-        let mut out = self.materialize(row, col, code);
-        if self.model.write_fail_rate > 0.0
-            && !self.worn_out(row, col)
-            && self.rng.gen::<f64>() < self.model.write_fail_rate
-        {
-            let weight_bits = self.slices as u32 * self.bits_per_cell;
-            let flipped = out ^ (1 << self.rng.gen_range(0..weight_bits));
-            // Stuck devices win over transient glitches.
-            out = self.materialize(row, col, flipped);
+        if !self.writes.on() || codes.is_empty() {
+            return;
+        }
+        if let Some(pick) = self.writes.failure(row) {
+            let col = below(pick, codes.len());
+            let weight_bits = self.slices * self.bits_per_cell as usize;
+            let bit = below(mix64(pick), weight_bits);
+            // Stuck devices win over the transient glitch.
+            dst[col] = self.materialize(row, col, dst[col] ^ (1 << bit));
             self.stats.transient_write_faults = self.stats.transient_write_faults.saturating_add(1);
         }
-        out
     }
 
-    /// Rolls for a transient ADC bit flip on one sampled partial sum.
-    pub fn perturb_sample(&mut self, sampled: u64) -> u64 {
-        if self.model.adc_flip_rate > 0.0 && self.rng.gen::<f64>() < self.model.adc_flip_rate {
+    /// Draws a transient ADC bit flip for one sampled partial sum, keyed
+    /// by `sample_key` (the crossbar names the burst, line, step and
+    /// slice).
+    pub fn perturb_sample(&mut self, sampled: u64, sample_key: u64) -> u64 {
+        if self.model.adc_flip_rate <= 0.0 {
+            return sampled;
+        }
+        let h = draw(self.flip_base, &[sample_key]);
+        if fires(h, self.flip_threshold) {
             self.stats.adc_flips = self.stats.adc_flips.saturating_add(1);
-            sampled ^ (1 << self.rng.gen_range(0..self.adc_bits))
+            sampled ^ (1 << below(mix64(h), self.adc_bits as usize))
         } else {
             sampled
         }
@@ -380,7 +574,14 @@ pub struct CamFaultState {
     stuck1: Vec<u128>,
     /// Per-row write counts; empty when endurance tracking is off.
     wear: Vec<u64>,
-    rng: SmallRng,
+    /// Write-failure draws under the current draw key (see
+    /// [`set_key`](Self::set_key)).
+    writes: WriteDraws,
+    /// The seed mixed with the upset domain, the upset rate's
+    /// [`threshold`], and the base chained with the current draw key.
+    upset_base: u64,
+    upset_threshold: u64,
+    upset_prefix: u64,
     stats: FaultStats,
 }
 
@@ -418,9 +619,26 @@ impl CamFaultState {
             stuck0,
             stuck1,
             wear,
-            rng: SmallRng::seed_from_u64(mix64(model.seed ^ CAM_DOMAIN)),
+            writes: WriteDraws::new(
+                mix64(model.seed ^ CAM_WRITE_DOMAIN),
+                model.write_fail_rate,
+                geometry.rows,
+            ),
+            upset_base: mix64(model.seed ^ CAM_UPSET_DOMAIN),
+            upset_threshold: threshold(model.cam_upset_rate),
+            upset_prefix: chain_key(mix64(model.seed ^ CAM_UPSET_DOMAIN), 0),
             stats: FaultStats::default(),
         }
+    }
+
+    /// Names the load the next writes program and the next searches
+    /// probe: a write failure draws on this key, the physical row and the
+    /// row's attempt under the key (restarted at 0 for every row), a
+    /// search upset on this key, the searched key and mask, and the vote
+    /// round.
+    pub fn set_key(&mut self, key: u64) {
+        self.writes.set_key(key);
+        self.upset_prefix = chain_key(self.upset_base, key);
     }
 
     /// Injected-event counters.
@@ -445,21 +663,24 @@ impl CamFaultState {
     }
 
     /// Clears the injected-event counters for a new accounting window,
-    /// preserving the wear map and the transient RNG stream. A bank that
-    /// stays resident across queries resets stats per query while its
-    /// physical degradation keeps accumulating.
+    /// preserving the wear map. A bank that stays resident across queries
+    /// resets stats per query while its physical degradation keeps
+    /// accumulating.
     pub fn reset_stats(&mut self) {
         self.stats = FaultStats::default();
     }
 
     /// `true` once the row's wear counter has exceeded its endurance.
+    #[inline]
     fn worn_out(&self, row: usize) -> bool {
         self.model.endurance > 0 && self.wear[row] > self.model.endurance
     }
 
     /// Records one entry-programming burst on `row`: bumps wear, applies the
-    /// stuck masks, and rolls for a transient burst failure. Returns the
-    /// bits the row actually latched.
+    /// stuck masks, and draws once on `(key, row, attempt)` for a transient
+    /// burst failure that flips one bit. Returns the bits the row actually
+    /// latched.
+    #[inline(always)]
     pub fn programmed(&mut self, row: usize, bits: u128) -> u128 {
         if self.model.endurance > 0 {
             let was_alive = self.wear[row] <= self.model.endurance;
@@ -475,29 +696,47 @@ impl CamFaultState {
         if self.model.cam_stuck_ber > 0.0 {
             out = (out | self.stuck1[row]) & !self.stuck0[row];
         }
-        if self.model.write_fail_rate > 0.0 && self.rng.gen::<f64>() < self.model.write_fail_rate {
-            out ^= 1u128 << self.rng.gen_range(0..self.width_bits);
-            if self.model.cam_stuck_ber > 0.0 {
-                // Stuck devices win over transient glitches.
-                out = (out | self.stuck1[row]) & !self.stuck0[row];
+        if self.writes.on() {
+            if let Some(pick) = self.writes.failure(row) {
+                out ^= 1u128 << below(pick, self.width_bits as usize);
+                if self.model.cam_stuck_ber > 0.0 {
+                    // Stuck devices win over transient glitches.
+                    out = (out | self.stuck1[row]) & !self.stuck0[row];
+                }
+                self.stats.transient_write_faults =
+                    self.stats.transient_write_faults.saturating_add(1);
             }
-            self.stats.transient_write_faults = self.stats.transient_write_faults.saturating_add(1);
         }
         out
     }
 
-    /// Whether a search draws random numbers: `true` when the match-line
-    /// upset rate is nonzero. Without upsets a search is a pure function
-    /// of the stored entries.
+    /// Whether a search draws: `true` when the match-line upset rate is
+    /// nonzero. Without upsets a search is a pure function of the stored
+    /// entries, whatever its round.
     pub(crate) fn upsets_searches(&self) -> bool {
         self.model.cam_upset_rate > 0.0
     }
 
-    /// Rolls for a transient match-line upset on one search, toggling a
-    /// single random row's match line in place.
-    pub fn upset(&mut self, hits: &mut HitVector) {
-        if self.model.cam_upset_rate > 0.0 && self.rng.gen::<f64>() < self.model.cam_upset_rate {
-            hits.toggle(self.rng.gen_range(0..self.rows));
+    /// Draws a transient match-line upset for one search of `key` under
+    /// `mask` in vote round `round`: with probability `cam_upset_rate`
+    /// one row's match line, picked by the same draw, toggles in place.
+    /// The same search in the same round under the same load key draws
+    /// the same upset.
+    #[inline(never)]
+    pub fn upset(&mut self, hits: &mut HitVector, key: u128, mask: u128, round: u32) {
+        if self.model.cam_upset_rate <= 0.0 {
+            return;
+        }
+        let parts = [
+            key as u64,
+            (key >> 64) as u64,
+            mask as u64,
+            (mask >> 64) as u64,
+            u64::from(round),
+        ];
+        let h = draw(self.upset_prefix, &parts);
+        if fires(h, self.upset_threshold) {
+            hits.toggle(below(mix64(h), self.rows));
             self.stats.cam_upsets = self.stats.cam_upsets.saturating_add(1);
         }
     }
@@ -604,11 +843,13 @@ mod tests {
                     }),
                     &g,
                 );
-                // Wear out every seventh cell: three pulses past an
-                // endurance of two.
-                for cell in (0..g.rows * g.cols).step_by(7) {
+                // Wear out the leading cells of every seventh row: three
+                // pulses past an endurance of two.
+                let mut dst = vec![0u32; g.cols];
+                for row in (0..g.rows).step_by(7) {
+                    let width = row % g.cols + 1;
                     for _ in 0..3 {
-                        st.programmed(cell / g.cols, cell % g.cols, 0);
+                        st.program_row(row, &vec![0; width], &mut dst[..width]);
                     }
                 }
                 assert!(st.stats().wear_deaths > 0);
@@ -640,43 +881,144 @@ mod tests {
         }
     }
 
+    /// Programs one row burst of `codes` and returns what it latched.
+    fn program(st: &mut MacFaultState, row: usize, codes: &[u32]) -> Vec<u32> {
+        let mut dst = vec![0; codes.len()];
+        st.program_row(row, codes, &mut dst);
+        dst
+    }
+
     #[test]
     fn wear_kills_cells_at_endurance() {
         let g = MacGeometry::paper();
         let mut st = MacFaultState::new(model(|m| m.endurance = 3), &g);
         for _ in 0..3 {
-            assert_eq!(st.programmed(0, 0, 7), 7, "alive within endurance");
+            assert_eq!(program(&mut st, 0, &[7]), [7], "alive within endurance");
         }
-        assert_eq!(st.programmed(0, 0, 7), 0, "dead past endurance");
+        assert_eq!(program(&mut st, 0, &[7]), [0], "dead past endurance");
         assert_eq!(st.materialize(0, 0, 7), 0);
         assert_eq!(st.stats().wear_deaths, 1);
-        assert_eq!(st.programmed(0, 1, 7), 7, "neighbor cell unaffected");
+        assert_eq!(program(&mut st, 1, &[7]), [7], "neighbor row unaffected");
+        assert_eq!(program(&mut st, 0, &[7, 7]), [0, 7], "next cell alive");
     }
 
+    /// `events` Bernoulli(`rate`) trials fired `count` times: the count
+    /// lies within four standard deviations of `rate × events`.
+    fn assert_within_4_sigma(what: &str, count: u64, events: u64, rate: f64) {
+        let mean = rate * events as f64;
+        let sigma = (events as f64 * rate * (1.0 - rate)).sqrt();
+        assert!(
+            (count as f64 - mean).abs() <= 4.0 * sigma,
+            "{what}: {count} of {events} events at rate {rate} (mean {mean}, sigma {sigma})"
+        );
+    }
+
+    /// 10^5 row bursts over 1,000 load keys: one draw per burst, one
+    /// corrupted cell per failed burst, counted in the stats.
     #[test]
-    fn transient_write_faults_fire_at_observed_rate() {
+    fn mac_write_failures_fire_once_per_row_burst_at_the_rate() {
         let g = MacGeometry::paper();
-        let mut st = MacFaultState::new(model(|m| m.write_fail_rate = 0.25), &g);
-        let mut corrupted = 0usize;
-        for i in 0..4000 {
-            if st.programmed(i % g.rows, i % g.cols, 0x0F0F) != 0x0F0F {
-                corrupted += 1;
+        let rate = 0.03;
+        let mut st = MacFaultState::new(model(|m| m.write_fail_rate = rate), &g);
+        let codes = [0x0F0Fu32; 4];
+        let mut corrupted = 0u64;
+        for key in 0..1_000u64 {
+            st.set_key(key);
+            for row in 0..100 {
+                let got = program(&mut st, row, &codes);
+                let wrong = got.iter().zip(&codes).filter(|(a, b)| a != b).count();
+                assert!(wrong <= 1, "one cell per burst at most");
+                if wrong == 1 {
+                    let flipped = got.iter().zip(&codes).map(|(a, b)| a ^ b).sum::<u32>();
+                    assert_eq!(flipped.count_ones(), 1, "one bit flips");
+                }
+                corrupted += wrong as u64;
             }
         }
-        assert_eq!(st.stats().transient_write_faults, corrupted as u64);
-        assert!((800..1200).contains(&corrupted), "corrupted {corrupted}");
+        assert_eq!(st.stats().transient_write_faults, corrupted);
+        assert_within_4_sigma("mac write failures", corrupted, 100_000, rate);
     }
 
     #[test]
-    fn adc_flips_only_when_enabled() {
+    fn cam_write_failures_fire_at_the_rate() {
+        let g = CamGeometry::paper();
+        let rate = 0.02;
+        let mut st = CamFaultState::new(model(|m| m.write_fail_rate = rate), &g);
+        let mut corrupted = 0u64;
+        for key in 0..1_000u64 {
+            st.set_key(key);
+            for row in 0..100 {
+                let bits = 0xDEAD_BEEF_u128 << (row % 64);
+                let got = st.programmed(row, bits);
+                assert!((got ^ bits).count_ones() <= 1);
+                corrupted += u64::from(got != bits);
+            }
+        }
+        assert_eq!(st.stats().transient_write_faults, corrupted);
+        assert_within_4_sigma("cam write failures", corrupted, 100_000, rate);
+    }
+
+    #[test]
+    fn cam_upsets_fire_at_the_rate() {
+        let g = CamGeometry::paper();
+        let rate = 0.05;
+        let mut st = CamFaultState::new(model(|m| m.cam_upset_rate = rate), &g);
+        let mut hits = HitVector::new(g.rows);
+        for key in 0..100u64 {
+            st.set_key(key);
+            for search in 0..1_000u128 {
+                st.upset(&mut hits, search << 32, SRC_MASK_FOR_TESTS, 0);
+            }
+        }
+        let upsets = st.stats().cam_upsets;
+        assert_within_4_sigma("cam upsets", upsets, 100_000, rate);
+    }
+
+    #[test]
+    fn adc_flips_fire_at_the_rate_and_only_when_enabled() {
         let g = MacGeometry::paper();
         let mut off = MacFaultState::new(model(|_| {}), &g);
-        assert_eq!(off.perturb_sample(33), 33);
+        assert_eq!(off.perturb_sample(33, 1), 33);
         let mut on = MacFaultState::new(model(|m| m.adc_flip_rate = 1.0), &g);
-        let flipped = on.perturb_sample(33);
-        assert_ne!(flipped, 33);
-        assert!(flipped < 1 << (g.adc_bits + 1));
+        let flipped = on.perturb_sample(33, 1);
+        assert_eq!((flipped ^ 33).count_ones(), 1);
+        assert!(flipped < 1 << g.adc_bits.max(6));
         assert_eq!(on.stats().adc_flips, 1);
+        assert_eq!(on.perturb_sample(33, 1), flipped, "one key, one draw");
+
+        let rate = 0.01;
+        let mut st = MacFaultState::new(model(|m| m.adc_flip_rate = rate), &g);
+        let flips = (0..100_000u64)
+            .filter(|&k| st.perturb_sample(5, chain_key(9, k)) != 5)
+            .count() as u64;
+        assert_eq!(st.stats().adc_flips, flips);
+        assert_within_4_sigma("adc flips", flips, 100_000, rate);
+    }
+
+    /// A write failure keys on `(key, row, attempt)`: the same rows
+    /// programmed in another order under the same key latch the same
+    /// values, a retry (attempt 1) draws afresh, and a new key restarts
+    /// every row at attempt 0.
+    #[test]
+    fn write_draws_follow_keys_rows_and_attempts_not_order() {
+        let g = CamGeometry::paper();
+        let m = model(|m| m.write_fail_rate = 0.5);
+        let (mut a, mut b) = (CamFaultState::new(m, &g), CamFaultState::new(m, &g));
+        a.set_key(77);
+        b.set_key(77);
+        let bits = |row: usize| (row as u128) << 40 | 0xABCD;
+        let forward: Vec<u128> = (0..g.rows).map(|r| a.programmed(r, bits(r))).collect();
+        let mut backward = vec![0; g.rows];
+        for r in (0..g.rows).rev() {
+            backward[r] = b.programmed(r, bits(r));
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(a.stats(), b.stats());
+        let retries: Vec<u128> = (0..g.rows).map(|r| a.programmed(r, bits(r))).collect();
+        assert_ne!(retries, forward, "attempt 1 draws afresh");
+        a.set_key(77);
+        let again: Vec<u128> = (0..g.rows).map(|r| a.programmed(r, bits(r))).collect();
+        assert_eq!(again, forward, "a key restarts the attempts");
     }
 
     #[test]
@@ -698,13 +1040,15 @@ mod tests {
         assert!(touched > 64, "only {touched} rows touched");
     }
 
+    const SRC_MASK_FOR_TESTS: u128 = 0xFFFF_FFFF_0000_0000;
+
     #[test]
     fn cam_upsets_toggle_exactly_one_row() {
         let g = CamGeometry::paper();
         let mut st = CamFaultState::new(model(|m| m.cam_upset_rate = 1.0), &g);
         let mut hits = HitVector::new(g.rows);
         hits.push(3);
-        st.upset(&mut hits);
+        st.upset(&mut hits, 3 << 32, SRC_MASK_FOR_TESTS, 0);
         assert_eq!(st.stats().cam_upsets, 1);
         let delta: usize = (0..g.rows)
             .filter(|r| hits.rows().contains(r) != (*r == 3))

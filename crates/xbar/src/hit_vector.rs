@@ -103,35 +103,101 @@ impl HitVector {
             "translated hits must stay distinct and in range"
         );
     }
+}
 
-    /// Overwrites this vector with the rows that at least two of `a`, `b`
-    /// and `c` hold — a three-way CAM vote, computed as one merge of the
-    /// three ascending lists.
+/// Per-row hit counts over the votes of one repeated CAM search, for a
+/// majority vote that keeps searching until every row's verdict is clear.
+///
+/// ```
+/// use gaasx_xbar::{HitVector, VoteTally};
+///
+/// let vote = |rows: &[usize]| {
+///     let mut hv = HitVector::new(8);
+///     rows.iter().for_each(|&r| hv.push(r));
+///     hv
+/// };
+/// let mut tally = VoteTally::default();
+/// for v in [vote(&[1, 2]), vote(&[2]), vote(&[2, 5])] {
+///     tally.add(&v);
+/// }
+/// assert_eq!(tally.votes(), 3);
+/// assert!(!tally.settled(3), "rows 1 and 5 lead by one vote");
+/// let mut out = HitVector::new(0);
+/// tally.majority_into(&mut out);
+/// assert_eq!(out.rows(), &[2]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct VoteTally {
+    len: usize,
+    votes: u32,
+    /// `(row, hits)` for every row some vote held, ascending by row.
+    counts: Vec<(usize, u32)>,
+    /// Merge scratch, swapped with `counts` on every vote.
+    merged: Vec<(usize, u32)>,
+}
+
+impl VoteTally {
+    /// Forgets every vote; the buffers keep their capacity.
+    pub fn clear(&mut self) {
+        self.votes = 0;
+        self.counts.clear();
+    }
+
+    /// Votes counted since the last [`clear`](Self::clear).
+    pub fn votes(&self) -> u32 {
+        self.votes
+    }
+
+    /// Counts one more vote, merging its ascending rows into the tally.
     ///
     /// # Panics
     ///
-    /// Panics unless `a`, `b` and `c` share one length.
-    pub fn majority3_from(&mut self, a: &HitVector, b: &HitVector, c: &HitVector) {
+    /// Panics if the vote covers another row count than the earlier ones.
+    pub fn add(&mut self, vote: &HitVector) {
         assert!(
-            a.len == b.len && b.len == c.len,
+            self.votes == 0 || vote.len == self.len,
             "hit vector length mismatch"
         );
-        self.reset(a.len);
-        let head = |v: &HitVector, i: usize| v.rows.get(i).copied().unwrap_or(usize::MAX);
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        loop {
-            let (x, y, z) = (head(a, i), head(b, j), head(c, k));
-            let row = x.min(y).min(z);
-            if row == usize::MAX {
-                break;
+        self.len = vote.len;
+        self.votes += 1;
+        self.merged.clear();
+        let (mut i, mut j) = (0, 0);
+        let (counts, rows) = (&self.counts, &vote.rows);
+        while i < counts.len() || j < rows.len() {
+            let held = counts.get(i).map_or(usize::MAX, |&(r, _)| r);
+            let voted = rows.get(j).copied().unwrap_or(usize::MAX);
+            if held < voted {
+                self.merged.push(counts[i]);
+                i += 1;
+            } else if voted < held {
+                self.merged.push((voted, 1));
+                j += 1;
+            } else {
+                self.merged.push((held, counts[i].1 + 1));
+                i += 1;
+                j += 1;
             }
-            let (in_a, in_b, in_c) = (x == row, y == row, z == row);
-            if usize::from(in_a) + usize::from(in_b) + usize::from(in_c) >= 2 {
-                self.rows.push(row);
+        }
+        std::mem::swap(&mut self.counts, &mut self.merged);
+    }
+
+    /// Whether every row's majority leads its minority by at least
+    /// `margin` votes. A row no vote held leads by all of them.
+    pub fn settled(&self, margin: u32) -> bool {
+        self.votes >= margin
+            && self
+                .counts
+                .iter()
+                .all(|&(_, hits)| (2 * hits).abs_diff(self.votes) >= margin)
+    }
+
+    /// Overwrites `out` with the rows more than half the votes held.
+    pub fn majority_into(&self, out: &mut HitVector) {
+        out.reset(self.len);
+        for &(row, hits) in &self.counts {
+            if 2 * hits > self.votes {
+                out.push(row);
             }
-            i += usize::from(in_a);
-            j += usize::from(in_b);
-            k += usize::from(in_c);
         }
     }
 }
@@ -176,27 +242,36 @@ mod tests {
     }
 
     #[test]
-    fn majority3_keeps_rows_with_two_or_more_votes() {
+    fn tally_keeps_rows_most_votes_hold() {
         let a = hits(130, &[1, 2, 3, 64, 129]);
         let b = hits(130, &[2, 3, 4, 129]);
         let c = hits(130, &[3, 4, 64, 100]);
+        let mut tally = VoteTally::default();
+        for v in [&a, &b, &c] {
+            tally.add(v);
+        }
         let mut voted = hits(7, &[6]);
-        voted.majority3_from(&a, &b, &c);
+        tally.majority_into(&mut voted);
         assert_eq!(voted.len(), 130);
         assert_eq!(voted.rows(), &[2, 3, 4, 64, 129]);
-        // Unanimous votes pass through unchanged.
-        voted.majority3_from(&a, &a, &a);
+        assert!(!tally.settled(3));
+        // Unanimous votes pass through unchanged and settle.
+        tally.clear();
+        for _ in 0..3 {
+            tally.add(&a);
+        }
+        tally.majority_into(&mut voted);
         assert_eq!(voted, a);
+        assert!(tally.settled(3));
+        assert!(!tally.settled(4), "three votes cannot lead by four");
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn majority3_rejects_length_mismatch() {
-        HitVector::new(4).majority3_from(
-            &HitVector::new(4),
-            &HitVector::new(4),
-            &HitVector::new(5),
-        );
+    fn tally_rejects_length_mismatch() {
+        let mut tally = VoteTally::default();
+        tally.add(&HitVector::new(4));
+        tally.add(&HitVector::new(5));
     }
 
     #[test]

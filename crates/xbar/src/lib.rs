@@ -43,10 +43,18 @@ pub mod periphery;
 pub use cam::{CamCrossbar, CamEntry};
 pub use error::XbarError;
 pub use fault::FaultModel;
-pub use hit_vector::HitVector;
+pub use hit_vector::{HitVector, VoteTally};
 pub use mac::{Fidelity, MacCrossbar, MacDirection};
 
 use serde::{Deserialize, Serialize};
+
+/// Whether `rows` is the prefix `0..rows.len()`: the physical rows of a
+/// block no remap has moved. One branch-free pass, so it vectorizes.
+fn is_prefix(rows: &[usize]) -> bool {
+    rows.iter()
+        .enumerate()
+        .fold(true, |prefix, (i, &r)| prefix & (i == r))
+}
 
 /// Operation counters shared by both crossbar kinds.
 ///

@@ -5,14 +5,15 @@
 //! colliding in one bucket — must return an ascending, duplicate-free hit
 //! list equal to the bitmap of a reference scan this test builds from the
 //! public [`CamCrossbar::read`]; under search upsets, equal but for the
-//! counted toggled lines. The three-way hit-list vote must equal a bitwise
+//! counted toggled lines. A hit-list vote tally must equal a bitwise
 //! majority. Quantized MAC bursts, full and restricted, must
 //! equal a bit-sliced reference built from the public
 //! [`MacCrossbar::read_cell`]. A bulk
 //! [`CamCrossbar::program_block`] must leave a CAM exactly as
 //! `invalidate_all` plus one `write` per row does, and a bulk
 //! [`MacCrossbar::program_block`] a MAC crossbar exactly as one
-//! `write_row` per row does.
+//! `write_row` per row does, whatever rows the block maps to and in
+//! whatever order the single writes come, given the same draw key.
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
 use gaasx_xbar::geometry::{CamGeometry, MacGeometry};
 use gaasx_xbar::{
-    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, XbarError,
+    CamCrossbar, FaultModel, Fidelity, HitVector, MacCrossbar, MacDirection, VoteTally, XbarError,
 };
 
 /// Bank depths straddling the 64-row word boundary: one word exactly, a
@@ -253,6 +254,19 @@ fn mac_wear_model(seed: u64) -> FaultModel {
     }
 }
 
+/// `n` distinct physical rows below `rows`, in an order and selection
+/// `salt` scrambles: the first `n` of the rows sorted by a hash.
+fn scattered_rows(n: usize, rows: usize, salt: u64) -> Vec<usize> {
+    let mut all: Vec<usize> = (0..rows).collect();
+    all.sort_by_key(|&r| {
+        (r as u64 ^ salt)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    });
+    all.truncate(n);
+    all
+}
+
 /// A paper-geometry MAC crossbar, with [`mac_wear_model`] faults when
 /// `seed` is given.
 fn mac_twin(seed: Option<u64>) -> MacCrossbar {
@@ -263,9 +277,9 @@ fn mac_twin(seed: Option<u64>) -> MacCrossbar {
 }
 
 /// Every observable of two MAC crossbars that should be twins: cells,
-/// stats, fault counters and wear; then both take the same row write and
-/// must latch the same values, so their fault streams sit at the same
-/// position.
+/// stats, fault counters and wear; then both take the same row writes
+/// (retries of rows the block may have written) and must latch the same
+/// values, so their attempt counts agree.
 fn assert_mac_twins(a: &mut MacCrossbar, b: &mut MacCrossbar) {
     let g = a.geometry();
     for row in 0..g.rows {
@@ -298,25 +312,28 @@ fn assert_mac_twins(a: &mut MacCrossbar, b: &mut MacCrossbar) {
 }
 
 /// A block [`MacCrossbar::program_block`] rejects — too many rows, a
-/// width past the columns, a code count that is not rows × width, or a
-/// code past the cell range — returns a typed error and leaves the
-/// crossbar exactly as it was, fault stream included.
+/// width past the columns, a code count that is not rows × width, a
+/// code past the cell range, or a row past the geometry — returns a typed
+/// error and leaves the crossbar exactly as it was, attempt counts
+/// included.
 #[test]
 fn mac_program_block_rejects_bad_blocks_untouched() {
+    let prefix = |rows: usize| (0..rows).collect::<Vec<usize>>();
     for seed in [None, Some(17)] {
         let mut mac = mac_twin(seed);
-        mac.program_block(&[0xABCD; 3 * 5], 3, 5).unwrap();
+        mac.program_block(&prefix(5), &[0xABCD; 3 * 5], 3).unwrap();
         let mut past_range = vec![1u32; 8];
         past_range[5] = 0x1_0000;
-        let bad: [(Vec<u32>, usize, usize); 4] = [
-            (vec![1; 129], 1, 129),
-            (vec![1; 17 * 2], 17, 2),
-            (vec![1; 5], 3, 2),
-            (past_range, 2, 4),
+        let bad: [(Vec<u32>, usize, Vec<usize>); 5] = [
+            (vec![1; 129], 1, prefix(129)),
+            (vec![1; 17 * 2], 17, prefix(2)),
+            (vec![1; 5], 3, prefix(2)),
+            (past_range, 2, prefix(4)),
+            (vec![1; 2], 1, vec![3, 128]),
         ];
         for (i, (codes, width, rows)) in bad.into_iter().enumerate() {
             let mut twin = mac.clone();
-            let err = mac.program_block(&codes, width, rows).unwrap_err();
+            let err = mac.program_block(&rows, &codes, width).unwrap_err();
             match i {
                 0 => assert!(matches!(
                     err,
@@ -341,7 +358,14 @@ fn mac_program_block_rejects_bad_blocks_untouched() {
                         ..
                     }
                 )),
-                _ => assert!(matches!(err, XbarError::InvalidParameter(_))),
+                3 => assert!(matches!(err, XbarError::InvalidParameter(_))),
+                _ => assert!(matches!(
+                    err,
+                    XbarError::RowOutOfRange {
+                        row: 128,
+                        rows: 128
+                    }
+                )),
             }
             assert_mac_twins(&mut mac, &mut twin);
         }
@@ -599,11 +623,12 @@ proptest! {
         }
     }
 
-    /// The three-way vote over ascending hit lists keeps exactly the rows
-    /// a bitwise majority of the three votes' bitmaps sets.
+    /// A vote tally over ascending hit lists keeps exactly the rows a
+    /// bitwise majority of the votes' bitmaps sets, and is settled exactly
+    /// when every row's majority leads by three votes.
     #[test]
-    fn majority_vote_equals_the_bitwise_majority(
-        bitmaps in prop::collection::vec(prop::collection::vec(any::<bool>(), 130), 3),
+    fn vote_tally_equals_the_bitwise_majority(
+        bitmaps in prop::collection::vec(prop::collection::vec(any::<bool>(), 130), 3..=9),
     ) {
         let lists: Vec<HitVector> = bitmaps
             .iter()
@@ -613,22 +638,26 @@ proptest! {
                 hv
             })
             .collect();
+        let mut tally = VoteTally::default();
+        lists.iter().for_each(|v| tally.add(v));
         let mut voted = HitVector::new(0);
-        voted.majority3_from(&lists[0], &lists[1], &lists[2]);
-        let (a, b, c) = (&bitmaps[0], &bitmaps[1], &bitmaps[2]);
-        let want: Vec<usize> = (0..130)
-            .filter(|&row| (a[row] & b[row]) | (a[row] & c[row]) | (b[row] & c[row]))
-            .collect();
+        tally.majority_into(&mut voted);
+        let n = bitmaps.len();
+        let hits = |row: usize| bitmaps.iter().filter(|b| b[row]).count();
+        let want: Vec<usize> = (0..130).filter(|&row| 2 * hits(row) > n).collect();
         prop_assert_eq!(voted.len(), 130);
         prop_assert_eq!(voted.rows(), &want[..]);
+        let settled = (0..130).all(|row| (2 * hits(row)).abs_diff(n) >= 3);
+        prop_assert_eq!(tally.settled(3), settled);
     }
 
     /// Twin crossbars from the same arbitrary prior state: one programs a
-    /// block with `program_block`, the other with `invalidate_all` plus one
-    /// `write` per row. Fault-free or with stuck cells and transient write
-    /// failures on the same seed, they must agree on every stored row, the
-    /// billing, the fault counters, every search, and the next transient
-    /// draw.
+    /// block onto scattered rows with `program_block`, the other with
+    /// `invalidate_all` plus one `write` per row, in another order, under
+    /// the same draw key. Fault-free or with stuck cells and transient
+    /// write failures on the same seed, they must agree on every stored
+    /// row, the billing, the fault counters, every search, and every
+    /// retry's draw.
     #[test]
     fn program_block_matches_invalidate_all_plus_writes(
         prior in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 0..60),
@@ -636,6 +665,8 @@ proptest! {
         depth_ix in 0usize..4,
         seed in any::<u64>(),
         faulty in any::<bool>(),
+        salt in any::<u64>(),
+        load_key in any::<u64>(),
     ) {
         let rows = [64usize, 70, 128, 130][depth_ix];
         let g = CamGeometry {
@@ -676,10 +707,13 @@ proptest! {
         };
         let mut bulk = twin();
         let mut rowwise = twin();
-        bulk.program_block(&keys).unwrap();
+        let phys = scattered_rows(keys.len(), rows, salt);
+        bulk.set_draw_key(load_key);
+        bulk.program_block(&phys, &keys).unwrap();
+        rowwise.set_draw_key(load_key);
         rowwise.invalidate_all();
-        for (row, &key) in keys.iter().enumerate() {
-            rowwise.write(row, key).unwrap();
+        for i in scattered_rows(keys.len(), keys.len(), !salt) {
+            rowwise.write(phys[i], keys[i]).unwrap();
         }
         for row in 0..rows {
             prop_assert_eq!(bulk.read(row).unwrap(), rowwise.read(row).unwrap(), "row {}", row);
@@ -694,20 +728,23 @@ proptest! {
                 prop_assert_eq!(&a, &b, "search {:#x}/{:#x}", key, mask);
             }
         }
-        // The next write on each twin draws from the same stream position.
-        bulk.write(rows - 1, key_of(5, 6)).unwrap();
-        rowwise.write(rows - 1, key_of(5, 6)).unwrap();
-        prop_assert_eq!(bulk.read(rows - 1).unwrap(), rowwise.read(rows - 1).unwrap());
+        // Retries of written rows and first writes of others draw alike.
+        for row in [0, rows / 2, rows - 1] {
+            bulk.write(row, key_of(5, 6)).unwrap();
+            rowwise.write(row, key_of(5, 6)).unwrap();
+            prop_assert_eq!(bulk.read(row).unwrap(), rowwise.read(row).unwrap());
+        }
         prop_assert_eq!(bulk.fault_stats(), rowwise.fault_stats());
     }
 
     /// Twin MAC crossbars from the same prior row writes: one programs a
-    /// run of blocks with `program_block`, the other with one `write_row`
-    /// per row, in row order. Widths span 0..=cols and block lengths
-    /// 0..=rows, in random order or shrinking; fault-free or with stuck
-    /// cells, transient write failures and endurance wear on the same
-    /// seed, the twins must agree on every cell, the stats, the fault
-    /// counters, the wear and the next writes.
+    /// run of blocks onto scattered rows with `program_block`, the other
+    /// with one `write_row` per row, in another order, each block under
+    /// the same draw key. Widths span 0..=cols and block lengths 0..=rows,
+    /// in random order or shrinking; fault-free or with stuck cells,
+    /// transient write failures and endurance wear on the same seed, the
+    /// twins must agree on every cell, the stats, the fault counters, the
+    /// wear and the next writes.
     #[test]
     fn mac_program_block_matches_write_row_per_row(
         prior in prop::collection::vec((0usize..128, 0usize..=16, any::<u16>()), 0..24),
@@ -715,6 +752,7 @@ proptest! {
         shrinking in any::<bool>(),
         seed in any::<u64>(),
         faulty in any::<bool>(),
+        salt in any::<u64>(),
     ) {
         let code = |salt: u16, row: usize, col: usize| {
             u32::from(salt) ^ ((row as u32 * 31 + col as u32 * 17) & 0xFFFF)
@@ -730,13 +768,17 @@ proptest! {
         if shrinking {
             blocks.sort_by_key(|b| std::cmp::Reverse(b.0));
         }
-        for &(width, rows, salt) in &blocks {
+        for (b, &(width, rows, code_salt)) in blocks.iter().enumerate() {
             let codes: Vec<u32> = (0..rows * width)
-                .map(|i| code(salt, i / width.max(1), i % width.max(1)))
+                .map(|i| code(code_salt, i / width.max(1), i % width.max(1)))
                 .collect();
-            bulk.program_block(&codes, width, rows).unwrap();
-            for row in 0..rows {
-                rowwise.write_row(row, &codes[row * width..(row + 1) * width]).unwrap();
+            let block_salt = salt.wrapping_add(b as u64);
+            let phys = scattered_rows(rows, 128, block_salt);
+            bulk.set_draw_key(block_salt);
+            bulk.program_block(&phys, &codes, width).unwrap();
+            rowwise.set_draw_key(block_salt);
+            for i in scattered_rows(rows, rows, !block_salt) {
+                rowwise.write_row(phys[i], &codes[i * width..(i + 1) * width]).unwrap();
             }
         }
         assert_mac_twins(&mut bulk, &mut rowwise);

@@ -67,6 +67,13 @@ echo "==> oracle matrix: PR/SSSP/BFS/CC and batched BFS/SSSP x banks x fault x j
 # times, with that cross-check compiled out.
 cargo test -q --release --offline --test oracle_matrix
 
+echo "==> op sequences and fault properties (release)"
+# The traced operation digests (fault-free and under keyed fault draws)
+# and the fault-layer properties, in the release shape the benchmark
+# times: keyed draws and the bulk verified load must give the same span
+# streams and the same recovered answers there as in the dev profile.
+cargo test -q --release --offline -p gaasx-core --test op_sequence --test fault_props
+
 echo "==> allocation bounds (release): warm sweeps allocate nothing, warm traversals once per loaded shard"
 # The tier-1 and workspace passes run this in the dev profile; the
 # benchmark times release builds, whose inlining and buffer growth differ,

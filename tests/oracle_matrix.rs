@@ -6,12 +6,14 @@
 //! Batched BFS and SSSP queries (three sources through one multi-source
 //! traversal) run the same matrix.
 //!
-//! Under injected faults a sharded run's report may differ from the
-//! serial one: every crossbar draws its transient write failures from its
-//! own sequential stream, so splitting the blocks across workers changes
-//! which writes fail and how many retries are billed. Recovery still has
-//! to reproduce the oracle answers, and the same sharded run must report
-//! the same thing every time.
+//! Under stuck cells a sharded run's report may differ from the serial
+//! one: a stuck row remaps onto a spare from its own engine's pool, so
+//! splitting the blocks across workers changes which spares later loads
+//! use. Recovery still has to reproduce the oracle answers, and the same
+//! sharded run must report the same thing every time. Transient faults
+//! alone (write failures and search upsets) are keyed draws that do not
+//! depend on the worker, so that fault row must report exactly what the
+//! serial run does.
 //!
 //! Agreement between two host paths only proves they agree with each
 //! other; this matrix pins both to the oracles. Debug builds also
@@ -294,5 +296,71 @@ where
         assert_eq!(other.result, serial.result, "bank={bank} {label}: output");
         assert_eq!(other.report, serial.report, "bank={bank} {label}: report");
     }
+    serial
+}
+
+/// Transient faults only — write failures and CAM search upsets, no
+/// stuck cells — under the standard policy: every draw is keyed by the
+/// pass, the shard's stream position and the chunk, so a run over two
+/// workers must report bit for bit what the serial run does, and
+/// recovery must still reproduce the oracle answers.
+#[test]
+fn transient_faults_shard_exactly_like_serial_runs() {
+    let graph = rmat(&RmatConfig::new(128, 600).with_seed(7)).unwrap();
+    let sym = graph.symmetrized();
+    let src = VertexId::new(0);
+    for bank in ["paper", "deep"] {
+        let cfg = GaasXConfig {
+            fault: FaultModel {
+                seed: 0x7A05,
+                write_fail_rate: 1e-2,
+                cam_upset_rate: 1e-2,
+                ..FaultModel::none()
+            },
+            recovery: RecoveryPolicy::standard(),
+            ..bank_config(bank, false)
+        };
+        let pr = assert_transient_runs_agree(
+            &PageRank::fixed_iterations(PAGERANK_ITERS),
+            &graph,
+            &cfg,
+            bank,
+        );
+        let pr_clean = GaasX::new(bank_config(bank, false))
+            .run(&PageRank::fixed_iterations(PAGERANK_ITERS), &graph)
+            .unwrap();
+        assert_eq!(pr.result, pr_clean.result, "bank={bank}: pagerank");
+        let sssp = assert_transient_runs_agree(&Sssp::from_source(src), &graph, &cfg, bank);
+        assert_eq!(sssp.result, reference::dijkstra(&graph, src), "bank={bank}");
+        let bfs = assert_transient_runs_agree(&Bfs::from_source(src), &graph, &cfg, bank);
+        assert_eq!(bfs.result, reference::bfs(&graph, src), "bank={bank}");
+        let cc = assert_transient_runs_agree(&ConnectedComponents::new(), &sym, &cfg, bank);
+        assert_eq!(cc.result, union_find_labels(&sym), "bank={bank}: cc");
+    }
+}
+
+/// Runs `algorithm` serially and over two workers, asserts both agree on
+/// output and report, and that the faults were injected and caught.
+fn assert_transient_runs_agree<A>(
+    algorithm: &A,
+    input: &A::Input,
+    cfg: &GaasXConfig,
+    bank: &str,
+) -> RunOutcome<A::Output>
+where
+    A: ShardableAlgorithm,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let serial = GaasX::new(cfg.clone()).run(algorithm, input).unwrap();
+    let sharded = GaasX::new(cfg.clone())
+        .run_sharded(algorithm, input, 2)
+        .unwrap();
+    assert_eq!(sharded.result, serial.result, "bank={bank} jobs=2: output");
+    assert_eq!(sharded.report, serial.report, "bank={bank} jobs=2: report");
+    assert!(
+        serial.report.faults.write_retries > 0,
+        "bank={bank}: the write failures must reach verify: {:?}",
+        serial.report.faults
+    );
     serial
 }
