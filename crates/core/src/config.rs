@@ -34,8 +34,10 @@ pub struct RecoveryPolicy {
     /// Rows per bank reserved as remap targets (reduces block capacity by
     /// the same amount while faults are active).
     pub spare_rows: usize,
-    /// Issue every CAM search three times and majority-vote the hit
-    /// vectors, masking transient match-line upsets.
+    /// Majority-vote every CAM search against transient match-line
+    /// upsets: search three times, and while the rounds disagree search
+    /// two more at a time until each row's majority leads by 3 votes or 9
+    /// were taken.
     pub cam_double_check: bool,
 }
 
@@ -46,7 +48,8 @@ impl RecoveryPolicy {
     }
 
     /// A forgiving production policy: verify + 3 retries + 16 spares +
-    /// search double-check.
+    /// majority-voted searches (three rounds, escalating up to nine while
+    /// they disagree).
     pub fn standard() -> Self {
         RecoveryPolicy {
             write_verify: true,

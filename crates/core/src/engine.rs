@@ -1192,9 +1192,9 @@ impl Engine {
                 self.inputs_buf.push(input(row));
             }
             // Only `out_col` is consumed, so the device restricts the
-            // functional evaluation to that line (the burst is still billed
-            // in full, and the all-lines path runs only when a full burst
-            // draws random numbers: quantized noise or ADC flips).
+            // functional evaluation to that line; the burst is still billed
+            // in full, and its noise samples and ADC flips are keyed by
+            // line, so the sum equals the full burst's.
             let active =
                 physical_rows(self.remap_active, &self.log2phys, &mut self.phys_buf, chunk);
             self.mac.mac_lines_into(
@@ -1251,9 +1251,9 @@ impl Engine {
         for chunk in hits.rows().chunks(cap) {
             // Restricted read-out: only this chunk's (physical) rows are
             // evaluated — billing still covers the full burst, so stats,
-            // energy, and modeled time match the full-evaluation path. The
-            // device evaluates every line only when a full burst draws
-            // random numbers (quantized noise or ADC flips).
+            // energy, and modeled time match the full-evaluation path, and
+            // noise samples and ADC flips are keyed by line, so the sums
+            // do too.
             let lines = physical_rows(self.remap_active, &self.log2phys, &mut self.phys_buf, chunk);
             self.mac.mac_lines_into(
                 MacDirection::ColumnsToRows,

@@ -1,7 +1,7 @@
 //! Intra-crate call graph and transitive hot-path closure.
 //!
 //! The `hot` fences in [`crate::source`] mark dispatch loops lexically,
-//! but the loop bodies call helpers — `mac_into`, `count_replayed_search`,
+//! but the loop bodies call helpers — the MAC line kernel, `count_replayed_search`,
 //! index maintenance — whose own bodies are just as latency-critical.
 //! This module recovers a conservative by-name call graph *within each
 //! crate* (cross-crate calls go through typed public APIs that the callee

@@ -95,7 +95,8 @@ pub struct FaultReport {
     pub write_retries: u64,
     /// Rows retired to spares after exhausting their retry budget.
     pub row_remaps: u64,
-    /// CAM searches that were issued as majority-of-three double-checks.
+    /// CAM searches that were issued as majority votes: three rounds, and
+    /// up to nine while the rounds disagree.
     pub cam_double_checks: u64,
 }
 

@@ -337,14 +337,11 @@ impl CamCrossbar {
                     *e = entry(key);
                 }
             }
-            None => {
+            mut faults => {
                 for (&row, &key) in rows.iter().zip(keys) {
-                    self.entries[row] = entry(key);
-                }
-            }
-            Some(faults) => {
-                for (&row, &key) in rows.iter().zip(keys) {
-                    self.entries[row] = entry(faults.programmed(row, key & width_mask));
+                    let key = key & width_mask;
+                    let bits = faults.as_mut().map_or(key, |f| f.programmed(row, key));
+                    self.entries[row] = entry(bits);
                 }
             }
         }

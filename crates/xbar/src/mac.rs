@@ -271,8 +271,7 @@ impl MacCrossbar {
         width: usize,
     ) -> Result<(), XbarError> {
         self.check_block(codes, width, rows.len())?;
-        // An unremapped block is the prefix `0..n`: its rows are walked in
-        // place, with no per-row index.
+        // An unremapped block is the prefix `0..n`, whose rows are in range.
         let prefix = is_prefix(rows);
         if !prefix {
             if let Some(&row) = rows.iter().find(|&&r| r >= self.geometry.rows) {
@@ -283,17 +282,10 @@ impl MacCrossbar {
             }
         }
         let cols = self.geometry.cols;
-        if width == 0 {
-            rows.iter().for_each(|&row| self.program_row(row, &[]));
-        } else if let Some(faults) = self.faults.as_mut() {
-            // gaasx-lint: hot
-            for (&row, src) in rows.iter().zip(codes.chunks_exact(width)) {
-                let dst = &mut self.cells[row * cols..(row + 1) * cols];
-                faults.program_row(row, src, &mut dst[..width]);
-                zero_tail_from(dst, &mut self.row_width[row], width);
-            }
-            // gaasx-lint: end-hot
-        } else if prefix {
+        // A fault-free prefix is copied in place, with no per-row index;
+        // any other block (faulty, remapped or of width 0) programs one
+        // row at a time.
+        if prefix && width > 0 && self.faults.is_none() {
             // gaasx-lint: hot
             let dsts = self.cells[..rows.len() * cols].chunks_exact_mut(cols);
             let row_codes = dsts.zip(codes.chunks_exact(width));
@@ -303,9 +295,11 @@ impl MacCrossbar {
             }
             // gaasx-lint: end-hot
         } else {
-            for (&row, src) in rows.iter().zip(codes.chunks_exact(width)) {
-                self.program_row(row, src);
+            // gaasx-lint: hot
+            for (i, &row) in rows.iter().enumerate() {
+                self.program_row(row, &codes[i * width..][..width]);
             }
+            // gaasx-lint: end-hot
         }
         self.stats.row_writes += rows.len() as u64;
         self.stats.cells_written += (rows.len() * width * self.geometry.slices) as u64;
@@ -415,61 +409,41 @@ impl MacCrossbar {
     /// * [`XbarError::DimensionMismatch`] if `inputs` and `active` differ in
     ///   length;
     /// * range errors if an active index exceeds the geometry.
+    ///
+    /// On error no cost is counted.
     pub fn mac(
         &mut self,
         direction: MacDirection,
         active: &[usize],
         inputs: &[u32],
     ) -> Result<Vec<u64>, XbarError> {
-        let mut out = Vec::new();
-        self.mac_into(direction, active, inputs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`mac`](Self::mac), accumulating into a caller-owned buffer so the
-    /// steady state allocates nothing. `out` is cleared and resized to the
-    /// crossed-line count; prior contents are irrelevant. On error the
-    /// buffer is left cleared and no cost is counted.
-    ///
-    /// # Errors
-    ///
-    /// As for [`mac`](Self::mac).
-    pub fn mac_into(
-        &mut self,
-        direction: MacDirection,
-        active: &[usize],
-        inputs: &[u32],
-        out: &mut Vec<u64>,
-    ) -> Result<(), XbarError> {
-        out.clear();
         let out_len = self.validate_op(direction, active, inputs)?;
         self.bill_op(active.len(), out_len);
-        out.resize(out_len, 0);
-        match self.fidelity {
-            Fidelity::Exact => self.mac_exact(direction, active, inputs, out),
-            Fidelity::Quantized => self.mac_quantized(direction, active, inputs, out),
-        }
-        Ok(())
+        let burst = self.burst_draws().then(|| self.next_burst_key());
+        Ok((0..out_len)
+            .map(|o| self.line(direction, active, inputs, o, burst))
+            .collect())
     }
 
-    /// [`mac_into`](Self::mac_into) for callers that consume a *subset* of
-    /// the crossed lines: fills `out` with one sum per entry of `lines`,
-    /// in order. A single-entry `lines` reads one crossed line (the
-    /// PageRank gather's shape).
+    /// [`mac`](Self::mac) for callers that consume a *subset* of the
+    /// crossed lines, into a caller-owned buffer so the steady state
+    /// allocates nothing: `out` is cleared, then takes one sum per entry
+    /// of `lines`, in order. A single-entry `lines` reads one crossed line
+    /// (the PageRank gather's shape).
     ///
     /// The analog array always evaluates every crossed line, so the cost
-    /// accounting is exactly that of a full [`mac_into`](Self::mac_into)
-    /// burst — one MAC op and the full complement of ADC samples. Only
-    /// the *functional* evaluation is restricted: every crossed line is
+    /// accounting is exactly that of a full [`mac`](Self::mac) burst — one
+    /// MAC op and the full complement of ADC samples. Only the
+    /// *functional* evaluation is restricted: every crossed line is
     /// independent, and a noise sample or ADC flip is keyed by its line
     /// (see [`set_draw_key`](Self::set_draw_key)), so the sums computed
     /// here are bit-identical to the full burst's.
     ///
     /// # Errors
     ///
-    /// As for [`mac_into`](Self::mac_into), plus a range error when an
-    /// entry of `lines` exceeds the crossed-line count. On error `out` is
-    /// left cleared and no cost is counted.
+    /// As for [`mac`](Self::mac), plus a range error when an entry of
+    /// `lines` exceeds the crossed-line count. On error `out` is left
+    /// cleared and no cost is counted.
     pub fn mac_lines_into(
         &mut self,
         direction: MacDirection,
@@ -495,38 +469,10 @@ impl MacCrossbar {
             }
         }
         self.bill_op(active.len(), out_len);
+        let burst = self.burst_draws().then(|| self.next_burst_key());
         out.reserve(lines.len());
-        if self.burst_draws() {
-            let burst = self.next_burst_key();
-            for &l in lines {
-                out.push(self.quantized_line_drawn(direction, active, inputs, l, burst));
-            }
-            return Ok(());
-        }
-        match self.fidelity {
-            Fidelity::Exact => {
-                // gaasx-lint: hot
-                for &l in lines {
-                    let mut slot = 0u64;
-                    for (&a, &x) in active.iter().zip(inputs) {
-                        slot += u64::from(x) * u64::from(self.crossed_cell(direction, a, l));
-                    }
-                    out.push(slot);
-                }
-                // gaasx-lint: end-hot
-            }
-            Fidelity::Quantized => {
-                if active.len() <= 64 {
-                    let x_planes = pack_bit_planes(inputs);
-                    for &l in lines {
-                        out.push(self.quantized_line_packed(direction, active, &x_planes, l));
-                    }
-                } else {
-                    for &l in lines {
-                        out.push(self.quantized_line_clean(direction, active, inputs, l));
-                    }
-                }
-            }
+        for &l in lines {
+            out.push(self.line(direction, active, inputs, l, burst));
         }
         Ok(())
     }
@@ -574,8 +520,8 @@ impl MacCrossbar {
     }
 
     /// Whether a burst draws: only the quantized periphery samples noisy
-    /// analog sums or flipping ADCs. When it does not, the lane bit-plane
-    /// evaluation is bit-identical to the scalar one.
+    /// analog sums or flipping ADCs, so only then does a burst take a key
+    /// from [`next_burst_key`](Self::next_burst_key).
     fn burst_draws(&self) -> bool {
         self.fidelity == Fidelity::Quantized
             && (self.noise.is_some()
@@ -615,73 +561,58 @@ impl MacCrossbar {
         }
     }
 
-    /// Fills `out` (pre-sized and zeroed by [`mac_into`](Self::mac_into)).
-    fn mac_exact(
-        &self,
-        direction: MacDirection,
-        active: &[usize],
-        inputs: &[u32],
-        out: &mut [u64],
-    ) {
-        // gaasx-lint: hot
-        for (o, slot) in out.iter_mut().enumerate() {
-            for (&a, &x) in active.iter().zip(inputs) {
-                *slot += u64::from(x) * u64::from(self.crossed_cell(direction, a, o));
-            }
-        }
-        // gaasx-lint: end-hot
-    }
-
-    /// Bit-sliced evaluation: inputs stream `dac_bits` per step (LSB first),
-    /// weights are split into `slices` groups of `bits_per_cell`, each
-    /// (step, slice) partial is an analog sum that saturates at the ADC full
-    /// scale, then shift-and-add reconstructs the product sum. A burst
-    /// that draws keys its noise samples and ADC flips by its ordinal.
-    fn mac_quantized(
-        &mut self,
-        direction: MacDirection,
-        active: &[usize],
-        inputs: &[u32],
-        out: &mut [u64],
-    ) {
-        if self.burst_draws() {
-            let burst = self.next_burst_key();
-            for (o, slot) in out.iter_mut().enumerate() {
-                *slot = self.quantized_line_drawn(direction, active, inputs, o, burst);
-            }
-        } else if active.len() <= 64 {
-            // Nothing draws, so the lane bit-plane evaluation replaces the
-            // scalar loop (integer-identical results).
-            let x_planes = pack_bit_planes(inputs);
-            for (o, slot) in out.iter_mut().enumerate() {
-                *slot = self.quantized_line_packed(direction, active, &x_planes, o);
-            }
-        } else {
-            for (o, slot) in out.iter_mut().enumerate() {
-                *slot = self.quantized_line_clean(direction, active, inputs, o);
-            }
-        }
-    }
-
-    /// One crossed line of a burst that draws: the bit-sliced evaluation
-    /// of [`quantized_line_clean`](Self::quantized_line_clean), with each
-    /// `(step, slice)` partial perturbed by the noise model and its sample
-    /// by the ADC-flip model, both keyed by `burst`, the line, the step
-    /// and the slice.
-    fn quantized_line_drawn(
+    /// Crossed line `o` of a burst: under [`Fidelity::Exact`] the integer
+    /// dot product of `inputs` with the crossed cells, under
+    /// [`Fidelity::Quantized`] the [`sliced_line`](Self::sliced_line)
+    /// walk.
+    #[inline(always)]
+    fn line(
         &mut self,
         direction: MacDirection,
         active: &[usize],
         inputs: &[u32],
         o: usize,
-        burst: u64,
+        burst: Option<u64>,
+    ) -> u64 {
+        // gaasx-lint: hot
+        match self.fidelity {
+            Fidelity::Exact => active
+                .iter()
+                .zip(inputs)
+                .map(|(&a, &x)| u64::from(x) * u64::from(self.crossed_cell(direction, a, o)))
+                .sum(),
+            Fidelity::Quantized => self.sliced_line(direction, active, inputs, o, burst),
+        }
+        // gaasx-lint: end-hot
+    }
+
+    /// Crossed line `o` of a quantized burst, bit-sliced: inputs stream
+    /// `dac_bits` per step (LSB first), weights split into `slices` groups
+    /// of `bits_per_cell`, and each `(step, slice)` partial is an analog
+    /// sum that saturates at the ADC full scale before shift-and-add
+    /// reconstructs the product sum. A burst that draws (`burst` is its
+    /// key) perturbs each partial by the noise model and its sample by the
+    /// ADC-flip model, both keyed by the burst, the line, the step and the
+    /// slice.
+    ///
+    /// Never inlined: inlined, its registers crowd the exact dot product's
+    /// loop in [`line`](Self::line), which then reloads its operands from
+    /// the stack on every lane.
+    #[inline(never)]
+    fn sliced_line(
+        &mut self,
+        direction: MacDirection,
+        active: &[usize],
+        inputs: &[u32],
+        o: usize,
+        burst: Option<u64>,
     ) -> u64 {
         let g = self.geometry;
         let dac_mask = (1u32 << g.dac_bits) - 1;
         let cell_mask = (1u32 << g.bits_per_cell) - 1;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
         let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
-        let line = draw(burst, &[o as u64]);
+        let line = burst.map(|burst| draw(burst, &[o as u64]));
         // gaasx-lint: hot
         let mut acc = 0u64;
         for step in 0..steps {
@@ -693,105 +624,16 @@ impl MacCrossbar {
                         & cell_mask;
                     partial += u64::from(x_bits) * u64::from(w_bits);
                 }
-                let sample = draw(line, &[u64::from(step) << 32 | u64::from(slice)]);
-                if let Some(noise) = &self.noise {
+                let sample =
+                    line.map(|line| draw(line, &[u64::from(step) << 32 | u64::from(slice)]));
+                if let (Some(noise), Some(sample)) = (&self.noise, sample) {
                     partial = noise.perturb_count(partial, sample);
                 }
                 let mut sampled = partial.min(adc_full_scale);
-                if let Some(faults) = &mut self.faults {
+                if let (Some(faults), Some(sample)) = (&mut self.faults, sample) {
                     sampled = faults.perturb_sample(sampled, sample);
                 }
                 acc += sampled << (step * g.dac_bits + slice * g.bits_per_cell);
-            }
-        }
-        acc
-        // gaasx-lint: end-hot
-    }
-
-    /// One crossed line of [`mac_quantized`](Self::mac_quantized) for a
-    /// burst that draws nothing: identical bit-slicing and ADC
-    /// saturation, restricted to slot `o`. The path for bursts wider than
-    /// the 64 lanes [`quantized_line_packed`](Self::quantized_line_packed)
-    /// holds, and its unit-test oracle.
-    fn quantized_line_clean(
-        &self,
-        direction: MacDirection,
-        active: &[usize],
-        inputs: &[u32],
-        o: usize,
-    ) -> u64 {
-        let g = self.geometry;
-        let dac_mask = (1u32 << g.dac_bits) - 1;
-        let cell_mask = (1u32 << g.bits_per_cell) - 1;
-        let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
-        // gaasx-lint: hot
-        let mut acc = 0u64;
-        for step in 0..steps {
-            for slice in 0..g.slices as u32 {
-                let mut partial = 0u64;
-                for (&a, &x) in active.iter().zip(inputs) {
-                    let x_bits = (x >> (step * g.dac_bits)) & dac_mask;
-                    let w_bits = (self.crossed_cell(direction, a, o) >> (slice * g.bits_per_cell))
-                        & cell_mask;
-                    partial += u64::from(x_bits) * u64::from(w_bits);
-                }
-                acc += partial.min(adc_full_scale) << (step * g.dac_bits + slice * g.bits_per_cell);
-            }
-        }
-        acc
-        // gaasx-lint: end-hot
-    }
-
-    /// One crossed line of the clean quantized path, evaluated by lane
-    /// bit-plane popcounts instead of per-lane multiply-adds.
-    ///
-    /// Each `(step, slice)` partial is
-    /// `Σ_lanes x_bits · w_bits = Σ_{p<dac_bits, q<bits_per_cell} 2^{p+q} ·
-    /// popcount(x_plane[step·dac+p] & w_plane[slice·cell+q])`, which is
-    /// integer-identical to the scalar expansion, then saturates at the
-    /// ADC full scale and shift-adds exactly as
-    /// [`quantized_line_clean`](Self::quantized_line_clean) does. The
-    /// `Exact` paths stay scalar on purpose: without the per-partial ADC
-    /// clip the bit-plane expansion performs the same number of operations
-    /// as the plain multiply-add, so there is nothing to win there.
-    ///
-    /// Callers must ensure `active.len() <= 64` (one lane per mask bit).
-    fn quantized_line_packed(
-        &self,
-        direction: MacDirection,
-        active: &[usize],
-        x_planes: &[u64; 64],
-        o: usize,
-    ) -> u64 {
-        let g = self.geometry;
-        let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = MAC_INPUT_BITS.div_ceil(g.dac_bits);
-        // gaasx-lint: hot
-        let mut w_planes = [0u64; 64];
-        for (lane, &a) in active.iter().enumerate() {
-            let mut bits = self.crossed_cell(direction, a, o);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                w_planes[b] |= 1 << lane;
-            }
-        }
-        let mut acc = 0u64;
-        for step in 0..steps {
-            for slice in 0..g.slices as u32 {
-                let mut partial = 0u64;
-                for p in 0..g.dac_bits {
-                    let x = x_planes[(step * g.dac_bits + p) as usize];
-                    if x == 0 {
-                        continue;
-                    }
-                    for q in 0..g.bits_per_cell {
-                        let w = w_planes[(slice * g.bits_per_cell + q) as usize];
-                        partial += u64::from((x & w).count_ones()) << (p + q);
-                    }
-                }
-                acc += partial.min(adc_full_scale) << (step * g.dac_bits + slice * g.bits_per_cell);
             }
         }
         acc
@@ -820,15 +662,6 @@ impl MacCrossbar {
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.row_width.fill(0);
-    }
-
-    /// Zeroes `row`'s cells from `len` up to its recorded width (cells
-    /// past the width are zero already) and records `len` as the new
-    /// width, after the leading `len` cells were (re)written.
-    fn zero_tail(&mut self, row: usize, len: usize) {
-        let cols = self.geometry.cols;
-        let cells = &mut self.cells[row * cols..(row + 1) * cols];
-        zero_tail_from(cells, &mut self.row_width[row], len);
     }
 
     /// Re-materializes a row *without* counting writes.
@@ -869,7 +702,8 @@ impl MacCrossbar {
         } else {
             self.cells[base..base + codes.len()].copy_from_slice(codes);
         }
-        self.zero_tail(row, codes.len());
+        let cells = &mut self.cells[base..base + self.geometry.cols];
+        zero_tail_from(cells, &mut self.row_width[row], codes.len());
         Ok(())
     }
 }
@@ -882,23 +716,6 @@ fn zero_tail_from(row: &mut [u32], old: &mut usize, width: usize) {
     if old > width {
         row[width..old].fill(0);
     }
-}
-
-/// Transposes up to 64 lane input words into per-bit lane masks:
-/// `planes[b]` has bit `lane` set when `inputs[lane]` has bit `b` set.
-/// Bits the bit-sliced walk never visits sit unread in the high planes, so
-/// no masking is needed to stay identical to the scalar expansion.
-fn pack_bit_planes(inputs: &[u32]) -> [u64; 64] {
-    let mut planes = [0u64; 64];
-    for (lane, &x) in inputs.iter().enumerate() {
-        let mut bits = x;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            planes[b] |= 1 << lane;
-        }
-    }
-    planes
 }
 
 #[cfg(test)]
@@ -1217,71 +1034,6 @@ mod tests {
             .mac_lines_into(MacDirection::RowsToColumns, &[0], &[0x1234], &[0], &mut b2)
             .unwrap();
         assert_eq!(b2, vec![a2[0]]);
-    }
-
-    #[test]
-    fn packed_quantized_lines_match_the_scalar_oracle() {
-        // Full 16-lane bursts with mixed magnitudes: saturating and
-        // non-saturating partials of the lane bit-plane evaluation must
-        // agree bit-for-bit with the scalar per-line expansion.
-        let rows: Vec<usize> = (0..16).collect();
-        let inputs: Vec<u32> = (0..16)
-            .map(|i| 0x1111u32.wrapping_mul(i) & 0xFFFF)
-            .collect();
-        let mut m = mac(Fidelity::Quantized);
-        for r in 0..16 {
-            let codes: Vec<u32> = (0..16)
-                .map(|c| ((r * 31 + c * 17) % 0xFFFF) as u32)
-                .collect();
-            m.write_row(r, &codes).unwrap();
-        }
-        let cols: Vec<usize> = (0..16).collect();
-        for (dir, active) in [
-            (MacDirection::RowsToColumns, &rows),
-            (MacDirection::ColumnsToRows, &cols),
-        ] {
-            let full = m.mac(dir, active, &inputs).unwrap();
-            let oracle: Vec<u64> = (0..full.len())
-                .map(|o| m.quantized_line_clean(dir, active, &inputs, o))
-                .collect();
-            assert_eq!(full, oracle, "{dir:?} full burst");
-            let lines = [full.len() - 1, 0, full.len() / 2];
-            let mut restricted = Vec::new();
-            m.mac_lines_into(dir, active, &inputs, &lines, &mut restricted)
-                .unwrap();
-            let want: Vec<u64> = lines.iter().map(|&l| oracle[l]).collect();
-            assert_eq!(restricted, want, "{dir:?} restricted");
-        }
-    }
-
-    #[test]
-    fn quantized_bursts_wider_than_64_lanes_agree() {
-        // Past 64 lanes the full burst takes the scalar loop and a
-        // restricted read-out the per-line oracle; both must agree.
-        let g = MacGeometry {
-            max_active_rows: 128,
-            ..MacGeometry::paper()
-        };
-        let mut m = MacCrossbar::new(g, Fidelity::Quantized);
-        for r in 0..g.rows {
-            m.write_row(r, &[(r as u32 * 257) & 0xFFFF, 3, 0xFFFF])
-                .unwrap();
-        }
-        let active: Vec<usize> = (0..100).collect();
-        let inputs: Vec<u32> = (0..100u32).map(|i| (i * 613 + 7) & 0xFFFF).collect();
-        let full = m
-            .mac(MacDirection::RowsToColumns, &active, &inputs)
-            .unwrap();
-        let mut lines = Vec::new();
-        m.mac_lines_into(
-            MacDirection::RowsToColumns,
-            &active,
-            &inputs,
-            &[2, 0, 1],
-            &mut lines,
-        )
-        .unwrap();
-        assert_eq!(lines, vec![full[2], full[0], full[1]]);
     }
 
     #[test]

@@ -786,25 +786,32 @@ proptest! {
 
     /// Quantized MAC bursts — full (`mac`) and restricted read-out
     /// (`mac_lines_into`), both directions, fault-free or stuck-cell
-    /// seeded — equal the bit-sliced reference on every line.
+    /// seeded — equal the bit-sliced reference on every line. `wide`
+    /// lifts the accumulation cap to 128 rows, so a burst activates up to
+    /// 100 of them; `mix` replaces the cells and inputs with a full 16-lane
+    /// pattern whose `(step, slice)` partials saturate the ADC about 4
+    /// times in 10 and stay below its full scale otherwise.
     #[test]
     fn quantized_bursts_match_the_reference(
         cells in prop::collection::vec(
             prop::collection::vec(0u32..=0xFFFF, 1..=16),
-            1..=16,
+            1..=100,
         ),
         seed in any::<u64>(),
         faulty in any::<bool>(),
-        transposed in any::<bool>(),
+        wide in any::<bool>(),
+        mix in any::<bool>(),
     ) {
-        let g = MacGeometry::paper();
-        let n = cells.len();
-        let inputs: Vec<u32> = (0..n).map(|i| (i as u32 * 7919 + 13) & 0xFFFF).collect();
-        let active: Vec<usize> = (0..n).collect();
-        let direction = if transposed {
-            MacDirection::ColumnsToRows
+        let g = MacGeometry {
+            max_active_rows: if wide { 128 } else { 16 },
+            ..MacGeometry::paper()
+        };
+        let cells: Vec<Vec<u32>> = if mix {
+            (0..16u32)
+                .map(|r| (0..16u32).map(|c| 0xFFFF - (r * 31 + c * 17)).collect())
+                .collect()
         } else {
-            MacDirection::RowsToColumns
+            cells
         };
         let mut mac = MacCrossbar::new(g, Fidelity::Quantized);
         if faulty {
@@ -820,18 +827,29 @@ proptest! {
         for (r, row) in cells.iter().enumerate() {
             mac.write_row(r, row).unwrap();
         }
-        let full = mac.mac(direction, &active, &inputs).unwrap();
-        for (l, &got) in full.iter().enumerate() {
-            let want = reference_quantized_line(&mac, direction, &active, &inputs, l);
-            prop_assert_eq!(got, want, "full burst, line {}", l);
-        }
-        // Restricted read-out lines: every other crossed line.
-        let lines: Vec<usize> = (0..full.len()).step_by(2).collect();
-        let mut restricted = Vec::new();
-        mac.mac_lines_into(direction, &active, &inputs, &lines, &mut restricted)
-            .unwrap();
-        for (i, &l) in lines.iter().enumerate() {
-            prop_assert_eq!(restricted[i], full[l], "restricted line {}", l);
+        // A transposed burst activates columns, of which there are 16.
+        for (direction, lanes) in [
+            (MacDirection::RowsToColumns, g.max_active_rows),
+            (MacDirection::ColumnsToRows, g.cols),
+        ] {
+            let n = cells.len().min(lanes);
+            let active: Vec<usize> = (0..n).collect();
+            let inputs: Vec<u32> = (0..n as u32)
+                .map(|i| if mix { 0x1111 * i } else { i * 7919 + 13 } & 0xFFFF)
+                .collect();
+            let full = mac.mac(direction, &active, &inputs).unwrap();
+            for (l, &got) in full.iter().enumerate() {
+                let want = reference_quantized_line(&mac, direction, &active, &inputs, l);
+                prop_assert_eq!(got, want, "{:?} full burst, line {}", direction, l);
+            }
+            // Restricted read-out lines: every other crossed line, last first.
+            let lines: Vec<usize> = (0..full.len()).step_by(2).rev().collect();
+            let mut restricted = Vec::new();
+            mac.mac_lines_into(direction, &active, &inputs, &lines, &mut restricted)
+                .unwrap();
+            for (i, &l) in lines.iter().enumerate() {
+                prop_assert_eq!(restricted[i], full[l], "{:?} restricted line {}", direction, l);
+            }
         }
     }
 

@@ -81,7 +81,7 @@ echo "==> allocation bounds (release): warm sweeps allocate nothing, warm traver
 # resident sharded engine are checked in that shape too.
 cargo test -q --release --offline -p gaasx-core --test zero_alloc
 
-echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, packed MAC bursts, CAM and MAC program_block twin checks"
+echo "==> matcher equivalence (release): bucket field index + scan fallback vs reference scan, quantized MAC bursts, CAM and MAC program_block twin checks"
 # Release builds compile out the per-search debug cross-check against the
 # scalar scan, so this is the only release-mode check of the field index.
 # It also runs the program_block twin checks: a bulk block program must
