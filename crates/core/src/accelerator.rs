@@ -98,57 +98,15 @@ impl GaasX {
     ) -> Result<RunOutcome<A::Output>, CoreError> {
         let mut engine = Engine::new(self.config.clone())?;
         engine.set_tracer(self.tracer.clone());
-        let run = match algorithm.execute(&mut engine, input) {
-            Ok(run) => run,
-            Err(e) => {
-                return Err(Self::attach_partial_report(e, || {
-                    engine.finish(
-                        "gaasx",
-                        algorithm.name(),
-                        workload,
-                        0,
-                        A::input_edges(input),
-                    )
-                }))
-            }
-        };
-        let report = engine.finish(
-            "gaasx",
-            algorithm.name(),
-            workload,
-            run.iterations,
-            A::input_edges(input),
-        );
+        let edges = A::input_edges(input);
+        let run = algorithm.execute(&mut engine, input).map_err(|e| {
+            e.with_partial_report(|| engine.finish("gaasx", algorithm.name(), workload, 0, edges))
+        })?;
+        let report = engine.finish("gaasx", algorithm.name(), workload, run.iterations, edges);
         Ok(RunOutcome {
             result: run.output,
             report,
         })
-    }
-
-    /// Graceful degradation: an unrecoverable [`CoreError::DeviceFault`]
-    /// or deadline [`CoreError::Cancelled`] aborts the algorithm, but the
-    /// work done up to the abort still cost time and energy — attach the
-    /// partial report `finish` assembles so callers can account for (and
-    /// bill) it. Other errors pass through untouched, and `finish` is not
-    /// called.
-    fn attach_partial_report(e: CoreError, finish: impl FnOnce() -> RunReport) -> CoreError {
-        match e {
-            CoreError::DeviceFault {
-                detail,
-                report: None,
-            } => CoreError::DeviceFault {
-                detail,
-                report: Some(Box::new(finish())),
-            },
-            CoreError::Cancelled {
-                detail,
-                report: None,
-            } => CoreError::Cancelled {
-                detail,
-                report: Some(Box::new(finish())),
-            },
-            other => other,
-        }
     }
 
     /// Runs a shardable algorithm with its shard stream fanned out over
@@ -183,27 +141,11 @@ impl GaasX {
     ) -> Result<RunOutcome<A::Output>, CoreError> {
         let mut sharded = ShardedEngine::new(self.config.clone(), jobs)?;
         sharded.set_tracer(self.tracer.clone());
-        let run = match algorithm.execute_on(&mut sharded, input) {
-            Ok(run) => run,
-            Err(e) => {
-                return Err(Self::attach_partial_report(e, || {
-                    sharded.finish(
-                        "gaasx",
-                        algorithm.name(),
-                        workload,
-                        0,
-                        A::input_edges(input),
-                    )
-                }))
-            }
-        };
-        let report = sharded.finish(
-            "gaasx",
-            algorithm.name(),
-            workload,
-            run.iterations,
-            A::input_edges(input),
-        );
+        let edges = A::input_edges(input);
+        let run = algorithm.execute_on(&mut sharded, input).map_err(|e| {
+            e.with_partial_report(|| sharded.finish("gaasx", algorithm.name(), workload, 0, edges))
+        })?;
+        let report = sharded.finish("gaasx", algorithm.name(), workload, run.iterations, edges);
         Ok(RunOutcome {
             result: run.output,
             report,

@@ -47,6 +47,23 @@ pub enum CoreError {
     },
 }
 
+impl CoreError {
+    /// Graceful degradation: an unrecoverable [`CoreError::DeviceFault`]
+    /// or deadline [`CoreError::Cancelled`] aborts the run, but the work
+    /// done up to the abort still cost time and energy, so a driver
+    /// attaches the partial report `finish` assembles for callers to
+    /// account for (and bill). Other errors, and errors that already carry
+    /// a report, pass through untouched, and `finish` is not called.
+    pub fn with_partial_report(mut self, finish: impl FnOnce() -> RunReport) -> Self {
+        if let CoreError::DeviceFault { report, .. } | CoreError::Cancelled { report, .. } =
+            &mut self
+        {
+            report.get_or_insert_with(|| Box::new(finish()));
+        }
+        self
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

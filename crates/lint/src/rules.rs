@@ -281,10 +281,11 @@ fn no_stat_wipe(ws: &Workspace, out: &mut Vec<Finding>) {
 
 // --- rule 2: unchecked-accounting ---------------------------------------
 
-/// Whether `path` is on the accounting-critical list: the engine cost
-/// model, the SFU counters, and the whole `crates/sim` cost path.
+/// Whether `path` is on the accounting-critical list: the engine modules
+/// (its ledger and every phase that bills it), the SFU counters, and the
+/// whole `crates/sim` cost path.
 fn accounting_scoped(path: &str) -> bool {
-    path == "crates/core/src/engine.rs"
+    path.starts_with("crates/core/src/engine/")
         || path == "crates/core/src/sfu.rs"
         || path.starts_with("crates/sim/src/")
 }
@@ -1050,6 +1051,16 @@ impl S {
         let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
         assert_eq!(rules_of(&report).len(), 3, "{report:#?}");
         assert_eq!(lines, vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn accounting_covers_every_engine_module() {
+        let src = "pub(super) struct Ledger { compute_items: u64 }\n\
+                   fn bill(l: &mut Ledger, n: u64) { l.compute_items += n; }\n";
+        let ws = ws_of(vec![("crates/core/src/engine/ledger.rs", src)]);
+        let report = check_workspace(&ws);
+        assert_eq!(rules_of(&report), vec!["unchecked-accounting"]);
+        assert_eq!(report.findings[0].line, 2);
     }
 
     #[test]

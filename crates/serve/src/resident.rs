@@ -164,10 +164,10 @@ impl ResidentGraph {
     /// plus its full [`gaasx_sim::RunReport`]; accounting is reset
     /// afterwards so the next query starts from a clean bill.
     ///
-    /// Mirrors `GaasX::run_labeled_sharded` exactly — same search
-    /// profile, same `finish` labeling, same partial-report attachment on
-    /// device faults and cancellations — so a resident query is
-    /// bit-comparable to a one-shot run of the same request.
+    /// Mirrors `GaasX::run_labeled_sharded` exactly — same `finish`
+    /// labeling, same partial-report attachment on device faults and
+    /// cancellations — so a resident query is bit-comparable to a one-shot
+    /// run of the same request.
     ///
     /// # Errors
     ///
@@ -237,29 +237,9 @@ impl ResidentGraph {
                 })
             }
             Err(e) => {
-                let e = match e {
-                    CoreError::DeviceFault {
-                        detail,
-                        report: None,
-                    } => {
-                        let partial = exec.finish("gaasx", "query", &self.name, 0, num_edges);
-                        CoreError::DeviceFault {
-                            detail,
-                            report: Some(Box::new(partial)),
-                        }
-                    }
-                    CoreError::Cancelled {
-                        detail,
-                        report: None,
-                    } => {
-                        let partial = exec.finish("gaasx", "query", &self.name, 0, num_edges);
-                        CoreError::Cancelled {
-                            detail,
-                            report: Some(Box::new(partial)),
-                        }
-                    }
-                    other => other,
-                };
+                let e = e.with_partial_report(|| {
+                    exec.finish("gaasx", "query", &self.name, 0, num_edges)
+                });
                 exec.reset_accounting();
                 Err(e)
             }
