@@ -31,7 +31,7 @@ pub struct GpuModel {
     /// Effective-bandwidth derating for irregular gathers: random 4–8-byte
     /// vertex accesses ride 64-byte transactions, wasting ≈ 8×.
     pub access_inefficiency: f64,
-    /// Bytes moved per processed edge (edge record + both endpoint values).
+    /// Memory traffic in bytes per processed edge (edge record + both endpoint values).
     pub bytes_per_edge: f64,
     /// Peak FP32 throughput for the dense CF kernels, GFLOP/s.
     pub fp32_gflops: f64,

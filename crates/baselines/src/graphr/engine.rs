@@ -26,7 +26,7 @@ pub struct GraphRConfig {
     pub slices: u64,
     /// Bandwidth streaming COO data from the memory ReRAMs, GB/s.
     pub stream_bandwidth_gbps: f64,
-    /// Bytes per streamed COO edge record.
+    /// Size in bytes of one streamed COO edge record.
     pub edge_record_bytes: u64,
 }
 

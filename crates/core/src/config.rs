@@ -93,7 +93,7 @@ pub struct GaasXConfig {
     /// compute arrays, GB/s. GaaS-X, like GraphR, keeps graph data in
     /// on-package memory arrays, so this is internal-memory-class bandwidth.
     pub stream_bandwidth_gbps: f64,
-    /// Bytes per streamed edge record (COO: two u32 ids + f32 weight).
+    /// Size in bytes of one streamed edge record (COO: two u32 ids + f32 weight).
     pub edge_record_bytes: u64,
     /// Seeded device-fault injection ([`FaultModel::none`] disables it and
     /// costs nothing).

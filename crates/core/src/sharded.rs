@@ -363,24 +363,23 @@ impl ShardRunner for ShardedEngine {
         // 1..J get a scoped thread, so a single-worker pass spawns none.
         let mut workers = self.workers.iter_mut();
         let first = workers.next();
-        let per_worker: Vec<(ShardYield<T>, Option<CoreError>)> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .enumerate()
-                    .map(|(j, worker)| scope.spawn(move || run_share(j + 1, worker)))
-                    .collect();
-                let mut outcomes: Vec<_> = first
-                    .map(|worker| run_share(0, worker))
+        let per_worker: Vec<(ShardYield<T>, Option<CoreError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .enumerate()
+                .map(|(j, worker)| scope.spawn(move || run_share(j + 1, worker)))
+                .collect();
+            let mut outcomes: Vec<_> = first
+                .map(|worker| run_share(0, worker))
+                .into_iter()
+                .collect();
+            outcomes.extend(
+                handles
                     .into_iter()
-                    .collect();
-                outcomes.extend(
-                    handles
-                        .into_iter()
-                        // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
-                        .map(|h| h.join().expect("shard worker panicked")),
-                );
-                outcomes
-            });
+                    // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
+                    .map(|h| h.join().expect("shard worker panicked")),
+            );
+            outcomes
+        });
 
         // Re-append every committed cost in stream order: the completed
         // shards of every worker and, after a failure, the failing shard's

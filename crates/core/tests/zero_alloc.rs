@@ -15,7 +15,10 @@
 //! allocates nothing either. Neither does a dense paper-bank sweep that
 //! programs each block's MAC cells in one bank write, one and two codes
 //! per edge, and derives both distinct lists (the destination path and
-//! the bitmap buffer), with one search and gather per destination.
+//! the bitmap buffer), with one search and gather per destination, and
+//! neither does that sweep on an engine traced through a [`NullSink`]:
+//! the tracer skips every span before building it, which is what keeps
+//! the NullSink overhead bar.
 //!
 //! The test installs a counting global allocator, warms the engine with two
 //! full passes, then asserts a third pass performs zero allocations. It
@@ -26,13 +29,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use gaasx_core::algorithms::{traverse, Sssp};
 use gaasx_core::engine::{partition_for_streaming, CellLayout, Engine, Keys};
 use gaasx_core::{GaasXConfig, RecoveryPolicy, ShardedEngine};
 use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{generators, Edge, VertexId};
-use gaasx_sim::Phase;
+use gaasx_sim::{NullSink, Phase, Tracer};
 use gaasx_xbar::{FaultModel, HitVector};
 
 /// Counts every allocation and reallocation made through the global
@@ -81,8 +85,14 @@ fn steady_state_search_and_gather_allocate_nothing() {
         ..GaasXConfig::deep_bank()
     });
     // One weight per MAC row (PageRank's shape) and two (traversal's).
-    measure_dense_sweep(GaasXConfig::small(), 1);
-    measure_dense_sweep(GaasXConfig::small(), 2);
+    measure_dense_sweep(GaasXConfig::small(), 1, Tracer::null());
+    measure_dense_sweep(GaasXConfig::small(), 2, Tracer::null());
+    // A tracer wired to a sink that observes no spans costs nothing.
+    measure_dense_sweep(
+        GaasXConfig::small(),
+        1,
+        Tracer::with_sink(Arc::new(NullSink)),
+    );
     measure_warm_traversals(1);
     measure_warm_traversals(2);
 }
@@ -90,11 +100,11 @@ fn steady_state_search_and_gather_allocate_nothing() {
 /// Sweeps the largest shard of a paper-bank partition the way PageRank
 /// does: every block loads with per-edge MAC cells `width` codes wide,
 /// both distinct lists are derived, and each destination is searched and
-/// gathered. Two warm-up sweeps size every buffer; the third must
-/// allocate nothing. Each sweep starts from a clean bill, as a resident
-/// engine's queries do, so the per-block cost ledger refills its kept
-/// capacity.
-fn measure_dense_sweep(config: GaasXConfig, width: usize) {
+/// gathered, with `tracer` attached. Two warm-up sweeps size every
+/// buffer; the third must allocate nothing. Each sweep starts from a
+/// clean bill, as a resident engine's queries do, so the per-block cost
+/// ledger refills its kept capacity.
+fn measure_dense_sweep(config: GaasXConfig, width: usize, tracer: Tracer) {
     let graph =
         generators::rmat(&generators::RmatConfig::new(1 << 10, 20_000).with_seed(7)).unwrap();
     let grid = partition_for_streaming(&graph).unwrap();
@@ -103,6 +113,8 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
         .max_by_key(|s| s.edges().len())
         .unwrap();
     let mut engine = Engine::new(config).unwrap();
+    let traced = tracer.enabled();
+    engine.set_tracer(tracer);
     assert!(
         shard.edges().len() > 2 * engine.block_capacity(),
         "the shard spans {} edges",
@@ -151,7 +163,8 @@ fn measure_dense_sweep(config: GaasXConfig, width: usize) {
     assert!(warm.0 > 2 && warm.2 > 0, "the sweep must do real work");
     assert_eq!(
         allocs, 0,
-        "a warm width-{width} dense sweep of {} blocks performed {allocs} heap allocations",
+        "a warm width-{width} dense sweep of {} blocks (traced: {traced}) performed {allocs} \
+         heap allocations",
         warm.0
     );
 }

@@ -11,10 +11,8 @@
 //! reads — the access pattern GaaS-X's controller assumes.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-use bytes::Bytes;
 
 use crate::coo::CooGraph;
 use crate::error::GraphError;
@@ -47,8 +45,7 @@ impl ShardStore {
         let mut occupied = Vec::new();
         for ((row, col), shard) in grid.shards_with_coords() {
             let coo = CooGraph::from_edges(grid.num_vertices(), shard.edges().to_vec())?;
-            let mut w = BufWriter::new(File::create(shard_path(&root, row, col))?);
-            w.write_all(&to_binary(&coo))?;
+            fs::write(shard_path(&root, row, col), to_binary(&coo))?;
             occupied.push((row, col));
         }
         let mut manifest = BufWriter::new(File::create(root.join(MANIFEST))?);
@@ -62,6 +59,7 @@ impl ShardStore {
         for &(r, c) in &occupied {
             writeln!(manifest, "{r} {c}")?;
         }
+        manifest.flush()?;
         Ok(ShardStore {
             root,
             num_vertices: grid.num_vertices(),
@@ -152,9 +150,7 @@ impl ShardStore {
     ///
     /// Returns I/O or format errors; a missing shard file is an I/O error.
     pub fn load_shard(&self, row: u32, col: u32) -> Result<CooGraph, GraphError> {
-        let mut bytes = Vec::new();
-        BufReader::new(File::open(shard_path(&self.root, row, col))?).read_to_end(&mut bytes)?;
-        from_binary(Bytes::from(bytes))
+        from_binary(&fs::read(shard_path(&self.root, row, col))?)
     }
 
     /// Streams all shards in the given order, yielding

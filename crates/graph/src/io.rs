@@ -8,8 +8,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::coo::CooGraph;
 use crate::error::GraphError;
 use crate::types::Edge;
@@ -88,7 +86,8 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CooGraph, GraphError> {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the writer.
+/// Propagates I/O failures from the writer, including those of the final
+/// flush (a `BufWriter` dropped unflushed would discard them).
 pub fn write_edge_list<W: Write>(mut writer: W, graph: &CooGraph) -> Result<(), GraphError> {
     writeln!(
         writer,
@@ -99,26 +98,39 @@ pub fn write_edge_list<W: Write>(mut writer: W, graph: &CooGraph) -> Result<(), 
     for e in graph.iter() {
         writeln!(writer, "{} {} {}", e.src.raw(), e.dst.raw(), e.weight)?;
     }
+    writer.flush()?;
     Ok(())
 }
 
 const BINARY_MAGIC: u32 = 0x6758_4147; // "GAxg"
 const BINARY_VERSION: u32 = 1;
+/// Magic, version, vertex count (`u32` each) and edge count (`u64`).
+const HEADER_BYTES: usize = 20;
+/// Source and destination ids (`u32` each) and the weight (`f32`).
+const RECORD_BYTES: usize = 12;
 
 /// Encodes a graph into the compact little-endian binary format
 /// (magic, version, vertex count, edge count, then 12-byte edge records).
-pub fn to_binary(graph: &CooGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + graph.num_edges() * 12);
-    buf.put_u32_le(BINARY_MAGIC);
-    buf.put_u32_le(BINARY_VERSION);
-    buf.put_u32_le(graph.num_vertices());
-    buf.put_u64_le(graph.num_edges() as u64);
+pub fn to_binary(graph: &CooGraph) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + graph.num_edges() * RECORD_BYTES);
+    buf.extend_from_slice(&BINARY_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+    buf.extend_from_slice(&graph.num_vertices().to_le_bytes());
+    buf.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
     for e in graph.iter() {
-        buf.put_u32_le(e.src.raw());
-        buf.put_u32_le(e.dst.raw());
-        buf.put_f32_le(e.weight);
+        buf.extend_from_slice(&e.src.raw().to_le_bytes());
+        buf.extend_from_slice(&e.dst.raw().to_le_bytes());
+        buf.extend_from_slice(&e.weight.to_le_bytes());
     }
-    buf.freeze()
+    buf
+}
+
+/// The `N` bytes at `at`, for `from_le_bytes`; the caller has checked
+/// that they exist.
+fn field<const N: usize>(data: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&data[at..at + N]);
+    out
 }
 
 /// Decodes a graph from the binary format produced by [`to_binary`].
@@ -127,38 +139,42 @@ pub fn to_binary(graph: &CooGraph) -> Bytes {
 ///
 /// Returns [`GraphError::MalformedBinary`] on truncation, bad magic, or an
 /// unsupported version, and [`GraphError::VertexOutOfRange`] if a record
-/// references a vertex beyond the declared count.
-pub fn from_binary(mut data: Bytes) -> Result<CooGraph, GraphError> {
-    let need = |data: &Bytes, n: usize, what: &str| -> Result<(), GraphError> {
-        if data.remaining() < n {
-            Err(GraphError::MalformedBinary(format!("truncated {what}")))
-        } else {
-            Ok(())
-        }
-    };
-    need(&data, 20, "header")?;
-    let magic = data.get_u32_le();
+/// references a vertex beyond the declared count. The declared edge count
+/// is checked against the bytes present before anything is allocated.
+pub fn from_binary(data: &[u8]) -> Result<CooGraph, GraphError> {
+    let truncated = |what: &str| GraphError::MalformedBinary(format!("truncated {what}"));
+    if data.len() < HEADER_BYTES {
+        return Err(truncated("header"));
+    }
+    let (header, records) = data.split_at(HEADER_BYTES);
+    let magic = u32::from_le_bytes(field(header, 0));
     if magic != BINARY_MAGIC {
         return Err(GraphError::MalformedBinary(format!(
             "bad magic {magic:#010x}"
         )));
     }
-    let version = data.get_u32_le();
+    let version = u32::from_le_bytes(field(header, 4));
     if version != BINARY_VERSION {
         return Err(GraphError::MalformedBinary(format!(
             "unsupported version {version}"
         )));
     }
-    let num_vertices = data.get_u32_le();
-    let num_edges = data.get_u64_le() as usize;
-    need(&data, num_edges.saturating_mul(12), "edge records")?;
-    let mut edges = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        let src = data.get_u32_le();
-        let dst = data.get_u32_le();
-        let weight = data.get_f32_le();
-        edges.push(Edge::new(src, dst, weight));
-    }
+    let num_vertices = u32::from_le_bytes(field(header, 8));
+    let num_edges = usize::try_from(u64::from_le_bytes(field(header, 12)))
+        .ok()
+        .filter(|&n| n <= records.len() / RECORD_BYTES)
+        .ok_or_else(|| truncated("edge records"))?;
+    let edges = records
+        .chunks_exact(RECORD_BYTES)
+        .take(num_edges)
+        .map(|r| {
+            Edge::new(
+                u32::from_le_bytes(field(r, 0)),
+                u32::from_le_bytes(field(r, 4)),
+                f32::from_le_bytes(field(r, 8)),
+            )
+        })
+        .collect();
     CooGraph::from_edges(num_vertices, edges)
 }
 
@@ -174,6 +190,25 @@ mod tests {
         write_edge_list(&mut buf, &g).unwrap();
         let back = read_edge_list(buf.as_slice()).unwrap();
         assert_eq!(back, g);
+    }
+
+    #[test]
+    fn text_writer_reports_a_failed_flush() {
+        /// A device with no room left, like `/dev/full`.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::WriteZero.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // The buffer holds the whole small graph, so only the flush
+        // reaches the device.
+        let out = std::io::BufWriter::new(Full);
+        let result = write_edge_list(out, &generators::path_graph(3));
+        assert!(matches!(result, Err(GraphError::Io(_))), "{result:?}");
     }
 
     #[test]
@@ -230,16 +265,32 @@ mod tests {
         let g = generators::rmat(&generators::RmatConfig::new(1 << 6, 300).with_seed(5)).unwrap();
         let bytes = to_binary(&g);
         assert_eq!(bytes.len(), 20 + 300 * 12);
-        let back = from_binary(bytes).unwrap();
+        let back = from_binary(&bytes).unwrap();
         assert_eq!(back, g);
     }
 
     #[test]
+    fn binary_layout_is_pinned_byte_for_byte() {
+        let g =
+            CooGraph::from_edges(3, vec![Edge::new(0, 1, 1.5), Edge::new(2, 0, -0.25)]).unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 44] = [
+            0x47, 0x41, 0x58, 0x67, // magic "GAXg"
+            0x01, 0x00, 0x00, 0x00, // version 1
+            0x03, 0x00, 0x00, 0x00, // 3 vertices
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 2 edges (u64)
+            0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, // 0 -> 1, 1.5
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xbe, // 2 -> 0, -0.25
+        ];
+        assert_eq!(to_binary(&g)[..], golden[..]);
+    }
+
+    #[test]
     fn binary_rejects_bad_magic() {
-        let mut raw = to_binary(&generators::path_graph(3)).to_vec();
+        let mut raw = to_binary(&generators::path_graph(3));
         raw[0] ^= 0xff;
         assert!(matches!(
-            from_binary(Bytes::from(raw)),
+            from_binary(&raw),
             Err(GraphError::MalformedBinary(_))
         ));
     }
@@ -247,14 +298,21 @@ mod tests {
     #[test]
     fn binary_rejects_truncation() {
         let raw = to_binary(&generators::path_graph(3));
-        let cut = raw.slice(0..raw.len() - 4);
-        assert!(from_binary(cut).is_err());
+        for cut in [raw.len() - 4, 19] {
+            assert!(matches!(
+                from_binary(&raw[..cut]),
+                Err(GraphError::MalformedBinary(_))
+            ));
+        }
     }
 
     #[test]
     fn binary_rejects_bad_version() {
-        let mut raw = to_binary(&generators::path_graph(3)).to_vec();
+        let mut raw = to_binary(&generators::path_graph(3));
         raw[4] = 99;
-        assert!(from_binary(Bytes::from(raw)).is_err());
+        assert!(matches!(
+            from_binary(&raw),
+            Err(GraphError::MalformedBinary(_))
+        ));
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use gaasx_graph::generators::{self, RmatConfig};
 use gaasx_graph::io;
 use gaasx_graph::partition::GridPartition;
-use gaasx_graph::{reorder, CooGraph, Csc, Csr, VertexId};
+use gaasx_graph::{reorder, CooGraph, Csc, Csr, GraphError, VertexId};
 
 fn arb_graph() -> impl Strategy<Value = CooGraph> {
     (2u32..80, 0usize..300, any::<u64>()).prop_map(|(n, m, seed)| {
@@ -19,7 +19,7 @@ proptest! {
 
     #[test]
     fn binary_io_roundtrips(g in arb_graph()) {
-        prop_assert_eq!(io::from_binary(io::to_binary(&g)).unwrap(), g);
+        prop_assert_eq!(io::from_binary(&io::to_binary(&g)).unwrap(), g);
     }
 
     #[test]
@@ -89,5 +89,56 @@ proptest! {
         let d = g.deduplicated();
         prop_assert!(d.num_edges() <= g.num_edges());
         prop_assert_eq!(d.deduplicated().num_edges(), d.num_edges());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn binary_decoder_survives_arbitrary_bytes(data in prop::collection::vec(any::<u8>(), 0..120)) {
+        // A graph or one of the decoder's typed errors; anything else, or
+        // a panic, fails.
+        let verdict = io::from_binary(&data);
+        prop_assert!(
+            matches!(
+                verdict,
+                Ok(_) | Err(GraphError::MalformedBinary(_) | GraphError::VertexOutOfRange { .. })
+            ),
+            "untyped rejection: {verdict:?}"
+        );
+    }
+
+    /// A valid magic and version followed by any vertex count and any
+    /// edge count up to `u64::MAX`: a count the bytes cannot hold is a
+    /// truncation, not an allocation of that many edges; otherwise every
+    /// declared record decodes or a vertex is out of range.
+    #[test]
+    fn binary_decoder_checks_declared_edge_counts(
+        num_vertices in any::<u32>(),
+        count in any::<u64>(),
+        shift in 0u32..64,
+        records in prop::collection::vec(any::<u8>(), 0..120),
+    ) {
+        let declared = if shift == 0 { u64::MAX } else { count >> shift };
+        let mut data = io::to_binary(&CooGraph::from_edges(0, Vec::new()).unwrap());
+        data.truncate(8);
+        data.extend_from_slice(&num_vertices.to_le_bytes());
+        data.extend_from_slice(&declared.to_le_bytes());
+        data.extend_from_slice(&records);
+        let fits = declared <= (records.len() / 12) as u64;
+        match io::from_binary(&data) {
+            Ok(g) => {
+                prop_assert!(fits);
+                prop_assert_eq!(g.num_edges() as u64, declared);
+                prop_assert_eq!(g.num_vertices(), num_vertices);
+            }
+            Err(GraphError::MalformedBinary(_)) => prop_assert!(!fits),
+            Err(GraphError::VertexOutOfRange { num_vertices: n, .. }) => {
+                prop_assert!(fits);
+                prop_assert_eq!(n, num_vertices);
+            }
+            Err(e) => prop_assert!(false, "untyped rejection: {e:?}"),
+        }
     }
 }

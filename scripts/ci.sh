@@ -92,11 +92,15 @@ cargo test -q --release --offline -p gaasx-xbar --test packed_equivalence
 
 echo "==> repo benchmark: fmt, clippy -D warnings, tests, --smoke"
 # The benchmark is a Cargo package of its own (empty [workspace], own lock
-# file), so the workspace-wide steps above do not reach it.
+# file), so the workspace-wide steps above do not reach it. Its build
+# output goes under the workspace's ignored target/, not beside its
+# sources under crates/.
 BENCH_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
+BENCH_TARGET=target/benchmark
 cargo fmt --check --manifest-path "$BENCH_MANIFEST"
-cargo clippy -q --release --offline --all-targets --manifest-path "$BENCH_MANIFEST" -- -D warnings
-cargo test -q --release --offline --manifest-path "$BENCH_MANIFEST"
-cargo run -q --release --offline --manifest-path "$BENCH_MANIFEST" -- --smoke
+cargo clippy -q --release --offline --all-targets --manifest-path "$BENCH_MANIFEST" \
+    --target-dir "$BENCH_TARGET" -- -D warnings
+cargo test -q --release --offline --manifest-path "$BENCH_MANIFEST" --target-dir "$BENCH_TARGET"
+cargo run -q --release --offline --manifest-path "$BENCH_MANIFEST" --target-dir "$BENCH_TARGET" -- --smoke
 
 echo "CI gate passed."

@@ -16,7 +16,7 @@
 
 #![allow(clippy::unwrap_used)]
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use gaasx::baselines::{GraphR, GraphRConfig};
@@ -119,13 +119,10 @@ impl<'a> Args<'a> {
 }
 
 fn load(path: &str) -> Result<CooGraph, Box<dyn std::error::Error>> {
-    let file = File::open(path)?;
     if path.ends_with(".bin") {
-        let mut bytes = Vec::new();
-        BufReader::new(file).read_to_end(&mut bytes)?;
-        Ok(gio::from_binary(bytes.into())?)
+        Ok(gio::from_binary(&std::fs::read(path)?)?)
     } else {
-        Ok(gio::read_edge_list(BufReader::new(file))?)
+        Ok(gio::read_edge_list(BufReader::new(File::open(path)?))?)
     }
 }
 
@@ -185,8 +182,7 @@ fn cmd_generate(args: &[String]) -> CliResult {
     };
     match args.flag("--out") {
         Some(path) if path.ends_with(".bin") => {
-            let mut w = BufWriter::new(File::create(path)?);
-            w.write_all(&gio::to_binary(&graph))?;
+            std::fs::write(path, gio::to_binary(&graph))?;
             println!("wrote {} edges to {path} (binary)", graph.num_edges());
         }
         Some(path) => {

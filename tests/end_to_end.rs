@@ -135,7 +135,7 @@ fn io_roundtrip_feeds_the_accelerator() {
     let mut text = Vec::new();
     gaasx::graph::io::write_edge_list(&mut text, &graph).unwrap();
     let from_text = gaasx::graph::io::read_edge_list(text.as_slice()).unwrap();
-    let from_binary = gaasx::graph::io::from_binary(gaasx::graph::io::to_binary(&graph)).unwrap();
+    let from_binary = gaasx::graph::io::from_binary(&gaasx::graph::io::to_binary(&graph)).unwrap();
 
     let src = VertexId::new(0);
     let direct = accel().run(&Bfs::from_source(src), &graph).unwrap().result;
